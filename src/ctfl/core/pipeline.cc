@@ -128,7 +128,6 @@ Result<CtflReport> RunCtfl(const Federation& federation, const Dataset& test,
   } else {
     run.epochs = std::move(central_report.epoch_stats);
     run.grafting_steps = central_report.steps;
-    run.train_accuracy = central_report.train_accuracy;
   }
 
   // Rule-extraction stats: how much of the trained model survives the
@@ -142,14 +141,29 @@ Result<CtflReport> RunCtfl(const Federation& federation, const Dataset& test,
     }
   }
 
-  // ---- Phase 2: single tracing pass. ------------------------------------
+  // ---- Phase 2: participants compute their activation uploads. ----------
+  // The same block pass predicts every training record, which gives the
+  // deployed model's training accuracy on either training path.
+  std::vector<std::vector<Bitset>> uploads;
+  {
+    CTFL_SPAN("ctfl.upload");
+    phase_cpu_watch.Restart();
+    telemetry::ScopedTimer upload_timer(&run.upload_seconds);
+    uploads = ContributionTracer::ComputeUploadActivations(
+        report.model, federation, config.tracer, &run.train_accuracy);
+  }
+  run.upload_cpu_seconds = phase_cpu_watch.LapSeconds();
+
+  // ---- Phase 3: single tracing pass. ------------------------------------
   phase_cpu_watch.Restart();
-  const ContributionTracer tracer(&report.model, &federation, config.tracer);
+  Stopwatch trace_watch;
+  const ContributionTracer tracer(&report.model, &federation, config.tracer,
+                                  std::move(uploads));
   report.trace = tracer.Trace(test);
+  run.trace_seconds = trace_watch.ElapsedSeconds();
   run.trace_cpu_seconds = phase_cpu_watch.LapSeconds();
-  report.trace_seconds = report.trace.tracing_seconds;
+  report.trace_seconds = run.trace_seconds;
   report.test_accuracy = report.trace.global_accuracy;
-  run.trace_seconds = report.trace.tracing_seconds;
   run.trace_keys = report.trace.num_keys;
   run.tau_w_checks = report.trace.tau_w_checks;
   run.related_records = report.trace.related_records;
@@ -158,7 +172,7 @@ Result<CtflReport> RunCtfl(const Federation& federation, const Dataset& test,
   run.exact_fallbacks = report.trace.exact_fallbacks;
   run.uncovered_tests = static_cast<int64_t>(report.trace.uncovered_tests);
 
-  // ---- Phase 3: micro + macro credit allocation. ------------------------
+  // ---- Phase 4: micro + macro credit allocation. ------------------------
   {
     CTFL_SPAN("ctfl.allocate");
     phase_cpu_watch.Restart();
@@ -168,7 +182,7 @@ Result<CtflReport> RunCtfl(const Federation& federation, const Dataset& test,
   }
   run.allocate_cpu_seconds = phase_cpu_watch.LapSeconds();
 
-  // ---- Optional phase 4: persist the contribution bundle. ---------------
+  // ---- Optional phase 5: persist the contribution bundle. ---------------
   if (!config.bundle_out.empty()) {
     CTFL_SPAN("ctfl.bundle.emit");
     store::SnapshotOptions snapshot;

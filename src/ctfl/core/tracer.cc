@@ -32,25 +32,39 @@ struct TraceKey {
 
 std::vector<std::vector<Bitset>> ContributionTracer::ComputeUploadActivations(
     const LogicalNet& net, const Federation& federation,
-    const TracerConfig& config) {
+    const TracerConfig& config, double* train_accuracy) {
   // Participants compute their activation vectors locally and upload them
   // (paper §V privacy analysis); here that is this precomputation. When
   // dp_epsilon > 0 each participant perturbs its upload with randomized
   // response before it leaves the client. Each participant's DP stream is
   // seeded dp_seed + p and consumed in record order, so any caller running
   // this against the same model reproduces the uploads bit-for-bit.
+  // The forward pass itself runs in 64-record blocks (InferDataset);
+  // the randomized response then walks the records in order.
   std::vector<std::vector<Bitset>> uploads(federation.size());
+  std::vector<uint8_t> predicted;
+  size_t records = 0;
+  size_t correct = 0;
   for (size_t p = 0; p < federation.size(); ++p) {
     const Dataset& data = federation[p].data;
-    Rng dp_rng(config.dp_seed + p);
-    uploads[p].reserve(data.size());
-    for (size_t i = 0; i < data.size(); ++i) {
-      Bitset activation = net.RuleActivations(data.instance(i));
-      if (config.dp_epsilon > 0.0) {
+    net.InferDataset(data, train_accuracy != nullptr ? &predicted : nullptr,
+                     &uploads[p]);
+    if (train_accuracy != nullptr) {
+      for (size_t i = 0; i < data.size(); ++i) {
+        if (predicted[i] == data.instance(i).label) ++correct;
+      }
+      records += data.size();
+    }
+    if (config.dp_epsilon > 0.0) {
+      Rng dp_rng(config.dp_seed + p);
+      for (Bitset& activation : uploads[p]) {
         activation = RandomizedResponse(activation, config.dp_epsilon, dp_rng);
       }
-      uploads[p].push_back(std::move(activation));
     }
+  }
+  if (train_accuracy != nullptr) {
+    *train_accuracy =
+        records > 0 ? static_cast<double>(correct) / records : 0.0;
   }
   return uploads;
 }
@@ -160,12 +174,14 @@ TraceResult ContributionTracer::Trace(const Dataset& test) const {
   std::vector<TestForward> forwards(test.size());
   {
     telemetry::Span forward_span("ctfl.trace.forwards");
+    std::vector<uint8_t> predicted;
+    std::vector<Bitset> activations;
+    net_->InferDataset(test, &predicted, &activations);
     for (size_t t = 0; t < test.size(); ++t) {
-      const Instance& inst = test.instance(t);
       TestForward& fwd = forwards[t];
-      fwd.label = static_cast<uint8_t>(inst.label);
-      fwd.predicted = static_cast<uint8_t>(net_->Predict(inst));
-      fwd.activation = net_->RuleActivations(inst);
+      fwd.label = static_cast<uint8_t>(test.instance(t).label);
+      fwd.predicted = predicted[t];
+      fwd.activation = std::move(activations[t]);
     }
   }
   TraceResult result = TraceForwards(forwards);

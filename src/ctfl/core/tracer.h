@@ -172,10 +172,12 @@ class ContributionTracer {
   /// tracing constructor does: one DP stream per participant, seeded
   /// `dp_seed + p`, consumed in record order. Shared with the streaming
   /// delta-log emitter so per-round uploads bit-match a tracer built on
-  /// the same model.
+  /// the same model. When `train_accuracy` is non-null it receives the
+  /// deployed model's accuracy over every participant's records, from
+  /// the predictions of the same forward pass.
   static std::vector<std::vector<Bitset>> ComputeUploadActivations(
       const LogicalNet& net, const Federation& federation,
-      const TracerConfig& config);
+      const TracerConfig& config, double* train_accuracy = nullptr);
 
   /// Single tracing pass over the reserved test set.
   TraceResult Trace(const Dataset& test) const;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "ctfl/util/logging.h"
-#include "ctfl/util/thread_pool.h"
 
 namespace ctfl {
 
@@ -99,48 +98,123 @@ Matrix LogicalNet::ForwardContinuous(const Matrix& encoded,
   return logits;
 }
 
-Matrix LogicalNet::RulesDiscreteSerial(const Matrix& encoded) const {
-  std::vector<Matrix> outs;
-  const Matrix* layer_in = &encoded;
-  for (const LogicLayer& layer : logic_layers_) {
-    outs.push_back(layer.ForwardDiscrete(*layer_in));
-    layer_in = &outs.back();
-  }
-  return ConcatRules(encoded, outs, config_.input_skip, num_rules_);
-}
-
 namespace {
 
-/// Minimum batch before the discrete forward pass fans out row chunks.
-constexpr size_t kBatchedForwardMinRows = 256;
+/// One bit-packed discrete pass (DESIGN.md §16): every layer's active-input
+/// lists, built once per pass, and one word per encoded input and per
+/// logic node for the current block of up to 64 records.
+class DiscreteBlockPass {
+ public:
+  explicit DiscreteBlockPass(const LogicalNet& net)
+      : net_(net), active_(net.logic_layers().size()) {
+    size_t words = static_cast<size_t>(net.encoded_size());
+    for (size_t l = 0; l < active_.size(); ++l) {
+      net.logic_layers()[l].BuildActiveLists(&active_[l]);
+      words += static_cast<size_t>(net.logic_layers()[l].out_dim());
+    }
+    words_.resize(words);
+  }
+
+  /// Packs rows [lo, lo + n) of the encoded matrix `x` and runs every
+  /// logic layer on them.
+  void Run(const Matrix& x, size_t lo, size_t n) {
+    CTFL_CHECK(static_cast<int>(x.cols()) == net_.encoded_size());
+    PackRows(x, lo, n, words_.data());
+    uint64_t* in = words_.data();
+    for (size_t l = 0; l < active_.size(); ++l) {
+      const LogicLayer& layer = net_.logic_layers()[l];
+      uint64_t* out = in + layer.in_dim();
+      layer.ForwardPacked(active_[l], in, out);
+      in = out;
+    }
+  }
+
+  /// Writes the block's rule vectors into rows [dst, dst + n) of `rules`:
+  /// the skip coordinates copy x's rows verbatim, as ConcatRules does, and
+  /// the logic nodes become 0.0 / 1.0.
+  void FillRules(const Matrix& x, size_t lo, size_t n, Matrix* rules,
+                 size_t dst) const {
+    const size_t skip = net_.config().input_skip ? x.cols() : 0;
+    const size_t nodes = static_cast<size_t>(net_.num_rules()) - skip;
+    const uint64_t* logic = words_.data() + x.cols();
+    for (size_t r = 0; r < n; ++r) {
+      double* out = rules->row(dst + r);
+      std::copy(x.row(lo + r), x.row(lo + r) + skip, out);
+      for (size_t j = 0; j < nodes; ++j) {
+        out[skip + j] = (logic[j] >> r) & 1 ? 1.0 : 0.0;
+      }
+    }
+  }
+
+  /// Rule-activation bitset of record r of the block. The skip
+  /// coordinates read the packed inputs, which equal `encoded > 0.5` for
+  /// the encoder's 0/1 output.
+  Bitset Activation(size_t r) const {
+    const size_t num_rules = static_cast<size_t>(net_.num_rules());
+    const uint64_t* rule_words =
+        words_.data() + (net_.config().input_skip ? 0 : net_.encoded_size());
+    std::vector<uint64_t> bits((num_rules + 63) / 64, 0);
+    for (size_t j = 0; j < num_rules; ++j) {
+      bits[j / 64] |= ((rule_words[j] >> r) & 1) << (j % 64);
+    }
+    return Bitset::FromWords(num_rules, std::move(bits)).value();
+  }
+
+ private:
+  const LogicalNet& net_;
+  std::vector<LogicLayer::ActiveLists> active_;
+  /// [encoded inputs | layer 0 nodes | layer 1 nodes | ...]
+  std::vector<uint64_t> words_;
+};
+
+/// Eq. (3): the class with the larger logit, ties toward the positive one.
+int PredictedClass(const Matrix& logits, size_t r) {
+  return logits(r, 1) >= logits(r, 0) ? 1 : 0;
+}
+
+/// Deployed inference over records at(0) .. at(count - 1), 64 at a time.
+/// Fills predicted[i] and activations[i] for whichever output is non-null.
+template <typename InstanceAt>
+void InferBlocks(const LogicalNet& net, size_t count, InstanceAt at,
+                 uint8_t* predicted, Bitset* activations) {
+  DiscreteBlockPass pass(net);
+  Matrix block;
+  Matrix rules;
+  for (size_t lo = 0; lo < count; lo += kRecordsPerWord) {
+    const size_t n = std::min(kRecordsPerWord, count - lo);
+    if (block.rows() != n) {
+      block = Matrix(n, net.encoded_size());
+      rules = Matrix(n, net.num_rules());
+    }
+    for (size_t r = 0; r < n; ++r) {
+      net.encoder().Encode(at(lo + r), block.row(r));
+    }
+    pass.Run(block, 0, n);
+    if (predicted != nullptr) {
+      // The vote layer runs on the same 0/1 rule rows as ForwardDiscrete,
+      // so each row's logits are the per-record ones.
+      pass.FillRules(block, 0, n, &rules, 0);
+      const Matrix logits = net.linear().Forward(rules);
+      for (size_t r = 0; r < n; ++r) {
+        predicted[lo + r] = static_cast<uint8_t>(PredictedClass(logits, r));
+      }
+    }
+    if (activations != nullptr) {
+      for (size_t r = 0; r < n; ++r) activations[lo + r] = pass.Activation(r);
+    }
+  }
+}
 
 }  // namespace
 
 Matrix LogicalNet::RulesDiscrete(const Matrix& encoded) const {
-  const size_t batch = encoded.rows();
-  ThreadPool* pool = nullptr;
-  if (batch >= kBatchedForwardMinRows) pool = MatrixParallelPool();
-  if (pool == nullptr) return RulesDiscreteSerial(encoded);
-
-  // Batched forward (DESIGN.md §9): each chunk runs the unmodified serial
-  // pipeline on a contiguous row slice. Every output row is produced by
-  // exactly the per-row arithmetic of the serial pass, so the stitched
-  // result is bit-identical regardless of thread count or chunking.
-  Matrix rules(batch, num_rules_);
-  const size_t chunks = std::min<size_t>(
-      batch, static_cast<size_t>(pool->num_threads()) * 2);
-  const size_t chunk_rows = (batch + chunks - 1) / chunks;
-  pool->ParallelFor(0, chunks, [&](size_t ci) {
-    const size_t lo = ci * chunk_rows;
-    const size_t hi = std::min(batch, lo + chunk_rows);
-    if (lo >= hi) return;
-    Matrix sub(hi - lo, encoded.cols());
-    std::copy(encoded.row(lo), encoded.row(lo) + (hi - lo) * encoded.cols(),
-              sub.data());
-    const Matrix sub_rules = RulesDiscreteSerial(sub);
-    std::copy(sub_rules.data(), sub_rules.data() + sub_rules.size(),
-              rules.row(lo));
-  });
+  DiscreteBlockPass pass(*this);
+  Matrix rules(encoded.rows(), num_rules_);
+  for (size_t lo = 0; lo < encoded.rows(); lo += kRecordsPerWord) {
+    const size_t n = std::min(kRecordsPerWord, encoded.rows() - lo);
+    pass.Run(encoded, lo, n);
+    pass.FillRules(encoded, lo, n, &rules, lo);
+  }
   return rules;
 }
 
@@ -171,14 +245,16 @@ void LogicalNet::Backward(const Cache& cache, const Matrix& dlogits) {
 
   // Reverse pass through the logic layers; each layer's dx adds to the
   // previous layer's upstream gradient.
-  for (int layer = static_cast<int>(logic_layers_.size()) - 1; layer >= 0;
-       --layer) {
-    const Matrix& input =
-        layer == 0 ? cache.encoded : cache.layer_out[layer - 1];
-    Matrix dx = logic_layers_[layer].Backward(input, cache.layer_out[layer],
-                                              dout[layer]);
-    if (layer > 0) dout[layer - 1].Axpy(1.0, dx);
-    // dx w.r.t. the encoder input is discarded (no parameters there).
+  for (size_t layer = logic_layers_.size(); layer-- > 1;) {
+    Matrix dx = logic_layers_[layer].Backward(
+        cache.layer_out[layer - 1], cache.layer_out[layer], dout[layer]);
+    dout[layer - 1].Axpy(1.0, dx);
+  }
+  // The encoder input has no parameters, so layer 0's input gradient has
+  // no consumer: it accumulates weight gradients only.
+  if (!logic_layers_.empty()) {
+    logic_layers_[0].BackwardWeights(cache.encoded, cache.layer_out[0],
+                                     dout[0]);
   }
 }
 
@@ -236,34 +312,47 @@ size_t LogicalNet::NumParameters() const {
 }
 
 int LogicalNet::Predict(const Instance& instance) const {
-  Matrix encoded(1, encoder_.encoded_size());
-  encoder_.Encode(instance, encoded.row(0));
-  const Matrix logits = ForwardDiscrete(encoded);
-  // Eq. (3) resolves ties toward the positive class.
-  return logits(0, 1) >= logits(0, 0) ? 1 : 0;
+  return Infer(instance).predicted;
 }
 
 double LogicalNet::Accuracy(const Dataset& dataset) const {
   if (dataset.empty()) return 0.0;
-  const Matrix encoded = EncodeBatch(dataset);
-  const Matrix logits = ForwardDiscrete(encoded);
+  std::vector<uint8_t> predicted;
+  InferDataset(dataset, &predicted, nullptr);
   size_t correct = 0;
   for (size_t r = 0; r < dataset.size(); ++r) {
-    const int pred = logits(r, 1) >= logits(r, 0) ? 1 : 0;
-    if (pred == dataset.instance(r).label) ++correct;
+    if (predicted[r] == dataset.instance(r).label) ++correct;
   }
   return static_cast<double>(correct) / dataset.size();
 }
 
 Bitset LogicalNet::RuleActivations(const Instance& instance) const {
-  Matrix encoded(1, encoder_.encoded_size());
-  encoder_.Encode(instance, encoded.row(0));
-  const Matrix rules = RulesDiscrete(encoded);
-  Bitset bits(num_rules_);
-  for (int j = 0; j < num_rules_; ++j) {
-    if (rules(0, j) > 0.5) bits.Set(j);
+  return Infer(instance).activation;
+}
+
+LogicalNet::Inference LogicalNet::Infer(const Instance& instance) const {
+  uint8_t predicted = 0;
+  Inference out;
+  InferBlocks(
+      *this, 1, [&](size_t) -> const Instance& { return instance; },
+      &predicted, &out.activation);
+  out.predicted = predicted;
+  return out;
+}
+
+void LogicalNet::InferDataset(const Dataset& dataset,
+                              std::vector<uint8_t>* predicted,
+                              std::vector<Bitset>* activations) const {
+  if (predicted != nullptr) predicted->assign(dataset.size(), 0);
+  if (activations != nullptr) {
+    activations->clear();
+    activations->resize(dataset.size());
   }
-  return bits;
+  InferBlocks(
+      *this, dataset.size(),
+      [&](size_t i) -> const Instance& { return dataset.instance(i); },
+      predicted != nullptr ? predicted->data() : nullptr,
+      activations != nullptr ? activations->data() : nullptr);
 }
 
 int LogicalNet::RuleClass(int j) const {

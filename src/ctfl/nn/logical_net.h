@@ -1,6 +1,7 @@
 #ifndef CTFL_NN_LOGICAL_NET_H_
 #define CTFL_NN_LOGICAL_NET_H_
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -77,10 +78,9 @@ class LogicalNet {
   /// Binarized logits — the deployed model's inference (Eq. 3).
   Matrix ForwardDiscrete(const Matrix& encoded) const;
 
-  /// Binarized rule-activation matrix (batch x num_rules, entries 0/1).
-  /// Large batches are row-sharded across the shared matrix pool
-  /// (DESIGN.md §9): every row's computation is unchanged, so the result
-  /// is bit-identical to a serial pass at any thread count.
+  /// Binarized rule-activation matrix (batch x num_rules): the encoded
+  /// inputs verbatim (input_skip), then every logic node as 0/1, computed
+  /// by the bit-packed pass with inputs thresholded at 0.5.
   Matrix RulesDiscrete(const Matrix& encoded) const;
 
   /// Gradient-grafting backward: `dlogits` is dL(Ȳ)/dȲ computed on the
@@ -107,6 +107,21 @@ class LogicalNet {
   /// rule coordinates — the object participants upload for tracing.
   Bitset RuleActivations(const Instance& instance) const;
 
+  /// Predict and RuleActivations of one instance from a single discrete
+  /// forward pass.
+  struct Inference {
+    int predicted = 0;
+    Bitset activation;
+  };
+  Inference Infer(const Instance& instance) const;
+
+  /// Predict and/or RuleActivations of every record of `dataset`, in
+  /// record order, from the bit-packed discrete pass over 64-record blocks
+  /// (DESIGN.md §16). Either output may be null; the others are resized
+  /// to dataset.size(). Equal to the per-record calls bit for bit.
+  void InferDataset(const Dataset& dataset, std::vector<uint8_t>* predicted,
+                    std::vector<Bitset>* activations) const;
+
   /// Class supported by rule j per Def. III.2: 1 if the vote layer weighs
   /// it more for the positive class, else 0.
   int RuleClass(int j) const;
@@ -114,9 +129,6 @@ class LogicalNet {
   double RuleWeight(int j) const;
 
  private:
-  /// One-shot (single-thread) discrete rule pass over the whole batch.
-  Matrix RulesDiscreteSerial(const Matrix& encoded) const;
-
   LogicalNetConfig config_;
   BinarizationLayer encoder_;
   std::vector<LogicLayer> logic_layers_;

@@ -28,6 +28,22 @@ bool UseParallel(size_t flops) {
   return flops >= g_matrix_grain.load(std::memory_order_relaxed);
 }
 
+/// Shared pool behind the sharded kernels, sized to MatrixParallelism().
+/// Returns nullptr when the resolved setting is serial or the caller is
+/// already inside a pool worker (nested parallelism is never profitable
+/// here).
+ThreadPool* MatrixParallelPool() {
+  const int threads = MatrixParallelism();
+  if (threads <= 1 || ThreadPool::InPoolWorker()) return nullptr;
+  std::lock_guard<std::mutex> lock(g_pool_mu);
+  if (g_pool == nullptr || g_pool_size != threads) {
+    g_pool.reset();  // join the old workers before resizing
+    g_pool = std::make_unique<ThreadPool>(threads);
+    g_pool_size = threads;
+  }
+  return g_pool.get();
+}
+
 }  // namespace
 
 void SetMatrixParallelism(int num_threads) {
@@ -46,18 +62,6 @@ void SetMatrixParallelGrain(size_t min_flops) {
 
 size_t MatrixParallelGrain() {
   return g_matrix_grain.load(std::memory_order_relaxed);
-}
-
-ThreadPool* MatrixParallelPool() {
-  const int threads = MatrixParallelism();
-  if (threads <= 1 || ThreadPool::InPoolWorker()) return nullptr;
-  std::lock_guard<std::mutex> lock(g_pool_mu);
-  if (g_pool == nullptr || g_pool_size != threads) {
-    g_pool.reset();  // join the old workers before resizing
-    g_pool = std::make_unique<ThreadPool>(threads);
-    g_pool_size = threads;
-  }
-  return g_pool.get();
 }
 
 void Matrix::Fill(double v) { std::fill(data_.begin(), data_.end(), v); }
@@ -144,7 +148,22 @@ Matrix Matrix::MatMulTransposed(const Matrix& other) const {
   Matrix out(rows_, other.rows_);
   auto row_kernel = [&](size_t r) {
     const double* a = row(r);
-    for (size_t c = 0; c < other.rows_; ++c) {
+    size_t c = 0;
+    // Two outputs per pass: each still sums its terms in ascending k from
+    // 0.0, but the two independent chains overlap their add latency.
+    for (; c + 2 <= other.rows_; c += 2) {
+      const double* b0 = other.row(c);
+      const double* b1 = other.row(c + 1);
+      double sum0 = 0.0;
+      double sum1 = 0.0;
+      for (size_t k = 0; k < cols_; ++k) {
+        sum0 += a[k] * b0[k];
+        sum1 += a[k] * b1[k];
+      }
+      out(r, c) = sum0;
+      out(r, c + 1) = sum1;
+    }
+    for (; c < other.rows_; ++c) {
       const double* b = other.row(c);
       double sum = 0.0;
       for (size_t k = 0; k < cols_; ++k) sum += a[k] * b[k];

@@ -8,8 +8,6 @@
 
 namespace ctfl {
 
-class ThreadPool;
-
 // ---------------------------------------------------------------------------
 // Process-wide parallelism knobs for the dense kernels (DESIGN.md §9).
 //
@@ -32,13 +30,6 @@ int MatrixParallelism();
 /// the differential suite can force tiny matrices onto the parallel path.
 void SetMatrixParallelGrain(size_t min_flops);
 size_t MatrixParallelGrain();
-
-/// Shared pool behind the sharded kernels, sized to MatrixParallelism().
-/// Returns nullptr when the resolved setting is serial or the caller is
-/// already inside a pool worker (nested parallelism is never profitable
-/// here). Exposed so other batch-parallel code (LogicalNet's batched
-/// forward) shares one pool instead of spawning its own.
-ThreadPool* MatrixParallelPool();
 
 /// Dense row-major matrix of doubles; the numeric workhorse of the logical
 /// neural network. Deliberately minimal: only the operations the training

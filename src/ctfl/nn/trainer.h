@@ -16,8 +16,8 @@ struct TrainConfig {
   bool use_adam = true;
   double sgd_momentum = 0.9;
   uint64_t seed = 7;
-  /// Worker budget for the sharded matrix kernels / batched forward used
-  /// while this config trains (0 = hardware concurrency, 1 = serial).
+  /// Worker budget for the sharded matrix kernels used while this config
+  /// trains (0 = hardware concurrency, 1 = serial).
   /// Applied process-wide via SetMatrixParallelism at TrainGrafted entry
   /// (skipped inside pool workers, where kernels are serial by design).
   /// Results are bit-identical for any value (DESIGN.md §9).

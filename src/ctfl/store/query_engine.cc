@@ -280,10 +280,9 @@ RelatedResult QueryEngine::Related(const Instance& instance,
   CTFL_SPAN("ctfl.query.related");
   RelatedCounter().Add(1);
   const double tau_w = options.tau_w < 0.0 ? origin_tau_w() : options.tau_w;
-  const int predicted = model_.Predict(instance);
-  const Bitset activation = model_.RuleActivations(instance);
-  return RelatedForActivation(activation, predicted, tau_w,
-                              options.use_index, options.max_records,
+  const LogicalNet::Inference inference = model_.Infer(instance);
+  return RelatedForActivation(inference.activation, inference.predicted,
+                              tau_w, options.use_index, options.max_records,
                               options.kernel,
                               {options.isa, options.trace_threads});
 }

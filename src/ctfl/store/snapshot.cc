@@ -84,14 +84,15 @@ Result<BundleContent> BuildBundleContent(
   }
 
   // Tests: deployed inference artifacts of the reserved test set.
-  content.tests.reserve(test.size());
+  std::vector<uint8_t> predicted;
+  std::vector<Bitset> activations;
+  net.InferDataset(test, &predicted, &activations);
+  content.tests.resize(test.size());
   for (size_t t = 0; t < test.size(); ++t) {
-    const Instance& inst = test.instance(t);
-    TestRecord record;
-    record.label = static_cast<uint8_t>(inst.label);
-    record.predicted = static_cast<uint8_t>(net.Predict(inst));
-    record.activation = net.RuleActivations(inst);
-    content.tests.push_back(std::move(record));
+    TestRecord& record = content.tests[t];
+    record.label = static_cast<uint8_t>(test.instance(t).label);
+    record.predicted = predicted[t];
+    record.activation = std::move(activations[t]);
   }
 
   BuildPostingIndex(content);

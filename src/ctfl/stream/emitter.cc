@@ -38,12 +38,14 @@ void DeltaLogEmitter::Observe(int round, const LogicalNet& global,
 
 std::vector<store::TestRecord> DeltaLogEmitter::ComputeForwards(
     const LogicalNet& global) const {
+  std::vector<uint8_t> predicted;
+  std::vector<Bitset> activations;
+  global.InferDataset(*test_, &predicted, &activations);
   std::vector<store::TestRecord> forwards(test_->size());
   for (size_t t = 0; t < test_->size(); ++t) {
-    const Instance& inst = test_->instance(t);
-    forwards[t].label = static_cast<uint8_t>(inst.label);
-    forwards[t].predicted = static_cast<uint8_t>(global.Predict(inst));
-    forwards[t].activation = global.RuleActivations(inst);
+    forwards[t].label = static_cast<uint8_t>(test_->instance(t).label);
+    forwards[t].predicted = predicted[t];
+    forwards[t].activation = std::move(activations[t]);
   }
   return forwards;
 }

@@ -81,6 +81,8 @@ std::string RunReportJson(const RunReport& report) {
   out << "  \"phases\": {\n";
   out << "    \"train\": {\"wall_seconds\": " << Num(t.train_seconds)
       << ", \"cpu_seconds\": " << Num(t.train_cpu_seconds) << "},\n";
+  out << "    \"upload\": {\"wall_seconds\": " << Num(t.upload_seconds)
+      << ", \"cpu_seconds\": " << Num(t.upload_cpu_seconds) << "},\n";
   out << "    \"trace\": {\"wall_seconds\": " << Num(t.trace_seconds)
       << ", \"cpu_seconds\": " << Num(t.trace_cpu_seconds) << "},\n";
   out << "    \"allocate\": {\"wall_seconds\": " << Num(t.allocate_seconds)
@@ -177,6 +179,12 @@ Result<RunReport> ParseRunReportJson(const std::string& json) {
     if (const JsonValue* p = phases->Find("train"); p != nullptr) {
       t.train_seconds = GetNum(*p, "wall_seconds");
       t.train_cpu_seconds = GetNum(*p, "cpu_seconds");
+    }
+    // Reports written before the upload phase existed lack it; their
+    // upload time stays 0 (it was counted in no phase).
+    if (const JsonValue* p = phases->Find("upload"); p != nullptr) {
+      t.upload_seconds = GetNum(*p, "wall_seconds");
+      t.upload_cpu_seconds = GetNum(*p, "cpu_seconds");
     }
     if (const JsonValue* p = phases->Find("trace"); p != nullptr) {
       t.trace_seconds = GetNum(*p, "wall_seconds");

@@ -16,6 +16,8 @@ std::string RunTelemetry::Summary() const {
   out << "phase        seconds    cpu_s    share\n";
   out << StrFormat("train       %8.3f %8.3f   %5.1f%%\n", train_seconds,
                    train_cpu_seconds, share(train_seconds));
+  out << StrFormat("upload      %8.3f %8.3f   %5.1f%%\n", upload_seconds,
+                   upload_cpu_seconds, share(upload_seconds));
   out << StrFormat("trace       %8.3f %8.3f   %5.1f%%\n", trace_seconds,
                    trace_cpu_seconds, share(trace_seconds));
   out << StrFormat("allocate    %8.3f %8.3f   %5.1f%%\n", allocate_seconds,

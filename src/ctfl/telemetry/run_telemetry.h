@@ -2,10 +2,10 @@
 #define CTFL_TELEMETRY_RUN_TELEMETRY_H_
 
 // Structured per-run telemetry attached to CtflReport: where one CTFL
-// pass (train -> trace -> allocate) spent its time and what the rule /
-// tracer machinery did. This is the data behind the paper's single-pass
-// efficiency claim (§III, Fig. 5) — benches and the CLI print it, and
-// BENCH_*.json regressions can be argued from it.
+// pass (train -> upload -> trace -> allocate) spent its time and what the
+// rule / tracer machinery did. This is the data behind the paper's
+// single-pass efficiency claim (§III, Fig. 5) — benches and the CLI print
+// it, and BENCH_*.json regressions can be argued from it.
 
 #include <cstdint>
 #include <string>
@@ -58,6 +58,11 @@ struct RunTelemetry {
   int64_t retries = 0;
   int rounds_degraded = 0;
 
+  // ---- Upload phase -------------------------------------------------------
+  /// Participants' rule-activation uploads (ComputeUploadActivations), the
+  /// same forward pass that yields train_accuracy.
+  double upload_seconds = 0.0;
+
   // ---- Rule extraction stats (model -> traceable rule set) --------------
   int rules_total = 0;
   /// Rules with vote weight >= the tracer's min_rule_weight.
@@ -79,6 +84,7 @@ struct RunTelemetry {
   int64_t blocks_pruned = 0;
   /// Lanes re-decided by the exact scalar comparison (float-drift band).
   int64_t exact_fallbacks = 0;
+  /// Tracer construction over the uploads plus the tracing pass.
   double trace_seconds = 0.0;
 
   // ---- Allocation phase --------------------------------------------------
@@ -91,6 +97,7 @@ struct RunTelemetry {
   /// running threads; cpu ~= wall on a single core means the phase is
   /// compute-bound, cpu << wall means it was blocked or preempted.
   double train_cpu_seconds = 0.0;
+  double upload_cpu_seconds = 0.0;
   double trace_cpu_seconds = 0.0;
   double allocate_cpu_seconds = 0.0;
   /// getrusage(RUSAGE_SELF) view of the run: peak resident set (process
@@ -101,10 +108,11 @@ struct RunTelemetry {
   int64_t involuntary_ctx_switches = 0;
 
   double total_seconds() const {
-    return train_seconds + trace_seconds + allocate_seconds;
+    return train_seconds + upload_seconds + trace_seconds + allocate_seconds;
   }
   double total_cpu_seconds() const {
-    return train_cpu_seconds + trace_cpu_seconds + allocate_cpu_seconds;
+    return train_cpu_seconds + upload_cpu_seconds + trace_cpu_seconds +
+           allocate_cpu_seconds;
   }
 
   /// Multi-line human-readable summary (phase table + per-round lines).

@@ -5,13 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include "test_paths.h"
+
 namespace ctfl {
 namespace {
 
 class CsvTest : public ::testing::Test {
  protected:
   std::string TempPath(const std::string& name) {
-    return ::testing::TempDir() + "/" + name;
+    return TestTempPath(name);
   }
 };
 

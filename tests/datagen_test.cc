@@ -151,6 +151,11 @@ struct BenchmarkCase {
   double max_pos_rate;
 };
 
+// ctest registers each case under the printed parameter. Without this gtest
+// prints the raw bytes, `name`'s address among them, which moves from run
+// to run.
+void PrintTo(const BenchmarkCase& c, std::ostream* os) { *os << c.name; }
+
 class BenchmarkDatasetTest : public ::testing::TestWithParam<BenchmarkCase> {};
 
 TEST_P(BenchmarkDatasetTest, MatchesPaperShape) {
@@ -169,14 +174,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(BenchmarkCase{"tic-tac-toe", 958, 0.6, 0.7},
                       BenchmarkCase{"adult", 32561, 0.15, 0.40},
                       BenchmarkCase{"bank", 45211, 0.05, 0.30},
-                      BenchmarkCase{"dota2", 102944, 0.40, 0.65}),
-    [](const ::testing::TestParamInfo<BenchmarkCase>& info) {
-      std::string name = info.param.name;
-      for (char& ch : name) {
-        if (ch == '-') ch = '_';
-      }
-      return name;
-    });
+                      BenchmarkCase{"dota2", 102944, 0.40, 0.65}));
 
 TEST(BenchmarkDatasetTest, UnknownNameFails) {
   EXPECT_FALSE(MakeBenchmark("unknown", 10, 1).ok());

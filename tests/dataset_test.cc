@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "ctfl/util/csv.h"
+#include "test_paths.h"
 
 namespace ctfl {
 namespace {
@@ -77,7 +78,7 @@ TEST(DatasetTest, CsvRoundTrip) {
   ASSERT_TRUE(d.Append(MakeInstance(1.25, 0, 1)).ok());
   ASSERT_TRUE(d.Append(MakeInstance(7.5, 1, 0)).ok());
 
-  const std::string path = ::testing::TempDir() + "/dataset_roundtrip.csv";
+  const std::string path = TestTempPath("dataset_roundtrip.csv");
   ASSERT_TRUE(SaveCsvDataset(path, d).ok());
   const Result<Dataset> loaded = LoadCsvDataset(path, schema);
   ASSERT_TRUE(loaded.ok());
@@ -91,7 +92,7 @@ TEST(DatasetTest, CsvRoundTrip) {
 
 TEST(DatasetTest, LoadRejectsUnknownLabel) {
   const SchemaPtr schema = MakeSchema();
-  const std::string path = ::testing::TempDir() + "/bad_label.csv";
+  const std::string path = TestTempPath("bad_label.csv");
   {
     CsvTable table;
     table.header = {"x", "c", "label"};

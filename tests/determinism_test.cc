@@ -307,6 +307,38 @@ TEST_F(DeterminismTest, FullPipelineBitIdenticalAcrossThreadCounts) {
                            "threads=8");
 }
 
+/// FNV-1a over the bit patterns of `values`, continuing from `h`.
+uint64_t Fnv1a(uint64_t h, const std::vector<double>& values) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(values.data());
+  for (size_t i = 0; i < values.size() * sizeof(double); ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST_F(DeterminismTest, PipelineDigestMatchesPinnedValue) {
+  // The legs above compare runs with each other, so a kernel that is
+  // deterministic but computes different values would pass them. This
+  // pins the trained parameters and both score vectors of one small run
+  // (two logic layers, widths no kernel chunk divides) to their digest
+  // under the scalar per-element logic-layer kernels, with glibc's libm
+  // on x86-64. Only a change meant to alter training may re-pin it.
+  const Dataset all = TwoFeatureDataset(360, 53);
+  const Dataset test = TwoFeatureDataset(120, 59);
+  Rng rng(19);
+  const Federation fed = MakeFederation(PartitionUniform(all, 4, rng));
+  CtflConfig config = BaseConfig();
+  config.net.logic_layers = {{13, 11}, {6, 5}};
+  const PipelineSnapshot snap = RunPipeline(fed, test, config, 4);
+  ASSERT_GT(snap.num_keys, 0);
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  digest = Fnv1a(digest, snap.params);
+  digest = Fnv1a(digest, snap.micro);
+  digest = Fnv1a(digest, snap.macro);
+  EXPECT_EQ(digest, 0xa940fad0445cc639ULL) << std::hex << "digest 0x" << digest;
+}
+
 TEST_F(DeterminismTest, FullPipelineBitIdenticalWithSecureAggAndDp) {
   const Dataset all = TwoFeatureDataset(360, 33);
   const Dataset test = TwoFeatureDataset(120, 39);

@@ -13,6 +13,7 @@
 #include "ctfl/telemetry/metrics.h"
 #include "ctfl/util/json.h"
 #include "ctfl/util/rng.h"
+#include "test_paths.h"
 
 namespace ctfl {
 namespace {
@@ -23,7 +24,7 @@ using telemetry::PrometheusMetricName;
 using telemetry::PrometheusText;
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return TestTempPath(name);
 }
 
 std::vector<std::string> ReadLines(const std::string& path) {

@@ -1,0 +1,120 @@
+#ifndef CTFL_TESTS_LOGIC_ORACLE_H_
+#define CTFL_TESTS_LOGIC_ORACLE_H_
+
+// Reference kernels of the logic layer: the scalar per-element loops the
+// production kernels replaced (DESIGN.md §16), kept verbatim as the oracle
+// they must match bit for bit. Each takes the layer's weights and its
+// conjunction count; `grads` accumulates like LogicLayer::grads().
+
+#include <algorithm>
+
+#include "ctfl/nn/matrix.h"
+
+namespace ctfl {
+namespace oracle {
+
+inline constexpr double kEps = 1e-8;
+
+inline Matrix ForwardContinuous(const Matrix& weights, int num_conj,
+                                const Matrix& x) {
+  const int out_dim = static_cast<int>(weights.rows());
+  const int in_dim = static_cast<int>(weights.cols());
+  Matrix y(x.rows(), out_dim);
+  for (size_t r = 0; r < x.rows(); ++r) {
+    const double* xr = x.row(r);
+    for (int node = 0; node < out_dim; ++node) {
+      const double* w = weights.row(node);
+      double prod = 1.0;
+      if (node < num_conj) {
+        for (int i = 0; i < in_dim; ++i) {
+          if (w[i] == 0.0) continue;
+          prod *= std::max(kEps, 1.0 - w[i] * (1.0 - xr[i]));
+        }
+        y(r, node) = prod;
+      } else {
+        for (int i = 0; i < in_dim; ++i) {
+          if (w[i] == 0.0) continue;
+          prod *= std::max(kEps, 1.0 - w[i] * xr[i]);
+        }
+        y(r, node) = 1.0 - prod;
+      }
+    }
+  }
+  return y;
+}
+
+inline Matrix ForwardDiscrete(const Matrix& weights, int num_conj,
+                              const Matrix& x) {
+  const int out_dim = static_cast<int>(weights.rows());
+  const int in_dim = static_cast<int>(weights.cols());
+  Matrix y(x.rows(), out_dim);
+  for (size_t r = 0; r < x.rows(); ++r) {
+    const double* xr = x.row(r);
+    for (int node = 0; node < out_dim; ++node) {
+      const double* w = weights.row(node);
+      if (node < num_conj) {
+        double out = 1.0;
+        for (int i = 0; i < in_dim; ++i) {
+          if (w[i] > 0.5 && xr[i] < 0.5) {
+            out = 0.0;
+            break;
+          }
+        }
+        y(r, node) = out;
+      } else {
+        double out = 0.0;
+        for (int i = 0; i < in_dim; ++i) {
+          if (w[i] > 0.5 && xr[i] >= 0.5) {
+            out = 1.0;
+            break;
+          }
+        }
+        y(r, node) = out;
+      }
+    }
+  }
+  return y;
+}
+
+/// Accumulates into `grads` and returns dx.
+inline Matrix Backward(const Matrix& weights, int num_conj, const Matrix& x,
+                       const Matrix& y, const Matrix& dy, Matrix* grads) {
+  const int out_dim = static_cast<int>(weights.rows());
+  const int in_dim = static_cast<int>(weights.cols());
+  Matrix dx(x.rows(), in_dim);
+  for (size_t r = 0; r < x.rows(); ++r) {
+    const double* xr = x.row(r);
+    double* dxr = dx.row(r);
+    for (int node = 0; node < out_dim; ++node) {
+      const double g = dy(r, node);
+      if (g == 0.0) continue;
+      const double* w = weights.row(node);
+      double* gw = grads->row(node);
+      if (node < num_conj) {
+        const double prod = y(r, node);
+        if (prod <= 0.0) continue;
+        for (int i = 0; i < in_dim; ++i) {
+          const double t = std::max(kEps, 1.0 - w[i] * (1.0 - xr[i]));
+          const double rest = prod / t;  // product of the other terms, <= 1
+          gw[i] += g * (-(1.0 - xr[i]) * rest);
+          dxr[i] += g * (w[i] * rest);
+        }
+      } else {
+        const double prod = 1.0 - y(r, node);  // prod of (1 - w x)
+        if (prod <= 0.0) continue;
+        for (int i = 0; i < in_dim; ++i) {
+          const double s = std::max(kEps, 1.0 - w[i] * xr[i]);
+          const double rest = prod / s;
+          gw[i] += g * (xr[i] * rest);
+          dxr[i] += g * (w[i] * rest);
+        }
+      }
+    }
+  }
+  return dx;
+}
+
+}  // namespace oracle
+}  // namespace ctfl
+
+#endif  // CTFL_TESTS_LOGIC_ORACLE_H_

@@ -92,6 +92,17 @@ TEST(PipelineTest, FederatedPathAlsoWorks) {
   // Round laps tile the training phase.
   EXPECT_LE(round_total, run.train_seconds + 1e-3);
   EXPECT_GT(run.grafting_steps, 0);
+
+  // The uploads are a phase of their own, and the same forward pass gives
+  // the deployed model's accuracy on the federation's training records.
+  EXPECT_GT(run.upload_seconds, 0.0);
+  EXPECT_GE(run.upload_cpu_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(run.total_seconds(), run.train_seconds +
+                                            run.upload_seconds +
+                                            run.trace_seconds +
+                                            run.allocate_seconds);
+  EXPECT_EQ(run.train_accuracy, report.model.Accuracy(MergeFederation(fed)));
+  EXPECT_GT(run.train_accuracy, 0.75);
 }
 
 // Regression: a failed TrainFederated used to be swallowed (the pipeline

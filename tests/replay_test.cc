@@ -26,13 +26,14 @@
 #include "ctfl/store/query_engine.h"
 #include "ctfl/util/cpu_features.h"
 #include "ctfl/util/wire.h"
+#include "test_paths.h"
 
 namespace ctfl {
 namespace replay {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return TestTempPath(name);
 }
 
 /// A replay file with every field populated (no pipeline run needed).
@@ -521,7 +522,7 @@ TEST(ReplayMatrixTest, FaultyMatrixPassesIncludingCleanDivergence) {
   EXPECT_EQ(names, want);
 
   MatrixOptions options;
-  options.scratch_dir = ::testing::TempDir();
+  options.scratch_dir = TestTempDir();
   Result<std::vector<CellResult>> results = RunMatrix(file, options);
   ASSERT_TRUE(results.ok()) << results.status();
   ASSERT_EQ(results->size(), cells.size());
@@ -543,7 +544,7 @@ TEST(ReplayMatrixTest, TamperedOutcomeFailsEveryRunCell) {
   file.outcome.score_digest ^= 1;  // recorded outcome no longer matches
 
   MatrixOptions options;
-  options.scratch_dir = ::testing::TempDir();
+  options.scratch_dir = TestTempDir();
   options.only_cell = "base_replay";
   Result<std::vector<CellResult>> results = RunMatrix(file, options);
   ASSERT_TRUE(results.ok()) << results.status();

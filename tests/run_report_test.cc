@@ -10,6 +10,7 @@
 #include "ctfl/fl/partition.h"
 #include "ctfl/util/build_info.h"
 #include "ctfl/util/rng.h"
+#include "test_paths.h"
 
 namespace ctfl {
 namespace {
@@ -17,7 +18,7 @@ namespace {
 using telemetry::RunReport;
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return TestTempPath(name);
 }
 
 RunReport MakeFixtureReport() {
@@ -37,6 +38,8 @@ RunReport MakeFixtureReport() {
   telemetry::RunTelemetry& t = report.telemetry;
   t.train_seconds = 1.0 / 3.0;
   t.train_cpu_seconds = 0.1;  // 0.1 has no exact binary form: good probe
+  t.upload_seconds = 0.03;
+  t.upload_cpu_seconds = 0.07;
   t.trace_seconds = 2.5e-4;
   t.trace_cpu_seconds = 2.4e-4;
   t.allocate_seconds = 1e-6;
@@ -81,6 +84,8 @@ void ExpectReportsEqual(const RunReport& a, const RunReport& b) {
   const telemetry::RunTelemetry& y = b.telemetry;
   EXPECT_EQ(x.train_seconds, y.train_seconds);
   EXPECT_EQ(x.train_cpu_seconds, y.train_cpu_seconds);
+  EXPECT_EQ(x.upload_seconds, y.upload_seconds);
+  EXPECT_EQ(x.upload_cpu_seconds, y.upload_cpu_seconds);
   EXPECT_EQ(x.trace_seconds, y.trace_seconds);
   EXPECT_EQ(x.trace_cpu_seconds, y.trace_cpu_seconds);
   EXPECT_EQ(x.allocate_seconds, y.allocate_seconds);
@@ -153,6 +158,23 @@ TEST(RunReportTest, UnknownFieldsIgnoredMissingKeepDefaults) {
   EXPECT_EQ(parsed->config_digest, 0u);
   EXPECT_TRUE(parsed->federated);  // default survives
   EXPECT_EQ(parsed->telemetry.rounds.size(), 0u);
+}
+
+TEST(RunReportTest, ReportWithoutUploadPhaseStillParses) {
+  // Reports written before the upload phase existed carry only train,
+  // trace and allocate; their upload time reads as zero.
+  auto parsed = telemetry::ParseRunReportJson(
+      R"({"schema_version": 1, "phases": {
+            "train": {"wall_seconds": 2.5, "cpu_seconds": 9.0},
+            "trace": {"wall_seconds": 0.5, "cpu_seconds": 0.75},
+            "allocate": {"wall_seconds": 0.25, "cpu_seconds": 0.25}}})");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const telemetry::RunTelemetry& t = parsed->telemetry;
+  EXPECT_EQ(t.upload_seconds, 0.0);
+  EXPECT_EQ(t.upload_cpu_seconds, 0.0);
+  EXPECT_EQ(t.trace_seconds, 0.5);
+  EXPECT_EQ(t.total_seconds(), 3.25);
+  EXPECT_EQ(t.total_cpu_seconds(), 10.0);
 }
 
 TEST(RunReportTest, RejectsNonObjectAndMalformed) {
@@ -232,9 +254,11 @@ TEST(RunReportTest, PhaseCpuWithinWallTimesThreadBudget) {
       std::max(1u, std::thread::hardware_concurrency()));
   const double slack = 0.05;
   EXPECT_LE(t.train_cpu_seconds, t.train_seconds * budget + slack);
+  EXPECT_LE(t.upload_cpu_seconds, t.upload_seconds * budget + slack);
   EXPECT_LE(t.trace_cpu_seconds, t.trace_seconds * budget + slack);
   EXPECT_LE(t.allocate_cpu_seconds, t.allocate_seconds * budget + slack);
   EXPECT_GE(t.train_cpu_seconds, 0.0);
+  EXPECT_GE(t.upload_cpu_seconds, 0.0);
   EXPECT_GE(t.trace_cpu_seconds, 0.0);
   EXPECT_GE(t.allocate_cpu_seconds, 0.0);
   // Training dominates this workload; its CPU time must be visible.

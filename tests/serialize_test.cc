@@ -8,6 +8,7 @@
 #include "ctfl/data/gen/synthetic.h"
 #include "ctfl/nn/trainer.h"
 #include "ctfl/rules/extraction.h"
+#include "test_paths.h"
 
 namespace ctfl {
 namespace {
@@ -34,7 +35,7 @@ Dataset RandomData(const SchemaPtr& schema, size_t n, uint64_t seed) {
 }
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return TestTempPath(name);
 }
 
 TEST(SerializeTest, RoundTripPreservesModel) {

@@ -28,6 +28,7 @@
 #include "ctfl/store/query_engine.h"
 #include "ctfl/telemetry/metrics.h"
 #include "ctfl/util/rng.h"
+#include "test_paths.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <poll.h>
@@ -42,7 +43,7 @@ namespace serve {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return TestTempPath(name);
 }
 
 SyntheticSpec TwoRuleSpec() {

@@ -9,13 +9,14 @@
 #include "ctfl/data/gen/synthetic.h"
 #include "ctfl/fl/partition.h"
 #include "ctfl/store/snapshot.h"
+#include "test_paths.h"
 
 namespace ctfl {
 namespace store {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return TestTempPath(name);
 }
 
 std::string ReadFile(const std::string& path) {

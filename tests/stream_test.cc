@@ -29,13 +29,14 @@
 #include "ctfl/stream/scorer.h"
 #include "ctfl/util/cpu_features.h"
 #include "ctfl/util/rng.h"
+#include "test_paths.h"
 
 namespace ctfl {
 namespace stream {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return TestTempPath(name);
 }
 
 std::string DataPath(const std::string& name) {

@@ -484,6 +484,7 @@ TEST_F(TelemetryTest, ScopedTimerFeedsHistogram) {
 TEST_F(TelemetryTest, RunTelemetrySummaryMentionsAllSections) {
   telemetry::RunTelemetry run;
   run.train_seconds = 1.0;
+  run.upload_seconds = 0.125;
   run.trace_seconds = 0.5;
   run.allocate_seconds = 0.25;
   run.grafting_steps = 123;
@@ -496,12 +497,13 @@ TEST_F(TelemetryTest, RunTelemetrySummaryMentionsAllSections) {
   run.rounds.push_back({0, 0.5, 0.9, 4});
   const std::string summary = run.Summary();
   EXPECT_NE(summary.find("train"), std::string::npos);
+  EXPECT_NE(summary.find("upload"), std::string::npos);
   EXPECT_NE(summary.find("trace"), std::string::npos);
   EXPECT_NE(summary.find("allocate"), std::string::npos);
   EXPECT_NE(summary.find("123"), std::string::npos);
   EXPECT_NE(summary.find("round 0"), std::string::npos);
   EXPECT_NE(summary.find("7 kept"), std::string::npos);
-  EXPECT_DOUBLE_EQ(run.total_seconds(), 1.75);
+  EXPECT_DOUBLE_EQ(run.total_seconds(), 1.875);
 }
 
 TEST_F(TelemetryTest, MetricsSummaryTableListsInstruments) {

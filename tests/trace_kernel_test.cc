@@ -14,6 +14,7 @@
 #include "ctfl/store/query_engine.h"
 #include "ctfl/store/snapshot.h"
 #include "ctfl/util/rng.h"
+#include "test_paths.h"
 
 namespace ctfl {
 namespace {
@@ -451,7 +452,7 @@ class TraceKernelQueryTest : public ::testing::Test {
     config.net.logic_layers = {{10, 10}};
     config.net.seed = 7;
     config.tracer.tau_w = 0.85;
-    config.bundle_out = ::testing::TempDir() + "/trace_kernel_query.ctflb";
+    config.bundle_out = TestTempPath("trace_kernel_query.ctflb");
     report_ = new CtflReport(RunCtfl(fed, test, config).value());
     ASSERT_TRUE(report_->bundle_status.ok()) << report_->bundle_status;
     engine_ = new store::QueryEngine(
