@@ -1,5 +1,5 @@
 // Engineering microbenchmarks + ablations of the design choices called
-// out in DESIGN.md §6: tracing fast paths (dedup / Max-Miner / threads),
+// out in DESIGN.md §6: tracing fast paths (dedup / threads),
 // tau_w sensitivity, logic-layer width, and the substrate hot loops
 // (bitset intersection, rule activation, grafted step, simplex).
 
@@ -140,14 +140,13 @@ void BM_ModelPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelPredict);
 
-// Ablation: tracing fast paths. Arg encodes (dedup, max_miner, threads).
+// Ablation: tracing fast paths. Arg encodes (dedup, threads).
 void BM_TracingPaths(benchmark::State& state) {
   TracingFixture& fx = Fixture();
   TracerConfig config;
   config.tau_w = 0.9;
   config.use_dedup = state.range(0) != 0;
-  config.use_max_miner = state.range(1) != 0;
-  config.num_threads = static_cast<int>(state.range(2));
+  config.num_threads = static_cast<int>(state.range(1));
   const ContributionTracer tracer(&fx.model, &fx.experiment.federation,
                                   config);
   for (auto _ : state) {
@@ -156,15 +155,14 @@ void BM_TracingPaths(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * fx.experiment.test.size());
 }
 BENCHMARK(BM_TracingPaths)
-    ->Args({0, 0, 1})   // brute force
-    ->Args({1, 0, 1})   // + dedup
-    ->Args({1, 1, 1})   // + Max-Miner prefilter
-    ->Args({1, 1, 0});  // + all cores
+    ->Args({0, 1})   // brute force
+    ->Args({1, 1})   // + dedup
+    ->Args({1, 0});  // + all cores
 
 // ---------------------------------------------------------------------------
 // Tracing kernel (DESIGN.md §10): legacy scalar tau_w loop vs the blocked
 // word-parallel kernel on a tracing-heavy shape (>= 64 rules, >= 10k
-// training records; dedup on, Max-Miner off, single thread) so the
+// training records; dedup on, single thread) so the
 // speedup is the kernel's alone. Both legs produce bit-identical
 // TraceResults; the counters expose the pruning the blocked kernel does.
 // Acceptance (ISSUE PR4): blocked >= 2x over legacy single-thread.
@@ -229,7 +227,6 @@ void BM_TracePass(benchmark::State& state, TraceKernelKind kind, int isa,
   // rules and all tiers converge on the same fixed per-block overhead.
   config.tau_w = 0.7;
   config.use_dedup = true;
-  config.use_max_miner = false;
   config.num_threads = 1;
   config.kernel = kind;
   config.isa = isa < 0 ? CurrentTraceIsa() : static_cast<TraceIsa>(isa);

@@ -253,7 +253,7 @@ uint64_t CtflConfigDigest(const CtflConfig& config) {
 
   d.MixDouble(config.tracer.tau_w);
   d.MixBool(config.tracer.use_dedup);
-  d.MixBool(config.tracer.use_max_miner);
+  d.MixBool(true);  // the retired use_max_miner knob's former default
   d.MixDouble(config.tracer.grouping.min_support_fraction);
   d.MixInt(static_cast<int64_t>(config.tracer.grouping.min_instances));
   d.MixDouble(config.tracer.grouping.max_item_support_fraction);

@@ -28,6 +28,22 @@ struct TraceKey {
   int miss_members = 0;
 };
 
+/// Set bits among lanes [lo, hi) of the lane words word(b), b = lane / 64.
+template <typename WordFn>
+int64_t CountLanes(size_t lo, size_t hi, WordFn word) {
+  if (lo >= hi) return 0;
+  const size_t b_lo = lo / 64;
+  const size_t b_hi = (hi - 1) / 64;
+  int64_t count = 0;
+  for (size_t b = b_lo; b <= b_hi; ++b) {
+    uint64_t w = word(b);
+    if (b == b_lo) w &= ~0ULL << (lo % 64);
+    if (b == b_hi && hi % 64 != 0) w &= ~0ULL >> (64 - hi % 64);
+    count += std::popcount(w);
+  }
+  return count;
+}
+
 }  // namespace
 
 std::vector<std::vector<Bitset>> ContributionTracer::ComputeUploadActivations(
@@ -276,306 +292,147 @@ TraceResult ContributionTracer::TraceForwards(
           : static_cast<double>(correct_total) / forwards.size();
   result.num_keys = static_cast<int64_t>(keys.size());
 
-  // ---- Optional Max-Miner grouping: per-key candidate prefilter. ---------
-  // candidate_refs[k] = indices into train_by_class_[class of key k]; empty
-  // optional means "use the full class bucket".
-  telemetry::Span grouping_span("ctfl.trace.grouping");
-  std::vector<std::vector<int>> candidate_refs(keys.size());
-  std::vector<bool> has_prefilter(keys.size(), false);
-  if (config_.use_max_miner && !keys.empty()) {
-    for (int target = 0; target < 2; ++target) {
-      std::vector<size_t> class_keys;
-      std::vector<Bitset> supports;
-      for (size_t k = 0; k < keys.size(); ++k) {
-        if (keys[k].target_class == target && keys[k].weight_sum > 0.0) {
-          class_keys.push_back(k);
-          supports.push_back(keys[k].support);
-        }
-      }
-      if (supports.size() < config_.grouping.min_instances) continue;
-      const std::vector<TestGroup> groups = GroupActivations(
-          supports, rule_weights_, config_.tau_w, config_.grouping);
-      const auto& bucket = train_by_class_[target];
-      for (const TestGroup& group : groups) {
-        if (group.theta <= 0.0) continue;  // prefilter would pass everyone
-        // Training candidates achieving w(act ∩ F) >= theta.
-        std::vector<int> candidates;
-        if (config_.kernel == TraceKernelKind::kBlocked) {
-          // Kernel path: same theta comparison, phrased as kPlusEpsGe so
-          // the exact fallback replays `overlap + kRatioEps >= theta`
-          // bit-for-bit. Stats are deliberately discarded — the prefilter
-          // is bookkept via tau_w_checks only, keeping the CI invariant
-          // records_scanned <= tau_w_checks intact.
-          std::vector<std::pair<int, double>> items;
-          items.reserve(group.frequent_subset.size());
-          for (int item : group.frequent_subset) {
-            items.emplace_back(item, rule_weights_[item]);
-          }
-          const TraceKernel::Support prefilter = TraceKernel::Prepare(
-              items, group.theta, TraceKernel::Cmp::kPlusEpsGe, kRatioEps);
-          const TraceKernel& kernel = class_kernel_[target];
-          std::vector<uint64_t> related(kernel.num_blocks(), 0);
-          kernel.Match(prefilter, nullptr, related.data(), nullptr,
-                       {config_.isa, config_.trace_threads});
-          for (size_t b = 0; b < related.size(); ++b) {
-            uint64_t word = related[b];
-            while (word != 0) {
-              const int lane = std::countr_zero(word);
-              word &= word - 1;
-              candidates.push_back(static_cast<int>(b * 64) + lane);
-            }
-          }
-        } else {
-          for (size_t r = 0; r < bucket.size(); ++r) {
-            double overlap = 0.0;
-            for (int item : group.frequent_subset) {
-              if (bucket[r].activation->Test(item)) {
-                overlap += rule_weights_[item];
-              }
-            }
-            if (overlap + kRatioEps >= group.theta) {
-              candidates.push_back(static_cast<int>(r));
-            }
-          }
-        }
-        for (size_t local : group.members) {
-          const size_t k = class_keys[local];
-          candidate_refs[k] = candidates;
-          has_prefilter[k] = true;
-        }
-      }
-    }
-  }
-
-  grouping_span.End();
-
-  // ---- Per-key related-set computation (parallel) + accumulation. --------
+  // ---- Match (parallel over keys, any order): each key's related records
+  // as lane words over its class bucket. Integer results only; every
+  // floating-point sum waits for the key-ordered fold below.
   telemetry::Span match_span("ctfl.trace.match");
-  struct Accumulator {
-    Matrix beneficial;
-    Matrix harmful;
-    std::vector<std::vector<int>> match_correct;
-    std::vector<std::vector<int>> match_miss;
-    // Thread-local tracing stats, merged after the join (keeps the hot
-    // tau_w loop free of shared atomics).
-    int64_t tau_w_checks = 0;
-    int64_t related_hits = 0;
-    int64_t records_scanned = 0;
-    int64_t blocks_pruned = 0;
-    int64_t exact_fallbacks = 0;
-    // Blocked-kernel per-key scratch (reused across keys to stay
-    // allocation-free in the hot loop).
-    std::vector<uint64_t> candidate_mask;
-    std::vector<uint64_t> related_mask;
-    // Legacy-path §IV-B scratch: related-activation counts per
-    // (supporting-rule index, participant), reused across keys.
-    std::vector<int64_t> rule_part_counts;
-  };
-
-  int num_threads = ResolveThreadCount(config_.num_threads);
-  num_threads = std::max(1, std::min<int>(num_threads,
-                                          static_cast<int>(keys.size())));
-
-  std::vector<Accumulator> accumulators(num_threads);
-  for (Accumulator& acc : accumulators) {
-    acc.beneficial = Matrix(n, num_rules);
-    acc.harmful = Matrix(n, num_rules);
-    acc.match_correct.resize(n);
-    acc.match_miss.resize(n);
-    for (int p = 0; p < n; ++p) {
-      acc.match_correct[p].assign(uploads[p].size(), 0);
-      acc.match_miss[p].assign(uploads[p].size(), 0);
+  const bool blocked = config_.kernel == TraceKernelKind::kBlocked;
+  const size_t class_blocks[2] = {(train_by_class_[0].size() + 63) / 64,
+                                  (train_by_class_[1].size() + 63) / 64};
+  // Key k's words are related[related_offset[k] ..]; keys without support
+  // weight match nothing and get none.
+  std::vector<size_t> related_offset(keys.size() + 1, 0);
+  std::vector<uint32_t> class_keys[2];  // traced keys, ascending
+  for (size_t k = 0; k < keys.size(); ++k) {
+    size_t words = 0;
+    if (keys[k].weight_sum > 0.0) {
+      words = class_blocks[keys[k].target_class];
+      class_keys[keys[k].target_class].push_back(static_cast<uint32_t>(k));
+      result.tau_w_checks += static_cast<int64_t>(
+          train_by_class_[keys[k].target_class].size());
     }
+    related_offset[k + 1] = related_offset[k] + words;
   }
+  std::vector<uint64_t> related(related_offset.back(), 0);
+  std::vector<TraceKernelStats> key_stats(keys.size());
+  std::vector<size_t> key_related(keys.size(), 0);
 
-  auto process_key = [&](size_t k, Accumulator& acc) {
+  ParallelFor(config_.num_threads, 0, keys.size(), [&](size_t k) {
     const TraceKey& key = keys[k];
     if (key.weight_sum <= 0.0) return;  // nothing to match against
     const double threshold = config_.tau_w * key.weight_sum - kRatioEps;
-    const auto& bucket = train_by_class_[key.target_class];
-
-    std::vector<int> related_per_participant(n, 0);
-    size_t total_related = 0;
-
-    // Shared per-related-record bookkeeping (integer counters only — the
-    // §IV-B frequency matrices are accumulated in closed form below, one
-    // fused multiply per (participant, rule) cell on both paths).
-    auto record_related = [&](const TrainRef& ref) {
-      ++acc.related_hits;
-      ++related_per_participant[ref.participant];
-      ++total_related;
-      if (key.correct_members > 0) {
-        acc.match_correct[ref.participant][ref.local_index] +=
-            key.correct_members;
-      }
-      if (key.miss_members > 0) {
-        acc.match_miss[ref.participant][ref.local_index] +=
-            key.miss_members;
-      }
-    };
-
-    if (config_.kernel == TraceKernelKind::kBlocked) {
-      const TraceKernel& kernel = class_kernel_[key.target_class];
-      const size_t nb = kernel.num_blocks();
-      const uint64_t* cmask = nullptr;
-      if (has_prefilter[k]) {
-        acc.candidate_mask.assign(nb, 0);
-        for (int r : candidate_refs[k]) {
-          acc.candidate_mask[static_cast<size_t>(r) / 64] |=
-              1ULL << (static_cast<size_t>(r) % 64);
-        }
-        cmask = acc.candidate_mask.data();
-        acc.tau_w_checks += static_cast<int64_t>(candidate_refs[k].size());
-      } else {
-        acc.tau_w_checks += static_cast<int64_t>(bucket.size());
-      }
-      const TraceKernel::Support support =
-          TraceKernel::Prepare(key.supp_list, threshold);
-      if (acc.related_mask.size() < nb) acc.related_mask.resize(nb);
-      TraceKernelStats kstats;
-      kernel.Match(support, cmask, acc.related_mask.data(), &kstats,
-                   {config_.isa, config_.trace_threads});
-      acc.records_scanned += kstats.records_scanned;
-      acc.blocks_pruned += kstats.blocks_pruned;
-      acc.exact_fallbacks += kstats.exact_fallbacks;
-      for (size_t b = 0; b < nb; ++b) {
-        uint64_t word = acc.related_mask[b];
-        while (word != 0) {
-          const int lane = std::countr_zero(word);
-          word &= word - 1;
-          record_related(bucket[b * 64 + static_cast<size_t>(lane)]);
-        }
-      }
-      // Weight-regularized rule activation frequencies (§IV-B) in closed
-      // form: within one key every related record of participant p adds
-      // the same `weight * members` to cell (p, rule), so the sweep
-      // collapses to one fused multiply per cell, with the count taken
-      // from masked popcounts of rule-row ∧ related words. Class buckets
-      // are participant-contiguous (IndexTrainRefs appends participants
-      // in order), so each participant is one [lo, hi) slot range.
-      const std::vector<size_t>& offsets =
-          class_part_offset_[key.target_class];
-      for (const auto& [rule, weight] : key.supp_list) {
-        for (int p = 0; p < n; ++p) {
-          const size_t lo = offsets[p];
-          const size_t hi = offsets[p + 1];
-          if (lo == hi) continue;
-          const size_t b_lo = lo / 64;
-          const size_t b_hi = (hi - 1) / 64;
-          uint64_t first =
-              kernel.rule_word(rule, b_lo) & acc.related_mask[b_lo];
-          first &= ~0ULL << (lo % 64);
-          int64_t cnt = 0;
-          if (b_lo == b_hi) {
-            if (hi % 64 != 0) first &= ~0ULL >> (64 - hi % 64);
-            cnt = std::popcount(first);
-          } else {
-            cnt = std::popcount(first);
-            for (size_t b = b_lo + 1; b < b_hi; ++b) {
-              cnt += std::popcount(kernel.rule_word(rule, b) &
-                                   acc.related_mask[b]);
-            }
-            uint64_t last =
-                kernel.rule_word(rule, b_hi) & acc.related_mask[b_hi];
-            if (hi % 64 != 0) last &= ~0ULL >> (64 - hi % 64);
-            cnt += std::popcount(last);
-          }
-          if (cnt == 0) continue;
-          if (key.correct_members > 0) {
-            acc.beneficial(p, rule) +=
-                (weight * key.correct_members) * static_cast<double>(cnt);
-          }
-          if (key.miss_members > 0) {
-            acc.harmful(p, rule) +=
-                (weight * key.miss_members) * static_cast<double>(cnt);
-          }
-        }
-      }
+    const std::vector<TrainRef>& bucket = train_by_class_[key.target_class];
+    uint64_t* words = related.data() + related_offset[k];
+    if (blocked) {
+      class_kernel_[key.target_class].Match(
+          TraceKernel::Prepare(key.supp_list, threshold), nullptr, words,
+          &key_stats[k], {config_.isa, config_.trace_threads});
     } else {
-      // Legacy §IV-B in the same closed form as the blocked path: count
-      // related activations per (supporting rule, participant) during the
-      // scan, then emit one fused multiply per cell in the identical
-      // rule-outer / participant-ascending order — same per-cell value,
-      // same add sequence, so the two paths stay bit-identical.
-      const size_t num_supp = key.supp_list.size();
-      acc.rule_part_counts.assign(num_supp * static_cast<size_t>(n), 0);
-      auto check_ref = [&](const TrainRef& ref) {
-        ++acc.tau_w_checks;
+      for (size_t r = 0; r < bucket.size(); ++r) {
         double overlap = 0.0;
         for (const auto& [rule, weight] : key.supp_list) {
-          if (ref.activation->Test(rule)) overlap += weight;
+          if (bucket[r].activation->Test(rule)) overlap += weight;
         }
-        if (overlap < threshold) return;
-        record_related(ref);
-        int64_t* counts = acc.rule_part_counts.data() + ref.participant;
-        for (size_t si = 0; si < num_supp; ++si) {
-          if (ref.activation->Test(key.supp_list[si].first)) {
-            counts[si * static_cast<size_t>(n)] += 1;
-          }
-        }
-      };
-
-      if (has_prefilter[k]) {
-        for (int r : candidate_refs[k]) check_ref(bucket[r]);
-      } else {
-        for (const TrainRef& ref : bucket) check_ref(ref);
-      }
-      for (size_t si = 0; si < num_supp; ++si) {
-        const auto& [rule, weight] = key.supp_list[si];
-        for (int p = 0; p < n; ++p) {
-          const int64_t cnt =
-              acc.rule_part_counts[si * static_cast<size_t>(n) + p];
-          if (cnt == 0) continue;
-          if (key.correct_members > 0) {
-            acc.beneficial(p, rule) +=
-                (weight * key.correct_members) * static_cast<double>(cnt);
-          }
-          if (key.miss_members > 0) {
-            acc.harmful(p, rule) +=
-                (weight * key.miss_members) * static_cast<double>(cnt);
-          }
-        }
+        if (!(overlap < threshold)) words[r / 64] |= 1ULL << (r % 64);
       }
     }
-
+    // Class buckets are participant-contiguous (IndexTrainRefs appends
+    // participants in order), so each participant is one slot range.
+    const std::vector<size_t>& offsets = class_part_offset_[key.target_class];
+    std::vector<int> related_per_participant(n, 0);
+    for (int p = 0; p < n; ++p) {
+      related_per_participant[p] = static_cast<int>(CountLanes(
+          offsets[p], offsets[p + 1], [&](size_t b) { return words[b]; }));
+      key_related[k] += static_cast<size_t>(related_per_participant[p]);
+    }
     for (size_t t : key.members) {
       result.tests[t].related_count = related_per_participant;
-      result.tests[t].total_related = total_related;
+      result.tests[t].total_related = key_related[k];
     }
-  };
-
-  if (num_threads == 1 || keys.size() < 2) {
-    for (size_t k = 0; k < keys.size(); ++k) process_key(k, accumulators[0]);
-  } else {
-    ThreadPool pool(num_threads);
-    const size_t chunk = (keys.size() + num_threads - 1) / num_threads;
-    for (int w = 0; w < num_threads; ++w) {
-      const size_t lo = static_cast<size_t>(w) * chunk;
-      const size_t hi = std::min(keys.size(), lo + chunk);
-      if (lo >= hi) break;
-      pool.Submit([&, w, lo, hi] {
-        for (size_t k = lo; k < hi; ++k) process_key(k, accumulators[w]);
-      });
-    }
-    pool.Wait();
+  });
+  for (size_t k = 0; k < keys.size(); ++k) {
+    result.related_records += static_cast<int64_t>(key_related[k]);
+    result.records_scanned += key_stats[k].records_scanned;
+    result.blocks_pruned += key_stats[k].blocks_pruned;
+    result.exact_fallbacks += key_stats[k].exact_fallbacks;
   }
 
-  // Merge thread-local accumulators.
-  for (const Accumulator& acc : accumulators) {
-    result.beneficial_rule_freq.Axpy(1.0, acc.beneficial);
-    result.harmful_rule_freq.Axpy(1.0, acc.harmful);
-    result.tau_w_checks += acc.tau_w_checks;
-    result.related_records += acc.related_hits;
-    result.records_scanned += acc.records_scanned;
-    result.blocks_pruned += acc.blocks_pruned;
-    result.exact_fallbacks += acc.exact_fallbacks;
-    for (int p = 0; p < n; ++p) {
-      for (size_t i = 0; i < acc.match_correct[p].size(); ++i) {
-        result.train_match_correct[p][i] += acc.match_correct[p][i];
-        result.train_match_miss[p][i] += acc.match_miss[p][i];
+  // Lanes of block b of class c's bucket that are in `lanes` and activate
+  // `rule`.
+  auto rule_lanes = [&](int c, int rule, size_t b, uint64_t lanes) {
+    if (blocked) return class_kernel_[c].rule_word(rule, b) & lanes;
+    uint64_t out = 0;
+    for (uint64_t w = lanes; w != 0; w &= w - 1) {
+      const int lane = std::countr_zero(w);
+      if (train_by_class_[c][b * 64 + lane].activation->Test(rule)) {
+        out |= 1ULL << lane;
       }
     }
+    return out;
+  };
+
+  // ---- §IV-B weight-regularized rule frequencies, folded in key order:
+  // columns in parallel, each cell's terms added for keys ascending — the
+  // serial loop's sequence at any thread count. Within one key every
+  // related record of participant p adds the same `weight * members` to
+  // cell (p, rule), so a key contributes one multiply per cell, counted
+  // from masked popcounts of rule-row ∧ related words.
+  std::vector<std::vector<uint32_t>> rule_keys(num_rules);
+  for (size_t k = 0; k < keys.size(); ++k) {
+    if (keys[k].weight_sum <= 0.0) continue;
+    for (const auto& [rule, weight] : keys[k].supp_list) {
+      rule_keys[rule].push_back(static_cast<uint32_t>(k));
+    }
   }
+  ParallelFor(config_.num_threads, 0, rule_keys.size(), [&](size_t j) {
+    const int rule = static_cast<int>(j);
+    const double weight = rule_weights_[rule];
+    for (uint32_t k : rule_keys[rule]) {
+      const TraceKey& key = keys[k];
+      const int c = key.target_class;
+      const uint64_t* words = related.data() + related_offset[k];
+      const std::vector<int>& per_participant =
+          result.tests[key.members.front()].related_count;
+      for (int p = 0; p < n; ++p) {
+        if (per_participant[p] == 0) continue;
+        const int64_t cnt = CountLanes(
+            class_part_offset_[c][p], class_part_offset_[c][p + 1],
+            [&](size_t b) { return rule_lanes(c, rule, b, words[b]); });
+        if (cnt == 0) continue;
+        if (key.correct_members > 0) {
+          result.beneficial_rule_freq(p, rule) +=
+              (weight * key.correct_members) * static_cast<double>(cnt);
+        }
+        if (key.miss_members > 0) {
+          result.harmful_rule_freq(p, rule) +=
+              (weight * key.miss_members) * static_cast<double>(cnt);
+        }
+      }
+    }
+  });
+
+  // ---- Per-record match counts (integer sums), blocks in parallel: each
+  // block's records belong to it alone.
+  ParallelFor(config_.num_threads, 0, class_blocks[0] + class_blocks[1],
+              [&](size_t i) {
+                const int c = i < class_blocks[0] ? 0 : 1;
+                const size_t b = c == 0 ? i : i - class_blocks[0];
+                const std::vector<TrainRef>& bucket = train_by_class_[c];
+                for (uint32_t k : class_keys[c]) {
+                  const TraceKey& key = keys[k];
+                  for (uint64_t w = related[related_offset[k] + b]; w != 0;
+                       w &= w - 1) {
+                    const TrainRef& ref =
+                        bucket[b * 64 + std::countr_zero(w)];
+                    result.train_match_correct[ref.participant]
+                                              [ref.local_index] +=
+                        key.correct_members;
+                    result.train_match_miss[ref.participant]
+                                           [ref.local_index] +=
+                        key.miss_members;
+                  }
+                }
+              });
   match_span.End();
 
   // Matched accuracy + uncovered-scenario aggregation.

@@ -19,12 +19,15 @@ struct TracerConfig {
   /// Deduplicate test instances with identical (class, supporting rules):
   /// their related sets are provably identical, so they are traced once.
   bool use_dedup = true;
-  /// Max-Miner frequent-ruleset grouping: prefilter training candidates
-  /// per group before the exact per-test check (paper's acceleration).
-  bool use_max_miner = true;
+  /// Budgets of Max-Miner frequent-ruleset grouping (src/ctfl/mining/),
+  /// the paper's prefilter. Tracing no longer groups: with the blocked
+  /// kernel the prefilter cost more than it saved (EXPERIMENTS.md). Kept
+  /// for the benchmark's `mining.group` probe.
   GroupingConfig grouping;
-  /// Worker threads for the tracing loop (0 = hardware concurrency,
-  /// 1 = serial).
+  /// Thread budget of the tracing pass, the caller included (0 = hardware
+  /// concurrency, 1 = serial). Keys are matched in any order and the §IV-B
+  /// sums folded in key order, so every output is bit-identical at any
+  /// value.
   int num_threads = 0;
   /// Rules whose vote weight is below this are ignored during tracing
   /// (they carry no classification signal, only noise).
@@ -90,7 +93,8 @@ struct TraceResult {
   /// Weight-regularized rule activation frequencies per participant
   /// accumulated over related (test, train) pairs: rows = participants,
   /// cols = rule coordinates. "Beneficial" counts come from correctly
-  /// classified tests, "harmful" from misclassifications (§IV-B).
+  /// classified tests, "harmful" from misclassifications (§IV-B). Each
+  /// cell sums its keys' terms in key order.
   Matrix beneficial_rule_freq;
   Matrix harmful_rule_freq;
 

@@ -1,7 +1,6 @@
 #include "ctfl/fl/fedavg.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "ctfl/fl/secure_agg.h"
@@ -94,17 +93,21 @@ Status RunFedAvg(LogicalNet& global, const std::vector<Dataset>& clients,
   local.epochs = config.local_epochs;
   const FailurePlan& plan = config.failure;
 
-  // Fan local training out across at most one worker per non-empty
-  // client. Inside a pool worker (e.g. a nested federated run) we stay
-  // serial: ParallelFor would inline anyway, so skip the pool entirely.
-  int fan_out = std::min<int>(ResolveThreadCount(config.num_threads),
-                              static_cast<int>(nonempty_clients));
-  fan_out = std::max(1, fan_out);
-  std::unique_ptr<ThreadPool> pool;
-  if (fan_out > 1 && !ThreadPool::InPoolWorker()) {
-    pool = std::make_unique<ThreadPool>(fan_out);
-  }
-  parallel_gauge.Set(pool != nullptr ? fan_out : 1);
+  // Fan local training out over the compute pool with the configured
+  // thread budget, the calling thread included. Threads that run out of
+  // clients help the ones still training (help-while-waiting), so the
+  // budget is not capped at the client count; clients are claimed largest
+  // first so a straggler starts early.
+  const int threads = ResolveThreadCount(config.num_threads);
+  parallel_gauge.Set(
+      std::max<int>(1, std::min<int>(threads,
+                                     static_cast<int>(nonempty_clients))));
+  std::vector<size_t> claim_order(clients.size());
+  for (size_t c = 0; c < clients.size(); ++c) claim_order[c] = c;
+  std::stable_sort(claim_order.begin(), claim_order.end(),
+                   [&](size_t a, size_t b) {
+                     return clients[a].size() > clients[b].size();
+                   });
 
   if (config.model_observer) {
     // Round 0: the initialized global model before any training — the
@@ -160,11 +163,8 @@ Status RunFedAvg(LogicalNet& global, const std::vector<Dataset>& clients,
       out.trained = true;
       out.params = local_net.GetParameters();
     };
-    if (pool != nullptr) {
-      pool->ParallelFor(0, clients.size(), train_client);
-    } else {
-      for (size_t c = 0; c < clients.size(); ++c) train_client(c);
-    }
+    ParallelFor(threads, 0, clients.size(),
+                [&](size_t i) { train_client(claim_order[i]); });
 
     // ---- Ordered commit: uploads are received, validated, and (on
     // fault) retried in client-index order. The floating-point folds

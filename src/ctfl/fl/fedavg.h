@@ -39,8 +39,10 @@ struct FedAvgConfig {
   /// update is quarantined for that round (straggler/corrupt/mismatch
   /// faults only — a dropped-out client is offline and cannot retry).
   int retry_budget = 1;
-  /// Worker threads for the per-client local-training fan-out (0 =
-  /// hardware concurrency, 1 = serial). Determinism contract (DESIGN.md
+  /// Thread budget of the per-client local-training fan-out, the calling
+  /// thread included (0 = hardware concurrency, 1 = serial); it also caps
+  /// the sharded kernels inside each client's steps, which threads that
+  /// ran out of clients join. Determinism contract (DESIGN.md
   /// §9): each client trains an independent copy of the global net with
   /// its own optimizer/RNG state, and updates are committed in client-
   /// index order, so the aggregated parameters — and the per-round loss

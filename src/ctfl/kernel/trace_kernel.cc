@@ -4,8 +4,6 @@
 #include <bit>
 #include <cfloat>
 #include <cmath>
-#include <memory>
-#include <mutex>
 #include <numeric>
 
 #include "ctfl/util/logging.h"
@@ -37,22 +35,6 @@ kernel_detail::StripeFn ResolveStripeFn(TraceIsa isa) {
       return kernel_detail::MatchStripeScalar;
   }
   return kernel_detail::MatchStripeScalar;
-}
-
-// Shared stripe-sharding pool, rebuilt when the requested size changes
-// (same idiom as the matrix kernels' MatrixParallelPool).
-std::mutex g_pool_mu;
-std::unique_ptr<ThreadPool> g_pool;  // guarded by g_pool_mu
-int g_pool_size = 0;                 // guarded by g_pool_mu
-
-ThreadPool* MatchParallelPool(int threads) {
-  std::lock_guard<std::mutex> lock(g_pool_mu);
-  if (g_pool == nullptr || g_pool_size != threads) {
-    g_pool.reset();  // join the old workers before resizing
-    g_pool = std::make_unique<ThreadPool>(threads);
-    g_pool_size = threads;
-  }
-  return g_pool.get();
 }
 
 }  // namespace
@@ -166,13 +148,10 @@ size_t TraceKernel::Match(const Support& s, const uint64_t* candidate_mask,
   // and no two stripes share an out_related word. 64 blocks (4096 lanes)
   // is the minimum worth a pool task.
   constexpr size_t kMinBlocksPerShard = 64;
-  size_t shards = 1;
-  if (options.threads != 1 && !ThreadPool::InPoolWorker()) {
-    const int threads = ResolveThreadCount(options.threads);
-    const size_t cap = std::max<size_t>(nb / kMinBlocksPerShard, 1);
-    shards = std::min({static_cast<size_t>(std::max(threads, 1)),
-                       num_tiles_, cap});
-  }
+  const int threads = ResolveThreadCount(options.threads);
+  const size_t cap = std::max<size_t>(nb / kMinBlocksPerShard, 1);
+  const size_t shards =
+      std::min({static_cast<size_t>(threads), num_tiles_, cap});
 
   if (shards <= 1) {
     const kernel_detail::StripeResult r =
@@ -188,15 +167,13 @@ size_t TraceKernel::Match(const Support& s, const uint64_t* candidate_mask,
   const size_t tiles_per_shard = (num_tiles_ + shards - 1) / shards;
   const size_t blocks_per_shard = tiles_per_shard * tile_blocks_;
   std::vector<kernel_detail::StripeResult> results(shards);
-  MatchParallelPool(static_cast<int>(shards))
-      ->ParallelFor(0, shards, [&](size_t i) {
-        const size_t lo = std::min(nb, i * blocks_per_shard);
-        const size_t hi = std::min(nb, lo + blocks_per_shard);
-        if (lo < hi) {
-          results[i] =
-              stripe(*this, s, candidate_mask, out_related, lo, hi);
-        }
-      });
+  ParallelFor(static_cast<int>(shards), 0, shards, [&](size_t i) {
+    const size_t lo = std::min(nb, i * blocks_per_shard);
+    const size_t hi = std::min(nb, lo + blocks_per_shard);
+    if (lo < hi) {
+      results[i] = stripe(*this, s, candidate_mask, out_related, lo, hi);
+    }
+  });
   // Ordered commit (DESIGN.md §10): lane decisions land in disjoint
   // out_related words per stripe, and stats are folded in ascending
   // stripe order on this thread — totals are integer sums either way,

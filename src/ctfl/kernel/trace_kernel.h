@@ -26,9 +26,10 @@
 //    tier runs is selected once per process (CTFL_TRACE_ISA /
 //    --trace-isa) or per call via TraceMatchOptions.
 //  - Sharding: Match splits the block range into tile-aligned stripes
-//    across the shared util/thread_pool. Stripes own disjoint out_related
-//    words, and per-stripe stats are committed in ascending stripe order,
-//    so results and stats are independent of the worker schedule.
+//    across the process compute pool (util/thread_pool.h). Stripes own
+//    disjoint out_related words, and per-stripe stats are committed in
+//    ascending stripe order, so results and stats are independent of the
+//    worker schedule.
 //
 // Early-exit pruning processes the support rules in descending weight
 // order keeping per-lane lower bounds; once the remaining (unprocessed)
@@ -92,7 +93,8 @@ struct TraceMatchOptions {
   /// SIMD tier; defaults to the process-wide selection.
   TraceIsa isa = CurrentTraceIsa();
   /// Worker threads sharding the block range (1 = serial, 0 = hardware
-  /// concurrency). Runs serial when called from inside a pool worker.
+  /// concurrency). Inside another parallel section the stripes share that
+  /// section's thread budget.
   int threads = 1;
 };
 

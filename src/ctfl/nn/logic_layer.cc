@@ -1,11 +1,13 @@
 #include "ctfl/nn/logic_layer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstring>
 
 #include "ctfl/util/logging.h"
+#include "ctfl/util/thread_pool.h"
 
 namespace ctfl {
 namespace {
@@ -77,9 +79,9 @@ struct FactorTable {
   }
 };
 
-/// Builds the table from `w` (out x in). False when a weight is not
-/// finite: only then can a skipped factor differ from 1.0.
-bool BuildFactorTable(const Matrix& w, int num_conj, FactorTable* t) {
+/// Lays out the chunks of layer `w` (out x in, num_conj conjunctions
+/// first) and sizes the table; BuildFactorChunk fills it chunk by chunk.
+void LayoutFactorTable(const Matrix& w, int num_conj, FactorTable* t) {
   const int out = static_cast<int>(w.rows());
   t->in_dim = static_cast<int>(w.cols());
   for (int node = 0; node < num_conj; node += kChunk) {
@@ -92,23 +94,73 @@ bool BuildFactorTable(const Matrix& w, int num_conj, FactorTable* t) {
     t->width.push_back(std::min(kChunk, out - node));
   }
   t->c.resize(static_cast<size_t>(t->chunks()) * t->in_dim * kChunk);
+}
+
+/// Fills chunk q of the table from `w`. False when one of the chunk's
+/// weights is not finite: only then can a skipped factor differ from 1.0.
+bool BuildFactorChunk(const Matrix& w, int q, FactorTable* t) {
   bool finite = true;
-  for (int q = 0; q < t->chunks(); ++q) {
-    const double* w0 = w.row(t->first[q]);
-    for (int i = 0; i < t->in_dim; ++i) {
-      double* c = t->c.data() + t->Offset(q, i);
-      for (int k = 0; k < kChunk; ++k) {
-        if (k >= t->width[q]) {
-          c[k] = 1.0;
-          continue;
-        }
-        const double v = w0[static_cast<size_t>(k) * t->in_dim + i];
-        finite &= std::isfinite(v);
-        c[k] = std::max(kEps, 1.0 - v);
+  const double* w0 = w.row(t->first[q]);
+  for (int i = 0; i < t->in_dim; ++i) {
+    double* c = t->c.data() + t->Offset(q, i);
+    for (int k = 0; k < kChunk; ++k) {
+      if (k >= t->width[q]) {
+        c[k] = 1.0;
+        continue;
       }
+      const double v = w0[static_cast<size_t>(k) * t->in_dim + i];
+      finite &= std::isfinite(v);
+      c[k] = std::max(kEps, 1.0 - v);
     }
   }
   return finite;
+}
+
+/// The generic continuous forward of nodes [lo, hi) of layer `w` (num_conj
+/// conjunctions first), skipping zero weights.
+void ForwardNodes(const Matrix& w, int num_conj, const Matrix& x, int lo,
+                  int hi, Matrix* y) {
+  const int in_dim = static_cast<int>(w.cols());
+  for (size_t r = 0; r < x.rows(); ++r) {
+    const double* xr = x.row(r);
+    for (int node = lo; node < hi; ++node) {
+      const double* wn = w.row(node);
+      double prod = 1.0;
+      if (node < num_conj) {
+        for (int i = 0; i < in_dim; ++i) {
+          if (wn[i] == 0.0) continue;
+          prod *= std::max(kEps, 1.0 - wn[i] * (1.0 - xr[i]));
+        }
+        (*y)(r, node) = prod;
+      } else {
+        for (int i = 0; i < in_dim; ++i) {
+          if (wn[i] == 0.0) continue;
+          prod *= std::max(kEps, 1.0 - wn[i] * xr[i]);
+        }
+        (*y)(r, node) = 1.0 - prod;
+      }
+    }
+  }
+}
+
+/// The generic backward of nodes [lo, hi): per row, per node ascending,
+/// accumulates parameter gradients into `grads` and, when `dx` is non-null,
+/// input gradients into `dx`.
+void BackwardNodes(const Matrix& w, int num_conj, const Matrix& x,
+                   const Matrix& y, const Matrix& dy, int lo, int hi,
+                   Matrix* grads, Matrix* dx) {
+  const int in_dim = static_cast<int>(w.cols());
+  for (size_t r = 0; r < x.rows(); ++r) {
+    for (int node = lo; node < hi; ++node) {
+      const double g = dy(r, node);
+      if (g == 0.0) continue;
+      const bool conj = node < num_conj;
+      const double prod = conj ? y(r, node) : 1.0 - y(r, node);
+      if (prod <= 0.0) continue;
+      NodeGradient(conj, g, prod, w.row(node), x.row(r), in_dim,
+                   grads->row(node), 1, dx != nullptr ? dx->row(r) : nullptr);
+    }
+  }
 }
 
 /// Per row of a binary matrix, its inputs at 0 and its inputs at 1, each
@@ -130,15 +182,12 @@ struct SplitRows {
   }
 };
 
-/// False when some element of `x` is not exactly 0.0 or 1.0.
-bool SplitBinaryRows(const Matrix& x, SplitRows* rows) {
+/// Splits rows [lo, hi) of `x` into `rows` (sized by the caller). False
+/// when one of their elements is not exactly 0.0 or 1.0.
+bool SplitRowRange(const Matrix& x, size_t lo, size_t hi, SplitRows* rows) {
   const int in_dim = static_cast<int>(x.cols());
-  rows->in_dim = in_dim;
-  rows->at_zero.resize(x.rows() * in_dim);
-  rows->at_one.resize(x.rows() * in_dim);
-  rows->zeros.resize(x.rows());
   bool binary = true;
-  for (size_t r = 0; r < x.rows(); ++r) {
+  for (size_t r = lo; r < hi; ++r) {
     const double* xr = x.row(r);
     int* at_zero = rows->at_zero.data() + r * in_dim;
     int* at_one = rows->at_one.data() + r * in_dim;
@@ -156,6 +205,27 @@ bool SplitBinaryRows(const Matrix& x, SplitRows* rows) {
     }
     rows->zeros[r] = zeros;
   }
+  return binary;
+}
+
+/// False when some element of `x` is not exactly 0.0 or 1.0. Blocks of
+/// rows run in parallel with up to `threads` threads.
+bool SplitBinaryRows(const Matrix& x, int threads, SplitRows* rows) {
+  const int in_dim = static_cast<int>(x.cols());
+  rows->in_dim = in_dim;
+  rows->at_zero.resize(x.rows() * in_dim);
+  rows->at_one.resize(x.rows() * in_dim);
+  rows->zeros.resize(x.rows());
+  constexpr size_t kRowsPerBlock = 8;
+  std::atomic<bool> binary{true};
+  ParallelFor(threads, 0, (x.rows() + kRowsPerBlock - 1) / kRowsPerBlock,
+              [&](size_t block) {
+                const size_t end =
+                    std::min(x.rows(), (block + 1) * kRowsPerBlock);
+                if (!SplitRowRange(x, block * kRowsPerBlock, end, rows)) {
+                  binary = false;
+                }
+              });
   return binary;
 }
 
@@ -213,20 +283,36 @@ void AddGradientTerms(const double* table, const int* inputs, int count,
 
 /// The continuous forward of layer `w` (num_conj conjunctions first)
 /// through the factor table. False, with `y` untouched, when `x` is not
-/// binary or a weight is not finite. Multiplying by a skipped factor's
-/// exact 1.0 would change nothing, so each node multiplies its remaining
-/// factors in ascending input order, as the generic loop does.
+/// binary. Multiplying by a skipped factor's exact 1.0 would change
+/// nothing, so each node multiplies its remaining factors in ascending
+/// input order, as the generic loop does. Units of one or two chunks of one
+/// kind (two hide the multiply latency) run in parallel, each building its
+/// own chunks of the table; a unit holding a non-finite weight runs the
+/// generic loop for its nodes instead.
 bool ForwardByTable(const Matrix& w, int num_conj, const Matrix& x,
                     Matrix* y) {
+  const int threads = MatrixThreadsFor(x.rows() * w.rows() * w.cols());
   SplitRows rows;
+  if (!SplitBinaryRows(x, threads, &rows)) return false;
   FactorTable t;
-  if (!SplitBinaryRows(x, &rows) || !BuildFactorTable(w, num_conj, &t)) {
-    return false;
-  }
+  LayoutFactorTable(w, num_conj, &t);
+  auto unit_width = [&](int q) {
+    return q + 1 < t.chunks() && t.conj(q + 1) == t.conj(q) ? 2 : 1;
+  };
+  std::vector<int> units;  // first chunk of each unit
+  for (int q = 0; q < t.chunks(); q += unit_width(q)) units.push_back(q);
   const size_t chunk_stride = t.Offset(1, 0);
-  for (int q = 0; q < t.chunks();) {
+  auto run_unit = [&](size_t u) {
+    const int q = units[u];
     const bool conj = t.conj(q);
-    const int pair = q + 1 < t.chunks() && t.conj(q + 1) == conj ? 2 : 1;
+    const int pair = unit_width(q);
+    bool finite = true;
+    for (int p = 0; p < pair; ++p) finite &= BuildFactorChunk(w, q + p, &t);
+    if (!finite) {
+      ForwardNodes(w, num_conj, x, t.first[q],
+                   t.first[q + pair - 1] + t.width[q + pair - 1], y);
+      return;
+    }
     for (size_t r = 0; r < x.rows(); ++r) {
       double acc[2 * kChunk];
       (pair == 2 ? MultiplyFactors<2> : MultiplyFactors<1>)(
@@ -240,42 +326,49 @@ bool ForwardByTable(const Matrix& w, int num_conj, const Matrix& x,
         }
       }
     }
-    q += pair;
-  }
+  };
+  ParallelFor(threads, 0, units.size(), run_unit);
   return true;
 }
 
 /// The parameter backward of layer `w` through the factor table,
 /// accumulating into `grads`. False, with `grads` untouched, when `x` is
-/// not binary, a weight is not finite, or a gradient holds -0.0.
+/// not binary. Chunks run in parallel, each with its own rows of `grads`; a
+/// chunk holding a non-finite weight or a -0.0 gradient runs the generic
+/// loop for its nodes instead.
 bool BackwardWeightsByTable(const Matrix& w, int num_conj, const Matrix& x,
                             const Matrix& y, const Matrix& dy,
                             Matrix* grads) {
+  const int threads = MatrixThreadsFor(x.rows() * w.rows() * w.cols());
   SplitRows rows;
+  if (!SplitBinaryRows(x, threads, &rows)) return false;
   FactorTable t;
-  if (!SplitBinaryRows(x, &rows) || !BuildFactorTable(w, num_conj, &t)) {
-    return false;
-  }
+  LayoutFactorTable(w, num_conj, &t);
   const int in_dim = t.in_dim;
-  // Chunk-major copy of the accumulators. A skipped term is ±0.0, which
-  // leaves an accumulator's bits unchanged unless it holds -0.0: zeroed
-  // gradients are +0.0 and sums of terms never yield -0.0, so only a
-  // caller's own -0.0 sends the call to the generic loop.
+  // Chunk-major copy of the accumulators.
   std::vector<double> gt(t.c.size(), 0.0);
-  bool negative_zero = false;
-  for (int q = 0; q < t.chunks(); ++q) {
+  auto run_chunk = [&](size_t chunk) {
+    const int q = static_cast<int>(chunk);
+    const bool conj = t.conj(q);
+    const int lo = t.first[q];
+    const int hi = lo + t.width[q];
+    double* chunk_gt = gt.data() + t.Offset(q, 0);
+    // A skipped term is ±0.0, which leaves an accumulator's bits unchanged
+    // unless it holds -0.0: zeroed gradients are +0.0 and sums of terms
+    // never yield -0.0, so only a caller's own -0.0 sends the chunk to the
+    // generic loop.
+    bool negative_zero = false;
     for (int k = 0; k < t.width[q]; ++k) {
-      const double* gw = grads->row(t.first[q] + k);
+      const double* gw = grads->row(lo + k);
       for (int i = 0; i < in_dim; ++i) {
         negative_zero |= gw[i] == 0.0 && std::signbit(gw[i]);
-        gt[t.Offset(q, i) + k] = gw[i];
+        chunk_gt[static_cast<size_t>(i) * kChunk + k] = gw[i];
       }
     }
-  }
-  if (negative_zero) return false;
-  for (int q = 0; q < t.chunks(); ++q) {
-    const bool conj = t.conj(q);
-    double* chunk_gt = gt.data() + t.Offset(q, 0);
+    if (!BuildFactorChunk(w, q, &t) || negative_zero) {
+      BackwardNodes(w, num_conj, x, y, dy, lo, hi, grads, nullptr);
+      return;
+    }
     for (size_t r = 0; r < x.rows(); ++r) {
       // A lane takes the table loop when its g is finite and nonzero and
       // its product lies in (0, 1]: then rest = prod / c is finite and
@@ -291,7 +384,7 @@ bool BackwardWeightsByTable(const Matrix& w, int num_conj, const Matrix& x,
         prod[k] = 1.0;
         generic[k] = false;
         if (k >= t.width[q]) continue;
-        const int node = t.first[q] + k;
+        const int node = lo + k;
         const double gv = dy(r, node);
         const double pv = conj ? y(r, node) : 1.0 - y(r, node);
         if (gv != 0.0 && std::isfinite(gv) && pv > 0.0 && pv <= 1.0) {
@@ -307,19 +400,20 @@ bool BackwardWeightsByTable(const Matrix& w, int num_conj, const Matrix& x,
           rows.Count(r, conj), g, prod, chunk_gt);
       for (int k = 0; k < t.width[q]; ++k) {
         if (!generic[k]) continue;
-        const int node = t.first[q] + k;
+        const int node = lo + k;
         NodeGradient(conj, dy(r, node), conj ? y(r, node) : 1.0 - y(r, node),
                      w.row(node), x.row(r), in_dim, chunk_gt + k, kChunk,
                      nullptr);
       }
     }
-  }
-  for (int q = 0; q < t.chunks(); ++q) {
     for (int k = 0; k < t.width[q]; ++k) {
-      double* gw = grads->row(t.first[q] + k);
-      for (int i = 0; i < in_dim; ++i) gw[i] = gt[t.Offset(q, i) + k];
+      double* gw = grads->row(lo + k);
+      for (int i = 0; i < in_dim; ++i) {
+        gw[i] = chunk_gt[static_cast<size_t>(i) * kChunk + k];
+      }
     }
-  }
+  };
+  ParallelFor(threads, 0, static_cast<size_t>(t.chunks()), run_chunk);
   return true;
 }
 
@@ -361,26 +455,8 @@ void LogicLayer::InitSparse(Rng& rng, int fan_in) {
 Matrix LogicLayer::ForwardContinuous(const Matrix& x) const {
   CTFL_CHECK(static_cast<int>(x.cols()) == in_dim_);
   Matrix y(x.rows(), out_dim());
-  if (ForwardByTable(weights_, num_conj_, x, &y)) return y;
-  for (size_t r = 0; r < x.rows(); ++r) {
-    const double* xr = x.row(r);
-    for (int node = 0; node < out_dim(); ++node) {
-      const double* w = weights_.row(node);
-      double prod = 1.0;
-      if (IsConjNode(node)) {
-        for (int i = 0; i < in_dim_; ++i) {
-          if (w[i] == 0.0) continue;
-          prod *= std::max(kEps, 1.0 - w[i] * (1.0 - xr[i]));
-        }
-        y(r, node) = prod;
-      } else {
-        for (int i = 0; i < in_dim_; ++i) {
-          if (w[i] == 0.0) continue;
-          prod *= std::max(kEps, 1.0 - w[i] * xr[i]);
-        }
-        y(r, node) = 1.0 - prod;
-      }
-    }
+  if (!ForwardByTable(weights_, num_conj_, x, &y)) {
+    ForwardNodes(weights_, num_conj_, x, 0, out_dim(), &y);
   }
   return y;
 }
@@ -458,17 +534,7 @@ Matrix LogicLayer::Backward(const Matrix& x, const Matrix& y,
                             const Matrix& dy) {
   CTFL_CHECK(x.rows() == y.rows() && y.rows() == dy.rows());
   Matrix dx(x.rows(), in_dim_);
-  for (size_t r = 0; r < x.rows(); ++r) {
-    for (int node = 0; node < out_dim(); ++node) {
-      const double g = dy(r, node);
-      if (g == 0.0) continue;
-      const bool conj = IsConjNode(node);
-      const double prod = conj ? y(r, node) : 1.0 - y(r, node);
-      if (prod <= 0.0) continue;
-      NodeGradient(conj, g, prod, weights_.row(node), x.row(r), in_dim_,
-                   grads_.row(node), 1, dx.row(r));
-    }
-  }
+  BackwardNodes(weights_, num_conj_, x, y, dy, 0, out_dim(), &grads_, &dx);
   return dx;
 }
 
@@ -476,17 +542,9 @@ void LogicLayer::BackwardWeights(const Matrix& x, const Matrix& y,
                                  const Matrix& dy) {
   CTFL_CHECK(x.rows() == y.rows() && y.rows() == dy.rows());
   CTFL_CHECK(static_cast<int>(x.cols()) == in_dim_);
-  if (BackwardWeightsByTable(weights_, num_conj_, x, y, dy, &grads_)) return;
-  for (size_t r = 0; r < x.rows(); ++r) {
-    for (int node = 0; node < out_dim(); ++node) {
-      const double g = dy(r, node);
-      if (g == 0.0) continue;
-      const bool conj = IsConjNode(node);
-      const double prod = conj ? y(r, node) : 1.0 - y(r, node);
-      if (prod <= 0.0) continue;
-      NodeGradient(conj, g, prod, weights_.row(node), x.row(r), in_dim_,
-                   grads_.row(node), 1, nullptr);
-    }
+  if (!BackwardWeightsByTable(weights_, num_conj_, x, y, dy, &grads_)) {
+    BackwardNodes(weights_, num_conj_, x, y, dy, 0, out_dim(), &grads_,
+                  nullptr);
   }
 }
 

@@ -34,7 +34,10 @@ void PackRows(const Matrix& x, size_t lo, size_t n, uint64_t* words);
 /// per word. The continuous forward and the parameter backward take an
 /// exact factor-table kernel when every input is exactly 0.0 or 1.0 (the
 /// encoder's output, i.e. layer 0) and the generic per-element loop
-/// otherwise. Both produce the generic loop's results bit for bit.
+/// otherwise. Both produce the generic loop's results bit for bit. The
+/// table kernels shard by 8-node chunk across the compute pool under the
+/// matrix thread budget (MatrixThreadsFor), never by row, so every element
+/// keeps its serial term order.
 class LogicLayer {
  public:
   LogicLayer(int in_dim, int num_conj, int num_disj);

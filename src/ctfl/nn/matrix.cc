@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
-#include <mutex>
 
 #include "ctfl/util/logging.h"
 #include "ctfl/util/thread_pool.h"
@@ -15,34 +13,6 @@ namespace {
 // 0 = hardware concurrency; see SetMatrixParallelism.
 std::atomic<int> g_matrix_threads{0};
 std::atomic<size_t> g_matrix_grain{size_t{1} << 16};
-
-std::mutex g_pool_mu;
-std::unique_ptr<ThreadPool> g_pool;         // guarded by g_pool_mu
-int g_pool_size = 0;                        // guarded by g_pool_mu
-
-/// True when `flops` of multiply-accumulate work should fan out across the
-/// shared pool under the current settings and calling context.
-bool UseParallel(size_t flops) {
-  if (MatrixParallelism() <= 1) return false;
-  if (ThreadPool::InPoolWorker()) return false;  // no nested parallelism
-  return flops >= g_matrix_grain.load(std::memory_order_relaxed);
-}
-
-/// Shared pool behind the sharded kernels, sized to MatrixParallelism().
-/// Returns nullptr when the resolved setting is serial or the caller is
-/// already inside a pool worker (nested parallelism is never profitable
-/// here).
-ThreadPool* MatrixParallelPool() {
-  const int threads = MatrixParallelism();
-  if (threads <= 1 || ThreadPool::InPoolWorker()) return nullptr;
-  std::lock_guard<std::mutex> lock(g_pool_mu);
-  if (g_pool == nullptr || g_pool_size != threads) {
-    g_pool.reset();  // join the old workers before resizing
-    g_pool = std::make_unique<ThreadPool>(threads);
-    g_pool_size = threads;
-  }
-  return g_pool.get();
-}
 
 }  // namespace
 
@@ -62,6 +32,12 @@ void SetMatrixParallelGrain(size_t min_flops) {
 
 size_t MatrixParallelGrain() {
   return g_matrix_grain.load(std::memory_order_relaxed);
+}
+
+int MatrixThreadsFor(size_t flops) {
+  return flops >= g_matrix_grain.load(std::memory_order_relaxed)
+             ? MatrixParallelism()
+             : 1;
 }
 
 void Matrix::Fill(double v) { std::fill(data_.begin(), data_.end(), v); }
@@ -94,10 +70,9 @@ Matrix Matrix::MatMul(const Matrix& other) const {
       for (size_t c = 0; c < other.cols_; ++c) o[c] += av * b[c];
     }
   };
-  ThreadPool* pool;
-  if (rows_ > 1 && UseParallel(rows_ * cols_ * other.cols_) &&
-      (pool = MatrixParallelPool()) != nullptr) {
-    pool->ParallelFor(0, rows_, row_kernel);
+  const int threads = MatrixThreadsFor(rows_ * cols_ * other.cols_);
+  if (rows_ > 1 && threads > 1) {
+    ParallelFor(threads, 0, rows_, row_kernel);
   } else {
     for (size_t r = 0; r < rows_; ++r) row_kernel(r);
   }
@@ -107,11 +82,8 @@ Matrix Matrix::MatMul(const Matrix& other) const {
 Matrix Matrix::TransposedMatMul(const Matrix& other) const {
   CTFL_CHECK(rows_ == other.rows_);
   Matrix out(cols_, other.cols_);
-  ThreadPool* pool = nullptr;
-  if (cols_ > 1 && UseParallel(rows_ * cols_ * other.cols_)) {
-    pool = MatrixParallelPool();
-  }
-  if (pool == nullptr) {
+  const int threads = MatrixThreadsFor(rows_ * cols_ * other.cols_);
+  if (cols_ <= 1 || threads <= 1) {
     // Serial kernel: r-outer is cache-friendly on `this`. Each out(k, c)
     // accumulates its a(r, k) * b(r, c) terms for r ascending, skipping
     // zero a(r, k).
@@ -131,7 +103,7 @@ Matrix Matrix::TransposedMatMul(const Matrix& other) const {
   // r-terms are visited in the same ascending order, with the same
   // zero-skip, as the serial kernel — identical floating-point sequence
   // per element, hence bit-identical results (DESIGN.md §9).
-  pool->ParallelFor(0, cols_, [&](size_t k) {
+  ParallelFor(threads, 0, cols_, [&](size_t k) {
     double* o = out.row(k);
     for (size_t r = 0; r < rows_; ++r) {
       const double av = data_[r * cols_ + k];
@@ -170,10 +142,9 @@ Matrix Matrix::MatMulTransposed(const Matrix& other) const {
       out(r, c) = sum;
     }
   };
-  ThreadPool* pool;
-  if (rows_ > 1 && UseParallel(rows_ * cols_ * other.rows_) &&
-      (pool = MatrixParallelPool()) != nullptr) {
-    pool->ParallelFor(0, rows_, row_kernel);
+  const int threads = MatrixThreadsFor(rows_ * cols_ * other.rows_);
+  if (rows_ > 1 && threads > 1) {
+    ParallelFor(threads, 0, rows_, row_kernel);
   } else {
     for (size_t r = 0; r < rows_; ++r) row_kernel(r);
   }

@@ -11,16 +11,19 @@ namespace ctfl {
 // ---------------------------------------------------------------------------
 // Process-wide parallelism knobs for the dense kernels (DESIGN.md §9).
 //
-// The sharded kernels split work across *output rows*, so every output
-// element is accumulated by exactly one thread in exactly the same term
-// order as the serial loop — results are bit-identical for any thread
-// count, and the knobs below only trade wall time.
+// The sharded kernels split work across *output rows* (the logic layer's
+// across 8-node chunks, the optimizer's across element ranges), so every
+// output element is accumulated by exactly one thread in exactly the same
+// term order as the serial loop — results are bit-identical for any
+// thread count, and the knobs below only trade wall time. They run on the
+// process-wide compute pool (util/thread_pool.h); inside another parallel
+// section they share that section's thread budget.
 // ---------------------------------------------------------------------------
 
-/// Sets the worker budget of the sharded kernels: 0 = hardware
-/// concurrency, 1 = always serial, N = N workers. Thread-safe (atomic),
-/// but intended to be set from entry points (CLI, RunCtfl, TrainGrafted),
-/// not concurrently with running kernels.
+/// Sets the thread budget of the sharded kernels, the caller included:
+/// 0 = hardware concurrency, 1 = always serial, N = N threads. Thread-safe
+/// (atomic), but intended to be set from entry points (CLI, RunCtfl,
+/// TrainGrafted), not concurrently with running kernels.
 void SetMatrixParallelism(int num_threads);
 /// Resolved current setting (>= 1).
 int MatrixParallelism();
@@ -30,6 +33,10 @@ int MatrixParallelism();
 /// the differential suite can force tiny matrices onto the parallel path.
 void SetMatrixParallelGrain(size_t min_flops);
 size_t MatrixParallelGrain();
+
+/// Thread budget of a sharded kernel doing `flops` multiply-accumulates:
+/// MatrixParallelism() at or above the grain, 1 below it.
+int MatrixThreadsFor(size_t flops);
 
 /// Dense row-major matrix of doubles; the numeric workhorse of the logical
 /// neural network. Deliberately minimal: only the operations the training
@@ -65,7 +72,7 @@ class Matrix {
   void Clamp(double lo, double hi);
 
   /// Returns this(rows x k) * other(k x cols). Row-sharded across the
-  /// matrix pool above the grain threshold; bit-identical to the serial
+  /// compute pool above the grain threshold; bit-identical to the serial
   /// loop at any thread count.
   Matrix MatMul(const Matrix& other) const;
 

@@ -33,10 +33,10 @@ TrainReport TrainGrafted(LogicalNet& net, const Dataset& data,
   TrainReport report;
   if (data.empty()) return report;
 
-  // Honor the config's matrix-parallelism budget. Inside a pool worker
-  // (FedAvg client fan-out) the kernels run serial regardless, so the
-  // process-wide knob is left alone there.
-  if (!ThreadPool::InPoolWorker()) {
+  // Honor the config's matrix-parallelism budget. Inside a parallel
+  // section (FedAvg client fan-out) the section's budget caps the kernels,
+  // so the process-wide knob is left alone there.
+  if (!ThreadPool::InParallelFor()) {
     SetMatrixParallelism(config.num_threads);
   }
 
@@ -95,7 +95,6 @@ TrainReport TrainGrafted(LogicalNet& net, const Dataset& data,
       CTFL_LOG(Info) << "epoch " << epoch << " loss " << report.final_loss;
     }
   }
-  report.train_accuracy = net.Accuracy(data);
   return report;
 }
 

@@ -16,10 +16,10 @@ struct TrainConfig {
   bool use_adam = true;
   double sgd_momentum = 0.9;
   uint64_t seed = 7;
-  /// Worker budget for the sharded matrix kernels used while this config
-  /// trains (0 = hardware concurrency, 1 = serial).
-  /// Applied process-wide via SetMatrixParallelism at TrainGrafted entry
-  /// (skipped inside pool workers, where kernels are serial by design).
+  /// Thread budget for the sharded kernels used while this config trains
+  /// (0 = hardware concurrency, 1 = serial). Applied process-wide via
+  /// SetMatrixParallelism at TrainGrafted entry, except inside a parallel
+  /// section (FedAvg's client fan-out), whose own budget caps the kernels.
   /// Results are bit-identical for any value (DESIGN.md §9).
   int num_threads = 0;
   bool verbose = false;
@@ -27,8 +27,6 @@ struct TrainConfig {
 
 struct TrainReport {
   double final_loss = 0.0;
-  /// Accuracy of the deployed (binarized) model on the training data.
-  double train_accuracy = 0.0;
   int steps = 0;
   /// Per-epoch wall time + mean loss (one entry per epoch run).
   std::vector<telemetry::EpochTelemetry> epoch_stats;

@@ -54,7 +54,7 @@ std::string EncodeHeader(const DeltaHeader& header) {
   w.U32(header.num_rules);
   w.F64(header.tau_w);
   w.U8(header.use_dedup ? 1 : 0);
-  w.U8(header.use_max_miner ? 1 : 0);
+  w.U8(1);  // reserved: the retired use_max_miner knob's former default
   w.F64(header.min_rule_weight);
   w.F64(header.dp_epsilon);
   w.U64(header.dp_seed);
@@ -78,11 +78,10 @@ Result<DeltaHeader> DecodeHeader(std::string_view payload) {
   CTFL_RETURN_IF_ERROR(r.U64(&header.failure_plan_fingerprint));
   CTFL_RETURN_IF_ERROR(r.U32(&header.num_rules));
   CTFL_RETURN_IF_ERROR(r.F64(&header.tau_w));
-  uint8_t use_dedup = 0, use_max_miner = 0;
+  uint8_t use_dedup = 0, reserved = 0;
   CTFL_RETURN_IF_ERROR(r.U8(&use_dedup));
-  CTFL_RETURN_IF_ERROR(r.U8(&use_max_miner));
+  CTFL_RETURN_IF_ERROR(r.U8(&reserved));  // retired use_max_miner, ignored
   header.use_dedup = use_dedup != 0;
-  header.use_max_miner = use_max_miner != 0;
   CTFL_RETURN_IF_ERROR(r.F64(&header.min_rule_weight));
   CTFL_RETURN_IF_ERROR(r.F64(&header.dp_epsilon));
   CTFL_RETURN_IF_ERROR(r.U64(&header.dp_seed));

@@ -60,7 +60,6 @@ struct DeltaHeader {
   // results, DESIGN.md §9/§10).
   double tau_w = 0.9;
   bool use_dedup = true;
-  bool use_max_miner = true;
   double min_rule_weight = 1e-6;
   double dp_epsilon = 0.0;
   uint64_t dp_seed = 0x5eed;

@@ -64,7 +64,6 @@ Status DeltaLogEmitter::EmitHeader(const LogicalNet& global) {
   header.num_rules = static_cast<uint32_t>(global.num_rules());
   header.tau_w = config_->tracer.tau_w;
   header.use_dedup = config_->tracer.use_dedup;
-  header.use_max_miner = config_->tracer.use_max_miner;
   header.min_rule_weight = config_->tracer.min_rule_weight;
   header.dp_epsilon = config_->tracer.dp_epsilon;
   header.dp_seed = config_->tracer.dp_seed;

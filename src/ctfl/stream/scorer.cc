@@ -48,7 +48,6 @@ Result<StreamingScorer> StreamingScorer::FromHeader(DeltaHeader header,
   TracerConfig tracer_config;
   tracer_config.tau_w = header.tau_w;
   tracer_config.use_dedup = header.use_dedup;
-  tracer_config.use_max_miner = header.use_max_miner;
   tracer_config.min_rule_weight = header.min_rule_weight;
   // dp_epsilon/dp_seed are carried for provenance only: the uploads in
   // the log were perturbed client-side before they were written, and the

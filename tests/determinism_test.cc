@@ -1,12 +1,14 @@
 // Differential determinism suite for the parallel training engine
 // (DESIGN.md §9): `num_threads = 1` and `num_threads = N` must produce
-// bit-identical global parameters, tracing related-counts, and Eq. 5/6
+// bit-identical global parameters, every TraceResult field (related
+// counts, per-record match counts, the §IV-B rule frequencies), and Eq. 5/6
 // micro/macro contribution scores end-to-end — with and without secure
 // aggregation and DP perturbation. Contribution scores that depend on the
 // worker schedule would be worthless as incentives (cf. the fragility
 // critique of Pejó et al.), so these tests are the PR's contract.
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -69,32 +71,18 @@ struct PipelineSnapshot {
   std::vector<double> params;
   std::vector<double> micro;
   std::vector<double> macro;
-  std::vector<std::vector<int>> related_counts;
-  std::vector<size_t> total_related;
-  int64_t tau_w_checks = 0;
-  int64_t related_records = 0;
-  int64_t num_keys = 0;
-  double global_accuracy = 0.0;
-  double matched_accuracy = 0.0;
+  TraceResult trace;
 };
 
 PipelineSnapshot RunPipeline(const Federation& fed, const Dataset& test,
                              CtflConfig config, int num_threads) {
   config.num_threads = num_threads;
-  const CtflReport report = RunCtfl(fed, test, config).value();
+  CtflReport report = RunCtfl(fed, test, config).value();
   PipelineSnapshot snap;
   snap.params = report.model.GetParameters();
   snap.micro = report.micro_scores;
   snap.macro = report.macro_scores;
-  for (const TestTrace& t : report.trace.tests) {
-    snap.related_counts.push_back(t.related_count);
-    snap.total_related.push_back(t.total_related);
-  }
-  snap.tau_w_checks = report.trace.tau_w_checks;
-  snap.related_records = report.trace.related_records;
-  snap.num_keys = report.trace.num_keys;
-  snap.global_accuracy = report.trace.global_accuracy;
-  snap.matched_accuracy = report.trace.matched_accuracy;
+  snap.trace = std::move(report.trace);
   return snap;
 }
 
@@ -119,6 +107,47 @@ PipelineSnapshot RunPipeline(const Federation& fed, const Dataset& test,
   return ::testing::AssertionSuccess();
 }
 
+std::vector<double> Cells(const Matrix& m) {
+  return std::vector<double>(m.data(), m.data() + m.size());
+}
+
+/// Every TraceResult field but the wall time.
+void ExpectTracesIdentical(const TraceResult& base, const TraceResult& other) {
+  EXPECT_EQ(base.num_participants, other.num_participants);
+  EXPECT_EQ(base.num_rules, other.num_rules);
+  ASSERT_EQ(base.tests.size(), other.tests.size());
+  for (size_t t = 0; t < base.tests.size(); ++t) {
+    SCOPED_TRACE(t);
+    EXPECT_EQ(base.tests[t].predicted, other.tests[t].predicted);
+    EXPECT_EQ(base.tests[t].correct, other.tests[t].correct);
+    EXPECT_EQ(base.tests[t].support_size, other.tests[t].support_size);
+    EXPECT_EQ(base.tests[t].related_count, other.tests[t].related_count);
+    EXPECT_EQ(base.tests[t].total_related, other.tests[t].total_related);
+  }
+  EXPECT_EQ(base.train_match_correct, other.train_match_correct);
+  EXPECT_EQ(base.train_match_miss, other.train_match_miss);
+  EXPECT_EQ(base.beneficial_rule_freq.rows(),
+            other.beneficial_rule_freq.rows());
+  EXPECT_TRUE(BitIdentical(Cells(base.beneficial_rule_freq),
+                           Cells(other.beneficial_rule_freq)))
+      << "beneficial_rule_freq";
+  EXPECT_TRUE(BitIdentical(Cells(base.harmful_rule_freq),
+                           Cells(other.harmful_rule_freq)))
+      << "harmful_rule_freq";
+  EXPECT_TRUE(
+      BitIdentical(base.uncovered_rule_freq, other.uncovered_rule_freq))
+      << "uncovered_rule_freq";
+  EXPECT_EQ(base.uncovered_tests, other.uncovered_tests);
+  EXPECT_EQ(base.global_accuracy, other.global_accuracy);
+  EXPECT_EQ(base.matched_accuracy, other.matched_accuracy);
+  EXPECT_EQ(base.num_keys, other.num_keys);
+  EXPECT_EQ(base.tau_w_checks, other.tau_w_checks);
+  EXPECT_EQ(base.related_records, other.related_records);
+  EXPECT_EQ(base.records_scanned, other.records_scanned);
+  EXPECT_EQ(base.blocks_pruned, other.blocks_pruned);
+  EXPECT_EQ(base.exact_fallbacks, other.exact_fallbacks);
+}
+
 void ExpectSnapshotsIdentical(const PipelineSnapshot& base,
                               const PipelineSnapshot& other,
                               const char* label) {
@@ -126,13 +155,21 @@ void ExpectSnapshotsIdentical(const PipelineSnapshot& base,
   EXPECT_TRUE(BitIdentical(base.params, other.params)) << "global parameters";
   EXPECT_TRUE(BitIdentical(base.micro, other.micro)) << "micro scores";
   EXPECT_TRUE(BitIdentical(base.macro, other.macro)) << "macro scores";
-  EXPECT_EQ(base.related_counts, other.related_counts);
-  EXPECT_EQ(base.total_related, other.total_related);
-  EXPECT_EQ(base.tau_w_checks, other.tau_w_checks);
-  EXPECT_EQ(base.related_records, other.related_records);
-  EXPECT_EQ(base.num_keys, other.num_keys);
-  EXPECT_EQ(base.global_accuracy, other.global_accuracy);
-  EXPECT_EQ(base.matched_accuracy, other.matched_accuracy);
+  ExpectTracesIdentical(base.trace, other.trace);
+}
+
+/// Runs the pipeline serially and at 2, 4 and 8 threads; every output must
+/// match the serial run bit for bit. Returns the serial run.
+PipelineSnapshot ExpectSameAtEveryThreadCount(const Federation& fed,
+                                              const Dataset& test,
+                                              const CtflConfig& config) {
+  PipelineSnapshot base = RunPipeline(fed, test, config, 1);
+  for (const int threads : {2, 4, 8}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    ExpectSnapshotsIdentical(base, RunPipeline(fed, test, config, threads),
+                             label.c_str());
+  }
+  return base;
 }
 
 TEST_F(DeterminismTest, RunFedAvgBitIdenticalAcrossThreadCounts) {
@@ -281,12 +318,8 @@ TEST_F(DeterminismTest, FaultyPipelineScoresBitIdenticalAcrossThreadCounts) {
       FailurePlan::Parse("dropout=0.3,straggler=0.2,seed=41").value();
   config.fedavg.retry_budget = 1;
 
-  const PipelineSnapshot base = RunPipeline(fed, test, config, 1);
-  ASSERT_GT(base.num_keys, 0);
-  ExpectSnapshotsIdentical(base, RunPipeline(fed, test, config, 2),
-                           "threads=2");
-  ExpectSnapshotsIdentical(base, RunPipeline(fed, test, config, 8),
-                           "threads=8");
+  const PipelineSnapshot base = ExpectSameAtEveryThreadCount(fed, test, config);
+  EXPECT_GT(base.trace.num_keys, 0);
 }
 
 TEST_F(DeterminismTest, FullPipelineBitIdenticalAcrossThreadCounts) {
@@ -296,15 +329,33 @@ TEST_F(DeterminismTest, FullPipelineBitIdenticalAcrossThreadCounts) {
   const Federation fed = MakeFederation(PartitionUniform(all, 4, rng));
 
   const CtflConfig config = BaseConfig();
-  const PipelineSnapshot base = RunPipeline(fed, test, config, 1);
+  const PipelineSnapshot base = ExpectSameAtEveryThreadCount(fed, test, config);
   // A federation with data must actually produce tracing work, or the
-  // equalities below would be vacuous.
-  ASSERT_GT(base.num_keys, 0);
-  ASSERT_GT(base.tau_w_checks, 0);
-  ExpectSnapshotsIdentical(base, RunPipeline(fed, test, config, 2),
-                           "threads=2");
-  ExpectSnapshotsIdentical(base, RunPipeline(fed, test, config, 8),
-                           "threads=8");
+  // equalities above would be vacuous.
+  EXPECT_GT(base.trace.num_keys, 0);
+  EXPECT_GT(base.trace.tau_w_checks, 0);
+  EXPECT_GT(base.trace.related_records, 0);
+}
+
+TEST_F(DeterminismTest, SkewedFederationBitIdenticalAcrossThreadCounts) {
+  // One client holds 70% of the records, so it is still training after the
+  // others finish, and the threads that ran them help its grafted steps
+  // through the sharded layer-0 kernels and Adam. The layer is wide enough
+  // for several node chunks and more than one Adam range.
+  const Dataset all = TwoFeatureDataset(1000, 71);
+  const Dataset test = TwoFeatureDataset(150, 73);
+  std::vector<Dataset> clients(4, Dataset(all.schema()));
+  for (size_t i = 0; i < all.size(); ++i) {
+    const size_t c = i < 700 ? 0 : 1 + (i - 700) / 100;
+    clients[c].AppendUnchecked(all.instance(i));
+  }
+  const Federation fed = MakeFederation(clients);
+  CtflConfig config = BaseConfig();
+  config.net.tau_d = 12;
+  config.net.logic_layers = {{24, 20}};
+  const PipelineSnapshot base = ExpectSameAtEveryThreadCount(fed, test, config);
+  EXPECT_GT(base.params.size(), 1024u);
+  EXPECT_GT(base.trace.related_records, 0);
 }
 
 /// FNV-1a over the bit patterns of `values`, continuing from `h`.
@@ -331,7 +382,7 @@ TEST_F(DeterminismTest, PipelineDigestMatchesPinnedValue) {
   CtflConfig config = BaseConfig();
   config.net.logic_layers = {{13, 11}, {6, 5}};
   const PipelineSnapshot snap = RunPipeline(fed, test, config, 4);
-  ASSERT_GT(snap.num_keys, 0);
+  ASSERT_GT(snap.trace.num_keys, 0);
   uint64_t digest = 0xcbf29ce484222325ULL;
   digest = Fnv1a(digest, snap.params);
   digest = Fnv1a(digest, snap.micro);
@@ -348,12 +399,8 @@ TEST_F(DeterminismTest, FullPipelineBitIdenticalWithSecureAggAndDp) {
   CtflConfig config = BaseConfig();
   config.fedavg.secure_aggregation = true;
   config.tracer.dp_epsilon = 2.0;  // randomized-response perturbation on
-  const PipelineSnapshot base = RunPipeline(fed, test, config, 1);
-  ASSERT_GT(base.num_keys, 0);
-  ExpectSnapshotsIdentical(base, RunPipeline(fed, test, config, 2),
-                           "threads=2");
-  ExpectSnapshotsIdentical(base, RunPipeline(fed, test, config, 8),
-                           "threads=8");
+  const PipelineSnapshot base = ExpectSameAtEveryThreadCount(fed, test, config);
+  EXPECT_GT(base.trace.num_keys, 0);
 }
 
 TEST_F(DeterminismTest, CentralPathBitIdenticalAcrossThreadCounts) {
@@ -366,9 +413,7 @@ TEST_F(DeterminismTest, CentralPathBitIdenticalAcrossThreadCounts) {
   config.federated = false;
   config.central.epochs = 4;
   config.central.learning_rate = 0.05;
-  const PipelineSnapshot base = RunPipeline(fed, test, config, 1);
-  ExpectSnapshotsIdentical(base, RunPipeline(fed, test, config, 8),
-                           "threads=8");
+  ExpectSameAtEveryThreadCount(fed, test, config);
 }
 
 }  // namespace

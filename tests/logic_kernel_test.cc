@@ -13,7 +13,9 @@
 #include "ctfl/nn/logic_layer.h"
 #include "ctfl/nn/logical_net.h"
 #include "ctfl/nn/loss.h"
+#include "ctfl/nn/optimizer.h"
 #include "ctfl/nn/trainer.h"
+#include "ctfl/util/thread_pool.h"
 #include "logic_oracle.h"
 
 namespace ctfl {
@@ -211,6 +213,108 @@ TEST(LogicKernelTest, BackwardMatchesOracleIncludingInputGradient) {
       const Matrix dx = layer.Backward(x, y, dy);
       EXPECT_TRUE(BitEqual(layer.grads(), want));
       EXPECT_TRUE(BitEqual(dx, want_dx));
+    }
+  }
+}
+
+// ---- Sharded on the compute pool ------------------------------------------
+
+/// Grain 1 and four threads for the test's lifetime, so every table kernel
+/// and optimizer step fans out and helpers take chunks.
+class ScopedSharding {
+ public:
+  ScopedSharding() {
+    SetMatrixParallelism(4);
+    SetMatrixParallelGrain(1);
+  }
+  ~ScopedSharding() {
+    SetMatrixParallelism(0);
+    SetMatrixParallelGrain(size_t{1} << 16);
+  }
+};
+
+/// The table forward and parameter backward of `layer` on fresh inputs,
+/// against the oracle.
+void ExpectTableKernelsMatchOracle(LogicLayer layer, Rng& rng) {
+  const int conj = layer.num_conj();
+  for (size_t batch : kBatchSizes) {
+    SCOPED_TRACE(::testing::Message() << "batch " << batch);
+    const Matrix x = BinaryInput(batch, layer.in_dim(), rng);
+    const Matrix y = oracle::ForwardContinuous(layer.weights(), conj, x);
+    EXPECT_TRUE(BitEqual(layer.ForwardContinuous(x), y));
+    const Matrix dy = UpstreamGradient(batch, layer.out_dim(), rng, true);
+    Matrix want(layer.out_dim(), layer.in_dim());
+    want.RandomUniform(rng, -1.0, 1.0);
+    layer.grads() = want;
+    oracle::Backward(layer.weights(), conj, x, y, dy, &want);
+    layer.BackwardWeights(x, y, dy);
+    EXPECT_TRUE(BitEqual(layer.grads(), want));
+  }
+}
+
+TEST(LogicKernelTest, ShardedTableKernelsMatchOracle) {
+  // Node chunks of the table kernels run on the compute pool: from the
+  // test thread with helpers, and nested in another parallel section whose
+  // threads share the budget. 29 + 27 nodes make eight chunks, two of them
+  // partial; a NaN weight in one chunk and a -0.0 gradient in another send
+  // just those chunks to the generic loop.
+  ScopedSharding sharding;
+  Rng rng(105);
+  LogicLayer layer(37, 29, 27);
+  FillWeights(&layer, rng);
+  ExpectTableKernelsMatchOracle(layer, rng);
+
+  LogicLayer odd = layer;
+  odd.weights()(9, 4) = kNaN;
+  ExpectTableKernelsMatchOracle(odd, rng);
+  {
+    SCOPED_TRACE("a -0.0 gradient in one chunk");
+    const Matrix x = BinaryInput(65, layer.in_dim(), rng);
+    const Matrix y = oracle::ForwardContinuous(layer.weights(), 29, x);
+    const Matrix dy = UpstreamGradient(65, layer.out_dim(), rng, false);
+    Matrix want(layer.out_dim(), layer.in_dim());
+    want(40, 3) = -0.0;
+    LogicLayer subject = layer;
+    subject.grads() = want;
+    oracle::Backward(subject.weights(), 29, x, y, dy, &want);
+    subject.BackwardWeights(x, y, dy);
+    EXPECT_TRUE(BitEqual(subject.grads(), want));
+  }
+
+  std::vector<Rng> streams;
+  for (uint64_t i = 0; i < 4; ++i) streams.emplace_back(200 + i);
+  ParallelFor(4, 0, streams.size(), [&](size_t i) {
+    ExpectTableKernelsMatchOracle(layer, streams[i]);
+  });
+}
+
+TEST(LogicKernelTest, ShardedAdamMatchesSerial) {
+  // Element ranges across slots of several sizes, one of them larger than
+  // a range: the sharded step must equal the serial one bit for bit.
+  Rng rng(106);
+  std::vector<Matrix> params = {Matrix(61, 53), Matrix(2, 90), Matrix(1, 2)};
+  std::vector<Matrix> grads = params;
+  for (Matrix& p : params) p.RandomUniform(rng, 0.0, 1.0);
+  std::vector<Matrix> serial = params;
+  AdamOptimizer sharded_adam(0.05);
+  AdamOptimizer serial_adam(0.05);
+  for (int step = 0; step < 3; ++step) {
+    for (Matrix& g : grads) g.RandomUniform(rng, -1.0, 1.0);
+    std::vector<ParamSlot> sharded_slots;
+    std::vector<ParamSlot> serial_slots;
+    for (size_t i = 0; i < params.size(); ++i) {
+      sharded_slots.push_back({&params[i], &grads[i]});
+      serial_slots.push_back({&serial[i], &grads[i]});
+    }
+    {
+      ScopedSharding sharding;
+      sharded_adam.Step(sharded_slots);
+    }
+    SetMatrixParallelism(1);
+    serial_adam.Step(serial_slots);
+    SetMatrixParallelism(0);
+    for (size_t i = 0; i < params.size(); ++i) {
+      EXPECT_TRUE(BitEqual(params[i], serial[i])) << "step " << step;
     }
   }
 }

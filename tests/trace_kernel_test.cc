@@ -1,5 +1,6 @@
 #include "ctfl/kernel/trace_kernel.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -264,13 +265,15 @@ TEST(TraceKernelTest, IsaThreadsMatrixIsBitIdentical) {
 // ---------------------------------------------------------------------------
 // Differential suite: blocked vs legacy must produce bit-identical
 // TraceResults across the full configuration matrix —
-// tau_w x dedup x Max-Miner x DP x threads.
+// tau_w x dedup x DP x threads, each with and without the Max-Miner
+// soundness check below.
 // ---------------------------------------------------------------------------
 
 struct DiffCase {
   double tau_w;
   bool use_dedup;
-  bool use_max_miner;
+  /// Also recount the related sets through Max-Miner's prefilter.
+  bool check_max_miner;
   double dp_epsilon;
   int num_threads;
 };
@@ -295,7 +298,7 @@ std::string CaseName(const ::testing::TestParamInfo<DiffCase>& info) {
   const DiffCase& c = info.param;
   std::string name = "tau" + std::to_string(static_cast<int>(c.tau_w * 10));
   name += c.use_dedup ? "_dedup" : "_nodedup";
-  name += c.use_max_miner ? "_miner" : "_nominer";
+  name += c.check_max_miner ? "_miner" : "_nominer";
   name += c.dp_epsilon > 0 ? "_dp" : "_nodp";
   name += "_t" + std::to_string(c.num_threads);
   return name;
@@ -393,12 +396,91 @@ void ExpectBitIdentical(const TraceResult& blocked,
   EXPECT_LE(blocked.records_scanned, blocked.tau_w_checks);
 }
 
+// Max-Miner grouping (src/ctfl/mining/, the paper's acceleration) no longer
+// prefilters tracing, but while the module lives its theta-prefilter must
+// stay sound: every record related to a member of a group passes the
+// group's prefilter. Recounts each grouped test's related records among
+// its group's candidates only; the counts must equal the trace's. Returns
+// how many tests a prefilter with theta > 0 covered.
+size_t ExpectMaxMinerPrefilterSound(const LogicalNet& net,
+                                    const Federation& fed,
+                                    const Dataset& test,
+                                    const TracerConfig& config,
+                                    const TraceResult& trace) {
+  const int num_rules = net.num_rules();
+  std::vector<double> weights(num_rules, 0.0);
+  Bitset mask[2] = {Bitset(num_rules), Bitset(num_rules)};
+  for (int j = 0; j < num_rules; ++j) {
+    if (net.RuleWeight(j) < config.min_rule_weight) continue;
+    weights[j] = net.RuleWeight(j);
+    mask[net.RuleClass(j)].Set(j);
+  }
+  const std::vector<std::vector<Bitset>> uploads =
+      ContributionTracer::ComputeUploadActivations(net, fed, config);
+  size_t covered = 0;
+  for (int c = 0; c < 2; ++c) {
+    // The class's distinct weighted supports and the tests holding each.
+    std::vector<Bitset> supports;
+    std::vector<std::vector<size_t>> holders;
+    for (size_t t = 0; t < test.size(); ++t) {
+      const LogicalNet::Inference inference = net.Infer(test.instance(t));
+      if (inference.predicted != c) continue;
+      Bitset support = inference.activation;
+      support &= mask[c];
+      double weight = 0.0;
+      support.ForEachSetBit([&](size_t j) { weight += weights[j]; });
+      if (weight <= 0.0) continue;
+      const auto it = std::find(supports.begin(), supports.end(), support);
+      if (it == supports.end()) {
+        supports.push_back(std::move(support));
+        holders.push_back({t});
+      } else {
+        holders[it - supports.begin()].push_back(t);
+      }
+    }
+    // Mine every class, however few its supports.
+    GroupingConfig grouping = config.grouping;
+    grouping.min_instances = 1;
+    for (const TestGroup& group :
+         GroupActivations(supports, weights, config.tau_w, grouping)) {
+      if (group.theta <= 0.0) continue;
+      for (size_t member : group.members) {
+        const Bitset& support = supports[member];
+        double weight_sum = 0.0;
+        support.ForEachSetBit([&](size_t j) { weight_sum += weights[j]; });
+        const double threshold = config.tau_w * weight_sum - 1e-9;
+        std::vector<int> counts(fed.size(), 0);
+        for (size_t p = 0; p < fed.size(); ++p) {
+          for (size_t i = 0; i < uploads[p].size(); ++i) {
+            if (fed[p].data.instance(i).label != c) continue;
+            const Bitset& activation = uploads[p][i];
+            double prefilter = 0.0;
+            for (int item : group.frequent_subset) {
+              if (activation.Test(item)) prefilter += weights[item];
+            }
+            if (!(prefilter + 1e-9 >= group.theta)) continue;
+            double overlap = 0.0;
+            support.ForEachSetBit([&](size_t j) {
+              if (activation.Test(j)) overlap += weights[j];
+            });
+            if (!(overlap < threshold)) ++counts[p];
+          }
+        }
+        for (size_t t : holders[member]) {
+          EXPECT_EQ(counts, trace.tests[t].related_count) << "test " << t;
+          ++covered;
+        }
+      }
+    }
+  }
+  return covered;
+}
+
 TEST_P(TraceKernelDifferentialTest, BlockedMatchesLegacyBitIdentically) {
   const DiffCase& c = GetParam();
   TracerConfig config;
   config.tau_w = c.tau_w;
   config.use_dedup = c.use_dedup;
-  config.use_max_miner = c.use_max_miner;
   config.dp_epsilon = c.dp_epsilon;
   config.num_threads = c.num_threads;
 
@@ -414,6 +496,11 @@ TEST_P(TraceKernelDifferentialTest, BlockedMatchesLegacyBitIdentically) {
   const TraceResult blocked =
       ContributionTracer(net_, federation_, blocked_config).Trace(*test_);
   ExpectBitIdentical(blocked, legacy);
+  if (c.check_max_miner) {
+    EXPECT_GT(ExpectMaxMinerPrefilterSound(*net_, *federation_, *test_,
+                                           config, blocked),
+              0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Matrix, TraceKernelDifferentialTest,

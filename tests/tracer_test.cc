@@ -195,11 +195,12 @@ TEST_F(HandcraftedTracerTest, GlobalAccuracyMatchesModel) {
 
 // ---------------------------------------------------------------------------
 // Consistency properties on a *trained* model over synthetic data: the
-// dedup, Max-Miner, and threading fast paths must not change any count.
+// dedup, blocked-kernel, and threading fast paths must not change any
+// output bit.
 // ---------------------------------------------------------------------------
 struct ConsistencyCase {
   bool use_dedup;
-  bool use_max_miner;
+  bool blocked_kernel;
   // ctest registers each case under gtest's print of its raw bytes. An
   // explicit zero in place of the padding keeps those names the same from
   // build to build.
@@ -265,7 +266,7 @@ TEST_P(TracerConsistencyTest, FastPathsMatchBruteForce) {
   TracerConfig brute;
   brute.tau_w = 0.85;
   brute.use_dedup = false;
-  brute.use_max_miner = false;
+  brute.kernel = TraceKernelKind::kLegacy;
   brute.num_threads = 1;
   const TraceResult expected =
       ContributionTracer(net_, federation_, brute).Trace(*test_);
@@ -273,7 +274,8 @@ TEST_P(TracerConsistencyTest, FastPathsMatchBruteForce) {
   const ConsistencyCase& c = GetParam();
   TracerConfig fast = brute;
   fast.use_dedup = c.use_dedup;
-  fast.use_max_miner = c.use_max_miner;
+  fast.kernel =
+      c.blocked_kernel ? TraceKernelKind::kBlocked : TraceKernelKind::kLegacy;
   fast.num_threads = c.num_threads;
   const TraceResult actual =
       ContributionTracer(net_, federation_, fast).Trace(*test_);
@@ -286,12 +288,28 @@ TEST_P(TracerConsistencyTest, FastPathsMatchBruteForce) {
   }
   EXPECT_EQ(actual.train_match_correct, expected.train_match_correct);
   EXPECT_EQ(actual.train_match_miss, expected.train_match_miss);
+  EXPECT_EQ(actual.uncovered_rule_freq, expected.uncovered_rule_freq);
+  EXPECT_EQ(actual.uncovered_tests, expected.uncovered_tests);
+
+  // The §IV-B sums: dedup folds a key's members into one term, which moves
+  // the last bits; at one dedup setting they are folded in key order and
+  // bit-identical for every kernel and thread count.
+  TracerConfig serial = brute;
+  serial.use_dedup = c.use_dedup;
+  const TraceResult same =
+      ContributionTracer(net_, federation_, serial).Trace(*test_);
+  ASSERT_EQ(actual.beneficial_rule_freq.size(),
+            expected.beneficial_rule_freq.size());
   for (size_t i = 0; i < expected.beneficial_rule_freq.size(); ++i) {
-    // Thread-dependent summation order perturbs the last few bits.
+    EXPECT_EQ(actual.beneficial_rule_freq.data()[i],
+              same.beneficial_rule_freq.data()[i]);
+    EXPECT_EQ(actual.harmful_rule_freq.data()[i],
+              same.harmful_rule_freq.data()[i]);
     EXPECT_NEAR(actual.beneficial_rule_freq.data()[i],
                 expected.beneficial_rule_freq.data()[i], 1e-6);
+    EXPECT_NEAR(actual.harmful_rule_freq.data()[i],
+                expected.harmful_rule_freq.data()[i], 1e-6);
   }
-  EXPECT_EQ(actual.uncovered_tests, expected.uncovered_tests);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -194,10 +194,10 @@ Status RunTrain(int argc, const char* const* argv) {
   train_config.learning_rate = lr;
   train_config.num_threads = num_threads;
   LogicalNet net(schema, net_config);
-  const TrainReport report = TrainGrafted(net, data, train_config);
+  TrainGrafted(net, data, train_config);
   CTFL_RETURN_IF_ERROR(SaveLogicalNet(net, flags.GetString("model")));
   std::printf("trained on %zu instances (train accuracy %.3f); model -> %s\n",
-              data.size(), report.train_accuracy,
+              data.size(), net.Accuracy(data),
               flags.GetString("model").c_str());
   return Status::OK();
 }
