@@ -160,14 +160,11 @@ BENCHMARK(BM_TracingPaths)
     ->Args({1, 0});  // + all cores
 
 // ---------------------------------------------------------------------------
-// Tracing kernel (DESIGN.md §10): legacy scalar tau_w loop vs the blocked
-// word-parallel kernel on a tracing-heavy shape (>= 64 rules, >= 10k
-// training records; dedup on, single thread) so the
-// speedup is the kernel's alone. Both legs produce bit-identical
-// TraceResults; the counters expose the pruning the blocked kernel does.
-// Acceptance (ISSUE PR4): blocked >= 2x over legacy single-thread.
-// Acceptance (ISSUE PR9): blocked (best SIMD dispatch) >= 2x over the
-// forced-scalar blocked_scalar leg. RegisterIsaBenchVariants() adds one
+// Tracing kernel (DESIGN.md §10): the blocked word-parallel kernel on a
+// tracing-heavy shape (>= 64 rules, >= 10k training records; dedup on,
+// single thread) so the time is the kernel's alone; the counters expose
+// the pruning it does. Acceptance: blocked (best SIMD dispatch) >= 2x over
+// the forced-scalar blocked_scalar leg. RegisterIsaBenchVariants() adds one
 // blocked_<isa> leg per tier the machine supports (bit-identical results,
 // pure speed comparison) plus a sharded blocked_mt8 leg at the best tier.
 // tools/bench_trace_json.sh turns this into BENCH_trace.json.
@@ -217,8 +214,7 @@ TraceBenchFixture& GetTraceBenchFixture() {
 
 // `isa` < 0 means "whatever CurrentTraceIsa() dispatches" (the default
 // production path); >= 0 forces that tier for a per-ISA speed leg.
-void BM_TracePass(benchmark::State& state, TraceKernelKind kind, int isa,
-                  int trace_threads) {
+void BM_TracePass(benchmark::State& state, int isa, int trace_threads) {
   TraceBenchFixture& fx = GetTraceBenchFixture();
   TracerConfig config;
   // 0.7 keeps lanes ambiguous deep into the weight-sorted sweep, so the
@@ -228,7 +224,6 @@ void BM_TracePass(benchmark::State& state, TraceKernelKind kind, int isa,
   config.tau_w = 0.7;
   config.use_dedup = true;
   config.num_threads = 1;
-  config.kernel = kind;
   config.isa = isa < 0 ? CurrentTraceIsa() : static_cast<TraceIsa>(isa);
   config.trace_threads = trace_threads;
   const ContributionTracer tracer(&fx.model, &fx.federation, config);
@@ -256,9 +251,7 @@ void BM_TracePass(benchmark::State& state, TraceKernelKind kind, int isa,
   state.counters["exact_fallbacks"] = benchmark::Counter(
       static_cast<double>(fallbacks), benchmark::Counter::kAvgIterations);
 }
-BENCHMARK_CAPTURE(BM_TracePass, legacy, TraceKernelKind::kLegacy, -1, 1)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_TracePass, blocked, TraceKernelKind::kBlocked, -1, 1)
+BENCHMARK_CAPTURE(BM_TracePass, blocked, -1, 1)
     ->Unit(benchmark::kMillisecond);
 
 // Ablation: tau_w sensitivity of tracing cost.
@@ -564,35 +557,24 @@ void BM_BundleLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_BundleLoad);
 
-// Arg(0): linear class-bucket scan (the oracle). Arg(1): posting-list
-// prefilter. Both return identical related sets; the prune counters show
-// how much of the bucket the index skips. The capture name picks the
-// Eq. 4 matching engine (legacy scalar vs blocked word-parallel kernel).
-void BM_QueryRelated(benchmark::State& state, TraceKernelKind kind,
-                     int isa) {
+// One stored-test Eq. 4 lookup over the whole class bucket per iteration.
+// The Arg(0) suffix only keeps the leg's historical name, so the perf gate
+// pairs it with older baselines.
+void BM_QueryRelated(benchmark::State& state,
+                     const store::QueryOptions& options) {
   BundleFixture& fx = GetBundleFixture();
-  store::QueryOptions options;
-  options.use_index = state.range(0) != 0;
-  options.kernel = kind;
-  options.isa = isa < 0 ? CurrentTraceIsa() : static_cast<TraceIsa>(isa);
   const size_t num_tests = fx.content.tests.size();
   size_t t = 0;
-  int64_t checks = 0, bucket = 0, pruned = 0, scanned = 0;
+  int64_t checks = 0, scanned = 0;
   for (auto _ : state) {
     const store::RelatedResult result =
         fx.engine.RelatedForTest(t, options);
     benchmark::DoNotOptimize(result.total_related);
     checks += result.tau_w_checks;
-    bucket += result.bucket_size;
-    pruned += result.candidates_pruned;
     scanned += result.records_scanned;
     t = (t + 1) % num_tests;
   }
   state.SetItemsProcessed(state.iterations());
-  if (bucket > 0) {
-    state.counters["pruned_frac"] =
-        static_cast<double>(pruned) / static_cast<double>(bucket);
-  }
   state.counters["tau_w_checks/query"] =
       benchmark::Counter(static_cast<double>(checks),
                          benchmark::Counter::kAvgIterations);
@@ -600,12 +582,7 @@ void BM_QueryRelated(benchmark::State& state, TraceKernelKind kind,
       benchmark::Counter(static_cast<double>(scanned),
                          benchmark::Counter::kAvgIterations);
 }
-BENCHMARK_CAPTURE(BM_QueryRelated, legacy, TraceKernelKind::kLegacy, -1)
-    ->Arg(0)
-    ->Arg(1);
-BENCHMARK_CAPTURE(BM_QueryRelated, blocked, TraceKernelKind::kBlocked, -1)
-    ->Arg(0)
-    ->Arg(1);
+BENCHMARK_CAPTURE(BM_QueryRelated, blocked, store::QueryOptions())->Arg(0);
 
 // ---------------------------------------------------------------------------
 // Streaming score folds (DESIGN.md §15): folding one round's delta into
@@ -740,25 +717,14 @@ void RegisterIsaBenchVariants() {
     const int tier = static_cast<int>(isa);
     benchmark::RegisterBenchmark(
         (std::string("BM_TracePass/blocked_") + TraceIsaName(isa)).c_str(),
-        [tier](benchmark::State& state) {
-          BM_TracePass(state, TraceKernelKind::kBlocked, tier, 1);
-        })
+        [tier](benchmark::State& state) { BM_TracePass(state, tier, 1); })
         ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark(
-        (std::string("BM_QueryRelated/blocked_") + TraceIsaName(isa))
-            .c_str(),
-        [tier](benchmark::State& state) {
-          BM_QueryRelated(state, TraceKernelKind::kBlocked, tier);
-        })
-        ->Arg(1);
   }
   const TraceIsa best = BestAvailableTraceIsa();
   const int tier = static_cast<int>(best);
   benchmark::RegisterBenchmark(
       "BM_TracePass/blocked_mt8",
-      [tier](benchmark::State& state) {
-        BM_TracePass(state, TraceKernelKind::kBlocked, tier, 8);
-      })
+      [tier](benchmark::State& state) { BM_TracePass(state, tier, 8); })
       ->Unit(benchmark::kMillisecond)
       ->UseRealTime();
 }

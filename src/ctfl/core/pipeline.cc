@@ -262,11 +262,10 @@ uint64_t CtflConfigDigest(const CtflConfig& config) {
   d.MixDouble(config.tracer.min_rule_weight);
   d.MixDouble(config.tracer.dp_epsilon);
   d.Mix(config.tracer.dp_seed);
-  // tracer.kernel, tracer.isa, and tracer.trace_threads are deliberately
-  // NOT mixed: like the thread knobs they select a bit-identical
-  // implementation (DESIGN.md §10), so legacy/blocked runs at any SIMD
-  // tier and trace thread count share one digest — the replay harness's
-  // kernel-flip and isa-flip cells rely on this.
+  // tracer.isa and tracer.trace_threads are deliberately NOT mixed: like
+  // the thread knobs they select a bit-identical implementation (DESIGN.md
+  // §10), so runs at any SIMD tier and trace thread count share one
+  // digest — the replay harness's isa-flip cells rely on this.
   d.MixInt(config.macro_delta);
   return d.value();
 }

@@ -37,7 +37,7 @@ struct CtflConfig {
   int num_threads = -1;
   /// When non-empty, RunCtfl persists a contribution bundle (store/) at
   /// this path after allocation: model + rules + activation uploads +
-  /// posting index, so later contribution / interpretability queries need
+  /// test forwards, so later contribution / interpretability queries need
   /// no retraining and no retracing. Failures are recorded in
   /// CtflReport::bundle_status, never fatal to the run.
   std::string bundle_out;
@@ -75,8 +75,8 @@ Result<CtflReport> RunCtfl(const Federation& federation, const Dataset& test,
 
 /// Digest over the semantic CtflConfig knobs — everything that can change
 /// the run's scores (net shape, seeds, rounds/epochs, tau_w, privacy,
-/// ...). Thread-count knobs, the trace-kernel selector, verbosity, and
-/// output paths are excluded: they never change results (DESIGN.md
+/// ...). Thread-count knobs, the trace ISA, verbosity, and output paths
+/// are excluded: they never change results (DESIGN.md
 /// §9/§10). The failure plan is also excluded — it is fingerprinted
 /// separately so a report can name the fault schedule independently of
 /// the configuration.

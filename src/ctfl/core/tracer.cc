@@ -28,6 +28,19 @@ struct TraceKey {
   int miss_members = 0;
 };
 
+/// The ascending (rule, weight) list of `support` — the exact-fallback
+/// accumulation order — and its total weight.
+double SupportList(const Bitset& support, const std::vector<double>& weights,
+                   std::vector<std::pair<int, double>>* list) {
+  double weight_sum = 0.0;
+  list->reserve(support.Count());
+  support.ForEachSetBit([&](size_t j) {
+    list->emplace_back(static_cast<int>(j), weights[j]);
+    weight_sum += weights[j];
+  });
+  return weight_sum;
+}
+
 /// Set bits among lanes [lo, hi) of the lane words word(b), b = lane / 64.
 template <typename WordFn>
 int64_t CountLanes(size_t lo, size_t hi, WordFn word) {
@@ -168,17 +181,64 @@ void ContributionTracer::IndexTrainRefs() {
       class_part_offset_[c][p + 1] = train_by_class_[c].size();
     }
   }
-  if (config_.kernel == TraceKernelKind::kBlocked) {
-    CTFL_SPAN("ctfl.trace.kernel_pack");
-    for (int c = 0; c < 2; ++c) {
-      std::vector<const Bitset*> records;
-      records.reserve(train_by_class_[c].size());
-      for (const TrainRef& ref : train_by_class_[c]) {
-        records.push_back(ref.activation);
-      }
-      class_kernel_[c] = TraceKernel(std::move(records), net_->num_rules());
+  CTFL_SPAN("ctfl.trace.kernel_pack");
+  for (int c = 0; c < 2; ++c) {
+    std::vector<const Bitset*> records;
+    records.reserve(train_by_class_[c].size());
+    for (const TrainRef& ref : train_by_class_[c]) {
+      records.push_back(ref.activation);
+    }
+    class_kernel_[c] = TraceKernel(std::move(records), net_->num_rules());
+  }
+}
+
+size_t ContributionTracer::MatchKey(
+    int c, const std::vector<std::pair<int, double>>& supp,
+    double weight_sum, double tau_w, const TraceMatchOptions& match,
+    uint64_t* words, std::vector<int>* related_count,
+    TraceKernelStats* stats) const {
+  const double threshold = tau_w * weight_sum - kRatioEps;
+  const size_t total = class_kernel_[c].Match(
+      TraceKernel::Prepare(supp, threshold), nullptr, words, stats, match);
+  // Class buckets are participant-contiguous (IndexTrainRefs appends
+  // participants in order), so each participant is one slot range.
+  const std::vector<size_t>& offsets = class_part_offset_[c];
+  related_count->assign(offsets.size() - 1, 0);
+  for (size_t p = 0; p + 1 < offsets.size(); ++p) {
+    (*related_count)[p] = static_cast<int>(CountLanes(
+        offsets[p], offsets[p + 1], [&](size_t b) { return words[b]; }));
+  }
+  return total;
+}
+
+TraceLookup ContributionTracer::Lookup(const Bitset& activation,
+                                       int predicted, double tau_w,
+                                       const TraceMatchOptions& match,
+                                       size_t max_records) const {
+  CTFL_CHECK(predicted == 0 || predicted == 1);
+  const std::vector<TrainRef>& bucket = train_by_class_[predicted];
+  TraceLookup lookup;
+  lookup.related_count.assign(activations().size(), 0);
+  lookup.bucket_size = static_cast<int64_t>(bucket.size());
+  Bitset support = activation;
+  support &= class_mask_[predicted];
+  std::vector<std::pair<int, double>> supp;
+  lookup.support_weight = SupportList(support, rule_weights_, &supp);
+  lookup.support_size = static_cast<int>(supp.size());
+  if (lookup.support_weight <= 0.0) return lookup;  // nothing to match
+  lookup.tau_w_checks = lookup.bucket_size;
+  std::vector<uint64_t> words(class_kernel_[predicted].num_blocks(), 0);
+  lookup.total_related =
+      MatchKey(predicted, supp, lookup.support_weight, tau_w, match,
+               words.data(), &lookup.related_count, &lookup.stats);
+  for (size_t b = 0; b < words.size(); ++b) {
+    for (uint64_t w = words[b];
+         w != 0 && lookup.records.size() < max_records; w &= w - 1) {
+      const TrainRef& ref = bucket[b * 64 + std::countr_zero(w)];
+      lookup.records.emplace_back(ref.participant, ref.local_index);
     }
   }
+  return lookup;
 }
 
 TraceResult ContributionTracer::Trace(const Dataset& test) const {
@@ -207,6 +267,13 @@ TraceResult ContributionTracer::Trace(const Dataset& test) const {
 
 TraceResult ContributionTracer::TraceForwards(
     const std::vector<TestForward>& forwards) const {
+  return TraceForwards(forwards, config_.tau_w,
+                       {config_.isa, config_.trace_threads});
+}
+
+TraceResult ContributionTracer::TraceForwards(
+    const std::vector<TestForward>& forwards, double tau_w,
+    const TraceMatchOptions& match) const {
   CTFL_SPAN("ctfl.trace.pass");
   Stopwatch watch;
   const std::vector<std::vector<Bitset>>& uploads = activations();
@@ -271,11 +338,7 @@ TraceResult ContributionTracer::TraceForwards(
     TraceKey& key = keys[key_id];
     if (key.members.empty()) {
       key.target_class = predicted;
-      key.supp_list.reserve(support.Count());
-      support.ForEachSetBit([&](size_t j) {
-        key.supp_list.emplace_back(static_cast<int>(j), rule_weights_[j]);
-        key.weight_sum += rule_weights_[j];
-      });
+      key.weight_sum = SupportList(support, rule_weights_, &key.supp_list);
       key.support = std::move(support);
     }
     key.members.push_back(t);
@@ -296,7 +359,6 @@ TraceResult ContributionTracer::TraceForwards(
   // as lane words over its class bucket. Integer results only; every
   // floating-point sum waits for the key-ordered fold below.
   telemetry::Span match_span("ctfl.trace.match");
-  const bool blocked = config_.kernel == TraceKernelKind::kBlocked;
   const size_t class_blocks[2] = {(train_by_class_[0].size() + 63) / 64,
                                   (train_by_class_[1].size() + 63) / 64};
   // Key k's words are related[related_offset[k] ..]; keys without support
@@ -320,31 +382,11 @@ TraceResult ContributionTracer::TraceForwards(
   ParallelFor(config_.num_threads, 0, keys.size(), [&](size_t k) {
     const TraceKey& key = keys[k];
     if (key.weight_sum <= 0.0) return;  // nothing to match against
-    const double threshold = config_.tau_w * key.weight_sum - kRatioEps;
-    const std::vector<TrainRef>& bucket = train_by_class_[key.target_class];
-    uint64_t* words = related.data() + related_offset[k];
-    if (blocked) {
-      class_kernel_[key.target_class].Match(
-          TraceKernel::Prepare(key.supp_list, threshold), nullptr, words,
-          &key_stats[k], {config_.isa, config_.trace_threads});
-    } else {
-      for (size_t r = 0; r < bucket.size(); ++r) {
-        double overlap = 0.0;
-        for (const auto& [rule, weight] : key.supp_list) {
-          if (bucket[r].activation->Test(rule)) overlap += weight;
-        }
-        if (!(overlap < threshold)) words[r / 64] |= 1ULL << (r % 64);
-      }
-    }
-    // Class buckets are participant-contiguous (IndexTrainRefs appends
-    // participants in order), so each participant is one slot range.
-    const std::vector<size_t>& offsets = class_part_offset_[key.target_class];
-    std::vector<int> related_per_participant(n, 0);
-    for (int p = 0; p < n; ++p) {
-      related_per_participant[p] = static_cast<int>(CountLanes(
-          offsets[p], offsets[p + 1], [&](size_t b) { return words[b]; }));
-      key_related[k] += static_cast<size_t>(related_per_participant[p]);
-    }
+    std::vector<int> related_per_participant;
+    key_related[k] = MatchKey(key.target_class, key.supp_list,
+                              key.weight_sum, tau_w, match,
+                              related.data() + related_offset[k],
+                              &related_per_participant, &key_stats[k]);
     for (size_t t : key.members) {
       result.tests[t].related_count = related_per_participant;
       result.tests[t].total_related = key_related[k];
@@ -356,20 +398,6 @@ TraceResult ContributionTracer::TraceForwards(
     result.blocks_pruned += key_stats[k].blocks_pruned;
     result.exact_fallbacks += key_stats[k].exact_fallbacks;
   }
-
-  // Lanes of block b of class c's bucket that are in `lanes` and activate
-  // `rule`.
-  auto rule_lanes = [&](int c, int rule, size_t b, uint64_t lanes) {
-    if (blocked) return class_kernel_[c].rule_word(rule, b) & lanes;
-    uint64_t out = 0;
-    for (uint64_t w = lanes; w != 0; w &= w - 1) {
-      const int lane = std::countr_zero(w);
-      if (train_by_class_[c][b * 64 + lane].activation->Test(rule)) {
-        out |= 1ULL << lane;
-      }
-    }
-    return out;
-  };
 
   // ---- §IV-B weight-regularized rule frequencies, folded in key order:
   // columns in parallel, each cell's terms added for keys ascending — the
@@ -397,7 +425,9 @@ TraceResult ContributionTracer::TraceForwards(
         if (per_participant[p] == 0) continue;
         const int64_t cnt = CountLanes(
             class_part_offset_[c][p], class_part_offset_[c][p + 1],
-            [&](size_t b) { return rule_lanes(c, rule, b, words[b]); });
+            [&](size_t b) {
+              return class_kernel_[c].rule_word(rule, b) & words[b];
+            });
         if (cnt == 0) continue;
         if (key.correct_members > 0) {
           result.beneficial_rule_freq(p, rule) +=

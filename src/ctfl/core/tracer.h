@@ -2,6 +2,7 @@
 #define CTFL_CORE_TRACER_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "ctfl/fl/participant.h"
@@ -39,29 +40,13 @@ struct TracerConfig {
   /// stronger privacy = noisier tracing.
   double dp_epsilon = 0.0;
   uint64_t dp_seed = 0x5eed;
-  /// Eq. 4 matching implementation (DESIGN.md §10). kBlocked scores keys
-  /// against a transposed rule-major bit-matrix with weight-sorted
-  /// early-exit pruning; kLegacy is the scalar per-record reference.
-  /// Results are bit-identical either way.
-  TraceKernelKind kernel = TraceKernelKind::kBlocked;
-  /// SIMD tier of the blocked kernel (defaults to the process-wide
-  /// runtime selection) and worker threads sharding each Match call's
-  /// block range (1 = serial, 0 = hardware concurrency). Both are pure
-  /// implementation selectors: results stay bit-identical, and neither
-  /// enters the config digest (DESIGN.md §9).
+  /// SIMD tier of the blocked Eq. 4 kernel (DESIGN.md §10; defaults to the
+  /// process-wide runtime selection) and worker threads sharding each
+  /// Match call's block range (1 = serial, 0 = hardware concurrency). Both
+  /// are pure implementation selectors: results stay bit-identical, and
+  /// neither enters the config digest (DESIGN.md §9).
   TraceIsa isa = CurrentTraceIsa();
   int trace_threads = 1;
-};
-
-/// One reserved test instance's forward-pass artifacts: true label,
-/// predicted class, and the raw (un-masked) rule-activation bitset.
-/// Everything the tracing pass needs from a test instance, decoupled from
-/// the Dataset — a streaming fold (src/ctfl/stream/) re-traces persisted
-/// forwards without ever seeing raw test features.
-struct TestForward {
-  uint8_t label = 0;
-  uint8_t predicted = 0;
-  Bitset activation;
 };
 
 /// Tracing outcome for one test instance.
@@ -119,14 +104,33 @@ struct TraceResult {
   int64_t tau_w_checks = 0;
   /// Pairs that met the tau_w threshold (total related-record hits).
   int64_t related_records = 0;
-  /// Blocked-kernel work accounting (0 on the legacy path): candidate
-  /// records the kernel actually touched (always <= tau_w_checks) and
-  /// 64-record blocks skipped or early-exited by pruning.
+  /// Blocked-kernel work accounting: candidate records the kernel
+  /// actually touched (always <= tau_w_checks) and 64-record blocks
+  /// skipped or early-exited by pruning.
   int64_t records_scanned = 0;
   int64_t blocks_pruned = 0;
   /// Lanes re-decided by the exact scalar comparison because the pruning
-  /// bounds landed inside the float-drift safety band (0 on legacy).
+  /// bounds landed inside the float-drift safety band.
   int64_t exact_fallbacks = 0;
+};
+
+/// One Eq. 4 lookup outside a tracing pass (ContributionTracer::Lookup):
+/// the related set of a single (activation, predicted class) pair.
+struct TraceLookup {
+  /// Supporting rules of the predicted class and their total vote weight.
+  int support_size = 0;
+  double support_weight = 0.0;
+  /// |D_i ∩ ct(x, y, tau_w)| per participant (Eq. 4).
+  std::vector<int> related_count;
+  size_t total_related = 0;
+  /// The first `max_records` related records as (participant, local
+  /// index), in participant then record order.
+  std::vector<std::pair<int, int>> records;
+  /// Training records of the predicted class, and how many of them were
+  /// submitted to the tau_w comparison (0 when the support has no weight).
+  int64_t bucket_size = 0;
+  int64_t tau_w_checks = 0;
+  TraceKernelStats stats;
 };
 
 /// Traces the test-performance gain of a trained global rule-based model
@@ -191,6 +195,20 @@ class ContributionTracer {
   /// this; the streaming scorer calls it directly with persisted forwards.
   TraceResult TraceForwards(const std::vector<TestForward>& forwards) const;
 
+  /// Same pass at an explicit Eq. 4 threshold and kernel options instead
+  /// of config().tau_w, config().isa and config().trace_threads — the
+  /// query engine's re-evaluation at new parameters.
+  TraceResult TraceForwards(const std::vector<TestForward>& forwards,
+                            double tau_w,
+                            const TraceMatchOptions& match) const;
+
+  /// Eq. 4 related set of one activation (raw, un-masked) predicted as
+  /// class `predicted` — the same per-key match a tracing pass runs, for
+  /// one lookup. Materializes at most `max_records` record refs.
+  TraceLookup Lookup(const Bitset& activation, int predicted, double tau_w,
+                     const TraceMatchOptions& match,
+                     size_t max_records) const;
+
  private:
   struct TrainRef {
     int participant;
@@ -202,8 +220,19 @@ class ContributionTracer {
   void BuildRuleMasks();
   /// Builds train_by_class_ refs over train_activations_ (which must
   /// already be populated and sized to the federation), then packs the
-  /// per-class blocked kernels when config_.kernel == kBlocked.
+  /// per-class blocked kernels.
   void IndexTrainRefs();
+
+  /// Eq. 4 for one support set of class `c` (ascending (rule, weight)
+  /// pairs summing to `weight_sum` > 0): sets the related lanes of the
+  /// class bucket in `words` (one per 64-record block), writes each
+  /// participant's related count into `related_count`, and returns the
+  /// total. Shared by every tracing pass and every lookup.
+  size_t MatchKey(int c, const std::vector<std::pair<int, double>>& supp,
+                  double weight_sum, double tau_w,
+                  const TraceMatchOptions& match, uint64_t* words,
+                  std::vector<int>* related_count,
+                  TraceKernelStats* stats) const;
 
   /// The activation uploads tracing matches against: owned (computed or
   /// adopted) unless the borrowing constructor installed an external set.
@@ -235,8 +264,7 @@ class ContributionTracer {
   /// buckets are participant-contiguous — the closed-form §IV-B
   /// accumulation popcounts per (rule, participant) range on top of this.
   std::vector<size_t> class_part_offset_[2];
-  /// Per class: transposed rule-major bit-matrix over the class bucket
-  /// (built only when config_.kernel == kBlocked; empty otherwise).
+  /// Per class: transposed rule-major bit-matrix over the class bucket.
   TraceKernel class_kernel_[2];
 };
 

@@ -39,17 +39,6 @@ kernel_detail::StripeFn ResolveStripeFn(TraceIsa isa) {
 
 }  // namespace
 
-Result<TraceKernelKind> ParseTraceKernelKind(const std::string& name) {
-  if (name == "legacy") return TraceKernelKind::kLegacy;
-  if (name == "blocked") return TraceKernelKind::kBlocked;
-  return Status::InvalidArgument("unknown trace kernel '" + name +
-                                 "' (expected legacy|blocked)");
-}
-
-const char* TraceKernelKindName(TraceKernelKind kind) {
-  return kind == TraceKernelKind::kLegacy ? "legacy" : "blocked";
-}
-
 TraceKernel::TraceKernel(std::vector<const Bitset*> records, int num_rules)
     : records_(std::move(records)),
       num_rules_(num_rules),

@@ -1,17 +1,18 @@
 #ifndef CTFL_KERNEL_TRACE_KERNEL_H_
 #define CTFL_KERNEL_TRACE_KERNEL_H_
 
-// Word-parallel blocked tracing kernel — the shared Eq. 4 matching engine
-// behind ContributionTracer (core/) and store::QueryEngine.
+// Word-parallel blocked tracing kernel — the Eq. 4 matching engine behind
+// ContributionTracer (core/), which store::QueryEngine and the streaming
+// scorer call.
 //
-// The scalar tau_w loop scores every (support set, training record) pair
-// one rule bit at a time: |supp| Bitset::Test calls per candidate. This
-// kernel instead packs each class bucket's training activations into a
-// *transposed, rule-major bit-matrix* — one contiguous bitmap per rule
-// over record index — so scoring becomes, per 64-record block,
-// `overlap[lane] += weight` driven by word AND + lane accumulation: only
-// *activated* (rule, record) pairs cost work, and 64 records share every
-// rule-row load.
+// The scalar tau_w loop (tests/trace_oracle.h) scores every (support set,
+// training record) pair one rule bit at a time: |supp| Bitset::Test calls
+// per candidate. This kernel instead packs each class bucket's training
+// activations into a *transposed, rule-major bit-matrix* — one contiguous
+// bitmap per rule over record index — so scoring becomes, per 64-record
+// block, `overlap[lane] += weight` driven by word AND + lane accumulation:
+// only *activated* (rule, record) pairs cost work, and 64 records share
+// every rule-row load.
 //
 // Three independent accelerations compose on top (DESIGN.md §10):
 //
@@ -50,26 +51,13 @@
 // which records get *matched*.
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "ctfl/util/bitset.h"
 #include "ctfl/util/cpu_features.h"
-#include "ctfl/util/result.h"
 
 namespace ctfl {
-
-/// Which Eq. 4 matching implementation a tracer / query engine uses. Both
-/// produce bit-identical results; kLegacy is the scalar reference loop.
-enum class TraceKernelKind {
-  kLegacy,
-  kBlocked,
-};
-
-/// Parses "legacy" / "blocked" (the CLI --trace-kernel values).
-Result<TraceKernelKind> ParseTraceKernelKind(const std::string& name);
-const char* TraceKernelKindName(TraceKernelKind kind);
 
 /// Work accounting of one (or many accumulated) Match calls.
 struct TraceKernelStats {
@@ -101,7 +89,7 @@ struct TraceMatchOptions {
 /// Transposed, cache-blocked activation bit-matrix over one class bucket
 /// plus the pruned matcher. Records are addressed by their *bucket
 /// position* (0..num_records), in the same order the scalar loop scans
-/// them, so lane order == legacy match order.
+/// them, so lane order == scalar match order.
 class TraceKernel {
  public:
   TraceKernel() = default;
@@ -129,10 +117,10 @@ class TraceKernel {
   /// Valid-lane mask of `block` (all ones except the trailing block).
   uint64_t full_mask_word(size_t block) const { return full_mask_[block]; }
 
-  /// How the exact (legacy-identical) accept decision is phrased.
+  /// How the exact (scalar-identical) accept decision is phrased.
   enum class Cmp {
-    /// Accept iff !(overlap < threshold) — the tracer / query-engine
-    /// Eq. 4 comparison (threshold already carries its kRatioEps slack).
+    /// Accept iff !(overlap < threshold) — the tracer's Eq. 4
+    /// comparison (threshold already carries its kRatioEps slack).
     kGeThreshold,
     /// Accept iff (overlap + eps >= threshold) — the Max-Miner
     /// group-prefilter comparison (theta check).

@@ -30,6 +30,17 @@ struct LogicalNetConfig {
   uint64_t seed = 42;
 };
 
+/// One reserved test instance's forward-pass artifacts: true label,
+/// predicted class, and the raw (un-masked) rule-activation bitset.
+/// Everything the tracing pass needs from a test instance, decoupled from
+/// the Dataset — a bundle (store/) or a streaming fold (stream/) re-traces
+/// persisted forwards without ever seeing raw test features.
+struct TestForward {
+  uint8_t label = 0;
+  uint8_t predicted = 0;
+  Bitset activation;
+};
+
 /// The practical rule-based model: binarization encoding, logical layers,
 /// and a linear vote layer. Maintains both the continuous (differentiable)
 /// and the binarized (deployed, rule-crisp) forward paths that gradient

@@ -50,8 +50,8 @@ enum class DataSource : uint8_t {
 };
 
 /// Everything needed to re-execute the recorded run deterministically.
-/// Mirrors the `ctfl score` flag surface: thread/kernel knobs are recorded
-/// for fidelity but never move scores, so the differential matrix can vary
+/// Mirrors the `ctfl score` flag surface: thread knobs are recorded for
+/// fidelity but never move scores, so the differential matrix can vary
 /// them freely against one recorded outcome.
 struct RunSpec {
   DataSource source = DataSource::kGenerate;
@@ -83,7 +83,9 @@ struct RunSpec {
   std::string failure_plan;  ///< FailurePlan::Parse spec ("" = fault-free)
   uint32_t retry_budget = 1;
   // Recorded-but-score-neutral knobs (DESIGN.md §9/§10).
-  uint8_t trace_kernel = 1;  ///< TraceKernelKind as recorded (1 = blocked)
+  /// Reserved: the retired trace-kernel selector, kept verbatim so old
+  /// files re-serialize byte for byte; replays ignore it.
+  uint8_t trace_kernel = 1;
   int64_t num_threads = -1;
 };
 

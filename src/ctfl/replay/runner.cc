@@ -151,11 +151,6 @@ Result<RunArtifacts> ExecuteRunSpec(const RunSpec& spec,
   CTFL_ASSIGN_OR_RETURN(
       FailurePlan failure_plan,
       FailurePlan::Parse(overrides.clean ? "" : spec.failure_plan));
-  if (spec.trace_kernel >
-      static_cast<uint8_t>(TraceKernelKind::kBlocked)) {
-    return Status::InvalidArgument(StrFormat(
-        "recorded trace kernel %u is unknown", spec.trace_kernel));
-  }
   CtflConfig config;
   config.federated = spec.federated;
   config.central.epochs = static_cast<int>(spec.epochs);
@@ -176,9 +171,6 @@ Result<RunArtifacts> ExecuteRunSpec(const RunSpec& spec,
   config.net.logic_layers = {{width / 2, width - width / 2}};
   config.net.seed = spec.seed;
   config.tracer.tau_w = spec.tau_w;
-  config.tracer.kernel = overrides.kernel >= 0
-                             ? static_cast<TraceKernelKind>(overrides.kernel)
-                             : static_cast<TraceKernelKind>(spec.trace_kernel);
   if (overrides.trace_isa >= 0) {
     config.tracer.isa = static_cast<TraceIsa>(overrides.trace_isa);
   }
@@ -327,20 +319,6 @@ std::vector<MatrixCell> GenerateMatrix(const ReplayFile& file) {
                      "re-run the recorded spec; bitwise outcome match",
                      MatrixCell::Kind::kRun,
                      {}});
-    // Flip the Eq. 4 kernel: the implementation knob must not move a
-    // single bit, fingerprint included.
-    MatrixCell kernel;
-    const bool recorded_blocked =
-        file.spec.trace_kernel ==
-        static_cast<uint8_t>(TraceKernelKind::kBlocked);
-    kernel.name = recorded_blocked ? "kernel_legacy" : "kernel_blocked";
-    kernel.description = recorded_blocked
-                             ? "re-run with the legacy scalar kernel"
-                             : "re-run with the blocked kernel";
-    kernel.overrides.kernel = static_cast<int>(
-        recorded_blocked ? TraceKernelKind::kLegacy
-                         : TraceKernelKind::kBlocked);
-    cells.push_back(std::move(kernel));
     // Force the scalar trace ISA (and the best available tier when the
     // host has one): the SIMD dispatch knob must not move a single bit,
     // fingerprint included.

@@ -13,9 +13,9 @@
 //                     (served), digest-checking every digest-stable
 //                     response
 //   GenerateMatrix /  expands one replay file into the differential
-//   RunMatrix         regression cells (legacy-vs-blocked kernel,
-//                     threads 1/2/8, faulty-vs-clean, batch vs one-shot
-//                     vs served) and executes them
+//   RunMatrix         regression cells (trace ISA, threads 1/2/8,
+//                     faulty-vs-clean, batch vs one-shot vs served) and
+//                     executes them
 //
 // Every run cell must reproduce the recorded outcome bit-for-bit —
 // identical score/render digests AND an equal run fingerprint — except
@@ -53,8 +53,6 @@ struct RunOverrides {
   /// Master thread knob; kKeep leaves the recorded value.
   static constexpr int64_t kKeep = INT64_MIN;
   int64_t num_threads = kKeep;
-  /// TraceKernelKind value, or -1 to keep the recorded kernel.
-  int kernel = -1;
   /// TraceIsa value, or -1 to keep the process-wide dispatch. Replay
   /// files never record an ISA (it is execution context, not semantics);
   /// the isa cells force a tier and assert the outcome is unchanged.
@@ -135,9 +133,9 @@ struct MatrixCell {
   RunOverrides overrides;
 };
 
-/// Expands `file` into its differential matrix: base replay; kernel
-/// flipped (when a spec is present); forced-scalar trace ISA (plus the
-/// best available tier when it differs); threads 1/2/8; clean (when the
+/// Expands `file` into its differential matrix: base replay (when a spec
+/// is present); forced-scalar trace ISA (plus the best available tier when
+/// it differs); threads 1/2/8; clean (when the
 /// recorded run had a fault plan); streamed delta-log fold (federated
 /// specs); query batch/one-shot (when events are present) and served
 /// (POSIX). Deterministic order.

@@ -27,28 +27,36 @@ bool ValidOp(uint8_t byte) {
          byte <= static_cast<uint8_t>(Op::kShutdown);
 }
 
+// Bytes that once selected the posting prefilter and the Eq. 4 kernel. The
+// encoder writes 1 (their former defaults) and the decoder accepts nothing
+// else, so every request keeps one canonical encoding.
+constexpr uint8_t kReservedByte = 1;
+
+Status DecodeReservedByte(wire::Reader* r) {
+  uint8_t byte = 0;
+  CTFL_RETURN_IF_ERROR(r->U8(&byte));
+  if (byte != kReservedByte) {
+    return Status::InvalidArgument(StrFormat(
+        "serve frame reserved byte is %u (expected %u)", byte,
+        kReservedByte));
+  }
+  return Status::OK();
+}
+
 void EncodeQueryOptions(const store::QueryOptions& options, wire::Writer* w) {
   w->F64(options.tau_w);
-  w->U8(options.use_index ? 1 : 0);
+  w->U8(kReservedByte);
   w->U64(options.max_records);
-  w->U8(static_cast<uint8_t>(options.kernel));
+  w->U8(kReservedByte);
 }
 
 Status DecodeQueryOptions(wire::Reader* r, store::QueryOptions* options) {
-  uint8_t use_index = 0;
   uint64_t max_records = 0;
-  uint8_t kernel = 0;
   CTFL_RETURN_IF_ERROR(r->F64(&options->tau_w));
-  CTFL_RETURN_IF_ERROR(r->U8(&use_index));
+  CTFL_RETURN_IF_ERROR(DecodeReservedByte(r));
   CTFL_RETURN_IF_ERROR(r->U64(&max_records));
-  CTFL_RETURN_IF_ERROR(r->U8(&kernel));
-  if (kernel > static_cast<uint8_t>(TraceKernelKind::kBlocked)) {
-    return Status::InvalidArgument(
-        StrFormat("serve frame has unknown trace kernel %u", kernel));
-  }
-  options->use_index = use_index != 0;
+  CTFL_RETURN_IF_ERROR(DecodeReservedByte(r));
   options->max_records = static_cast<size_t>(max_records);
-  options->kernel = static_cast<TraceKernelKind>(kernel);
   return Status::OK();
 }
 
@@ -319,7 +327,7 @@ std::string EncodeRequest(const Request& request) {
       w.F64(request.evaluate.options.tau_w);
       w.U32(static_cast<uint32_t>(request.evaluate.options.delta));
       w.U32(static_cast<uint32_t>(request.evaluate.options.top_k));
-      w.U8(static_cast<uint8_t>(request.evaluate.options.kernel));
+      w.U8(kReservedByte);
       break;
     case Op::kStats:
     case Op::kShutdown:
@@ -358,18 +366,12 @@ Result<Request> DecodeRequest(std::string_view payload) {
       break;
     case Op::kEvaluate: {
       uint32_t delta = 0, top_k = 0;
-      uint8_t kernel = 0;
       CTFL_RETURN_IF_ERROR(r.F64(&request.evaluate.options.tau_w));
       CTFL_RETURN_IF_ERROR(r.U32(&delta));
       CTFL_RETURN_IF_ERROR(r.U32(&top_k));
-      CTFL_RETURN_IF_ERROR(r.U8(&kernel));
-      if (kernel > static_cast<uint8_t>(TraceKernelKind::kBlocked)) {
-        return Status::InvalidArgument(
-            StrFormat("serve frame has unknown trace kernel %u", kernel));
-      }
+      CTFL_RETURN_IF_ERROR(DecodeReservedByte(&r));
       request.evaluate.options.delta = static_cast<int>(delta);
       request.evaluate.options.top_k = static_cast<int>(top_k);
-      request.evaluate.options.kernel = static_cast<TraceKernelKind>(kernel);
       break;
     }
     case Op::kStats:

@@ -41,6 +41,11 @@ namespace serve {
 // v3: STATS grew `rounds_folded` — the number of streaming delta-log
 // rounds the server has folded into its live scores (0 when serving a
 // static bundle). Request bodies are again unchanged.
+// Within v3, the request bytes that once selected the posting prefilter
+// and the Eq. 4 kernel (two in RELATED / RELATED_FOR_TEST options, one in
+// EVALUATE) are reserved: always 1, the only value the decoder accepts.
+// RelatedResult / QueryReport keep their always-0 postings_scanned and
+// candidates_pruned fields, so the layout does not move.
 inline constexpr uint8_t kProtocolVersion = 3;
 /// Upper bound on one frame's payload (guards the length prefix against
 /// corrupt peers; a full EVALUATE report over a large bundle stays far

@@ -20,7 +20,7 @@ void AppendRuleStats(const char* header,
 }  // namespace
 
 std::string RenderEvaluation(const store::QueryReport& report,
-                             TraceKernelKind kernel, double origin_tau_w,
+                             double origin_tau_w,
                              int origin_delta,
                              const std::vector<double>& origin_micro,
                              const std::vector<double>& origin_macro) {
@@ -49,16 +49,12 @@ std::string RenderEvaluation(const store::QueryReport& report,
   }
   out.append(StrFormat(
       "\nglobal accuracy %.4f, matched %.4f; %zu uncovered tests\n"
-      "lookup cost: %lld keys, %lld tau_w checks, %lld postings scanned, "
-      "%lld candidates pruned\n"
-      "trace kernel (%s): %lld records scanned, %lld blocks pruned, "
+      "lookup cost: %lld keys, %lld tau_w checks\n"
+      "trace kernel: %lld records scanned, %lld blocks pruned, "
       "%lld exact fallbacks\n",
       report.global_accuracy, report.matched_accuracy, report.uncovered_tests,
       static_cast<long long>(report.keys),
       static_cast<long long>(report.tau_w_checks),
-      static_cast<long long>(report.postings_scanned),
-      static_cast<long long>(report.candidates_pruned),
-      TraceKernelKindName(kernel),
       static_cast<long long>(report.records_scanned),
       static_cast<long long>(report.blocks_pruned),
       static_cast<long long>(report.exact_fallbacks)));
@@ -74,21 +70,17 @@ std::string RenderEvaluation(const store::QueryReport& report,
   return out;
 }
 
-std::string RenderRelatedHeader(bool use_index) {
-  return StrFormat("\nrelated-record lookups (%s):\n",
-                   use_index ? "posting-list prefilter" : "linear scan");
-}
+std::string RenderRelatedHeader() { return "\nrelated-record lookups:\n"; }
 
 std::string RenderRelatedLookup(size_t index,
                                 const store::RelatedResult& related,
                                 const std::vector<std::string>& names) {
   std::string out = StrFormat(
       "instance %zu: predicted=%d support=%d related=%zu "
-      "(checked %lld of %lld, pruned %lld, exact fallbacks %lld)\n",
+      "(checked %lld of %lld, exact fallbacks %lld)\n",
       index, related.predicted, related.support_size, related.total_related,
       static_cast<long long>(related.tau_w_checks),
       static_cast<long long>(related.bucket_size),
-      static_cast<long long>(related.candidates_pruned),
       static_cast<long long>(related.exact_fallbacks));
   for (const store::RecordRef& ref : related.records) {
     const std::string name =

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "ctfl/kernel/trace_kernel.h"
 #include "ctfl/store/query_engine.h"
 
 namespace ctfl {
@@ -20,16 +19,15 @@ namespace serve {
 /// table, the reproduction check against the originating run (printed only
 /// when the evaluated parameters equal the originating ones and origin
 /// scores exist), the accuracy/cost lines, uncovered scenarios, and the
-/// per-participant interpretability summaries. `kernel` names the Eq. 4
-/// engine the evaluation ran with.
+/// per-participant interpretability summaries.
 std::string RenderEvaluation(const store::QueryReport& report,
-                             TraceKernelKind kernel, double origin_tau_w,
+                             double origin_tau_w,
                              int origin_delta,
                              const std::vector<double>& origin_micro,
                              const std::vector<double>& origin_macro);
 
-/// "\nrelated-record lookups (...):\n" header.
-std::string RenderRelatedHeader(bool use_index);
+/// "\nrelated-record lookups:\n" header.
+std::string RenderRelatedHeader();
 
 /// One "instance N: predicted=..." line plus its materialized record refs.
 std::string RenderRelatedLookup(size_t index,

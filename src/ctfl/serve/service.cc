@@ -56,9 +56,7 @@ uint64_t DoubleBits(double v) {
 size_t QueryService::RelatedKeyHash::operator()(const RelatedKey& k) const {
   // FNV-1a over the packed fields; shard + bucket dispersal only.
   uint64_t h = 1469598103934665603ull;
-  const uint64_t fields[] = {k.test_index, k.tau_w_bits,
-                             k.use_index ? 1ull : 0ull, k.max_records,
-                             k.kernel};
+  const uint64_t fields[] = {k.test_index, k.tau_w_bits, k.max_records};
   for (uint64_t f : fields) {
     for (int i = 0; i < 8; ++i) {
       h ^= (f >> (8 * i)) & 0xff;
@@ -156,9 +154,7 @@ Response QueryService::HandleRelatedForTest(const Request& request) {
   RelatedKey key;
   key.test_index = test_index;
   key.tau_w_bits = DoubleBits(tau_w);
-  key.use_index = options.use_index;
   key.max_records = options.max_records;
-  key.kernel = static_cast<uint8_t>(options.kernel);
   if (auto cached = cache_.Get(key)) {
     CacheHitCounter().Add(1);
     response.related = *std::move(cached);

@@ -74,13 +74,10 @@ class QueryService {
   struct RelatedKey {
     uint64_t test_index = 0;
     uint64_t tau_w_bits = 0;
-    bool use_index = true;
     uint64_t max_records = 0;
-    uint8_t kernel = 0;
     bool operator==(const RelatedKey& o) const {
       return test_index == o.test_index && tau_w_bits == o.tau_w_bits &&
-             use_index == o.use_index && max_records == o.max_records &&
-             kernel == o.kernel;
+             max_records == o.max_records;
     }
   };
   struct RelatedKeyHash {

@@ -32,7 +32,6 @@ constexpr const char* kModelSection = "model";
 constexpr const char* kRulesSection = "rules";
 constexpr const char* kTrainSection = "train";
 constexpr const char* kTestsSection = "tests";
-constexpr const char* kIndexSection = "index";
 
 // Little-endian primitive encoding now lives in util/wire.h (shared with
 // the serve wire protocol); these aliases keep the section codecs terse.
@@ -445,57 +444,6 @@ Status DecodeRules(std::string_view payload, BundleContent& c) {
   return r.ExpectEnd(kRulesSection);
 }
 
-std::string EncodeIndex(const BundleContent& c) {
-  ByteWriter w;
-  w.U32(static_cast<uint32_t>(c.posting_offsets.empty()
-                                  ? 0
-                                  : c.posting_offsets.size() - 1));
-  w.U64(c.postings.size());
-  for (uint64_t offset : c.posting_offsets) w.U64(offset);
-  for (uint32_t id : c.postings) w.U32(id);
-  return w.Take();
-}
-
-Status DecodeIndex(std::string_view payload, uint32_t num_rules,
-                   BundleContent& c) {
-  ByteReader r(payload);
-  uint32_t index_rules = 0;
-  uint64_t postings_size = 0;
-  CTFL_RETURN_IF_ERROR(r.U32(&index_rules));
-  CTFL_RETURN_IF_ERROR(r.U64(&postings_size));
-  if (index_rules != num_rules) {
-    return Status::InvalidArgument(
-        "bundle index rule count disagrees with meta");
-  }
-  c.posting_offsets.resize(static_cast<size_t>(index_rules) + 1);
-  for (uint64_t& offset : c.posting_offsets) {
-    CTFL_RETURN_IF_ERROR(r.U64(&offset));
-  }
-  c.postings.resize(postings_size);
-  for (uint32_t& id : c.postings) CTFL_RETURN_IF_ERROR(r.U32(&id));
-  CTFL_RETURN_IF_ERROR(r.ExpectEnd(kIndexSection));
-  // Structural validation: monotone offsets bounded by the postings array,
-  // ids within the record table.
-  uint64_t prev = 0;
-  for (uint64_t offset : c.posting_offsets) {
-    if (offset < prev || offset > c.postings.size()) {
-      return Status::InvalidArgument("bundle index offsets not monotone");
-    }
-    prev = offset;
-  }
-  if (c.posting_offsets.front() != 0 ||
-      c.posting_offsets.back() != c.postings.size()) {
-    return Status::InvalidArgument("bundle index offsets do not span");
-  }
-  const uint64_t total_records = c.total_train_records();
-  for (uint32_t id : c.postings) {
-    if (id >= total_records) {
-      return Status::InvalidArgument("bundle index posting id out of range");
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -596,6 +544,10 @@ Status DecodeModelPayload(std::string_view payload,
   }
   uint64_t param_count = 0;
   CTFL_RETURN_IF_ERROR(r.U64(&param_count));
+  if (param_count > r.remaining() / 8) {
+    return Status::InvalidArgument(
+        "bundle model section parameter count exceeds its payload");
+  }
   params->resize(param_count);
   for (double& v : *params) CTFL_RETURN_IF_ERROR(r.F64(&v));
   return r.ExpectEnd(kModelSection);
@@ -629,11 +581,24 @@ Result<std::vector<ParticipantRecords>> DecodeTrainPayload(
   ByteReader r(payload);
   uint32_t num_participants = 0;
   CTFL_RETURN_IF_ERROR(r.U32(&num_participants));
+  // Counts are checked against the unread bytes before anything is sized
+  // from them: each participant carries at least its u64 record count, and
+  // each record a label bit plus its activation words.
+  if (num_participants > r.remaining() / 8) {
+    return Status::InvalidArgument(
+        "bundle train section participant count exceeds its payload");
+  }
   std::vector<ParticipantRecords> participants(num_participants);
   const size_t words_per_row = (num_rules + 63) / 64;
   for (ParticipantRecords& p : participants) {
     uint64_t num_records = 0;
     CTFL_RETURN_IF_ERROR(r.U64(&num_records));
+    if (num_records / 8 > r.remaining() ||
+        (words_per_row > 0 &&
+         num_records > r.remaining() / (8 * words_per_row))) {
+      return Status::InvalidArgument(
+          "bundle train section record count exceeds its payload");
+    }
     p.labels.resize(num_records);
     for (size_t i = 0; i < num_records; i += 8) {
       uint8_t packed = 0;
@@ -671,8 +636,13 @@ Result<std::vector<TestRecord>> DecodeTestsPayload(std::string_view payload,
   ByteReader r(payload);
   uint64_t num_tests = 0;
   CTFL_RETURN_IF_ERROR(r.U64(&num_tests));
-  std::vector<TestRecord> tests(num_tests);
   const size_t words_per_row = (num_rules + 63) / 64;
+  // Each test carries two label bytes plus its activation words.
+  if (num_tests > r.remaining() / (2 + 8 * words_per_row)) {
+    return Status::InvalidArgument(
+        "bundle tests section test count exceeds its payload");
+  }
+  std::vector<TestRecord> tests(num_tests);
   for (TestRecord& t : tests) {
     CTFL_RETURN_IF_ERROR(r.U8(&t.label));
     CTFL_RETURN_IF_ERROR(r.U8(&t.predicted));
@@ -712,7 +682,6 @@ Status WriteBundle(const BundleContent& content, const std::string& path) {
   writer.AddSection(kRulesSection, EncodeRules(content));
   writer.AddSection(kTrainSection, EncodeTrainPayload(content.participants));
   writer.AddSection(kTestsSection, EncodeTestsPayload(content.tests));
-  writer.AddSection(kIndexSection, EncodeIndex(content));
   return writer.Write(path);
 }
 
@@ -774,11 +743,8 @@ Result<BundleContent> ReadBundle(const std::string& path,
     return Status::InvalidArgument(
         path + ": tests section size disagrees with meta");
   }
-  {
-    CTFL_ASSIGN_OR_RETURN(const std::string_view payload,
-                          reader.SectionView(kIndexSection));
-    CTFL_RETURN_IF_ERROR(DecodeIndex(payload, num_rules, content));
-  }
+  // An `index` section (posting lists, written by older versions) is
+  // CRC-checked with the container and otherwise ignored.
   return content;
 }
 
@@ -799,35 +765,6 @@ Result<LogicalNet> RestoreModel(const BundleContent& content) {
         "bundle rule count does not match the restored model");
   }
   return net;
-}
-
-void BuildPostingIndex(BundleContent& content) {
-  CTFL_SPAN("ctfl.bundle.index_build");
-  const size_t num_rules = content.rules.size();
-  // Counting pass -> offsets -> fill; record ids are emitted in ascending
-  // order per rule by construction.
-  std::vector<uint64_t> counts(num_rules, 0);
-  for (const ParticipantRecords& p : content.participants) {
-    for (const Bitset& activation : p.activations) {
-      for (size_t j : activation.SetBits()) ++counts[j];
-    }
-  }
-  content.posting_offsets.assign(num_rules + 1, 0);
-  for (size_t j = 0; j < num_rules; ++j) {
-    content.posting_offsets[j + 1] = content.posting_offsets[j] + counts[j];
-  }
-  content.postings.assign(content.posting_offsets[num_rules], 0);
-  std::vector<uint64_t> cursor(content.posting_offsets.begin(),
-                               content.posting_offsets.end() - 1);
-  uint32_t record_id = 0;
-  for (const ParticipantRecords& p : content.participants) {
-    for (const Bitset& activation : p.activations) {
-      for (size_t j : activation.SetBits()) {
-        content.postings[cursor[j]++] = record_id;
-      }
-      ++record_id;
-    }
-  }
 }
 
 }  // namespace store

@@ -17,8 +17,10 @@
 //           bitset (the only training-data artifact that ever leaves a
 //           client, paper section V)
 //   tests   per reserved test instance: label, prediction, activation
-//   index   inverted rule -> training-record posting lists over global
-//           record ids (candidate prefilter for Eq. 4 lookups)
+//
+// Bundles written before the query engine matched through the tracer also
+// carry an `index` section (inverted rule -> record posting lists); readers
+// skip it.
 //
 // File layout (version 1, little-endian):
 //
@@ -67,8 +69,8 @@ class BundleWriter {
 /// Container-level reader. Open() maps (or loads) the whole file,
 /// validates the header and every section's bounds + CRC32, and exposes
 /// payloads. On POSIX platforms Open() memory-maps the file by default so
-/// a resident server's posting index and record table are zero-copy views
-/// of the page cache; everywhere else (and on kStream) it falls back to a
+/// a resident server's sections are zero-copy views of the page cache;
+/// everywhere else (and on kStream) it falls back to a
 /// plain ifstream slurp. Both paths produce byte-identical sections.
 class BundleReader {
  public:
@@ -148,12 +150,9 @@ struct ParticipantRecords {
   size_t size() const { return labels.size(); }
 };
 
-/// One reserved test instance's inference artifacts.
-struct TestRecord {
-  uint8_t label = 0;
-  uint8_t predicted = 0;
-  Bitset activation;
-};
+/// One reserved test instance's inference artifacts — exactly what a
+/// tracing pass consumes, so the engine traces the decoded records as-is.
+using TestRecord = TestForward;
 
 /// Fully decoded bundle.
 struct BundleContent {
@@ -165,11 +164,6 @@ struct BundleContent {
   std::vector<RuleSnapshot> rules;
   std::vector<ParticipantRecords> participants;
   std::vector<TestRecord> tests;
-  /// Inverted index: postings[posting_offsets[j] .. posting_offsets[j+1])
-  /// are the ascending global record ids whose activation sets rule j.
-  /// Global id = records flattened in (participant, local index) order.
-  std::vector<uint64_t> posting_offsets;  ///< num_rules + 1 entries
-  std::vector<uint32_t> postings;
 
   int num_rules() const { return static_cast<int>(rules.size()); }
   int num_participants() const {
@@ -221,10 +215,6 @@ Result<BundleContent> ReadBundle(
 /// sections; parameters are bit-exact, so predictions and activations
 /// match the originating run everywhere.
 Result<LogicalNet> RestoreModel(const BundleContent& content);
-
-/// Builds the inverted rule -> record posting lists from
-/// `content.participants` (overwrites posting_offsets/postings).
-void BuildPostingIndex(BundleContent& content);
 
 }  // namespace store
 }  // namespace ctfl

@@ -6,17 +6,17 @@
 // no recomputation of activation vectors. The expensive artifacts of the
 // single training+inference pass — model parameters, rule weights, and
 // every rule-activation bitset — come straight from the bundle; queries
-// only redo the cheap Eq. 4 overlap comparisons, prefiltered by the
-// bundle's inverted rule -> record posting lists.
+// only redo the cheap Eq. 4 overlap comparisons.
 //
-// Exactness contract: for the originating run's parameters, Evaluate()
-// reproduces the run's micro/macro scores *bit-identically* (same related
-// sets, same floating-point accumulation order as core/allocation), and
-// Related() agrees with ContributionTracer::Trace on every instance. The
-// posting-list prefilter is lossless: a candidate set is the union of
-// postings of a minimal heaviest-weight prefix of the support rules whose
-// complement cannot reach the tau_w threshold.
+// Every answer goes through one ContributionTracer over the bundle's
+// labels and uploads: Related()/RelatedForTest() are its single-key
+// lookups, Evaluate() is its TraceForwards pass over the stored test
+// forwards followed by core/allocation and core/interpret. So for the
+// originating run's parameters Evaluate() reproduces the run's micro/macro
+// scores bit-identically, and Related() agrees with ContributionTracer::
+// Trace on every instance, by construction.
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,17 +30,9 @@ namespace store {
 struct QueryOptions {
   /// Eq. 4 threshold; defaults to the originating run's tau_w when < 0.
   double tau_w = -1.0;
-  /// Posting-list candidate prefilter (false = linear scan of the class
-  /// bucket; the two paths return identical results).
-  bool use_index = true;
   /// Max (participant, record) refs materialized in RelatedResult::records
   /// (0 = counts only).
   size_t max_records = 0;
-  /// Eq. 4 matching implementation (kernel/trace_kernel.h). kBlocked runs
-  /// the word-parallel blocked kernel over the engine's transposed
-  /// per-class bit-matrices; kLegacy is the scalar reference scan. Results
-  /// are bit-identical either way.
-  TraceKernelKind kernel = TraceKernelKind::kBlocked;
   /// SIMD tier of the blocked kernel (defaults to the process-wide runtime
   /// selection) and worker threads sharding each Match call (1 = serial,
   /// 0 = hardware concurrency). Pure implementation selectors — results
@@ -66,15 +58,17 @@ struct RelatedResult {
   // Lookup cost accounting.
   int64_t bucket_size = 0;   ///< training records of the predicted class
   int64_t tau_w_checks = 0;  ///< candidates submitted to Eq. 4 matching
+  /// Always 0: the posting-list prefilter they counted is gone. Kept so
+  /// the wire layout and its readers stay unchanged.
   int64_t postings_scanned = 0;
-  int64_t candidates_pruned = 0;  ///< bucket_size - tau_w_checks
-  /// Blocked-kernel work accounting (0 on the legacy path): candidates the
-  /// kernel actually touched (always <= tau_w_checks) and 64-record blocks
-  /// skipped or early-exited by pruning.
+  int64_t candidates_pruned = 0;
+  /// Blocked-kernel work accounting: candidates the kernel actually
+  /// touched (always <= tau_w_checks) and 64-record blocks skipped or
+  /// early-exited by pruning.
   int64_t records_scanned = 0;
   int64_t blocks_pruned = 0;
   /// Lanes re-decided by the exact scalar comparison because the pruning
-  /// bounds landed inside the float-drift safety band (0 on legacy).
+  /// bounds landed inside the float-drift safety band.
   int64_t exact_fallbacks = 0;
 };
 
@@ -102,9 +96,6 @@ struct EvalOptions {
   double tau_w = -1.0;
   int delta = -1;
   int top_k = 5;
-  /// Eq. 4 matching implementation for the batch pass (bit-identical
-  /// results either way).
-  TraceKernelKind kernel = TraceKernelKind::kBlocked;
   /// Blocked-kernel implementation selectors (see QueryOptions).
   TraceIsa isa = CurrentTraceIsa();
   int trace_threads = 1;
@@ -125,9 +116,10 @@ struct QueryReport {
   // Evaluation cost accounting.
   int64_t keys = 0;  ///< distinct (class, support-set) tracing tasks
   int64_t tau_w_checks = 0;
+  /// Always 0 (see RelatedResult).
   int64_t postings_scanned = 0;
   int64_t candidates_pruned = 0;
-  /// Blocked-kernel work accounting (0 on the legacy path).
+  /// Blocked-kernel work accounting.
   int64_t records_scanned = 0;
   int64_t blocks_pruned = 0;
   int64_t exact_fallbacks = 0;
@@ -136,18 +128,23 @@ struct QueryReport {
 class QueryEngine {
  public:
   /// Reads + validates the bundle file and builds the engine (restores the
-  /// model, rule masks, and the flat record table).
+  /// model and packs the tracer's per-class kernels).
   static Result<QueryEngine> Open(const std::string& path);
-  /// Builds the engine over already-decoded content.
+  /// Builds the engine over already-decoded content. Content whose label,
+  /// upload, test or rule shapes disagree with each other or with the
+  /// restored model is an InvalidArgument, never a crash.
   static Result<QueryEngine> FromContent(BundleContent content);
 
-  QueryEngine(QueryEngine&&) = default;
+  QueryEngine(QueryEngine&&) noexcept;
   QueryEngine& operator=(QueryEngine&&) = delete;
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
+  ~QueryEngine();
 
+  /// The decoded bundle, except that the training activations were moved
+  /// into the engine's tracer: participants[p] keeps its labels only.
   const BundleContent& bundle() const { return content_; }
-  const LogicalNet& model() const { return model_; }
+  const LogicalNet& model() const;
   int num_participants() const { return content_.num_participants(); }
   /// Originating-run parameters (the Evaluate/Related defaults).
   double origin_tau_w() const { return content_.meta.tau_w; }
@@ -155,7 +152,7 @@ class QueryEngine {
 
   /// Eq. 4 related-record lookup for a new instance: runs deployed
   /// inference on the restored model, then matches the stored training
-  /// activations (posting-prefiltered).
+  /// activations.
   RelatedResult Related(const Instance& instance,
                         const QueryOptions& options = {}) const;
 
@@ -165,37 +162,22 @@ class QueryEngine {
                                const QueryOptions& options = {}) const;
 
   /// Batch micro/macro recomputation + interpretability summaries over the
-  /// bundle's reserved test set. One pass over deduplicated support sets;
-  /// no retraining, no activation recomputation.
+  /// bundle's reserved test set. One tracing pass over deduplicated
+  /// support sets; no retraining, no activation recomputation.
   QueryReport Evaluate(const EvalOptions& options = {}) const;
 
  private:
-  QueryEngine(BundleContent content, LogicalNet model);
+  /// The restored model, the uploads and the tracer borrowing both, at one
+  /// heap address that moves of the engine leave in place.
+  struct Core;
 
-  RelatedResult RelatedForActivation(const Bitset& activation, int predicted,
-                                     double tau_w, bool use_index,
-                                     size_t max_records,
-                                     TraceKernelKind kernel,
-                                     const TraceMatchOptions& match) const;
+  QueryEngine(BundleContent content, std::unique_ptr<const Core> core);
 
-  // NOTE: record_activation_ points into content_.participants' vectors;
-  // moves of QueryEngine keep those heap buffers alive (hence: movable,
-  // not copyable).
+  RelatedResult Lookup(const Bitset& activation, int predicted,
+                       const QueryOptions& options) const;
+
   BundleContent content_;
-  LogicalNet model_;
-  std::vector<double> rule_weights_;  ///< zeroed below min_rule_weight
-  Bitset class_mask_[2];
-  std::vector<int32_t> record_participant_;
-  std::vector<int32_t> record_local_;
-  std::vector<uint8_t> record_label_;
-  std::vector<const Bitset*> record_activation_;
-  std::vector<uint32_t> class_records_[2];  ///< ascending global ids
-  /// Position of each global record inside its class bucket (the blocked
-  /// kernel's lane address space).
-  std::vector<uint32_t> record_bucket_pos_;
-  /// Per class: transposed rule-major bit-matrix over the class bucket
-  /// (kernel/trace_kernel.h), packed once at engine build.
-  TraceKernel class_kernel_[2];
+  std::unique_ptr<const Core> core_;
 };
 
 }  // namespace store

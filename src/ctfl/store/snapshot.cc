@@ -95,7 +95,6 @@ Result<BundleContent> BuildBundleContent(
     record.activation = std::move(activations[t]);
   }
 
-  BuildPostingIndex(content);
   return content;
 }
 

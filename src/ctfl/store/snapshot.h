@@ -37,8 +37,8 @@ struct SnapshotOptions {
 /// Assembles a bundle: extracts the rule model (symbolic text + r+-/w+-)
 /// from `net`, snapshots `train_activations` (one bitset per training
 /// record, exactly as the tracer used them — including any DP
-/// perturbation), re-runs deployed inference over `test` for the tests
-/// section, and builds the inverted posting-list index.
+/// perturbation), and re-runs deployed inference over `test` for the tests
+/// section.
 ///
 /// `train_activations` must be indexed [participant][local record] and
 /// sized to the federation; pass ContributionTracer::train_activations().

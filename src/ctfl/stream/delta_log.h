@@ -55,8 +55,8 @@ struct DeltaHeader {
   uint64_t failure_plan_fingerprint = 0;
   uint32_t num_rules = 0;
 
-  // Tracer/allocation knobs the fold replays (execution knobs — kernel,
-  // ISA, thread counts — are deliberately absent: they never change
+  // Tracer/allocation knobs the fold replays (execution knobs — ISA,
+  // thread counts — are deliberately absent: they never change
   // results, DESIGN.md §9/§10).
   double tau_w = 0.9;
   bool use_dedup = true;

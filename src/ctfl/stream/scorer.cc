@@ -54,7 +54,6 @@ Result<StreamingScorer> StreamingScorer::FromHeader(DeltaHeader header,
   // borrowing tracer adopts them verbatim.
   tracer_config.dp_epsilon = header.dp_epsilon;
   tracer_config.dp_seed = header.dp_seed;
-  tracer_config.kernel = options.kernel;
   tracer_config.isa = options.isa;
   tracer_config.trace_threads = options.trace_threads;
   tracer_config.num_threads = options.num_threads;
@@ -75,14 +74,7 @@ Result<StreamingScorer> StreamingScorer::FromHeader(DeltaHeader header,
     scorer.labels_.push_back(std::move(p.labels));
     scorer.activations_.push_back(std::move(p.activations));
   }
-  scorer.forwards_.reserve(header.tests.size());
-  for (store::TestRecord& t : header.tests) {
-    TestForward fwd;
-    fwd.label = t.label;
-    fwd.predicted = t.predicted;
-    fwd.activation = std::move(t.activation);
-    scorer.forwards_.push_back(std::move(fwd));
-  }
+  scorer.forwards_ = std::move(header.tests);
   CTFL_RETURN_IF_ERROR(scorer.Rescore());
   return scorer;
 }

@@ -36,7 +36,6 @@ namespace stream {
 /// Execution knobs of the streaming scorer (never change results,
 /// DESIGN.md §9/§10).
 struct ScorerOptions {
-  TraceKernelKind kernel = TraceKernelKind::kBlocked;
   TraceIsa isa = CurrentTraceIsa();
   int trace_threads = 1;
   /// Worker threads of the per-key tracing loop (0 = hardware).

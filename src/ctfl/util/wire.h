@@ -60,6 +60,8 @@ class Reader {
   Status Words(size_t count, std::vector<uint64_t>* out);
 
   bool AtEnd() const { return pos_ == data_.size(); }
+  /// Unread bytes: the most any count read from the payload can cover.
+  size_t remaining() const { return data_.size() - pos_; }
   /// InvalidArgument naming `what` when bytes remain unconsumed.
   Status ExpectEnd(const char* what) const;
 

@@ -7,7 +7,6 @@
 // worker schedule would be worthless as incentives (cf. the fragility
 // critique of Pejó et al.), so these tests are the PR's contract.
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -18,6 +17,7 @@
 #include "ctfl/fl/fedavg.h"
 #include "ctfl/fl/partition.h"
 #include "ctfl/nn/matrix.h"
+#include "trace_compare.h"
 
 namespace ctfl {
 namespace {
@@ -84,68 +84,6 @@ PipelineSnapshot RunPipeline(const Federation& fed, const Dataset& test,
   snap.macro = report.macro_scores;
   snap.trace = std::move(report.trace);
   return snap;
-}
-
-/// Bitwise equality for double vectors (EXPECT_EQ would accept -0.0 vs
-/// +0.0; the determinism contract is *bit* identity).
-::testing::AssertionResult BitIdentical(const std::vector<double>& a,
-                                        const std::vector<double>& b) {
-  if (a.size() != b.size()) {
-    return ::testing::AssertionFailure()
-           << "size mismatch: " << a.size() << " vs " << b.size();
-  }
-  if (!a.empty() &&
-      std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) != 0) {
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (std::memcmp(&a[i], &b[i], sizeof(double)) != 0) {
-        return ::testing::AssertionFailure()
-               << "first bit difference at index " << i << ": " << a[i]
-               << " vs " << b[i];
-      }
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
-
-std::vector<double> Cells(const Matrix& m) {
-  return std::vector<double>(m.data(), m.data() + m.size());
-}
-
-/// Every TraceResult field but the wall time.
-void ExpectTracesIdentical(const TraceResult& base, const TraceResult& other) {
-  EXPECT_EQ(base.num_participants, other.num_participants);
-  EXPECT_EQ(base.num_rules, other.num_rules);
-  ASSERT_EQ(base.tests.size(), other.tests.size());
-  for (size_t t = 0; t < base.tests.size(); ++t) {
-    SCOPED_TRACE(t);
-    EXPECT_EQ(base.tests[t].predicted, other.tests[t].predicted);
-    EXPECT_EQ(base.tests[t].correct, other.tests[t].correct);
-    EXPECT_EQ(base.tests[t].support_size, other.tests[t].support_size);
-    EXPECT_EQ(base.tests[t].related_count, other.tests[t].related_count);
-    EXPECT_EQ(base.tests[t].total_related, other.tests[t].total_related);
-  }
-  EXPECT_EQ(base.train_match_correct, other.train_match_correct);
-  EXPECT_EQ(base.train_match_miss, other.train_match_miss);
-  EXPECT_EQ(base.beneficial_rule_freq.rows(),
-            other.beneficial_rule_freq.rows());
-  EXPECT_TRUE(BitIdentical(Cells(base.beneficial_rule_freq),
-                           Cells(other.beneficial_rule_freq)))
-      << "beneficial_rule_freq";
-  EXPECT_TRUE(BitIdentical(Cells(base.harmful_rule_freq),
-                           Cells(other.harmful_rule_freq)))
-      << "harmful_rule_freq";
-  EXPECT_TRUE(
-      BitIdentical(base.uncovered_rule_freq, other.uncovered_rule_freq))
-      << "uncovered_rule_freq";
-  EXPECT_EQ(base.uncovered_tests, other.uncovered_tests);
-  EXPECT_EQ(base.global_accuracy, other.global_accuracy);
-  EXPECT_EQ(base.matched_accuracy, other.matched_accuracy);
-  EXPECT_EQ(base.num_keys, other.num_keys);
-  EXPECT_EQ(base.tau_w_checks, other.tau_w_checks);
-  EXPECT_EQ(base.related_records, other.related_records);
-  EXPECT_EQ(base.records_scanned, other.records_scanned);
-  EXPECT_EQ(base.blocks_pruned, other.blocks_pruned);
-  EXPECT_EQ(base.exact_fallbacks, other.exact_fallbacks);
 }
 
 void ExpectSnapshotsIdentical(const PipelineSnapshot& base,

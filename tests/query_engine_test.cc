@@ -95,7 +95,6 @@ TEST(QueryEngineTest, RelatedAgreesWithTracerOnEveryTestInstance) {
   const Fixture fx = MakeFixture(FastConfig(), "qe_related.ctflb");
   const QueryEngine engine = QueryEngine::Open(fx.bundle_path).value();
 
-  int64_t pruned_total = 0;
   for (size_t t = 0; t < fx.test.size(); ++t) {
     const TestTrace& expected = fx.report.trace.tests[t];
 
@@ -105,21 +104,19 @@ TEST(QueryEngineTest, RelatedAgreesWithTracerOnEveryTestInstance) {
     EXPECT_EQ(stored.support_size, expected.support_size);
     EXPECT_EQ(stored.related_count, expected.related_count);
     EXPECT_EQ(stored.total_related, expected.total_related);
-    pruned_total += stored.candidates_pruned;
+    // Every lookup matches the whole class bucket; the kernel may prune
+    // work inside it, never candidates.
+    EXPECT_EQ(stored.tau_w_checks,
+              stored.support_weight > 0.0 ? stored.bucket_size : 0);
+    EXPECT_LE(stored.records_scanned, stored.tau_w_checks);
+    EXPECT_EQ(stored.postings_scanned, 0);
+    EXPECT_EQ(stored.candidates_pruned, 0);
 
-    // Fresh-instance path (restored-model inference) and the linear
-    // reference scan must agree with it everywhere.
-    QueryOptions linear;
-    linear.use_index = false;
+    // Fresh-instance path (restored-model inference) must agree with it.
     const RelatedResult fresh = engine.Related(fx.test.instance(t));
-    const RelatedResult scan = engine.Related(fx.test.instance(t), linear);
     EXPECT_EQ(fresh.related_count, expected.related_count);
-    EXPECT_EQ(scan.related_count, expected.related_count);
-    EXPECT_EQ(scan.candidates_pruned, 0);
-    EXPECT_GE(stored.postings_scanned, 0);
+    EXPECT_EQ(fresh.support_weight, stored.support_weight);
   }
-  // The posting-list prefilter actually prunes on this workload.
-  EXPECT_GT(pruned_total, 0);
 }
 
 TEST(QueryEngineTest, MaterializedRecordsAreExactlyTheRelatedSet) {
@@ -157,28 +154,71 @@ TEST(QueryEngineTest, MaterializedRecordsAreExactlyTheRelatedSet) {
   }
 }
 
+void ExpectRulesEqual(const std::vector<RuleStat>& got,
+                      const std::vector<RuleFrequency>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].rule, want[i].rule);
+    EXPECT_EQ(got[i].frequency, want[i].weighted_frequency);
+    EXPECT_FALSE(got[i].text.empty());
+  }
+}
+
 TEST(QueryEngineTest, NewParametersMatchAFreshTracerRun) {
   const Fixture fx = MakeFixture(FastConfig(), "qe_params.ctflb");
   const QueryEngine engine = QueryEngine::Open(fx.bundle_path).value();
 
-  EvalOptions eval;
-  eval.tau_w = 0.7;
-  eval.delta = 2;
-  const QueryReport report = engine.Evaluate(eval);
+  // Every QueryReport field against a from-scratch retrace, at the origin
+  // tau_w and at a new one.
+  for (const double tau_w : {0.85, 0.7}) {
+    SCOPED_TRACE(tau_w);
+    EvalOptions eval;
+    eval.tau_w = tau_w;
+    eval.delta = 2;
+    eval.top_k = 4;
+    const QueryReport report = engine.Evaluate(eval);
 
-  // Reference: retrace from scratch at the new parameters.
-  CtflConfig config = FastConfig();
-  config.tracer.tau_w = 0.7;
-  const ContributionTracer tracer(&fx.report.model, &fx.fed, config.tracer);
-  const TraceResult trace = tracer.Trace(fx.test);
-  EXPECT_EQ(report.micro, MicroAllocation(trace));
-  EXPECT_EQ(report.macro, MacroAllocation(trace, 2));
+    CtflConfig config = FastConfig();
+    config.tracer.tau_w = tau_w;
+    const ContributionTracer tracer(&fx.report.model, &fx.fed,
+                                    config.tracer);
+    const TraceResult trace = tracer.Trace(fx.test);
+    EXPECT_EQ(report.tau_w, tau_w);
+    EXPECT_EQ(report.delta, 2);
+    EXPECT_EQ(report.micro, MicroAllocation(trace));
+    EXPECT_EQ(report.macro, MacroAllocation(trace, 2));
+    EXPECT_EQ(report.global_accuracy, trace.global_accuracy);
+    EXPECT_EQ(report.matched_accuracy, trace.matched_accuracy);
+    const CollectionGuidance guidance = GuideDataCollection(trace, 4);
+    EXPECT_EQ(report.uncovered_tests, guidance.uncovered_tests);
+    ExpectRulesEqual(report.uncovered_rules, guidance.uncovered_rules);
+    const std::vector<ParticipantProfile> profiles = BuildProfiles(trace, 4);
+    ASSERT_EQ(report.participants.size(), profiles.size());
+    for (size_t p = 0; p < profiles.size(); ++p) {
+      SCOPED_TRACE(p);
+      const ParticipantSummary& summary = report.participants[p];
+      EXPECT_EQ(summary.participant, profiles[p].participant);
+      EXPECT_EQ(summary.name, fx.fed[p].name);
+      EXPECT_EQ(summary.data_size, profiles[p].data_size);
+      ExpectRulesEqual(summary.beneficial, profiles[p].beneficial);
+      ExpectRulesEqual(summary.harmful, profiles[p].harmful);
+      EXPECT_EQ(summary.useless_ratio, profiles[p].useless_ratio);
+    }
+    EXPECT_EQ(report.keys, trace.num_keys);
+    EXPECT_EQ(report.tau_w_checks, trace.tau_w_checks);
+    EXPECT_EQ(report.records_scanned, trace.records_scanned);
+    EXPECT_EQ(report.blocks_pruned, trace.blocks_pruned);
+    EXPECT_EQ(report.exact_fallbacks, trace.exact_fallbacks);
+    EXPECT_EQ(report.postings_scanned, 0);
+    EXPECT_EQ(report.candidates_pruned, 0);
 
-  for (size_t t = 0; t < fx.test.size(); ++t) {
-    QueryOptions options;
-    options.tau_w = 0.7;
-    const RelatedResult related = engine.RelatedForTest(t, options);
-    EXPECT_EQ(related.related_count, trace.tests[t].related_count);
+    for (size_t t = 0; t < fx.test.size(); ++t) {
+      QueryOptions options;
+      options.tau_w = tau_w;
+      const RelatedResult related = engine.RelatedForTest(t, options);
+      EXPECT_EQ(related.related_count, trace.tests[t].related_count);
+      EXPECT_EQ(related.total_related, trace.tests[t].total_related);
+    }
   }
 }
 
@@ -279,6 +319,48 @@ TEST(QueryEngineTest, OpenRejectsMissingAndRelatedForTestBounds) {
       QueryEngine::FromContent(ReadBundle(fx.bundle_path).value());
   ASSERT_TRUE(from_content.ok()) << from_content.status();
   EXPECT_EQ(from_content->Evaluate().micro, engine.Evaluate().micro);
+}
+
+// Content whose shapes disagree — with each other or with the restored
+// model — is an InvalidArgument from FromContent, never a tracer check.
+TEST(QueryEngineTest, FromContentRejectsInconsistentShapes) {
+  const Fixture fx = MakeFixture(FastConfig(), "qe_shapes.ctflb");
+  const BundleContent good = ReadBundle(fx.bundle_path).value();
+  ASSERT_TRUE(QueryEngine::FromContent(good).ok());
+
+  const auto rejects = [](BundleContent content, const char* what) {
+    const Result<QueryEngine> engine =
+        QueryEngine::FromContent(std::move(content));
+    ASSERT_FALSE(engine.ok()) << what;
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument) << what;
+  };
+  BundleContent c = good;
+  c.participants[0].labels.pop_back();
+  rejects(c, "label count below the upload count");
+  c = good;
+  c.participants[1].labels[0] = 2;
+  rejects(c, "label outside {0, 1}");
+  c = good;
+  c.participants[0].activations[0] = Bitset(3);
+  rejects(c, "narrow upload");
+  c = good;
+  c.tests[0].activation = Bitset(good.num_rules() + 1);
+  rejects(c, "wide test activation");
+  c = good;
+  c.tests[0].predicted = 2;
+  rejects(c, "prediction outside {0, 1}");
+  c = good;
+  c.rules.pop_back();
+  rejects(c, "rule count below the model's");
+  c = good;
+  c.rules[0].support_class = 1 - c.rules[0].support_class;
+  rejects(c, "rule class disagrees with the model");
+  c = good;
+  c.rules[1].weight += 0.25;
+  rejects(c, "rule weight disagrees with the model");
+  c = good;
+  c.meta.micro_scores.push_back(0.0);
+  rejects(c, "score count disagrees with participants");
 }
 
 }  // namespace

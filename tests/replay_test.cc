@@ -298,13 +298,8 @@ TEST(ReplayRunnerTest, KernelFlipAndThreadsAreBitIdentical) {
   Result<RunArtifacts> base = ExecuteRunSpec(spec);
   ASSERT_TRUE(base.ok()) << base.status();
 
-  RunOverrides legacy;
-  legacy.kernel = 0;  // TraceKernelKind::kLegacy
-  Result<RunArtifacts> flipped = ExecuteRunSpec(spec, legacy);
-  ASSERT_TRUE(flipped.ok()) << flipped.status();
-  const Status kernel_match = CompareOutcomes(base->outcome, flipped->outcome);
-  EXPECT_TRUE(kernel_match.ok()) << kernel_match;
-
+  // The kernel leg is gone with the scalar kernel (now the oracle of the
+  // tracer tests); the thread leg stays.
   RunOverrides threads;
   threads.num_threads = 2;
   Result<RunArtifacts> parallel = ExecuteRunSpec(spec, threads);
@@ -510,8 +505,7 @@ TEST(ReplayMatrixTest, FaultyMatrixPassesIncludingCleanDivergence) {
   for (const MatrixCell& cell : cells) names.push_back(cell.name);
   // The isa cells depend on the machine: forced-scalar always, plus the
   // best available SIMD tier when the CPU has one.
-  std::vector<std::string> want{"base_replay", "kernel_legacy",
-                                "isa_scalar"};
+  std::vector<std::string> want{"base_replay", "isa_scalar"};
   const TraceIsa best = BestAvailableTraceIsa();
   if (best != TraceIsa::kScalar) {
     want.push_back(std::string("isa_") + TraceIsaName(best));

@@ -286,13 +286,13 @@ TEST(RunReportTest, ConfigDigestSemanticsNotThreads) {
   threads.tracer.num_threads = 2;
   EXPECT_EQ(CtflConfigDigest(threads), base);
 
-  // So is the trace-kernel selector: legacy and blocked are bit-identical
-  // implementations of the same semantics (DESIGN.md §10), and the replay
-  // harness's kernel-flip cells compare run fingerprints across them.
+  // So are the trace kernel's ISA tier and shard threads: every tier at
+  // every count is a bit-identical implementation of the same semantics
+  // (DESIGN.md §10), and the replay harness's isa cells compare run
+  // fingerprints across them.
   CtflConfig kernel = fx.config;
-  kernel.tracer.kernel = kernel.tracer.kernel == TraceKernelKind::kLegacy
-                             ? TraceKernelKind::kBlocked
-                             : TraceKernelKind::kLegacy;
+  kernel.tracer.isa = TraceIsa::kScalar;
+  kernel.tracer.trace_threads = 8;
   EXPECT_EQ(CtflConfigDigest(kernel), base);
 
   // Semantic knobs do move the digest.

@@ -113,9 +113,7 @@ Request SampleRelatedRequest() {
   request.related.instance.values = {0.25, 0.75};
   request.related.instance.label = 1;
   request.related.options.tau_w = 0.9;
-  request.related.options.use_index = false;
   request.related.options.max_records = 12;
-  request.related.options.kernel = TraceKernelKind::kLegacy;
   return request;
 }
 
@@ -155,7 +153,6 @@ TEST(ServeProtocolTest, RequestRoundTripsEveryOpBitExactly) {
     request.evaluate.options.tau_w = 0.8;
     request.evaluate.options.delta = -1;  // defaulted server-side
     request.evaluate.options.top_k = 9;
-    request.evaluate.options.kernel = TraceKernelKind::kLegacy;
     requests.push_back(request);
   }
   {
@@ -256,6 +253,20 @@ TEST(ServeProtocolTest, DecodeRejectsVersionOpTruncationAndTrailing) {
 
   // Trailing garbage is an error too.
   EXPECT_FALSE(DecodeRequest(good + "x").ok());
+
+  // The reserved option bytes (once the prefilter and kernel selectors)
+  // accept only their canonical 1: u8 version | u8 op | u64 id | instance
+  // (u32 count | f64 values | u8 label) | f64 tau_w | reserved | u64 max
+  // records | reserved.
+  const size_t options_at = 1 + 1 + 8 + 4 + 2 * 8 + 1;
+  for (const size_t reserved : {options_at + 8, options_at + 8 + 1 + 8}) {
+    ASSERT_EQ(good[reserved], 1);
+    for (const char bad : {0, 2}) {
+      std::string mutated = good;
+      mutated[reserved] = bad;
+      EXPECT_FALSE(DecodeRequest(mutated).ok()) << "byte " << reserved;
+    }
+  }
 
   Response response;
   response.op = Op::kStats;
@@ -472,14 +483,13 @@ TEST(ServeServiceTest, HandlersMatchDirectEngineCallsBitIdentically) {
   const store::QueryEngine direct = OpenEngine(fx.bundle_path);
   QueryService service(OpenEngine(fx.bundle_path));
 
-  // RELATED on a fresh instance, both kernels.
-  for (const TraceKernelKind kernel :
-       {TraceKernelKind::kBlocked, TraceKernelKind::kLegacy}) {
+  // RELATED on a fresh instance, at the origin and a looser tau_w.
+  for (const double tau_w : {-1.0, 0.7}) {
     Request request;
     request.op = Op::kRelated;
     request.request_id = 21;
     request.related.instance = fx.test.instance(3);
-    request.related.options.kernel = kernel;
+    request.related.options.tau_w = tau_w;
     request.related.options.max_records = 8;
     const Response response = service.Handle(request);
     ASSERT_TRUE(response.status.ok()) << response.status;
@@ -623,9 +633,9 @@ TEST(ServeServiceTest, RelatedForTestCacheHitsAreBitIdentical) {
   EXPECT_EQ(stats.cache_misses, 1u);
 
   // Different options are different cache entries, not stale hits.
-  Request linear = request;
-  linear.related_for_test.options.use_index = false;
-  Response third = service.Handle(linear);
+  Request more = request;
+  more.related_for_test.options.max_records = 5;
+  Response third = service.Handle(more);
   ASSERT_TRUE(third.status.ok()) << third.status;
   EXPECT_EQ(service.Stats().cache_misses, 2u);
   third.request_id = 0;
@@ -642,7 +652,7 @@ TEST(ServeConcurrencyTest, InterleavedQueriesMatchSerialBitIdentically) {
   const store::QueryEngine engine = OpenEngine(fx.bundle_path);
   QueryService service(OpenEngine(fx.bundle_path));
 
-  // The work list interleaves every query type across both kernels.
+  // The work list interleaves every query type at two thresholds.
   struct Work {
     Request request;
   };
@@ -655,20 +665,16 @@ TEST(ServeConcurrencyTest, InterleavedQueriesMatchSerialBitIdentically) {
         request.op = Op::kRelated;
         request.related.instance = fx.test.instance(i % fx.test.size());
         request.related.options.max_records = 6;
-        request.related.options.kernel = (i % 2) ? TraceKernelKind::kLegacy
-                                                 : TraceKernelKind::kBlocked;
+        request.related.options.tau_w = (i % 2) ? 0.8 : -1.0;
         break;
       case 1:
         request.op = Op::kRelatedForTest;
         request.related_for_test.test_index = (i * 5) % fx.test.size();
-        request.related_for_test.options.max_records = 6;
-        request.related_for_test.options.use_index = (i % 2) == 0;
+        request.related_for_test.options.max_records = (i % 2) ? 6 : 3;
         break;
       default:
         request.op = Op::kEvaluate;
         request.evaluate.options.tau_w = (i % 2) ? 0.8 : -1.0;
-        request.evaluate.options.kernel = (i % 2) ? TraceKernelKind::kLegacy
-                                                  : TraceKernelKind::kBlocked;
         break;
     }
     work.push_back(request);

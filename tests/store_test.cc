@@ -2,12 +2,15 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "ctfl/core/pipeline.h"
 #include "ctfl/data/gen/synthetic.h"
 #include "ctfl/fl/partition.h"
+#include "ctfl/store/query_engine.h"
 #include "ctfl/store/snapshot.h"
 #include "test_paths.h"
 
@@ -254,6 +257,32 @@ TEST(BundleContainerTest, MmapOpenValidatesCrcLikeStream) {
 // Typed level.
 // ---------------------------------------------------------------------------
 
+/// Rewrites the bundle at `path` into `out`, passing each section's
+/// payload through `edit` (which may change it) and appending `extra`
+/// sections; BundleWriter recomputes every CRC, so the result is
+/// container-valid whatever the payloads say.
+void RewriteBundle(
+    const std::string& path, const std::string& out,
+    const std::function<void(const std::string&, std::string*)>& edit,
+    const std::vector<std::pair<std::string, std::string>>& extra = {}) {
+  const Result<BundleReader> reader = BundleReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  BundleWriter writer;
+  for (const std::string& name : reader->section_names()) {
+    std::string payload = reader->Section(name).value();
+    edit(name, &payload);
+    writer.AddSection(name, std::move(payload));
+  }
+  for (const auto& [name, payload] : extra) writer.AddSection(name, payload);
+  ASSERT_TRUE(writer.Write(out).ok());
+}
+
+void PutU64(std::string* bytes, size_t at, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    (*bytes)[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
 TEST(BundleTypedTest, SnapshotRoundTripIsBitExact) {
   const Fixture fx = MakeFixture();
   const Result<BundleContent> built = BuildBundleContent(
@@ -319,9 +348,10 @@ TEST(BundleTypedTest, SnapshotRoundTripIsBitExact) {
               fx.report.model.RuleActivations(fx.test.instance(t)));
   }
 
-  // Index survives verbatim.
-  EXPECT_EQ(loaded->posting_offsets, built->posting_offsets);
-  EXPECT_EQ(loaded->postings, built->postings);
+  // No posting index is written any more.
+  const Result<BundleReader> reader = BundleReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  EXPECT_FALSE(reader->HasSection("index"));
   std::remove(path.c_str());
 }
 
@@ -389,19 +419,14 @@ TEST(BundleTypedTest, MetaWithoutFailureFingerprintDecodesToZero) {
   const std::string path = TempPath("fp_legacy.ctflb");
   ASSERT_TRUE(WriteBundle(*built, path).ok());
 
-  const Result<BundleReader> reader = BundleReader::Open(path);
-  ASSERT_TRUE(reader.ok()) << reader.status();
-  BundleWriter rewriter;
-  for (const std::string& name : reader->section_names()) {
-    std::string payload = reader->Section(name).value();
-    if (name == "meta") {
-      ASSERT_GE(payload.size(), 8u);
-      payload.resize(payload.size() - 8);  // drop the trailing u64
-    }
-    rewriter.AddSection(name, std::move(payload));
-  }
   const std::string legacy_path = TempPath("fp_legacy_rewritten.ctflb");
-  ASSERT_TRUE(rewriter.Write(legacy_path).ok());
+  RewriteBundle(path, legacy_path,
+                [](const std::string& name, std::string* payload) {
+                  if (name == "meta") {
+                    ASSERT_GE(payload->size(), 8u);
+                    payload->resize(payload->size() - 8);  // trailing u64
+                  }
+                });
 
   const Result<BundleContent> loaded = ReadBundle(legacy_path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
@@ -409,35 +434,149 @@ TEST(BundleTypedTest, MetaWithoutFailureFingerprintDecodesToZero) {
   EXPECT_EQ(loaded->meta.participant_names.size(), fx.fed.size());
 }
 
+// Bundles written before the query engine matched through the tracer carry
+// an `index` section of posting lists. Such a bundle must open and answer
+// every query bit-identically to the same bundle without one.
 TEST(BundleTypedTest, PostingIndexIsSoundAndComplete) {
   const Fixture fx = MakeFixture();
   const BundleContent content =
       BuildBundleContent(fx.report.model, fx.fed, fx.test, fx.activations,
                          fx.options)
           .value();
+  const std::string path = TempPath("no_index.ctflb");
+  ASSERT_TRUE(WriteBundle(content, path).ok());
 
-  // Flatten the records the way the index numbers them.
-  std::vector<const Bitset*> flat;
+  // The old index layout: u32 rule count | u64 posting count | u64
+  // offsets[rules + 1] | u32 ascending global record ids per rule.
+  std::vector<std::vector<uint32_t>> postings(content.num_rules());
+  uint32_t id = 0;
   for (const ParticipantRecords& records : content.participants) {
     for (const Bitset& activation : records.activations) {
-      flat.push_back(&activation);
+      activation.ForEachSetBit([&](size_t j) { postings[j].push_back(id); });
+      ++id;
     }
   }
-  ASSERT_EQ(flat.size(), content.total_train_records());
-  ASSERT_EQ(content.posting_offsets.size(),
-            static_cast<size_t>(content.num_rules()) + 1);
-  EXPECT_EQ(content.posting_offsets.back(), content.postings.size());
+  std::string index;
+  const auto put = [&index](uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      index.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  };
+  uint64_t total = 0;
+  for (const auto& list : postings) total += list.size();
+  put(postings.size(), 4);
+  put(total, 8);
+  uint64_t offset = 0;
+  put(offset, 8);
+  for (const auto& list : postings) put(offset += list.size(), 8);
+  for (const auto& list : postings) {
+    for (uint32_t record : list) put(record, 4);
+  }
+  const std::string old_path = TempPath("old_index.ctflb");
+  RewriteBundle(path, old_path, [](const std::string&, std::string*) {},
+                {{"index", index}});
 
-  for (int j = 0; j < content.num_rules(); ++j) {
-    std::vector<uint32_t> expected;
-    for (size_t g = 0; g < flat.size(); ++g) {
-      if (flat[g]->Test(j)) expected.push_back(static_cast<uint32_t>(g));
+  const Result<QueryEngine> plain = QueryEngine::Open(path);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  const Result<QueryEngine> old = QueryEngine::Open(old_path);
+  ASSERT_TRUE(old.ok()) << old.status();
+  for (const double tau_w : {-1.0, 0.6}) {
+    EvalOptions eval;
+    eval.tau_w = tau_w;
+    const QueryReport a = plain->Evaluate(eval);
+    const QueryReport b = old->Evaluate(eval);
+    EXPECT_EQ(a.micro, b.micro);
+    EXPECT_EQ(a.macro, b.macro);
+    EXPECT_EQ(a.global_accuracy, b.global_accuracy);
+    EXPECT_EQ(a.matched_accuracy, b.matched_accuracy);
+    EXPECT_EQ(a.uncovered_tests, b.uncovered_tests);
+    EXPECT_EQ(a.keys, b.keys);
+    EXPECT_EQ(a.tau_w_checks, b.tau_w_checks);
+    EXPECT_EQ(a.records_scanned, b.records_scanned);
+    ASSERT_EQ(a.participants.size(), b.participants.size());
+    for (size_t p = 0; p < a.participants.size(); ++p) {
+      EXPECT_EQ(a.participants[p].useless_ratio,
+                b.participants[p].useless_ratio);
+      ASSERT_EQ(a.participants[p].beneficial.size(),
+                b.participants[p].beneficial.size());
+      for (size_t i = 0; i < a.participants[p].beneficial.size(); ++i) {
+        EXPECT_EQ(a.participants[p].beneficial[i].rule,
+                  b.participants[p].beneficial[i].rule);
+        EXPECT_EQ(a.participants[p].beneficial[i].frequency,
+                  b.participants[p].beneficial[i].frequency);
+      }
     }
-    const std::vector<uint32_t> actual(
-        content.postings.begin() + content.posting_offsets[j],
-        content.postings.begin() + content.posting_offsets[j + 1]);
-    ASSERT_EQ(actual, expected) << "rule " << j;
+    for (size_t t = 0; t < content.tests.size(); ++t) {
+      QueryOptions options;
+      options.tau_w = tau_w;
+      options.max_records = 1000;
+      const RelatedResult x = plain->RelatedForTest(t, options);
+      const RelatedResult y = old->RelatedForTest(t, options);
+      EXPECT_EQ(x.related_count, y.related_count);
+      EXPECT_EQ(x.total_related, y.total_related);
+      EXPECT_EQ(x.support_weight, y.support_weight);
+      ASSERT_EQ(x.records.size(), y.records.size());
+      for (size_t i = 0; i < x.records.size(); ++i) {
+        EXPECT_EQ(x.records[i].participant, y.records[i].participant);
+        EXPECT_EQ(x.records[i].local_index, y.records[i].local_index);
+      }
+    }
   }
+  EXPECT_EQ(plain->Evaluate().micro, fx.report.micro_scores);
+}
+
+// A section rewritten with a record count its payload cannot hold — CRC
+// valid, so only the decoder can catch it — is an InvalidArgument, not an
+// allocation of 2^50 records.
+TEST(BundleTypedTest, InflatedTrainRecordCountIsRejected) {
+  const Fixture fx = MakeFixture();
+  const std::string path = TempPath("inflate_train_src.ctflb");
+  ASSERT_TRUE(WriteBundle(BuildBundleContent(fx.report.model, fx.fed,
+                                             fx.test, fx.activations,
+                                             fx.options)
+                              .value(),
+                          path)
+                  .ok());
+  const std::string out = TempPath("inflate_train.ctflb");
+  // Train payload: u32 participant count, then participant 0's u64 count.
+  RewriteBundle(path, out, [](const std::string& name, std::string* bytes) {
+    if (name == "train") PutU64(bytes, 4, uint64_t{1} << 50);
+  });
+  Result<BundleContent> read = ReadBundle(out);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(read.status().message().find("record count"), std::string::npos)
+      << read.status();
+
+  RewriteBundle(path, out, [](const std::string& name, std::string* bytes) {
+    if (name == "train") {
+      for (int i = 0; i < 4; ++i) (*bytes)[i] = static_cast<char>(0xff);
+    }
+  });
+  read = ReadBundle(out);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(BundleTypedTest, InflatedTestCountIsRejected) {
+  const Fixture fx = MakeFixture();
+  const std::string path = TempPath("inflate_tests_src.ctflb");
+  ASSERT_TRUE(WriteBundle(BuildBundleContent(fx.report.model, fx.fed,
+                                             fx.test, fx.activations,
+                                             fx.options)
+                              .value(),
+                          path)
+                  .ok());
+  const std::string out = TempPath("inflate_tests.ctflb");
+  // Tests payload: u64 test count first.
+  RewriteBundle(path, out, [](const std::string& name, std::string* bytes) {
+    if (name == "tests") PutU64(bytes, 0, uint64_t{1} << 50);
+  });
+  const Result<BundleContent> read = ReadBundle(out);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(read.status().message().find("test count"), std::string::npos)
+      << read.status();
 }
 
 TEST(BundleTypedTest, RestoreModelReproducesInference) {
@@ -511,12 +650,20 @@ TEST(BundleTypedTest, ReadRejectsCrossSectionInconsistency) {
           .value();
   const std::string path = TempPath("typed_inconsistent.ctflb");
 
-  // Posting id beyond the record table.
-  BundleContent bad = content;
-  ASSERT_FALSE(bad.postings.empty());
-  bad.postings[0] = static_cast<uint32_t>(bad.total_train_records());
-  ASSERT_TRUE(WriteBundle(bad, path).ok());
-  EXPECT_FALSE(ReadBundle(path).ok());
+  // A tests section one record short of the count meta declares.
+  BundleContent fewer = content;
+  fewer.tests.pop_back();
+  const std::string fewer_path = TempPath("typed_fewer_tests.ctflb");
+  ASSERT_TRUE(WriteBundle(fewer, fewer_path).ok());
+  ASSERT_TRUE(WriteBundle(content, path).ok());
+  const std::string spliced = TempPath("typed_spliced.ctflb");
+  const std::string short_tests =
+      BundleReader::Open(fewer_path).value().Section("tests").value();
+  RewriteBundle(path, spliced,
+                [&](const std::string& name, std::string* bytes) {
+                  if (name == "tests") *bytes = short_tests;
+                });
+  EXPECT_FALSE(ReadBundle(spliced).ok());
 
   // Meta participant names out of sync with the train section.
   BundleContent extra = content;

@@ -1,8 +1,8 @@
 // Tests of the streaming contribution pipeline (src/ctfl/stream/,
-// DESIGN.md §15): the tentpole property — scores folded one RoundDelta at
-// a time bit-match the one-shot pipeline after EVERY round, across both
-// Eq. 4 kernels, every trace ISA this machine supports, and thread counts
-// 1/2/8, on a faulty secure-agg run — plus the delta-log corruption
+// DESIGN.md §15): the tentpole property — scores and every trace field
+// folded one RoundDelta at a time bit-match the one-shot pipeline after
+// EVERY round, across every trace ISA this machine supports and thread
+// counts 1/2/8, on a faulty secure-agg run — plus the delta-log corruption
 // matrix (truncated tail, CRC flip, future version, unknown record kind),
 // the StreamedEngine poll/verify loop, and the committed golden log.
 //
@@ -30,6 +30,7 @@
 #include "ctfl/util/cpu_features.h"
 #include "ctfl/util/rng.h"
 #include "test_paths.h"
+#include "trace_compare.h"
 
 namespace ctfl {
 namespace stream {
@@ -126,8 +127,8 @@ CtflConfig FaultyStreamConfig() {
 }
 
 /// One instrumented run shared by every test: the emitted log, the
-/// persisted bundle, the final report, and the one-shot micro/macro
-/// baselines recomputed from scratch at every round (index r = scores
+/// persisted bundle, the final report, and the one-shot traces and
+/// micro/macro baselines recomputed from scratch at every round (index r =
 /// after round r; index 0 = the initialized model).
 struct StreamFixture {
   Federation fed;
@@ -137,6 +138,7 @@ struct StreamFixture {
   std::string bundle_path;
   CtflReport report;
   DeltaLogContents log;
+  std::vector<TraceResult> trace_at;
   std::vector<std::vector<double>> micro_at;
   std::vector<std::vector<double>> macro_at;
 };
@@ -176,19 +178,20 @@ StreamFixture MakeStreamFixture() {
   config.fedavg.model_observer = nullptr;
 
   DeltaLogContents log = ReadDeltaLog(log_path).value();
+  std::vector<TraceResult> trace_at;
   std::vector<std::vector<double>> micro_at;
   std::vector<std::vector<double>> macro_at;
   for (const LogicalNet& model : snapshots) {
     const ContributionTracer tracer(&model, &fed, config.tracer);
-    const TraceResult trace = tracer.Trace(test);
-    micro_at.push_back(MicroAllocation(trace));
-    macro_at.push_back(MacroAllocation(trace, config.macro_delta));
+    trace_at.push_back(tracer.Trace(test));
+    micro_at.push_back(MicroAllocation(trace_at.back()));
+    macro_at.push_back(MacroAllocation(trace_at.back(), config.macro_delta));
   }
   return StreamFixture{std::move(fed),         std::move(test),
                        std::move(config),      std::move(log_path),
                        std::move(bundle_path), std::move(report),
-                       std::move(log),         std::move(micro_at),
-                       std::move(macro_at)};
+                       std::move(log),         std::move(trace_at),
+                       std::move(micro_at),    std::move(macro_at)};
 }
 
 const StreamFixture& Fx() {
@@ -217,41 +220,34 @@ TEST(StreamScorerTest, FoldBitMatchesOneShotAfterEveryRoundEverywhere) {
   }
   EXPECT_GT(dropped + retries, 0u);
 
-  for (const TraceKernelKind kernel :
-       {TraceKernelKind::kLegacy, TraceKernelKind::kBlocked}) {
-    for (const TraceIsa isa : AvailableTraceIsas()) {
-      for (const int threads : {1, 2, 8}) {
-        ScorerOptions options;
-        options.kernel = kernel;
-        options.isa = isa;
-        options.trace_threads = threads;
-        options.num_threads = threads;
-        const std::string leg =
-            std::string(kernel == TraceKernelKind::kLegacy ? "legacy"
-                                                           : "blocked") +
-            "/" + TraceIsaName(isa) + "/t" + std::to_string(threads);
+  for (const TraceIsa isa : AvailableTraceIsas()) {
+    for (const int threads : {1, 2, 8}) {
+      ScorerOptions options;
+      options.isa = isa;
+      options.trace_threads = threads;
+      options.num_threads = threads;
+      const std::string leg =
+          std::string(TraceIsaName(isa)) + "/t" + std::to_string(threads);
+      SCOPED_TRACE(leg);
 
-        Result<StreamingScorer> scorer =
-            StreamingScorer::FromHeader(fx.log.header, options);
-        ASSERT_TRUE(scorer.ok()) << leg << ": " << scorer.status();
-        EXPECT_TRUE(BitEq(fx.micro_at[0], scorer->micro_scores())) << leg;
-        EXPECT_TRUE(BitEq(fx.macro_at[0], scorer->macro_scores())) << leg;
+      Result<StreamingScorer> scorer =
+          StreamingScorer::FromHeader(fx.log.header, options);
+      ASSERT_TRUE(scorer.ok()) << scorer.status();
+      EXPECT_TRUE(BitEq(fx.micro_at[0], scorer->micro_scores()));
+      EXPECT_TRUE(BitEq(fx.macro_at[0], scorer->macro_scores()));
+      ExpectTracesIdentical(fx.trace_at[0], scorer->trace());
 
-        for (size_t r = 0; r < fx.log.rounds.size(); ++r) {
-          const Status folded = scorer->Fold(fx.log.rounds[r]);
-          ASSERT_TRUE(folded.ok()) << leg << " round " << r + 1 << ": "
-                                   << folded;
-          EXPECT_TRUE(BitEq(fx.micro_at[r + 1], scorer->micro_scores()))
-              << leg << " after round " << r + 1;
-          EXPECT_TRUE(BitEq(fx.macro_at[r + 1], scorer->macro_scores()))
-              << leg << " after round " << r + 1;
-        }
-        // And the final fold equals the pipeline's own report.
-        EXPECT_TRUE(BitEq(fx.report.micro_scores, scorer->micro_scores()))
-            << leg;
-        EXPECT_TRUE(BitEq(fx.report.macro_scores, scorer->macro_scores()))
-            << leg;
+      for (size_t r = 0; r < fx.log.rounds.size(); ++r) {
+        SCOPED_TRACE("after round " + std::to_string(r + 1));
+        const Status folded = scorer->Fold(fx.log.rounds[r]);
+        ASSERT_TRUE(folded.ok()) << folded;
+        EXPECT_TRUE(BitEq(fx.micro_at[r + 1], scorer->micro_scores()));
+        EXPECT_TRUE(BitEq(fx.macro_at[r + 1], scorer->macro_scores()));
+        ExpectTracesIdentical(fx.trace_at[r + 1], scorer->trace());
       }
+      // And the final fold equals the pipeline's own report.
+      EXPECT_TRUE(BitEq(fx.report.micro_scores, scorer->micro_scores()));
+      EXPECT_TRUE(BitEq(fx.report.macro_scores, scorer->macro_scores()));
     }
   }
 }
@@ -362,6 +358,40 @@ TEST(StreamDeltaLogTest, CrcCorruptionIsRejectedNotAbsorbed) {
   const Result<DeltaLogContents> parsed = ParseDeltaLog(bytes, "flipped");
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+}
+
+// The header embeds the bundle's train payload codec, so a CRC-valid
+// header whose record count claims far more bytes than it carries must be
+// an InvalidArgument before anything is sized from that count.
+TEST(StreamDeltaLogTest, InflatedTrainCountInHeaderIsRejected) {
+  const StreamFixture& fx = Fx();
+  std::string header = EncodeHeader(fx.log.header);
+  const std::string train =
+      store::EncodeTrainPayload(fx.log.header.participants);
+  const size_t at = header.find(train);
+  ASSERT_NE(at, std::string::npos);
+  // Train payload: u32 participant count, then participant 0's u64 count.
+  const uint64_t inflated = uint64_t{1} << 50;
+  for (int i = 0; i < 8; ++i) {
+    header[at + 4 + i] = static_cast<char>((inflated >> (8 * i)) & 0xff);
+  }
+  std::string bytes = ReadFile(fx.log_path).substr(0, 12);  // preamble
+  const auto put32 = [&bytes](uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      bytes.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  };
+  put32(1);  // header record
+  put32(static_cast<uint32_t>(header.size()));
+  bytes += header;
+  put32(store::Crc32(header.data(), header.size()));
+
+  const Result<DeltaLogContents> parsed = ParseDeltaLog(bytes, "inflated");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("record count"),
+            std::string::npos)
+      << parsed.status();
 }
 
 TEST(StreamDeltaLogTest, FutureContainerVersionIsRejected) {

@@ -7,15 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include "ctfl/core/allocation.h"
+#include "ctfl/core/interpret.h"
 #include "ctfl/core/pipeline.h"
 #include "ctfl/core/tracer.h"
 #include "ctfl/data/gen/synthetic.h"
 #include "ctfl/fl/partition.h"
 #include "ctfl/nn/trainer.h"
+#include "ctfl/serve/protocol.h"
 #include "ctfl/store/query_engine.h"
 #include "ctfl/store/snapshot.h"
 #include "ctfl/util/rng.h"
 #include "test_paths.h"
+#include "trace_compare.h"
+#include "trace_oracle.h"
 
 namespace ctfl {
 namespace {
@@ -185,13 +190,32 @@ TEST(TraceKernelTest, EmptyKernelAndEmptySupport) {
   EXPECT_EQ(kernel.Match(zero, nullptr, related.data(), nullptr), 70u);
 }
 
+// The retired kernel selector lives on only as a reserved wire byte: the
+// last byte of an EVALUATE body and of every lookup's options (whose other
+// reserved byte once selected the posting prefilter). Encoders write 1;
+// decoders reject anything else, so each request has one encoding.
 TEST(TraceKernelTest, ParseAndName) {
-  EXPECT_EQ(ParseTraceKernelKind("legacy").value(), TraceKernelKind::kLegacy);
-  EXPECT_EQ(ParseTraceKernelKind("blocked").value(),
-            TraceKernelKind::kBlocked);
-  EXPECT_FALSE(ParseTraceKernelKind("simd").ok());
-  EXPECT_STREQ(TraceKernelKindName(TraceKernelKind::kLegacy), "legacy");
-  EXPECT_STREQ(TraceKernelKindName(TraceKernelKind::kBlocked), "blocked");
+  serve::Request evaluate;
+  evaluate.op = serve::Op::kEvaluate;
+  serve::Request lookup;
+  lookup.op = serve::Op::kRelatedForTest;
+  lookup.related_for_test.options.max_records = 7;
+  for (const serve::Request& request : {evaluate, lookup}) {
+    std::string bytes = serve::EncodeRequest(request);
+    EXPECT_EQ(bytes.back(), 1) << serve::OpName(request.op);
+    ASSERT_TRUE(serve::DecodeRequest(bytes).ok());
+    for (const char bad : {0, 2}) {
+      bytes.back() = bad;
+      EXPECT_FALSE(serve::DecodeRequest(bytes).ok())
+          << serve::OpName(request.op) << " kernel byte " << int{bad};
+    }
+  }
+  // u8 version | u8 op | u64 id | u64 test index | f64 tau_w | reserved.
+  std::string bytes = serve::EncodeRequest(lookup);
+  const size_t index_byte = 1 + 1 + 8 + 8 + 8;
+  EXPECT_EQ(bytes[index_byte], 1);
+  bytes[index_byte] = 0;
+  EXPECT_FALSE(serve::DecodeRequest(bytes).ok());
 }
 
 TEST(TraceKernelTest, TraceIsaParseAndName) {
@@ -263,10 +287,11 @@ TEST(TraceKernelTest, IsaThreadsMatrixIsBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential suite: blocked vs legacy must produce bit-identical
-// TraceResults across the full configuration matrix —
-// tau_w x dedup x DP x threads, each with and without the Max-Miner
-// soundness check below.
+// Differential suite: the tracer must reproduce the brute-force Eq. 4
+// oracle (trace_oracle.h) bit for bit across the full configuration
+// matrix — tau_w x dedup x DP x threads, each with and without the
+// Max-Miner soundness check below. The case names keep their historical
+// "BlockedMatchesLegacy" form.
 // ---------------------------------------------------------------------------
 
 struct DiffCase {
@@ -357,45 +382,6 @@ Federation* TraceKernelDifferentialTest::federation_ = nullptr;
 Dataset* TraceKernelDifferentialTest::test_ = nullptr;
 LogicalNet* TraceKernelDifferentialTest::net_ = nullptr;
 
-// Everything except the blocked-only work counters must be *bit-identical*:
-// EXPECT_EQ on doubles, no tolerance.
-void ExpectBitIdentical(const TraceResult& blocked,
-                        const TraceResult& legacy) {
-  EXPECT_EQ(blocked.num_keys, legacy.num_keys);
-  EXPECT_EQ(blocked.tau_w_checks, legacy.tau_w_checks);
-  EXPECT_EQ(blocked.related_records, legacy.related_records);
-  EXPECT_EQ(blocked.global_accuracy, legacy.global_accuracy);
-  EXPECT_EQ(blocked.matched_accuracy, legacy.matched_accuracy);
-  EXPECT_EQ(blocked.uncovered_tests, legacy.uncovered_tests);
-  ASSERT_EQ(blocked.tests.size(), legacy.tests.size());
-  for (size_t t = 0; t < legacy.tests.size(); ++t) {
-    EXPECT_EQ(blocked.tests[t].predicted, legacy.tests[t].predicted);
-    EXPECT_EQ(blocked.tests[t].correct, legacy.tests[t].correct);
-    EXPECT_EQ(blocked.tests[t].support_size, legacy.tests[t].support_size);
-    EXPECT_EQ(blocked.tests[t].related_count, legacy.tests[t].related_count)
-        << "test " << t;
-    EXPECT_EQ(blocked.tests[t].total_related, legacy.tests[t].total_related);
-  }
-  EXPECT_EQ(blocked.train_match_correct, legacy.train_match_correct);
-  EXPECT_EQ(blocked.train_match_miss, legacy.train_match_miss);
-  ASSERT_EQ(blocked.beneficial_rule_freq.size(),
-            legacy.beneficial_rule_freq.size());
-  for (size_t i = 0; i < legacy.beneficial_rule_freq.size(); ++i) {
-    EXPECT_EQ(blocked.beneficial_rule_freq.data()[i],
-              legacy.beneficial_rule_freq.data()[i])
-        << "beneficial cell " << i;
-    EXPECT_EQ(blocked.harmful_rule_freq.data()[i],
-              legacy.harmful_rule_freq.data()[i])
-        << "harmful cell " << i;
-  }
-  EXPECT_EQ(blocked.uncovered_rule_freq, legacy.uncovered_rule_freq);
-  // The work counters are the one intentional difference: the blocked
-  // kernel reports pruning; the legacy path reports zeros.
-  EXPECT_EQ(legacy.records_scanned, 0);
-  EXPECT_EQ(legacy.blocks_pruned, 0);
-  EXPECT_LE(blocked.records_scanned, blocked.tau_w_checks);
-}
-
 // Max-Miner grouping (src/ctfl/mining/, the paper's acceleration) no longer
 // prefilters tracing, but while the module lives its theta-prefilter must
 // stay sound: every record related to a member of a group passes the
@@ -484,18 +470,17 @@ TEST_P(TraceKernelDifferentialTest, BlockedMatchesLegacyBitIdentically) {
   config.dp_epsilon = c.dp_epsilon;
   config.num_threads = c.num_threads;
 
-  TracerConfig legacy_config = config;
-  legacy_config.kernel = TraceKernelKind::kLegacy;
-  TracerConfig blocked_config = config;
-  blocked_config.kernel = TraceKernelKind::kBlocked;
-
-  // DP perturbation is seeded per participant (dp_seed + p), so the two
-  // tracers draw identical randomized-response noise.
-  const TraceResult legacy =
-      ContributionTracer(net_, federation_, legacy_config).Trace(*test_);
   const TraceResult blocked =
-      ContributionTracer(net_, federation_, blocked_config).Trace(*test_);
-  ExpectBitIdentical(blocked, legacy);
+      ContributionTracer(net_, federation_, config).Trace(*test_);
+  // DP perturbation is seeded per participant (dp_seed + p), so the
+  // oracle matches against the very uploads the tracer drew.
+  const TraceResult expected = oracle::Trace(
+      *net_, oracle::Labels(*federation_),
+      ContributionTracer::ComputeUploadActivations(*net_, *federation_,
+                                                   config),
+      oracle::Forwards(*net_, *test_), config);
+  ExpectTracesIdentical(expected, blocked, /*with_kernel_work=*/false);
+  EXPECT_LE(blocked.records_scanned, blocked.tau_w_checks);
   if (c.check_max_miner) {
     EXPECT_GT(ExpectMaxMinerPrefilterSound(*net_, *federation_, *test_,
                                            config, blocked),
@@ -507,8 +492,9 @@ INSTANTIATE_TEST_SUITE_P(Matrix, TraceKernelDifferentialTest,
                          ::testing::ValuesIn(FullMatrix()), CaseName);
 
 // ---------------------------------------------------------------------------
-// Query-engine leg: both kernel kinds must agree with each other and with
-// the originating tracer on every stored test instance.
+// Query-engine leg: every lookup and every evaluation must agree with the
+// brute-force oracle over the bundle's own uploads, and with the
+// originating tracer.
 // ---------------------------------------------------------------------------
 
 class TraceKernelQueryTest : public ::testing::Test {
@@ -542,93 +528,121 @@ class TraceKernelQueryTest : public ::testing::Test {
     config.bundle_out = TestTempPath("trace_kernel_query.ctflb");
     report_ = new CtflReport(RunCtfl(fed, test, config).value());
     ASSERT_TRUE(report_->bundle_status.ok()) << report_->bundle_status;
+    content_ = new store::BundleContent(
+        store::ReadBundle(config.bundle_out).value());
     engine_ = new store::QueryEngine(
         store::QueryEngine::Open(config.bundle_out).value());
-    num_tests_ = test.size();
+    for (const store::ParticipantRecords& records : content_->participants) {
+      labels_.push_back(records.labels);
+      uploads_.push_back(records.activations);
+    }
   }
 
   static void TearDownTestSuite() {
     delete engine_;
+    delete content_;
     delete report_;
     engine_ = nullptr;
+    content_ = nullptr;
     report_ = nullptr;
+    labels_.clear();
+    uploads_.clear();
   }
 
   static CtflReport* report_;
+  static store::BundleContent* content_;
   static store::QueryEngine* engine_;
-  static size_t num_tests_;
+  static std::vector<std::vector<uint8_t>> labels_;
+  static std::vector<std::vector<Bitset>> uploads_;
 };
 
 CtflReport* TraceKernelQueryTest::report_ = nullptr;
+store::BundleContent* TraceKernelQueryTest::content_ = nullptr;
 store::QueryEngine* TraceKernelQueryTest::engine_ = nullptr;
-size_t TraceKernelQueryTest::num_tests_ = 0;
+std::vector<std::vector<uint8_t>> TraceKernelQueryTest::labels_;
+std::vector<std::vector<Bitset>> TraceKernelQueryTest::uploads_;
 
 TEST_F(TraceKernelQueryTest, RelatedAgreesAcrossKernelsAndWithTracer) {
-  for (size_t t = 0; t < num_tests_; ++t) {
-    const TestTrace& expected = report_->trace.tests[t];
-    for (bool use_index : {true, false}) {
-      store::QueryOptions legacy;
-      legacy.use_index = use_index;
-      legacy.max_records = 1 << 20;
-      legacy.kernel = TraceKernelKind::kLegacy;
-      store::QueryOptions blocked = legacy;
-      blocked.kernel = TraceKernelKind::kBlocked;
-
-      const store::RelatedResult a = engine_->RelatedForTest(t, legacy);
-      const store::RelatedResult b = engine_->RelatedForTest(t, blocked);
-      EXPECT_EQ(a.related_count, expected.related_count) << "test " << t;
-      EXPECT_EQ(b.related_count, expected.related_count) << "test " << t;
-      EXPECT_EQ(a.total_related, b.total_related);
-      EXPECT_EQ(a.tau_w_checks, b.tau_w_checks);
-      ASSERT_EQ(a.records.size(), b.records.size());
-      for (size_t i = 0; i < a.records.size(); ++i) {
-        EXPECT_EQ(a.records[i].participant, b.records[i].participant);
-        EXPECT_EQ(a.records[i].local_index, b.records[i].local_index);
+  for (size_t t = 0; t < content_->tests.size(); ++t) {
+    SCOPED_TRACE(t);
+    const store::TestRecord& test = content_->tests[t];
+    for (const double tau_w : {-1.0, 0.7}) {
+      store::QueryOptions options;
+      options.tau_w = tau_w;
+      options.max_records = 1 << 20;
+      const store::RelatedResult got = engine_->RelatedForTest(t, options);
+      const TraceLookup want = oracle::Lookup(
+          engine_->model(), labels_, uploads_, test.activation,
+          test.predicted, tau_w < 0.0 ? engine_->origin_tau_w() : tau_w,
+          content_->meta.min_rule_weight, options.max_records);
+      EXPECT_EQ(got.predicted, test.predicted);
+      EXPECT_EQ(got.support_size, want.support_size);
+      EXPECT_EQ(got.support_weight, want.support_weight);
+      EXPECT_EQ(got.related_count, want.related_count);
+      EXPECT_EQ(got.total_related, want.total_related);
+      ASSERT_EQ(got.records.size(), want.records.size());
+      for (size_t i = 0; i < want.records.size(); ++i) {
+        EXPECT_EQ(got.records[i].participant, want.records[i].first);
+        EXPECT_EQ(got.records[i].local_index, want.records[i].second);
       }
-      EXPECT_EQ(a.records_scanned, 0);
-      EXPECT_LE(b.records_scanned, b.tau_w_checks);
+      EXPECT_EQ(got.bucket_size, want.bucket_size);
+      EXPECT_EQ(got.tau_w_checks, want.tau_w_checks);
+      EXPECT_LE(got.records_scanned, got.tau_w_checks);
+      EXPECT_EQ(got.postings_scanned, 0);
+      EXPECT_EQ(got.candidates_pruned, 0);
+      if (tau_w < 0.0) {
+        EXPECT_EQ(got.related_count, report_->trace.tests[t].related_count);
+      }
     }
   }
 }
 
 TEST_F(TraceKernelQueryTest, EvaluateAgreesAcrossKernels) {
-  for (double tau_w : {-1.0, 0.7}) {
-    store::EvalOptions legacy;
-    legacy.tau_w = tau_w;
-    legacy.kernel = TraceKernelKind::kLegacy;
-    store::EvalOptions blocked = legacy;
-    blocked.kernel = TraceKernelKind::kBlocked;
-
-    const store::QueryReport a = engine_->Evaluate(legacy);
-    const store::QueryReport b = engine_->Evaluate(blocked);
-    EXPECT_EQ(a.micro, b.micro);
-    EXPECT_EQ(a.macro, b.macro);
-    EXPECT_EQ(a.global_accuracy, b.global_accuracy);
-    EXPECT_EQ(a.matched_accuracy, b.matched_accuracy);
-    EXPECT_EQ(a.uncovered_tests, b.uncovered_tests);
-    EXPECT_EQ(a.keys, b.keys);
-    EXPECT_EQ(a.tau_w_checks, b.tau_w_checks);
-    EXPECT_EQ(a.records_scanned, 0);
-    EXPECT_LE(b.records_scanned, b.tau_w_checks);
-    ASSERT_EQ(a.participants.size(), b.participants.size());
-    for (size_t p = 0; p < a.participants.size(); ++p) {
-      EXPECT_EQ(a.participants[p].useless_ratio,
-                b.participants[p].useless_ratio);
-      ASSERT_EQ(a.participants[p].beneficial.size(),
-                b.participants[p].beneficial.size());
-      for (size_t i = 0; i < a.participants[p].beneficial.size(); ++i) {
-        EXPECT_EQ(a.participants[p].beneficial[i].rule,
-                  b.participants[p].beneficial[i].rule);
-        EXPECT_EQ(a.participants[p].beneficial[i].frequency,
-                  b.participants[p].beneficial[i].frequency);
+  for (const double tau_w : {-1.0, 0.7}) {
+    SCOPED_TRACE(tau_w);
+    store::EvalOptions options;
+    options.tau_w = tau_w;
+    const store::QueryReport report = engine_->Evaluate(options);
+    TracerConfig config;
+    config.tau_w = report.tau_w;
+    config.min_rule_weight = content_->meta.min_rule_weight;
+    const TraceResult trace = oracle::Trace(engine_->model(), labels_,
+                                            uploads_, content_->tests, config);
+    EXPECT_EQ(report.micro, MicroAllocation(trace));
+    EXPECT_EQ(report.macro, MacroAllocation(trace, report.delta));
+    EXPECT_EQ(report.global_accuracy, trace.global_accuracy);
+    EXPECT_EQ(report.matched_accuracy, trace.matched_accuracy);
+    EXPECT_EQ(report.uncovered_tests, trace.uncovered_tests);
+    EXPECT_EQ(report.keys, trace.num_keys);
+    EXPECT_EQ(report.tau_w_checks, trace.tau_w_checks);
+    EXPECT_LE(report.records_scanned, report.tau_w_checks);
+    const std::vector<ParticipantProfile> profiles =
+        BuildProfiles(trace, options.top_k);
+    ASSERT_EQ(report.participants.size(), profiles.size());
+    for (size_t p = 0; p < profiles.size(); ++p) {
+      EXPECT_EQ(report.participants[p].useless_ratio,
+                profiles[p].useless_ratio);
+      ASSERT_EQ(report.participants[p].beneficial.size(),
+                profiles[p].beneficial.size());
+      for (size_t i = 0; i < profiles[p].beneficial.size(); ++i) {
+        EXPECT_EQ(report.participants[p].beneficial[i].rule,
+                  profiles[p].beneficial[i].rule);
+        EXPECT_EQ(report.participants[p].beneficial[i].frequency,
+                  profiles[p].beneficial[i].weighted_frequency);
+      }
+      ASSERT_EQ(report.participants[p].harmful.size(),
+                profiles[p].harmful.size());
+      for (size_t i = 0; i < profiles[p].harmful.size(); ++i) {
+        EXPECT_EQ(report.participants[p].harmful[i].rule,
+                  profiles[p].harmful[i].rule);
+        EXPECT_EQ(report.participants[p].harmful[i].frequency,
+                  profiles[p].harmful[i].weighted_frequency);
       }
     }
   }
-  // At the originating parameters the blocked evaluation also reproduces
-  // the originating run exactly.
-  store::EvalOptions origin;
-  origin.kernel = TraceKernelKind::kBlocked;
-  const store::QueryReport report = engine_->Evaluate(origin);
+  // At the originating parameters the evaluation also reproduces the
+  // originating run exactly.
+  const store::QueryReport report = engine_->Evaluate();
   EXPECT_EQ(report.micro, report_->micro_scores);
   EXPECT_EQ(report.macro, report_->macro_scores);
 }

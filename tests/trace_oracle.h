@@ -1,0 +1,252 @@
+#ifndef CTFL_TESTS_TRACE_ORACLE_H_
+#define CTFL_TESTS_TRACE_ORACLE_H_
+
+// Brute-force Eq. 4 oracle: the scalar per-record scan the blocked kernel
+// replaced (DESIGN.md §10), rebuilding a whole TraceResult — related sets,
+// per-record match counts, the §IV-B rule frequencies, uncovered-scenario
+// guidance — from uploads and test forwards alone, and the related set of
+// a single lookup. Overlaps accumulate in ascending rule order and compare
+// with the tracer's fixed slack; each §IV-B cell adds its keys' terms in
+// key order, so the production tracer must match it bit for bit. The
+// blocked kernel's own work counters stay 0 here.
+
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "ctfl/core/tracer.h"
+#include "ctfl/fl/participant.h"
+#include "ctfl/nn/logical_net.h"
+
+namespace ctfl {
+namespace oracle {
+
+inline constexpr double kRatioEps = 1e-9;
+
+/// Every participant's record labels, [participant][local record].
+inline std::vector<std::vector<uint8_t>> Labels(const Federation& fed) {
+  std::vector<std::vector<uint8_t>> labels(fed.size());
+  for (size_t p = 0; p < fed.size(); ++p) {
+    for (const Instance& inst : fed[p].data.instances()) {
+      labels[p].push_back(static_cast<uint8_t>(inst.label));
+    }
+  }
+  return labels;
+}
+
+/// Deployed-inference forwards of `test`, one per-instance call each.
+inline std::vector<TestForward> Forwards(const LogicalNet& net,
+                                         const Dataset& test) {
+  std::vector<TestForward> forwards(test.size());
+  for (size_t t = 0; t < test.size(); ++t) {
+    const Instance& inst = test.instance(t);
+    forwards[t].label = static_cast<uint8_t>(inst.label);
+    forwards[t].predicted = static_cast<uint8_t>(net.Predict(inst));
+    forwards[t].activation = net.RuleActivations(inst);
+  }
+  return forwards;
+}
+
+/// The Eq. 4 weighted support of `activation` for class `c`: the rules of
+/// class c with vote weight >= min_rule_weight that it activates,
+/// ascending, with their weights.
+inline std::vector<std::pair<int, double>> Support(const LogicalNet& net,
+                                                   const Bitset& activation,
+                                                   int c,
+                                                   double min_rule_weight) {
+  std::vector<std::pair<int, double>> supp;
+  for (int j = 0; j < net.num_rules(); ++j) {
+    const double w = net.RuleWeight(j);
+    if (w < min_rule_weight || net.RuleClass(j) != c) continue;
+    if (activation.Test(j)) supp.emplace_back(j, w);
+  }
+  return supp;
+}
+
+/// Scalar Eq. 4 decision for one record.
+inline bool Related(const Bitset& record,
+                    const std::vector<std::pair<int, double>>& supp,
+                    double threshold) {
+  double overlap = 0.0;
+  for (const auto& [rule, weight] : supp) {
+    if (record.Test(rule)) overlap += weight;
+  }
+  return !(overlap < threshold);
+}
+
+/// Related records of one support set, as [participant] -> local indices
+/// ascending. Returns false (and no records) when the support has no
+/// weight: such a key matches nothing.
+inline bool RelatedSet(const std::vector<std::vector<uint8_t>>& labels,
+                       const std::vector<std::vector<Bitset>>& uploads,
+                       const std::vector<std::pair<int, double>>& supp,
+                       int c, double tau_w,
+                       std::vector<std::vector<int>>* related) {
+  related->assign(uploads.size(), {});
+  double weight_sum = 0.0;
+  for (const auto& entry : supp) weight_sum += entry.second;
+  if (weight_sum <= 0.0) return false;
+  const double threshold = tau_w * weight_sum - kRatioEps;
+  for (size_t p = 0; p < uploads.size(); ++p) {
+    for (size_t i = 0; i < uploads[p].size(); ++i) {
+      if (labels[p][i] == c && Related(uploads[p][i], supp, threshold)) {
+        (*related)[p].push_back(static_cast<int>(i));
+      }
+    }
+  }
+  return true;
+}
+
+/// The related set of a single lookup (ContributionTracer::Lookup).
+inline TraceLookup Lookup(const LogicalNet& net,
+                          const std::vector<std::vector<uint8_t>>& labels,
+                          const std::vector<std::vector<Bitset>>& uploads,
+                          const Bitset& activation, int predicted,
+                          double tau_w, double min_rule_weight,
+                          size_t max_records) {
+  TraceLookup lookup;
+  const auto supp = Support(net, activation, predicted, min_rule_weight);
+  lookup.support_size = static_cast<int>(supp.size());
+  for (const auto& entry : supp) lookup.support_weight += entry.second;
+  lookup.related_count.assign(uploads.size(), 0);
+  for (size_t p = 0; p < labels.size(); ++p) {
+    for (uint8_t label : labels[p]) lookup.bucket_size += label == predicted;
+  }
+  std::vector<std::vector<int>> related;
+  if (!RelatedSet(labels, uploads, supp, predicted, tau_w, &related)) {
+    return lookup;
+  }
+  lookup.tau_w_checks = lookup.bucket_size;
+  for (size_t p = 0; p < related.size(); ++p) {
+    lookup.related_count[p] = static_cast<int>(related[p].size());
+    lookup.total_related += related[p].size();
+    for (int i : related[p]) {
+      if (lookup.records.size() < max_records) {
+        lookup.records.emplace_back(static_cast<int>(p), i);
+      }
+    }
+  }
+  return lookup;
+}
+
+/// A whole tracing pass over `forwards`, by brute force.
+inline TraceResult Trace(const LogicalNet& net,
+                         const std::vector<std::vector<uint8_t>>& labels,
+                         const std::vector<std::vector<Bitset>>& uploads,
+                         const std::vector<TestForward>& forwards,
+                         const TracerConfig& config) {
+  const int n = static_cast<int>(uploads.size());
+  const int num_rules = net.num_rules();
+  TraceResult result;
+  result.num_participants = n;
+  result.num_rules = num_rules;
+  result.tests.resize(forwards.size());
+  for (int p = 0; p < n; ++p) {
+    result.train_match_correct.emplace_back(uploads[p].size(), 0);
+    result.train_match_miss.emplace_back(uploads[p].size(), 0);
+  }
+  result.beneficial_rule_freq = Matrix(n, num_rules);
+  result.harmful_rule_freq = Matrix(n, num_rules);
+  result.uncovered_rule_freq.assign(num_rules, 0.0);
+
+  // Keys: first-seen (class, support) groups, or one per test.
+  struct Key {
+    int c = 0;
+    std::vector<std::pair<int, double>> supp;
+    std::vector<size_t> members;
+    int correct = 0;
+    int miss = 0;
+  };
+  std::vector<Key> keys;
+  size_t correct_total = 0;
+  for (size_t t = 0; t < forwards.size(); ++t) {
+    const TestForward& fwd = forwards[t];
+    const int c = fwd.predicted;
+    const bool correct = fwd.predicted == fwd.label;
+    correct_total += correct;
+    auto supp = Support(net, fwd.activation, c, config.min_rule_weight);
+    result.tests[t].predicted = c;
+    result.tests[t].correct = correct;
+    result.tests[t].support_size = static_cast<int>(supp.size());
+    size_t k = keys.size();
+    if (config.use_dedup) {
+      for (size_t i = 0; i < keys.size(); ++i) {
+        if (keys[i].c == c && keys[i].supp == supp) k = i;
+      }
+    }
+    if (k == keys.size()) keys.push_back({c, std::move(supp), {}, 0, 0});
+    keys[k].members.push_back(t);
+    (correct ? keys[k].correct : keys[k].miss) += 1;
+  }
+  result.num_keys = static_cast<int64_t>(keys.size());
+
+  for (const Key& key : keys) {
+    std::vector<std::vector<int>> related;
+    const bool traced =
+        RelatedSet(labels, uploads, key.supp, key.c, config.tau_w, &related);
+    std::vector<int> counts(n, 0);
+    size_t total = 0;
+    for (int p = 0; p < n; ++p) {
+      counts[p] = static_cast<int>(related[p].size());
+      total += related[p].size();
+      for (int i : related[p]) {
+        result.train_match_correct[p][i] += key.correct;
+        result.train_match_miss[p][i] += key.miss;
+      }
+    }
+    if (traced) {
+      for (int p = 0; p < n; ++p) {
+        for (uint8_t label : labels[p]) result.tau_w_checks += label == key.c;
+      }
+    }
+    result.related_records += static_cast<int64_t>(total);
+    for (size_t t : key.members) {
+      result.tests[t].related_count = counts;
+      result.tests[t].total_related = total;
+    }
+    // §IV-B: every related record of p activating a supporting rule adds
+    // weight * members to that cell, once per key, in key order.
+    for (const auto& [rule, weight] : key.supp) {
+      for (int p = 0; p < n; ++p) {
+        int64_t cnt = 0;
+        for (int i : related[p]) cnt += uploads[p][i].Test(rule);
+        if (cnt == 0) continue;
+        if (key.correct > 0) {
+          result.beneficial_rule_freq(p, rule) +=
+              (weight * key.correct) * static_cast<double>(cnt);
+        }
+        if (key.miss > 0) {
+          result.harmful_rule_freq(p, rule) +=
+              (weight * key.miss) * static_cast<double>(cnt);
+        }
+      }
+    }
+  }
+
+  size_t matched_correct = 0;
+  for (size_t t = 0; t < forwards.size(); ++t) {
+    const TestTrace& trace = result.tests[t];
+    if (trace.correct && trace.total_related > 0) ++matched_correct;
+    if (!trace.correct && trace.total_related == 0) {
+      ++result.uncovered_tests;
+      for (int j = 0; j < num_rules; ++j) {
+        const double w = net.RuleWeight(j);
+        if (forwards[t].activation.Test(j) && w >= config.min_rule_weight) {
+          result.uncovered_rule_freq[j] += w;
+        }
+      }
+    }
+  }
+  if (!forwards.empty()) {
+    result.global_accuracy =
+        static_cast<double>(correct_total) / forwards.size();
+    result.matched_accuracy =
+        static_cast<double>(matched_correct) / forwards.size();
+  }
+  return result;
+}
+
+}  // namespace oracle
+}  // namespace ctfl
+
+#endif  // CTFL_TESTS_TRACE_ORACLE_H_

@@ -3,7 +3,7 @@
 # BENCH_*.json files the CI perf gate (tools/perf_gate.py) compares against
 # their committed baselines:
 #
-#   BENCH_trace.json   BM_TracePass/{legacy,blocked}   Eq. 4 tracing pass
+#   BENCH_trace.json   BM_TracePass/blocked*          Eq. 4 tracing pass
 #   BENCH_fedavg.json  BM_FedAvgRound/threads:*        one federated round
 #   BENCH_query.json   BM_QueryRelated/* + BM_BundleLoad  bundle serving
 #   BENCH_serve.json   BM_Serve/related-test/connections:N  resident query
@@ -177,12 +177,11 @@ run_serve() {
 
 if [[ "${SUITE}" == "trace" || "${SUITE}" == "all" ]]; then
   run_group trace '^BM_TracePass/'
-  # Sanity-check the tracing variants + pruning counters (the historical
-  # bench_trace_json.sh contract: blocked must report its counters, and
-  # legacy's records_scanned is 0 by construction), then the per-ISA legs:
-  # blocked_scalar must always exist, and whenever the dispatched tier is
-  # a SIMD one, the default blocked leg must beat the forced-scalar leg by
-  # >= 2x (the ISSUE PR9 acceptance bar). CTFL_BENCH_SKIP_ISA_CHECK=1
+  # Sanity-check the tracing variants + pruning counters (every leg must
+  # report its counters), then the per-ISA legs: blocked_scalar must always
+  # exist, and whenever the dispatched tier is a SIMD one, the default
+  # blocked leg must beat the forced-scalar leg by >= 2x (the SIMD dispatch
+  # acceptance bar). CTFL_BENCH_SKIP_ISA_CHECK=1
   # downgrades that bar to a report for smoke runs with tiny min_time.
   python3 - "${OUT_DIR}/BENCH_trace.json" <<'PY'
 import json, os, sys
@@ -193,7 +192,7 @@ for b in data.get("benchmarks", []):
     name = b.get("name", "")
     if name.startswith("BM_TracePass/"):
         rows[name.split("/")[1]] = b
-missing = {"legacy", "blocked", "blocked_scalar"} - rows.keys()
+missing = {"blocked", "blocked_scalar"} - rows.keys()
 if missing:
     print(f"bench_suite: missing trace variants: {sorted(missing)}",
           file=sys.stderr)
@@ -210,8 +209,6 @@ for variant in sorted(rows):
           f"tau_w_checks={b['tau_w_checks']:.0f}  "
           f"records_scanned={b['records_scanned']:.0f}  "
           f"blocks_pruned={b['blocks_pruned']:.0f}")
-speedup = rows["legacy"]["real_time"] / max(rows["blocked"]["real_time"], 1e-12)
-print(f"blocked speedup over legacy: {speedup:.2f}x")
 isa = data.get("context", {}).get("ctfl_trace_isa", "scalar")
 simd = rows["blocked_scalar"]["real_time"] / max(rows["blocked"]["real_time"], 1e-12)
 print(f"blocked ({isa}) speedup over blocked_scalar: {simd:.2f}x")

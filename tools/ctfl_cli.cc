@@ -11,8 +11,7 @@
 //   score     --dataset NAME --train FILE --test FILE [--participants K]
 //             [--tau-w T] [--skew-label] [--seed S] [--num-threads N]
 //             [--federated] [--rounds R] [--local-epochs E] [--secure-agg]
-//             [--failure-plan SPEC] [--retry-budget B]
-//             [--trace-kernel legacy|blocked] [--bundle-out FILE]
+//             [--failure-plan SPEC] [--retry-budget B] [--bundle-out FILE]
 //             [--delta-log-out FILE]
 //             [--trace-isa auto|scalar|avx2|avx512|neon] [--trace-threads N]
 //             [--telemetry-out FILE.json] [--telemetry-summary]
@@ -35,12 +34,10 @@
 //       round without retraining (DESIGN.md §15).
 //       --num-threads steers training, tracing, and the matrix kernels
 //       together (0 = all cores, 1 = serial; scores are bit-identical
-//       either way). --trace-kernel selects the Eq. 4 matching engine:
-//       `blocked` (default) is the word-parallel blocked kernel with
-//       early-exit pruning, `legacy` the scalar reference loop — results
-//       are bit-identical either way. --trace-isa pins the blocked
-//       kernel's SIMD tier (`auto` = best the CPU supports) and
-//       --trace-threads shards its block sweep; both are execution
+//       either way). Eq. 4 matching runs on the word-parallel blocked
+//       kernel with early-exit pruning: --trace-isa pins its SIMD tier
+//       (`auto` = best the CPU supports) and --trace-threads shards its
+//       block sweep; both are execution
 //       context, never semantics — every tier at every thread count
 //       produces bit-identical scores. --telemetry-out writes a Chrome
 //       trace (open in chrome://tracing or ui.perfetto.dev);
@@ -54,19 +51,17 @@
 //             [score flags]
 //       Same pipeline as `score`, but the bundle is the point: trains
 //       once, traces once, and persists model + rules + activation
-//       uploads + posting index so every later query needs no retraining
+//       uploads + test forwards so every later query needs no retraining
 //       and no retracing.
 //   query     --bundle FILE [--tau-w T] [--delta D] [--top-k K]
-//             [--instances FILE.csv] [--max-records N] [--linear]
-//             [--trace-kernel legacy|blocked] [--requests-file FILE]
+//             [--instances FILE.csv] [--max-records N] [--requests-file FILE]
 //             [--trace-isa auto|scalar|avx2|avx512|neon] [--trace-threads N]
 //             [--delta-log FILE] [--telemetry-summary]
 //       Serves a persisted bundle: re-evaluates micro/macro scores under
 //       the requested (or originating) parameters — bit-identical to the
 //       originating run at its own parameters — prints per-participant
 //       interpretability summaries, and looks up Eq. 4 related records
-//       for new instances from --instances (posting-list prefiltered;
-//       --linear forces the full class-bucket scan instead).
+//       for new instances from --instances.
 //       --requests-file switches to batch mode: every line of FILE is one
 //       request (`evaluate [tau-w=V] [delta=D] [top-k=K]`,
 //       `related-test INDEX`, or `related F1,F2,...,LABEL`; blank lines
@@ -95,7 +90,6 @@
 #include "ctfl/data/gen/tictactoe.h"
 #include "ctfl/data/split.h"
 #include "ctfl/fl/partition.h"
-#include "ctfl/kernel/trace_kernel.h"
 #include "ctfl/nn/serialize.h"
 #include "ctfl/replay/recorder.h"
 #include "ctfl/replay/runner.h"
@@ -252,7 +246,6 @@ Status RunScore(int argc, const char* const* argv, bool snapshot_mode) {
                     {"secure-agg", "false"},
                     {"failure-plan", ""},
                     {"retry-budget", "1"},
-                    {"trace-kernel", "blocked"},
                     {"trace-isa", "auto"},
                     {"trace-threads", "1"},
                     {"bundle-out", ""},
@@ -291,8 +284,6 @@ Status RunScore(int argc, const char* const* argv, bool snapshot_mode) {
   }
   CTFL_ASSIGN_OR_RETURN(FailurePlan failure_plan,
                         FailurePlan::Parse(flags.GetString("failure-plan")));
-  CTFL_ASSIGN_OR_RETURN(TraceKernelKind trace_kernel,
-                        ParseTraceKernelKind(flags.GetString("trace-kernel")));
   CTFL_RETURN_IF_ERROR(ApplyTraceIsaFlag(flags.GetString("trace-isa")));
   CTFL_ASSIGN_OR_RETURN(int trace_threads, flags.GetInt("trace-threads"));
   const std::string telemetry_out = flags.GetString("telemetry-out");
@@ -329,7 +320,6 @@ Status RunScore(int argc, const char* const* argv, bool snapshot_mode) {
   config.net.logic_layers = {{width / 2, width - width / 2}};
   config.net.seed = seed;
   config.tracer.tau_w = tau_w;
-  config.tracer.kernel = trace_kernel;
   config.tracer.isa = CurrentTraceIsa();
   config.tracer.trace_threads = trace_threads;
   config.num_threads = num_threads;
@@ -421,7 +411,6 @@ Status RunScore(int argc, const char* const* argv, bool snapshot_mode) {
     spec.secure_agg = config.fedavg.secure_aggregation;
     spec.failure_plan = flags.GetString("failure-plan");
     spec.retry_budget = static_cast<uint32_t>(retry_budget);
-    spec.trace_kernel = static_cast<uint8_t>(trace_kernel);
     spec.num_threads = num_threads;
     replay::ReplayRecorder recorder;
     recorder.CaptureRun(spec,
@@ -515,8 +504,7 @@ Status RunRequestsFile(const store::QueryEngine& engine,
       const store::QueryReport report =
           recorder != nullptr ? recorder->RecordEvaluate(engine, eval)
                               : engine.Evaluate(eval);
-      std::fputs(serve::RenderEvaluation(report, eval.kernel,
-                                         engine.origin_tau_w(),
+      std::fputs(serve::RenderEvaluation(report, engine.origin_tau_w(),
                                          engine.origin_delta(),
                                          bundle.meta.micro_scores,
                                          bundle.meta.macro_scores)
@@ -582,8 +570,6 @@ Status RunQuery(int argc, const char* const* argv) {
                     {"top-k", "5"},
                     {"instances", ""},
                     {"max-records", "3"},
-                    {"linear", "false"},
-                    {"trace-kernel", "blocked"},
                     {"trace-isa", "auto"},
                     {"trace-threads", "1"},
                     {"requests-file", ""},
@@ -598,8 +584,6 @@ Status RunQuery(int argc, const char* const* argv) {
   CTFL_ASSIGN_OR_RETURN(int delta, flags.GetInt("delta"));
   CTFL_ASSIGN_OR_RETURN(int top_k, flags.GetInt("top-k"));
   CTFL_ASSIGN_OR_RETURN(int max_records, flags.GetInt("max-records"));
-  CTFL_ASSIGN_OR_RETURN(TraceKernelKind trace_kernel,
-                        ParseTraceKernelKind(flags.GetString("trace-kernel")));
   CTFL_RETURN_IF_ERROR(ApplyTraceIsaFlag(flags.GetString("trace-isa")));
   CTFL_ASSIGN_OR_RETURN(int trace_threads, flags.GetInt("trace-threads"));
   const bool telemetry_summary = flags.GetBool("telemetry-summary");
@@ -611,7 +595,6 @@ Status RunQuery(int argc, const char* const* argv) {
   const std::string delta_log = flags.GetString("delta-log");
   if (!delta_log.empty()) {
     stream::ScorerOptions scorer_options;
-    scorer_options.kernel = trace_kernel;
     scorer_options.isa = CurrentTraceIsa();
     scorer_options.trace_threads = trace_threads;
     CTFL_ASSIGN_OR_RETURN(
@@ -649,13 +632,10 @@ Status RunQuery(int argc, const char* const* argv) {
   eval.tau_w = tau_w;
   eval.delta = delta;
   eval.top_k = top_k;
-  eval.kernel = trace_kernel;
   eval.isa = CurrentTraceIsa();
   eval.trace_threads = trace_threads;
   store::QueryOptions options;
   options.tau_w = tau_w;
-  options.use_index = !flags.GetBool("linear");
-  options.kernel = trace_kernel;
   options.isa = CurrentTraceIsa();
   options.trace_threads = trace_threads;
   options.max_records = static_cast<size_t>(std::max(0, max_records));
@@ -690,8 +670,7 @@ Status RunQuery(int argc, const char* const* argv) {
   const store::QueryReport report =
       recorder != nullptr ? recorder->RecordEvaluate(engine, eval)
                           : engine.Evaluate(eval);
-  std::fputs(serve::RenderEvaluation(report, eval.kernel,
-                                     engine.origin_tau_w(),
+  std::fputs(serve::RenderEvaluation(report, engine.origin_tau_w(),
                                      engine.origin_delta(),
                                      bundle.meta.micro_scores,
                                      bundle.meta.macro_scores)
@@ -702,8 +681,7 @@ Status RunQuery(int argc, const char* const* argv) {
   if (!instances_path.empty()) {
     CTFL_ASSIGN_OR_RETURN(Dataset instances,
                           LoadCsvDataset(instances_path, bundle.schema));
-    std::fputs(serve::RenderRelatedHeader(options.use_index).c_str(),
-               stdout);
+    std::fputs(serve::RenderRelatedHeader().c_str(), stdout);
     for (size_t i = 0; i < instances.size(); ++i) {
       const store::RelatedResult related =
           recorder != nullptr

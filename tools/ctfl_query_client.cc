@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "ctfl/data/dataset.h"
-#include "ctfl/kernel/trace_kernel.h"
 #include "ctfl/replay/replay_file.h"
 #include "ctfl/serve/client.h"
 #include "ctfl/serve/protocol.h"
@@ -88,9 +87,7 @@ Status RunQueryOp(Client& client, const FlagParser& flags,
   request.op = Op::kEvaluate;
   request.evaluate.options = eval_options;
   CTFL_ASSIGN_OR_RETURN(Response response, CallChecked(client, request));
-  std::fputs(serve::RenderEvaluation(response.report,
-                                     eval_options.kernel,
-                                     response.origin_tau_w,
+  std::fputs(serve::RenderEvaluation(response.report, response.origin_tau_w,
                                      response.origin_delta,
                                      response.origin_micro,
                                      response.origin_macro)
@@ -113,8 +110,7 @@ Status RunQueryOp(Client& client, const FlagParser& flags,
   stats_request.op = Op::kStats;
   CTFL_ASSIGN_OR_RETURN(Response stats, CallChecked(client, stats_request));
 
-  std::fputs(serve::RenderRelatedHeader(query_options.use_index).c_str(),
-             stdout);
+  std::fputs(serve::RenderRelatedHeader().c_str(), stdout);
   for (size_t i = 0; i < instances.size(); ++i) {
     Request related;
     related.op = Op::kRelated;
@@ -468,8 +464,6 @@ Status Run(int argc, const char* const* argv) {
                     {"delta", "-1"},
                     {"top-k", "5"},
                     {"max-records", "3"},
-                    {"linear", "false"},
-                    {"trace-kernel", "blocked"},
                     {"load", "false"},
                     {"connections", "8"},
                     {"requests", "100"},
@@ -482,19 +476,14 @@ Status Run(int argc, const char* const* argv) {
   CTFL_ASSIGN_OR_RETURN(int delta, flags.GetInt("delta"));
   CTFL_ASSIGN_OR_RETURN(int top_k, flags.GetInt("top-k"));
   CTFL_ASSIGN_OR_RETURN(int max_records, flags.GetInt("max-records"));
-  CTFL_ASSIGN_OR_RETURN(TraceKernelKind kernel,
-                        ParseTraceKernelKind(flags.GetString("trace-kernel")));
   store::QueryOptions query_options;
   query_options.tau_w = tau_w;
-  query_options.use_index = !flags.GetBool("linear");
-  query_options.kernel = kernel;
   query_options.max_records =
       static_cast<size_t>(std::max(0, max_records));
   store::EvalOptions eval_options;
   eval_options.tau_w = tau_w;
   eval_options.delta = delta;
   eval_options.top_k = top_k;
-  eval_options.kernel = kernel;
 
   if (flags.GetBool("load")) {
     return RunLoad(flags, query_options, eval_options);

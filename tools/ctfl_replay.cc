@@ -14,9 +14,9 @@
 //       Re-executes the recorded run and asserts the bit-identity
 //       contract: byte-identical rendered scores and an equal RunReport
 //       fingerprint, then replays the query stream digest-for-digest.
-//       --matrix runs the full differential matrix (legacy-vs-blocked
-//       kernel, threads 1/2/8, faulty-vs-clean, batch vs one-shot vs
-//       served); --cell runs one named cell. Exit status is nonzero on
+//       --matrix runs the full differential matrix (trace ISA, threads
+//       1/2/8, faulty-vs-clean, batch vs one-shot vs served); --cell runs
+//       one named cell. Exit status is nonzero on
 //       any divergence. --bundle replays a query-only file (no spec)
 //       against an existing bundle.
 //   gen-tests --file FILE.ctflr [--out FILE]
@@ -78,7 +78,6 @@ Status RunRecord(int argc, const char* const* argv) {
                     {"secure-agg", "false"},
                     {"failure-plan", ""},
                     {"retry-budget", "1"},
-                    {"trace-kernel", "blocked"},
                     {"trace-isa", "auto"},
                     {"queries", "8"}});
   CTFL_RETURN_IF_ERROR(flags.Parse(argc, argv));
@@ -88,8 +87,6 @@ Status RunRecord(int argc, const char* const* argv) {
   std::string bundle_out = flags.GetString("bundle-out");
   if (bundle_out.empty()) bundle_out = out + ".ctflb";
   CTFL_ASSIGN_OR_RETURN(int queries, flags.GetInt("queries"));
-  CTFL_ASSIGN_OR_RETURN(TraceKernelKind trace_kernel,
-                        ParseTraceKernelKind(flags.GetString("trace-kernel")));
 
   replay::RunSpec spec;
   spec.source = replay::DataSource::kGenerate;
@@ -122,7 +119,6 @@ Status RunRecord(int argc, const char* const* argv) {
   spec.failure_plan = flags.GetString("failure-plan");
   CTFL_ASSIGN_OR_RETURN(int retry_budget, flags.GetInt("retry-budget"));
   spec.retry_budget = static_cast<uint32_t>(retry_budget);
-  spec.trace_kernel = static_cast<uint8_t>(trace_kernel);
   CTFL_ASSIGN_OR_RETURN(int num_threads, flags.GetInt("num-threads"));
   spec.num_threads = num_threads;
 
@@ -175,11 +171,8 @@ Status RunRecord(int argc, const char* const* argv) {
     request.op = serve::Op::kRelatedForTest;
     request.related_for_test.test_index =
         static_cast<uint64_t>(i) % num_tests;
-    // Alternate kernel and index-vs-linear across the stream so a replay
-    // exercises every lookup path.
-    request.related_for_test.options.kernel =
-        (i % 2 == 0) ? TraceKernelKind::kBlocked : TraceKernelKind::kLegacy;
-    request.related_for_test.options.use_index = (i % 3 != 2);
+    // Alternate the origin threshold and a looser one across the stream.
+    request.related_for_test.options.tau_w = (i % 2 == 0) ? -1.0 : 0.8;
     request.related_for_test.options.max_records = 3;
     handle(request);
   }
