@@ -293,6 +293,21 @@ void BM_GraftedStep(benchmark::State& state) {
 }
 BENCHMARK(BM_GraftedStep)->Arg(64)->Arg(128)->Arg(256);
 
+// One single-threaded grafted step with the process-wide tier forced to
+// `isa`, so the step's units (nn/logic_kernel.h) of every tier are timed in
+// one run, whatever thread budget an earlier leg left behind.
+void BM_GraftedStepAt(benchmark::State& state, TraceIsa isa) {
+  const TraceIsa saved = CurrentTraceIsa();
+  if (!SetTraceIsa(isa).ok()) {
+    state.SkipWithError("tier not available");
+    return;
+  }
+  SetMatrixParallelism(1);
+  BM_GraftedStep(state);
+  SetMatrixParallelism(0);
+  (void)SetTraceIsa(saved);
+}
+
 // ---------------------------------------------------------------------------
 // Parallel engine (DESIGN.md §9). The results are bit-identical at every
 // thread count, so these measure pure wall-clock scaling. Acceptance for
@@ -710,8 +725,9 @@ BENCHMARK(BM_StreamFoldEmpty)->UseRealTime();
 // One forced-tier leg per SIMD tier this machine supports, so one Release
 // run yields the full same-machine ISA trajectory (BENCH_trace.json keys
 // the 2x acceptance on blocked vs blocked_scalar), plus a sharded leg at
-// the best tier. Registered from main() — AvailableTraceIsas() needs a
-// live process, not static-init order.
+// the best tier; and one grafted-step leg per tier at the fed-score width
+// (BENCH_fedavg.json). Registered from main() — AvailableTraceIsas() needs
+// a live process, not static-init order.
 void RegisterIsaBenchVariants() {
   for (const TraceIsa isa : AvailableTraceIsas()) {
     const int tier = static_cast<int>(isa);
@@ -719,6 +735,10 @@ void RegisterIsaBenchVariants() {
         (std::string("BM_TracePass/blocked_") + TraceIsaName(isa)).c_str(),
         [tier](benchmark::State& state) { BM_TracePass(state, tier, 1); })
         ->Unit(benchmark::kMillisecond);
+    benchmark::RegisterBenchmark(
+        (std::string("BM_GraftedStep/") + TraceIsaName(isa)).c_str(),
+        [isa](benchmark::State& state) { BM_GraftedStepAt(state, isa); })
+        ->Arg(96);
   }
   const TraceIsa best = BestAvailableTraceIsa();
   const int tier = static_cast<int>(best);

@@ -1,0 +1,165 @@
+#ifndef CTFL_NN_LOGIC_KERNEL_H_
+#define CTFL_NN_LOGIC_KERNEL_H_
+
+// The hot loops of a grafted training step (DESIGN.md §16.2): layer 0's
+// row split, factor table, factor-table forward and parameter backward,
+// and the Adam update. One translation unit per SIMD tier
+// (logic_kernel_{generic,avx2,avx512}.cc) instantiates the shared bodies
+// of logic_kernel_body.h with its own Ops policy and its own -m flags; the
+// process-wide tier of util/cpu_features.h picks the unit, exactly as it
+// picks the tracing kernel's stripe unit. Every unit produces the generic
+// loops' results bit for bit (DESIGN.md §16.3).
+//
+// The units see plain pointers only: nothing here is an inline function
+// that a unit built with wider ISA flags could emit a copy of for the
+// baseline code to link against.
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+#include "ctfl/util/cpu_features.h"
+
+namespace ctfl {
+namespace logic_kernel {
+
+/// Nodes per chunk of the factor-table kernels: a chunk's running products,
+/// or its upstream gradients and product terms, stay in registers while
+/// one row's inputs stream past.
+inline constexpr int kChunk = 8;
+
+/// Clamp floor for product terms; keeps y / t_i well defined in backward.
+inline constexpr double kEps = 1e-8;
+
+/// Per row of a binary matrix, its inputs at 0 and its inputs at 1, each
+/// ascending: the inputs whose factor a conjunction, respectively a
+/// disjunction, multiplies.
+struct SplitRows {
+  /// Row r's lists start at r * in_dim (the input's column count); zeros[r]
+  /// inputs are at 0 and in_dim - zeros[r] at 1.
+  std::vector<int> at_zero;
+  std::vector<int> at_one;
+  std::vector<int> zeros;
+};
+
+/// The one factor a binary input contributes to a node, per node chunk:
+/// a conjunction's factor 1 - w(1 - x) is exactly 1.0 at x = 1 and
+/// max(kEps, 1 - w) at x = 0; a disjunction's, 1 - w x, is exactly 1.0 at
+/// x = 0 and max(kEps, 1 - w) at x = 1. Chunks never mix the two kinds.
+struct FactorTable {
+  int in_dim = 0;
+  int conj_chunks = 0;
+  std::vector<int> first;  ///< first node of each chunk
+  std::vector<int> width;  ///< nodes in each chunk, <= kChunk
+  /// c[(q * in_dim + i) * kChunk + k] for node first[q] + k; 1.0 in the
+  /// lanes past width[q].
+  std::vector<double> c;
+  /// Per chunk, 1 when every weight of the chunk is finite: only then can
+  /// a skipped factor differ from 1.0, so only then may the chunk take the
+  /// table kernels.
+  std::vector<uint8_t> finite;
+
+  int chunks() const { return static_cast<int>(first.size()); }
+  bool conj(int q) const { return q < conj_chunks; }
+  size_t Offset(int q, int i) const {
+    return (static_cast<size_t>(q) * in_dim + i) * kChunk;
+  }
+};
+
+/// One unit of 1 or 2 chunks of one kind of the continuous forward: writes
+/// y(r, node) for every row and every node of the unit.
+struct ForwardJob {
+  const double* table = nullptr;  ///< the unit's first chunk, input 0
+  size_t chunk_stride = 0;        ///< doubles from one chunk to the next
+  int chunks = 1;
+  bool conj = true;
+  /// at_zero (conj) or at_one of the split; row r's list at r * in_dim.
+  const int* lists = nullptr;
+  const int* zeros = nullptr;
+  int in_dim = 0;
+  size_t rows = 0;
+  double* y = nullptr;  ///< y(r, node) at y[r * y_stride + node]
+  size_t y_stride = 0;
+  int first[2] = {0, 0};
+  int width[2] = {0, 0};
+};
+
+/// One chunk of the parameter backward over every row: adds each row's
+/// terms to the chunk-major accumulators `gt` (gt[i * kChunk + k] for node
+/// first + k), in row order.
+struct BackwardJob {
+  const double* c = nullptr;  ///< the chunk's table, in_dim x kChunk
+  double* inv = nullptr;      ///< room for 1 / c, in_dim x kChunk
+  double* gt = nullptr;
+  const int* lists = nullptr;
+  const int* zeros = nullptr;
+  int in_dim = 0;
+  bool conj = true;
+  int first = 0;
+  int width = 0;
+  size_t rows = 0;
+  /// The layer's cached output and upstream gradient (rows x out_dim).
+  const double* y = nullptr;
+  const double* dy = nullptr;
+  size_t out_dim = 0;
+  /// The weights (out_dim x in_dim), the input (rows x in_dim) and the
+  /// generic per-(row, node) gradient, for the lanes the table loop leaves
+  /// out: adds g * dy/dw_i to gw[i * stride] for node weights `w` and input
+  /// row `xr` (and g * dy/dx_i to dxr[i] when dxr is non-null).
+  const double* w = nullptr;
+  const double* x = nullptr;
+  void (*node_gradient)(bool conj, double g, double prod, const double* w,
+                        const double* xr, int in_dim, double* gw,
+                        size_t stride, double* dxr) = nullptr;
+};
+
+/// The step-invariant scalars of one Adam update.
+struct AdamJob {
+  double lr = 0.0;
+  double beta1 = 0.0;
+  double beta2 = 0.0;
+  double one_minus_beta1 = 0.0;
+  double one_minus_beta2 = 0.0;
+  double eps = 0.0;
+  double bc1 = 0.0;
+  double bc2 = 0.0;
+  double inv_bc1 = 0.0;  ///< 1.0 / bc1, correctly rounded
+  double inv_bc2 = 0.0;
+};
+
+/// One tier's units.
+struct Units {
+  /// True when backward wants BackwardJob::inv (the tier has a corrected
+  /// quotient).
+  bool reciprocals = false;
+  /// Splits rows [lo, hi) of the row-major `x` (in_dim columns) into the
+  /// lists of `rows` (sized by the caller). False when one of their
+  /// elements is not exactly 0.0 or 1.0.
+  bool (*split_rows)(const double* x, int in_dim, size_t lo, size_t hi,
+                     int* at_zero, int* at_one, int* zeros);
+  /// Fills one chunk (in_dim x kChunk) of the table from the `width` node
+  /// rows at `w0` (row stride in_dim). False when one of the weights is not
+  /// finite.
+  bool (*build_chunk)(const double* w0, int in_dim, int width, double* c);
+  void (*forward)(const ForwardJob& job);
+  void (*backward)(const BackwardJob& job);
+  /// Adam over elements [0, n) of one slot.
+  void (*adam)(const AdamJob& job, double* m, double* v, double* p,
+               const double* g, size_t n);
+  /// q[k] = a[k] / b[k] through the tier's quotient, for a[k] in
+  /// [2^-900, 1] and b[k] in [kEps, 1] (the backward's operands).
+  void (*quotient)(const double* a, const double* b, double* q, size_t n);
+};
+
+const Units& GenericUnits();
+const Units& Avx2Units();
+const Units& Avx512Units();
+
+/// The units of `isa`: AVX2 (with FMA) and AVX-512 have their own, every
+/// other tier runs the generic unit.
+const Units& UnitsFor(TraceIsa isa);
+
+}  // namespace logic_kernel
+}  // namespace ctfl
+
+#endif  // CTFL_NN_LOGIC_KERNEL_H_

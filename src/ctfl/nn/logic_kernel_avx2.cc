@@ -1,0 +1,115 @@
+// AVX2+FMA logic-kernel unit: a node chunk is two 4-lane vectors, the
+// forward interleaves two rows, and the backward and Adam take the
+// corrected quotient. Compiled with -mavx2 -mfma on x86-64 (see
+// src/CMakeLists.txt); selected only when cpuid reports both
+// (util/cpu_features.h). FMA appears only as the explicit intrinsics of
+// Quotient: ctfl_nn builds with -ffp-contract=off.
+
+#include "ctfl/nn/logic_kernel_body.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+
+#include <immintrin.h>
+
+namespace ctfl {
+namespace logic_kernel {
+namespace {
+
+struct Avx2Ops {
+  struct Chunk {
+    __m256d lo;
+    __m256d hi;
+  };
+  static constexpr int kRows = 2;
+  static constexpr bool kReciprocal = true;
+
+  static Chunk Load(const double* p) {
+    return {_mm256_loadu_pd(p), _mm256_loadu_pd(p + 4)};
+  }
+  static void Store(double* p, Chunk c) {
+    _mm256_storeu_pd(p, c.lo);
+    _mm256_storeu_pd(p + 4, c.hi);
+  }
+  static Chunk Set1(double v) {
+    const __m256d x = _mm256_set1_pd(v);
+    return {x, x};
+  }
+  static Chunk Mul(Chunk a, Chunk b) {
+    return {_mm256_mul_pd(a.lo, b.lo), _mm256_mul_pd(a.hi, b.hi)};
+  }
+  static Chunk Add(Chunk a, Chunk b) {
+    return {_mm256_add_pd(a.lo, b.lo), _mm256_add_pd(a.hi, b.hi)};
+  }
+  static Chunk Sub(Chunk a, Chunk b) {
+    return {_mm256_sub_pd(a.lo, b.lo), _mm256_sub_pd(a.hi, b.hi)};
+  }
+  static Chunk Div(Chunk a, Chunk b) {
+    return {_mm256_div_pd(a.lo, b.lo), _mm256_div_pd(a.hi, b.hi)};
+  }
+  static Chunk Sqrt(Chunk a) {
+    return {_mm256_sqrt_pd(a.lo), _mm256_sqrt_pd(a.hi)};
+  }
+
+  /// a / b, with y = RN(1 / b): q0 = a y, r = a - q0 b (exact), q0 + r y.
+  static __m256d Quotient4(__m256d a, __m256d b, __m256d y) {
+    const __m256d q0 = _mm256_mul_pd(a, y);
+    const __m256d r = _mm256_fnmadd_pd(q0, b, a);
+    return _mm256_fmadd_pd(r, y, q0);
+  }
+  static Chunk Quotient(Chunk a, Chunk b, Chunk y) {
+    return {Quotient4(a.lo, b.lo, y.lo), Quotient4(a.hi, b.hi, y.hi)};
+  }
+  static __m256d Guarded4(__m256d a, __m256d b, __m256d y) {
+    const __m256d mag = _mm256_andnot_pd(_mm256_set1_pd(-0.0), a);
+    const __m256d ok = _mm256_and_pd(
+        _mm256_cmp_pd(mag, _mm256_set1_pd(0x1p-900), _CMP_GE_OQ),
+        _mm256_cmp_pd(mag, _mm256_set1_pd(0x1p1000), _CMP_LE_OQ));
+    const __m256d q = Quotient4(a, b, y);
+    if (_mm256_movemask_pd(ok) == 0xf) return q;
+    return _mm256_blendv_pd(_mm256_div_pd(a, b), q, ok);
+  }
+  static Chunk GuardedQuotient(Chunk a, Chunk b, Chunk y) {
+    return {Guarded4(a.lo, b.lo, y.lo), Guarded4(a.hi, b.hi, y.hi)};
+  }
+  static bool Reciprocals(const double* c, int n, double* inv) {
+    const __m256d one = _mm256_set1_pd(1.0);
+    __m256d above = _mm256_setzero_pd();
+    for (int k = 0; k < n; k += 4) {
+      const __m256d cv = _mm256_loadu_pd(c + k);
+      _mm256_storeu_pd(inv + k, _mm256_div_pd(one, cv));
+      above = _mm256_or_pd(above, _mm256_cmp_pd(cv, one, _CMP_NLE_UQ));
+    }
+    return _mm256_movemask_pd(above) == 0;
+  }
+
+  static bool SplitRows(const double* x, int in_dim, size_t lo, size_t hi,
+                        int* at_zero, int* at_one, int* zeros) {
+    return SplitRowsPortable(x, in_dim, lo, hi, at_zero, at_one, zeros);
+  }
+  static bool BuildChunk(const double* w0, int in_dim, int width,
+                         double* c) {
+    return BuildChunkPortable(w0, in_dim, width, c);
+  }
+};
+
+}  // namespace
+
+const Units& Avx2Units() {
+  static const Units units = MakeUnits<Avx2Ops>();
+  return units;
+}
+
+}  // namespace logic_kernel
+}  // namespace ctfl
+
+#else  // !x86: tier never selected; keep the symbol defined.
+
+namespace ctfl {
+namespace logic_kernel {
+
+const Units& Avx2Units() { return GenericUnits(); }
+
+}  // namespace logic_kernel
+}  // namespace ctfl
+
+#endif

@@ -1,0 +1,356 @@
+#ifndef CTFL_NN_LOGIC_KERNEL_BODY_H_
+#define CTFL_NN_LOGIC_KERNEL_BODY_H_
+
+// Shared bodies behind the per-tier logic-kernel units
+// (logic_kernel_{generic,avx2,avx512}.cc). Each unit instantiates them with
+// an Ops policy; the loop structure, the lane guards and every fallback are
+// this one body, so the tiers differ only in how the eight lanes of a node
+// chunk are touched. Everything here has internal linkage, and it calls no
+// inline library function: every unit compiles its own copy with its own
+// ISA flags, and none can lend the baseline code a copy built with wider
+// ones.
+//
+// An Ops policy supplies:
+//  - `Chunk`, eight doubles (one node chunk), with Load/Store (unaligned),
+//    Set1, Mul, Add and Div, each the IEEE operation per lane;
+//  - `kRows`, the rows the forward interleaves (independent multiply
+//    chains hide the multiply latency);
+//  - `kReciprocal`; when true, also Sub and Sqrt, Reciprocals(c, n, inv)
+//    (inv = 1 / c by division; false when some c > 1), Quotient(a, b, y)
+//    (Markstein's corrected quotient, DESIGN.md §16.3) and
+//    GuardedQuotient(a, b, y) (Quotient where |a| lies in
+//    [2^-900, 2^1000], division elsewhere);
+//  - SplitRows and BuildChunk, with the contracts of Units.
+//
+// Bit-identity (DESIGN.md §16.3): every lane evaluates the generic loop's
+// expression with the same operations in the same order; a quotient is
+// either the IEEE division or the corrected quotient on operands where it
+// provably equals it.
+
+#include <cmath>
+
+#include "ctfl/nn/logic_kernel.h"
+
+namespace ctfl {
+namespace logic_kernel {
+namespace {
+
+/// std::max(kEps, v), as the generic loops evaluate it.
+inline double ClampFactor(double v) { return kEps < v ? v : kEps; }
+
+/// Smallest product term whose quotient takes the corrected form: below
+/// it, the residual of the correction could leave the normal range.
+constexpr double kTinyProduct = 0x1p-900;
+
+/// The portable row split: branch-free compaction, input i goes to the end
+/// of both lists and only the matching list's end advances (both ends stay
+/// <= i).
+inline bool SplitRowsPortable(const double* x, int in_dim, size_t lo,
+                              size_t hi, int* at_zero_base, int* at_one_base,
+                              int* zeros_out) {
+  bool binary = true;
+  for (size_t r = lo; r < hi; ++r) {
+    const double* xr = x + r * in_dim;
+    int* at_zero = at_zero_base + r * in_dim;
+    int* at_one = at_one_base + r * in_dim;
+    int zeros = 0;
+    int ones = 0;
+    for (int i = 0; i < in_dim; ++i) {
+      const bool zero = xr[i] == 0.0;
+      binary &= zero || xr[i] == 1.0;
+      at_zero[zeros] = i;
+      at_one[ones] = i;
+      zeros += zero;
+      ones += !zero;
+    }
+    zeros_out[r] = zeros;
+  }
+  return binary;
+}
+
+/// The portable chunk build.
+inline bool BuildChunkPortable(const double* w0, int in_dim, int width,
+                               double* c) {
+  bool finite = true;
+  for (int i = 0; i < in_dim; ++i) {
+    double* ci = c + static_cast<size_t>(i) * kChunk;
+    for (int k = 0; k < kChunk; ++k) {
+      if (k >= width) {
+        ci[k] = 1.0;
+        continue;
+      }
+      const double v = w0[static_cast<size_t>(k) * in_dim + i];
+      finite &= __builtin_isfinite(v);
+      ci[k] = ClampFactor(1.0 - v);
+    }
+  }
+  return finite;
+}
+
+// ---- Forward ----------------------------------------------------------------
+
+/// Writes to out[(ρ * kChunks + q) * kChunk + k] the product of row
+/// r0 + ρ's listed factors of chunk q, in list order: kRows x kChunks
+/// independent multiply chains. The rows walk their common prefix in
+/// lockstep, then each finishes its own list.
+template <typename Ops, int kRows, int kChunks>
+inline void MultiplyRows(const ForwardJob& job, size_t r0, double* out) {
+  using Chunk = typename Ops::Chunk;
+  const int* list[kRows];
+  int count[kRows];
+  int common = job.in_dim;
+  Chunk acc[kRows][kChunks];
+#pragma GCC unroll 8
+  for (int p = 0; p < kRows; ++p) {
+    const size_t r = r0 + p;
+    list[p] = job.lists + r * job.in_dim;
+    count[p] = job.conj ? job.zeros[r] : job.in_dim - job.zeros[r];
+    common = count[p] < common ? count[p] : common;
+#pragma GCC unroll 2
+    for (int q = 0; q < kChunks; ++q) acc[p][q] = Ops::Set1(1.0);
+  }
+  const size_t stride = job.chunk_stride;
+  for (int j = 0; j < common; ++j) {
+#pragma GCC unroll 8
+    for (int p = 0; p < kRows; ++p) {
+      const double* c = job.table + static_cast<size_t>(list[p][j]) * kChunk;
+#pragma GCC unroll 2
+      for (int q = 0; q < kChunks; ++q) {
+        acc[p][q] = Ops::Mul(acc[p][q], Ops::Load(c + q * stride));
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int p = 0; p < kRows; ++p) {
+    for (int j = common; j < count[p]; ++j) {
+      const double* c = job.table + static_cast<size_t>(list[p][j]) * kChunk;
+#pragma GCC unroll 2
+      for (int q = 0; q < kChunks; ++q) {
+        acc[p][q] = Ops::Mul(acc[p][q], Ops::Load(c + q * stride));
+      }
+    }
+#pragma GCC unroll 2
+    for (int q = 0; q < kChunks; ++q) {
+      Ops::Store(out + (p * kChunks + q) * kChunk, acc[p][q]);
+    }
+  }
+}
+
+template <typename Ops, int kRows, int kChunks>
+inline void ForwardRows(const ForwardJob& job, size_t r0) {
+  double prod[kRows * kChunks * kChunk];
+  MultiplyRows<Ops, kRows, kChunks>(job, r0, prod);
+  for (int p = 0; p < kRows; ++p) {
+    double* yr = job.y + (r0 + p) * job.y_stride;
+    for (int q = 0; q < kChunks; ++q) {
+      const double* pq = prod + (p * kChunks + q) * kChunk;
+      double* out = yr + job.first[q];
+      for (int k = 0; k < job.width[q]; ++k) {
+        out[k] = job.conj ? pq[k] : 1.0 - pq[k];
+      }
+    }
+  }
+}
+
+template <typename Ops, int kChunks>
+inline void ForwardChunks(const ForwardJob& job) {
+  constexpr int kRows = Ops::kRows;
+  size_t r = 0;
+  for (; r + kRows <= job.rows; r += kRows) {
+    ForwardRows<Ops, kRows, kChunks>(job, r);
+  }
+  for (; r < job.rows; ++r) ForwardRows<Ops, 1, kChunks>(job, r);
+}
+
+/// Units::forward: each node multiplies its factors in ascending input
+/// order, as the generic loop does (a skipped factor is exactly 1.0).
+template <typename Ops>
+void Forward(const ForwardJob& job) {
+  if (job.chunks == 2) {
+    ForwardChunks<Ops, 2>(job);
+  } else {
+    ForwardChunks<Ops, 1>(job);
+  }
+}
+
+// ---- Backward ---------------------------------------------------------------
+
+/// Adds g * rest, rest = prod / c, to the listed inputs' accumulators: `g`
+/// holds the chunk's upstream gradients, negated for a conjunction
+/// (g * (-rest) and (-g) * rest are the same IEEE product). kDivide takes
+/// the IEEE division, otherwise the corrected quotient with y = inv.
+template <typename Ops, bool kDivide>
+inline void AddGradientTerms(const double* table, const double* inv,
+                             const int* inputs, int count, const double* g,
+                             const double* prod, double* gt) {
+  using Chunk = typename Ops::Chunk;
+  const Chunk gv = Ops::Load(g);
+  const Chunk pv = Ops::Load(prod);
+  for (int j = 0; j < count; ++j) {
+    const size_t at = static_cast<size_t>(inputs[j]) * kChunk;
+    const Chunk c = Ops::Load(table + at);
+    Chunk rest;
+    if constexpr (kDivide) {
+      rest = Ops::Div(pv, c);
+    } else {
+      rest = Ops::Quotient(pv, c, Ops::Load(inv + at));
+    }
+    Ops::Store(gt + at, Ops::Add(Ops::Load(gt + at), Ops::Mul(gv, rest)));
+  }
+}
+
+/// Units::backward. A lane takes the table loop when its g is finite and
+/// nonzero and its product lies in (0, 1]: then rest = prod / c is finite
+/// and every skipped term g * (0 * rest) is ±0.0. Other lanes enter it as
+/// g = ±0, prod = 1, adding only the ±0.0 the generic loop's skipped term
+/// would; those the generic loop would not skip then run it for this (row,
+/// node), so a NaN or infinite g propagates exactly as in the generic loop.
+/// A row takes the division when one of its products is below
+/// kTinyProduct, or when the chunk holds a factor above 1.0 (a negative
+/// weight); the corrected quotient needs both bounds.
+template <typename Ops>
+void Backward(const BackwardJob& job) {
+  bool corrected = false;
+  if constexpr (Ops::kReciprocal) {
+    corrected = Ops::Reciprocals(job.c, job.in_dim * kChunk, job.inv);
+  }
+  // The skipped terms' sign: (+0) * (-rest) for a conjunction.
+  const double zero_g = job.conj ? -0.0 : 0.0;
+  for (size_t r = 0; r < job.rows; ++r) {
+    double g[kChunk];
+    double prod[kChunk];
+    bool generic[kChunk];
+    bool tiny = false;
+    const double* yr = job.y + r * job.out_dim;
+    const double* dyr = job.dy + r * job.out_dim;
+    for (int k = 0; k < kChunk; ++k) {
+      g[k] = zero_g;
+      prod[k] = 1.0;
+      generic[k] = false;
+      if (k >= job.width) continue;
+      const int node = job.first + k;
+      const double gv = dyr[node];
+      const double pv = job.conj ? yr[node] : 1.0 - yr[node];
+      if (gv != 0.0 && __builtin_isfinite(gv) && pv > 0.0 && pv <= 1.0) {
+        g[k] = job.conj ? -gv : gv;
+        prod[k] = pv;
+        tiny |= pv < kTinyProduct;
+      } else {
+        generic[k] = gv != 0.0 && !(pv <= 0.0);
+      }
+    }
+    // Divide only where the forward multiplied.
+    const int* inputs = job.lists + r * job.in_dim;
+    const int count = job.conj ? job.zeros[r] : job.in_dim - job.zeros[r];
+    bool divide = true;
+    if constexpr (Ops::kReciprocal) {
+      if (corrected && !tiny) {
+        AddGradientTerms<Ops, false>(job.c, job.inv, inputs, count, g, prod,
+                                     job.gt);
+        divide = false;
+      }
+    }
+    if (divide) {
+      AddGradientTerms<Ops, true>(job.c, job.inv, inputs, count, g, prod,
+                                  job.gt);
+    }
+    for (int k = 0; k < job.width; ++k) {
+      if (!generic[k]) continue;
+      const int node = job.first + k;
+      job.node_gradient(job.conj, dyr[node],
+                        job.conj ? yr[node] : 1.0 - yr[node],
+                        job.w + static_cast<size_t>(node) * job.in_dim,
+                        job.x + r * job.in_dim, job.in_dim, job.gt + k,
+                        kChunk, nullptr);
+    }
+  }
+}
+
+// ---- Adam ------------------------------------------------------------------
+
+/// Units::adam: the per-element update of AdamOptimizer::Step, eight
+/// elements at a time where the tier has a quotient, with the same
+/// operations in the same order; the scalar loop takes the rest.
+template <typename Ops>
+void Adam(const AdamJob& s, double* m, double* v, double* p, const double* g,
+          size_t n) {
+  size_t k = 0;
+  if constexpr (Ops::kReciprocal) {
+    using Chunk = typename Ops::Chunk;
+    const Chunk beta1 = Ops::Set1(s.beta1);
+    const Chunk beta2 = Ops::Set1(s.beta2);
+    const Chunk one_minus_beta1 = Ops::Set1(s.one_minus_beta1);
+    const Chunk one_minus_beta2 = Ops::Set1(s.one_minus_beta2);
+    const Chunk bc1 = Ops::Set1(s.bc1);
+    const Chunk bc2 = Ops::Set1(s.bc2);
+    const Chunk inv_bc1 = Ops::Set1(s.inv_bc1);
+    const Chunk inv_bc2 = Ops::Set1(s.inv_bc2);
+    const Chunk lr = Ops::Set1(s.lr);
+    const Chunk eps = Ops::Set1(s.eps);
+    // A zero reciprocal marks a bias correction outside the range the
+    // corrected quotient covers: every lane divides.
+    const bool corrected = s.inv_bc1 != 0.0 && s.inv_bc2 != 0.0;
+    for (; k + kChunk <= n; k += kChunk) {
+      const Chunk gk = Ops::Load(g + k);
+      const Chunk mk = Ops::Add(Ops::Mul(beta1, Ops::Load(m + k)),
+                                Ops::Mul(one_minus_beta1, gk));
+      const Chunk vk = Ops::Add(Ops::Mul(beta2, Ops::Load(v + k)),
+                                Ops::Mul(Ops::Mul(one_minus_beta2, gk), gk));
+      Ops::Store(m + k, mk);
+      Ops::Store(v + k, vk);
+      const Chunk mhat = corrected ? Ops::GuardedQuotient(mk, bc1, inv_bc1)
+                                   : Ops::Div(mk, bc1);
+      const Chunk vhat = corrected ? Ops::GuardedQuotient(vk, bc2, inv_bc2)
+                                   : Ops::Div(vk, bc2);
+      const Chunk step =
+          Ops::Div(Ops::Mul(lr, mhat), Ops::Add(Ops::Sqrt(vhat), eps));
+      Ops::Store(p + k, Ops::Sub(Ops::Load(p + k), step));
+    }
+  }
+  for (; k < n; ++k) {
+    const double gk = g[k];
+    m[k] = s.beta1 * m[k] + s.one_minus_beta1 * gk;
+    v[k] = s.beta2 * v[k] + s.one_minus_beta2 * gk * gk;
+    const double mhat = m[k] / s.bc1;
+    const double vhat = v[k] / s.bc2;
+    p[k] -= s.lr * mhat / (std::sqrt(vhat) + s.eps);
+  }
+}
+
+// ---- Quotient probe --------------------------------------------------------
+
+/// Units::quotient: q[k] = a[k] / b[k] for a[k] in [2^-900, 1] and b[k] in
+/// [kEps, 1], through the tier's quotient (the division itself on a tier
+/// without one).
+template <typename Ops>
+void Quotients(const double* a, const double* b, double* q, size_t n) {
+  size_t k = 0;
+  if constexpr (Ops::kReciprocal) {
+    double inv[kChunk];
+    for (; k + kChunk <= n; k += kChunk) {
+      Ops::Reciprocals(b + k, kChunk, inv);
+      Ops::Store(q + k, Ops::Quotient(Ops::Load(a + k), Ops::Load(b + k),
+                                      Ops::Load(inv)));
+    }
+  }
+  for (; k < n; ++k) q[k] = a[k] / b[k];
+}
+
+template <typename Ops>
+Units MakeUnits() {
+  Units units;
+  units.reciprocals = Ops::kReciprocal;
+  units.split_rows = Ops::SplitRows;
+  units.build_chunk = Ops::BuildChunk;
+  units.forward = Forward<Ops>;
+  units.backward = Backward<Ops>;
+  units.adam = Adam<Ops>;
+  units.quotient = Quotients<Ops>;
+  return units;
+}
+
+}  // namespace
+}  // namespace logic_kernel
+}  // namespace ctfl
+
+#endif  // CTFL_NN_LOGIC_KERNEL_BODY_H_

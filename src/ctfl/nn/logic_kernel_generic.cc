@@ -1,0 +1,89 @@
+// Generic logic-kernel unit: the baseline tier (scalar, and NEON, whose
+// compiler lowers the two-lane vectors itself) and the reference the SIMD
+// units must agree with bitwise. Built with the target's baseline flags.
+
+#include <cstring>
+
+#include "ctfl/nn/logic_kernel_body.h"
+
+namespace ctfl {
+namespace logic_kernel {
+namespace {
+
+/// Two adjacent lanes of a node chunk, as a generic vector: each lane
+/// operation is the scalar IEEE operation (ctfl_nn builds with
+/// -ffp-contract=off, so nothing fuses), and the compiler lowers it to the
+/// target's vectors (SSE2 on baseline x86-64, NEON on aarch64) or to
+/// scalars.
+typedef double Lanes __attribute__((vector_size(16)));
+
+inline Lanes LoadLanes(const double* p) {
+  Lanes v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+struct GenericOps {
+  /// A node chunk as four named pairs, which the compiler keeps in
+  /// registers.
+  struct Chunk {
+    Lanes l0, l1, l2, l3;
+  };
+  static constexpr int kRows = 1;
+  static constexpr bool kReciprocal = false;
+
+  static Chunk Load(const double* p) {
+    return {LoadLanes(p), LoadLanes(p + 2), LoadLanes(p + 4),
+            LoadLanes(p + 6)};
+  }
+  static void Store(double* p, const Chunk& c) {
+    std::memcpy(p, &c.l0, sizeof(Lanes));
+    std::memcpy(p + 2, &c.l1, sizeof(Lanes));
+    std::memcpy(p + 4, &c.l2, sizeof(Lanes));
+    std::memcpy(p + 6, &c.l3, sizeof(Lanes));
+  }
+  static Chunk Set1(double v) {
+    const Lanes l = {v, v};
+    return {l, l, l, l};
+  }
+  static Chunk Mul(const Chunk& a, const Chunk& b) {
+    return {a.l0 * b.l0, a.l1 * b.l1, a.l2 * b.l2, a.l3 * b.l3};
+  }
+  static Chunk Add(const Chunk& a, const Chunk& b) {
+    return {a.l0 + b.l0, a.l1 + b.l1, a.l2 + b.l2, a.l3 + b.l3};
+  }
+  static Chunk Div(const Chunk& a, const Chunk& b) {
+    return {a.l0 / b.l0, a.l1 / b.l1, a.l2 / b.l2, a.l3 / b.l3};
+  }
+  static bool SplitRows(const double* x, int in_dim, size_t lo, size_t hi,
+                        int* at_zero, int* at_one, int* zeros) {
+    return SplitRowsPortable(x, in_dim, lo, hi, at_zero, at_one, zeros);
+  }
+  static bool BuildChunk(const double* w0, int in_dim, int width,
+                         double* c) {
+    return BuildChunkPortable(w0, in_dim, width, c);
+  }
+};
+
+}  // namespace
+
+const Units& GenericUnits() {
+  static const Units units = MakeUnits<GenericOps>();
+  return units;
+}
+
+const Units& UnitsFor(TraceIsa isa) {
+  switch (isa) {
+    case TraceIsa::kAvx512:
+      return Avx512Units();
+    case TraceIsa::kAvx2:
+      return Avx2Units();
+    case TraceIsa::kNeon:
+    case TraceIsa::kScalar:
+      break;
+  }
+  return GenericUnits();
+}
+
+}  // namespace logic_kernel
+}  // namespace ctfl

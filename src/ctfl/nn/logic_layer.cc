@@ -6,25 +6,19 @@
 #include <cmath>
 #include <cstring>
 
+#include "ctfl/util/cpu_features.h"
 #include "ctfl/util/logging.h"
 #include "ctfl/util/thread_pool.h"
 
 namespace ctfl {
 namespace {
 
-// Clamp floor for product terms; keeps y / t_i well defined in backward.
-constexpr double kEps = 1e-8;
+using logic_kernel::FactorTable;
+using logic_kernel::kChunk;
+using logic_kernel::kEps;
+using logic_kernel::SplitRows;
 
-/// Nodes per chunk of the factor-table kernels: a chunk's running products,
-/// or its upstream gradients and product terms, stay in registers while
-/// one row's inputs stream past.
-constexpr int kChunk = 8;
-constexpr int kPairs = kChunk / 2;
-
-/// Two adjacent lanes of a node chunk, as a generic vector: each lane
-/// operation is the scalar IEEE operation (ctfl_nn builds with
-/// -ffp-contract=off, so nothing fuses), and the compiler lowers it to the
-/// target's vectors (SSE2 on baseline x86-64) or to scalars.
+/// Two adjacent weights, for BuildActiveLists' chunked scan.
 typedef double Lanes __attribute__((vector_size(16)));
 
 inline Lanes LoadLanes(const double* p) {
@@ -32,7 +26,6 @@ inline Lanes LoadLanes(const double* p) {
   std::memcpy(&v, p, sizeof(v));
   return v;
 }
-inline void StoreLanes(double* p, Lanes v) { std::memcpy(p, &v, sizeof(v)); }
 
 /// The generic per-(row, node) gradient of the continuous form, in the
 /// order and with the expressions every kernel must reproduce. Adds
@@ -59,31 +52,13 @@ void NodeGradient(bool conj, double g, double prod, const double* w,
   }
 }
 
-/// The one factor a binary input contributes to a node, per node chunk:
-/// a conjunction's factor 1 - w(1 - x) is exactly 1.0 at x = 1 and
-/// max(kEps, 1 - w) at x = 0; a disjunction's, 1 - w x, is exactly 1.0 at
-/// x = 0 and max(kEps, 1 - w) at x = 1. Chunks never mix the two kinds.
-struct FactorTable {
-  int in_dim = 0;
-  int conj_chunks = 0;
-  std::vector<int> first;  ///< first node of each chunk
-  std::vector<int> width;  ///< nodes in each chunk, <= kChunk
-  /// c[(q * in_dim + i) * kChunk + k] for node first[q] + k; 1.0 in the
-  /// lanes past width[q].
-  std::vector<double> c;
-
-  int chunks() const { return static_cast<int>(first.size()); }
-  bool conj(int q) const { return q < conj_chunks; }
-  size_t Offset(int q, int i) const {
-    return (static_cast<size_t>(q) * in_dim + i) * kChunk;
-  }
-};
-
 /// Lays out the chunks of layer `w` (out x in, num_conj conjunctions
-/// first) and sizes the table; BuildFactorChunk fills it chunk by chunk.
+/// first) and sizes the table; the units fill it chunk by chunk.
 void LayoutFactorTable(const Matrix& w, int num_conj, FactorTable* t) {
   const int out = static_cast<int>(w.rows());
   t->in_dim = static_cast<int>(w.cols());
+  t->first.clear();
+  t->width.clear();
   for (int node = 0; node < num_conj; node += kChunk) {
     t->first.push_back(node);
     t->width.push_back(std::min(kChunk, num_conj - node));
@@ -94,25 +69,17 @@ void LayoutFactorTable(const Matrix& w, int num_conj, FactorTable* t) {
     t->width.push_back(std::min(kChunk, out - node));
   }
   t->c.resize(static_cast<size_t>(t->chunks()) * t->in_dim * kChunk);
+  t->finite.assign(static_cast<size_t>(t->chunks()), 0);
 }
 
-/// Fills chunk q of the table from `w`. False when one of the chunk's
-/// weights is not finite: only then can a skipped factor differ from 1.0.
-bool BuildFactorChunk(const Matrix& w, int q, FactorTable* t) {
-  bool finite = true;
-  const double* w0 = w.row(t->first[q]);
-  for (int i = 0; i < t->in_dim; ++i) {
-    double* c = t->c.data() + t->Offset(q, i);
-    for (int k = 0; k < kChunk; ++k) {
-      if (k >= t->width[q]) {
-        c[k] = 1.0;
-        continue;
-      }
-      const double v = w0[static_cast<size_t>(k) * t->in_dim + i];
-      finite &= std::isfinite(v);
-      c[k] = std::max(kEps, 1.0 - v);
-    }
-  }
+/// Fills chunk q of the table from `w` through the tier's unit and records
+/// whether its weights are all finite.
+bool BuildFactorChunk(const logic_kernel::Units& units, const Matrix& w,
+                      int q, FactorTable* t) {
+  const bool finite =
+      units.build_chunk(w.row(t->first[q]), t->in_dim, t->width[q],
+                        t->c.data() + t->Offset(q, 0));
+  t->finite[q] = finite;
   return finite;
 }
 
@@ -163,56 +130,12 @@ void BackwardNodes(const Matrix& w, int num_conj, const Matrix& x,
   }
 }
 
-/// Per row of a binary matrix, its inputs at 0 and its inputs at 1, each
-/// ascending: the inputs whose factor a conjunction, respectively a
-/// disjunction, multiplies.
-struct SplitRows {
-  int in_dim = 0;
-  /// Row r's lists start at r * in_dim; zeros[r] inputs are at 0 and
-  /// in_dim - zeros[r] at 1.
-  std::vector<int> at_zero;
-  std::vector<int> at_one;
-  std::vector<int> zeros;
-
-  const int* Begin(size_t r, bool conj) const {
-    return (conj ? at_zero : at_one).data() + r * in_dim;
-  }
-  int Count(size_t r, bool conj) const {
-    return conj ? zeros[r] : in_dim - zeros[r];
-  }
-};
-
-/// Splits rows [lo, hi) of `x` into `rows` (sized by the caller). False
-/// when one of their elements is not exactly 0.0 or 1.0.
-bool SplitRowRange(const Matrix& x, size_t lo, size_t hi, SplitRows* rows) {
+/// Splits `x` into `rows` through the tier's unit. False when some element
+/// of `x` is not exactly 0.0 or 1.0. Blocks of rows run in parallel with up
+/// to `threads` threads.
+bool SplitBinaryRows(const logic_kernel::Units& units, const Matrix& x,
+                     int threads, SplitRows* rows) {
   const int in_dim = static_cast<int>(x.cols());
-  bool binary = true;
-  for (size_t r = lo; r < hi; ++r) {
-    const double* xr = x.row(r);
-    int* at_zero = rows->at_zero.data() + r * in_dim;
-    int* at_one = rows->at_one.data() + r * in_dim;
-    // Branch-free compaction: input i goes to the end of both lists, and
-    // only the matching list's end advances (both ends stay <= i).
-    int zeros = 0;
-    int ones = 0;
-    for (int i = 0; i < in_dim; ++i) {
-      const bool zero = xr[i] == 0.0;
-      binary &= zero || xr[i] == 1.0;
-      at_zero[zeros] = i;
-      at_one[ones] = i;
-      zeros += zero;
-      ones += !zero;
-    }
-    rows->zeros[r] = zeros;
-  }
-  return binary;
-}
-
-/// False when some element of `x` is not exactly 0.0 or 1.0. Blocks of
-/// rows run in parallel with up to `threads` threads.
-bool SplitBinaryRows(const Matrix& x, int threads, SplitRows* rows) {
-  const int in_dim = static_cast<int>(x.cols());
-  rows->in_dim = in_dim;
   rows->at_zero.resize(x.rows() * in_dim);
   rows->at_one.resize(x.rows() * in_dim);
   rows->zeros.resize(x.rows());
@@ -222,63 +145,25 @@ bool SplitBinaryRows(const Matrix& x, int threads, SplitRows* rows) {
               [&](size_t block) {
                 const size_t end =
                     std::min(x.rows(), (block + 1) * kRowsPerBlock);
-                if (!SplitRowRange(x, block * kRowsPerBlock, end, rows)) {
+                if (!units.split_rows(x.data(), in_dim, block * kRowsPerBlock,
+                                      end, rows->at_zero.data(),
+                                      rows->at_one.data(),
+                                      rows->zeros.data())) {
                   binary = false;
                 }
               });
   return binary;
 }
 
-// One (row, chunk) step of the table kernels: walks the row's input list
-// over the chunk's table rows (`table` = the chunk's row for input 0).
-
-/// acc[k] = product of the listed inputs' factors, in list order, for
-/// `kChunks` chunks of one kind side by side (`chunk_stride` doubles
-/// apart in the table): more independent products hide the multiply
-/// latency.
-template <int kChunks>
-void MultiplyFactors(const double* table, size_t chunk_stride,
-                     const int* inputs, int count, double* acc) {
-  Lanes a[kChunks][kPairs];
-  for (int q = 0; q < kChunks; ++q) {
-    for (int k = 0; k < kPairs; ++k) a[q][k] = Lanes{1.0, 1.0};
-  }
-  for (int j = 0; j < count; ++j) {
-    const double* c = table + static_cast<size_t>(inputs[j]) * kChunk;
-    for (int q = 0; q < kChunks; ++q) {
-      for (int k = 0; k < kPairs; ++k) {
-        a[q][k] *= LoadLanes(c + q * chunk_stride + 2 * k);
-      }
-    }
-  }
-  for (int q = 0; q < kChunks; ++q) {
-    for (int k = 0; k < kPairs; ++k) {
-      StoreLanes(acc + q * kChunk + 2 * k, a[q][k]);
-    }
-  }
-}
-
-/// Adds g * (-(1 - 0) * rest) (conjunction, inputs at 0) or g * (1 * rest)
-/// (disjunction, inputs at 1), rest = prod / c, to the listed inputs'
-/// accumulators.
-template <bool kConj>
-void AddGradientTerms(const double* table, const int* inputs, int count,
-                      const double* g, const double* prod, double* gt) {
-  Lanes gv[kPairs];
-  Lanes pv[kPairs];
-  for (int k = 0; k < kPairs; ++k) {
-    gv[k] = LoadLanes(g + 2 * k);
-    pv[k] = LoadLanes(prod + 2 * k);
-  }
-  for (int j = 0; j < count; ++j) {
-    const size_t at = static_cast<size_t>(inputs[j]) * kChunk;
-    for (int k = 0; k < kPairs; ++k) {
-      const Lanes rest = pv[k] / LoadLanes(table + at + 2 * k);
-      const Lanes term = kConj ? gv[k] * -rest : gv[k] * rest;
-      double* acc = gt + at + 2 * k;
-      StoreLanes(acc, LoadLanes(acc) + term);
-    }
-  }
+/// Splits `x` and lays out the table of `w` in `tables`. False when `x` is
+/// not binary.
+bool PrepareTables(const logic_kernel::Units& units, const Matrix& w,
+                   int num_conj, const Matrix& x, int threads,
+                   LogicLayer::StepTables* tables) {
+  tables->ready = false;
+  if (!SplitBinaryRows(units, x, threads, &tables->rows)) return false;
+  LayoutFactorTable(w, num_conj, &tables->table);
+  return true;
 }
 
 /// The continuous forward of layer `w` (num_conj conjunctions first)
@@ -288,124 +173,153 @@ void AddGradientTerms(const double* table, const int* inputs, int count,
 /// input order, as the generic loop does. Units of one or two chunks of one
 /// kind (two hide the multiply latency) run in parallel, each building its
 /// own chunks of the table; a unit holding a non-finite weight runs the
-/// generic loop for its nodes instead.
+/// generic loop for its nodes instead. On success `tables` holds the split
+/// and the complete table.
 bool ForwardByTable(const Matrix& w, int num_conj, const Matrix& x,
-                    Matrix* y) {
+                    Matrix* y, LogicLayer::StepTables* tables) {
+  const logic_kernel::Units& units = logic_kernel::UnitsFor(CurrentTraceIsa());
   const int threads = MatrixThreadsFor(x.rows() * w.rows() * w.cols());
-  SplitRows rows;
-  if (!SplitBinaryRows(x, threads, &rows)) return false;
-  FactorTable t;
-  LayoutFactorTable(w, num_conj, &t);
+  if (!PrepareTables(units, w, num_conj, x, threads, tables)) return false;
+  const SplitRows& rows = tables->rows;
+  FactorTable& t = tables->table;
   auto unit_width = [&](int q) {
     return q + 1 < t.chunks() && t.conj(q + 1) == t.conj(q) ? 2 : 1;
   };
-  std::vector<int> units;  // first chunk of each unit
-  for (int q = 0; q < t.chunks(); q += unit_width(q)) units.push_back(q);
-  const size_t chunk_stride = t.Offset(1, 0);
+  std::vector<int> starts;  // first chunk of each unit
+  for (int q = 0; q < t.chunks(); q += unit_width(q)) starts.push_back(q);
   auto run_unit = [&](size_t u) {
-    const int q = units[u];
-    const bool conj = t.conj(q);
+    const int q = starts[u];
     const int pair = unit_width(q);
     bool finite = true;
-    for (int p = 0; p < pair; ++p) finite &= BuildFactorChunk(w, q + p, &t);
+    for (int p = 0; p < pair; ++p) {
+      finite &= BuildFactorChunk(units, w, q + p, &t);
+    }
     if (!finite) {
       ForwardNodes(w, num_conj, x, t.first[q],
                    t.first[q + pair - 1] + t.width[q + pair - 1], y);
       return;
     }
-    for (size_t r = 0; r < x.rows(); ++r) {
-      double acc[2 * kChunk];
-      (pair == 2 ? MultiplyFactors<2> : MultiplyFactors<1>)(
-          t.c.data() + t.Offset(q, 0), chunk_stride, rows.Begin(r, conj),
-          rows.Count(r, conj), acc);
-      for (int p = 0; p < pair; ++p) {
-        double* yr = y->row(r) + t.first[q + p];
-        for (int k = 0; k < t.width[q + p]; ++k) {
-          const double prod = acc[p * kChunk + k];
-          yr[k] = conj ? prod : 1.0 - prod;
-        }
-      }
+    logic_kernel::ForwardJob job;
+    job.table = t.c.data() + t.Offset(q, 0);
+    job.chunk_stride = t.Offset(1, 0);
+    job.chunks = pair;
+    job.conj = t.conj(q);
+    job.lists = (job.conj ? rows.at_zero : rows.at_one).data();
+    job.zeros = rows.zeros.data();
+    job.in_dim = t.in_dim;
+    job.rows = x.rows();
+    job.y = y->data();
+    job.y_stride = y->cols();
+    for (int p = 0; p < pair; ++p) {
+      job.first[p] = t.first[q + p];
+      job.width[p] = t.width[q + p];
     }
+    units.forward(job);
   };
-  ParallelFor(threads, 0, units.size(), run_unit);
+  ParallelFor(threads, 0, starts.size(), run_unit);
+  tables->ready = true;
+  return true;
+}
+
+/// Splits `x` and builds the complete table of `w` in `tables`, chunks in
+/// parallel: the backward's tables when no forward left them. False when
+/// `x` is not binary.
+bool BuildTables(const logic_kernel::Units& units, const Matrix& w,
+                 int num_conj, const Matrix& x, int threads,
+                 LogicLayer::StepTables* tables) {
+  if (!PrepareTables(units, w, num_conj, x, threads, tables)) return false;
+  FactorTable& t = tables->table;
+  ParallelFor(threads, 0, static_cast<size_t>(t.chunks()), [&](size_t q) {
+    BuildFactorChunk(units, w, static_cast<int>(q), &t);
+  });
+  tables->ready = true;
   return true;
 }
 
 /// The parameter backward of layer `w` through the factor table,
-/// accumulating into `grads`. False, with `grads` untouched, when `x` is
-/// not binary. Chunks run in parallel, each with its own rows of `grads`; a
-/// chunk holding a non-finite weight or a -0.0 gradient runs the generic
-/// loop for its nodes instead.
+/// accumulating into `grads`. `tables` (may be null) is the forward's split
+/// and table for the same weights and input; without it this call builds
+/// its own. False, with `grads` untouched, when `x` is not binary. Chunks
+/// run in parallel, each with its own rows of `grads`; a chunk holding a
+/// non-finite weight or a -0.0 gradient runs the generic loop for its nodes
+/// instead.
 bool BackwardWeightsByTable(const Matrix& w, int num_conj, const Matrix& x,
                             const Matrix& y, const Matrix& dy,
+                            const LogicLayer::StepTables* tables,
                             Matrix* grads) {
+  const logic_kernel::Units& units = logic_kernel::UnitsFor(CurrentTraceIsa());
   const int threads = MatrixThreadsFor(x.rows() * w.rows() * w.cols());
-  SplitRows rows;
-  if (!SplitBinaryRows(x, threads, &rows)) return false;
-  FactorTable t;
-  LayoutFactorTable(w, num_conj, &t);
+  LogicLayer::StepTables own;
+  if (tables == nullptr || !tables->ready) {
+    if (!BuildTables(units, w, num_conj, x, threads, &own)) return false;
+    tables = &own;
+  }
+  const SplitRows& rows = tables->rows;
+  const FactorTable& t = tables->table;
   const int in_dim = t.in_dim;
-  // Chunk-major copy of the accumulators.
-  std::vector<double> gt(t.c.size(), 0.0);
+  CTFL_CHECK(in_dim == static_cast<int>(x.cols()) &&
+             rows.zeros.size() == x.rows() && t.chunks() > 0 &&
+             static_cast<size_t>(t.first.back() + t.width.back()) ==
+                 w.rows());
+  // Chunk-major copy of the accumulators, and the corrected quotient's
+  // reciprocals of the table: per-thread buffers that keep their storage
+  // from step to step (a fresh 120 KB pair per step cost the fed-score
+  // step about 10% in page faults). The calling thread does not re-enter
+  // this function before it returns: its ParallelFor runs only this call's
+  // chunks.
+  static thread_local std::vector<double> gt_storage;
+  static thread_local std::vector<double> inv_storage;
+  gt_storage.resize(t.c.size());
+  inv_storage.resize(units.reciprocals ? t.c.size() : 0);
+  // Pointers, not the thread_local names: helpers run the chunks.
+  double* gt = gt_storage.data();
+  double* inv = units.reciprocals ? inv_storage.data() : nullptr;
   auto run_chunk = [&](size_t chunk) {
     const int q = static_cast<int>(chunk);
     const bool conj = t.conj(q);
     const int lo = t.first[q];
     const int hi = lo + t.width[q];
-    double* chunk_gt = gt.data() + t.Offset(q, 0);
+    double* chunk_gt = gt + t.Offset(q, 0);
     // A skipped term is ±0.0, which leaves an accumulator's bits unchanged
     // unless it holds -0.0: zeroed gradients are +0.0 and sums of terms
     // never yield -0.0, so only a caller's own -0.0 sends the chunk to the
     // generic loop.
     bool negative_zero = false;
-    for (int k = 0; k < t.width[q]; ++k) {
+    for (int k = 0; k < kChunk; ++k) {
+      if (k >= t.width[q]) {  // padding lanes: accumulated, never read
+        for (int i = 0; i < in_dim; ++i) {
+          chunk_gt[static_cast<size_t>(i) * kChunk + k] = 0.0;
+        }
+        continue;
+      }
       const double* gw = grads->row(lo + k);
       for (int i = 0; i < in_dim; ++i) {
         negative_zero |= gw[i] == 0.0 && std::signbit(gw[i]);
         chunk_gt[static_cast<size_t>(i) * kChunk + k] = gw[i];
       }
     }
-    if (!BuildFactorChunk(w, q, &t) || negative_zero) {
+    if (t.finite[q] == 0 || negative_zero) {
       BackwardNodes(w, num_conj, x, y, dy, lo, hi, grads, nullptr);
       return;
     }
-    for (size_t r = 0; r < x.rows(); ++r) {
-      // A lane takes the table loop when its g is finite and nonzero and
-      // its product lies in (0, 1]: then rest = prod / c is finite and
-      // every skipped term g * (0 * rest) is ±0.0. Other lanes enter it as
-      // g = 0, prod = 1, adding only ±0.0; those the generic loop would
-      // not skip then run it for this (row, node), so a NaN or infinite g
-      // propagates exactly as in the generic loop.
-      double g[kChunk];
-      double prod[kChunk];
-      bool generic[kChunk];
-      for (int k = 0; k < kChunk; ++k) {
-        g[k] = 0.0;
-        prod[k] = 1.0;
-        generic[k] = false;
-        if (k >= t.width[q]) continue;
-        const int node = lo + k;
-        const double gv = dy(r, node);
-        const double pv = conj ? y(r, node) : 1.0 - y(r, node);
-        if (gv != 0.0 && std::isfinite(gv) && pv > 0.0 && pv <= 1.0) {
-          g[k] = gv;
-          prod[k] = pv;
-        } else {
-          generic[k] = gv != 0.0 && !(pv <= 0.0);
-        }
-      }
-      // Divide only where the forward multiplied.
-      (conj ? AddGradientTerms<true> : AddGradientTerms<false>)(
-          t.c.data() + t.Offset(q, 0), rows.Begin(r, conj),
-          rows.Count(r, conj), g, prod, chunk_gt);
-      for (int k = 0; k < t.width[q]; ++k) {
-        if (!generic[k]) continue;
-        const int node = lo + k;
-        NodeGradient(conj, dy(r, node), conj ? y(r, node) : 1.0 - y(r, node),
-                     w.row(node), x.row(r), in_dim, chunk_gt + k, kChunk,
-                     nullptr);
-      }
-    }
+    logic_kernel::BackwardJob job;
+    job.c = t.c.data() + t.Offset(q, 0);
+    job.inv = inv == nullptr ? nullptr : inv + t.Offset(q, 0);
+    job.gt = chunk_gt;
+    job.lists = (conj ? rows.at_zero : rows.at_one).data();
+    job.zeros = rows.zeros.data();
+    job.in_dim = in_dim;
+    job.conj = conj;
+    job.first = lo;
+    job.width = t.width[q];
+    job.rows = x.rows();
+    job.y = y.data();
+    job.dy = dy.data();
+    job.out_dim = y.cols();
+    job.w = w.data();
+    job.x = x.data();
+    job.node_gradient = NodeGradient;
+    units.backward(job);
     for (int k = 0; k < t.width[q]; ++k) {
       double* gw = grads->row(lo + k);
       for (int i = 0; i < in_dim; ++i) {
@@ -452,10 +366,13 @@ void LogicLayer::InitSparse(Rng& rng, int fan_in) {
   }
 }
 
-Matrix LogicLayer::ForwardContinuous(const Matrix& x) const {
+Matrix LogicLayer::ForwardContinuous(const Matrix& x,
+                                     StepTables* tables) const {
   CTFL_CHECK(static_cast<int>(x.cols()) == in_dim_);
   Matrix y(x.rows(), out_dim());
-  if (!ForwardByTable(weights_, num_conj_, x, &y)) {
+  StepTables own;
+  if (!ForwardByTable(weights_, num_conj_, x, &y,
+                      tables != nullptr ? tables : &own)) {
     ForwardNodes(weights_, num_conj_, x, 0, out_dim(), &y);
   }
   return y;
@@ -539,10 +456,11 @@ Matrix LogicLayer::Backward(const Matrix& x, const Matrix& y,
 }
 
 void LogicLayer::BackwardWeights(const Matrix& x, const Matrix& y,
-                                 const Matrix& dy) {
+                                 const Matrix& dy, const StepTables* tables) {
   CTFL_CHECK(x.rows() == y.rows() && y.rows() == dy.rows());
   CTFL_CHECK(static_cast<int>(x.cols()) == in_dim_);
-  if (!BackwardWeightsByTable(weights_, num_conj_, x, y, dy, &grads_)) {
+  if (!BackwardWeightsByTable(weights_, num_conj_, x, y, dy, tables,
+                              &grads_)) {
     BackwardNodes(weights_, num_conj_, x, y, dy, 0, out_dim(), &grads_,
                   nullptr);
   }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "ctfl/nn/logic_kernel.h"
 #include "ctfl/nn/matrix.h"
 #include "ctfl/util/rng.h"
 
@@ -35,9 +36,10 @@ void PackRows(const Matrix& x, size_t lo, size_t n, uint64_t* words);
 /// exact factor-table kernel when every input is exactly 0.0 or 1.0 (the
 /// encoder's output, i.e. layer 0) and the generic per-element loop
 /// otherwise. Both produce the generic loop's results bit for bit. The
-/// table kernels shard by 8-node chunk across the compute pool under the
-/// matrix thread budget (MatrixThreadsFor), never by row, so every element
-/// keeps its serial term order.
+/// table kernels run in the SIMD tier's unit (nn/logic_kernel.h) and shard
+/// by 8-node chunk across the compute pool under the matrix thread budget
+/// (MatrixThreadsFor), never by row, so every element keeps its serial term
+/// order.
 class LogicLayer {
  public:
   LogicLayer(int in_dim, int num_conj, int num_disj);
@@ -53,8 +55,21 @@ class LogicLayer {
   /// away from 0 so grafted gradients do not vanish.
   void InitSparse(Rng& rng, int fan_in);
 
-  /// Continuous (fuzzy) forward: Y(batch x out).
-  Matrix ForwardContinuous(const Matrix& x) const;
+  /// The row split of a binary input and the factor table of the weights
+  /// that read it: built by the continuous forward, reused by the
+  /// parameter backward of the same step (the weights do not change in
+  /// between), so each is built once per step.
+  struct StepTables {
+    logic_kernel::SplitRows rows;
+    logic_kernel::FactorTable table;
+    /// True once a forward built both for its input.
+    bool ready = false;
+  };
+
+  /// Continuous (fuzzy) forward: Y(batch x out). When `tables` is non-null
+  /// and `x` is binary, leaves the step's split and table in it.
+  Matrix ForwardContinuous(const Matrix& x,
+                           StepTables* tables = nullptr) const;
 
   /// Forward with weights binarized at 0.5 and inputs thresholded at 0.5:
   /// crisp AND/OR (bit-packed, 64 rows at a time).
@@ -67,8 +82,10 @@ class LogicLayer {
 
   /// Backward without the input gradient: accumulates exactly the
   /// parameter gradients Backward would. For the first layer, whose input
-  /// gradient nobody consumes.
-  void BackwardWeights(const Matrix& x, const Matrix& y, const Matrix& dy);
+  /// gradient nobody consumes. `tables`, when non-null and ready, must come
+  /// from ForwardContinuous on this `x` with the current weights.
+  void BackwardWeights(const Matrix& x, const Matrix& y, const Matrix& dy,
+                       const StepTables* tables = nullptr);
 
   /// Inputs whose binarized weight is active (> 0.5) for `node`.
   std::vector<int> ActiveInputs(int node) const;

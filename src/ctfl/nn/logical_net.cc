@@ -85,7 +85,9 @@ Matrix LogicalNet::ForwardContinuous(const Matrix& encoded,
   std::vector<Matrix> outs;
   const Matrix* layer_in = &encoded;
   for (const LogicLayer& layer : logic_layers_) {
-    outs.push_back(layer.ForwardContinuous(*layer_in));
+    LogicLayer::StepTables* tables =
+        cache != nullptr && outs.empty() ? &cache->layer0 : nullptr;
+    outs.push_back(layer.ForwardContinuous(*layer_in, tables));
     layer_in = &outs.back();
   }
   Matrix rules = ConcatRules(encoded, outs, config_.input_skip, num_rules_);
@@ -254,7 +256,7 @@ void LogicalNet::Backward(const Cache& cache, const Matrix& dlogits) {
   // no consumer: it accumulates weight gradients only.
   if (!logic_layers_.empty()) {
     logic_layers_[0].BackwardWeights(cache.encoded, cache.layer_out[0],
-                                     dout[0]);
+                                     dout[0], &cache.layer0);
   }
 }
 

@@ -76,11 +76,13 @@ class LogicalNet {
                      const std::vector<size_t>& indices = {}) const;
 
   /// Intermediate activations of a continuous forward pass, kept for
-  /// Backward.
+  /// Backward, with layer 0's row split and factor table (built once per
+  /// step; Backward must see the weights the forward saw).
   struct Cache {
     Matrix encoded;
     std::vector<Matrix> layer_out;
     Matrix rules;
+    LogicLayer::StepTables layer0;
   };
 
   /// Continuous (fuzzy) logits; fills `cache` if non-null.

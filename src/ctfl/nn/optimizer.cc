@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "ctfl/nn/logic_kernel.h"
+#include "ctfl/util/cpu_features.h"
 #include "ctfl/util/logging.h"
 #include "ctfl/util/thread_pool.h"
 
@@ -32,8 +34,22 @@ void AdamOptimizer::Step(const std::vector<ParamSlot>& slots) {
   }
   CTFL_CHECK(m_.size() == slots.size());
   ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, t_);
-  const double bc2 = 1.0 - std::pow(beta2_, t_);
+  logic_kernel::AdamJob job;
+  job.lr = lr_;
+  job.beta1 = beta1_;
+  job.beta2 = beta2_;
+  job.one_minus_beta1 = 1.0 - beta1_;
+  job.one_minus_beta2 = 1.0 - beta2_;
+  job.eps = eps_;
+  job.bc1 = 1.0 - std::pow(beta1_, t_);
+  job.bc2 = 1.0 - std::pow(beta2_, t_);
+  // The corrected quotient m / bc needs bc in [2^-20, 1] (DESIGN.md §16.3);
+  // a zero reciprocal keeps the division.
+  auto reciprocal = [](double bc) {
+    return bc >= 0x1p-20 && bc <= 1.0 ? 1.0 / bc : 0.0;
+  };
+  job.inv_bc1 = reciprocal(job.bc1);
+  job.inv_bc2 = reciprocal(job.bc2);
   // Every element updates on its own, so element ranges run in parallel
   // with results identical to the serial loop.
   struct Range {
@@ -51,22 +67,16 @@ void AdamOptimizer::Step(const std::vector<ParamSlot>& slots) {
     }
     elements += size;
   }
+  const logic_kernel::Units& units = logic_kernel::UnitsFor(CurrentTraceIsa());
   // An element's update is about ten floating-point operations.
   ParallelFor(MatrixThreadsFor(elements * 10), 0, ranges.size(),
               [&](size_t r) {
                 const Range& range = ranges[r];
-                double* m = m_[range.slot].data();
-                double* v = v_[range.slot].data();
-                double* p = slots[range.slot].param->data();
-                const double* g = slots[range.slot].grad->data();
-                for (size_t k = range.lo; k < range.hi; ++k) {
-                  const double gk = g[k];
-                  m[k] = beta1_ * m[k] + (1.0 - beta1_) * gk;
-                  v[k] = beta2_ * v[k] + (1.0 - beta2_) * gk * gk;
-                  const double mhat = m[k] / bc1;
-                  const double vhat = v[k] / bc2;
-                  p[k] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-                }
+                units.adam(job, m_[range.slot].data() + range.lo,
+                           v_[range.slot].data() + range.lo,
+                           slots[range.slot].param->data() + range.lo,
+                           slots[range.slot].grad->data() + range.lo,
+                           range.hi - range.lo);
               });
 }
 

@@ -44,6 +44,12 @@ class ByteReader : public wire::Reader {
       : wire::Reader(data, "bundle section") {}
 };
 
+// Minimum encoded sizes of the counted elements below.
+constexpr size_t kF64Bytes = 8;
+constexpr size_t kStrBytes = 4;                    // u32 length, no bytes
+constexpr size_t kRuleBytes = 1 + kF64Bytes + kStrBytes;
+constexpr size_t kFeatureBytes = kStrBytes + 1 + 4;  // name, type, u32 count
+
 telemetry::Counter& BytesWrittenCounter() {
   static telemetry::Counter& c = telemetry::MetricsRegistry::Global()
                                      .GetCounter("ctfl.bundle.bytes_written");
@@ -386,14 +392,19 @@ Status DecodeMeta(std::string_view payload, BundleContent& c,
   CTFL_RETURN_IF_ERROR(r.U64(&c.meta.schema_fingerprint));
   uint32_t micro = 0;
   CTFL_RETURN_IF_ERROR(r.U32(&micro));
+  CTFL_RETURN_IF_ERROR(
+      r.CheckCount(micro, kF64Bytes, "meta section micro-score"));
   c.meta.micro_scores.resize(micro);
   for (double& v : c.meta.micro_scores) CTFL_RETURN_IF_ERROR(r.F64(&v));
   uint32_t macro = 0;
   CTFL_RETURN_IF_ERROR(r.U32(&macro));
+  CTFL_RETURN_IF_ERROR(
+      r.CheckCount(macro, kF64Bytes, "meta section macro-score"));
   c.meta.macro_scores.resize(macro);
   for (double& v : c.meta.macro_scores) CTFL_RETURN_IF_ERROR(r.F64(&v));
   uint32_t names = 0;
   CTFL_RETURN_IF_ERROR(r.U32(&names));
+  CTFL_RETURN_IF_ERROR(r.CheckCount(names, kStrBytes, "meta section name"));
   c.meta.participant_names.resize(names);
   for (std::string& name : c.meta.participant_names) {
     CTFL_RETURN_IF_ERROR(r.Str(&name));
@@ -430,6 +441,7 @@ Status DecodeRules(std::string_view payload, BundleContent& c) {
   CTFL_RETURN_IF_ERROR(r.F64(&c.rule_bias));
   uint32_t count = 0;
   CTFL_RETURN_IF_ERROR(r.U32(&count));
+  CTFL_RETURN_IF_ERROR(r.CheckCount(count, kRuleBytes, "rules section rule"));
   c.rules.resize(count);
   for (RuleSnapshot& rule : c.rules) {
     uint8_t support_class = 0;
@@ -475,6 +487,8 @@ Result<SchemaPtr> DecodeSchemaPayload(std::string_view payload) {
   ByteReader r(payload);
   uint32_t num_features = 0;
   CTFL_RETURN_IF_ERROR(r.U32(&num_features));
+  CTFL_RETURN_IF_ERROR(
+      r.CheckCount(num_features, kFeatureBytes, "schema feature"));
   std::vector<FeatureSpec> features(num_features);
   for (FeatureSpec& spec : features) {
     CTFL_RETURN_IF_ERROR(r.Str(&spec.name));
@@ -484,6 +498,7 @@ Result<SchemaPtr> DecodeSchemaPayload(std::string_view payload) {
     if (spec.type == FeatureType::kDiscrete) {
       uint32_t ncat = 0;
       CTFL_RETURN_IF_ERROR(r.U32(&ncat));
+      CTFL_RETURN_IF_ERROR(r.CheckCount(ncat, kStrBytes, "schema category"));
       spec.categories.resize(ncat);
       for (std::string& category : spec.categories) {
         CTFL_RETURN_IF_ERROR(r.Str(&category));
@@ -544,10 +559,8 @@ Status DecodeModelPayload(std::string_view payload,
   }
   uint64_t param_count = 0;
   CTFL_RETURN_IF_ERROR(r.U64(&param_count));
-  if (param_count > r.remaining() / 8) {
-    return Status::InvalidArgument(
-        "bundle model section parameter count exceeds its payload");
-  }
+  CTFL_RETURN_IF_ERROR(
+      r.CheckCount(param_count, kF64Bytes, "model section parameter"));
   params->resize(param_count);
   for (double& v : *params) CTFL_RETURN_IF_ERROR(r.F64(&v));
   return r.ExpectEnd(kModelSection);
@@ -581,24 +594,19 @@ Result<std::vector<ParticipantRecords>> DecodeTrainPayload(
   ByteReader r(payload);
   uint32_t num_participants = 0;
   CTFL_RETURN_IF_ERROR(r.U32(&num_participants));
-  // Counts are checked against the unread bytes before anything is sized
-  // from them: each participant carries at least its u64 record count, and
-  // each record a label bit plus its activation words.
-  if (num_participants > r.remaining() / 8) {
-    return Status::InvalidArgument(
-        "bundle train section participant count exceeds its payload");
-  }
+  // Each participant carries at least its u64 record count, and each record
+  // a label bit plus its activation words.
+  CTFL_RETURN_IF_ERROR(
+      r.CheckCount(num_participants, 8, "train section participant"));
   std::vector<ParticipantRecords> participants(num_participants);
   const size_t words_per_row = (num_rules + 63) / 64;
   for (ParticipantRecords& p : participants) {
     uint64_t num_records = 0;
     CTFL_RETURN_IF_ERROR(r.U64(&num_records));
-    if (num_records / 8 > r.remaining() ||
-        (words_per_row > 0 &&
-         num_records > r.remaining() / (8 * words_per_row))) {
-      return Status::InvalidArgument(
-          "bundle train section record count exceeds its payload");
-    }
+    CTFL_RETURN_IF_ERROR(
+        r.CheckCount(num_records / 8, 1, "train section record"));
+    CTFL_RETURN_IF_ERROR(r.CheckCount(num_records, 8 * words_per_row,
+                                      "train section record"));
     p.labels.resize(num_records);
     for (size_t i = 0; i < num_records; i += 8) {
       uint8_t packed = 0;
@@ -638,10 +646,8 @@ Result<std::vector<TestRecord>> DecodeTestsPayload(std::string_view payload,
   CTFL_RETURN_IF_ERROR(r.U64(&num_tests));
   const size_t words_per_row = (num_rules + 63) / 64;
   // Each test carries two label bytes plus its activation words.
-  if (num_tests > r.remaining() / (2 + 8 * words_per_row)) {
-    return Status::InvalidArgument(
-        "bundle tests section test count exceeds its payload");
-  }
+  CTFL_RETURN_IF_ERROR(
+      r.CheckCount(num_tests, 2 + 8 * words_per_row, "tests section test"));
   std::vector<TestRecord> tests(num_tests);
   for (TestRecord& t : tests) {
     CTFL_RETURN_IF_ERROR(r.U8(&t.label));

@@ -90,6 +90,8 @@ Result<DeltaHeader> DecodeHeader(std::string_view payload) {
   header.macro_delta = static_cast<int>(macro_delta);
   uint32_t names = 0;
   CTFL_RETURN_IF_ERROR(r.U32(&names));
+  // Each name carries at least its u32 length.
+  CTFL_RETURN_IF_ERROR(r.CheckCount(names, 4, "header participant name"));
   header.participant_names.resize(names);
   for (std::string& name : header.participant_names) {
     CTFL_RETURN_IF_ERROR(r.Str(&name));

@@ -77,9 +77,9 @@ struct RunTelemetry {
   /// Pairs that met the tau_w threshold — total related-record hits.
   int64_t related_records = 0;
   int64_t uncovered_tests = 0;
-  /// Blocked-kernel work accounting (0 on the legacy scalar path):
-  /// candidates the kernel actually touched (<= tau_w_checks) and
-  /// 64-record blocks skipped or early-exited by pruning.
+  /// Blocked-kernel work accounting: candidates the kernel actually
+  /// touched (<= tau_w_checks) and 64-record blocks skipped or early-exited
+  /// by pruning.
   int64_t records_scanned = 0;
   int64_t blocks_pruned = 0;
   /// Lanes re-decided by the exact scalar comparison (float-drift band).

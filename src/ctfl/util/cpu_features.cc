@@ -32,7 +32,8 @@ bool RuntimeSupports(TraceIsa isa) {
       return true;
 #if defined(__x86_64__) || defined(__i386__)
     case TraceIsa::kAvx2:
-      return __builtin_cpu_supports("avx2");
+      // The tier's training units use FMA (nn/logic_kernel.h).
+      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
     case TraceIsa::kAvx512:
       return __builtin_cpu_supports("avx512f");
 #endif

@@ -2,11 +2,12 @@
 #define CTFL_UTIL_CPU_FEATURES_H_
 
 // Runtime ISA detection + process-wide SIMD-tier selection for the
-// tracing kernel (kernel/trace_kernel.h, DESIGN.md §10).
+// tracing kernel (kernel/trace_kernel.h, DESIGN.md §10) and the grafted
+// training step's units (nn/logic_kernel.h, DESIGN.md §16.2).
 //
-// The blocked Eq. 4 kernel ships one translation unit per SIMD tier
-// (portable scalar, AVX2, AVX-512, NEON), all compiled into the binary;
-// which one runs is decided *once* per process, never per call:
+// The blocked Eq. 4 kernel and the training step each ship one
+// translation unit per SIMD tier, all compiled into the binary; which one
+// runs is decided *once* per process, never per call:
 //
 //   1. an explicit SetTraceIsa() override (the --trace-isa flag), else
 //   2. the CTFL_TRACE_ISA environment variable (scalar|avx2|avx512|neon;
@@ -14,10 +15,12 @@
 //   3. the best tier the running CPU supports (cpuid on x86, auxval on
 //      aarch64).
 //
-// Every tier produces bit-identical match decisions and stats (DESIGN.md
-// §10), so the selection is a pure implementation knob: it is excluded
-// from config digests and run fingerprints exactly like the thread-count
-// knobs of §9.
+// Every tier produces bit-identical match decisions, stats and trained
+// parameters (DESIGN.md §10.3, §16.3), so the selection is a pure
+// implementation knob: it is excluded from config digests and run
+// fingerprints exactly like the thread-count knobs of §9. The tracer takes
+// its tier from TracerConfig::isa (CurrentTraceIsa() by default); the
+// training step reads CurrentTraceIsa() itself.
 
 #include <cstdint>
 #include <string>
@@ -33,7 +36,7 @@ namespace ctfl {
 enum class TraceIsa : uint8_t {
   kScalar = 0,  ///< portable uint64 lane loop (always available)
   kNeon = 1,    ///< aarch64 Advanced SIMD, 2 x f64 lanes
-  kAvx2 = 2,    ///< x86-64 AVX2, 4 x f64 lanes
+  kAvx2 = 2,    ///< x86-64 AVX2 with FMA, 4 x f64 lanes
   kAvx512 = 3,  ///< x86-64 AVX-512F, 8 x f64 lanes + mask registers
 };
 
@@ -50,8 +53,8 @@ Result<TraceIsa> ParseTraceIsa(const std::string& name);
 /// NEON only on aarch64, AVX tiers only on x86-64).
 bool TraceIsaCompiled(TraceIsa isa);
 
-/// True when the tier is compiled in *and* the running CPU supports it.
-/// kScalar is always available.
+/// True when the tier is compiled in *and* the running CPU supports it
+/// (kAvx2 needs both AVX2 and FMA). kScalar is always available.
 bool TraceIsaAvailable(TraceIsa isa);
 
 /// The widest available tier on this machine.

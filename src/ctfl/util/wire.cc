@@ -79,6 +79,15 @@ Status Reader::Words(size_t count, std::vector<uint64_t>* out) {
   return Status::OK();
 }
 
+Status Reader::CheckCount(uint64_t count, size_t min_bytes,
+                          const char* what) const {
+  if (min_bytes != 0 && count > remaining() / min_bytes) {
+    return Status::InvalidArgument(StrFormat(
+        "%s: %s count exceeds its payload", context_.c_str(), what));
+  }
+  return Status::OK();
+}
+
 Status Reader::ExpectEnd(const char* what) const {
   if (!AtEnd()) {
     return Status::InvalidArgument(StrFormat("%s '%s' has %zu trailing bytes",

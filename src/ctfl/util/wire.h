@@ -62,6 +62,11 @@ class Reader {
   bool AtEnd() const { return pos_ == data_.size(); }
   /// Unread bytes: the most any count read from the payload can cover.
   size_t remaining() const { return data_.size() - pos_; }
+  /// InvalidArgument naming `what` unless `count` elements of at least
+  /// `min_bytes` encoded bytes each fit in the unread bytes. A decoder
+  /// checks every count it reads from the payload before sizing anything
+  /// from it.
+  Status CheckCount(uint64_t count, size_t min_bytes, const char* what) const;
   /// InvalidArgument naming `what` when bytes remain unconsumed.
   Status ExpectEnd(const char* what) const;
 

@@ -17,6 +17,7 @@
 #include "ctfl/fl/fedavg.h"
 #include "ctfl/fl/partition.h"
 #include "ctfl/nn/matrix.h"
+#include "isa_tiers.h"
 #include "trace_compare.h"
 
 namespace ctfl {
@@ -312,20 +313,26 @@ TEST_F(DeterminismTest, PipelineDigestMatchesPinnedValue) {
   // pins the trained parameters and both score vectors of one small run
   // (two logic layers, widths no kernel chunk divides) to their digest
   // under the scalar per-element logic-layer kernels, with glibc's libm
-  // on x86-64. Only a change meant to alter training may re-pin it.
+  // on x86-64, at every SIMD tier the machine supports (the tier picks the
+  // training step's units too). Only a change meant to alter training may
+  // re-pin it.
   const Dataset all = TwoFeatureDataset(360, 53);
   const Dataset test = TwoFeatureDataset(120, 59);
   Rng rng(19);
   const Federation fed = MakeFederation(PartitionUniform(all, 4, rng));
   CtflConfig config = BaseConfig();
   config.net.logic_layers = {{13, 11}, {6, 5}};
-  const PipelineSnapshot snap = RunPipeline(fed, test, config, 4);
-  ASSERT_GT(snap.trace.num_keys, 0);
-  uint64_t digest = 0xcbf29ce484222325ULL;
-  digest = Fnv1a(digest, snap.params);
-  digest = Fnv1a(digest, snap.micro);
-  digest = Fnv1a(digest, snap.macro);
-  EXPECT_EQ(digest, 0xa940fad0445cc639ULL) << std::hex << "digest 0x" << digest;
+  ForEachTier([&](TraceIsa isa) {
+    config.tracer.isa = isa;
+    const PipelineSnapshot snap = RunPipeline(fed, test, config, 4);
+    ASSERT_GT(snap.trace.num_keys, 0);
+    uint64_t digest = 0xcbf29ce484222325ULL;
+    digest = Fnv1a(digest, snap.params);
+    digest = Fnv1a(digest, snap.micro);
+    digest = Fnv1a(digest, snap.macro);
+    EXPECT_EQ(digest, 0xa940fad0445cc639ULL)
+        << std::hex << "digest 0x" << digest;
+  });
 }
 
 TEST_F(DeterminismTest, FullPipelineBitIdenticalWithSecureAggAndDp) {

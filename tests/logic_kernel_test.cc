@@ -1,8 +1,10 @@
 // The logic-layer kernels (bit-packed discrete pass, factor-table
-// continuous forward and parameter backward, DESIGN.md §16) against the
-// scalar loops they replaced, kept in logic_oracle.h: every output,
-// weight gradient and input gradient must match bit for bit.
+// continuous forward and parameter backward, DESIGN.md §16) and the Adam
+// update against the scalar loops they replaced, kept in logic_oracle.h:
+// every output, weight gradient, input gradient and parameter must match
+// bit for bit, at every SIMD tier this machine supports.
 
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -10,12 +12,15 @@
 #include <gtest/gtest.h>
 
 #include "ctfl/data/gen/synthetic.h"
+#include "ctfl/nn/logic_kernel.h"
 #include "ctfl/nn/logic_layer.h"
 #include "ctfl/nn/logical_net.h"
 #include "ctfl/nn/loss.h"
 #include "ctfl/nn/optimizer.h"
 #include "ctfl/nn/trainer.h"
+#include "ctfl/util/cpu_features.h"
 #include "ctfl/util/thread_pool.h"
+#include "isa_tiers.h"
 #include "logic_oracle.h"
 
 namespace ctfl {
@@ -97,124 +102,287 @@ LogicLayer OddLayer(Rng& rng, bool only_special = false) {
 }
 
 TEST(LogicKernelTest, ForwardsMatchOracle) {
-  Rng rng(101);
-  for (bool only_special : {false, true}) {
-    const LogicLayer layer = OddLayer(rng, only_special);
-    for (size_t batch : kBatchSizes) {
-      SCOPED_TRACE(::testing::Message() << "batch " << batch << " special "
-                                        << only_special);
-      for (bool binary : {true, false}) {
-        const Matrix x = binary ? BinaryInput(batch, layer.in_dim(), rng)
-                                : FuzzyInput(batch, layer.in_dim(), rng);
-        const Matrix& w = layer.weights();
-        EXPECT_TRUE(BitEqual(layer.ForwardContinuous(x),
-                             oracle::ForwardContinuous(w, 13, x)));
-        EXPECT_TRUE(BitEqual(layer.ForwardDiscrete(x),
-                             oracle::ForwardDiscrete(w, 13, x)));
-      }
-    }
-  }
-}
-
-TEST(LogicKernelTest, BackwardWeightsMatchOracleOnBinaryInputs) {
-  Rng rng(102);
-  for (bool only_special : {false, true}) {
-    LogicLayer layer = OddLayer(rng, only_special);
-    for (size_t batch : kBatchSizes) {
-      for (bool non_finite : {false, true}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "batch " << batch << " special " << only_special
-                     << " non-finite dy " << non_finite);
-        const Matrix x = BinaryInput(batch, layer.in_dim(), rng);
-        const Matrix y = oracle::ForwardContinuous(layer.weights(), 13, x);
-        const Matrix dy =
-            UpstreamGradient(batch, layer.out_dim(), rng, non_finite);
-        // From zeroed gradients (a training step) and from accumulated
-        // ones (a second call in the same step).
-        for (bool accumulated : {false, true}) {
-          Matrix want(layer.out_dim(), layer.in_dim());
-          if (accumulated) want.RandomUniform(rng, -1.0, 1.0);
-          layer.grads() = want;
-          oracle::Backward(layer.weights(), 13, x, y, dy, &want);
-          layer.BackwardWeights(x, y, dy);
-          EXPECT_TRUE(BitEqual(layer.grads(), want));
+  ForEachTier([](TraceIsa) {
+    Rng rng(101);
+    for (bool only_special : {false, true}) {
+      const LogicLayer layer = OddLayer(rng, only_special);
+      for (size_t batch : kBatchSizes) {
+        SCOPED_TRACE(::testing::Message() << "batch " << batch << " special "
+                                          << only_special);
+        for (bool binary : {true, false}) {
+          const Matrix x = binary ? BinaryInput(batch, layer.in_dim(), rng)
+                                  : FuzzyInput(batch, layer.in_dim(), rng);
+          const Matrix& w = layer.weights();
+          EXPECT_TRUE(BitEqual(layer.ForwardContinuous(x),
+                               oracle::ForwardContinuous(w, 13, x)));
+          EXPECT_TRUE(BitEqual(layer.ForwardDiscrete(x),
+                               oracle::ForwardDiscrete(w, 13, x)));
         }
       }
     }
-  }
+  });
+}
+
+TEST(LogicKernelTest, BackwardWeightsMatchOracleOnBinaryInputs) {
+  ForEachTier([](TraceIsa) {
+    Rng rng(102);
+    for (bool only_special : {false, true}) {
+      LogicLayer layer = OddLayer(rng, only_special);
+      for (size_t batch : kBatchSizes) {
+        for (bool non_finite : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "batch " << batch << " special " << only_special
+                       << " non-finite dy " << non_finite);
+          const Matrix x = BinaryInput(batch, layer.in_dim(), rng);
+          const Matrix y = oracle::ForwardContinuous(layer.weights(), 13, x);
+          const Matrix dy =
+              UpstreamGradient(batch, layer.out_dim(), rng, non_finite);
+          // From zeroed gradients (a training step) and from accumulated
+          // ones (a second call in the same step); with the split and table
+          // the forward left, and with the backward's own.
+          for (bool accumulated : {false, true}) {
+            for (bool cached : {false, true}) {
+              Matrix want(layer.out_dim(), layer.in_dim());
+              if (accumulated) want.RandomUniform(rng, -1.0, 1.0);
+              layer.grads() = want;
+              oracle::Backward(layer.weights(), 13, x, y, dy, &want);
+              LogicLayer::StepTables tables;
+              if (cached) {
+                EXPECT_TRUE(BitEqual(layer.ForwardContinuous(x, &tables), y));
+                EXPECT_TRUE(tables.ready);
+              }
+              layer.BackwardWeights(x, y, dy, cached ? &tables : nullptr);
+              EXPECT_TRUE(BitEqual(layer.grads(), want)) << "cached "
+                                                         << cached;
+            }
+          }
+        }
+      }
+    }
+  });
 }
 
 TEST(LogicKernelTest, BackwardWeightsMatchOracleOnUnusualCaches) {
-  // Products outside (0, 1] (a cache the forward did not produce), a
-  // gradient holding -0.0, non-finite weights and non-binary inputs all
-  // leave the table path; the result must not change.
-  Rng rng(103);
-  LogicLayer layer = OddLayer(rng);
-  const size_t batch = 65;
-  const Matrix x = BinaryInput(batch, layer.in_dim(), rng);
-  Matrix y(batch, layer.out_dim());
-  y.RandomUniform(rng, -0.5, 1.5);
-  const Matrix dy = UpstreamGradient(batch, layer.out_dim(), rng, true);
-  auto check = [&](const LogicLayer& base, const Matrix& input,
-                   const Matrix& start, const char* what) {
-    SCOPED_TRACE(what);
-    LogicLayer subject = base;
-    Matrix want = start;
-    subject.grads() = start;
-    oracle::Backward(subject.weights(), 13, input, y, dy, &want);
-    subject.BackwardWeights(input, y, dy);
-    EXPECT_TRUE(BitEqual(subject.grads(), want));
-  };
-  const Matrix zero(layer.out_dim(), layer.in_dim());
-  check(layer, x, zero, "products outside (0, 1]");
-  Matrix negative_zero(layer.out_dim(), layer.in_dim());
-  negative_zero(3, 5) = -0.0;
-  check(layer, x, negative_zero, "a -0.0 gradient");
-  {
-    // Input 5 at 1 in every row: conjunction 3 gets only ±0.0 terms for
-    // it, and +0.0 (from g < 0) turns the oracle's -0.0 into +0.0.
-    SCOPED_TRACE("a -0.0 gradient that only ±0.0 terms reach");
-    Matrix ones = x;
-    for (size_t r = 0; r < batch; ++r) ones(r, 5) = 1.0;
-    const Matrix fy = oracle::ForwardContinuous(layer.weights(), 13, ones);
-    Matrix fdy = UpstreamGradient(batch, layer.out_dim(), rng, false);
-    fdy(0, 3) = -0.25;
-    LogicLayer subject = layer;
-    Matrix want = negative_zero;
-    subject.grads() = negative_zero;
-    oracle::Backward(subject.weights(), 13, ones, fy, fdy, &want);
-    subject.BackwardWeights(ones, fy, fdy);
-    EXPECT_TRUE(BitEqual(subject.grads(), want));
+  ForEachTier([](TraceIsa) {
+    // Products outside (0, 1] (a cache the forward did not produce), a
+    // gradient holding -0.0, non-finite weights and non-binary inputs all
+    // leave the table path; the result must not change.
+    Rng rng(103);
+    LogicLayer layer = OddLayer(rng);
+    const size_t batch = 65;
+    const Matrix x = BinaryInput(batch, layer.in_dim(), rng);
+    Matrix y(batch, layer.out_dim());
+    y.RandomUniform(rng, -0.5, 1.5);
+    const Matrix dy = UpstreamGradient(batch, layer.out_dim(), rng, true);
+    auto check = [&](const LogicLayer& base, const Matrix& input,
+                     const Matrix& start, const char* what) {
+      SCOPED_TRACE(what);
+      LogicLayer subject = base;
+      Matrix want = start;
+      subject.grads() = start;
+      oracle::Backward(subject.weights(), 13, input, y, dy, &want);
+      subject.BackwardWeights(input, y, dy);
+      EXPECT_TRUE(BitEqual(subject.grads(), want));
+    };
+    const Matrix zero(layer.out_dim(), layer.in_dim());
+    check(layer, x, zero, "products outside (0, 1]");
+    Matrix negative_zero(layer.out_dim(), layer.in_dim());
+    negative_zero(3, 5) = -0.0;
+    check(layer, x, negative_zero, "a -0.0 gradient");
+    {
+      // Input 5 at 1 in every row: conjunction 3 gets only ±0.0 terms for
+      // it, and +0.0 (from g < 0) turns the oracle's -0.0 into +0.0.
+      SCOPED_TRACE("a -0.0 gradient that only ±0.0 terms reach");
+      Matrix ones = x;
+      for (size_t r = 0; r < batch; ++r) ones(r, 5) = 1.0;
+      const Matrix fy = oracle::ForwardContinuous(layer.weights(), 13, ones);
+      Matrix fdy = UpstreamGradient(batch, layer.out_dim(), rng, false);
+      fdy(0, 3) = -0.25;
+      LogicLayer subject = layer;
+      Matrix want = negative_zero;
+      subject.grads() = negative_zero;
+      oracle::Backward(subject.weights(), 13, ones, fy, fdy, &want);
+      subject.BackwardWeights(ones, fy, fdy);
+      EXPECT_TRUE(BitEqual(subject.grads(), want));
+    }
+    LogicLayer nan_weight = layer;
+    nan_weight.weights()(2, 7) = kNaN;
+    check(nan_weight, x, zero, "a NaN weight");
+    LogicLayer negative_weight = layer;
+    negative_weight.weights()(4, 9) = -2.7;
+    check(negative_weight, x, zero, "a negative weight");
+    EXPECT_TRUE(
+        BitEqual(nan_weight.ForwardContinuous(x),
+                 oracle::ForwardContinuous(nan_weight.weights(), 13, x)));
+    check(layer, FuzzyInput(batch, layer.in_dim(), rng), zero,
+          "non-binary inputs");
+  });
+}
+
+TEST(LogicKernelTest, BackwardWeightsMatchOracleOnExtremeProducts) {
+  // Products at the corrected quotient's guard (2^-900 and its
+  // neighbours), subnormal products, 1.0, factors at both ends of the
+  // table's range (c = kEps at w = 1, c = 1 at w = 0, both among
+  // FillWeights' special values), and factors above 1.0 (negative weights),
+  // whose quotients may leave the normal range and must keep the division.
+  const double kProducts[] = {0x1p-900,
+                              std::nextafter(0x1p-900, 0.0),
+                              std::nextafter(0x1p-900, 1.0),
+                              0x1.8p-900,
+                              0x1p-901,
+                              0x1p-1022,
+                              0x1p-1040,
+                              std::numeric_limits<double>::denorm_min(),
+                              1e-300,
+                              1e-8,
+                              0.5,
+                              std::nextafter(1.0, 0.0),
+                              1.0};
+  constexpr size_t kNumProducts = sizeof(kProducts) / sizeof(kProducts[0]);
+  ForEachTier([&](TraceIsa) {
+    Rng rng(107);
+    for (bool negative : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "negative weights " << negative);
+      LogicLayer layer = OddLayer(rng);
+      if (negative) {
+        layer.weights()(2, 3) = -1e300;
+        layer.weights()(15, 4) = -7.5;
+      }
+      const size_t batch = 65;
+      const Matrix x = BinaryInput(batch, layer.in_dim(), rng);
+      Matrix y(batch, layer.out_dim());
+      for (size_t r = 0; r < batch; ++r) {
+        for (int node = 0; node < layer.out_dim(); ++node) {
+          const double p = kProducts[rng.UniformInt(kNumProducts)];
+          y(r, node) = node < 13 ? p : 1.0 - p;
+        }
+      }
+      const Matrix dy = UpstreamGradient(batch, layer.out_dim(), rng, false);
+      Matrix want(layer.out_dim(), layer.in_dim());
+      layer.grads() = want;
+      oracle::Backward(layer.weights(), 13, x, y, dy, &want);
+      layer.BackwardWeights(x, y, dy);
+      EXPECT_TRUE(BitEqual(layer.grads(), want));
+    }
+  });
+}
+
+/// A finite double of `mantissa` (52 bits) and unbiased exponent `exp`.
+double MakeDouble(uint64_t mantissa, int exp) {
+  const uint64_t bits = (static_cast<uint64_t>(exp + 1023) << 52) |
+                        (mantissa & ((uint64_t{1} << 52) - 1));
+  double d;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
+/// A 52-bit mantissa of one of the shapes division gets wrong most easily:
+/// random, near all ones, near zero (a power of two), a single bit, or
+/// random low bits under all-ones high bits.
+uint64_t StructuredMantissa(uint64_t r, uint64_t shape) {
+  constexpr uint64_t kAll = (uint64_t{1} << 52) - 1;
+  switch (shape % 5) {
+    case 0:
+      return r;
+    case 1:
+      return kAll - (r & 0xffff);
+    case 2:
+      return r & 0xffff;
+    case 3:
+      return uint64_t{1} << (r % 52);
+    default:
+      return kAll ^ (r & 0xfffff);
   }
-  LogicLayer nan_weight = layer;
-  nan_weight.weights()(2, 7) = kNaN;
-  check(nan_weight, x, zero, "a NaN weight");
-  EXPECT_TRUE(BitEqual(nan_weight.ForwardContinuous(x),
-                       oracle::ForwardContinuous(nan_weight.weights(), 13, x)));
-  check(layer, FuzzyInput(batch, layer.in_dim(), rng), zero,
-        "non-binary inputs");
+}
+
+TEST(LogicKernelTest, TierQuotientMatchesDivision) {
+  // Each tier's quotient against IEEE division on 10M structured operand
+  // pairs: the backward's (dividends in [2^-900, 1], divisors in
+  // [kEps, 1]) and Adam's (dividends up to 2^1000, divisors from 2^-20).
+  constexpr size_t kPairs = 10'000'000;
+  constexpr size_t kBlock = 4096;
+  ForEachTier([&](TraceIsa isa) {
+    const logic_kernel::Units& units = logic_kernel::UnitsFor(isa);
+    uint64_t state = 0x9e3779b97f4a7c15ULL;
+    auto next = [&state] {  // xorshift64*
+      state ^= state >> 12;
+      state ^= state << 25;
+      state ^= state >> 27;
+      return state * 0x2545f4914f6cdd1dULL;
+    };
+    std::vector<double> a(kBlock);
+    std::vector<double> b(kBlock);
+    std::vector<double> q(kBlock);
+    size_t mismatches = 0;
+    for (size_t done = 0; done < kPairs; done += kBlock) {
+      for (size_t k = 0; k < kBlock; ++k) {
+        const uint64_t shape = next();
+        const bool adam = shape % 4 == 0;
+        const int a_exp = adam ? static_cast<int>(next() % 1900) - 900
+                               : -static_cast<int>(next() % 901);
+        const int b_exp = adam ? -static_cast<int>(next() % 21)
+                               : -static_cast<int>(next() % 27);
+        a[k] = std::min(MakeDouble(StructuredMantissa(next(), shape), a_exp),
+                        adam ? 0x1p1000 : 1.0);
+        b[k] = std::max(MakeDouble(StructuredMantissa(next(), shape >> 8),
+                                   b_exp),
+                        adam ? 0x1p-20 : logic_kernel::kEps);
+      }
+      units.quotient(a.data(), b.data(), q.data(), kBlock);
+      for (size_t k = 0; k < kBlock; ++k) {
+        const double want = a[k] / b[k];
+        if (std::memcmp(&q[k], &want, sizeof(want)) != 0) {
+          if (mismatches < 5) {
+            ADD_FAILURE() << std::hexfloat << a[k] << " / " << b[k] << " = "
+                          << q[k] << ", want " << want;
+          }
+          ++mismatches;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+  });
+}
+
+TEST(LogicKernelTest, EachTierSelectsItsOwnUnit) {
+  // The units agree bit for bit, so no result can tell them apart: this
+  // pins the mapping the per-tier timings rest on.
+  EXPECT_EQ(&logic_kernel::UnitsFor(TraceIsa::kAvx512),
+            &logic_kernel::Avx512Units());
+  EXPECT_EQ(&logic_kernel::UnitsFor(TraceIsa::kAvx2),
+            &logic_kernel::Avx2Units());
+  EXPECT_EQ(&logic_kernel::UnitsFor(TraceIsa::kScalar),
+            &logic_kernel::GenericUnits());
+  EXPECT_EQ(&logic_kernel::UnitsFor(TraceIsa::kNeon),
+            &logic_kernel::GenericUnits());
+#if defined(__x86_64__) || defined(__i386__)
+  EXPECT_NE(&logic_kernel::Avx512Units(), &logic_kernel::Avx2Units());
+  EXPECT_NE(&logic_kernel::Avx2Units(), &logic_kernel::GenericUnits());
+#endif
 }
 
 TEST(LogicKernelTest, BackwardMatchesOracleIncludingInputGradient) {
-  Rng rng(104);
-  LogicLayer layer = OddLayer(rng);
-  for (size_t batch : kBatchSizes) {
-    for (bool binary : {true, false}) {
-      SCOPED_TRACE(::testing::Message() << "batch " << batch << " binary "
-                                        << binary);
-      const Matrix x = binary ? BinaryInput(batch, layer.in_dim(), rng)
-                              : FuzzyInput(batch, layer.in_dim(), rng);
-      const Matrix y = oracle::ForwardContinuous(layer.weights(), 13, x);
-      const Matrix dy = UpstreamGradient(batch, layer.out_dim(), rng, true);
-      Matrix want(layer.out_dim(), layer.in_dim());
-      layer.grads().Fill(0.0);
-      const Matrix want_dx =
-          oracle::Backward(layer.weights(), 13, x, y, dy, &want);
-      const Matrix dx = layer.Backward(x, y, dy);
-      EXPECT_TRUE(BitEqual(layer.grads(), want));
-      EXPECT_TRUE(BitEqual(dx, want_dx));
+  ForEachTier([](TraceIsa) {
+    Rng rng(104);
+    LogicLayer layer = OddLayer(rng);
+    for (size_t batch : kBatchSizes) {
+      for (bool binary : {true, false}) {
+        SCOPED_TRACE(::testing::Message() << "batch " << batch << " binary "
+                                          << binary);
+        const Matrix x = binary ? BinaryInput(batch, layer.in_dim(), rng)
+                                : FuzzyInput(batch, layer.in_dim(), rng);
+        const Matrix y = oracle::ForwardContinuous(layer.weights(), 13, x);
+        const Matrix dy = UpstreamGradient(batch, layer.out_dim(), rng, true);
+        Matrix want(layer.out_dim(), layer.in_dim());
+        layer.grads().Fill(0.0);
+        const Matrix want_dx =
+            oracle::Backward(layer.weights(), 13, x, y, dy, &want);
+        const Matrix dx = layer.Backward(x, y, dy);
+        EXPECT_TRUE(BitEqual(layer.grads(), want));
+        EXPECT_TRUE(BitEqual(dx, want_dx));
+      }
     }
-  }
+  });
 }
 
 // ---- Sharded on the compute pool ------------------------------------------
@@ -258,64 +426,91 @@ TEST(LogicKernelTest, ShardedTableKernelsMatchOracle) {
   // threads share the budget. 29 + 27 nodes make eight chunks, two of them
   // partial; a NaN weight in one chunk and a -0.0 gradient in another send
   // just those chunks to the generic loop.
-  ScopedSharding sharding;
-  Rng rng(105);
-  LogicLayer layer(37, 29, 27);
-  FillWeights(&layer, rng);
-  ExpectTableKernelsMatchOracle(layer, rng);
+  ForEachTier([](TraceIsa) {
+    ScopedSharding sharding;
+    Rng rng(105);
+    LogicLayer layer(37, 29, 27);
+    FillWeights(&layer, rng);
+    ExpectTableKernelsMatchOracle(layer, rng);
 
-  LogicLayer odd = layer;
-  odd.weights()(9, 4) = kNaN;
-  ExpectTableKernelsMatchOracle(odd, rng);
-  {
-    SCOPED_TRACE("a -0.0 gradient in one chunk");
-    const Matrix x = BinaryInput(65, layer.in_dim(), rng);
-    const Matrix y = oracle::ForwardContinuous(layer.weights(), 29, x);
-    const Matrix dy = UpstreamGradient(65, layer.out_dim(), rng, false);
-    Matrix want(layer.out_dim(), layer.in_dim());
-    want(40, 3) = -0.0;
-    LogicLayer subject = layer;
-    subject.grads() = want;
-    oracle::Backward(subject.weights(), 29, x, y, dy, &want);
-    subject.BackwardWeights(x, y, dy);
-    EXPECT_TRUE(BitEqual(subject.grads(), want));
-  }
+    LogicLayer odd = layer;
+    odd.weights()(9, 4) = kNaN;
+    ExpectTableKernelsMatchOracle(odd, rng);
+    // Input counts around the vector split's 16-input step.
+    for (int in_dim : {1, 15, 16, 17, 33}) {
+      SCOPED_TRACE(::testing::Message() << "in_dim " << in_dim);
+      LogicLayer narrow(in_dim, 9, 7);
+      FillWeights(&narrow, rng);
+      ExpectTableKernelsMatchOracle(narrow, rng);
+    }
+    {
+      SCOPED_TRACE("a -0.0 gradient in one chunk");
+      const Matrix x = BinaryInput(65, layer.in_dim(), rng);
+      const Matrix y = oracle::ForwardContinuous(layer.weights(), 29, x);
+      const Matrix dy = UpstreamGradient(65, layer.out_dim(), rng, false);
+      Matrix want(layer.out_dim(), layer.in_dim());
+      want(40, 3) = -0.0;
+      LogicLayer subject = layer;
+      subject.grads() = want;
+      oracle::Backward(subject.weights(), 29, x, y, dy, &want);
+      subject.BackwardWeights(x, y, dy);
+      EXPECT_TRUE(BitEqual(subject.grads(), want));
+    }
 
-  std::vector<Rng> streams;
-  for (uint64_t i = 0; i < 4; ++i) streams.emplace_back(200 + i);
-  ParallelFor(4, 0, streams.size(), [&](size_t i) {
-    ExpectTableKernelsMatchOracle(layer, streams[i]);
+    std::vector<Rng> streams;
+    for (uint64_t i = 0; i < 4; ++i) streams.emplace_back(200 + i);
+    ParallelFor(4, 0, streams.size(), [&](size_t i) {
+      ExpectTableKernelsMatchOracle(layer, streams[i]);
+    });
   });
 }
 
 TEST(LogicKernelTest, ShardedAdamMatchesSerial) {
   // Element ranges across slots of several sizes, one of them larger than
-  // a range: the sharded step must equal the serial one bit for bit.
-  Rng rng(106);
-  std::vector<Matrix> params = {Matrix(61, 53), Matrix(2, 90), Matrix(1, 2)};
-  std::vector<Matrix> grads = params;
-  for (Matrix& p : params) p.RandomUniform(rng, 0.0, 1.0);
-  std::vector<Matrix> serial = params;
-  AdamOptimizer sharded_adam(0.05);
-  AdamOptimizer serial_adam(0.05);
-  for (int step = 0; step < 3; ++step) {
-    for (Matrix& g : grads) g.RandomUniform(rng, -1.0, 1.0);
-    std::vector<ParamSlot> sharded_slots;
-    std::vector<ParamSlot> serial_slots;
-    for (size_t i = 0; i < params.size(); ++i) {
-      sharded_slots.push_back({&params[i], &grads[i]});
-      serial_slots.push_back({&serial[i], &grads[i]});
-    }
-    {
-      ScopedSharding sharding;
-      sharded_adam.Step(sharded_slots);
-    }
-    SetMatrixParallelism(1);
-    serial_adam.Step(serial_slots);
-    SetMatrixParallelism(0);
-    for (size_t i = 0; i < params.size(); ++i) {
-      EXPECT_TRUE(BitEqual(params[i], serial[i])) << "step " << step;
-    }
+  // a range, on the compute pool and at every tier: each step must equal
+  // the oracle's serial per-element loop bit for bit. The gradients hold
+  // zeros, ±subnormals, ±1e-300, huge values, ±inf and NaN, so moments
+  // reach every lane guard of the corrected quotient; the second beta1
+  // puts the bias correction below 2^-20, where every lane divides.
+  const double kSpecial[] = {0.0,    -0.0,    5e-324, -5e-324, 0x1p-1030,
+                             1e-300, -1e-300, 1e300,  -1e300,  0x1p1020,
+                             kInf,   -kInf,   kNaN};
+  constexpr size_t kNumSpecial = sizeof(kSpecial) / sizeof(kSpecial[0]);
+  for (const double beta1 : {0.9, 1.0 - 1e-9}) {
+    SCOPED_TRACE(::testing::Message() << "beta1 " << beta1);
+    ForEachTier([&](TraceIsa) {
+      Rng rng(106);
+      std::vector<Matrix> params = {Matrix(61, 53), Matrix(2, 90),
+                                    Matrix(1, 2)};
+      std::vector<Matrix> grads = params;
+      std::vector<Matrix> m = params;
+      std::vector<Matrix> v = params;
+      for (Matrix& p : params) p.RandomUniform(rng, 0.0, 1.0);
+      std::vector<Matrix> want = params;
+      AdamOptimizer adam(0.05, beta1);
+      for (int step = 1; step <= 4; ++step) {
+        std::vector<ParamSlot> slots;
+        for (size_t i = 0; i < params.size(); ++i) {
+          grads[i].RandomUniform(rng, -1.0, 1.0);
+          for (size_t k = 0; k < grads[i].size(); ++k) {
+            if (rng.Bernoulli(0.15)) {
+              grads[i].data()[k] = kSpecial[rng.UniformInt(kNumSpecial)];
+            }
+          }
+          slots.push_back({&params[i], &grads[i]});
+        }
+        {
+          ScopedSharding sharding;
+          adam.Step(slots);
+        }
+        for (size_t i = 0; i < params.size(); ++i) {
+          oracle::AdamStep(0.05, beta1, 0.999, 1e-8, step, grads[i], &m[i],
+                           &v[i], &want[i]);
+          EXPECT_TRUE(BitEqual(params[i], want[i]))
+              << "slot " << i << " step " << step;
+        }
+      }
+    });
   }
 }
 
@@ -446,28 +641,48 @@ void ExpectNetMatchesOracle(LogicalNet net, const Dataset& data) {
   }
 }
 
-LogicalNet TrainedNet(const std::vector<std::pair<int, int>>& shape,
-                      const Dataset& data) {
+/// Trains a net from `config` at every tier: the trained parameters must
+/// agree bit for bit across tiers, and every tier's kernels must match the
+/// oracle on the trained net.
+void ExpectTrainedNetsMatchOracle(const LogicalNetConfig& config, int epochs,
+                                  const Dataset& data) {
+  std::vector<double> first;
+  ForEachTier([&](TraceIsa) {
+    LogicalNet net(data.schema(), config);
+    TrainConfig train;
+    train.epochs = epochs;
+    train.num_threads = 1;
+    TrainGrafted(net, data, train);
+    const std::vector<double> params = net.GetParameters();
+    if (first.empty()) {
+      first = params;
+    } else {
+      ASSERT_EQ(params.size(), first.size());
+      EXPECT_EQ(std::memcmp(params.data(), first.data(),
+                            params.size() * sizeof(double)),
+                0)
+          << "trained parameters differ from the first tier's";
+    }
+    ExpectNetMatchesOracle(net, data);
+  });
+}
+
+LogicalNetConfig NetConfig(const std::vector<std::pair<int, int>>& shape) {
   LogicalNetConfig config;
   config.tau_d = 5;
   config.logic_layers = shape;
   config.seed = 21;
-  LogicalNet net(data.schema(), config);
-  TrainConfig train;
-  train.epochs = 3;
-  train.num_threads = 1;
-  TrainGrafted(net, data, train);
-  return net;
+  return config;
 }
 
 TEST(LogicKernelTest, OneLayerTrainedNetMatchesOracle) {
   const Dataset data = TwoFeatureData(300, 5);
-  ExpectNetMatchesOracle(TrainedNet({{13, 11}}, data), data);
+  ExpectTrainedNetsMatchOracle(NetConfig({{13, 11}}), 3, data);
 }
 
 TEST(LogicKernelTest, TwoLayerTrainedNetMatchesOracle) {
   const Dataset data = TwoFeatureData(300, 6);
-  ExpectNetMatchesOracle(TrainedNet({{13, 11}, {6, 5}}, data), data);
+  ExpectTrainedNetsMatchOracle(NetConfig({{13, 11}, {6, 5}}), 3, data);
 }
 
 TEST(LogicKernelTest, NetWithoutSkipMatchesOracle) {
@@ -477,12 +692,7 @@ TEST(LogicKernelTest, NetWithoutSkipMatchesOracle) {
   config.logic_layers = {{9, 7}, {5, 4}};
   config.input_skip = false;
   config.seed = 8;
-  LogicalNet net(data.schema(), config);
-  TrainConfig train;
-  train.epochs = 2;
-  train.num_threads = 1;
-  TrainGrafted(net, data, train);
-  ExpectNetMatchesOracle(net, data);
+  ExpectTrainedNetsMatchOracle(config, 2, data);
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 #ifndef CTFL_TESTS_LOGIC_ORACLE_H_
 #define CTFL_TESTS_LOGIC_ORACLE_H_
 
-// Reference kernels of the logic layer: the scalar per-element loops the
-// production kernels replaced (DESIGN.md §16), kept verbatim as the oracle
-// they must match bit for bit. Each takes the layer's weights and its
-// conjunction count; `grads` accumulates like LogicLayer::grads().
+// Reference kernels of the logic layer and its optimizer: the scalar
+// per-element loops the production kernels replaced (DESIGN.md §16), kept
+// verbatim as the oracle they must match bit for bit. Each layer kernel
+// takes the layer's weights and its conjunction count; `grads` accumulates
+// like LogicLayer::grads().
 
 #include <algorithm>
+#include <cmath>
 
 #include "ctfl/nn/matrix.h"
 
@@ -112,6 +114,23 @@ inline Matrix Backward(const Matrix& weights, int num_conj, const Matrix& x,
     }
   }
   return dx;
+}
+
+/// One Adam update of `p` (AdamOptimizer::Step on one slot, serial), with
+/// its moments `m` and `v` and step count `t` (already incremented).
+inline void AdamStep(double lr, double beta1, double beta2, double eps, int t,
+                     const Matrix& grad, Matrix* m, Matrix* v, Matrix* p) {
+  const double bc1 = 1.0 - std::pow(beta1, t);
+  const double bc2 = 1.0 - std::pow(beta2, t);
+  const double* g = grad.data();
+  for (size_t k = 0; k < p->size(); ++k) {
+    const double gk = g[k];
+    m->data()[k] = beta1 * m->data()[k] + (1.0 - beta1) * gk;
+    v->data()[k] = beta2 * v->data()[k] + (1.0 - beta2) * gk * gk;
+    const double mhat = m->data()[k] / bc1;
+    const double vhat = v->data()[k] / bc2;
+    p->data()[k] -= lr * mhat / (std::sqrt(vhat) + eps);
+  }
 }
 
 }  // namespace oracle

@@ -283,6 +283,36 @@ void PutU64(std::string* bytes, size_t at, uint64_t v) {
   }
 }
 
+void PutU32(std::string* bytes, size_t at, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    (*bytes)[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+/// Writes the fixture's bundle, rewrites it with the u32 at `at` of
+/// section `section` set to 0xffffffff, and expects ReadBundle to return
+/// InvalidArgument naming `count`.
+void ExpectInflatedCountRejected(const std::string& section, size_t at,
+                                 const std::string& count) {
+  const Fixture fx = MakeFixture();
+  const std::string path = TempPath("inflate_" + section + "_src.ctflb");
+  ASSERT_TRUE(WriteBundle(BuildBundleContent(fx.report.model, fx.fed,
+                                             fx.test, fx.activations,
+                                             fx.options)
+                              .value(),
+                          path)
+                  .ok());
+  const std::string out = TempPath("inflate_" + section + ".ctflb");
+  RewriteBundle(path, out, [&](const std::string& name, std::string* bytes) {
+    if (name == section) PutU32(bytes, at, 0xffffffffu);
+  });
+  const Result<BundleContent> read = ReadBundle(out);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(read.status().message().find(count), std::string::npos)
+      << read.status();
+}
+
 TEST(BundleTypedTest, SnapshotRoundTripIsBitExact) {
   const Fixture fx = MakeFixture();
   const Result<BundleContent> built = BuildBundleContent(
@@ -556,6 +586,23 @@ TEST(BundleTypedTest, InflatedTrainRecordCountIsRejected) {
   read = ReadBundle(out);
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(BundleTypedTest, InflatedRuleCountIsRejected) {
+  // Rules payload: f64 bias, then the u32 rule count.
+  ExpectInflatedCountRejected("rules", 8, "rule count");
+}
+
+TEST(BundleTypedTest, InflatedMetaScoreCountIsRejected) {
+  // Meta payload: u32 participants, u32 rules, u64 tests, f64 tau_w,
+  // u32 delta, four f64s and the u64 schema fingerprint, then the u32
+  // micro-score count.
+  ExpectInflatedCountRejected("meta", 68, "micro-score count");
+}
+
+TEST(BundleTypedTest, InflatedSchemaFeatureCountIsRejected) {
+  // Schema payload: the u32 feature count first.
+  ExpectInflatedCountRejected("schema", 0, "feature count");
 }
 
 TEST(BundleTypedTest, InflatedTestCountIsRejected) {

@@ -394,6 +394,36 @@ TEST(StreamDeltaLogTest, InflatedTrainCountInHeaderIsRejected) {
       << parsed.status();
 }
 
+// The header embeds the bundle's schema codec too: a CRC-valid header
+// whose schema claims 0xffffffff features must be rejected before the
+// feature vector is sized.
+TEST(StreamDeltaLogTest, InflatedSchemaInHeaderIsRejected) {
+  const StreamFixture& fx = Fx();
+  std::string header = EncodeHeader(fx.log.header);
+  const std::string schema = store::EncodeSchemaPayload(*fx.log.header.schema);
+  const size_t at = header.find(schema);
+  ASSERT_NE(at, std::string::npos);
+  // Schema payload: the u32 feature count first.
+  for (int i = 0; i < 4; ++i) header[at + i] = static_cast<char>(0xff);
+  std::string bytes = ReadFile(fx.log_path).substr(0, 12);  // preamble
+  const auto put32 = [&bytes](uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      bytes.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  };
+  put32(1);  // header record
+  put32(static_cast<uint32_t>(header.size()));
+  bytes += header;
+  put32(store::Crc32(header.data(), header.size()));
+
+  const Result<DeltaLogContents> parsed = ParseDeltaLog(bytes, "inflated");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("feature count"),
+            std::string::npos)
+      << parsed.status();
+}
+
 TEST(StreamDeltaLogTest, FutureContainerVersionIsRejected) {
   const StreamFixture& fx = Fx();
   std::string bytes = ReadFile(fx.log_path);

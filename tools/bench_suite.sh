@@ -5,6 +5,8 @@
 #
 #   BENCH_trace.json   BM_TracePass/blocked*          Eq. 4 tracing pass
 #   BENCH_fedavg.json  BM_FedAvgRound/threads:*        one federated round
+#                      + BM_GraftedStep/<tier>/96      one grafted step per
+#                      SIMD tier (fed-score's 96 layer-0 nodes)
 #   BENCH_query.json   BM_QueryRelated/* + BM_BundleLoad  bundle serving
 #   BENCH_serve.json   BM_Serve/related-test/connections:N  resident query
 #                      service soak (ctfl_serve + ctfl_query_client --load:
@@ -106,8 +108,10 @@ PY
   echo "wrote ${out_json}"
 }
 
+# run_group NAME FILTER [benchmark flags of this group...]
 run_group() {
   local name="$1" filter="$2"
+  shift 2
   local out_json="${OUT_DIR}/BENCH_${name}.json"
   echo "== ${name}: ${filter}"
   "${BENCH_BIN}" \
@@ -115,6 +119,7 @@ run_group() {
     --benchmark_out="${out_json}" \
     --benchmark_out_format=json \
     --benchmark_format=console \
+    "$@" \
     "${EXTRA_ARGS[@]+"${EXTRA_ARGS[@]}"}"
   stamp_json "${out_json}"
 }
@@ -223,7 +228,13 @@ if isa != "scalar" and simd < 2.0:
 PY
 fi
 if [[ "${SUITE}" == "fedavg" || "${SUITE}" == "all" ]]; then
-  run_group fedavg '^BM_FedAvgRound/'
+  # Each leg warms up for a second before it is measured: the first
+  # threaded BM_FedAvgRound leg of a fresh process sometimes ran at the
+  # serial leg's speed for its whole measurement (3 of 14 fresh processes
+  # on a 4-vCPU host), and no leg did once a second of rounds had run. The
+  # flag, unlike a per-benchmark warm-up, keeps the leg names.
+  run_group fedavg '^BM_FedAvgRound/|^BM_GraftedStep/[a-z]' \
+      --benchmark_min_warmup_time=1
 fi
 if [[ "${SUITE}" == "query" || "${SUITE}" == "all" ]]; then
   run_group query '^BM_QueryRelated/|^BM_BundleLoad'
