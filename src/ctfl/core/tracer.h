@@ -109,8 +109,8 @@ struct TraceResult {
   /// skipped or early-exited by pruning.
   int64_t records_scanned = 0;
   int64_t blocks_pruned = 0;
-  /// Lanes re-decided by the exact scalar comparison because the pruning
-  /// bounds landed inside the float-drift safety band.
+  /// Lanes re-decided by the exact scalar comparison because neither
+  /// integer pruning bound decided them.
   int64_t exact_fallbacks = 0;
 };
 

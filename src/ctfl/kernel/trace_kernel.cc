@@ -4,6 +4,7 @@
 #include <bit>
 #include <cfloat>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "ctfl/util/logging.h"
@@ -30,11 +31,36 @@ kernel_detail::StripeFn ResolveStripeFn(TraceIsa isa) {
     case TraceIsa::kAvx2:
       return kernel_detail::MatchStripeAvx2;
     case TraceIsa::kNeon:
-      return kernel_detail::MatchStripeNeon;
     case TraceIsa::kScalar:
-      return kernel_detail::MatchStripeScalar;
+      break;
   }
-  return kernel_detail::MatchStripeScalar;
+  return kernel_detail::MatchStripePortable;
+}
+
+// Lane sums stay below 2^30 and every bound is clamped to [0, 2^30], so
+// neither the int32 lanes nor the bound arithmetic can overflow. Clamping
+// changes no decision: for any lane sum Q in [0, 2^30), Q >= clamp(A) iff
+// Q >= A and Q < clamp(K) iff Q < K.
+constexpr int64_t kLaneLimit = int64_t{1} << 30;
+
+int32_t ClampBound(int64_t bound) {
+  return static_cast<int32_t>(std::clamp<int64_t>(bound, 0, kLaneLimit));
+}
+
+// floor(x * 2^s) and ceil(x * 2^s), clamped to a range wide enough for
+// ClampBound. std::ldexp is exact unless the result underflows, and then
+// the exact product lies strictly inside (-1, 1): the sign of x settles
+// the floor or ceil of a product that rounded to 0.
+int64_t FloorScaled(double x, int s) {
+  double v = std::floor(std::ldexp(x, s));
+  if (x < 0.0) v = std::min(v, -1.0);
+  return static_cast<int64_t>(std::clamp(v, -1.0, 4.0 * kLaneLimit));
+}
+
+int64_t CeilScaled(double x, int s) {
+  double v = std::ceil(std::ldexp(x, s));
+  if (x > 0.0) v = std::max(v, 1.0);
+  return static_cast<int64_t>(std::clamp(v, -1.0, 4.0 * kLaneLimit));
 }
 
 }  // namespace
@@ -65,20 +91,27 @@ TraceKernel::TraceKernel(std::vector<const Bitset*> records, int num_rules)
 }
 
 TraceKernel::Support TraceKernel::Prepare(
-    const std::vector<std::pair<int, double>>& supp, double threshold,
-    Cmp cmp, double eps) {
+    const std::vector<std::pair<int, double>>& supp, double threshold) {
   Support s;
-  s.cmp = cmp;
   s.threshold = threshold;
-  s.eps = eps;
   const size_t m = supp.size();
   s.rules.reserve(m);
   s.weights.reserve(m);
   double weight_sum = 0.0;
+  bool valid = std::isfinite(threshold);
   for (const auto& [rule, weight] : supp) {
     s.rules.push_back(rule);
     s.weights.push_back(weight);
+    valid = valid && std::isfinite(weight) && weight >= 0.0;
     weight_sum += weight;
+  }
+  if (!valid || !std::isfinite(weight_sum)) {
+    // No sound bounds exist: an empty schedule whose bounds decide
+    // nothing, so every lane takes ExactRelated.
+    s.kill_q = {0};
+    s.accept_q = static_cast<int32_t>(kLaneLimit);
+    s.accept_from = 1;
+    return s;
   }
   // Descending weight, ascending rule tie-break: deterministic pruning
   // order regardless of the caller's float quirks.
@@ -88,29 +121,62 @@ TraceKernel::Support TraceKernel::Prepare(
     if (s.weights[a] != s.weights[b]) return s.weights[a] > s.weights[b];
     return s.rules[a] < s.rules[b];
   });
+  // Scale 2^shift with every lane sum below 2^30: q_i = floor(w_i * 2^shift)
+  // is exact (a power-of-two scaling, then a floor), and a lane's real
+  // overlap H then satisfies Q <= H * 2^shift < Q + hits.
+  int exponent = 0;
+  std::frexp(weight_sum, &exponent);
+  int shift = 30 - exponent;
   s.sorted_rules.resize(m);
-  s.sorted_weights.resize(m);
-  for (size_t i = 0; i < m; ++i) {
-    s.sorted_rules[i] = s.rules[order[i]];
-    s.sorted_weights[i] = s.weights[order[i]];
+  s.sorted_q.resize(m);
+  while (true) {
+    int64_t total = 0;
+    for (size_t i = 0; i < m; ++i) {
+      s.sorted_rules[i] = s.rules[order[i]];
+      const int64_t q = FloorScaled(s.weights[order[i]], shift);
+      s.sorted_q[i] = static_cast<int32_t>(q);
+      total += q;
+    }
+    if (total < kLaneLimit) break;
+    --shift;  // weight_sum rounded low; at most a step or two
   }
-  // Fixed-order suffix sums: the upper-bound weights used for pruning are
-  // computed once here, independent of any pruning decision.
-  s.suffix.assign(m + 1, 0.0);
-  for (size_t i = m; i-- > 0;) {
-    s.suffix[i] = s.suffix[i + 1] + s.sorted_weights[i];
+  // Float drift: the scalar loop's ascending-order overlap D differs from
+  // H by at most (m - 1) * u * weight_sum. `safety` bounds that with a
+  // wide margin (DBL_EPSILON = 2u, times 4 (m + 4) on a larger scale), so
+  // H >= threshold + safety implies !(D < threshold), and
+  // H <= threshold - safety implies D < threshold.
+  const double scale = weight_sum + std::abs(threshold) + 1.0;
+  const double safety =
+      scale * static_cast<double>(m + 4) * 4.0 * DBL_EPSILON;
+  const double inf = std::numeric_limits<double>::infinity();
+  // Accept when Q >= ceil(RU(threshold + safety) * 2^shift): H * 2^shift
+  // >= Q then reaches threshold + safety.
+  const int64_t accept =
+      CeilScaled(std::nextafter(threshold + safety, inf), shift);
+  s.accept_q = ClampBound(accept);
+  // Kill after c sorted rules when Q + c + sum_{j >= c} (q_j + 1) <= K,
+  // K = floor(RD(threshold - safety) * 2^shift): the processed hits add
+  // at most Q + c to H * 2^shift and the unprocessed rules at most
+  // sum_{j >= c} (q_j + 1), so H * 2^shift <= K. kill_q[c] is that
+  // condition as Q < kill_q[c].
+  const int64_t kill = FloorScaled(std::nextafter(threshold - safety, -inf),
+                                   shift);
+  s.kill_q.resize(m + 1);
+  int64_t tail = 0;  // sum_{j >= c} (q_j + 1)
+  for (size_t c = m + 1; c-- > 0;) {
+    if (c < m) tail += int64_t{s.sorted_q[c]} + 1;
+    s.kill_q[c] = ClampBound(kill - (static_cast<int64_t>(c) + tail) + 1);
   }
-  // Band center: the exact comparison accepts when the ascending-order
-  // overlap reaches (roughly) this value.
-  s.pivot = cmp == Cmp::kGeThreshold ? threshold : threshold - eps;
-  // Conservative bound on the float drift between any two summation
-  // orders of <= m positive terms bounded by weight_sum, plus the
-  // comparison's own rounding: 2(m-1)*u*S covers the reordering error
-  // rigorously; the (m + 4) * 4 * DBL_EPSILON factor leaves a wide
-  // margin. Lanes inside +-safety of the pivot are re-decided exactly.
-  const double scale =
-      weight_sum + std::abs(threshold) + std::abs(eps) + 1.0;
-  s.safety = scale * static_cast<double>(m + 4) * 4.0 * DBL_EPSILON;
+  // The largest sum a lane can hold after c rules is the prefix sum of q.
+  s.accept_from = m + 1;
+  int64_t reach = 0;
+  for (size_t c = 0; c <= m; ++c) {
+    if (reach >= s.accept_q) {
+      s.accept_from = c;
+      break;
+    }
+    if (c < m) reach += s.sorted_q[c];
+  }
   return s;
 }
 
@@ -122,8 +188,7 @@ bool TraceKernel::ExactRelated(const Support& s, size_t record) const {
     // Ascending rule order — the scalar reference accumulation.
     if (act.Test(static_cast<size_t>(s.rules[i]))) overlap += s.weights[i];
   }
-  if (s.cmp == Cmp::kGeThreshold) return !(overlap < s.threshold);
-  return overlap + s.eps >= s.threshold;
+  return !(overlap < s.threshold);
 }
 
 size_t TraceKernel::Match(const Support& s, const uint64_t* candidate_mask,

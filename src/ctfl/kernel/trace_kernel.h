@@ -21,11 +21,11 @@
 //    so a full support-set sweep over one block stripe touches an
 //    L2-resident working set instead of striding num_blocks words between
 //    rules.
-//  - SIMD: per-ISA translation units (scalar / AVX2 / AVX-512 / NEON,
-//    util/cpu_features.h) evaluate the 64 per-lane accumulators and the
-//    checkpoint comparisons with vector masked adds and compares. Which
-//    tier runs is selected once per process (CTFL_TRACE_ISA /
-//    --trace-isa) or per call via TraceMatchOptions.
+//  - SIMD: per-ISA translation units (a portable unit for the scalar and
+//    NEON tiers, AVX2, AVX-512; util/cpu_features.h) evaluate the 64
+//    per-lane int32 sums and the checkpoint comparisons with vector masked
+//    adds and compares. Which tier runs is selected once per process
+//    (CTFL_TRACE_ISA / --trace-isa) or per call via TraceMatchOptions.
 //  - Sharding: Match splits the block range into tile-aligned stripes
 //    across the process compute pool (util/thread_pool.h). Stripes own
 //    disjoint out_related words, and per-stripe stats are committed in
@@ -33,22 +33,24 @@
 //    worker schedule.
 //
 // Early-exit pruning processes the support rules in descending weight
-// order keeping per-lane lower bounds; once the remaining (unprocessed)
-// weight can no longer lift a lane over the threshold the lane is killed,
-// and lanes whose lower bound already clears the threshold are accepted
-// without scanning the rest (full-block accept). Blocks whose candidate
-// mask is empty are skipped outright.
+// order, keeping per-lane *exact integer* sums of fixed-point weights:
+// Prepare scales each weight by a power of two and floors it to int32, and
+// derives one accept bound and one kill bound per rule. A lane whose sum
+// reaches the accept bound is related; a lane whose sum plus everything
+// still unprocessed stays below the kill bound is not. Integer adds and
+// compares are exact and order-free, so every tier, lane grouping and
+// stripe split makes the same decisions by construction. Blocks whose
+// candidate mask is empty are skipped outright.
 //
 // Bit-identity contract (DESIGN.md §10): the kernel's accept/reject
 // decisions are *exactly* those of the scalar loop, which accumulates
-// weights in ascending rule order and compares with a fixed epsilon — on
-// every ISA tier at every thread count. The descending-order pruning
-// bounds are only ever trusted outside a conservative float-drift band
-// (`Support::safety`, a rigorous bound on the reordering error of a
-// positive-term sum); lanes that land inside the band fall back to the
-// scalar ascending-order comparison on the record's original activation
-// bitset. Pruning therefore changes which records get *scanned*, never
-// which records get *matched*.
+// weights in ascending rule order and compares `!(overlap < threshold)`.
+// Both integer bounds sit a float-drift margin past the threshold (a
+// rigorous bound on the ascending-order sum's rounding error), so a lane
+// they decide is decided as the scalar loop decides it; lanes they cannot
+// decide fall back to the scalar ascending-order comparison on the
+// record's original activation bitset. Pruning therefore changes which
+// records get *scanned*, never which records get *matched*.
 
 #include <cstdint>
 #include <utility>
@@ -69,8 +71,9 @@ struct TraceKernelStats {
   /// mask) plus blocks whose lane scan ended before the full support was
   /// processed (all lanes decided early).
   int64_t blocks_pruned = 0;
-  /// Lanes whose pruning bounds landed inside the float-drift band and
-  /// were re-decided by the exact scalar comparison (rare).
+  /// Lanes the integer bounds could not decide, re-decided by the exact
+  /// scalar comparison (rare: their overlap is within the fixed-point
+  /// resolution plus the float-drift margin of the threshold).
   int64_t exact_fallbacks = 0;
 };
 
@@ -117,44 +120,35 @@ class TraceKernel {
   /// Valid-lane mask of `block` (all ones except the trailing block).
   uint64_t full_mask_word(size_t block) const { return full_mask_[block]; }
 
-  /// How the exact (scalar-identical) accept decision is phrased.
-  enum class Cmp {
-    /// Accept iff !(overlap < threshold) — the tracer's Eq. 4
-    /// comparison (threshold already carries its kRatioEps slack).
-    kGeThreshold,
-    /// Accept iff (overlap + eps >= threshold) — the Max-Miner
-    /// group-prefilter comparison (theta check).
-    kPlusEpsGe,
-  };
-
-  /// A support set prepared for matching. `rules`/`weights` keep the
-  /// caller's ascending rule order (the exact-fallback accumulation
-  /// order); `order` re-sorts them by descending weight for pruning.
+  /// A support set prepared for matching: the exact comparison's inputs
+  /// plus the fixed-point pruning schedule (DESIGN.md §10.3). Every lane
+  /// sum stays in [0, 2^30), and every bound is clamped to [0, 2^30].
   struct Support {
-    std::vector<int> rules;        ///< ascending rule coordinates
-    std::vector<double> weights;   ///< aligned to `rules`
-    std::vector<int> sorted_rules; ///< descending weight, rule tie-break
-    std::vector<double> sorted_weights;
-    /// suffix[i] = sum of sorted_weights[i..] (suffix[m] = 0): the weight
-    /// still unprocessed before sorted rule i — deterministic, fixed
-    /// accumulation order, independent of any pruning decision.
-    std::vector<double> suffix;
-    Cmp cmp = Cmp::kGeThreshold;
-    double threshold = 0.0;  ///< exact comparison value
-    double eps = 0.0;        ///< kPlusEpsGe only
-    /// Band center for pruning decisions (threshold, shifted by -eps for
-    /// kPlusEpsGe) and the conservative float-drift half-width around it.
-    double pivot = 0.0;
-    double safety = 0.0;
+    std::vector<int> rules;       ///< ascending rule coordinates
+    std::vector<double> weights;  ///< aligned to `rules`
+    /// A record is related iff !(overlap < threshold), the overlap summed
+    /// over `weights` in ascending rule order.
+    double threshold = 0.0;
+    std::vector<int> sorted_rules;  ///< descending weight, rule tie-break
+    /// floor(weight * 2^s) per sorted rule, for the support's scale 2^s.
+    std::vector<int32_t> sorted_q;
+    /// kill_q[c]: after c sorted rules, a lane whose sum is below it
+    /// cannot reach the threshold (c = 0..m; non-decreasing).
+    std::vector<int32_t> kill_q;
+    /// A lane whose sum reaches it clears the threshold.
+    int32_t accept_q = 0;
+    /// Fewest sorted rules after which some lane can reach accept_q
+    /// (m + 1 when none can).
+    size_t accept_from = 0;
   };
 
   /// Builds a Support from `supp` (ascending (rule, weight) pairs — the
-  /// scalar loop's iteration order). For kGeThreshold, `threshold` is the
-  /// exact comparison value (e.g. tau_w * weight_sum - kRatioEps); for
-  /// kPlusEpsGe it is the raw theta and `eps` the slack added to overlap.
+  /// scalar loop's iteration order) and the exact comparison value
+  /// `threshold` (e.g. tau_w * weight_sum - kRatioEps). A weight that is
+  /// negative or not finite, or a threshold that is not finite, yields
+  /// bounds that decide nothing: every lane then takes ExactRelated.
   static Support Prepare(const std::vector<std::pair<int, double>>& supp,
-                         double threshold, Cmp cmp = Cmp::kGeThreshold,
-                         double eps = 0.0);
+                         double threshold);
 
   /// Matches every record (or only those in `candidate_mask`, a
   /// num_blocks()-word lane bitmap; nullptr = all records) against the
@@ -175,8 +169,8 @@ class TraceKernel {
                const TraceMatchOptions& options) const;
 
   /// Scalar reference decision for one record (ascending accumulation) —
-  /// the exact fallback for lanes inside the float-drift band, exposed
-  /// for the per-ISA stripe kernels and differential tests.
+  /// the exact fallback for lanes the integer bounds cannot decide,
+  /// exposed for the stripe body and differential tests.
   bool ExactRelated(const Support& support, size_t record) const;
 
  private:
@@ -219,13 +213,14 @@ using StripeFn = StripeResult (*)(const TraceKernel& kernel,
                                   uint64_t* out_related, size_t block_lo,
                                   size_t block_hi);
 
-StripeResult MatchStripeScalar(const TraceKernel& kernel,
-                               const TraceKernel::Support& support,
-                               const uint64_t* candidate_mask,
-                               uint64_t* out_related, size_t block_lo,
-                               size_t block_hi);
+/// The portable unit: the scalar and NEON tiers.
+StripeResult MatchStripePortable(const TraceKernel& kernel,
+                                 const TraceKernel::Support& support,
+                                 const uint64_t* candidate_mask,
+                                 uint64_t* out_related, size_t block_lo,
+                                 size_t block_hi);
 /// Compiled from per-ISA translation units; on architectures where the
-/// tier does not exist they forward to MatchStripeScalar (the dispatch
+/// tier does not exist they forward to MatchStripePortable (the dispatch
 /// layer never selects an unavailable tier, this is belt-and-braces).
 StripeResult MatchStripeAvx2(const TraceKernel& kernel,
                              const TraceKernel::Support& support,
@@ -237,11 +232,6 @@ StripeResult MatchStripeAvx512(const TraceKernel& kernel,
                                const uint64_t* candidate_mask,
                                uint64_t* out_related, size_t block_lo,
                                size_t block_hi);
-StripeResult MatchStripeNeon(const TraceKernel& kernel,
-                             const TraceKernel::Support& support,
-                             const uint64_t* candidate_mask,
-                             uint64_t* out_related, size_t block_lo,
-                             size_t block_hi);
 
 }  // namespace kernel_detail
 

@@ -1,14 +1,8 @@
-// AVX2 stripe kernel: 16 groups of 4 f64 lanes per 64-record block.
+// AVX2 stripe unit: eight groups of 8 int32 lanes per 64-record block,
+// each group's add mask shifted out of the activation word into the
+// lanes' sign bits.
 // Compiled with -mavx2 on x86-64 (see src/CMakeLists.txt); selected at
 // runtime only when cpuid reports AVX2 (util/cpu_features.h).
-//
-// Bit-identity to the scalar tier (trace_kernel_stripe.h contract):
-//  - Accumulate adds `and_pd(weight, lane_hit_mask)` to each group —
-//    exactly `weight` on set lanes and +0.0 on unset lanes, which is a
-//    bitwise no-op on the non-negative accumulators.
-//  - The compare primitives evaluate the same expressions in the same
-//    association order with one vector instruction per step; _CMP_*_OQ
-//    matches scalar </>= on the never-NaN inputs.
 
 #include "ctfl/kernel/trace_kernel_stripe.h"
 
@@ -16,84 +10,67 @@
 
 #include <immintrin.h>
 
-#include <array>
-
 namespace ctfl {
 namespace kernel_detail {
 namespace {
 
-constexpr std::array<uint64_t, 64> MakeLaneBits() {
-  std::array<uint64_t, 64> bits{};
-  for (int i = 0; i < 64; ++i) bits[i] = uint64_t{1} << i;
-  return bits;
-}
-alignas(32) constexpr std::array<uint64_t, 64> kLaneBit = MakeLaneBits();
+// Left-shift counts that move bit 8 * j + i of a 32-bit word (j = group
+// within the word, i = lane) into lane i's sign bit.
+alignas(32) constexpr int32_t kToSign[4][8] = {
+    {31, 30, 29, 28, 27, 26, 25, 24},
+    {23, 22, 21, 20, 19, 18, 17, 16},
+    {15, 14, 13, 12, 11, 10, 9, 8},
+    {7, 6, 5, 4, 3, 2, 1, 0}};
 
-// Words with few set lanes take the scalar ctz loop: per-lane adds are
-// identical either way, and 3 adds beat 16 vector ops.
-constexpr int kSparseLanes = 8;
+inline __m256i LoadLanes(const int32_t* q) {
+  return _mm256_load_si256(reinterpret_cast<const __m256i*>(q));
+}
+
+/// One group's lanes as a byte: bit i set iff lane i's sign bit is.
+inline uint64_t MoveMask(__m256i v) {
+  return static_cast<uint64_t>(
+      _mm256_movemask_ps(_mm256_castsi256_ps(v)));
+}
 
 struct Avx2Ops {
-  static void Accumulate(double* lb, uint64_t word, double weight) {
-    if (word == 0) return;
-    if (std::popcount(word) <= kSparseLanes) {
-      ScalarAccumulate(lb, word, weight);
-      return;
-    }
-    const __m256d wv = _mm256_set1_pd(weight);
-    const __m256i wordv = _mm256_set1_epi64x(static_cast<long long>(word));
-    for (int g = 0; g < 16; ++g) {
-      const __m256i sel = _mm256_load_si256(
-          reinterpret_cast<const __m256i*>(kLaneBit.data() + 4 * g));
-      const __m256i hit =
-          _mm256_cmpeq_epi64(_mm256_and_si256(wordv, sel), sel);
-      const __m256d add = _mm256_and_pd(wv, _mm256_castsi256_pd(hit));
-      const __m256d cur = _mm256_load_pd(lb + 4 * g);
-      _mm256_store_pd(lb + 4 * g, _mm256_add_pd(cur, add));
+  static void Add(int32_t* q, uint64_t word, int32_t v) {
+    const __m256i vv = _mm256_set1_epi32(v);
+    for (int half = 0; half < 2; ++half) {
+      const __m256i bits =
+          _mm256_set1_epi32(static_cast<int>(word >> (32 * half)));
+      for (int j = 0; j < 4; ++j) {
+        const __m256i hit = _mm256_srai_epi32(
+            _mm256_sllv_epi32(bits, _mm256_load_si256(
+                                        reinterpret_cast<const __m256i*>(
+                                            kToSign[j]))),
+            31);
+        int32_t* p = q + 32 * half + 8 * j;
+        _mm256_store_si256(
+            reinterpret_cast<__m256i*>(p),
+            _mm256_add_epi32(LoadLanes(p), _mm256_and_si256(hit, vv)));
+      }
     }
   }
 
-  static uint64_t GeMask(const double* lb, double bound, uint64_t scan) {
-    if (scan == 0) return 0;
-    const __m256d bv = _mm256_set1_pd(bound);
+  // Bounds lie in [0, 2^30], so bound - 1 cannot wrap.
+  static uint64_t GeMask(const int32_t* q, int32_t bound, uint64_t scan) {
+    const __m256i below = _mm256_set1_epi32(bound - 1);
     uint64_t mask = 0;
-    for (int g = 0; g < 16; ++g) {
-      const __m256d ge =
-          _mm256_cmp_pd(_mm256_load_pd(lb + 4 * g), bv, _CMP_GE_OQ);
-      mask |= static_cast<uint64_t>(_mm256_movemask_pd(ge)) << (4 * g);
+    for (int g = 0; g < 8; ++g) {
+      const __m256i ge = _mm256_cmpgt_epi32(LoadLanes(q + 8 * g), below);
+      mask |= MoveMask(ge) << (8 * g);
     }
-    return mask;
+    return mask & scan;
   }
 
-  static uint64_t SumLtMask(const double* lb, double remaining,
-                            double safety, double pivot, uint64_t scan) {
-    if (scan == 0) return 0;
-    const __m256d rv = _mm256_set1_pd(remaining);
-    const __m256d sv = _mm256_set1_pd(safety);
-    const __m256d pv = _mm256_set1_pd(pivot);
+  static uint64_t LtMask(const int32_t* q, int32_t bound, uint64_t scan) {
+    const __m256i bv = _mm256_set1_epi32(bound);
     uint64_t mask = 0;
-    for (int g = 0; g < 16; ++g) {
-      // ((lb + remaining) + safety) < pivot — scalar association order.
-      const __m256d sum = _mm256_add_pd(
-          _mm256_add_pd(_mm256_load_pd(lb + 4 * g), rv), sv);
-      const __m256d lt = _mm256_cmp_pd(sum, pv, _CMP_LT_OQ);
-      mask |= static_cast<uint64_t>(_mm256_movemask_pd(lt)) << (4 * g);
+    for (int g = 0; g < 8; ++g) {
+      const __m256i lt = _mm256_cmpgt_epi32(bv, LoadLanes(q + 8 * g));
+      mask |= MoveMask(lt) << (8 * g);
     }
-    return mask;
-  }
-
-  static uint64_t AddLtMask(const double* lb, double safety, double pivot,
-                            uint64_t scan) {
-    if (scan == 0) return 0;
-    const __m256d sv = _mm256_set1_pd(safety);
-    const __m256d pv = _mm256_set1_pd(pivot);
-    uint64_t mask = 0;
-    for (int g = 0; g < 16; ++g) {
-      const __m256d sum = _mm256_add_pd(_mm256_load_pd(lb + 4 * g), sv);
-      const __m256d lt = _mm256_cmp_pd(sum, pv, _CMP_LT_OQ);
-      mask |= static_cast<uint64_t>(_mm256_movemask_pd(lt)) << (4 * g);
-    }
-    return mask;
+    return mask & scan;
   }
 };
 
@@ -121,8 +98,8 @@ StripeResult MatchStripeAvx2(const TraceKernel& kernel,
                              const uint64_t* candidate_mask,
                              uint64_t* out_related, size_t block_lo,
                              size_t block_hi) {
-  return MatchStripeScalar(kernel, support, candidate_mask, out_related,
-                           block_lo, block_hi);
+  return MatchStripePortable(kernel, support, candidate_mask, out_related,
+                             block_lo, block_hi);
 }
 
 }  // namespace kernel_detail

@@ -1,15 +1,8 @@
-// AVX-512F stripe kernel: 8 groups of 8 f64 lanes per 64-record block,
-// with the activation word's bytes used directly as add/compare masks.
-// Compiled with -mavx512f on x86-64 (see src/CMakeLists.txt); selected at
-// runtime only when cpuid reports AVX-512F (util/cpu_features.h).
-//
-// Bit-identity to the scalar tier (trace_kernel_stripe.h contract):
-//  - Accumulate uses _mm512_mask_add_pd with byte k-masks — unset lanes
-//    are passed through *bitwise untouched* (no arithmetic at all), set
-//    lanes get exactly one `+ weight` add.
-//  - Compare primitives produce k-masks from the same expressions in the
-//    same association order; _CMP_*_OQ matches scalar </>= on the
-//    never-NaN inputs.
+// AVX-512F stripe unit: four groups of 16 int32 lanes per 64-record block,
+// with 16-bit slices of the activation word used directly as add and
+// compare masks. Compiled with -mavx512f on x86-64 (see
+// src/CMakeLists.txt); selected at runtime only when cpuid reports
+// AVX-512F (util/cpu_features.h).
 
 #include "ctfl/kernel/trace_kernel_stripe.h"
 
@@ -21,65 +14,37 @@ namespace ctfl {
 namespace kernel_detail {
 namespace {
 
-// Below this population the scalar ctz loop wins; per-lane adds are
-// identical either way.
-constexpr int kSparseLanes = 8;
-
 struct Avx512Ops {
-  static void Accumulate(double* lb, uint64_t word, double weight) {
-    if (word == 0) return;
-    if (std::popcount(word) <= kSparseLanes) {
-      ScalarAccumulate(lb, word, weight);
-      return;
-    }
-    const __m512d wv = _mm512_set1_pd(weight);
-    for (int g = 0; g < 8; ++g) {
-      const __mmask8 k = static_cast<__mmask8>(word >> (8 * g));
-      if (k == 0) continue;
-      const __m512d cur = _mm512_load_pd(lb + 8 * g);
-      _mm512_store_pd(lb + 8 * g, _mm512_mask_add_pd(cur, k, cur, wv));
+  static void Add(int32_t* q, uint64_t word, int32_t v) {
+    const __m512i vv = _mm512_set1_epi32(v);
+    for (int g = 0; g < 4; ++g) {
+      const __mmask16 k = static_cast<__mmask16>(word >> (16 * g));
+      int32_t* p = q + 16 * g;
+      const __m512i cur = _mm512_load_si512(p);
+      _mm512_store_si512(p, _mm512_mask_add_epi32(cur, k, cur, vv));
     }
   }
 
-  static uint64_t GeMask(const double* lb, double bound, uint64_t scan) {
-    if (scan == 0) return 0;
-    const __m512d bv = _mm512_set1_pd(bound);
+  static uint64_t GeMask(const int32_t* q, int32_t bound, uint64_t scan) {
+    const __m512i bv = _mm512_set1_epi32(bound);
     uint64_t mask = 0;
-    for (int g = 0; g < 8; ++g) {
-      const __mmask8 ge = _mm512_cmp_pd_mask(_mm512_load_pd(lb + 8 * g),
-                                             bv, _CMP_GE_OQ);
-      mask |= static_cast<uint64_t>(ge) << (8 * g);
+    for (int g = 0; g < 4; ++g) {
+      const __mmask16 k = static_cast<__mmask16>(scan >> (16 * g));
+      const __mmask16 ge =
+          _mm512_mask_cmpge_epi32_mask(k, _mm512_load_si512(q + 16 * g), bv);
+      mask |= static_cast<uint64_t>(ge) << (16 * g);
     }
     return mask;
   }
 
-  static uint64_t SumLtMask(const double* lb, double remaining,
-                            double safety, double pivot, uint64_t scan) {
-    if (scan == 0) return 0;
-    const __m512d rv = _mm512_set1_pd(remaining);
-    const __m512d sv = _mm512_set1_pd(safety);
-    const __m512d pv = _mm512_set1_pd(pivot);
+  static uint64_t LtMask(const int32_t* q, int32_t bound, uint64_t scan) {
+    const __m512i bv = _mm512_set1_epi32(bound);
     uint64_t mask = 0;
-    for (int g = 0; g < 8; ++g) {
-      // ((lb + remaining) + safety) < pivot — scalar association order.
-      const __m512d sum = _mm512_add_pd(
-          _mm512_add_pd(_mm512_load_pd(lb + 8 * g), rv), sv);
-      const __mmask8 lt = _mm512_cmp_pd_mask(sum, pv, _CMP_LT_OQ);
-      mask |= static_cast<uint64_t>(lt) << (8 * g);
-    }
-    return mask;
-  }
-
-  static uint64_t AddLtMask(const double* lb, double safety, double pivot,
-                            uint64_t scan) {
-    if (scan == 0) return 0;
-    const __m512d sv = _mm512_set1_pd(safety);
-    const __m512d pv = _mm512_set1_pd(pivot);
-    uint64_t mask = 0;
-    for (int g = 0; g < 8; ++g) {
-      const __m512d sum = _mm512_add_pd(_mm512_load_pd(lb + 8 * g), sv);
-      const __mmask8 lt = _mm512_cmp_pd_mask(sum, pv, _CMP_LT_OQ);
-      mask |= static_cast<uint64_t>(lt) << (8 * g);
+    for (int g = 0; g < 4; ++g) {
+      const __mmask16 k = static_cast<__mmask16>(scan >> (16 * g));
+      const __mmask16 lt =
+          _mm512_mask_cmplt_epi32_mask(k, _mm512_load_si512(q + 16 * g), bv);
+      mask |= static_cast<uint64_t>(lt) << (16 * g);
     }
     return mask;
   }
@@ -109,8 +74,8 @@ StripeResult MatchStripeAvx512(const TraceKernel& kernel,
                                const uint64_t* candidate_mask,
                                uint64_t* out_related, size_t block_lo,
                                size_t block_hi) {
-  return MatchStripeScalar(kernel, support, candidate_mask, out_related,
-                           block_lo, block_hi);
+  return MatchStripePortable(kernel, support, candidate_mask, out_related,
+                             block_lo, block_hi);
 }
 
 }  // namespace kernel_detail

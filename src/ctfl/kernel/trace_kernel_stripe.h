@@ -1,96 +1,44 @@
 #ifndef CTFL_KERNEL_TRACE_KERNEL_STRIPE_H_
 #define CTFL_KERNEL_TRACE_KERNEL_STRIPE_H_
 
-// Shared stripe-sweep template behind the per-ISA kernel translation
-// units (trace_kernel_{scalar,avx2,avx512,neon}.cc). Each TU instantiates
-// MatchStripeImpl with an Ops policy supplying the three lane primitives;
-// everything else — pruning schedule, checkpoint conditions, exact
-// fallback, stats — is this one shared body, so every tier runs the
-// *same* decision procedure and differs only in how the 64 per-lane
-// doubles are touched.
+// Shared stripe-sweep template behind the kernel's translation units
+// (trace_kernel_{portable,avx2,avx512}.cc). Each unit instantiates
+// MatchStripeImpl with an Ops policy supplying three integer lane
+// primitives; everything else — pruning schedule, checkpoint gating,
+// exact fallback, stats — is this one body, so every tier runs the *same*
+// decision procedure and differs only in how the 64 int32 lanes are
+// touched.
 //
-// Bit-identity requirements on an Ops policy (DESIGN.md §10):
+// Requirements on an Ops policy (DESIGN.md §10):
 //
-//  - Accumulate(lb, word, w) must add exactly `w` (one IEEE-754 add) to
-//    every set lane of `word` and leave the others bitwise untouched.
-//    Masked vector adds that add +0.0 to unset lanes also qualify: the
-//    accumulators start at +0.0 and only ever sum non-negative weights,
-//    so x + (+0.0) == x bitwise for every reachable accumulator value.
-//  - The three mask primitives must evaluate the *same* float expression
-//    in the same association order as the scalar reference loop:
-//      GeMask:    lb[lane] >= bound
-//      SumLtMask: ((lb[lane] + remaining) + safety) < pivot
-//      AddLtMask: (lb[lane] + safety) < pivot
-//    Lanes outside `scan` may hold anything; the caller masks the result.
+//  - Add(q, word, v): q[lane] += v for every set lane of `word`; the
+//    other lanes are left untouched.
+//  - GeMask(q, bound, scan): the lanes of `scan` with q[lane] >= bound.
+//  - LtMask(q, bound, scan): the lanes of `scan` with q[lane] < bound.
 //
-// With those, per-lane results are independent of lane grouping, so all
-// tiers — and any tile-aligned sharding of the block range — make
-// identical accept/kill/accept/reject/ambiguous decisions and count
-// identical stats.
+// Integer adds and compares are exact and order-free, so any lane grouping
+// and any tile-aligned sharding of the block range makes identical
+// accept/kill/fallback decisions and counts identical stats.
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 
 #include "ctfl/kernel/trace_kernel.h"
 
 namespace ctfl {
 namespace kernel_detail {
 
-/// Vector tiers hand words with few set lanes to this scalar loop: a ctz
-/// sweep over 3 lanes beats 8-16 vector ops, and per-lane adds are
-/// order-free (each lane gets exactly one add either way).
-inline void ScalarAccumulate(double* lb, uint64_t word, double weight) {
-  while (word != 0) {
-    lb[std::countr_zero(word)] += weight;
-    word &= word - 1;
-  }
-}
-
-/// Portable Ops: ctz iteration over the scan mask, one lane at a time —
-/// the reference the vector tiers must agree with bitwise.
-struct ScalarOps {
-  static void Accumulate(double* lb, uint64_t word, double weight) {
-    ScalarAccumulate(lb, word, weight);
-  }
-  static uint64_t GeMask(const double* lb, double bound, uint64_t scan) {
-    uint64_t mask = 0;
-    while (scan != 0) {
-      const int lane = std::countr_zero(scan);
-      scan &= scan - 1;
-      if (lb[lane] >= bound) mask |= 1ULL << lane;
-    }
-    return mask;
-  }
-  static uint64_t SumLtMask(const double* lb, double remaining,
-                            double safety, double pivot, uint64_t scan) {
-    uint64_t mask = 0;
-    while (scan != 0) {
-      const int lane = std::countr_zero(scan);
-      scan &= scan - 1;
-      if (lb[lane] + remaining + safety < pivot) mask |= 1ULL << lane;
-    }
-    return mask;
-  }
-  static uint64_t AddLtMask(const double* lb, double safety, double pivot,
-                            uint64_t scan) {
-    uint64_t mask = 0;
-    while (scan != 0) {
-      const int lane = std::countr_zero(scan);
-      scan &= scan - 1;
-      if (lb[lane] + safety < pivot) mask |= 1ULL << lane;
-    }
-    return mask;
-  }
-};
-
-/// The stripe sweep over [block_lo, block_hi). Structure mirrors the
-/// original scalar Match loop exactly; see the header comment for why the
-/// mask-driven restatement of the checkpoint / classification branches is
-/// decision-identical to the scalar per-lane if/else chain (accept and
-/// kill conditions are provably disjoint: adding non-negative terms under
-/// round-to-nearest never decreases a sum, so a lane with
-/// lb >= pivot + safety can never satisfy lb + remaining + safety <
-/// pivot).
+/// The stripe sweep over [block_lo, block_hi). Checkpoints after sorted
+/// rule c - 1 (c rules processed) examine only the lanes whose decision
+/// can have changed: a lane's sum grows only when the rule hits it, so
+/// only hit lanes can newly reach accept_q; and kill_q[c] grows by exactly
+/// the rule's q, so only lanes the rule missed can newly fall below it.
+/// Checks are further gated to rules after which a lane can reach
+/// accept_q (c >= accept_from) and at which a lane can be killed
+/// (kill_q[c] > 0). Lanes that survive every checkpoint of the support
+/// sit within the bounds' resolution of the threshold and take
+/// ExactRelated.
 template <typename Ops>
 StripeResult MatchStripeImpl(const TraceKernel& kernel,
                              const TraceKernel::Support& s,
@@ -99,13 +47,14 @@ StripeResult MatchStripeImpl(const TraceKernel& kernel,
                              size_t block_hi) {
   StripeResult res;
   const size_t m = s.sorted_rules.size();
-  const double pivot = s.pivot;
-  const double safety = s.safety;
-  // Same double as the scalar loop's per-lane `pivot + safety`.
-  const double accept_bound = pivot + safety;
-  const double total_weight = s.suffix.empty() ? 0.0 : s.suffix[0];
+  const int32_t accept_q = s.accept_q;
+  const int32_t* kill_q = s.kill_q.data();
+  // Every lane sum starts at 0, so the c = 0 checkpoint decides all lanes
+  // of a block alike.
+  const bool accept_all = accept_q <= 0;
+  const bool reject_all = kill_q[0] > 0;
 
-  alignas(64) double lb[64];
+  alignas(64) int32_t q[64];
   for (size_t b = block_lo; b < block_hi; ++b) {
     uint64_t valid = kernel.full_mask_word(b);
     if (candidate_mask != nullptr) valid &= candidate_mask[b];
@@ -116,54 +65,40 @@ StripeResult MatchStripeImpl(const TraceKernel& kernel,
     }
     res.stats.records_scanned +=
         static_cast<int64_t>(std::popcount(valid));
-    for (int i = 0; i < 64; ++i) lb[i] = 0.0;
-    uint64_t undecided = valid;
     uint64_t related = 0;
-    bool early_exit = false;
-
-    for (size_t ri = 0; ri < m; ++ri) {
-      const double weight = s.sorted_weights[ri];
-      const uint64_t word =
-          kernel.rule_word(s.sorted_rules[ri], b) & undecided;
-      Ops::Accumulate(lb, word, weight);
-      const double remaining = s.suffix[ri + 1];
-      // Kill checkpoints fire as soon as the unprocessed weight can no
-      // longer lift an empty lane over the pivot; accept-only
-      // checkpoints are rate-limited (they only buy a full-block early
-      // exit, so sweeping every rule would cost more than it saves).
-      const bool can_kill = remaining + safety < pivot;
-      const bool accept_open = total_weight - remaining >= accept_bound;
-      if (can_kill || (accept_open && ((ri & 7) == 7))) {
-        const uint64_t accept =
-            Ops::GeMask(lb, accept_bound, undecided) & undecided;
-        uint64_t kill = 0;
-        if (can_kill) {
-          kill = Ops::SumLtMask(lb, remaining, safety, pivot,
-                                undecided & ~accept) &
-                 undecided & ~accept;
+    uint64_t undecided = 0;
+    bool early_exit = m > 0;
+    if (accept_all) {
+      related = valid;
+    } else if (!reject_all) {
+      undecided = valid;
+      early_exit = false;
+      std::memset(q, 0, sizeof(q));
+      for (size_t ri = 0; ri < m; ++ri) {
+        const uint64_t word =
+            kernel.rule_word(s.sorted_rules[ri], b) & undecided;
+        Ops::Add(q, word, s.sorted_q[ri]);
+        const size_t c = ri + 1;
+        if (word != 0 && c >= s.accept_from) {
+          const uint64_t accept = Ops::GeMask(q, accept_q, word);
+          related |= accept;
+          undecided &= ~accept;
         }
-        related |= accept;
-        undecided &= ~(accept | kill);
+        const uint64_t missed = undecided & ~word;
+        if (missed != 0 && kill_q[c] > 0) {
+          undecided &= ~Ops::LtMask(q, kill_q[c], missed);
+        }
         if (undecided == 0) {
-          early_exit = ri + 1 < m;
+          early_exit = c < m;
           break;
         }
       }
     }
     if (early_exit) ++res.stats.blocks_pruned;
 
-    // Classify leftover lanes: all support rules processed, so lb is the
-    // full (descending-order) overlap; outside the +-safety band it
-    // decides, inside we replay the exact scalar comparison.
-    const uint64_t accept =
-        Ops::GeMask(lb, accept_bound, undecided) & undecided;
-    related |= accept;
-    const uint64_t rest = undecided & ~accept;
-    const uint64_t reject = Ops::AddLtMask(lb, safety, pivot, rest) & rest;
-    uint64_t ambiguous = rest & ~reject;
-    while (ambiguous != 0) {
-      const int lane = std::countr_zero(ambiguous);
-      ambiguous &= ambiguous - 1;
+    while (undecided != 0) {
+      const int lane = std::countr_zero(undecided);
+      undecided &= undecided - 1;
       ++res.stats.exact_fallbacks;
       if (kernel.ExactRelated(s, b * 64 + static_cast<size_t>(lane))) {
         related |= 1ULL << lane;

@@ -11,6 +11,15 @@ namespace {
 
 constexpr char kContext[] = "serve frame";
 
+// Fewest encoded bytes of one element, for bounding counts read off the
+// wire before anything is sized from them (wire::Reader::CheckCount).
+constexpr size_t kF64Bytes = 8;
+constexpr size_t kStrBytes = 4;  // u32 length, no bytes
+constexpr size_t kRecordRefBytes = 8;
+constexpr size_t kRuleStatBytes = 4 + kF64Bytes + kStrBytes;
+// id, name, data size, two rule-stat counts, useless ratio.
+constexpr size_t kParticipantBytes = 4 + kStrBytes + 8 + 2 * 4 + kF64Bytes;
+
 // Status codes travel as one byte; the mapping must stay stable across
 // protocol versions (append-only).
 uint8_t EncodeStatusCode(StatusCode code) { return static_cast<uint8_t>(code); }
@@ -69,6 +78,7 @@ void EncodeInstance(const Instance& instance, wire::Writer* w) {
 Status DecodeInstance(wire::Reader* r, Instance* instance) {
   uint32_t count = 0;
   CTFL_RETURN_IF_ERROR(r->U32(&count));
+  CTFL_RETURN_IF_ERROR(r->CheckCount(count, kF64Bytes, "instance value"));
   instance->values.resize(count);
   for (uint32_t i = 0; i < count; ++i) {
     CTFL_RETURN_IF_ERROR(r->F64(&instance->values[i]));
@@ -87,6 +97,7 @@ void EncodeDoubles(const std::vector<double>& values, wire::Writer* w) {
 Status DecodeDoubles(wire::Reader* r, std::vector<double>* values) {
   uint32_t count = 0;
   CTFL_RETURN_IF_ERROR(r->U32(&count));
+  CTFL_RETURN_IF_ERROR(r->CheckCount(count, kF64Bytes, "score"));
   values->resize(count);
   for (uint32_t i = 0; i < count; ++i) {
     CTFL_RETURN_IF_ERROR(r->F64(&(*values)[i]));
@@ -124,6 +135,7 @@ Status DecodeRelatedResult(wire::Reader* r, store::RelatedResult* related) {
   related->support_size = static_cast<int>(support_size);
   CTFL_RETURN_IF_ERROR(r->F64(&related->support_weight));
   CTFL_RETURN_IF_ERROR(r->U32(&count));
+  CTFL_RETURN_IF_ERROR(r->CheckCount(count, 4, "related count"));
   related->related_count.resize(count);
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t c = 0;
@@ -134,6 +146,7 @@ Status DecodeRelatedResult(wire::Reader* r, store::RelatedResult* related) {
   CTFL_RETURN_IF_ERROR(r->U64(&total));
   related->total_related = static_cast<size_t>(total);
   CTFL_RETURN_IF_ERROR(r->U32(&count));
+  CTFL_RETURN_IF_ERROR(r->CheckCount(count, kRecordRefBytes, "record"));
   related->records.resize(count);
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t participant = 0, local = 0;
@@ -165,6 +178,7 @@ void EncodeRuleStats(const std::vector<store::RuleStat>& stats,
 Status DecodeRuleStats(wire::Reader* r, std::vector<store::RuleStat>* stats) {
   uint32_t count = 0;
   CTFL_RETURN_IF_ERROR(r->U32(&count));
+  CTFL_RETURN_IF_ERROR(r->CheckCount(count, kRuleStatBytes, "rule stat"));
   stats->resize(count);
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t rule = 0;
@@ -217,6 +231,8 @@ Status DecodeReport(wire::Reader* r, store::QueryReport* report) {
   report->uncovered_tests = static_cast<size_t>(uncovered);
   CTFL_RETURN_IF_ERROR(DecodeRuleStats(r, &report->uncovered_rules));
   CTFL_RETURN_IF_ERROR(r->U32(&count));
+  CTFL_RETURN_IF_ERROR(
+      r->CheckCount(count, kParticipantBytes, "report participant"));
   report->participants.resize(count);
   for (uint32_t i = 0; i < count; ++i) {
     store::ParticipantSummary& p = report->participants[i];
@@ -283,6 +299,7 @@ Status DecodeStats(wire::Reader* r, ServerStats* stats) {
   CTFL_RETURN_IF_ERROR(r->U64(&stats->exact_fallbacks));
   CTFL_RETURN_IF_ERROR(r->Str(&stats->trace_isa));
   CTFL_RETURN_IF_ERROR(r->U32(&count));
+  CTFL_RETURN_IF_ERROR(r->CheckCount(count, kStrBytes, "participant name"));
   stats->participant_names.resize(count);
   for (uint32_t i = 0; i < count; ++i) {
     CTFL_RETURN_IF_ERROR(r->Str(&stats->participant_names[i]));

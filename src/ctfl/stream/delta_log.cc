@@ -164,12 +164,14 @@ Result<RoundDelta> DecodeRound(std::string_view payload) {
   CTFL_RETURN_IF_ERROR(r.U32(&round.retries));
   uint64_t count = 0;
   CTFL_RETURN_IF_ERROR(r.U64(&count));
+  CTFL_RETURN_IF_ERROR(r.CheckCount(count, 4 + 8, "round parameter xor"));
   round.param_xors.resize(count);
   for (auto& [idx, bits] : round.param_xors) {
     CTFL_RETURN_IF_ERROR(r.U32(&idx));
     CTFL_RETURN_IF_ERROR(r.U64(&bits));
   }
   CTFL_RETURN_IF_ERROR(r.U64(&count));
+  CTFL_RETURN_IF_ERROR(r.CheckCount(count, 3 * 4, "round train flip"));
   round.train_flips.resize(count);
   for (ActivationFlip& flip : round.train_flips) {
     CTFL_RETURN_IF_ERROR(r.U32(&flip.participant));
@@ -177,12 +179,14 @@ Result<RoundDelta> DecodeRound(std::string_view payload) {
     CTFL_RETURN_IF_ERROR(r.U32(&flip.rule));
   }
   CTFL_RETURN_IF_ERROR(r.U64(&count));
+  CTFL_RETURN_IF_ERROR(r.CheckCount(count, 2 * 4, "round test flip"));
   round.test_activation_flips.resize(count);
   for (TestActivationFlip& flip : round.test_activation_flips) {
     CTFL_RETURN_IF_ERROR(r.U32(&flip.test));
     CTFL_RETURN_IF_ERROR(r.U32(&flip.rule));
   }
   CTFL_RETURN_IF_ERROR(r.U64(&count));
+  CTFL_RETURN_IF_ERROR(r.CheckCount(count, 4, "round predicted flip"));
   round.predicted_flips.resize(count);
   for (uint32_t& t : round.predicted_flips) CTFL_RETURN_IF_ERROR(r.U32(&t));
   CTFL_RETURN_IF_ERROR(r.ExpectEnd("delta-log round"));

@@ -82,7 +82,7 @@ struct RunTelemetry {
   /// by pruning.
   int64_t records_scanned = 0;
   int64_t blocks_pruned = 0;
-  /// Lanes re-decided by the exact scalar comparison (float-drift band).
+  /// Lanes the kernel's integer bounds left to the exact comparison.
   int64_t exact_fallbacks = 0;
   /// Tracer construction over the uploads plus the tracing pass.
   double trace_seconds = 0.0;

@@ -28,6 +28,7 @@
 #include "ctfl/store/query_engine.h"
 #include "ctfl/telemetry/metrics.h"
 #include "ctfl/util/rng.h"
+#include "ctfl/util/wire.h"
 #include "test_paths.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -277,6 +278,123 @@ TEST(ServeProtocolTest, DecodeRejectsVersionOpTruncationAndTrailing) {
         DecodeResponse(std::string_view(good_response.data(), len)).ok());
   }
   EXPECT_FALSE(DecodeResponse(good_response + "x").ok());
+}
+
+// Inflated counts: every u32 count a decoder reads sizes a vector, so each
+// is checked against the bytes left before anything is allocated. Each
+// case writes a well-formed prefix up to one count, then claims 2^32 - 1
+// elements with nothing behind them.
+constexpr uint32_t kInflatedCount = 0xffffffffu;
+
+template <typename T>
+void ExpectInflatedCountRejected(const Result<T>& decoded) {
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("count exceeds its payload"),
+            std::string::npos)
+      << decoded.status();
+}
+
+/// u8 version | u8 op | u64 id: the head of every request.
+wire::Writer RequestHead(Op op) {
+  wire::Writer w;
+  w.U8(kProtocolVersion);
+  w.U8(static_cast<uint8_t>(op));
+  w.U64(1);
+  return w;
+}
+
+/// Response head plus the ok byte.
+wire::Writer ResponseHead(Op op) {
+  wire::Writer w = RequestHead(op);
+  w.U8(1);
+  return w;
+}
+
+/// A RELATED request whose instance claims 2^32 - 1 values: the 14-byte
+/// payload of the 18-byte hostile frame.
+std::string InflatedInstanceRequest() {
+  wire::Writer w = RequestHead(Op::kRelated);
+  w.U32(kInflatedCount);
+  return w.Take();
+}
+
+TEST(ServeProtocolTest, InflatedInstanceCountIsRejected) {
+  const std::string payload = InflatedInstanceRequest();
+  ASSERT_EQ(payload.size(), 14u);
+  ExpectInflatedCountRejected(DecodeRequest(payload));
+}
+
+TEST(ServeProtocolTest, InflatedScoreCountIsRejected) {
+  // EVALUATE: f64 tau_w | u32 delta | u32 micro count.
+  wire::Writer w = ResponseHead(Op::kEvaluate);
+  w.F64(0.85);
+  w.U32(2);
+  w.U32(kInflatedCount);
+  ExpectInflatedCountRejected(DecodeResponse(w.Take()));
+}
+
+TEST(ServeProtocolTest, InflatedRelatedCountIsRejected) {
+  // u32 predicted | u32 support size | f64 weight | u32 related counts.
+  wire::Writer w = ResponseHead(Op::kRelated);
+  w.U32(1);
+  w.U32(3);
+  w.F64(1.5);
+  w.U32(kInflatedCount);
+  ExpectInflatedCountRejected(DecodeResponse(w.Take()));
+}
+
+TEST(ServeProtocolTest, InflatedRecordCountIsRejected) {
+  // ... | u32 related counts (0) | u64 total | u32 records.
+  wire::Writer w = ResponseHead(Op::kRelatedForTest);
+  w.U32(1);
+  w.U32(3);
+  w.F64(1.5);
+  w.U32(0);
+  w.U64(5);
+  w.U32(kInflatedCount);
+  ExpectInflatedCountRejected(DecodeResponse(w.Take()));
+}
+
+/// EVALUATE report head up to (not including) the uncovered-rule count.
+wire::Writer ReportHead() {
+  wire::Writer w = ResponseHead(Op::kEvaluate);
+  w.F64(0.85);
+  w.U32(2);
+  w.U32(0);  // micro
+  w.U32(0);  // macro
+  w.F64(0.9);
+  w.F64(0.8);
+  w.U64(0);  // uncovered tests
+  return w;
+}
+
+TEST(ServeProtocolTest, InflatedRuleStatCountIsRejected) {
+  wire::Writer w = ReportHead();
+  w.U32(kInflatedCount);
+  ExpectInflatedCountRejected(DecodeResponse(w.Take()));
+}
+
+TEST(ServeProtocolTest, InflatedReportParticipantCountIsRejected) {
+  wire::Writer w = ReportHead();
+  w.U32(0);  // uncovered rules
+  w.U32(kInflatedCount);
+  ExpectInflatedCountRejected(DecodeResponse(w.Take()));
+}
+
+TEST(ServeProtocolTest, InflatedStatsNameCountIsRejected) {
+  wire::Writer w = ResponseHead(Op::kStats);
+  for (int i = 0; i < 8; ++i) w.U64(0);  // request and cache counters
+  w.U32(4);                              // participants
+  w.U32(10);                             // rules
+  w.U64(500);                            // train records
+  w.U64(140);                            // test records
+  w.F64(0.85);                           // origin tau_w
+  w.U32(2);                              // origin delta
+  w.U64(0);                              // exact fallbacks
+  w.Str("avx2");                         // trace isa
+  w.U32(kInflatedCount);
+  ExpectInflatedCountRejected(DecodeResponse(w.Take()));
 }
 
 TEST(ServeProtocolTest, FrameDecoderReassemblesByteByByte) {
@@ -824,6 +942,23 @@ TEST(ServeServiceTest, StatsReportsRoundsFoldedFromCallback) {
 }
 
 #if defined(CTFL_SERVE_TEST_HAS_SOCKETS)
+/// A raw unix-socket connection to `path`, for peers that misbehave below
+/// the Client API; -1 on failure.
+int ConnectRaw(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (path.size() >= sizeof(addr.sun_path)) return -1;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
 // Slow-loris hardening (ISSUE PR10 satellite): a peer that connects and
 // never completes a frame must be disconnected after idle_timeout_ms and
 // counted, instead of pinning a worker slot forever.
@@ -846,16 +981,8 @@ TEST(ServeServerTest, IdleConnectionsAreClosedAndCounted) {
   const int64_t before = idle_closed.value();
 
   // The loris: connect, send half a frame header, then stall forever.
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = ConnectRaw(config.socket_path);
   ASSERT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  ASSERT_LT(config.socket_path.size(), sizeof(addr.sun_path));
-  std::memcpy(addr.sun_path, config.socket_path.c_str(),
-              config.socket_path.size() + 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
   const char half_header[2] = {0x02, 0x00};
   ASSERT_EQ(::send(fd, half_header, sizeof(half_header), 0), 2);
 
@@ -882,6 +1009,66 @@ TEST(ServeServerTest, IdleConnectionsAreClosedAndCounted) {
 
   server.Shutdown();
   server.Wait();
+}
+
+// One 18-byte frame (a RELATED instance claiming 2^32 - 1 values) must be
+// answered with InvalidArgument on its own connection, and the server must
+// keep serving and drain afterwards.
+TEST(ServeServerTest, HostileFrameIsAnsweredAndServingContinues) {
+  if (!ServerSupported()) GTEST_SKIP() << "socket server not compiled in";
+
+  const Fixture fx = MakeFixture(FastConfig(), "serve_hostile.ctflb");
+  QueryService service(OpenEngine(fx.bundle_path));
+
+  ServerConfig config;
+  config.socket_path = TempPath("serve_hostile.sock");
+  config.num_threads = 2;
+  Server server(&service, config);
+  ASSERT_TRUE(server.Start().ok());
+
+  const int fd = ConnectRaw(config.socket_path);
+  ASSERT_GE(fd, 0);
+  const std::string frame = Frame(InflatedInstanceRequest()).value();
+  ASSERT_EQ(frame.size(), 18u);
+  ASSERT_EQ(::send(fd, frame.data(), frame.size(), 0),
+            static_cast<ssize_t>(frame.size()));
+
+  // The answer is an error frame; the 5s poll cap only bounds the test on
+  // failure.
+  FrameDecoder decoder;
+  std::string answer;
+  bool have_answer = false;
+  while (!have_answer) {
+    pollfd pfd{};
+    pfd.fd = fd;
+    pfd.events = POLLIN;
+    ASSERT_GT(::poll(&pfd, 1, 5000), 0) << "no answer to the hostile frame";
+    char buf[256];
+    const ssize_t got = ::recv(fd, buf, sizeof(buf), 0);
+    ASSERT_GT(got, 0) << "connection closed without an answer";
+    decoder.Append(buf, static_cast<size_t>(got));
+    Result<bool> next = decoder.Next(&answer);
+    ASSERT_TRUE(next.ok()) << next.status();
+    have_answer = *next;
+  }
+  ::close(fd);
+  const Result<Response> response = DecodeResponse(answer);
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->status.code(), StatusCode::kInvalidArgument);
+
+  Result<Client> client = Client::ConnectUnix(config.socket_path);
+  ASSERT_TRUE(client.ok()) << client.status();
+  Request request;
+  request.op = Op::kStats;
+  const Result<Response> stats = client->Call(request);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_TRUE(stats->status.ok());
+  EXPECT_EQ(stats->stats.num_participants, 4u);
+  EXPECT_GE(stats->stats.errors_total, 1u);
+
+  server.Shutdown();
+  server.Wait();
+  EXPECT_FALSE(server.running());
 }
 #endif  // CTFL_SERVE_TEST_HAS_SOCKETS
 

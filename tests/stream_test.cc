@@ -424,6 +424,46 @@ TEST(StreamDeltaLogTest, InflatedSchemaInHeaderIsRejected) {
       << parsed.status();
 }
 
+// A round record's four u64 counts size vectors; the record CRC covers
+// only the payload, so any writer can claim 2^50 elements with a valid
+// CRC. Each count is bounded by the bytes that follow it.
+TEST(StreamDeltaLogTest, InflatedRoundCountIsRejected) {
+  const StreamFixture& fx = Fx();
+  RoundDelta round;
+  round.round = 1;
+  const std::string good = EncodeRound(round);
+  // u32 round | u8 degraded | 3 x u32 client counts, then four u64 counts
+  // (each followed by its empty element list).
+  constexpr size_t kFirstCount = 4 + 1 + 3 * 4;
+  ASSERT_EQ(good.size(), kFirstCount + 4 * 8);
+  ASSERT_TRUE(DecodeRound(good).ok());
+  for (size_t count = 0; count < 4; ++count) {
+    std::string inflated = good;
+    for (size_t i = 0; i < 8; ++i) {
+      inflated[kFirstCount + 8 * count + i] =
+          static_cast<char>(((uint64_t{1} << 50) >> (8 * i)) & 0xff);
+    }
+    const Result<RoundDelta> decoded = DecodeRound(inflated);
+    ASSERT_FALSE(decoded.ok()) << "count " << count;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(decoded.status().message().find("count exceeds its payload"),
+              std::string::npos)
+        << decoded.status();
+
+    // The same payload behind a recomputed CRC fails the whole log.
+    const std::string path = TempPath("stream_inflated_round.ctfld");
+    {
+      Result<DeltaLogWriter> writer = DeltaLogWriter::Create(path);
+      ASSERT_TRUE(writer.ok()) << writer.status();
+      ASSERT_TRUE(writer->AppendHeader(fx.log.header).ok());
+    }
+    AppendRawRecord(path, /*kind=*/2, inflated);
+    const Result<DeltaLogContents> parsed = ReadDeltaLog(path);
+    ASSERT_FALSE(parsed.ok()) << "count " << count;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(StreamDeltaLogTest, FutureContainerVersionIsRejected) {
   const StreamFixture& fx = Fx();
   std::string bytes = ReadFile(fx.log_path);

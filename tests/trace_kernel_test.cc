@@ -1,7 +1,10 @@
 #include "ctfl/kernel/trace_kernel.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -65,17 +68,15 @@ std::vector<std::pair<int, double>> MakeSupport(int num_rules, size_t count,
 }
 
 // The scalar reference decision: ascending-order accumulation, then the
-// exact comparison the tracer (kGeThreshold) or the Max-Miner prefilter
-// (kPlusEpsGe) uses.
+// tracer's Eq. 4 comparison.
 bool ScalarRelated(const Bitset& act,
                    const std::vector<std::pair<int, double>>& supp,
-                   double threshold, TraceKernel::Cmp cmp, double eps) {
+                   double threshold) {
   double overlap = 0.0;
   for (const auto& [rule, weight] : supp) {
     if (act.Test(static_cast<size_t>(rule))) overlap += weight;
   }
-  if (cmp == TraceKernel::Cmp::kGeThreshold) return !(overlap < threshold);
-  return overlap + eps >= threshold;
+  return !(overlap < threshold);
 }
 
 TEST(TraceKernelTest, MatchMatchesScalarOnRandomRecords) {
@@ -102,8 +103,7 @@ TEST(TraceKernelTest, MatchMatchesScalarOnRandomRecords) {
       size_t expected = 0;
       for (size_t r = 0; r < bucket.storage.size(); ++r) {
         const bool want =
-            ScalarRelated(bucket.storage[r], supp, threshold,
-                          TraceKernel::Cmp::kGeThreshold, 0.0);
+            ScalarRelated(bucket.storage[r], supp, threshold);
         const bool got = (related[r / 64] >> (r % 64)) & 1;
         EXPECT_EQ(got, want) << "seed " << seed << " tau " << tau
                              << " record " << r;
@@ -143,33 +143,241 @@ TEST(TraceKernelTest, CandidateMaskRestrictsAndPrunesBlocks) {
   for (size_t r = 64; r < 128; ++r) {
     const bool candidate = (cmask[1] >> (r - 64)) & 1;
     const bool want =
-        candidate && ScalarRelated(bucket.storage[r], supp, threshold,
-                                   TraceKernel::Cmp::kGeThreshold, 0.0);
+        candidate && ScalarRelated(bucket.storage[r], supp, threshold);
     const bool got = (related[1] >> (r - 64)) & 1;
     EXPECT_EQ(got, want) << "record " << r;
   }
 }
 
+// ---------------------------------------------------------------------------
+// Soundness of the fixed-point bounds: adversarial weights and thresholds,
+// each matched at every available tier at 1 and 8 threads and compared
+// with the scalar reference record by record. The shared bucket is wide
+// enough (2048 rules, so 64-block tiles, and 141 blocks) that 8 threads
+// really split it, and its records repeat 97 activation patterns, so an
+// achievable overlap is shared by many lanes at once.
+// ---------------------------------------------------------------------------
+
+constexpr int kSoundRules = 2048;
+
+const RandomBucket& SoundnessBucket() {
+  static const RandomBucket* bucket = [] {
+    const RandomBucket patterns = MakeRandomBucket(97, kSoundRules, 0.4, 77);
+    auto* b = new RandomBucket;
+    b->storage.reserve(9000);
+    for (size_t r = 0; r < 9000; ++r) {
+      b->storage.push_back(patterns.storage[r % 97]);
+    }
+    for (const Bitset& bits : b->storage) b->refs.push_back(&bits);
+    return b;
+  }();
+  return *bucket;
+}
+
+const TraceKernel& SoundnessKernel() {
+  static const TraceKernel* kernel =
+      new TraceKernel(SoundnessBucket().refs, kSoundRules);
+  return *kernel;
+}
+
+/// Support over rules 0, stride, 2 * stride, ... with the given weights.
+std::vector<std::pair<int, double>> SpreadSupport(
+    const std::vector<double>& weights) {
+  const int stride = kSoundRules / static_cast<int>(weights.size());
+  std::vector<std::pair<int, double>> supp;
+  for (size_t i = 0; i < weights.size(); ++i) {
+    supp.emplace_back(static_cast<int>(i) * stride, weights[i]);
+  }
+  return supp;
+}
+
+/// Ascending-order overlap of pattern record `r` — an achievable sum.
+double Overlap(const std::vector<std::pair<int, double>>& supp, size_t r) {
+  double overlap = 0.0;
+  for (const auto& [rule, weight] : supp) {
+    if (SoundnessBucket().storage[r].Test(static_cast<size_t>(rule))) {
+      overlap += weight;
+    }
+  }
+  return overlap;
+}
+
+/// Matches `threshold` at every tier x {1, 8} threads; every decision must
+/// be the scalar reference's and every work count the serial portable
+/// sweep's. Returns the portable serial stats.
+TraceKernelStats ExpectScalarDecisionsEverywhere(
+    const std::vector<std::pair<int, double>>& supp, double threshold,
+    const std::string& label) {
+  const RandomBucket& bucket = SoundnessBucket();
+  const TraceKernel& kernel = SoundnessKernel();
+  const TraceKernel::Support support = TraceKernel::Prepare(supp, threshold);
+  std::vector<uint64_t> want(kernel.num_blocks(), 0);
+  size_t want_matched = 0;
+  for (size_t r = 0; r < bucket.storage.size(); ++r) {
+    if (ScalarRelated(bucket.storage[r], supp, threshold)) {
+      want[r / 64] |= 1ULL << (r % 64);
+      ++want_matched;
+    }
+  }
+  TraceKernelStats base;
+  kernel.Match(support, nullptr, std::vector<uint64_t>(want.size()).data(),
+               &base, {TraceIsa::kScalar, 1});
+  for (const TraceIsa isa : AvailableTraceIsas()) {
+    for (const int threads : {1, 8}) {
+      std::vector<uint64_t> related(kernel.num_blocks(), ~0ULL);
+      TraceKernelStats stats;
+      const size_t matched = kernel.Match(support, nullptr, related.data(),
+                                          &stats, {isa, threads});
+      const std::string where = label + " " + TraceIsaName(isa) + " t" +
+                                std::to_string(threads);
+      EXPECT_EQ(matched, want_matched) << where;
+      for (size_t b = 0; b < want.size(); ++b) {
+        EXPECT_EQ(related[b], want[b]) << where << " block " << b;
+      }
+      EXPECT_EQ(stats.records_scanned, base.records_scanned) << where;
+      EXPECT_EQ(stats.blocks_pruned, base.blocks_pruned) << where;
+      EXPECT_EQ(stats.exact_fallbacks, base.exact_fallbacks) << where;
+    }
+  }
+  return base;
+}
+
+/// Thresholds at pattern record r's achievable overlap and one ulp either
+/// side, for a few r; returns the summed exact fallbacks.
+int64_t ExpectTiesDecideLikeScalar(
+    const std::vector<std::pair<int, double>>& supp,
+    const std::string& label) {
+  int64_t fallbacks = 0;
+  for (const size_t r : {0, 5, 42}) {
+    const double sum = Overlap(supp, r);
+    for (const double threshold :
+         {std::nextafter(sum, -1.0), sum, std::nextafter(sum, 1e300)}) {
+      fallbacks += ExpectScalarDecisionsEverywhere(
+                       supp, threshold,
+                       label + " record " + std::to_string(r))
+                       .exact_fallbacks;
+    }
+  }
+  return fallbacks;
+}
+
+// Tie band: a threshold equal to an achievable ascending-order sum (or one
+// ulp from it) is within the bounds' resolution of that sum, so those
+// lanes must reach the exact scalar comparison — and decide as it does.
 TEST(TraceKernelTest, PlusEpsGeModeMatchesScalarPrefilter) {
-  const int num_rules = 24;
-  const RandomBucket bucket = MakeRandomBucket(100, num_rules, 0.5, 21);
-  const TraceKernel kernel(bucket.refs, num_rules);
-  const auto supp = MakeSupport(num_rules, 6, 22);
+  Rng rng(22);
+  std::vector<double> weights(24);
+  for (double& w : weights) w = 0.05 + rng.Uniform();
+  EXPECT_GT(ExpectTiesDecideLikeScalar(SpreadSupport(weights), "random"), 0);
+}
+
+TEST(TraceKernelTest, SubResolutionWeightsMatchScalarEverywhere) {
+  // Differences of 2^-40 relative: far below the 2^-30 fixed-point step,
+  // so q cannot tell the weights apart but the exact sums can.
+  std::vector<double> weights;
+  for (int i = 0; i < 16; ++i) {
+    weights.push_back(0.5 + std::ldexp(static_cast<double>(i % 5) - 2, -40));
+  }
+  EXPECT_GT(ExpectTiesDecideLikeScalar(SpreadSupport(weights), "sub-res"),
+            0);
+}
+
+TEST(TraceKernelTest, AllEqualWeightsMatchScalarEverywhere) {
+  const auto supp = SpreadSupport(std::vector<double>(20, 0.1));
+  EXPECT_GT(ExpectTiesDecideLikeScalar(supp, "equal"), 0);
+  // Every count of hits: k * 0.1 summed in order, and both neighbours.
+  double sum = 0.0;
+  for (int k = 0; k <= 20; ++k) {
+    ExpectScalarDecisionsEverywhere(supp, sum, "k " + std::to_string(k));
+    sum += 0.1;
+  }
+}
+
+TEST(TraceKernelTest, HeavyAndTinyWeightsMatchScalarEverywhere) {
+  std::vector<double> weights(48, 1e-6);
+  weights[7] = 1000.0;
+  const auto supp = SpreadSupport(weights);
+  EXPECT_GT(ExpectTiesDecideLikeScalar(supp, "heavy"), 0);
+  for (const double threshold : {1000.0, 1000.0 + 5e-6, 2e-5, 1e-6}) {
+    ExpectScalarDecisionsEverywhere(supp, threshold, "heavy fixed");
+  }
+}
+
+TEST(TraceKernelTest, ZeroQuantizedWeightsMatchScalarEverywhere) {
+  // W ~ 1e6 puts the scale near 2^10, so every 1e-12 weight has q == 0:
+  // only the +1-per-rule slack of the kill bound covers them.
+  std::vector<double> weights(30, 1e-12);
+  weights[3] = 1e6;
+  const auto supp = SpreadSupport(weights);
+  EXPECT_GT(ExpectTiesDecideLikeScalar(supp, "q0"), 0);
+  for (const double threshold : {1e6, 3e-12, 1e-12, 0.0, 5e-324}) {
+    ExpectScalarDecisionsEverywhere(supp, threshold, "q0 fixed");
+  }
+}
+
+TEST(TraceKernelTest, PowerOfTwoWeightSumsMatchScalarEverywhere) {
+  // W exactly 2 (the scale's edge) and one ulp below it.
+  std::vector<double> at = {1.0, 0.5, 0.25, 0.125, 0.0625, 0.0625};
+  std::vector<double> below = at;
+  below.back() = std::nextafter(below.back(), 0.0);
+  for (const auto& weights : {at, below}) {
+    double w = 0.0;
+    for (double x : weights) w += x;
+    ASSERT_LE(w, 2.0);
+    const auto supp = SpreadSupport(weights);
+    EXPECT_GT(ExpectTiesDecideLikeScalar(supp, "pow2"), 0);
+    for (const double threshold : {w, 1.0, 1.5, 0.0625}) {
+      ExpectScalarDecisionsEverywhere(supp, threshold, "pow2 fixed");
+    }
+  }
+}
+
+TEST(TraceKernelTest, SupportSizesMatchScalarEverywhere) {
+  // 0 rules: the empty overlap 0 decides alone.
+  for (const double threshold : {-1e-9, 0.0, 1e-9}) {
+    ExpectScalarDecisionsEverywhere({}, threshold, "empty");
+  }
+  // 1 rule and every rule.
+  ExpectTiesDecideLikeScalar({{17, 0.75}}, "one");
+  Rng rng(5);
+  std::vector<double> weights(kSoundRules);
+  for (double& w : weights) w = rng.Uniform();
+  const auto all = SpreadSupport(weights);
+  ASSERT_EQ(all.size(), static_cast<size_t>(kSoundRules));
+  const double sum = Overlap(all, 3);
+  EXPECT_GT(ExpectScalarDecisionsEverywhere(all, sum, "all").exact_fallbacks,
+            0);
+  ExpectScalarDecisionsEverywhere(all, std::nextafter(sum, 1e300), "all+");
+}
+
+TEST(TraceKernelTest, TauWExtremesMatchScalarEverywhere) {
+  Rng rng(6);
+  std::vector<double> weights(40);
+  for (double& w : weights) w = 0.01 + rng.Uniform();
+  const auto supp = SpreadSupport(weights);
   double weight_sum = 0.0;
   for (const auto& [rule, weight] : supp) weight_sum += weight;
-  const double theta = 0.4 * weight_sum;
-  const double eps = 1e-9;
+  // The tracer's comparison value tau_w * W - 1e-9 at tau_w 0 and 1.
+  const TraceKernelStats all =
+      ExpectScalarDecisionsEverywhere(supp, -1e-9, "tau 0");
+  EXPECT_EQ(all.exact_fallbacks, 0);
+  ExpectScalarDecisionsEverywhere(supp, weight_sum - 1e-9, "tau 1");
+}
 
-  const TraceKernel::Support support = TraceKernel::Prepare(
-      supp, theta, TraceKernel::Cmp::kPlusEpsGe, eps);
-  std::vector<uint64_t> related(kernel.num_blocks(), 0);
-  kernel.Match(support, nullptr, related.data(), nullptr);
-  for (size_t r = 0; r < bucket.storage.size(); ++r) {
-    const bool want = ScalarRelated(bucket.storage[r], supp, theta,
-                                    TraceKernel::Cmp::kPlusEpsGe, eps);
-    const bool got = (related[r / 64] >> (r % 64)) & 1;
-    EXPECT_EQ(got, want) << "record " << r;
+TEST(TraceKernelTest, UnboundableSupportsTakeTheExactComparison) {
+  const auto supp = SpreadSupport({0.5, 0.25, 0.125});
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double threshold :
+       {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    const TraceKernelStats stats =
+        ExpectScalarDecisionsEverywhere(supp, threshold, "non-finite");
+    EXPECT_EQ(stats.exact_fallbacks, stats.records_scanned);
   }
+  const auto negative = SpreadSupport({0.5, -0.25, 0.125});
+  ExpectScalarDecisionsEverywhere(negative, 0.3, "negative weight");
+  const auto nan_weight =
+      SpreadSupport({0.5, std::numeric_limits<double>::quiet_NaN()});
+  ExpectScalarDecisionsEverywhere(nan_weight, 0.3, "nan weight");
 }
 
 TEST(TraceKernelTest, EmptyKernelAndEmptySupport) {
