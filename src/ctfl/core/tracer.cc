@@ -247,18 +247,10 @@ TraceResult ContributionTracer::Trace(const Dataset& test) const {
   // Everything downstream of this is a pure function of the forwards and
   // the uploads — TraceForwards — which the streaming scorer re-runs
   // against persisted forwards without the Dataset.
-  std::vector<TestForward> forwards(test.size());
+  std::vector<TestForward> forwards;
   {
     telemetry::Span forward_span("ctfl.trace.forwards");
-    std::vector<uint8_t> predicted;
-    std::vector<Bitset> activations;
-    net_->InferDataset(test, &predicted, &activations);
-    for (size_t t = 0; t < test.size(); ++t) {
-      TestForward& fwd = forwards[t];
-      fwd.label = static_cast<uint8_t>(test.instance(t).label);
-      fwd.predicted = predicted[t];
-      fwd.activation = std::move(activations[t]);
-    }
+    forwards = InferTestForwards(*net_, test);
   }
   TraceResult result = TraceForwards(forwards);
   result.tracing_seconds = watch.ElapsedSeconds();

@@ -254,6 +254,12 @@ Result<SyntheticSpec> BenchmarkSpec(const std::string& name) {
   return Status::NotFound("no synthetic spec for dataset " + name);
 }
 
+Result<SchemaPtr> BenchmarkSchema(const std::string& name) {
+  if (name == "tic-tac-toe") return TicTacToeSchema();
+  CTFL_ASSIGN_OR_RETURN(SyntheticSpec spec, BenchmarkSpec(name));
+  return spec.schema;
+}
+
 Result<Dataset> MakeBenchmark(const std::string& name, size_t n,
                               uint64_t seed) {
   if (name == "tic-tac-toe") return GenerateTicTacToe();

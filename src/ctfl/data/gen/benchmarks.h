@@ -22,6 +22,10 @@ size_t BenchmarkDefaultSize(const std::string& name);
 /// reconstructed exactly by GenerateTicTacToe().
 Result<SyntheticSpec> BenchmarkSpec(const std::string& name);
 
+/// Schema of the named benchmark, "tic-tac-toe" included — the feature
+/// space a CSV of that dataset must match.
+Result<SchemaPtr> BenchmarkSchema(const std::string& name);
+
 /// Generates the named benchmark with `n` instances (0 = the paper size).
 /// "tic-tac-toe" ignores `n` and returns the exact 958-board dataset.
 Result<Dataset> MakeBenchmark(const std::string& name, size_t n,

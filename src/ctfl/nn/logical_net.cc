@@ -357,6 +357,20 @@ void LogicalNet::InferDataset(const Dataset& dataset,
       activations != nullptr ? activations->data() : nullptr);
 }
 
+std::vector<TestForward> InferTestForwards(const LogicalNet& net,
+                                           const Dataset& test) {
+  std::vector<uint8_t> predicted;
+  std::vector<Bitset> activations;
+  net.InferDataset(test, &predicted, &activations);
+  std::vector<TestForward> forwards(test.size());
+  for (size_t t = 0; t < test.size(); ++t) {
+    forwards[t].label = static_cast<uint8_t>(test.instance(t).label);
+    forwards[t].predicted = predicted[t];
+    forwards[t].activation = std::move(activations[t]);
+  }
+  return forwards;
+}
+
 int LogicalNet::RuleClass(int j) const {
   return linear_.weights()(1, j) >= linear_.weights()(0, j) ? 1 : 0;
 }

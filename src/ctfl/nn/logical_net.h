@@ -41,6 +41,14 @@ struct TestForward {
   Bitset activation;
 };
 
+class LogicalNet;
+
+/// The TestForward of every record of `test`, in record order, from one
+/// blocked InferDataset pass — the forwards the tracer, a bundle and a
+/// delta-log header all persist or match.
+std::vector<TestForward> InferTestForwards(const LogicalNet& net,
+                                           const Dataset& test);
+
 /// The practical rule-based model: binarization encoding, logical layers,
 /// and a linear vote layer. Maintains both the continuous (differentiable)
 /// and the binarized (deployed, rule-crisp) forward paths that gradient

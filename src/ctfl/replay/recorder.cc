@@ -32,59 +32,6 @@ ReplayRecorder::Tap() {
   };
 }
 
-store::RelatedResult ReplayRecorder::RecordRelated(
-    const store::QueryEngine& engine, const Instance& instance,
-    const store::QueryOptions& options) {
-  serve::Request request;
-  request.op = serve::Op::kRelated;
-  request.related.instance = instance;
-  request.related.options = options;
-
-  serve::Response response;
-  response.op = request.op;
-  response.related = engine.Related(instance, options);
-
-  RecordEvent(request, response);
-  return response.related;
-}
-
-store::RelatedResult ReplayRecorder::RecordRelatedForTest(
-    const store::QueryEngine& engine, uint64_t test_index,
-    const store::QueryOptions& options) {
-  serve::Request request;
-  request.op = serve::Op::kRelatedForTest;
-  request.related_for_test.test_index = test_index;
-  request.related_for_test.options = options;
-
-  serve::Response response;
-  response.op = request.op;
-  response.related =
-      engine.RelatedForTest(static_cast<size_t>(test_index), options);
-
-  RecordEvent(request, response);
-  return response.related;
-}
-
-store::QueryReport ReplayRecorder::RecordEvaluate(
-    const store::QueryEngine& engine, const store::EvalOptions& options) {
-  serve::Request request;
-  request.op = serve::Op::kEvaluate;
-  request.evaluate.options = options;
-
-  // Mirror QueryService::HandleEvaluate field-for-field: the digest must
-  // match what a served replay of this request will produce.
-  serve::Response response;
-  response.op = request.op;
-  response.report = engine.Evaluate(options);
-  response.origin_tau_w = engine.origin_tau_w();
-  response.origin_delta = engine.origin_delta();
-  response.origin_micro = engine.bundle().meta.micro_scores;
-  response.origin_macro = engine.bundle().meta.macro_scores;
-
-  RecordEvent(request, response);
-  return response.report;
-}
-
 ReplayFile ReplayRecorder::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   return file_;

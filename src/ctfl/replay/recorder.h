@@ -2,16 +2,14 @@
 #define CTFL_REPLAY_RECORDER_H_
 
 // Capture side of the record/replay harness (DESIGN.md §14). One
-// ReplayRecorder accumulates a ReplayFile in memory from any of the
-// three recording points:
+// ReplayRecorder accumulates a ReplayFile in memory from its two
+// recording points:
 //
-//   serve    ServiceConfig::request_tap — plug Tap() into the tapped
-//            QueryService and every handled request/response pair lands
-//            here, from whatever thread ran Handle()
-//   CLI      the engine-direct Record{Related,RelatedForTest,Evaluate}
-//            helpers mirror QueryService's response assembly exactly, so
-//            a one-shot `ctfl query --record` captures digests that a
-//            later served replay reproduces
+//   queries  ServiceConfig::request_tap — plug Tap() into a QueryService
+//            and every handled request/response pair lands here, from
+//            whatever thread ran Handle(). `ctfl_serve`, `ctfl query` and
+//            `ctfl_replay record` all record this way, so every recorded
+//            digest is one a served replay reproduces
 //   run      CaptureRun pins the run spec + outcome computed by the
 //            runner (runner.h)
 //
@@ -21,10 +19,10 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "ctfl/replay/replay_file.h"
 #include "ctfl/serve/protocol.h"
-#include "ctfl/store/query_engine.h"
 
 namespace ctfl {
 namespace replay {
@@ -46,19 +44,6 @@ class ReplayRecorder {
   /// ServiceConfig::request_tap adapter bound to this recorder. The
   /// recorder must outlive the service it is plugged into.
   std::function<void(const serve::Request&, const serve::Response&)> Tap();
-
-  // Engine-direct capture for the one-shot CLI path. Each helper runs the
-  // query, assembles the response exactly as QueryService would (including
-  // the origin_* fields on EVALUATE), records the event, and returns the
-  // engine result for the caller to render.
-  store::RelatedResult RecordRelated(const store::QueryEngine& engine,
-                                     const Instance& instance,
-                                     const store::QueryOptions& options);
-  store::RelatedResult RecordRelatedForTest(
-      const store::QueryEngine& engine, uint64_t test_index,
-      const store::QueryOptions& options);
-  store::QueryReport RecordEvaluate(const store::QueryEngine& engine,
-                                    const store::EvalOptions& options);
 
   /// Point-in-time copy of the accumulated file.
   ReplayFile Snapshot() const;

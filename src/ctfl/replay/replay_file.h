@@ -50,9 +50,9 @@ enum class DataSource : uint8_t {
 };
 
 /// Everything needed to re-execute the recorded run deterministically.
-/// Mirrors the `ctfl score` flag surface: thread knobs are recorded for
-/// fidelity but never move scores, so the differential matrix can vary
-/// them freely against one recorded outcome.
+/// Filled from the flags of RunSpecFlags() (runner.h): thread knobs are
+/// recorded for fidelity but never move scores, so the differential matrix
+/// can vary them freely against one recorded outcome.
 struct RunSpec {
   DataSource source = DataSource::kGenerate;
   std::string dataset = "adult";  ///< schema + generator name

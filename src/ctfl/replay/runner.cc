@@ -1,12 +1,12 @@
 #include "ctfl/replay/runner.h"
 
+#include <climits>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <utility>
 
 #include "ctfl/data/gen/benchmarks.h"
-#include "ctfl/data/gen/tictactoe.h"
 #include "ctfl/fl/partition.h"
 #include "ctfl/serve/client.h"
 #include "ctfl/serve/server.h"
@@ -20,10 +20,17 @@ namespace ctfl {
 namespace replay {
 namespace {
 
-Result<SchemaPtr> SchemaFor(const std::string& dataset) {
-  if (dataset == "tic-tac-toe") return TicTacToeSchema();
-  CTFL_ASSIGN_OR_RETURN(SyntheticSpec spec, BenchmarkSpec(dataset));
-  return spec.schema;
+/// Content digest of a CSV input: what a recording pins and a replay
+/// checks.
+Result<uint64_t> CsvDigest(const std::string& path, const char* role) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return Status::IoError(
+        StrFormat("cannot open %s CSV %s", role, path.c_str()));
+  }
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  return HashBytes(bytes);
 }
 
 /// Loads a recorded CSV input, failing loudly when the file's bytes no
@@ -32,14 +39,7 @@ Result<SchemaPtr> SchemaFor(const std::string& dataset) {
 Result<Dataset> LoadPinnedCsv(const std::string& path, uint64_t want_digest,
                               const SchemaPtr& schema, const char* role) {
   if (want_digest != 0) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      return Status::IoError(StrFormat("cannot open recorded %s CSV %s",
-                                       role, path.c_str()));
-    }
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    const uint64_t got = HashBytes(bytes);
+    CTFL_ASSIGN_OR_RETURN(const uint64_t got, CsvDigest(path, role));
     if (got != want_digest) {
       return Status::FailedPrecondition(StrFormat(
           "%s CSV %s changed since recording (digest %016llx, recorded "
@@ -49,6 +49,16 @@ Result<Dataset> LoadPinnedCsv(const std::string& path, uint64_t want_digest,
     }
   }
   return LoadCsvDataset(path, schema);
+}
+
+/// Sizes the partitioner and the logic layers abort on (the spec stores
+/// them unsigned; the config takes them as int).
+Status CheckSize(const char* name, uint32_t value) {
+  if (value >= 1 && value <= static_cast<uint32_t>(INT_MAX)) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      StrFormat("%s must be in [1, %d], got %u", name, INT_MAX, value));
 }
 
 uint64_t DoubleBits(double v) {
@@ -120,8 +130,88 @@ RunOutcome MakeRunOutcome(const CtflReport& report, const CtflConfig& config,
   return outcome;
 }
 
-Result<RunArtifacts> ExecuteRunSpec(const RunSpec& spec,
-                                    const RunOverrides& overrides) {
+std::map<std::string, std::string> RunSpecFlags(
+    DataSource source, std::map<std::string, std::string> tool_flags) {
+  std::map<std::string, std::string> flags = {
+      {"dataset", "adult"},    {"participants", "3"},  {"alpha", "0.8"},
+      {"skew-label", "false"}, {"seed", "42"},         {"federated", "false"},
+      {"rounds", "5"},         {"local-epochs", "2"},  {"epochs", "20"},
+      {"width", "96"},         {"tau-w", "0.9"},       {"secure-agg", "false"},
+      {"failure-plan", ""},    {"retry-budget", "1"},  {"num-threads", "-1"}};
+  if (source == DataSource::kCsv) {
+    flags.insert({{"train", ""}, {"test", ""}});
+  } else {
+    flags.insert({{"train-n", "600"},
+                  {"train-seed", "7"},
+                  {"test-n", "150"},
+                  {"test-seed", "8"}});
+  }
+  for (auto& [name, value] : tool_flags) flags[name] = std::move(value);
+  return flags;
+}
+
+Result<RunSpec> ParseRunSpecFlags(const FlagParser& flags, DataSource source) {
+  const auto get_u64 = [&flags](const char* name) -> Result<uint64_t> {
+    CTFL_ASSIGN_OR_RETURN(const int value, flags.GetInt(name));
+    return static_cast<uint64_t>(value);
+  };
+  const auto get_u32 = [&flags](const char* name) -> Result<uint32_t> {
+    CTFL_ASSIGN_OR_RETURN(const int value, flags.GetInt(name));
+    return static_cast<uint32_t>(value);
+  };
+  RunSpec spec;
+  spec.source = source;
+  spec.dataset = flags.GetString("dataset");
+  if (source == DataSource::kCsv) {
+    spec.train_path = flags.GetString("train");
+    spec.test_path = flags.GetString("test");
+    if (spec.train_path.empty() || spec.test_path.empty()) {
+      return Status::InvalidArgument("--train and --test are required");
+    }
+    CTFL_ASSIGN_OR_RETURN(spec.train_csv_digest,
+                          CsvDigest(spec.train_path, "train"));
+    CTFL_ASSIGN_OR_RETURN(spec.test_csv_digest,
+                          CsvDigest(spec.test_path, "test"));
+  } else {
+    CTFL_ASSIGN_OR_RETURN(spec.train_n, get_u64("train-n"));
+    CTFL_ASSIGN_OR_RETURN(spec.train_seed, get_u64("train-seed"));
+    CTFL_ASSIGN_OR_RETURN(spec.test_n, get_u64("test-n"));
+    CTFL_ASSIGN_OR_RETURN(spec.test_seed, get_u64("test-seed"));
+  }
+  CTFL_ASSIGN_OR_RETURN(spec.participants, get_u32("participants"));
+  CTFL_ASSIGN_OR_RETURN(spec.alpha, flags.GetDouble("alpha"));
+  spec.skew_label = flags.GetBool("skew-label");
+  CTFL_ASSIGN_OR_RETURN(spec.seed, get_u64("seed"));
+  spec.federated = flags.GetBool("federated");
+  CTFL_ASSIGN_OR_RETURN(spec.rounds, get_u32("rounds"));
+  CTFL_ASSIGN_OR_RETURN(spec.local_epochs, get_u32("local-epochs"));
+  CTFL_ASSIGN_OR_RETURN(spec.epochs, get_u32("epochs"));
+  CTFL_ASSIGN_OR_RETURN(spec.width, get_u32("width"));
+  CTFL_ASSIGN_OR_RETURN(spec.tau_w, flags.GetDouble("tau-w"));
+  spec.secure_agg = flags.GetBool("secure-agg");
+  spec.failure_plan = flags.GetString("failure-plan");
+  CTFL_ASSIGN_OR_RETURN(const int retry_budget, flags.GetInt("retry-budget"));
+  if (retry_budget < 0) {
+    return Status::InvalidArgument("--retry-budget must be >= 0");
+  }
+  spec.retry_budget = static_cast<uint32_t>(retry_budget);
+  CTFL_ASSIGN_OR_RETURN(spec.num_threads, flags.GetInt("num-threads"));
+  return spec;
+}
+
+Result<RunInputs> BuildRunInputs(const RunSpec& spec,
+                                 const RunOverrides& overrides) {
+  CTFL_RETURN_IF_ERROR(CheckSize("participants", spec.participants));
+  CTFL_RETURN_IF_ERROR(CheckSize("width", spec.width));
+  CTFL_ASSIGN_OR_RETURN(
+      FailurePlan failure_plan,
+      FailurePlan::Parse(overrides.clean ? "" : spec.failure_plan));
+  if (!spec.federated && (!failure_plan.empty() || spec.secure_agg)) {
+    return Status::InvalidArgument(
+        "--failure-plan/--secure-agg require --federated "
+        "(faults and masking happen in FedAvg rounds)");
+  }
+
   // Rebuild the inputs exactly as recorded.
   Result<Dataset> train = Status::Internal("unreachable");
   Result<Dataset> test = Status::Internal("unreachable");
@@ -129,7 +219,7 @@ Result<RunArtifacts> ExecuteRunSpec(const RunSpec& spec,
     train = MakeBenchmark(spec.dataset, spec.train_n, spec.train_seed);
     test = MakeBenchmark(spec.dataset, spec.test_n, spec.test_seed);
   } else {
-    CTFL_ASSIGN_OR_RETURN(SchemaPtr schema, SchemaFor(spec.dataset));
+    CTFL_ASSIGN_OR_RETURN(SchemaPtr schema, BenchmarkSchema(spec.dataset));
     train = LoadPinnedCsv(spec.train_path, spec.train_csv_digest, schema,
                           "train");
     test = LoadPinnedCsv(spec.test_path, spec.test_csv_digest, schema,
@@ -138,7 +228,6 @@ Result<RunArtifacts> ExecuteRunSpec(const RunSpec& spec,
   if (!train.ok()) return train.status();
   if (!test.ok()) return test.status();
 
-  // Partition with the recorded PRNG stream (same draw order as the CLI).
   Rng prng(spec.seed);
   const int participants = static_cast<int>(spec.participants);
   Federation federation = MakeFederation(
@@ -146,11 +235,6 @@ Result<RunArtifacts> ExecuteRunSpec(const RunSpec& spec,
           ? PartitionSkewLabel(*train, participants, spec.alpha, prng)
           : PartitionSkewSample(*train, participants, spec.alpha, prng));
 
-  // Mirror the `ctfl score` config mapping knob-for-knob (tools/ctfl_cli.cc
-  // RunScore) — any drift here breaks the bit-identity contract.
-  CTFL_ASSIGN_OR_RETURN(
-      FailurePlan failure_plan,
-      FailurePlan::Parse(overrides.clean ? "" : spec.failure_plan));
   CtflConfig config;
   config.federated = spec.federated;
   config.central.epochs = static_cast<int>(spec.epochs);
@@ -162,11 +246,6 @@ Result<RunArtifacts> ExecuteRunSpec(const RunSpec& spec,
   config.fedavg.secure_aggregation = spec.secure_agg;
   config.fedavg.failure = failure_plan;
   config.fedavg.retry_budget = static_cast<int>(spec.retry_budget);
-  if (!config.federated &&
-      (!failure_plan.empty() || config.fedavg.secure_aggregation)) {
-    return Status::InvalidArgument(
-        "recorded spec has --failure-plan/--secure-agg without --federated");
-  }
   const int width = static_cast<int>(spec.width);
   config.net.logic_layers = {{width / 2, width - width / 2}};
   config.net.seed = spec.seed;
@@ -182,37 +261,44 @@ Result<RunArtifacts> ExecuteRunSpec(const RunSpec& spec,
                            ? static_cast<int>(spec.num_threads)
                            : static_cast<int>(overrides.num_threads);
   config.bundle_out = overrides.bundle_out;
+  return RunInputs{std::move(config), std::move(federation),
+                   std::move(*test)};
+}
+
+Result<RunArtifacts> ExecuteRunSpec(const RunSpec& spec,
+                                    const RunOverrides& overrides) {
+  CTFL_ASSIGN_OR_RETURN(RunInputs run, BuildRunInputs(spec, overrides));
 
   // The streamed cell instruments the run with a delta-log emitter; it
   // observes every round through the model_observer hook and must not
   // perturb the outcome (asserted by the caller via CompareOutcomes).
   std::unique_ptr<stream::DeltaLogEmitter> emitter;
   if (!overrides.delta_log_out.empty()) {
-    if (!config.federated) {
+    if (!run.config.federated) {
       return Status::InvalidArgument(
           "delta_log_out requires a federated spec (deltas are per FedAvg "
           "round)");
     }
     emitter = std::make_unique<stream::DeltaLogEmitter>(
-        overrides.delta_log_out, &federation, &*test, &config);
-    emitter->Attach(&config.fedavg);
+        overrides.delta_log_out, &run.federation, &run.test, &run.config);
+    emitter->Attach(&run.config.fedavg);
   }
 
   CTFL_ASSIGN_OR_RETURN(const CtflReport report,
-                        RunCtfl(federation, *test, config));
-  if (!config.bundle_out.empty()) {
+                        RunCtfl(run.federation, run.test, run.config));
+  if (!run.config.bundle_out.empty()) {
     CTFL_RETURN_IF_ERROR(report.bundle_status);
   }
   if (emitter != nullptr) {
     CTFL_RETURN_IF_ERROR(emitter->status());
   }
 
-  RunOutcome outcome = MakeRunOutcome(report, config, federation, *test);
+  RunOutcome outcome =
+      MakeRunOutcome(report, run.config, run.federation, run.test);
   std::string table =
-      RenderScoreTable(federation, outcome.micro, outcome.macro);
-  return RunArtifacts{std::move(config), std::move(federation),
-                      std::move(*test), std::move(outcome),
-                      std::move(table), report.bundle_bytes};
+      RenderScoreTable(run.federation, outcome.micro, outcome.macro);
+  return RunArtifacts{std::move(run), std::move(outcome), std::move(table),
+                      report.bundle_bytes};
 }
 
 Status CompareOutcomes(const RunOutcome& want, const RunOutcome& got) {

@@ -1,8 +1,12 @@
 #ifndef CTFL_REPLAY_RUNNER_H_
 #define CTFL_REPLAY_RUNNER_H_
 
-// Replay side of the record/replay harness (DESIGN.md §14). Three layers:
+// Replay side of the record/replay harness (DESIGN.md §14). Four layers:
 //
+//   RunSpecFlags /    the one flag surface and spec builder of every tool
+//   BuildRunInputs    that runs a spec (`ctfl score`/`snapshot`,
+//                     `ctfl_replay record`): flags -> RunSpec -> inputs +
+//                     CtflConfig
 //   ExecuteRunSpec    re-runs a recorded RunSpec (optionally with
 //                     per-cell overrides) and recomputes its RunOutcome —
 //                     the bit-identity surface a replay is checked
@@ -22,6 +26,7 @@
 // the `clean` cell, which drops the fault plan and must *diverge* in
 // fingerprint (the fingerprint is doing its job).
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,6 +34,7 @@
 #include "ctfl/core/pipeline.h"
 #include "ctfl/replay/replay_file.h"
 #include "ctfl/serve/service.h"
+#include "ctfl/util/flags.h"
 
 namespace ctfl {
 namespace replay {
@@ -45,6 +51,20 @@ std::string RenderScoreTable(const Federation& federation,
 /// MakeRunReport, score + render digests).
 RunOutcome MakeRunOutcome(const CtflReport& report, const CtflConfig& config,
                           const Federation& federation, const Dataset& test);
+
+/// Flag table of a tool that runs a RunSpec: every flag that can change a
+/// score — the data flags of `source` (--train/--test, or --train-n,
+/// --train-seed, --test-n, --test-seed), the partition flags and the
+/// semantic CtflConfig flags — at their defaults, merged with the tool's
+/// own `tool_flags`, which win (`ctfl score` defaults to 4 participants,
+/// `ctfl_replay record` keeps 3).
+std::map<std::string, std::string> RunSpecFlags(
+    DataSource source, std::map<std::string, std::string> tool_flags);
+
+/// Reads the flags RunSpecFlags(source, ...) declared into a RunSpec,
+/// pinning CSV inputs by content digest. Fails when a CSV path is missing
+/// or --retry-budget is negative; BuildRunInputs validates the rest.
+Result<RunSpec> ParseRunSpecFlags(const FlagParser& flags, DataSource source);
 
 /// Per-cell knob overrides applied on top of a recorded spec. Only the
 /// score-neutral knobs (plus the fault plan, whose divergence is asserted,
@@ -69,20 +89,32 @@ struct RunOverrides {
   std::string delta_log_out;
 };
 
-/// A re-executed run: the effective config, the reconstructed inputs, and
-/// the recomputed outcome.
-struct RunArtifacts {
+/// The inputs and semantic config a RunSpec describes.
+struct RunInputs {
   CtflConfig config;
   Federation federation;
   Dataset test;
+};
+
+/// Validates `spec` (participants and width in [1, INT_MAX], a fault plan
+/// or masking only with federated training), rebuilds its inputs
+/// (regenerated benchmarks or digest-checked CSVs), partitions them with
+/// the recorded PRNG stream and maps the spec plus `overrides` onto a
+/// CtflConfig. `ctfl score` and ExecuteRunSpec both run what this returns;
+/// callers add only observers.
+Result<RunInputs> BuildRunInputs(const RunSpec& spec,
+                                 const RunOverrides& overrides = {});
+
+/// A re-executed run: the effective config, the reconstructed inputs, and
+/// the recomputed outcome.
+struct RunArtifacts : RunInputs {
   RunOutcome outcome;
   std::string score_table;
   size_t bundle_bytes = 0;
 };
 
-/// Rebuilds the inputs (regenerating benchmarks or reloading
-/// digest-checked CSVs), mirrors the `ctfl score` config mapping
-/// knob-for-knob, runs the pipeline, and recomputes the outcome.
+/// Builds the run (BuildRunInputs), runs the pipeline, and recomputes the
+/// outcome.
 Result<RunArtifacts> ExecuteRunSpec(const RunSpec& spec,
                                     const RunOverrides& overrides = {});
 

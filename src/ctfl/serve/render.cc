@@ -70,6 +70,12 @@ std::string RenderEvaluation(const store::QueryReport& report,
   return out;
 }
 
+std::string RenderScoreRow(const std::string& name, size_t records,
+                           double micro, double macro) {
+  return StrFormat("%-11s %8zu   %.4f    %.4f\n", name.c_str(), records,
+                   micro, macro);
+}
+
 std::string RenderRelatedHeader() { return "\nrelated-record lookups:\n"; }
 
 std::string RenderRelatedLookup(size_t index,

@@ -26,6 +26,12 @@ std::string RenderEvaluation(const store::QueryReport& report,
                              const std::vector<double>& origin_micro,
                              const std::vector<double>& origin_macro);
 
+/// One participant row of the four-decimal score table that `ctfl score`
+/// prints and that the streamed folds of `ctfl query --delta-log` and
+/// `ctfl_serve --delta-log` reprint (CI diffs the two line for line).
+std::string RenderScoreRow(const std::string& name, size_t records,
+                           double micro, double macro);
+
 /// "\nrelated-record lookups:\n" header.
 std::string RenderRelatedHeader();
 

@@ -84,16 +84,7 @@ Result<BundleContent> BuildBundleContent(
   }
 
   // Tests: deployed inference artifacts of the reserved test set.
-  std::vector<uint8_t> predicted;
-  std::vector<Bitset> activations;
-  net.InferDataset(test, &predicted, &activations);
-  content.tests.resize(test.size());
-  for (size_t t = 0; t < test.size(); ++t) {
-    TestRecord& record = content.tests[t];
-    record.label = static_cast<uint8_t>(test.instance(t).label);
-    record.predicted = predicted[t];
-    record.activation = std::move(activations[t]);
-  }
+  content.tests = InferTestForwards(net, test);
 
   return content;
 }

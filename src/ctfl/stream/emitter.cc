@@ -36,20 +36,6 @@ void DeltaLogEmitter::Observe(int round, const LogicalNet& global,
   if (!emitted.ok()) status_ = emitted;
 }
 
-std::vector<store::TestRecord> DeltaLogEmitter::ComputeForwards(
-    const LogicalNet& global) const {
-  std::vector<uint8_t> predicted;
-  std::vector<Bitset> activations;
-  global.InferDataset(*test_, &predicted, &activations);
-  std::vector<store::TestRecord> forwards(test_->size());
-  for (size_t t = 0; t < test_->size(); ++t) {
-    forwards[t].label = static_cast<uint8_t>(test_->instance(t).label);
-    forwards[t].predicted = predicted[t];
-    forwards[t].activation = std::move(activations[t]);
-  }
-  return forwards;
-}
-
 Status DeltaLogEmitter::EmitHeader(const LogicalNet& global) {
   CTFL_SPAN("ctfl.stream.emit_header");
   CTFL_ASSIGN_OR_RETURN(DeltaLogWriter writer,
@@ -75,7 +61,7 @@ Status DeltaLogEmitter::EmitHeader(const LogicalNet& global) {
   // them — the privacy boundary of a bundle snapshot, per round.
   prev_activations_ = ContributionTracer::ComputeUploadActivations(
       global, *federation_, config_->tracer);
-  prev_forwards_ = ComputeForwards(global);
+  prev_forwards_ = InferTestForwards(global, *test_);
   prev_params_ = header.params;
 
   header.participant_names.reserve(federation_->size());
@@ -144,7 +130,7 @@ Status DeltaLogEmitter::EmitRound(int round, const LogicalNet& global,
     }
   }
 
-  std::vector<store::TestRecord> forwards = ComputeForwards(global);
+  std::vector<store::TestRecord> forwards = InferTestForwards(global, *test_);
   for (size_t t = 0; t < forwards.size(); ++t) {
     if (forwards[t].predicted != prev_forwards_[t].predicted) {
       delta.predicted_flips.push_back(static_cast<uint32_t>(t));

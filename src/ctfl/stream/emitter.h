@@ -48,10 +48,6 @@ class DeltaLogEmitter {
   Status EmitRound(int round, const LogicalNet& global,
                    const telemetry::RoundTelemetry& rt);
 
-  /// Per-test forwards (label, prediction, raw activation) of `global`.
-  std::vector<store::TestRecord> ComputeForwards(
-      const LogicalNet& global) const;
-
   std::string path_;
   const Federation* federation_;
   const Dataset* test_;

@@ -174,41 +174,35 @@ Status StreamingScorer::Rescore() {
   return Status::OK();
 }
 
-Result<StreamedEngine> StreamedEngine::Open(const std::string& bundle_path,
-                                            const std::string& delta_log_path,
-                                            StreamingScorer::Options options) {
-  CTFL_ASSIGN_OR_RETURN(store::QueryEngine engine,
-                        store::QueryEngine::Open(bundle_path));
-  CTFL_ASSIGN_OR_RETURN(DeltaLogContents contents,
-                        ReadDeltaLog(delta_log_path));
-  const uint64_t bundle_fp = engine.bundle().meta.schema_fingerprint;
-  if (bundle_fp != 0 && contents.header.schema_fingerprint != 0 &&
-      bundle_fp != contents.header.schema_fingerprint) {
+Result<AttachedDeltaLog> AttachedDeltaLog::Attach(
+    const store::BundleMeta& bundle, std::string log_path,
+    ScorerOptions options) {
+  CTFL_ASSIGN_OR_RETURN(DeltaLogContents contents, ReadDeltaLog(log_path));
+  if (bundle.schema_fingerprint != 0 &&
+      contents.header.schema_fingerprint != 0 &&
+      bundle.schema_fingerprint != contents.header.schema_fingerprint) {
     return Status::InvalidArgument(
-        delta_log_path +
-        ": delta-log schema fingerprint disagrees with the bundle");
+        log_path + ": delta-log schema fingerprint disagrees with the bundle");
   }
   CTFL_ASSIGN_OR_RETURN(
       StreamingScorer scorer,
       StreamingScorer::FromHeader(std::move(contents.header), options));
   CTFL_RETURN_IF_ERROR(scorer.FoldAll(contents).status());
-  return StreamedEngine(std::move(engine), std::move(scorer),
-                        delta_log_path);
+  return AttachedDeltaLog(std::move(scorer), std::move(log_path), bundle);
 }
 
-Result<uint64_t> StreamedEngine::PollAppended() {
+Result<uint64_t> AttachedDeltaLog::Poll() {
   CTFL_ASSIGN_OR_RETURN(const DeltaLogContents contents,
                         ReadDeltaLog(log_path_));
   return scorer_.FoldAll(contents);
 }
 
-Status StreamedEngine::VerifyAgainstBundle() const {
-  const store::BundleMeta& meta = engine_.bundle().meta;
-  if (meta.micro_scores != scorer_.micro_scores()) {
+Status AttachedDeltaLog::Verify() const {
+  if (bundle_micro_ != scorer_.micro_scores()) {
     return Status::InvalidArgument(
         "streamed micro scores do not bit-match the bundle snapshot");
   }
-  if (meta.macro_scores != scorer_.macro_scores()) {
+  if (bundle_macro_ != scorer_.macro_scores()) {
     return Status::InvalidArgument(
         "streamed macro scores do not bit-match the bundle snapshot");
   }

@@ -17,17 +17,17 @@
 // skips training and every forward pass (the dominant costs); a fully
 // degraded round's empty delta folds in O(1) without retracing.
 //
-// StreamedEngine pairs a scorer with a read-only store::QueryEngine: open
-// a bundle plus its delta chain, fold on attach, poll for appended
-// rounds, and verify that the folded scores bit-match the bundle
-// snapshot.
+// AttachedDeltaLog follows one bundle's delta chain with a scorer: fold on
+// attach, poll for appended rounds, and verify that the folded scores
+// bit-match the bundle snapshot — the one path of every delta-log front
+// end.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "ctfl/core/tracer.h"
-#include "ctfl/store/query_engine.h"
+#include "ctfl/store/bundle.h"
 #include "ctfl/stream/delta_log.h"
 
 namespace ctfl {
@@ -109,39 +109,41 @@ class StreamingScorer {
   std::vector<double> macro_scores_;
 };
 
-/// A read-only QueryEngine over a bundle snapshot plus the streaming
-/// scorer of its delta chain. Open() folds every round already in the log
-/// ("fold on attach"); PollAppended() re-reads the log and folds rounds
-/// appended since — the serve layer's between-rounds update path.
-class StreamedEngine {
+/// A streaming scorer attached to a bundle's delta log (DESIGN.md §15.3).
+/// Needs only the bundle's meta section: its schema fingerprint is checked
+/// on attach and its snapshot scores are what Verify() compares against.
+class AttachedDeltaLog {
  public:
-  static Result<StreamedEngine> Open(const std::string& bundle_path,
-                                     const std::string& delta_log_path,
-                                     StreamingScorer::Options options = {});
+  /// Reads the log, rejects it when its schema fingerprint disagrees with
+  /// the bundle's, and folds every round already in it.
+  static Result<AttachedDeltaLog> Attach(const store::BundleMeta& bundle,
+                                         std::string log_path,
+                                         ScorerOptions options = {});
 
-  const store::QueryEngine& engine() const { return engine_; }
+  /// Re-reads the log and folds the rounds appended since the last call.
+  /// Returns the number of rounds newly folded (0 = no growth).
+  Result<uint64_t> Poll();
+
+  /// Checks that the folded scores bit-match the bundle snapshot's — the
+  /// end-to-end check that the chain reproduces the run the bundle
+  /// persisted.
+  Status Verify() const;
+
   const StreamingScorer& scorer() const { return scorer_; }
   uint64_t rounds_folded() const { return scorer_.rounds_folded(); }
 
-  /// Re-reads the delta log and folds any rounds appended since the last
-  /// call. Returns the number of rounds newly folded (0 = no growth).
-  Result<uint64_t> PollAppended();
-
-  /// Checks the folded final scores bit-match the bundle snapshot's —
-  /// the end-to-end integrity check that the log's chain reproduces the
-  /// run the bundle persisted.
-  Status VerifyAgainstBundle() const;
-
  private:
-  StreamedEngine(store::QueryEngine engine, StreamingScorer scorer,
-                 std::string log_path)
-      : engine_(std::move(engine)),
-        scorer_(std::move(scorer)),
-        log_path_(std::move(log_path)) {}
+  AttachedDeltaLog(StreamingScorer scorer, std::string log_path,
+                   const store::BundleMeta& bundle)
+      : scorer_(std::move(scorer)),
+        log_path_(std::move(log_path)),
+        bundle_micro_(bundle.micro_scores),
+        bundle_macro_(bundle.macro_scores) {}
 
-  store::QueryEngine engine_;
   StreamingScorer scorer_;
   std::string log_path_;
+  std::vector<double> bundle_micro_;
+  std::vector<double> bundle_macro_;
 };
 
 }  // namespace stream

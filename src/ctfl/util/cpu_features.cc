@@ -146,4 +146,10 @@ Status SetTraceIsa(TraceIsa isa) {
   return Status::OK();
 }
 
+Status ApplyTraceIsaFlag(const std::string& name) {
+  if (name.empty() || name == "auto") return Status::OK();
+  CTFL_ASSIGN_OR_RETURN(TraceIsa isa, ParseTraceIsa(name));
+  return SetTraceIsa(isa);
+}
+
 }  // namespace ctfl

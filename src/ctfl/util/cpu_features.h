@@ -45,8 +45,8 @@ enum class TraceIsa : uint8_t {
 /// STATS, RunReport, Prometheus, and the bench context.
 const char* TraceIsaName(TraceIsa isa);
 
-/// Parses a TraceIsaName() string. Rejects "auto" — callers resolve it to
-/// CurrentTraceIsa() themselves (the CLI flag default).
+/// Parses a TraceIsaName() string. Rejects "auto" — ApplyTraceIsaFlag
+/// resolves it to runtime dispatch (the flag default).
 Result<TraceIsa> ParseTraceIsa(const std::string& name);
 
 /// True when this binary carries a kernel for the tier (compile-time:
@@ -71,6 +71,10 @@ TraceIsa CurrentTraceIsa();
 /// Forces the process-wide tier (the --trace-isa flag). Fails without
 /// side effects when the tier is unavailable on this machine.
 Status SetTraceIsa(TraceIsa isa);
+
+/// Applies a --trace-isa value: "auto" (or empty) keeps runtime dispatch,
+/// a tier name pins the process-wide tier through SetTraceIsa.
+Status ApplyTraceIsaFlag(const std::string& name);
 
 }  // namespace ctfl
 

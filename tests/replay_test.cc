@@ -11,12 +11,16 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ctfl/data/gen/benchmarks.h"
+#include "ctfl/fl/partition.h"
 #include "ctfl/replay/recorder.h"
 #include "ctfl/replay/replay_file.h"
 #include "ctfl/replay/runner.h"
@@ -25,6 +29,8 @@
 #include "ctfl/store/bundle.h"
 #include "ctfl/store/query_engine.h"
 #include "ctfl/util/cpu_features.h"
+#include "ctfl/util/flags.h"
+#include "ctfl/util/rng.h"
 #include "ctfl/util/wire.h"
 #include "test_paths.h"
 
@@ -337,61 +343,225 @@ TEST(ReplayRunnerTest, CsvDigestMismatchFailsLoudly) {
       << run.status();
 }
 
+/// Parses `args` through the flag table and spec parser that `ctfl score`
+/// and `ctfl_replay record` share.
+Result<RunSpec> ParseSpecArgs(
+    DataSource source, const std::vector<const char*>& args,
+    const std::map<std::string, std::string>& tool_flags = {}) {
+  FlagParser flags(RunSpecFlags(source, tool_flags));
+  CTFL_RETURN_IF_ERROR(
+      flags.Parse(static_cast<int>(args.size()), args.data()));
+  return ParseRunSpecFlags(flags, source);
+}
+
+void ExpectInvalidArgument(const Status& status) {
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+}
+
+TEST(ReplayRunnerTest, ZeroParticipantsIsInvalidArgument) {
+  RunSpec spec = SmallSpec();
+  spec.participants = 0;
+  ExpectInvalidArgument(ExecuteRunSpec(spec).status());
+}
+
+TEST(ReplayRunnerTest, ZeroWidthIsInvalidArgument) {
+  RunSpec spec = SmallSpec();
+  spec.width = 0;
+  ExpectInvalidArgument(ExecuteRunSpec(spec).status());
+}
+
+TEST(ReplayRunnerTest, SizesAboveIntMaxAreInvalidArgument) {
+  RunSpec spec = SmallSpec();
+  spec.participants = 0x80000000u;
+  ExpectInvalidArgument(ExecuteRunSpec(spec).status());
+  spec = SmallSpec();
+  spec.width = 0x80000000u;
+  ExpectInvalidArgument(ExecuteRunSpec(spec).status());
+}
+
+TEST(ReplayRunnerTest, NegativeParticipantsFlagIsInvalidArgument) {
+  // -1 wraps to 2^32 - 1 in the unsigned spec field; the builder refuses
+  // it before the partitioner sees it.
+  Result<RunSpec> spec =
+      ParseSpecArgs(DataSource::kGenerate, {"--participants", "-1"});
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  EXPECT_EQ(spec->participants, UINT32_MAX);
+  ExpectInvalidArgument(BuildRunInputs(*spec).status());
+}
+
+TEST(ReplayRunnerTest, NegativeRetryBudgetFlagIsInvalidArgument) {
+  ExpectInvalidArgument(
+      ParseSpecArgs(DataSource::kGenerate, {"--retry-budget", "-1"})
+          .status());
+}
+
+TEST(ReplayRunnerTest, RecordedZeroSizesReplayAsInvalidArgument) {
+  // A replay file with valid CRCs whose spec asks for zero participants or
+  // a zero width: the replay and its matrix cells report a Status.
+  for (const bool zero_width : {false, true}) {
+    ReplayFile file;
+    file.has_spec = true;
+    file.spec = SmallSpec();
+    (zero_width ? file.spec.width : file.spec.participants) = 0;
+    file.has_outcome = true;
+    const std::string path = TempPath("zero_sizes.ctflr");
+    ASSERT_TRUE(WriteReplayFile(file, path).ok());
+    Result<ReplayFile> read = ReadReplayFile(path);
+    ASSERT_TRUE(read.ok()) << read.status();
+    ExpectInvalidArgument(ExecuteRunSpec(read->spec).status());
+
+    MatrixOptions options;
+    options.scratch_dir = TestTempDir();
+    options.only_cell = "base_replay";
+    Result<std::vector<CellResult>> cells = RunMatrix(*read, options);
+    ASSERT_TRUE(cells.ok()) << cells.status();
+    ASSERT_EQ(cells->size(), 1u);
+    EXPECT_FALSE((*cells)[0].pass);
+    EXPECT_NE((*cells)[0].detail.find("must be in [1,"), std::string::npos)
+        << (*cells)[0].detail;
+  }
+}
+
+TEST(ReplayRunnerTest, CsvSpecConfigDigestMatchesScoreMapping) {
+  const std::string train_path = TempPath("digest_train.csv");
+  const std::string test_path = TempPath("digest_test.csv");
+  const Dataset train = MakeBenchmark("adult", 120, 7).value();
+  ASSERT_TRUE(SaveCsvDataset(train_path, train).ok());
+  ASSERT_TRUE(
+      SaveCsvDataset(test_path, MakeBenchmark("adult", 40, 8).value()).ok());
+  for (const bool federated : {true, false}) {
+    SCOPED_TRACE(federated ? "federated" : "central");
+    std::vector<const char*> args = {
+        "--train", train_path.c_str(), "--test", test_path.c_str(),
+        "--rounds", "2", "--local-epochs", "1", "--epochs", "3",
+        "--width", "13", "--tau-w", "0.85", "--seed", "9",
+        "--alpha", "0.6", "--retry-budget", "2", "--num-threads", "2"};
+    if (federated) {
+      args.insert(args.end(), {"--federated", "--secure-agg",
+                               "--failure-plan", "dropout=0.3,seed=17"});
+    }
+    Result<RunSpec> spec =
+        ParseSpecArgs(DataSource::kCsv, args, {{"participants", "4"}});
+    ASSERT_TRUE(spec.ok()) << spec.status();
+    EXPECT_NE(spec->train_csv_digest, 0u);
+    EXPECT_NE(spec->test_csv_digest, 0u);
+    Result<RunInputs> run = BuildRunInputs(*spec);
+    ASSERT_TRUE(run.ok()) << run.status();
+
+    // Reference: the same flags partitioned and mapped field by field.
+    Rng prng(9);
+    const std::vector<Dataset> parts = PartitionSkewSample(train, 4, 0.6, prng);
+    ASSERT_EQ(run->federation.size(), parts.size());
+    for (size_t p = 0; p < parts.size(); ++p) {
+      EXPECT_EQ(run->federation[p].data.size(), parts[p].size()) << p;
+    }
+    CtflConfig by_hand;
+    by_hand.federated = federated;
+    by_hand.central.epochs = 3;
+    by_hand.central.learning_rate = 0.05;
+    by_hand.fedavg.rounds = 2;
+    by_hand.fedavg.local_epochs = 1;
+    by_hand.fedavg.local.learning_rate = 0.05;
+    by_hand.fedavg.local.seed = 9;
+    by_hand.fedavg.secure_aggregation = federated;
+    by_hand.fedavg.failure =
+        FailurePlan::Parse(federated ? "dropout=0.3,seed=17" : "").value();
+    by_hand.fedavg.retry_budget = 2;
+    by_hand.net.logic_layers = {{6, 7}};
+    by_hand.net.seed = 9;
+    by_hand.tracer.tau_w = 0.85;
+    by_hand.tracer.isa = CurrentTraceIsa();
+    by_hand.tracer.trace_threads = 1;
+    by_hand.num_threads = 2;
+    EXPECT_EQ(CtflConfigDigest(run->config), CtflConfigDigest(by_hand));
+    EXPECT_EQ(run->config.fedavg.failure.Fingerprint(),
+              by_hand.fedavg.failure.Fingerprint());
+    EXPECT_EQ(run->config.num_threads, by_hand.num_threads);
+  }
+}
+
+/// A QueryService over `bundle_path` whose request tap feeds `recorder` —
+/// the one recording point of `ctfl_serve`, `ctfl query` and
+/// `ctfl_replay record`.
+std::unique_ptr<serve::QueryService> TappedService(
+    const std::string& bundle_path, ReplayRecorder& recorder) {
+  Result<store::QueryEngine> engine = store::QueryEngine::Open(bundle_path);
+  EXPECT_TRUE(engine.ok()) << engine.status();
+  if (!engine.ok()) return nullptr;
+  serve::ServiceConfig config;
+  config.request_tap = recorder.Tap();
+  return std::make_unique<serve::QueryService>(std::move(*engine), config);
+}
+
+/// EVALUATE at `tau_w`, RELATED_FOR_TEST on each of `tests`, and RELATED
+/// on each of the test instances of `run` numbered in `instances`.
+std::vector<serve::Request> QueryMix(const RunArtifacts& run, double tau_w,
+                                     const std::vector<uint64_t>& tests,
+                                     const std::vector<size_t>& instances,
+                                     size_t max_records) {
+  std::vector<serve::Request> requests(1);
+  requests[0].op = serve::Op::kEvaluate;
+  requests[0].evaluate.options.tau_w = tau_w;
+  for (const uint64_t test_index : tests) {
+    serve::Request& request = requests.emplace_back();
+    request.op = serve::Op::kRelatedForTest;
+    request.related_for_test.test_index = test_index;
+    request.related_for_test.options.max_records = max_records;
+  }
+  for (const size_t i : instances) {
+    serve::Request& request = requests.emplace_back();
+    request.op = serve::Op::kRelated;
+    request.related.instance = run.test.instance(i);
+    request.related.options.max_records = max_records;
+  }
+  return requests;
+}
+
 TEST(ReplayRecorderTest, TapMatchesEngineDirectRecording) {
   RunSpec spec = SmallSpec();
   RunOverrides with_bundle;
   with_bundle.bundle_out = TempPath("recorder_parity.ctflb");
   Result<RunArtifacts> run = ExecuteRunSpec(spec, with_bundle);
   ASSERT_TRUE(run.ok()) << run.status();
+  // Test 1 twice: the warm service answers the repeat from its LRU.
+  const std::vector<serve::Request> requests =
+      QueryMix(*run, 0.85, {1, 1}, {0}, 3);
 
-  Result<store::QueryEngine> engine =
-      store::QueryEngine::Open(with_bundle.bundle_out);
-  ASSERT_TRUE(engine.ok()) << engine.status();
+  // One warm tapped service answers every request (a recording
+  // ctfl_serve)...
+  ReplayRecorder warm;
+  {
+    std::unique_ptr<serve::QueryService> service =
+        TappedService(with_bundle.bundle_out, warm);
+    ASSERT_NE(service, nullptr);
+    for (const serve::Request& request : requests) service->Handle(request);
+  }
 
-  // One recorder captures through the service tap, the other through the
-  // engine-direct helpers the CLI uses; the same queries must land with
-  // identical request bytes and response digests.
-  ReplayRecorder tapped;
-  serve::ServiceConfig config;
-  config.request_tap = tapped.Tap();
-  Result<store::QueryEngine> engine2 =
-      store::QueryEngine::Open(with_bundle.bundle_out);
-  ASSERT_TRUE(engine2.ok()) << engine2.status();
-  serve::QueryService service(std::move(*engine2), config);
+  // ...and a fresh tapped service per request appends to the file on disk
+  // (one `ctfl query --record` process each). Both must land identical
+  // request bytes and response digests.
+  const std::string path = TempPath("recorder_parity.ctflr");
+  ASSERT_TRUE(WriteReplayFile(ReplayFile(), path).ok());
+  for (const serve::Request& request : requests) {
+    Result<ReplayFile> seed = ReadReplayFile(path);
+    ASSERT_TRUE(seed.ok()) << seed.status();
+    ReplayRecorder process(std::move(*seed));
+    std::unique_ptr<serve::QueryService> service =
+        TappedService(with_bundle.bundle_out, process);
+    ASSERT_NE(service, nullptr);
+    service->Handle(request);
+    ASSERT_TRUE(process.WriteTo(path).ok());
+  }
 
-  ReplayRecorder direct;
-  store::EvalOptions eval;
-  eval.tau_w = 0.85;
-  store::QueryOptions options;
-  options.max_records = 3;
-
-  serve::Request evaluate;
-  evaluate.op = serve::Op::kEvaluate;
-  evaluate.evaluate.options = eval;
-  service.Handle(evaluate);
-  direct.RecordEvaluate(*engine, eval);
-
-  serve::Request related_test;
-  related_test.op = serve::Op::kRelatedForTest;
-  related_test.related_for_test.test_index = 1;
-  related_test.related_for_test.options = options;
-  service.Handle(related_test);
-  direct.RecordRelatedForTest(*engine, 1, options);
-
-  serve::Request related;
-  related.op = serve::Op::kRelated;
-  related.related.instance = run->test.instance(0);
-  related.related.options = options;
-  service.Handle(related);
-  direct.RecordRelated(*engine, run->test.instance(0), options);
-
-  const ReplayFile a = tapped.Snapshot();
-  const ReplayFile b = direct.Snapshot();
-  ASSERT_EQ(a.events.size(), 3u);
-  ASSERT_EQ(b.events.size(), 3u);
+  const ReplayFile a = warm.Snapshot();
+  Result<ReplayFile> b = ReadReplayFile(path);
+  ASSERT_TRUE(b.ok()) << b.status();
+  ASSERT_EQ(a.events.size(), requests.size());
+  ASSERT_EQ(b->events.size(), requests.size());
   for (size_t i = 0; i < a.events.size(); ++i) {
-    EXPECT_EQ(a.events[i].op, b.events[i].op) << "event " << i;
-    EXPECT_EQ(a.events[i].response_digest, b.events[i].response_digest)
+    EXPECT_EQ(a.events[i].op, b->events[i].op) << "event " << i;
+    EXPECT_EQ(a.events[i].request, b->events[i].request) << "event " << i;
+    EXPECT_EQ(a.events[i].response_digest, b->events[i].response_digest)
         << "event " << i;
   }
 }
@@ -437,17 +607,16 @@ TEST(ReplayRunnerTest, EventLegsReplayDigestForDigest) {
   Result<RunArtifacts> run = ExecuteRunSpec(spec, with_bundle);
   ASSERT_TRUE(run.ok()) << run.status();
 
-  Result<store::QueryEngine> engine =
-      store::QueryEngine::Open(with_bundle.bundle_out);
-  ASSERT_TRUE(engine.ok()) << engine.status();
   ReplayRecorder recorder;
-  store::EvalOptions eval;
-  recorder.RecordEvaluate(*engine, eval);
-  store::QueryOptions options;
-  options.max_records = 2;
-  recorder.RecordRelatedForTest(*engine, 0, options);
-  recorder.RecordRelatedForTest(*engine, 2, options);
-  recorder.RecordRelated(*engine, run->test.instance(1), options);
+  {
+    std::unique_ptr<serve::QueryService> tapped =
+        TappedService(with_bundle.bundle_out, recorder);
+    ASSERT_NE(tapped, nullptr);
+    for (const serve::Request& request :
+         QueryMix(*run, -1.0, {0, 2}, {1}, 2)) {
+      tapped->Handle(request);
+    }
+  }
   const ReplayFile file = recorder.Snapshot();
 
   // Streamed-batch leg: one warm service.

@@ -4,12 +4,14 @@
 // EVERY round, across every trace ISA this machine supports and thread
 // counts 1/2/8, on a faulty secure-agg run — plus the delta-log corruption
 // matrix (truncated tail, CRC flip, future version, unknown record kind),
-// the StreamedEngine poll/verify loop, and the committed golden log.
+// the AttachedDeltaLog attach/poll/verify loop, and the committed golden
+// log.
 //
 // Suite names start with "Stream" so the TSan CI job's --gtest-style
 // regex picks every suite up.
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -284,9 +286,15 @@ TEST(StreamScorerTest, FoldRejectsNonConsecutiveRounds) {
 }
 
 // ---------------------------------------------------------------------------
-// StreamedEngine: fold on attach, poll for appended rounds, verify
+// AttachedDeltaLog: fold on attach, poll for appended rounds, verify
 // against the bundle snapshot.
 // ---------------------------------------------------------------------------
+
+store::BundleMeta BundleMetaAt(const std::string& bundle_path) {
+  Result<store::BundleContent> bundle = store::ReadBundle(bundle_path);
+  EXPECT_TRUE(bundle.ok()) << bundle.status();
+  return bundle.ok() ? bundle->meta : store::BundleMeta();
+}
 
 TEST(StreamEngineTest, PollsAppendedRoundsAndVerifiesAgainstBundle) {
   const StreamFixture& fx = Fx();
@@ -297,26 +305,70 @@ TEST(StreamEngineTest, PollsAppendedRoundsAndVerifiesAgainstBundle) {
   ASSERT_TRUE(writer->AppendRound(fx.log.rounds[0]).ok());
   ASSERT_TRUE(writer->AppendRound(fx.log.rounds[1]).ok());
 
-  Result<StreamedEngine> engine =
-      StreamedEngine::Open(fx.bundle_path, path);
-  ASSERT_TRUE(engine.ok()) << engine.status();
-  EXPECT_EQ(engine->rounds_folded(), 2u);
-  EXPECT_TRUE(BitEq(fx.micro_at[2], engine->scorer().micro_scores()));
+  Result<AttachedDeltaLog> attached =
+      AttachedDeltaLog::Attach(BundleMetaAt(fx.bundle_path), path);
+  ASSERT_TRUE(attached.ok()) << attached.status();
+  EXPECT_EQ(attached->rounds_folded(), 2u);
+  EXPECT_TRUE(BitEq(fx.micro_at[2], attached->scorer().micro_scores()));
+  // Mid-run the folded scores are round 2's, not the bundle's final ones.
+  EXPECT_EQ(attached->Verify().ok(),
+            fx.micro_at[2] == fx.report.micro_scores &&
+                fx.macro_at[2] == fx.report.macro_scores);
 
   // The live half of the contract: training appends, the server polls.
   for (size_t r = 2; r < fx.log.rounds.size(); ++r) {
     ASSERT_TRUE(writer->AppendRound(fx.log.rounds[r]).ok());
   }
-  Result<uint64_t> appended = engine->PollAppended();
+  Result<uint64_t> appended = attached->Poll();
   ASSERT_TRUE(appended.ok()) << appended.status();
   EXPECT_EQ(*appended, fx.log.rounds.size() - 2);
-  EXPECT_EQ(engine->rounds_folded(), fx.log.rounds.size());
-  EXPECT_TRUE(engine->VerifyAgainstBundle().ok());
+  EXPECT_EQ(attached->rounds_folded(), fx.log.rounds.size());
+  EXPECT_TRUE(attached->Verify().ok()) << attached->Verify();
 
   // Idempotent when the log has not grown.
-  appended = engine->PollAppended();
+  appended = attached->Poll();
   ASSERT_TRUE(appended.ok()) << appended.status();
   EXPECT_EQ(*appended, 0u);
+}
+
+TEST(StreamEngineTest, AttachRejectsLogOfAnotherSchema) {
+  const StreamFixture& fx = Fx();
+  store::BundleMeta meta = BundleMetaAt(fx.bundle_path);
+  ASSERT_NE(meta.schema_fingerprint, 0u);
+  ASSERT_EQ(meta.schema_fingerprint, fx.log.header.schema_fingerprint);
+  meta.schema_fingerprint ^= 1;
+  Result<AttachedDeltaLog> attached =
+      AttachedDeltaLog::Attach(meta, fx.log_path);
+  ASSERT_FALSE(attached.ok());
+  EXPECT_EQ(attached.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(attached.status().message().find("schema fingerprint"),
+            std::string::npos)
+      << attached.status();
+
+  // A bundle written without a fingerprint (0) attaches unchecked.
+  meta.schema_fingerprint = 0;
+  attached = AttachedDeltaLog::Attach(meta, fx.log_path);
+  ASSERT_TRUE(attached.ok()) << attached.status();
+  EXPECT_TRUE(attached->Verify().ok()) << attached->Verify();
+}
+
+TEST(StreamEngineTest, VerifyRejectsScoresOneUlpOff) {
+  const StreamFixture& fx = Fx();
+  for (const bool macro : {false, true}) {
+    store::BundleMeta meta = BundleMetaAt(fx.bundle_path);
+    std::vector<double>& scores =
+        macro ? meta.macro_scores : meta.micro_scores;
+    ASSERT_FALSE(scores.empty());
+    scores.back() = std::nextafter(scores.back(), 2.0);
+    Result<AttachedDeltaLog> attached =
+        AttachedDeltaLog::Attach(meta, fx.log_path);
+    ASSERT_TRUE(attached.ok()) << attached.status();
+    const Status verified = attached->Verify();
+    ASSERT_FALSE(verified.ok());
+    EXPECT_NE(verified.message().find(macro ? "macro" : "micro"),
+              std::string::npos)
+        << verified;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -520,15 +572,15 @@ TEST(StreamGoldenTest, GoldenV1LogFoldsAndVerifiesAgainstGoldenBundle) {
   EXPECT_EQ(log->rounds.size(), 3u);
   EXPECT_EQ(log->header.participant_names.size(), 3u);
 
-  Result<StreamedEngine> engine = StreamedEngine::Open(bundle_path, log_path);
-  ASSERT_TRUE(engine.ok()) << engine.status();
-  EXPECT_EQ(engine->rounds_folded(), 3u);
+  Result<AttachedDeltaLog> attached =
+      AttachedDeltaLog::Attach(BundleMetaAt(bundle_path), log_path);
+  ASSERT_TRUE(attached.ok()) << attached.status();
+  EXPECT_EQ(attached->rounds_folded(), 3u);
   // The end-to-end integrity statement: folding the committed chain
   // reproduces the committed bundle's scores bit-for-bit.
-  EXPECT_TRUE(engine->VerifyAgainstBundle().ok())
-      << engine->VerifyAgainstBundle();
+  EXPECT_TRUE(attached->Verify().ok()) << attached->Verify();
   double total = 0.0;
-  for (const double score : engine->scorer().micro_scores()) total += score;
+  for (const double score : attached->scorer().micro_scores()) total += score;
   EXPECT_GT(total, 0.0);
 }
 

@@ -66,7 +66,10 @@
 //       request (`evaluate [tau-w=V] [delta=D] [top-k=K]`,
 //       `related-test INDEX`, or `related F1,F2,...,LABEL`; blank lines
 //       and `#` comments skipped), all answered from the single bundle
-//       load — the resident-service workflow without a server.
+//       load — the resident-service workflow without a server. Every
+//       request goes through an in-process serve::QueryService, the
+//       handler `ctfl_serve` runs; --record taps it as `ctfl_serve
+//       --record` does.
 //       --delta-log switches to streaming mode: folds every round of the
 //       delta log into live scores (O(delta) per round), prints the score
 //       table, and exits nonzero unless the folded scores bit-match the
@@ -87,13 +90,12 @@
 #include "ctfl/core/interpret.h"
 #include "ctfl/core/pipeline.h"
 #include "ctfl/data/gen/benchmarks.h"
-#include "ctfl/data/gen/tictactoe.h"
 #include "ctfl/data/split.h"
-#include "ctfl/fl/partition.h"
 #include "ctfl/nn/serialize.h"
 #include "ctfl/replay/recorder.h"
 #include "ctfl/replay/runner.h"
 #include "ctfl/serve/render.h"
+#include "ctfl/serve/service.h"
 #include "ctfl/store/query_engine.h"
 #include "ctfl/stream/emitter.h"
 #include "ctfl/stream/scorer.h"
@@ -108,33 +110,9 @@
 namespace ctfl {
 namespace {
 
-Result<SchemaPtr> SchemaFor(const std::string& dataset) {
-  if (dataset == "tic-tac-toe") return TicTacToeSchema();
-  CTFL_ASSIGN_OR_RETURN(SyntheticSpec spec, BenchmarkSpec(dataset));
-  return spec.schema;
-}
-
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
-}
-
-/// Applies --trace-isa: "auto" keeps runtime dispatch (best available
-/// tier), anything else pins the process-wide trace ISA.
-Status ApplyTraceIsaFlag(const std::string& name) {
-  if (name.empty() || name == "auto") return Status::OK();
-  CTFL_ASSIGN_OR_RETURN(TraceIsa isa, ParseTraceIsa(name));
-  return SetTraceIsa(isa);
-}
-
-/// Content digest of a recorded input file (pins the exact bytes a
-/// replay must see; see replay::RunSpec).
-Result<uint64_t> FileDigest(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path + " for digest");
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  return replay::HashBytes(bytes);
 }
 
 Status RunGenerate(int argc, const char* const* argv) {
@@ -171,7 +149,7 @@ Status RunTrain(int argc, const char* const* argv) {
     return Status::InvalidArgument("--data and --model are required");
   }
   CTFL_ASSIGN_OR_RETURN(SchemaPtr schema,
-                        SchemaFor(flags.GetString("dataset")));
+                        BenchmarkSchema(flags.GetString("dataset")));
   CTFL_ASSIGN_OR_RETURN(Dataset data,
                         LoadCsvDataset(flags.GetString("data"), schema));
   CTFL_ASSIGN_OR_RETURN(int epochs, flags.GetInt("epochs"));
@@ -206,7 +184,7 @@ Status RunRules(int argc, const char* const* argv) {
     return Status::InvalidArgument("--model is required");
   }
   CTFL_ASSIGN_OR_RETURN(SchemaPtr schema,
-                        SchemaFor(flags.GetString("dataset")));
+                        BenchmarkSchema(flags.GetString("dataset")));
   CTFL_ASSIGN_OR_RETURN(LogicalNet net,
                         LoadLogicalNet(schema, flags.GetString("model")));
   CTFL_ASSIGN_OR_RETURN(double min_weight, flags.GetDouble("min-weight"));
@@ -228,64 +206,30 @@ Status RunRules(int argc, const char* const* argv) {
 
 // Shared by `score` (bundle optional) and `snapshot` (bundle required).
 Status RunScore(int argc, const char* const* argv, bool snapshot_mode) {
-  FlagParser flags({{"dataset", "adult"},
-                    {"train", ""},
-                    {"test", ""},
-                    {"participants", "4"},
-                    {"tau-w", "0.9"},
-                    {"alpha", "0.8"},
-                    {"skew-label", "false"},
-                    {"epochs", "20"},
-                    {"width", "96"},
-                    {"budget", "0"},
-                    {"num-threads", "-1"},
-                    {"seed", "42"},
-                    {"federated", "false"},
-                    {"rounds", "5"},
-                    {"local-epochs", "2"},
-                    {"secure-agg", "false"},
-                    {"failure-plan", ""},
-                    {"retry-budget", "1"},
-                    {"trace-isa", "auto"},
-                    {"trace-threads", "1"},
-                    {"bundle-out", ""},
-                    {"delta-log-out", ""},
-                    {"telemetry-out", ""},
-                    {"telemetry-summary", "false"},
-                    {"metrics-out", ""},
-                    {"report-out", ""},
-                    {"record", ""}});
+  FlagParser flags(replay::RunSpecFlags(replay::DataSource::kCsv,
+                                        {{"participants", "4"},
+                                         {"budget", "0"},
+                                         {"trace-isa", "auto"},
+                                         {"trace-threads", "1"},
+                                         {"bundle-out", ""},
+                                         {"delta-log-out", ""},
+                                         {"telemetry-out", ""},
+                                         {"telemetry-summary", "false"},
+                                         {"metrics-out", ""},
+                                         {"report-out", ""},
+                                         {"record", ""}}));
   CTFL_RETURN_IF_ERROR(flags.Parse(argc, argv));
-  if (flags.GetString("train").empty() || flags.GetString("test").empty()) {
-    return Status::InvalidArgument("--train and --test are required");
-  }
   if (snapshot_mode && flags.GetString("bundle-out").empty()) {
     return Status::InvalidArgument("snapshot requires --bundle-out");
   }
-  CTFL_ASSIGN_OR_RETURN(SchemaPtr schema,
-                        SchemaFor(flags.GetString("dataset")));
-  CTFL_ASSIGN_OR_RETURN(Dataset train,
-                        LoadCsvDataset(flags.GetString("train"), schema));
-  CTFL_ASSIGN_OR_RETURN(Dataset test,
-                        LoadCsvDataset(flags.GetString("test"), schema));
-  CTFL_ASSIGN_OR_RETURN(int participants, flags.GetInt("participants"));
-  CTFL_ASSIGN_OR_RETURN(double tau_w, flags.GetDouble("tau-w"));
-  CTFL_ASSIGN_OR_RETURN(double alpha, flags.GetDouble("alpha"));
-  CTFL_ASSIGN_OR_RETURN(int epochs, flags.GetInt("epochs"));
-  CTFL_ASSIGN_OR_RETURN(int width, flags.GetInt("width"));
+  CTFL_ASSIGN_OR_RETURN(const replay::RunSpec spec,
+                        replay::ParseRunSpecFlags(flags,
+                                                  replay::DataSource::kCsv));
   CTFL_ASSIGN_OR_RETURN(double budget, flags.GetDouble("budget"));
-  CTFL_ASSIGN_OR_RETURN(int num_threads, flags.GetInt("num-threads"));
-  CTFL_ASSIGN_OR_RETURN(int seed, flags.GetInt("seed"));
-  CTFL_ASSIGN_OR_RETURN(int rounds, flags.GetInt("rounds"));
-  CTFL_ASSIGN_OR_RETURN(int local_epochs, flags.GetInt("local-epochs"));
-  CTFL_ASSIGN_OR_RETURN(int retry_budget, flags.GetInt("retry-budget"));
-  if (retry_budget < 0) {
-    return Status::InvalidArgument("--retry-budget must be >= 0");
-  }
-  CTFL_ASSIGN_OR_RETURN(FailurePlan failure_plan,
-                        FailurePlan::Parse(flags.GetString("failure-plan")));
   CTFL_RETURN_IF_ERROR(ApplyTraceIsaFlag(flags.GetString("trace-isa")));
-  CTFL_ASSIGN_OR_RETURN(int trace_threads, flags.GetInt("trace-threads"));
+  replay::RunOverrides outputs;
+  CTFL_ASSIGN_OR_RETURN(outputs.trace_threads, flags.GetInt("trace-threads"));
+  outputs.bundle_out = flags.GetString("bundle-out");
   const std::string telemetry_out = flags.GetString("telemetry-out");
   const bool telemetry_summary = flags.GetBool("telemetry-summary");
   if (!telemetry_out.empty() || telemetry_summary) {
@@ -294,36 +238,11 @@ Status RunScore(int argc, const char* const* argv, bool snapshot_mode) {
   const std::string metrics_out = flags.GetString("metrics-out");
   const std::string report_out = flags.GetString("report-out");
 
-  Rng prng(seed);
-  const Federation fed = MakeFederation(
-      flags.GetBool("skew-label")
-          ? PartitionSkewLabel(train, participants, alpha, prng)
-          : PartitionSkewSample(train, participants, alpha, prng));
-
-  CtflConfig config;
-  config.federated = flags.GetBool("federated");
-  config.central.epochs = epochs;
-  config.central.learning_rate = 0.05;
-  config.fedavg.rounds = rounds;
-  config.fedavg.local_epochs = local_epochs;
-  config.fedavg.local.learning_rate = 0.05;
-  config.fedavg.local.seed = static_cast<uint64_t>(seed);
-  config.fedavg.secure_aggregation = flags.GetBool("secure-agg");
-  config.fedavg.failure = failure_plan;
-  config.fedavg.retry_budget = retry_budget;
-  if (!config.federated && (!failure_plan.empty() ||
-                            config.fedavg.secure_aggregation)) {
-    return Status::InvalidArgument(
-        "--failure-plan/--secure-agg require --federated "
-        "(faults and masking happen in FedAvg rounds)");
-  }
-  config.net.logic_layers = {{width / 2, width - width / 2}};
-  config.net.seed = seed;
-  config.tracer.tau_w = tau_w;
-  config.tracer.isa = CurrentTraceIsa();
-  config.tracer.trace_threads = trace_threads;
-  config.num_threads = num_threads;
-  config.bundle_out = flags.GetString("bundle-out");
+  CTFL_ASSIGN_OR_RETURN(replay::RunInputs run,
+                        replay::BuildRunInputs(spec, outputs));
+  const Federation& fed = run.federation;
+  const Dataset& test = run.test;
+  CtflConfig& config = run.config;
 
   // --metrics-out: one metrics snapshot per completed federated round
   // (plus a closing "final" line after the run), so round health is a
@@ -390,28 +309,6 @@ Status RunScore(int argc, const char* const* argv, bool snapshot_mode) {
   // replay --file F` re-runs it and asserts bit-identity.
   const std::string record_out = flags.GetString("record");
   if (!record_out.empty()) {
-    replay::RunSpec spec;
-    spec.source = replay::DataSource::kCsv;
-    spec.dataset = flags.GetString("dataset");
-    spec.train_path = flags.GetString("train");
-    spec.test_path = flags.GetString("test");
-    CTFL_ASSIGN_OR_RETURN(spec.train_csv_digest,
-                          FileDigest(spec.train_path));
-    CTFL_ASSIGN_OR_RETURN(spec.test_csv_digest, FileDigest(spec.test_path));
-    spec.participants = static_cast<uint32_t>(participants);
-    spec.alpha = alpha;
-    spec.skew_label = flags.GetBool("skew-label");
-    spec.seed = static_cast<uint64_t>(seed);
-    spec.federated = config.federated;
-    spec.rounds = static_cast<uint32_t>(rounds);
-    spec.local_epochs = static_cast<uint32_t>(local_epochs);
-    spec.epochs = static_cast<uint32_t>(epochs);
-    spec.width = static_cast<uint32_t>(width);
-    spec.tau_w = tau_w;
-    spec.secure_agg = config.fedavg.secure_aggregation;
-    spec.failure_plan = flags.GetString("failure-plan");
-    spec.retry_budget = static_cast<uint32_t>(retry_budget);
-    spec.num_threads = num_threads;
     replay::ReplayRecorder recorder;
     recorder.CaptureRun(spec,
                         replay::MakeRunOutcome(report, config, fed, test));
@@ -424,9 +321,11 @@ Status RunScore(int argc, const char* const* argv, bool snapshot_mode) {
               report.trace_seconds);
   std::printf("participant  records    micro     macro\n");
   for (const Participant& p : fed) {
-    std::printf("%-11s %8zu   %.4f    %.4f\n", p.name.c_str(),
-                p.data.size(), report.micro_scores[p.id],
-                report.macro_scores[p.id]);
+    std::fputs(serve::RenderScoreRow(p.name, p.data.size(),
+                                     report.micro_scores[p.id],
+                                     report.macro_scores[p.id])
+                   .c_str(),
+               stdout);
   }
   std::printf("\nloss-tracing report:\n%s",
               FormatLossReport(AnalyzeLoss(report.trace)).c_str());
@@ -451,17 +350,30 @@ Status RunScore(int argc, const char* const* argv, bool snapshot_mode) {
   return Status::OK();
 }
 
-// Batch mode of `query`: one request per line, every line answered from
-// the already-loaded engine (no per-request bundle reads). Returns on the
-// first malformed line, naming it.
-Status RunRequestsFile(const store::QueryEngine& engine,
-                       const std::string& path,
+/// Prints a QueryService answer the way `query` always has: the
+/// evaluation block, or one related-record lookup numbered `index`.
+void PrintResponse(const serve::Response& response, size_t index,
+                   const std::vector<std::string>& participant_names) {
+  const std::string text =
+      response.op == serve::Op::kEvaluate
+          ? serve::RenderEvaluation(response.report, response.origin_tau_w,
+                                    response.origin_delta,
+                                    response.origin_micro,
+                                    response.origin_macro)
+          : serve::RenderRelatedLookup(index, response.related,
+                                       participant_names);
+  std::fputs(text.c_str(), stdout);
+}
+
+// Batch mode of `query`: one request per line, every line answered by the
+// one in-process service (no per-request bundle reads). Returns on the
+// first malformed or failed line, naming it.
+Status RunRequestsFile(serve::QueryService& service, const std::string& path,
                        const store::EvalOptions& eval_defaults,
-                       const store::QueryOptions& query_defaults,
-                       replay::ReplayRecorder* recorder) {
+                       const store::QueryOptions& query_defaults) {
   std::ifstream in(path);
   if (!in) return Status::IoError("cannot open requests file " + path);
-  const store::BundleContent& bundle = engine.bundle();
+  const store::BundleContent& bundle = service.engine().bundle();
   std::string line;
   size_t lineno = 0;
   size_t handled = 0;
@@ -476,8 +388,12 @@ Status RunRequestsFile(const store::QueryEngine& engine,
                                         : Trim(trimmed.substr(space + 1));
     std::printf("request %zu: %.*s\n", handled,
                 static_cast<int>(trimmed.size()), trimmed.data());
+    serve::Request request;
+    size_t index = handled;
     if (command == "evaluate") {
-      store::EvalOptions eval = eval_defaults;
+      request.op = serve::Op::kEvaluate;
+      store::EvalOptions& eval = request.evaluate.options;
+      eval = eval_defaults;
       for (const std::string& token :
            Split(std::string(rest), ' ')) {
         if (token.empty()) continue;
@@ -501,37 +417,16 @@ Status RunRequestsFile(const store::QueryEngine& engine,
                         path.c_str(), lineno, key.c_str()));
         }
       }
-      const store::QueryReport report =
-          recorder != nullptr ? recorder->RecordEvaluate(engine, eval)
-                              : engine.Evaluate(eval);
-      std::fputs(serve::RenderEvaluation(report, engine.origin_tau_w(),
-                                         engine.origin_delta(),
-                                         bundle.meta.micro_scores,
-                                         bundle.meta.macro_scores)
-                     .c_str(),
-                 stdout);
     } else if (command == "related-test") {
       CTFL_ASSIGN_OR_RETURN(int test_index, ParseInt(std::string(rest)));
-      if (test_index < 0 ||
-          static_cast<size_t>(test_index) >= bundle.tests.size()) {
-        return Status::OutOfRange(
-            StrFormat("%s:%zu: test index %d out of range (bundle has %zu "
-                      "tests)",
-                      path.c_str(), lineno, test_index,
-                      bundle.tests.size()));
+      if (test_index < 0) {
+        return Status::OutOfRange(StrFormat("%s:%zu: test index %d is negative",
+                                            path.c_str(), lineno, test_index));
       }
-      const store::RelatedResult related =
-          recorder != nullptr
-              ? recorder->RecordRelatedForTest(
-                    engine, static_cast<uint64_t>(test_index),
-                    query_defaults)
-              : engine.RelatedForTest(static_cast<size_t>(test_index),
-                                      query_defaults);
-      std::fputs(serve::RenderRelatedLookup(
-                     static_cast<size_t>(test_index), related,
-                     bundle.meta.participant_names)
-                     .c_str(),
-                 stdout);
+      request.op = serve::Op::kRelatedForTest;
+      request.related_for_test.test_index = static_cast<uint64_t>(test_index);
+      request.related_for_test.options = query_defaults;
+      index = static_cast<size_t>(test_index);
     } else if (command == "related") {
       std::vector<std::string> fields = Split(std::string(rest), ',');
       for (std::string& field : fields) field = std::string(Trim(field));
@@ -541,14 +436,9 @@ Status RunRequestsFile(const store::QueryEngine& engine,
             "%s:%zu: %s", path.c_str(), lineno,
             parsed.status().message().c_str()));
       }
-      const store::RelatedResult related =
-          recorder != nullptr
-              ? recorder->RecordRelated(engine, *parsed, query_defaults)
-              : engine.Related(*parsed, query_defaults);
-      std::fputs(serve::RenderRelatedLookup(handled, related,
-                                            bundle.meta.participant_names)
-                     .c_str(),
-                 stdout);
+      request.op = serve::Op::kRelated;
+      request.related.instance = std::move(*parsed);
+      request.related.options = query_defaults;
     } else {
       return Status::InvalidArgument(
           StrFormat("%s:%zu: unknown request '%.*s' (expected evaluate, "
@@ -556,6 +446,13 @@ Status RunRequestsFile(const store::QueryEngine& engine,
                     path.c_str(), lineno, static_cast<int>(command.size()),
                     command.data()));
     }
+    const serve::Response response = service.Handle(request);
+    if (!response.status.ok()) {
+      return Status(response.status.code(),
+                    StrFormat("%s:%zu: %s", path.c_str(), lineno,
+                              response.status.message().c_str()));
+    }
+    PrintResponse(response, index, bundle.meta.participant_names);
     ++handled;
   }
   std::printf("\nanswered %zu requests from %s (single bundle load)\n",
@@ -577,7 +474,8 @@ Status RunQuery(int argc, const char* const* argv) {
                     {"telemetry-summary", "false"},
                     {"record", ""}});
   CTFL_RETURN_IF_ERROR(flags.Parse(argc, argv));
-  if (flags.GetString("bundle").empty()) {
+  const std::string bundle_path = flags.GetString("bundle");
+  if (bundle_path.empty()) {
     return Status::InvalidArgument("--bundle is required");
   }
   CTFL_ASSIGN_OR_RETURN(double tau_w, flags.GetDouble("tau-w"));
@@ -589,119 +487,105 @@ Status RunQuery(int argc, const char* const* argv) {
   const bool telemetry_summary = flags.GetBool("telemetry-summary");
   if (telemetry_summary) telemetry::SetTracingEnabled(true);
 
-  // --delta-log: streaming mode. Open the bundle plus its delta chain,
-  // fold every round, print the live score table (same line format as
-  // `score`), and fail unless the folded scores bit-match the snapshot.
+  // --delta-log: streaming mode. Attach to the bundle's delta chain, fold
+  // every round, print the live score table (same rows as `score`), and
+  // fail unless the folded scores bit-match the snapshot.
   const std::string delta_log = flags.GetString("delta-log");
   if (!delta_log.empty()) {
+    CTFL_ASSIGN_OR_RETURN(const store::BundleContent content,
+                          store::ReadBundle(bundle_path));
     stream::ScorerOptions scorer_options;
-    scorer_options.isa = CurrentTraceIsa();
     scorer_options.trace_threads = trace_threads;
-    CTFL_ASSIGN_OR_RETURN(
-        stream::StreamedEngine streamed,
-        stream::StreamedEngine::Open(flags.GetString("bundle"), delta_log,
-                                     scorer_options));
-    const stream::StreamingScorer& scorer = streamed.scorer();
+    CTFL_ASSIGN_OR_RETURN(const stream::AttachedDeltaLog attached,
+                          stream::AttachedDeltaLog::Attach(
+                              content.meta, delta_log, scorer_options));
+    const stream::StreamingScorer& scorer = attached.scorer();
     std::printf("delta log %s: %llu rounds folded\n\n", delta_log.c_str(),
-                static_cast<unsigned long long>(streamed.rounds_folded()));
+                static_cast<unsigned long long>(attached.rounds_folded()));
     std::printf("participant  records    micro     macro\n");
     for (size_t p = 0; p < scorer.num_participants(); ++p) {
-      std::printf("%-11s %8zu   %.4f    %.4f\n",
-                  scorer.participant_names()[p].c_str(),
-                  scorer.participant_records(p), scorer.micro_scores()[p],
-                  scorer.macro_scores()[p]);
+      std::fputs(serve::RenderScoreRow(scorer.participant_names()[p],
+                                       scorer.participant_records(p),
+                                       scorer.micro_scores()[p],
+                                       scorer.macro_scores()[p])
+                     .c_str(),
+                 stdout);
     }
-    CTFL_RETURN_IF_ERROR(streamed.VerifyAgainstBundle());
+    CTFL_RETURN_IF_ERROR(attached.Verify());
     std::printf("\nstreamed scores bit-match the bundle snapshot\n");
     return Status::OK();
   }
 
+  // Every request below goes through one in-process QueryService, the
+  // handler `ctfl_serve` runs. --record taps it exactly as `ctfl_serve
+  // --record` does; when the target file already holds a recorded run
+  // (e.g. from `ctfl score --record`), the query stream appends to it.
+  const std::string record_out = flags.GetString("record");
+  Result<replay::ReplayFile> seed = replay::ReplayFile();
+  if (!record_out.empty()) seed = replay::ReadReplayFile(record_out);
+  replay::ReplayRecorder recorder(seed.ok() ? std::move(*seed)
+                                            : replay::ReplayFile());
+  serve::ServiceConfig service_config;
+  service_config.trace_threads = trace_threads;
+  if (!record_out.empty()) service_config.request_tap = recorder.Tap();
   CTFL_ASSIGN_OR_RETURN(store::QueryEngine engine,
-                        store::QueryEngine::Open(flags.GetString("bundle")));
-  const store::BundleContent& bundle = engine.bundle();
+                        store::QueryEngine::Open(bundle_path));
+  serve::QueryService service(std::move(engine), service_config);
+  const store::BundleContent& bundle = service.engine().bundle();
   std::printf(
       "bundle %s: %d participants, %d rules, %zu train records, %zu tests\n",
-      flags.GetString("bundle").c_str(), engine.num_participants(),
-      bundle.num_rules(), bundle.total_train_records(),
-      bundle.tests.size());
+      bundle_path.c_str(), bundle.num_participants(), bundle.num_rules(),
+      bundle.total_train_records(), bundle.tests.size());
   std::printf("origin run: tau_w=%.4f delta=%d accuracy=%.4f\n\n",
-              engine.origin_tau_w(), engine.origin_delta(),
-              bundle.meta.global_accuracy);
+              service.engine().origin_tau_w(),
+              service.engine().origin_delta(), bundle.meta.global_accuracy);
 
   store::EvalOptions eval;
   eval.tau_w = tau_w;
   eval.delta = delta;
   eval.top_k = top_k;
-  eval.isa = CurrentTraceIsa();
-  eval.trace_threads = trace_threads;
   store::QueryOptions options;
   options.tau_w = tau_w;
-  options.isa = CurrentTraceIsa();
-  options.trace_threads = trace_threads;
   options.max_records = static_cast<size_t>(std::max(0, max_records));
-
-  // --record: capture every query issued below as a replay event. When
-  // the target file already holds a recorded run (e.g. from `ctfl score
-  // --record`), seed from it so the query stream appends to that run.
-  const std::string record_out = flags.GetString("record");
-  std::unique_ptr<replay::ReplayRecorder> recorder;
-  if (!record_out.empty()) {
-    Result<replay::ReplayFile> seed = replay::ReadReplayFile(record_out);
-    recorder = seed.ok()
-                   ? std::make_unique<replay::ReplayRecorder>(
-                         std::move(*seed))
-                   : std::make_unique<replay::ReplayRecorder>();
-  }
-  const auto finish_recording = [&]() -> Status {
-    if (recorder == nullptr) return Status::OK();
-    CTFL_RETURN_IF_ERROR(recorder->WriteTo(record_out));
-    std::printf("recorded %zu query events -> %s\n",
-                recorder->num_events(), record_out.c_str());
-    return Status::OK();
-  };
 
   const std::string requests_path = flags.GetString("requests-file");
   if (!requests_path.empty()) {
-    CTFL_RETURN_IF_ERROR(RunRequestsFile(engine, requests_path, eval,
-                                         options, recorder.get()));
-    return finish_recording();
-  }
+    CTFL_RETURN_IF_ERROR(
+        RunRequestsFile(service, requests_path, eval, options));
+  } else {
+    serve::Request evaluate;
+    evaluate.op = serve::Op::kEvaluate;
+    evaluate.evaluate.options = eval;
+    PrintResponse(service.Handle(evaluate), 0, bundle.meta.participant_names);
 
-  const store::QueryReport report =
-      recorder != nullptr ? recorder->RecordEvaluate(engine, eval)
-                          : engine.Evaluate(eval);
-  std::fputs(serve::RenderEvaluation(report, engine.origin_tau_w(),
-                                     engine.origin_delta(),
-                                     bundle.meta.micro_scores,
-                                     bundle.meta.macro_scores)
-                 .c_str(),
-             stdout);
+    const std::string instances_path = flags.GetString("instances");
+    if (!instances_path.empty()) {
+      CTFL_ASSIGN_OR_RETURN(Dataset instances,
+                            LoadCsvDataset(instances_path, bundle.schema));
+      std::fputs(serve::RenderRelatedHeader().c_str(), stdout);
+      for (size_t i = 0; i < instances.size(); ++i) {
+        serve::Request related;
+        related.op = serve::Op::kRelated;
+        related.related.instance = instances.instance(i);
+        related.related.options = options;
+        PrintResponse(service.Handle(related), i,
+                      bundle.meta.participant_names);
+      }
+    }
 
-  const std::string instances_path = flags.GetString("instances");
-  if (!instances_path.empty()) {
-    CTFL_ASSIGN_OR_RETURN(Dataset instances,
-                          LoadCsvDataset(instances_path, bundle.schema));
-    std::fputs(serve::RenderRelatedHeader().c_str(), stdout);
-    for (size_t i = 0; i < instances.size(); ++i) {
-      const store::RelatedResult related =
-          recorder != nullptr
-              ? recorder->RecordRelated(engine, instances.instance(i),
-                                        options)
-              : engine.Related(instances.instance(i), options);
-      std::fputs(serve::RenderRelatedLookup(i, related,
-                                            bundle.meta.participant_names)
-                     .c_str(),
-                 stdout);
+    if (telemetry_summary) {
+      std::printf("\nspan summary:\n%s",
+                  telemetry::TraceSummaryTable().c_str());
+      std::printf(
+          "\nmetrics:\n%s",
+          telemetry::MetricsRegistry::Global().SummaryTable().c_str());
     }
   }
-
-  if (telemetry_summary) {
-    std::printf("\nspan summary:\n%s",
-                telemetry::TraceSummaryTable().c_str());
-    std::printf("\nmetrics:\n%s",
-                telemetry::MetricsRegistry::Global().SummaryTable().c_str());
-  }
-  return finish_recording();
+  if (record_out.empty()) return Status::OK();
+  CTFL_RETURN_IF_ERROR(recorder.WriteTo(record_out));
+  std::printf("recorded %zu query events -> %s\n", recorder.num_events(),
+              record_out.c_str());
+  return Status::OK();
 }
 
 int Main(int argc, const char* const* argv) {

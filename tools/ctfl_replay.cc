@@ -36,6 +36,7 @@
 #include "ctfl/replay/runner.h"
 #include "ctfl/serve/service.h"
 #include "ctfl/store/query_engine.h"
+#include "ctfl/util/cpu_features.h"
 #include "ctfl/util/flags.h"
 #include "ctfl/util/string_util.h"
 
@@ -47,39 +48,12 @@ int Fail(const Status& status) {
   return 1;
 }
 
-// --trace-isa forces the process-wide SIMD tier ("auto" keeps runtime
-// dispatch). Purely an implementation selector: every replay contract is
-// asserted unchanged under any forced tier.
-Status ApplyTraceIsaFlag(const std::string& name) {
-  if (name.empty() || name == "auto") return Status::OK();
-  CTFL_ASSIGN_OR_RETURN(TraceIsa isa, ParseTraceIsa(name));
-  return SetTraceIsa(isa);
-}
-
 Status RunRecord(int argc, const char* const* argv) {
-  FlagParser flags({{"out", ""},
-                    {"bundle-out", ""},
-                    {"dataset", "adult"},
-                    {"train-n", "600"},
-                    {"train-seed", "7"},
-                    {"test-n", "150"},
-                    {"test-seed", "8"},
-                    {"participants", "3"},
-                    {"tau-w", "0.9"},
-                    {"alpha", "0.8"},
-                    {"skew-label", "false"},
-                    {"epochs", "20"},
-                    {"width", "96"},
-                    {"num-threads", "-1"},
-                    {"seed", "42"},
-                    {"federated", "false"},
-                    {"rounds", "5"},
-                    {"local-epochs", "2"},
-                    {"secure-agg", "false"},
-                    {"failure-plan", ""},
-                    {"retry-budget", "1"},
-                    {"trace-isa", "auto"},
-                    {"queries", "8"}});
+  FlagParser flags(replay::RunSpecFlags(replay::DataSource::kGenerate,
+                                        {{"out", ""},
+                                         {"bundle-out", ""},
+                                         {"trace-isa", "auto"},
+                                         {"queries", "8"}}));
   CTFL_RETURN_IF_ERROR(flags.Parse(argc, argv));
   CTFL_RETURN_IF_ERROR(ApplyTraceIsaFlag(flags.GetString("trace-isa")));
   const std::string out = flags.GetString("out");
@@ -87,40 +61,9 @@ Status RunRecord(int argc, const char* const* argv) {
   std::string bundle_out = flags.GetString("bundle-out");
   if (bundle_out.empty()) bundle_out = out + ".ctflb";
   CTFL_ASSIGN_OR_RETURN(int queries, flags.GetInt("queries"));
-
-  replay::RunSpec spec;
-  spec.source = replay::DataSource::kGenerate;
-  spec.dataset = flags.GetString("dataset");
-  CTFL_ASSIGN_OR_RETURN(int train_n, flags.GetInt("train-n"));
-  CTFL_ASSIGN_OR_RETURN(int train_seed, flags.GetInt("train-seed"));
-  CTFL_ASSIGN_OR_RETURN(int test_n, flags.GetInt("test-n"));
-  CTFL_ASSIGN_OR_RETURN(int test_seed, flags.GetInt("test-seed"));
-  spec.train_n = static_cast<uint64_t>(train_n);
-  spec.train_seed = static_cast<uint64_t>(train_seed);
-  spec.test_n = static_cast<uint64_t>(test_n);
-  spec.test_seed = static_cast<uint64_t>(test_seed);
-  CTFL_ASSIGN_OR_RETURN(int participants, flags.GetInt("participants"));
-  spec.participants = static_cast<uint32_t>(participants);
-  CTFL_ASSIGN_OR_RETURN(spec.alpha, flags.GetDouble("alpha"));
-  spec.skew_label = flags.GetBool("skew-label");
-  CTFL_ASSIGN_OR_RETURN(int seed, flags.GetInt("seed"));
-  spec.seed = static_cast<uint64_t>(seed);
-  spec.federated = flags.GetBool("federated");
-  CTFL_ASSIGN_OR_RETURN(int rounds, flags.GetInt("rounds"));
-  spec.rounds = static_cast<uint32_t>(rounds);
-  CTFL_ASSIGN_OR_RETURN(int local_epochs, flags.GetInt("local-epochs"));
-  spec.local_epochs = static_cast<uint32_t>(local_epochs);
-  CTFL_ASSIGN_OR_RETURN(int epochs, flags.GetInt("epochs"));
-  spec.epochs = static_cast<uint32_t>(epochs);
-  CTFL_ASSIGN_OR_RETURN(int width, flags.GetInt("width"));
-  spec.width = static_cast<uint32_t>(width);
-  CTFL_ASSIGN_OR_RETURN(spec.tau_w, flags.GetDouble("tau-w"));
-  spec.secure_agg = flags.GetBool("secure-agg");
-  spec.failure_plan = flags.GetString("failure-plan");
-  CTFL_ASSIGN_OR_RETURN(int retry_budget, flags.GetInt("retry-budget"));
-  spec.retry_budget = static_cast<uint32_t>(retry_budget);
-  CTFL_ASSIGN_OR_RETURN(int num_threads, flags.GetInt("num-threads"));
-  spec.num_threads = num_threads;
+  CTFL_ASSIGN_OR_RETURN(
+      const replay::RunSpec spec,
+      replay::ParseRunSpecFlags(flags, replay::DataSource::kGenerate));
 
   replay::RunOverrides overrides;
   overrides.bundle_out = bundle_out;

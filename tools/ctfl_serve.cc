@@ -36,13 +36,14 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
 #include <fstream>
 
 #include "ctfl/replay/recorder.h"
+#include "ctfl/serve/render.h"
 #include "ctfl/serve/server.h"
 #include "ctfl/serve/service.h"
 #include "ctfl/store/bundle.h"
@@ -103,11 +104,7 @@ Status Run(int argc, const char* const* argv) {
   }
   CTFL_ASSIGN_OR_RETURN(store::BundleReader::OpenMode open_mode,
                         ParseOpenMode(flags.GetString("open-mode")));
-  const std::string isa_flag = flags.GetString("trace-isa");
-  if (!isa_flag.empty() && isa_flag != "auto") {
-    CTFL_ASSIGN_OR_RETURN(TraceIsa isa, ParseTraceIsa(isa_flag));
-    CTFL_RETURN_IF_ERROR(SetTraceIsa(isa));
-  }
+  CTFL_RETURN_IF_ERROR(ApplyTraceIsaFlag(flags.GetString("trace-isa")));
   CTFL_ASSIGN_OR_RETURN(int trace_threads, flags.GetInt("trace-threads"));
 
   const std::string bundle_path = flags.GetString("bundle");
@@ -124,33 +121,20 @@ Status Run(int argc, const char* const* argv) {
   replay::ReplayRecorder recorder;
   if (!record_out.empty()) service_config.request_tap = recorder.Tap();
 
-  // --delta-log: fold the bundle's delta chain into a streaming scorer
-  // (every round already in the log), then keep polling for appended
-  // rounds while serving. STATS reports the fold count live.
+  // --delta-log: attach a streaming scorer to the bundle's delta chain
+  // (every round already in the log is folded here), then keep polling for
+  // appended rounds while serving. STATS reports the fold count live.
   const std::string delta_log = flags.GetString("delta-log");
   CTFL_ASSIGN_OR_RETURN(int delta_poll_ms, flags.GetInt("delta-poll-ms"));
-  std::unique_ptr<stream::StreamingScorer> scorer;
+  std::optional<stream::AttachedDeltaLog> attached;
   std::atomic<uint64_t> rounds_folded{0};
   if (!delta_log.empty()) {
-    CTFL_ASSIGN_OR_RETURN(stream::DeltaLogContents log_contents,
-                          stream::ReadDeltaLog(delta_log));
-    if (content.meta.schema_fingerprint != 0 &&
-        log_contents.header.schema_fingerprint != 0 &&
-        content.meta.schema_fingerprint !=
-            log_contents.header.schema_fingerprint) {
-      return Status::InvalidArgument(
-          delta_log +
-          ": delta-log schema fingerprint disagrees with the bundle");
-    }
     stream::ScorerOptions scorer_options;
     scorer_options.trace_threads = trace_threads;
-    CTFL_ASSIGN_OR_RETURN(
-        stream::StreamingScorer folded,
-        stream::StreamingScorer::FromHeader(std::move(log_contents.header),
-                                            scorer_options));
-    CTFL_RETURN_IF_ERROR(folded.FoldAll(log_contents).status());
-    scorer = std::make_unique<stream::StreamingScorer>(std::move(folded));
-    rounds_folded.store(scorer->rounds_folded(),
+    CTFL_ASSIGN_OR_RETURN(attached,
+                          stream::AttachedDeltaLog::Attach(
+                              content.meta, delta_log, scorer_options));
+    rounds_folded.store(attached->rounds_folded(),
                         std::memory_order_relaxed);
     service_config.rounds_folded_fn = [&rounds_folded] {
       return rounds_folded.load(std::memory_order_relaxed);
@@ -170,10 +154,10 @@ Status Run(int argc, const char* const* argv) {
               TraceIsaName(CurrentTraceIsa()), trace_threads,
               trace_threads == 1 ? "" : "s");
 
-  if (scorer != nullptr) {
+  if (attached.has_value()) {
     std::printf("delta log %s: %llu rounds folded (poll every %d ms)\n",
                 delta_log.c_str(),
-                static_cast<unsigned long long>(scorer->rounds_folded()),
+                static_cast<unsigned long long>(attached->rounds_folded()),
                 delta_poll_ms);
   }
 
@@ -186,21 +170,19 @@ Status Run(int argc, const char* const* argv) {
   serve::Server server(&service, server_config);
   CTFL_RETURN_IF_ERROR(server.Start());
 
-  // Streaming poll thread: re-read the delta log and fold any rounds a
-  // still-training run appended. The scorer is only ever touched from
-  // this thread; request handlers read the atomic fold counter.
+  // Streaming poll thread: fold any rounds a still-training run appended.
+  // The scorer is only ever touched from this thread; request handlers
+  // read the atomic fold counter. A failed poll (a read racing an append)
+  // retries on the next tick.
   std::atomic<bool> poll_stop{false};
   std::thread poller;
-  if (scorer != nullptr && delta_poll_ms > 0) {
+  if (attached.has_value() && delta_poll_ms > 0) {
     poller = std::thread([&] {
       while (!poll_stop.load(std::memory_order_acquire)) {
         std::this_thread::sleep_for(
             std::chrono::milliseconds(delta_poll_ms));
-        Result<stream::DeltaLogContents> appended =
-            stream::ReadDeltaLog(delta_log);
-        if (!appended.ok()) continue;  // transient read races: retry later
-        if (scorer->FoldAll(*appended).ok()) {
-          rounds_folded.store(scorer->rounds_folded(),
+        if (attached->Poll().ok()) {
+          rounds_folded.store(attached->rounds_folded(),
                               std::memory_order_relaxed);
         }
       }
@@ -233,14 +215,17 @@ Status Run(int argc, const char* const* argv) {
   std::printf("drained after %llu requests\n",
               static_cast<unsigned long long>(
                   service.Stats().requests_total));
-  if (scorer != nullptr) {
+  if (attached.has_value()) {
+    const stream::StreamingScorer& scorer = attached->scorer();
     std::printf("streamed scores after %llu rounds:\n",
-                static_cast<unsigned long long>(scorer->rounds_folded()));
-    for (size_t p = 0; p < scorer->num_participants(); ++p) {
-      std::printf("%-11s %8zu   %.4f    %.4f\n",
-                  scorer->participant_names()[p].c_str(),
-                  scorer->participant_records(p), scorer->micro_scores()[p],
-                  scorer->macro_scores()[p]);
+                static_cast<unsigned long long>(scorer.rounds_folded()));
+    for (size_t p = 0; p < scorer.num_participants(); ++p) {
+      std::fputs(serve::RenderScoreRow(scorer.participant_names()[p],
+                                       scorer.participant_records(p),
+                                       scorer.micro_scores()[p],
+                                       scorer.macro_scores()[p])
+                     .c_str(),
+                 stdout);
     }
   }
 
