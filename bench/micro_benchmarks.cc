@@ -1,7 +1,7 @@
 // Engineering microbenchmarks + ablations of the design choices called
-// out in DESIGN.md §6: tracing fast paths (dedup / threads),
-// tau_w sensitivity, logic-layer width, and the substrate hot loops
-// (bitset intersection, rule activation, grafted step, simplex).
+// out in DESIGN.md §6: tracing threads, tau_w sensitivity, logic-layer
+// width, and the substrate hot loops (bitset intersection, rule
+// activation, grafted step, simplex).
 
 #include <filesystem>
 #include <fstream>
@@ -140,13 +140,12 @@ void BM_ModelPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelPredict);
 
-// Ablation: tracing fast paths. Arg encodes (dedup, threads).
+// Ablation: tracing threads. Arg is the thread budget (0 = all cores).
 void BM_TracingPaths(benchmark::State& state) {
   TracingFixture& fx = Fixture();
   TracerConfig config;
   config.tau_w = 0.9;
-  config.use_dedup = state.range(0) != 0;
-  config.num_threads = static_cast<int>(state.range(1));
+  config.num_threads = static_cast<int>(state.range(0));
   const ContributionTracer tracer(&fx.model, &fx.experiment.federation,
                                   config);
   for (auto _ : state) {
@@ -154,15 +153,12 @@ void BM_TracingPaths(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * fx.experiment.test.size());
 }
-BENCHMARK(BM_TracingPaths)
-    ->Args({0, 1})   // brute force
-    ->Args({1, 1})   // + dedup
-    ->Args({1, 0});  // + all cores
+BENCHMARK(BM_TracingPaths)->Arg(1)->Arg(0);
 
 // ---------------------------------------------------------------------------
 // Tracing kernel (DESIGN.md §10): the blocked word-parallel kernel on a
-// tracing-heavy shape (>= 64 rules, >= 10k training records; dedup on,
-// single thread) so the time is the kernel's alone; the counters expose
+// tracing-heavy shape (>= 64 rules, >= 10k training records, single
+// thread) so the time is the kernel's alone; the counters expose
 // the pruning it does. Acceptance: blocked (best SIMD dispatch) >= 2x over
 // the forced-scalar blocked_scalar leg. RegisterIsaBenchVariants() adds one
 // blocked_<isa> leg per tier the machine supports (bit-identical results,
@@ -222,7 +218,6 @@ void BM_TracePass(benchmark::State& state, int isa, int trace_threads) {
   // suffix-sum checkpoints resolve almost every lane within the first few
   // rules and all tiers converge on the same fixed per-block overhead.
   config.tau_w = 0.7;
-  config.use_dedup = true;
   config.num_threads = 1;
   config.isa = isa < 0 ? CurrentTraceIsa() : static_cast<TraceIsa>(isa);
   config.trace_threads = trace_threads;

@@ -199,7 +199,7 @@ size_t ContributionTracer::MatchKey(
     TraceKernelStats* stats) const {
   const double threshold = tau_w * weight_sum - kRatioEps;
   const size_t total = class_kernel_[c].Match(
-      TraceKernel::Prepare(supp, threshold), nullptr, words, stats, match);
+      TraceKernel::Prepare(supp, threshold), words, stats, match);
   // Class buckets are participant-contiguous (IndexTrainRefs appends
   // participants in order), so each participant is one slot range.
   const std::vector<size_t>& offsets = class_part_offset_[c];
@@ -286,7 +286,9 @@ TraceResult ContributionTracer::TraceForwards(
   result.harmful_rule_freq = Matrix(n, num_rules);
   result.uncovered_rule_freq.assign(num_rules, 0.0);
 
-  // ---- Build tracing keys (dedup identical supporting sets). -------------
+  // ---- Build tracing keys. Tests with the same (class, supporting rules)
+  // have provably identical related sets, so they share one key and are
+  // traced once.
   std::vector<TraceKey> keys;
   std::unordered_map<size_t, std::vector<size_t>> key_index;  // hash->keys
   size_t correct_total = 0;
@@ -309,22 +311,17 @@ TraceResult ContributionTracer::TraceForwards(
 
     // Locate or create the key.
     size_t key_id = SIZE_MAX;
-    if (config_.use_dedup) {
-      const size_t h = support.Hash() * 2 + predicted;
-      for (size_t cand : key_index[h]) {
-        if (keys[cand].target_class == predicted &&
-            keys[cand].support == support) {
-          key_id = cand;
-          break;
-        }
+    const size_t h = support.Hash() * 2 + predicted;
+    for (size_t cand : key_index[h]) {
+      if (keys[cand].target_class == predicted &&
+          keys[cand].support == support) {
+        key_id = cand;
+        break;
       }
-      if (key_id == SIZE_MAX) {
-        key_id = keys.size();
-        key_index[h].push_back(key_id);
-        keys.push_back({});
-      }
-    } else {
+    }
+    if (key_id == SIZE_MAX) {
       key_id = keys.size();
+      key_index[h].push_back(key_id);
       keys.push_back({});
     }
     TraceKey& key = keys[key_id];

@@ -17,9 +17,6 @@ struct TracerConfig {
   /// Eq. 4 threshold: a training instance is related to a test instance if
   /// it activates at least tau_w of the test's weighted supporting rules.
   double tau_w = 0.9;
-  /// Deduplicate test instances with identical (class, supporting rules):
-  /// their related sets are provably identical, so they are traced once.
-  bool use_dedup = true;
   /// Budgets of Max-Miner frequent-ruleset grouping (src/ctfl/mining/),
   /// the paper's prefilter. Tracing no longer groups: with the blocked
   /// kernel the prefilter cost more than it saved (EXPERIMENTS.md). Kept
@@ -106,7 +103,7 @@ struct TraceResult {
   int64_t related_records = 0;
   /// Blocked-kernel work accounting: candidate records the kernel
   /// actually touched (always <= tau_w_checks) and 64-record blocks
-  /// skipped or early-exited by pruning.
+  /// decided before their last rule.
   int64_t records_scanned = 0;
   int64_t blocks_pruned = 0;
   /// Lanes re-decided by the exact scalar comparison because neither

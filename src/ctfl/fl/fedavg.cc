@@ -315,7 +315,7 @@ Status RunFedAvg(LogicalNet& global, const std::vector<Dataset>& clients,
     const double round_seconds = round_watch.LapSeconds();
     const double round_cpu_seconds = round_cpu_watch.LapSeconds();
     round_hist.Observe(round_seconds * 1e6);
-    if (stats != nullptr || config.round_observer || config.model_observer) {
+    if (stats != nullptr || config.model_observer) {
       telemetry::RoundTelemetry rt;
       rt.round = round;
       rt.seconds = round_seconds;
@@ -328,7 +328,6 @@ Status RunFedAvg(LogicalNet& global, const std::vector<Dataset>& clients,
       rt.clients_dropped = round_dropped;
       rt.retries = round_retries;
       rt.degraded = degraded;
-      if (config.round_observer) config.round_observer(rt);
       if (config.model_observer) {
         // 1-based: round r's committed model (unchanged when the round
         // fully degraded).

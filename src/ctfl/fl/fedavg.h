@@ -49,20 +49,17 @@ struct FedAvgConfig {
   /// stats — are bit-identical for every value of this knob.
   int num_threads = 0;
   bool verbose = false;
-  /// Invoked once per completed round with that round's telemetry (wall
-  /// and process-CPU seconds, loss, participation churn), before the
-  /// round is appended to `stats`. Used by the CLI's `--metrics-out`
-  /// JSONL snapshot writer to turn round health into a time series.
-  /// Called from the orchestrating thread; may be empty.
-  std::function<void(const telemetry::RoundTelemetry&)> round_observer;
   /// Invoked with the committed global model after every round: once with
   /// round = 0 and a default RoundTelemetry before the first round (the
   /// freshly initialized model — the baseline a streaming delta chain
-  /// diffs against), then with round = r (1-based) after round r's
+  /// diffs against), then with round = r (1-based) and round r's telemetry
+  /// (wall and process-CPU seconds, loss, participation churn) after its
   /// parameters are committed (including fully-degraded rounds, where the
-  /// model is unchanged). The reference is only valid for the duration of
-  /// the call. Called from the orchestrating thread; may be empty. Used
-  /// by the streaming delta-log emitter (src/ctfl/stream/).
+  /// model is unchanged) and before the round is appended to `stats`. The
+  /// reference is only valid for the duration of the call. Called from the
+  /// orchestrating thread; may be empty. Used by the streaming delta-log
+  /// emitter (src/ctfl/stream/) and the CLI's `--metrics-out` JSONL
+  /// snapshot writer.
   std::function<void(int round, const LogicalNet& global,
                      const telemetry::RoundTelemetry& rt)>
       model_observer;

@@ -191,8 +191,8 @@ bool TraceKernel::ExactRelated(const Support& s, size_t record) const {
   return !(overlap < s.threshold);
 }
 
-size_t TraceKernel::Match(const Support& s, const uint64_t* candidate_mask,
-                          uint64_t* out_related, TraceKernelStats* stats,
+size_t TraceKernel::Match(const Support& s, uint64_t* out_related,
+                          TraceKernelStats* stats,
                           const TraceMatchOptions& options) const {
   const size_t nb = num_blocks_;
   if (nb == 0) return 0;
@@ -209,7 +209,7 @@ size_t TraceKernel::Match(const Support& s, const uint64_t* candidate_mask,
 
   if (shards <= 1) {
     const kernel_detail::StripeResult r =
-        stripe(*this, s, candidate_mask, out_related, 0, nb);
+        stripe(*this, s, out_related, 0, nb);
     if (stats != nullptr) {
       stats->records_scanned += r.stats.records_scanned;
       stats->blocks_pruned += r.stats.blocks_pruned;
@@ -225,7 +225,7 @@ size_t TraceKernel::Match(const Support& s, const uint64_t* candidate_mask,
     const size_t lo = std::min(nb, i * blocks_per_shard);
     const size_t hi = std::min(nb, lo + blocks_per_shard);
     if (lo < hi) {
-      results[i] = stripe(*this, s, candidate_mask, out_related, lo, hi);
+      results[i] = stripe(*this, s, out_related, lo, hi);
     }
   });
   // Ordered commit (DESIGN.md §10): lane decisions land in disjoint

@@ -39,8 +39,7 @@
 // reaches the accept bound is related; a lane whose sum plus everything
 // still unprocessed stays below the kill bound is not. Integer adds and
 // compares are exact and order-free, so every tier, lane grouping and
-// stripe split makes the same decisions by construction. Blocks whose
-// candidate mask is empty are skipped outright.
+// stripe split makes the same decisions by construction.
 //
 // Bit-identity contract (DESIGN.md §10): the kernel's accept/reject
 // decisions are *exactly* those of the scalar loop, which accumulates
@@ -63,13 +62,12 @@ namespace ctfl {
 
 /// Work accounting of one (or many accumulated) Match calls.
 struct TraceKernelStats {
-  /// Candidate records in blocks the kernel actually entered (every such
-  /// record is counted once, whether it was decided early or scanned to
-  /// the end). Always <= the number of candidates submitted.
+  /// Records in the blocks the kernel entered (each counted once, whether
+  /// it was decided early or scanned to the end). Always <= the number of
+  /// candidates submitted.
   int64_t records_scanned = 0;
-  /// 64-record blocks skipped without per-lane work (empty candidate
-  /// mask) plus blocks whose lane scan ended before the full support was
-  /// processed (all lanes decided early).
+  /// 64-record blocks whose lanes were all decided before the last rule
+  /// of the support.
   int64_t blocks_pruned = 0;
   /// Lanes the integer bounds could not decide, re-decided by the exact
   /// scalar comparison (rare: their overlap is within the fixed-point
@@ -150,22 +148,14 @@ class TraceKernel {
   static Support Prepare(const std::vector<std::pair<int, double>>& supp,
                          double threshold);
 
-  /// Matches every record (or only those in `candidate_mask`, a
-  /// num_blocks()-word lane bitmap; nullptr = all records) against the
-  /// support. Sets matched-lane bits in `out_related` (num_blocks()
+  /// Matches every record against the support at `options`' ISA tier and
+  /// thread sharding. Sets matched-lane bits in `out_related` (num_blocks()
   /// words, overwritten) and returns the match count. Decisions are
-  /// bit-identical to the scalar ascending-order loop. `stats` (optional)
+  /// bit-identical to the scalar ascending-order loop, and decisions and
+  /// stats to every other (isa, threads) combination. `stats` (optional)
   /// accumulates work accounting.
-  size_t Match(const Support& support, const uint64_t* candidate_mask,
-               uint64_t* out_related, TraceKernelStats* stats) const {
-    return Match(support, candidate_mask, out_related, stats,
-                 TraceMatchOptions());
-  }
-
-  /// Same, with explicit ISA tier + thread sharding. Results and stats
-  /// are bit-identical across every (isa, threads) combination.
-  size_t Match(const Support& support, const uint64_t* candidate_mask,
-               uint64_t* out_related, TraceKernelStats* stats,
+  size_t Match(const Support& support, uint64_t* out_related,
+               TraceKernelStats* stats,
                const TraceMatchOptions& options) const;
 
   /// Scalar reference decision for one record (ascending accumulation) —
@@ -205,18 +195,16 @@ struct StripeResult {
 };
 
 /// One contiguous block range [block_lo, block_hi) of a Match call. Every
-/// implementation writes out_related[b] for each b in range (zeroing
-/// non-candidate blocks) and returns bit-identical decisions and stats.
+/// implementation writes out_related[b] for each b in range and returns
+/// bit-identical decisions and stats.
 using StripeFn = StripeResult (*)(const TraceKernel& kernel,
                                   const TraceKernel::Support& support,
-                                  const uint64_t* candidate_mask,
                                   uint64_t* out_related, size_t block_lo,
                                   size_t block_hi);
 
 /// The portable unit: the scalar and NEON tiers.
 StripeResult MatchStripePortable(const TraceKernel& kernel,
                                  const TraceKernel::Support& support,
-                                 const uint64_t* candidate_mask,
                                  uint64_t* out_related, size_t block_lo,
                                  size_t block_hi);
 /// Compiled from per-ISA translation units; on architectures where the
@@ -224,12 +212,10 @@ StripeResult MatchStripePortable(const TraceKernel& kernel,
 /// layer never selects an unavailable tier, this is belt-and-braces).
 StripeResult MatchStripeAvx2(const TraceKernel& kernel,
                              const TraceKernel::Support& support,
-                             const uint64_t* candidate_mask,
                              uint64_t* out_related, size_t block_lo,
                              size_t block_hi);
 StripeResult MatchStripeAvx512(const TraceKernel& kernel,
                                const TraceKernel::Support& support,
-                               const uint64_t* candidate_mask,
                                uint64_t* out_related, size_t block_lo,
                                size_t block_hi);
 

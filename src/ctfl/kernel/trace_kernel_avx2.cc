@@ -78,11 +78,10 @@ struct Avx2Ops {
 
 StripeResult MatchStripeAvx2(const TraceKernel& kernel,
                              const TraceKernel::Support& support,
-                             const uint64_t* candidate_mask,
                              uint64_t* out_related, size_t block_lo,
                              size_t block_hi) {
-  return MatchStripeImpl<Avx2Ops>(kernel, support, candidate_mask,
-                                  out_related, block_lo, block_hi);
+  return MatchStripeImpl<Avx2Ops>(kernel, support, out_related, block_lo,
+                                  block_hi);
 }
 
 }  // namespace kernel_detail
@@ -95,11 +94,10 @@ namespace kernel_detail {
 
 StripeResult MatchStripeAvx2(const TraceKernel& kernel,
                              const TraceKernel::Support& support,
-                             const uint64_t* candidate_mask,
                              uint64_t* out_related, size_t block_lo,
                              size_t block_hi) {
-  return MatchStripePortable(kernel, support, candidate_mask, out_related,
-                             block_lo, block_hi);
+  return MatchStripePortable(kernel, support, out_related, block_lo,
+                             block_hi);
 }
 
 }  // namespace kernel_detail

@@ -54,11 +54,10 @@ struct Avx512Ops {
 
 StripeResult MatchStripeAvx512(const TraceKernel& kernel,
                                const TraceKernel::Support& support,
-                               const uint64_t* candidate_mask,
                                uint64_t* out_related, size_t block_lo,
                                size_t block_hi) {
-  return MatchStripeImpl<Avx512Ops>(kernel, support, candidate_mask,
-                                    out_related, block_lo, block_hi);
+  return MatchStripeImpl<Avx512Ops>(kernel, support, out_related, block_lo,
+                                    block_hi);
 }
 
 }  // namespace kernel_detail
@@ -71,11 +70,10 @@ namespace kernel_detail {
 
 StripeResult MatchStripeAvx512(const TraceKernel& kernel,
                                const TraceKernel::Support& support,
-                               const uint64_t* candidate_mask,
                                uint64_t* out_related, size_t block_lo,
                                size_t block_hi) {
-  return MatchStripePortable(kernel, support, candidate_mask, out_related,
-                             block_lo, block_hi);
+  return MatchStripePortable(kernel, support, out_related, block_lo,
+                             block_hi);
 }
 
 }  // namespace kernel_detail

@@ -44,11 +44,10 @@ struct PortableOps {
 
 StripeResult MatchStripePortable(const TraceKernel& kernel,
                                  const TraceKernel::Support& support,
-                                 const uint64_t* candidate_mask,
                                  uint64_t* out_related, size_t block_lo,
                                  size_t block_hi) {
-  return MatchStripeImpl<PortableOps>(kernel, support, candidate_mask,
-                                      out_related, block_lo, block_hi);
+  return MatchStripeImpl<PortableOps>(kernel, support, out_related,
+                                      block_lo, block_hi);
 }
 
 }  // namespace kernel_detail

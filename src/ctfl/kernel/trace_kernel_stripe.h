@@ -42,7 +42,6 @@ namespace kernel_detail {
 template <typename Ops>
 StripeResult MatchStripeImpl(const TraceKernel& kernel,
                              const TraceKernel::Support& s,
-                             const uint64_t* candidate_mask,
                              uint64_t* out_related, size_t block_lo,
                              size_t block_hi) {
   StripeResult res;
@@ -56,13 +55,7 @@ StripeResult MatchStripeImpl(const TraceKernel& kernel,
 
   alignas(64) int32_t q[64];
   for (size_t b = block_lo; b < block_hi; ++b) {
-    uint64_t valid = kernel.full_mask_word(b);
-    if (candidate_mask != nullptr) valid &= candidate_mask[b];
-    if (valid == 0) {
-      out_related[b] = 0;
-      ++res.stats.blocks_pruned;
-      continue;
-    }
+    const uint64_t valid = kernel.full_mask_word(b);
     res.stats.records_scanned +=
         static_cast<int64_t>(std::popcount(valid));
     uint64_t related = 0;

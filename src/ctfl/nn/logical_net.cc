@@ -1,11 +1,75 @@
 #include "ctfl/nn/logical_net.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 
 #include "ctfl/util/logging.h"
+#include "ctfl/util/string_util.h"
 
 namespace ctfl {
+
+Status ValidateNetShape(const FeatureSchema& schema,
+                        const LogicalNetConfig& config, uint64_t param_count) {
+  if (config.tau_d < 1) {
+    return Status::InvalidArgument(
+        StrFormat("model tau_d must be >= 1, got %d", config.tau_d));
+  }
+  bool overflow = false;
+  const auto add = [&](uint64_t a, uint64_t b) {
+    uint64_t sum = 0;
+    overflow |= __builtin_add_overflow(a, b, &sum);
+    return sum;
+  };
+  const auto mul = [&](uint64_t a, uint64_t b) {
+    uint64_t product = 0;
+    overflow |= __builtin_mul_overflow(a, b, &product);
+    return product;
+  };
+  // The encoder's width (BinarizationLayer): one input per category of a
+  // discrete feature, 2 tau_d bounds per continuous one.
+  uint64_t encoded = 0;
+  for (const FeatureSpec& spec : schema.features()) {
+    encoded = add(encoded, spec.type == FeatureType::kDiscrete
+                               ? spec.categories.size()
+                               : mul(2, static_cast<uint64_t>(config.tau_d)));
+  }
+  if (overflow || encoded == 0 || encoded > INT_MAX) {
+    return Status::InvalidArgument(
+        "model schema must encode between 1 and INT_MAX inputs");
+  }
+  uint64_t in_dim = encoded;
+  uint64_t rules = config.input_skip ? encoded : 0;
+  uint64_t params = 0;
+  for (const auto& [conj, disj] : config.logic_layers) {
+    if (conj < 0 || disj < 0 || int64_t{conj} + disj < 1) {
+      return Status::InvalidArgument(StrFormat(
+          "model layer widths must be >= 0 and sum to >= 1, got (%d, %d)",
+          conj, disj));
+    }
+    const uint64_t width = static_cast<uint64_t>(conj) + disj;
+    params = add(params, mul(width, in_dim));
+    rules = add(rules, width);
+    in_dim = width;
+  }
+  if (rules == 0 || rules > INT_MAX) {
+    return Status::InvalidArgument(
+        "model must have between 1 and INT_MAX rules");
+  }
+  params = add(params, add(mul(rules, 2), 2));  // vote weights + biases
+  if (overflow) {
+    return Status::InvalidArgument(
+        "model shape implies more than 2^64 parameters");
+  }
+  if (params != param_count) {
+    return Status::InvalidArgument(StrFormat(
+        "model parameter count %llu does not match the architecture/schema "
+        "(%llu expected)",
+        static_cast<unsigned long long>(param_count),
+        static_cast<unsigned long long>(params)));
+  }
+  return Status::OK();
+}
 
 LogicalNet::LogicalNet(SchemaPtr schema, const LogicalNetConfig& config)
     : config_(config),

@@ -43,6 +43,18 @@ struct TestForward {
 
 class LogicalNet;
 
+/// Checks a decoded `config` against `schema` before a LogicalNet is built
+/// from it, so that no decoded shape reaches a layer's CHECK or an
+/// allocation it does not pay for: tau_d >= 1; every layer width >= 0, with
+/// each layer's widths summing to >= 1; at least one encoded input and one
+/// rule (each at most INT_MAX); and `param_count`, the count the input
+/// carries, equal to the count the schema and config imply (computed in
+/// 64-bit arithmetic). InvalidArgument otherwise. Every decoder of a model
+/// (bundle, delta-log header, model text) bounds `param_count` by its
+/// input's size and runs this before constructing anything.
+Status ValidateNetShape(const FeatureSchema& schema,
+                        const LogicalNetConfig& config, uint64_t param_count);
+
 /// The TestForward of every record of `test`, in record order, from one
 /// blocked InferDataset pass — the forwards the tracer, a bundle and a
 /// delta-log header all persist or match.

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "ctfl/data/schema.h"
+#include "ctfl/util/file_io.h"
 #include "ctfl/util/string_util.h"
 
 namespace ctfl {
@@ -46,8 +47,8 @@ Status SaveLogicalNet(const LogicalNet& net, const std::string& path) {
 
 Result<LogicalNet> LoadLogicalNet(SchemaPtr schema,
                                   const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
+  CTFL_ASSIGN_OR_RETURN(const std::string text, ReadFileBytes(path));
+  std::istringstream in(text);
 
   std::string tag;
   int version = 0;
@@ -62,7 +63,6 @@ Result<LogicalNet> LoadLogicalNet(SchemaPtr schema,
 
   LogicalNetConfig config;
   std::string key;
-  size_t num_layers = 0;
   config.logic_layers.clear();
   while (in >> key) {
     if (key == "schema_fingerprint") {
@@ -89,22 +89,27 @@ Result<LogicalNet> LoadLogicalNet(SchemaPtr schema,
     } else if (key == "linear_init_scale") {
       in >> config.linear_init_scale;
     } else if (key == "layers") {
+      size_t num_layers = 0;
       in >> num_layers;
-      for (size_t l = 0; l < num_layers; ++l) {
+      // Stops at the first value the file does not hold.
+      for (size_t l = 0; l < num_layers && in; ++l) {
         int conj = 0, disj = 0;
         in >> conj >> disj;
         config.logic_layers.emplace_back(conj, disj);
       }
     } else if (key == "params") {
+      // Every parameter takes at least two characters of the file, so a
+      // larger count is refused before anything is sized from it.
       size_t count = 0;
-      in >> count;
-      LogicalNet net(std::move(schema), config);
-      if (net.NumParameters() != count) {
-        return Status::InvalidArgument(StrFormat(
-            "%s: parameter count %zu does not match the architecture/"
-            "schema (%zu expected)",
-            path.c_str(), count, net.NumParameters()));
+      if (!(in >> count) || count > text.size()) {
+        return Status::InvalidArgument(path +
+                                       ": params count exceeds the file");
       }
+      const Status shape = ValidateNetShape(*schema, config, count);
+      if (!shape.ok()) {
+        return Status::InvalidArgument(path + ": " + shape.message());
+      }
+      LogicalNet net(std::move(schema), config);
       std::vector<double> params(count);
       for (double& v : params) {
         if (!(in >> v)) {

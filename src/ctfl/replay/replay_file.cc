@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "ctfl/store/bundle.h"
+#include "ctfl/util/file_io.h"
 #include "ctfl/util/string_util.h"
 #include "ctfl/util/wire.h"
 
@@ -280,13 +281,7 @@ Status WriteReplayFile(const ReplayFile& file, const std::string& path) {
 }
 
 Result<ReplayFile> ReadReplayFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open replay file " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) {
-    return Status::IoError("read failure on replay file " + path);
-  }
+  CTFL_ASSIGN_OR_RETURN(const std::string bytes, ReadFileBytes(path));
   return DecodeReplay(bytes);
 }
 

@@ -2,7 +2,6 @@
 
 #include <climits>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <utility>
 
@@ -13,6 +12,7 @@
 #include "ctfl/store/query_engine.h"
 #include "ctfl/stream/emitter.h"
 #include "ctfl/stream/scorer.h"
+#include "ctfl/util/file_io.h"
 #include "ctfl/util/rng.h"
 #include "ctfl/util/string_util.h"
 
@@ -22,14 +22,8 @@ namespace {
 
 /// Content digest of a CSV input: what a recording pins and a replay
 /// checks.
-Result<uint64_t> CsvDigest(const std::string& path, const char* role) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError(
-        StrFormat("cannot open %s CSV %s", role, path.c_str()));
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+Result<uint64_t> CsvDigest(const std::string& path) {
+  CTFL_ASSIGN_OR_RETURN(const std::string bytes, ReadFileBytes(path));
   return HashBytes(bytes);
 }
 
@@ -39,7 +33,7 @@ Result<uint64_t> CsvDigest(const std::string& path, const char* role) {
 Result<Dataset> LoadPinnedCsv(const std::string& path, uint64_t want_digest,
                               const SchemaPtr& schema, const char* role) {
   if (want_digest != 0) {
-    CTFL_ASSIGN_OR_RETURN(const uint64_t got, CsvDigest(path, role));
+    CTFL_ASSIGN_OR_RETURN(const uint64_t got, CsvDigest(path));
     if (got != want_digest) {
       return Status::FailedPrecondition(StrFormat(
           "%s CSV %s changed since recording (digest %016llx, recorded "
@@ -168,10 +162,8 @@ Result<RunSpec> ParseRunSpecFlags(const FlagParser& flags, DataSource source) {
     if (spec.train_path.empty() || spec.test_path.empty()) {
       return Status::InvalidArgument("--train and --test are required");
     }
-    CTFL_ASSIGN_OR_RETURN(spec.train_csv_digest,
-                          CsvDigest(spec.train_path, "train"));
-    CTFL_ASSIGN_OR_RETURN(spec.test_csv_digest,
-                          CsvDigest(spec.test_path, "test"));
+    CTFL_ASSIGN_OR_RETURN(spec.train_csv_digest, CsvDigest(spec.train_path));
+    CTFL_ASSIGN_OR_RETURN(spec.test_csv_digest, CsvDigest(spec.test_path));
   } else {
     CTFL_ASSIGN_OR_RETURN(spec.train_n, get_u64("train-n"));
     CTFL_ASSIGN_OR_RETURN(spec.train_seed, get_u64("train-seed"));
@@ -250,9 +242,6 @@ Result<RunInputs> BuildRunInputs(const RunSpec& spec,
   config.net.logic_layers = {{width / 2, width - width / 2}};
   config.net.seed = spec.seed;
   config.tracer.tau_w = spec.tau_w;
-  if (overrides.trace_isa >= 0) {
-    config.tracer.isa = static_cast<TraceIsa>(overrides.trace_isa);
-  }
   if (overrides.trace_threads != RunOverrides::kKeep) {
     config.tracer.trace_threads =
         static_cast<int>(overrides.trace_threads);
@@ -265,8 +254,10 @@ Result<RunInputs> BuildRunInputs(const RunSpec& spec,
                    std::move(*test)};
 }
 
-Result<RunArtifacts> ExecuteRunSpec(const RunSpec& spec,
-                                    const RunOverrides& overrides) {
+namespace {
+
+Result<RunArtifacts> ExecuteRun(const RunSpec& spec,
+                                const RunOverrides& overrides) {
   CTFL_ASSIGN_OR_RETURN(RunInputs run, BuildRunInputs(spec, overrides));
 
   // The streamed cell instruments the run with a delta-log emitter; it
@@ -299,6 +290,21 @@ Result<RunArtifacts> ExecuteRunSpec(const RunSpec& spec,
       RenderScoreTable(run.federation, outcome.micro, outcome.macro);
   return RunArtifacts{std::move(run), std::move(outcome), std::move(table),
                       report.bundle_bytes};
+}
+
+}  // namespace
+
+Result<RunArtifacts> ExecuteRunSpec(const RunSpec& spec,
+                                    const RunOverrides& overrides) {
+  if (overrides.trace_isa < 0) return ExecuteRun(spec, overrides);
+  // The grafted step reads the process-wide tier, not TracerConfig::isa,
+  // so the cell forces that tier for its run.
+  const TraceIsa previous = CurrentTraceIsa();
+  CTFL_RETURN_IF_ERROR(
+      SetTraceIsa(static_cast<TraceIsa>(overrides.trace_isa)));
+  Result<RunArtifacts> artifacts = ExecuteRun(spec, overrides);
+  CTFL_RETURN_IF_ERROR(SetTraceIsa(previous));
+  return artifacts;
 }
 
 Status CompareOutcomes(const RunOutcome& want, const RunOutcome& got) {

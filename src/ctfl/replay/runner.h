@@ -76,6 +76,8 @@ struct RunOverrides {
   /// TraceIsa value, or -1 to keep the process-wide dispatch. Replay
   /// files never record an ISA (it is execution context, not semantics);
   /// the isa cells force a tier and assert the outcome is unchanged.
+  /// ExecuteRunSpec forces the process-wide tier for its run, which the
+  /// training step and (by default) the tracer read.
   int trace_isa = -1;
   /// Trace-kernel shard threads, or kKeep for the default (serial).
   int64_t trace_threads = kKeep;
@@ -114,7 +116,8 @@ struct RunArtifacts : RunInputs {
 };
 
 /// Builds the run (BuildRunInputs), runs the pipeline, and recomputes the
-/// outcome.
+/// outcome. With `overrides.trace_isa` set, the run executes at that
+/// process-wide tier, and the previous tier is restored afterwards.
 Result<RunArtifacts> ExecuteRunSpec(const RunSpec& spec,
                                     const RunOverrides& overrides = {});
 

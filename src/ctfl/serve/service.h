@@ -2,11 +2,11 @@
 #define CTFL_SERVE_SERVICE_H_
 
 // Transport-independent request handler of the resident query service:
-// owns the immutable QueryEngine (loaded once, mmap-backed by default) and
-// a sharded LRU of hot per-test related lookups, and maps protocol
-// requests to engine calls. Handle() is safe to call from any number of
-// threads concurrently — the engine is read-only after construction, the
-// cache shards its locks, and all telemetry is atomic.
+// owns the immutable QueryEngine (loaded once) and a sharded LRU of hot
+// per-test related lookups, and maps protocol requests to engine calls.
+// Handle() is safe to call from any number of threads concurrently — the
+// engine is read-only after construction, the cache shards its locks, and
+// all telemetry is atomic.
 
 #include <atomic>
 #include <cstdint>

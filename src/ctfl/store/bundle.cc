@@ -5,16 +5,9 @@
 #include <fstream>
 #include <utility>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define CTFL_BUNDLE_HAS_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
-
 #include "ctfl/telemetry/metrics.h"
 #include "ctfl/telemetry/trace.h"
+#include "ctfl/util/file_io.h"
 #include "ctfl/util/string_util.h"
 #include "ctfl/util/wire.h"
 
@@ -156,121 +149,22 @@ Status BundleWriter::Write(const std::string& path) const {
   return Status::OK();
 }
 
-/// Owner of the raw file bytes. Exactly one of the two storage forms is
-/// active: an owned string (Parse / ifstream fallback) or an mmap'd
-/// region released on destruction. Sections are string_views into it, so
-/// a reader (and every BundleReader copy sharing the buffer) is zero-copy.
-struct BundleReader::Buffer {
-  std::string owned;
-  const char* map_data = nullptr;
-  size_t map_size = 0;
-
-  ~Buffer() {
-#if CTFL_BUNDLE_HAS_MMAP
-    if (map_data != nullptr) {
-      ::munmap(const_cast<char*>(map_data), map_size);
-    }
-#endif
-  }
-
-  std::string_view view() const {
-    if (map_data != nullptr) return std::string_view(map_data, map_size);
-    return owned;
-  }
-  bool mapped() const { return map_data != nullptr; }
-};
-
-bool BundleReader::MmapSupported() {
-#if CTFL_BUNDLE_HAS_MMAP
-  return true;
-#else
-  return false;
-#endif
-}
-
-namespace {
-
-#if CTFL_BUNDLE_HAS_MMAP
-Result<std::shared_ptr<BundleReader::Buffer>> MmapFile(
-    const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return Status::IoError("cannot open " + path);
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return Status::IoError("cannot stat " + path);
-  }
-  auto buffer = std::make_shared<BundleReader::Buffer>();
-  if (st.st_size > 0) {
-    void* map = ::mmap(nullptr, static_cast<size_t>(st.st_size), PROT_READ,
-                       MAP_PRIVATE, fd, 0);
-    if (map == MAP_FAILED) {
-      ::close(fd);
-      return Status::IoError("mmap failed: " + path);
-    }
-    buffer->map_data = static_cast<const char*>(map);
-    buffer->map_size = static_cast<size_t>(st.st_size);
-  }
-  ::close(fd);  // the mapping survives the descriptor
-  static telemetry::Counter& mmap_reads =
-      telemetry::MetricsRegistry::Global().GetCounter(
-          "ctfl.bundle.mmap_reads");
-  mmap_reads.Add(1);
-  return buffer;
-}
-#endif
-
-Result<std::shared_ptr<BundleReader::Buffer>> SlurpFile(
-    const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  auto buffer = std::make_shared<BundleReader::Buffer>();
-  buffer->owned.assign((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) return Status::IoError("read failed: " + path);
-  return buffer;
-}
-
-}  // namespace
-
-Result<BundleReader> BundleReader::Open(const std::string& path,
-                                        OpenMode mode) {
+Result<BundleReader> BundleReader::Open(const std::string& path) {
   CTFL_SPAN("ctfl.bundle.read");
-  std::shared_ptr<Buffer> buffer;
-#if CTFL_BUNDLE_HAS_MMAP
-  if (mode != OpenMode::kStream) {
-    CTFL_ASSIGN_OR_RETURN(buffer, MmapFile(path));
-  }
-#else
-  if (mode == OpenMode::kMmap) {
-    return Status::Unimplemented("mmap is unavailable on this platform");
-  }
-#endif
-  if (buffer == nullptr) {
-    CTFL_ASSIGN_OR_RETURN(buffer, SlurpFile(path));
-  }
-  return ParseBuffer(std::move(buffer), path);
+  CTFL_ASSIGN_OR_RETURN(std::string bytes, ReadFileBytes(path));
+  return Parse(std::move(bytes), path);
 }
 
 Result<BundleReader> BundleReader::Parse(std::string file_bytes,
                                          const std::string& origin) {
-  auto buffer = std::make_shared<Buffer>();
-  buffer->owned = std::move(file_bytes);
-  return ParseBuffer(std::move(buffer), origin);
-}
-
-Result<BundleReader> BundleReader::ParseBuffer(std::shared_ptr<Buffer> buffer,
-                                               const std::string& origin) {
-  const std::string_view file_bytes = buffer->view();
   BundleReader reader;
-  reader.buffer_ = buffer;
-  reader.mapped_ = buffer->mapped();
-  reader.file_bytes_ = file_bytes.size();
-  if (file_bytes.size() < sizeof(kMagic) + 8 ||
-      std::memcmp(file_bytes.data(), kMagic, sizeof(kMagic)) != 0) {
+  reader.bytes_ = std::make_shared<const std::string>(std::move(file_bytes));
+  const std::string_view bytes = *reader.bytes_;
+  if (bytes.size() < sizeof(kMagic) + 8 ||
+      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument(origin + ": not a CTFL bundle file");
   }
-  ByteReader in(file_bytes.substr(sizeof(kMagic)));
+  ByteReader in(bytes.substr(sizeof(kMagic)));
   uint32_t version = 0;
   uint32_t count = 0;
   CTFL_RETURN_IF_ERROR(in.U32(&version));
@@ -279,6 +173,8 @@ Result<BundleReader> BundleReader::ParseBuffer(std::shared_ptr<Buffer> buffer,
         "%s: unsupported bundle version %u", origin.c_str(), version));
   }
   CTFL_RETURN_IF_ERROR(in.U32(&count));
+  // A table entry is at least a u32 name length, two u64s and a u32 CRC.
+  CTFL_RETURN_IF_ERROR(in.CheckCount(count, 24, "bundle section table entry"));
   struct Entry {
     std::string name;
     uint64_t offset = 0;
@@ -295,13 +191,12 @@ Result<BundleReader> BundleReader::ParseBuffer(std::shared_ptr<Buffer> buffer,
     }
   }
   for (const Entry& e : entries) {
-    if (e.offset > file_bytes.size() ||
-        e.size > file_bytes.size() - e.offset) {
+    if (e.offset > bytes.size() || e.size > bytes.size() - e.offset) {
       return Status::InvalidArgument(
           StrFormat("%s: section '%s' exceeds file bounds (truncated file?)",
                     origin.c_str(), e.name.c_str()));
     }
-    const std::string_view payload = file_bytes.substr(e.offset, e.size);
+    const std::string_view payload = bytes.substr(e.offset, e.size);
     const uint32_t crc = Crc32(payload.data(), payload.size());
     if (crc != e.crc) {
       return Status::InvalidArgument(StrFormat(
@@ -311,7 +206,7 @@ Result<BundleReader> BundleReader::ParseBuffer(std::shared_ptr<Buffer> buffer,
     reader.names_.push_back(e.name);
     reader.sections_.emplace_back(e.name, payload);
   }
-  BytesReadCounter().Add(static_cast<int64_t>(file_bytes.size()));
+  BytesReadCounter().Add(static_cast<int64_t>(bytes.size()));
   static telemetry::Counter& reads =
       telemetry::MetricsRegistry::Global().GetCounter("ctfl.bundle.reads");
   reads.Add(1);
@@ -691,11 +586,9 @@ Status WriteBundle(const BundleContent& content, const std::string& path) {
   return writer.Write(path);
 }
 
-Result<BundleContent> ReadBundle(const std::string& path,
-                                 BundleReader::OpenMode mode) {
+Result<BundleContent> ReadBundle(const std::string& path) {
   CTFL_SPAN("ctfl.bundle.decode");
-  CTFL_ASSIGN_OR_RETURN(const BundleReader reader,
-                        BundleReader::Open(path, mode));
+  CTFL_ASSIGN_OR_RETURN(const BundleReader reader, BundleReader::Open(path));
   BundleContent content;
   uint32_t num_participants = 0, num_rules = 0;
   uint64_t num_tests = 0;
@@ -721,6 +614,8 @@ Result<BundleContent> ReadBundle(const std::string& path,
     CTFL_RETURN_IF_ERROR(
         DecodeModelPayload(payload, &content.net_config, &content.params));
   }
+  CTFL_RETURN_IF_ERROR(ValidateNetShape(*content.schema, content.net_config,
+                                        content.params.size()));
   {
     CTFL_ASSIGN_OR_RETURN(const std::string_view payload,
                           reader.SectionView(kRulesSection));
@@ -758,13 +653,9 @@ Result<LogicalNet> RestoreModel(const BundleContent& content) {
   if (content.schema == nullptr) {
     return Status::FailedPrecondition("bundle content has no schema");
   }
+  CTFL_RETURN_IF_ERROR(ValidateNetShape(*content.schema, content.net_config,
+                                        content.params.size()));
   LogicalNet net(content.schema, content.net_config);
-  if (net.NumParameters() != content.params.size()) {
-    return Status::InvalidArgument(StrFormat(
-        "bundle parameter count %zu does not match the architecture/schema "
-        "(%zu expected)",
-        content.params.size(), net.NumParameters()));
-  }
   net.SetParameters(content.params);
   if (net.num_rules() != content.num_rules()) {
     return Status::InvalidArgument(

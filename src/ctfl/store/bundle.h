@@ -66,26 +66,15 @@ class BundleWriter {
   std::vector<std::pair<std::string, std::string>> sections_;
 };
 
-/// Container-level reader. Open() maps (or loads) the whole file,
+/// Container-level reader. Open() reads the whole file in one sized read,
 /// validates the header and every section's bounds + CRC32, and exposes
-/// payloads. On POSIX platforms Open() memory-maps the file by default so
-/// a resident server's sections are zero-copy views of the page cache;
-/// everywhere else (and on kStream) it falls back to a
-/// plain ifstream slurp. Both paths produce byte-identical sections.
+/// the payloads as views into those bytes, which every copy of the reader
+/// shares.
 class BundleReader {
  public:
-  /// How Open() acquires the file bytes. kAuto prefers mmap where the
-  /// platform supports it; kMmap fails when it does not; kStream always
-  /// reads through ifstream (the historical path).
-  enum class OpenMode { kAuto, kMmap, kStream };
-
-  static Result<BundleReader> Open(const std::string& path,
-                                   OpenMode mode = OpenMode::kAuto);
+  static Result<BundleReader> Open(const std::string& path);
   static Result<BundleReader> Parse(std::string file_bytes,
                                     const std::string& origin);
-
-  /// True when mmap is compiled in (POSIX); kAuto uses it opportunistically.
-  static bool MmapSupported();
 
   bool HasSection(const std::string& name) const;
   /// Payload bytes of `name` (copy), or NotFound.
@@ -94,23 +83,12 @@ class BundleReader {
   /// copy of it) is alive.
   Result<std::string_view> SectionView(const std::string& name) const;
   const std::vector<std::string>& section_names() const { return names_; }
-  size_t file_bytes() const { return file_bytes_; }
-  /// True when the sections are views into an mmap'd region.
-  bool mapped() const { return mapped_; }
-
-  /// Opaque owner of the raw bytes (mmap region or owned string); public
-  /// only so the .cc's file-loading helpers can construct it.
-  struct Buffer;
+  size_t file_bytes() const { return bytes_ == nullptr ? 0 : bytes_->size(); }
 
  private:
-  static Result<BundleReader> ParseBuffer(std::shared_ptr<Buffer> buffer,
-                                          const std::string& origin);
-
-  std::shared_ptr<Buffer> buffer_;
-  bool mapped_ = false;
+  std::shared_ptr<const std::string> bytes_;
   std::vector<std::string> names_;
   std::vector<std::pair<std::string, std::string_view>> sections_;
-  size_t file_bytes_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -205,11 +183,10 @@ Result<std::vector<TestRecord>> DecodeTestsPayload(std::string_view payload,
 Status WriteBundle(const BundleContent& content, const std::string& path);
 
 /// Reads + validates + decodes a bundle file. Emits ctfl.bundle.read span
-/// and bumps ctfl.bundle.reads / ctfl.bundle.bytes_read. `mode` selects
-/// the container read path (mmap vs ifstream; identical results).
-Result<BundleContent> ReadBundle(
-    const std::string& path,
-    BundleReader::OpenMode mode = BundleReader::OpenMode::kAuto);
+/// and bumps ctfl.bundle.reads / ctfl.bundle.bytes_read. The model
+/// section's shape is checked against the schema (ValidateNetShape)
+/// before anything is built from it.
+Result<BundleContent> ReadBundle(const std::string& path);
 
 /// Rebuilds the trained LogicalNet from the bundle's schema + model
 /// sections; parameters are bit-exact, so predictions and activations

@@ -63,8 +63,8 @@ struct RelatedResult {
   int64_t postings_scanned = 0;
   int64_t candidates_pruned = 0;
   /// Blocked-kernel work accounting: candidates the kernel actually
-  /// touched (always <= tau_w_checks) and 64-record blocks skipped or
-  /// early-exited by pruning.
+  /// touched (always <= tau_w_checks) and 64-record blocks decided before
+  /// their last rule.
   int64_t records_scanned = 0;
   int64_t blocks_pruned = 0;
   /// Lanes re-decided by the exact scalar comparison because neither

@@ -5,6 +5,7 @@
 
 #include "ctfl/telemetry/metrics.h"
 #include "ctfl/telemetry/trace.h"
+#include "ctfl/util/file_io.h"
 #include "ctfl/util/string_util.h"
 #include "ctfl/util/wire.h"
 
@@ -53,8 +54,10 @@ std::string EncodeHeader(const DeltaHeader& header) {
   w.U64(header.failure_plan_fingerprint);
   w.U32(header.num_rules);
   w.F64(header.tau_w);
-  w.U8(header.use_dedup ? 1 : 0);
-  w.U8(1);  // reserved: the retired use_max_miner knob's former default
+  // Reserved: the retired use_dedup and use_max_miner knobs' former
+  // defaults.
+  w.U8(1);
+  w.U8(1);
   w.F64(header.min_rule_weight);
   w.F64(header.dp_epsilon);
   w.U64(header.dp_seed);
@@ -78,10 +81,9 @@ Result<DeltaHeader> DecodeHeader(std::string_view payload) {
   CTFL_RETURN_IF_ERROR(r.U64(&header.failure_plan_fingerprint));
   CTFL_RETURN_IF_ERROR(r.U32(&header.num_rules));
   CTFL_RETURN_IF_ERROR(r.F64(&header.tau_w));
-  uint8_t use_dedup = 0, reserved = 0;
-  CTFL_RETURN_IF_ERROR(r.U8(&use_dedup));
+  uint8_t reserved = 0;
+  CTFL_RETURN_IF_ERROR(r.U8(&reserved));  // retired use_dedup, ignored
   CTFL_RETURN_IF_ERROR(r.U8(&reserved));  // retired use_max_miner, ignored
-  header.use_dedup = use_dedup != 0;
   CTFL_RETURN_IF_ERROR(r.F64(&header.min_rule_weight));
   CTFL_RETURN_IF_ERROR(r.F64(&header.dp_epsilon));
   CTFL_RETURN_IF_ERROR(r.U64(&header.dp_seed));
@@ -106,6 +108,8 @@ Result<DeltaHeader> DecodeHeader(std::string_view payload) {
                         store::DecodeSchemaPayload(schema_payload));
   CTFL_RETURN_IF_ERROR(store::DecodeModelPayload(
       model_payload, &header.net_config, &header.params));
+  CTFL_RETURN_IF_ERROR(ValidateNetShape(*header.schema, header.net_config,
+                                        header.params.size()));
   CTFL_ASSIGN_OR_RETURN(
       header.participants,
       store::DecodeTrainPayload(train_payload, header.num_rules));
@@ -251,11 +255,7 @@ Status DeltaLogWriter::AppendRound(const RoundDelta& round) {
 }
 
 Result<DeltaLogContents> ReadDeltaLog(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) return Status::IoError("read failed: " + path);
+  CTFL_ASSIGN_OR_RETURN(const std::string bytes, ReadFileBytes(path));
   return ParseDeltaLog(bytes, path);
 }
 

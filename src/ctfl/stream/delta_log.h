@@ -59,7 +59,6 @@ struct DeltaHeader {
   // thread counts — are deliberately absent: they never change
   // results, DESIGN.md §9/§10).
   double tau_w = 0.9;
-  bool use_dedup = true;
   double min_rule_weight = 1e-6;
   double dp_epsilon = 0.0;
   uint64_t dp_seed = 0x5eed;

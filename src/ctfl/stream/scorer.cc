@@ -32,13 +32,9 @@ Result<StreamingScorer> StreamingScorer::FromHeader(DeltaHeader header,
   if (header.schema == nullptr) {
     return Status::InvalidArgument("delta-log header has no schema");
   }
+  CTFL_RETURN_IF_ERROR(ValidateNetShape(*header.schema, header.net_config,
+                                        header.params.size()));
   LogicalNet net(header.schema, header.net_config);
-  if (net.NumParameters() != header.params.size()) {
-    return Status::InvalidArgument(StrFormat(
-        "delta-log parameter count %zu does not match the "
-        "architecture/schema (%zu expected)",
-        header.params.size(), net.NumParameters()));
-  }
   net.SetParameters(header.params);
   if (net.num_rules() != static_cast<int>(header.num_rules)) {
     return Status::InvalidArgument(
@@ -47,7 +43,6 @@ Result<StreamingScorer> StreamingScorer::FromHeader(DeltaHeader header,
 
   TracerConfig tracer_config;
   tracer_config.tau_w = header.tau_w;
-  tracer_config.use_dedup = header.use_dedup;
   tracer_config.min_rule_weight = header.min_rule_weight;
   // dp_epsilon/dp_seed are carried for provenance only: the uploads in
   // the log were perturbed client-side before they were written, and the

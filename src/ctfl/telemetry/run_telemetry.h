@@ -78,8 +78,8 @@ struct RunTelemetry {
   int64_t related_records = 0;
   int64_t uncovered_tests = 0;
   /// Blocked-kernel work accounting: candidates the kernel actually
-  /// touched (<= tau_w_checks) and 64-record blocks skipped or early-exited
-  /// by pruning.
+  /// touched (<= tau_w_checks) and 64-record blocks decided before their
+  /// last rule.
   int64_t records_scanned = 0;
   int64_t blocks_pruned = 0;
   /// Lanes the kernel's integer bounds left to the exact comparison.

@@ -4,9 +4,9 @@
 // Little-endian primitive encoding shared by the bundle container
 // (store/bundle.cc) and the query-service wire protocol
 // (serve/protocol.cc). Writer appends to an owned buffer; Reader walks a
-// borrowed string_view — zero-copy over mmap'd bundle sections and socket
-// frames alike — and reports truncation as Status instead of reading past
-// the end. The `context` string names the payload in error messages
+// borrowed string_view — zero-copy over bundle sections and socket frames
+// alike — and reports truncation as Status instead of reading past the
+// end. The `context` string names the payload in error messages
 // ("bundle section payload truncated", "serve frame truncated", ...).
 
 #include <cstdint>

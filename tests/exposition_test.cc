@@ -142,9 +142,10 @@ TEST(ExpositionTest, SnapshotLinesParseBackWithRoundAndDigests) {
   EXPECT_EQ(second->Find("round"), nullptr);
 }
 
-// End-to-end: FedAvg's round_observer feeds the writer one line per
-// round, and the written time series matches the RoundTelemetry that
-// lands in FedAvgStats — the --metrics-out contract.
+// End-to-end: FedAvg's model_observer feeds the writer one line per
+// round (round 0, the initial model, writes none), and the written time
+// series matches the RoundTelemetry that lands in FedAvgStats — the
+// --metrics-out contract. The name predates the retired round_observer.
 TEST(ExpositionTest, FedAvgRoundObserverProducesOneLinePerRound) {
   const std::string path = TempPath("exposition_fedavg.jsonl");
   MetricsSnapshotWriter writer(path);
@@ -160,10 +161,12 @@ TEST(ExpositionTest, FedAvgRoundObserverProducesOneLinePerRound) {
   config.local_epochs = 1;
   config.local.epochs = 1;
   config.num_threads = 1;
-  config.round_observer =
-      [&writer](const telemetry::RoundTelemetry& round) {
-        EXPECT_TRUE(writer.WriteRound(round).ok());
-      };
+  config.model_observer = [&writer](int round, const LogicalNet&,
+                                    const telemetry::RoundTelemetry& rt) {
+    if (round > 0) {
+      EXPECT_TRUE(writer.WriteRound(rt).ok());
+    }
+  };
 
   LogicalNetConfig net_config;
   net_config.logic_layers = {{8, 8}};

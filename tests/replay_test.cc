@@ -315,6 +315,30 @@ TEST(ReplayRunnerTest, KernelFlipAndThreadsAreBitIdentical) {
   EXPECT_TRUE(thread_match.ok()) << thread_match;
 }
 
+// An isa cell forces the process-wide tier, which the grafted training
+// step reads, for its run only: forced to scalar from the best tier, the
+// run is built at the scalar tier, reproduces the base outcome, and
+// leaves the process tier as it found it.
+TEST(ReplayRunnerTest, IsaOverrideForcesTheProcessTierForItsRunOnly) {
+  const TraceIsa entry = CurrentTraceIsa();
+  const TraceIsa best = BestAvailableTraceIsa();
+  ASSERT_TRUE(SetTraceIsa(best).ok());
+  const RunSpec spec = SmallSpec();
+  Result<RunArtifacts> base = ExecuteRunSpec(spec);
+  ASSERT_TRUE(base.ok()) << base.status();
+  EXPECT_EQ(base->config.tracer.isa, best);
+
+  RunOverrides scalar;
+  scalar.trace_isa = static_cast<int>(TraceIsa::kScalar);
+  Result<RunArtifacts> forced = ExecuteRunSpec(spec, scalar);
+  ASSERT_TRUE(forced.ok()) << forced.status();
+  EXPECT_EQ(forced->config.tracer.isa, TraceIsa::kScalar);
+  EXPECT_EQ(CurrentTraceIsa(), best);
+  const Status match = CompareOutcomes(base->outcome, forced->outcome);
+  EXPECT_TRUE(match.ok()) << match;
+  ASSERT_TRUE(SetTraceIsa(entry).ok());
+}
+
 TEST(ReplayRunnerTest, CompareOutcomesNamesTheDivergentField) {
   RunOutcome want;
   want.run_fingerprint = 1;

@@ -2,6 +2,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -154,6 +157,66 @@ TEST(SerializeTest, LoadRejectsGarbage) {
   EXPECT_FALSE(LoadLogicalNet(MakeSchema(), path).ok());
   std::remove(path.c_str());
   EXPECT_FALSE(LoadLogicalNet(MakeSchema(), TempPath("missing.txt")).ok());
+}
+
+// Model texts whose shape no LogicalNet can take are InvalidArgument, not
+// an abort in a layer constructor or an allocation the file does not pay
+// for. Each case replaces whole lines of a saved model, keyed by their
+// first word.
+void ExpectEditedModelRejected(
+    const std::vector<std::pair<std::string, std::string>>& edits,
+    const std::string& what) {
+  const SchemaPtr schema = MakeSchema();
+  LogicalNetConfig config;
+  config.tau_d = 4;
+  config.logic_layers = {{4, 4}};
+  const std::string path = TempPath("model_edited.txt");
+  ASSERT_TRUE(SaveLogicalNet(LogicalNet(schema, config), path).ok());
+  std::string contents;
+  {
+    std::ifstream in(path);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    contents = buffer.str();
+  }
+  for (const auto& [key, line] : edits) {
+    const size_t begin = contents.find("\n" + key + " ");
+    ASSERT_NE(begin, std::string::npos) << key;
+    const size_t end = contents.find('\n', begin + 1);
+    contents.replace(begin + 1, end - begin - 1, line);
+  }
+  {
+    std::ofstream out(path);
+    out << contents;
+  }
+  const Result<LogicalNet> loaded = LoadLogicalNet(schema, path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find(what), std::string::npos)
+      << loaded.status();
+  std::remove(path.c_str());
+}
+
+TEST(SerializeTest, ZeroWidthLayerIsInvalidArgument) {
+  ExpectEditedModelRejected({{"layers", "layers 1 0 0"}}, "layer widths");
+}
+
+TEST(SerializeTest, ZeroTauDIsInvalidArgument) {
+  ExpectEditedModelRejected({{"tau_d", "tau_d 0"}}, "tau_d");
+}
+
+TEST(SerializeTest, LayerCountBeyondFileSizeIsInvalidArgument) {
+  ExpectEditedModelRejected({{"layers", "layers 99999999999"}},
+                            "malformed value");
+}
+
+// A shape and a count that agree but that the file cannot hold: 10
+// encoded inputs (x: tau_d = 4 bounds each way, c: 2 categories), one
+// layer of 2e9 nodes, 2e9 + 10 rules, so 2e10 + 2 (2e9 + 10) + 2 params.
+TEST(SerializeTest, ParamCountBeyondFileSizeIsInvalidArgument) {
+  ExpectEditedModelRejected({{"layers", "layers 1 1000000000 1000000000"},
+                             {"params", "params 24000000022"}},
+                            "params count exceeds the file");
 }
 
 TEST(SerializeTest, ExportRulesTextIsReadable) {

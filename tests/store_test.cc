@@ -174,59 +174,45 @@ TEST(BundleContainerTest, RejectsCorruptionTruncationAndBadMagic) {
   EXPECT_FALSE(BundleReader::Open(TempPath("missing.ctflb")).ok());
 }
 
+// The single read path: Open (one sized read of the file) and Parse of the
+// same bytes see byte-identical sections. The names of this case and the
+// next two predate the retired mmap open mode.
 TEST(BundleContainerTest, MmapAndStreamOpensAreByteIdentical) {
   BundleWriter writer;
   const std::string binary("\x00\x01\xff\x7f payload\n\x00", 12);
   writer.AddSection("alpha", binary);
   writer.AddSection("beta", "");
   writer.AddSection("gamma", std::string(100000, 'x'));
-  const std::string path = TempPath("container_mmap.ctflb");
+  const std::string path = TempPath("container_open_parse.ctflb");
   ASSERT_TRUE(writer.Write(path).ok());
 
-  const Result<BundleReader> stream =
-      BundleReader::Open(path, BundleReader::OpenMode::kStream);
-  ASSERT_TRUE(stream.ok()) << stream.status();
-  EXPECT_FALSE(stream->mapped());
-
-  const Result<BundleReader> automatic = BundleReader::Open(path);
-  ASSERT_TRUE(automatic.ok()) << automatic.status();
-  EXPECT_EQ(automatic->mapped(), BundleReader::MmapSupported());
-
-  if (BundleReader::MmapSupported()) {
-    const Result<BundleReader> mapped =
-        BundleReader::Open(path, BundleReader::OpenMode::kMmap);
-    ASSERT_TRUE(mapped.ok()) << mapped.status();
-    EXPECT_TRUE(mapped->mapped());
-    EXPECT_EQ(mapped->file_bytes(), stream->file_bytes());
-    EXPECT_EQ(mapped->section_names(), stream->section_names());
-    for (const std::string& name : stream->section_names()) {
-      // Copying Section() and zero-copy SectionView() agree across modes.
-      EXPECT_EQ(mapped->Section(name).value(), stream->Section(name).value());
-      EXPECT_EQ(mapped->SectionView(name).value(),
-                stream->SectionView(name).value());
-    }
-  } else {
-    EXPECT_FALSE(
-        BundleReader::Open(path, BundleReader::OpenMode::kMmap).ok());
+  const Result<BundleReader> opened = BundleReader::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  const Result<BundleReader> parsed = BundleReader::Parse(ReadFile(path), path);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(opened->file_bytes(), writer.TotalBytes());
+  EXPECT_EQ(opened->file_bytes(), parsed->file_bytes());
+  EXPECT_EQ(opened->section_names(), parsed->section_names());
+  for (const std::string& name : parsed->section_names()) {
+    // Copying Section() and zero-copy SectionView() agree across paths.
+    EXPECT_EQ(opened->Section(name).value(), parsed->Section(name).value());
+    EXPECT_EQ(opened->SectionView(name).value(),
+              parsed->SectionView(name).value());
   }
   std::remove(path.c_str());
 }
 
 TEST(BundleContainerTest, MmapViewsSurviveReaderCopies) {
-  if (!BundleReader::MmapSupported()) {
-    GTEST_SKIP() << "mmap not compiled in";
-  }
   BundleWriter writer;
   writer.AddSection("alpha", std::string(4096, 'a'));
-  const std::string path = TempPath("container_mmap_views.ctflb");
+  const std::string path = TempPath("container_views.ctflb");
   ASSERT_TRUE(writer.Write(path).ok());
 
   std::string_view view;
   BundleReader copy = [&] {
-    const BundleReader original =
-        BundleReader::Open(path, BundleReader::OpenMode::kMmap).value();
+    const BundleReader original = BundleReader::Open(path).value();
     view = original.SectionView("alpha").value();
-    return original;  // the copy shares ownership of the mapped region
+    return original;  // the copy shares ownership of the file bytes
   }();
   // The original reader is gone; the view must still be backed.
   EXPECT_EQ(view, std::string(4096, 'a'));
@@ -235,22 +221,31 @@ TEST(BundleContainerTest, MmapViewsSurviveReaderCopies) {
 }
 
 TEST(BundleContainerTest, MmapOpenValidatesCrcLikeStream) {
-  if (!BundleReader::MmapSupported()) {
-    GTEST_SKIP() << "mmap not compiled in";
-  }
   BundleWriter writer;
   writer.AddSection("alpha", std::string(512, 'a'));
-  const std::string path = TempPath("container_mmap_crc.ctflb");
+  const std::string path = TempPath("container_crc.ctflb");
   ASSERT_TRUE(writer.Write(path).ok());
   std::string corrupt = ReadFile(path);
   corrupt[corrupt.size() - 10] ^= 0x40;
   WriteFile(path, corrupt);
-  const Result<BundleReader> reader =
-      BundleReader::Open(path, BundleReader::OpenMode::kMmap);
+  const Result<BundleReader> reader = BundleReader::Open(path);
   ASSERT_FALSE(reader.ok());
   EXPECT_NE(reader.status().message().find("CRC"), std::string::npos)
       << reader.status();
   std::remove(path.c_str());
+}
+
+// A section count no file could hold is rejected before the table is
+// sized (a 16-byte file once asked for 0xffffffff entries).
+TEST(BundleContainerTest, InflatedSectionCountIsInvalidArgument) {
+  std::string bytes = "CTFLBNDL";
+  bytes += std::string("\x01\x00\x00\x00\xff\xff\xff\xff", 8);
+  const Result<BundleReader> reader = BundleReader::Parse(bytes, "inflated");
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(reader.status().message().find("section table entry"),
+            std::string::npos)
+      << reader.status();
 }
 
 // ---------------------------------------------------------------------------
@@ -290,10 +285,10 @@ void PutU32(std::string* bytes, size_t at, uint32_t v) {
 }
 
 /// Writes the fixture's bundle, rewrites it with the u32 at `at` of
-/// section `section` set to 0xffffffff, and expects ReadBundle to return
-/// InvalidArgument naming `count`.
-void ExpectInflatedCountRejected(const std::string& section, size_t at,
-                                 const std::string& count) {
+/// section `section` set to `value`, and expects ReadBundle to return
+/// InvalidArgument naming `what`.
+void ExpectU32EditRejected(const std::string& section, size_t at,
+                           uint32_t value, const std::string& what) {
   const Fixture fx = MakeFixture();
   const std::string path = TempPath("inflate_" + section + "_src.ctflb");
   ASSERT_TRUE(WriteBundle(BuildBundleContent(fx.report.model, fx.fed,
@@ -304,13 +299,49 @@ void ExpectInflatedCountRejected(const std::string& section, size_t at,
                   .ok());
   const std::string out = TempPath("inflate_" + section + ".ctflb");
   RewriteBundle(path, out, [&](const std::string& name, std::string* bytes) {
-    if (name == section) PutU32(bytes, at, 0xffffffffu);
+    if (name == section) PutU32(bytes, at, value);
   });
   const Result<BundleContent> read = ReadBundle(out);
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(read.status().message().find(count), std::string::npos)
+  EXPECT_NE(read.status().message().find(what), std::string::npos)
       << read.status();
+  EXPECT_EQ(QueryEngine::Open(out).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// Model payload: u32 tau_d, u32 fan_in, u8 input_skip, u64 seed, f64 init
+// scale, u32 layer count, then (u32 conjunctions, u32 disjunctions) per
+// layer. Each shape below once aborted a layer constructor or ended in
+// std::bad_alloc; ReadBundle (and so QueryEngine::Open, behind `ctfl
+// query` and ctfl_serve) now rejects it before building anything.
+constexpr size_t kModelTauD = 0;
+constexpr size_t kModelFirstConjunctions = 4 + 4 + 1 + 8 + 8 + 4;
+
+TEST(BundleTypedTest, ZeroTauDIsInvalidArgument) {
+  ExpectU32EditRejected("model", kModelTauD, 0, "tau_d");
+}
+
+TEST(BundleTypedTest, HugeTauDIsInvalidArgument) {
+  ExpectU32EditRejected("model", kModelTauD, 1u << 30, "inputs");
+}
+
+TEST(BundleTypedTest, UnsignedMaxConjunctionWidthIsInvalidArgument) {
+  ExpectU32EditRejected("model", kModelFirstConjunctions, 0xffffffffu,
+                        "layer widths");
+}
+
+// RestoreModel checks the content it is given, decoded or not.
+TEST(BundleTypedTest, RestoreModelRejectsBadShape) {
+  const Fixture fx = MakeFixture();
+  BundleContent content = BuildBundleContent(fx.report.model, fx.fed,
+                                             fx.test, fx.activations,
+                                             fx.options)
+                              .value();
+  content.net_config.logic_layers = {{0, 0}};
+  const Result<LogicalNet> restored = RestoreModel(content);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(BundleTypedTest, SnapshotRoundTripIsBitExact) {
@@ -385,41 +416,25 @@ TEST(BundleTypedTest, SnapshotRoundTripIsBitExact) {
   std::remove(path.c_str());
 }
 
+// ReadBundle decodes the written content bit for bit: re-encoding it
+// reproduces the file byte for byte. The name predates the retired open
+// modes.
 TEST(BundleTypedTest, ReadBundleModesDecodeBitIdentically) {
   const Fixture fx = MakeFixture();
   const Result<BundleContent> built = BuildBundleContent(
       fx.report.model, fx.fed, fx.test, fx.activations, fx.options);
   ASSERT_TRUE(built.ok()) << built.status();
-  const std::string path = TempPath("typed_modes.ctflb");
+  const std::string path = TempPath("typed_reread.ctflb");
   ASSERT_TRUE(WriteBundle(*built, path).ok());
 
-  const Result<BundleContent> stream =
-      ReadBundle(path, BundleReader::OpenMode::kStream);
-  ASSERT_TRUE(stream.ok()) << stream.status();
-  const Result<BundleContent> automatic = ReadBundle(path);
-  ASSERT_TRUE(automatic.ok()) << automatic.status();
-
-  // Re-encoding both decoded contents must produce the same file bytes:
-  // the read mode can never leak into the decoded structures.
-  const std::string restream = TempPath("typed_modes_restream.ctflb");
-  ASSERT_TRUE(WriteBundle(*stream, restream).ok());
-  const std::string reauto = TempPath("typed_modes_reauto.ctflb");
-  ASSERT_TRUE(WriteBundle(*automatic, reauto).ok());
-  EXPECT_EQ(ReadFile(restream), ReadFile(path));
-  EXPECT_EQ(ReadFile(reauto), ReadFile(path));
-
-  if (BundleReader::MmapSupported()) {
-    const Result<BundleContent> mapped =
-        ReadBundle(path, BundleReader::OpenMode::kMmap);
-    ASSERT_TRUE(mapped.ok()) << mapped.status();
-    const std::string remap = TempPath("typed_modes_remap.ctflb");
-    ASSERT_TRUE(WriteBundle(*mapped, remap).ok());
-    EXPECT_EQ(ReadFile(remap), ReadFile(path));
-    std::remove(remap.c_str());
-  }
+  const Result<BundleContent> read = ReadBundle(path);
+  ASSERT_TRUE(read.ok()) << read.status();
+  const std::string rewritten = TempPath("typed_reread_rewritten.ctflb");
+  ASSERT_TRUE(WriteBundle(*read, rewritten).ok());
+  EXPECT_EQ(ReadFile(rewritten), ReadFile(path));
+  EXPECT_EQ(read->params, built->params);
   std::remove(path.c_str());
-  std::remove(restream.c_str());
-  std::remove(reauto.c_str());
+  std::remove(rewritten.c_str());
 }
 
 TEST(BundleTypedTest, FailurePlanFingerprintRoundTrips) {
@@ -590,19 +605,19 @@ TEST(BundleTypedTest, InflatedTrainRecordCountIsRejected) {
 
 TEST(BundleTypedTest, InflatedRuleCountIsRejected) {
   // Rules payload: f64 bias, then the u32 rule count.
-  ExpectInflatedCountRejected("rules", 8, "rule count");
+  ExpectU32EditRejected("rules", 8, 0xffffffffu, "rule count");
 }
 
 TEST(BundleTypedTest, InflatedMetaScoreCountIsRejected) {
   // Meta payload: u32 participants, u32 rules, u64 tests, f64 tau_w,
   // u32 delta, four f64s and the u64 schema fingerprint, then the u32
   // micro-score count.
-  ExpectInflatedCountRejected("meta", 68, "micro-score count");
+  ExpectU32EditRejected("meta", 68, 0xffffffffu, "micro-score count");
 }
 
 TEST(BundleTypedTest, InflatedSchemaFeatureCountIsRejected) {
   // Schema payload: the u32 feature count first.
-  ExpectInflatedCountRejected("schema", 0, "feature count");
+  ExpectU32EditRejected("schema", 0, 0xffffffffu, "feature count");
 }
 
 TEST(BundleTypedTest, InflatedTestCountIsRejected) {

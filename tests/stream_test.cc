@@ -476,6 +476,63 @@ TEST(StreamDeltaLogTest, InflatedSchemaInHeaderIsRejected) {
       << parsed.status();
 }
 
+// A CRC-valid header whose model says tau_d = 0 is InvalidArgument from
+// the reader (it once aborted in the encoder's constructor), and from
+// FromHeader for a header that never went through it; the same log with
+// the original value restored parses, folds and verifies against the
+// bundle.
+TEST(StreamDeltaLogTest, ZeroTauDInHeaderModelIsRejected) {
+  const StreamFixture& fx = Fx();
+  const std::string original = ReadFile(fx.log_path);
+  const std::string header = EncodeHeader(fx.log.header);
+  // Preamble (12 bytes), then the header record: kind | len | payload | crc.
+  ASSERT_EQ(original.substr(12 + 8, header.size()), header);
+  const std::string rounds = original.substr(12 + 8 + header.size() + 4);
+  const size_t at = header.find(store::EncodeModelPayload(
+      fx.log.header.net_config, fx.log.header.params));
+  ASSERT_NE(at, std::string::npos);
+  const auto le32 = [](uint32_t v) {
+    std::string out(4, '\0');
+    for (int i = 0; i < 4; ++i) {
+      out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    }
+    return out;
+  };
+  // The model payload's first field is tau_d.
+  const auto log_with_tau_d = [&](uint32_t tau_d) {
+    const std::string edited =
+        header.substr(0, at) + le32(tau_d) + header.substr(at + 4);
+    return original.substr(0, 12) + le32(1) +
+           le32(static_cast<uint32_t>(edited.size())) + edited +
+           le32(store::Crc32(edited.data(), edited.size())) + rounds;
+  };
+
+  const Result<DeltaLogContents> bad =
+      ParseDeltaLog(log_with_tau_d(0), "tau_d 0");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad.status().message().find("tau_d"), std::string::npos)
+      << bad.status();
+  DeltaHeader zero = fx.log.header;
+  zero.net_config.tau_d = 0;
+  EXPECT_EQ(StreamingScorer::FromHeader(std::move(zero)).status().code(),
+            StatusCode::kInvalidArgument);
+
+  const std::string restored = log_with_tau_d(
+      static_cast<uint32_t>(fx.log.header.net_config.tau_d));
+  EXPECT_EQ(restored, original);
+  const std::string path = TempPath("stream_restored.ctfld");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(restored.data(), static_cast<std::streamsize>(restored.size()));
+  }
+  Result<AttachedDeltaLog> attached =
+      AttachedDeltaLog::Attach(BundleMetaAt(fx.bundle_path), path);
+  ASSERT_TRUE(attached.ok()) << attached.status();
+  EXPECT_EQ(attached->rounds_folded(), fx.log.rounds.size());
+  EXPECT_TRUE(attached->Verify().ok()) << attached->Verify();
+}
+
 // A round record's four u64 counts size vectors; the record CRC covers
 // only the payload, so any writer can claim 2^50 elements with a valid
 // CRC. Each count is bounded by the bytes that follow it.

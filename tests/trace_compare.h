@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ctfl/core/allocation.h"
 #include "ctfl/core/tracer.h"
 #include "ctfl/nn/matrix.h"
 
@@ -80,6 +81,39 @@ inline void ExpectTracesIdentical(const TraceResult& base,
     EXPECT_EQ(base.records_scanned, other.records_scanned);
     EXPECT_EQ(base.blocks_pruned, other.blocks_pruned);
     EXPECT_EQ(base.exact_fallbacks, other.exact_fallbacks);
+  }
+}
+
+/// A deduplicating trace against one that gave every test a key of its
+/// own (oracle::Trace without dedup). Keying moves only the per-key
+/// counters (num_keys, tau_w_checks, related_records) and, by folding a
+/// key's members into one term, the last bits of the §IV-B sums, which
+/// are held to 1e-6. Every other field, and the micro and macro scores,
+/// agree bit for bit.
+inline void ExpectTracesEquivalentUpToKeying(const TraceResult& per_test,
+                                             const TraceResult& keyed) {
+  EXPECT_LE(keyed.num_keys, per_test.num_keys);
+  const std::vector<double> beneficial = Cells(per_test.beneficial_rule_freq);
+  const std::vector<double> harmful = Cells(per_test.harmful_rule_freq);
+  ASSERT_EQ(beneficial.size(), keyed.beneficial_rule_freq.size());
+  ASSERT_EQ(harmful.size(), keyed.harmful_rule_freq.size());
+  for (size_t i = 0; i < beneficial.size(); ++i) {
+    EXPECT_NEAR(keyed.beneficial_rule_freq.data()[i], beneficial[i], 1e-6);
+    EXPECT_NEAR(keyed.harmful_rule_freq.data()[i], harmful[i], 1e-6);
+  }
+  TraceResult same = per_test;
+  same.beneficial_rule_freq = keyed.beneficial_rule_freq;
+  same.harmful_rule_freq = keyed.harmful_rule_freq;
+  same.num_keys = keyed.num_keys;
+  same.tau_w_checks = keyed.tau_w_checks;
+  same.related_records = keyed.related_records;
+  ExpectTracesIdentical(same, keyed, /*with_kernel_work=*/false);
+  EXPECT_TRUE(BitIdentical(MicroAllocation(per_test), MicroAllocation(keyed)))
+      << "micro";
+  for (int delta : {1, 2, 3}) {
+    EXPECT_TRUE(BitIdentical(MacroAllocation(per_test, delta),
+                             MacroAllocation(keyed, delta)))
+        << "macro, delta " << delta;
   }
 }
 

@@ -129,12 +129,16 @@ inline TraceLookup Lookup(const LogicalNet& net,
   return lookup;
 }
 
-/// A whole tracing pass over `forwards`, by brute force.
+/// A whole tracing pass over `forwards`, by brute force. With `dedup`
+/// (what the tracer does) the tests of one (class, support) share a key;
+/// without it every test is a key of its own, which leaves every per-test
+/// field as it is and moves only the per-key counters and the last bits
+/// of the §IV-B sums.
 inline TraceResult Trace(const LogicalNet& net,
                          const std::vector<std::vector<uint8_t>>& labels,
                          const std::vector<std::vector<Bitset>>& uploads,
                          const std::vector<TestForward>& forwards,
-                         const TracerConfig& config) {
+                         const TracerConfig& config, bool dedup = true) {
   const int n = static_cast<int>(uploads.size());
   const int num_rules = net.num_rules();
   TraceResult result;
@@ -169,7 +173,7 @@ inline TraceResult Trace(const LogicalNet& net,
     result.tests[t].correct = correct;
     result.tests[t].support_size = static_cast<int>(supp.size());
     size_t k = keys.size();
-    if (config.use_dedup) {
+    if (dedup) {
       for (size_t i = 0; i < keys.size(); ++i) {
         if (keys[i].c == c && keys[i].supp == supp) k = i;
       }

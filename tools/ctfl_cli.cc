@@ -246,15 +246,18 @@ Status RunScore(int argc, const char* const* argv, bool snapshot_mode) {
 
   // --metrics-out: one metrics snapshot per completed federated round
   // (plus a closing "final" line after the run), so round health is a
-  // time series rather than an end-of-run total.
+  // time series rather than an end-of-run total. Installed before the
+  // delta-log emitter chains onto the same hook, so it runs first.
   std::unique_ptr<telemetry::MetricsSnapshotWriter> metrics_writer;
   if (!metrics_out.empty()) {
     metrics_writer =
         std::make_unique<telemetry::MetricsSnapshotWriter>(metrics_out);
     CTFL_RETURN_IF_ERROR(metrics_writer->status());
-    config.fedavg.round_observer =
-        [&metrics_writer](const telemetry::RoundTelemetry& round) {
-          const Status status = metrics_writer->WriteRound(round);
+    config.fedavg.model_observer =
+        [&metrics_writer](int round, const LogicalNet&,
+                          const telemetry::RoundTelemetry& rt) {
+          if (round == 0) return;  // the baseline, before any round
+          const Status status = metrics_writer->WriteRound(rt);
           if (!status.ok()) {
             CTFL_LOG(Warning)
                 << "metrics snapshot failed: " << status.message();

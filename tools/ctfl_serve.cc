@@ -1,14 +1,13 @@
 // ctfl_serve — resident contribution-query server (DESIGN.md §13).
 //
-// Loads one contribution bundle into an immutable QueryEngine (memory-
-// mapped by default) and answers RELATED / RELATED_FOR_TEST / EVALUATE /
-// STATS / SHUTDOWN requests over the length-prefixed wire protocol, on a
-// unix-domain socket (--socket) or a TCP loopback port (--port). Served
-// responses are byte-identical to one-shot `ctfl query` output over the
-// same bundle.
+// Loads one contribution bundle into an immutable QueryEngine and answers
+// RELATED / RELATED_FOR_TEST / EVALUATE / STATS / SHUTDOWN requests over
+// the length-prefixed wire protocol, on a unix-domain socket (--socket) or
+// a TCP loopback port (--port). Served responses are byte-identical to
+// one-shot `ctfl query` output over the same bundle.
 //
 //   ctfl_serve --bundle FILE (--socket PATH | --port N)
-//              [--num-threads T] [--lru-capacity N] [--open-mode auto|mmap|stream]
+//              [--num-threads T] [--lru-capacity N]
 //              [--trace-isa auto|scalar|avx2|avx512|neon] [--trace-threads N]
 //              [--delta-log FILE] [--delta-poll-ms MS]
 //              [--idle-timeout-ms MS]
@@ -64,20 +63,12 @@ volatile std::sig_atomic_t g_signal_received = 0;
 
 void HandleSignal(int) { g_signal_received = 1; }
 
-Result<store::BundleReader::OpenMode> ParseOpenMode(const std::string& mode) {
-  if (mode == "auto") return store::BundleReader::OpenMode::kAuto;
-  if (mode == "mmap") return store::BundleReader::OpenMode::kMmap;
-  if (mode == "stream") return store::BundleReader::OpenMode::kStream;
-  return Status::InvalidArgument("--open-mode must be auto, mmap, or stream");
-}
-
 Status Run(int argc, const char* const* argv) {
   FlagParser flags({{"bundle", ""},
                     {"socket", ""},
                     {"port", "-1"},
                     {"num-threads", "0"},
                     {"lru-capacity", "256"},
-                    {"open-mode", "auto"},
                     {"trace-isa", "auto"},
                     {"trace-threads", "1"},
                     {"delta-log", ""},
@@ -102,14 +93,12 @@ Status Run(int argc, const char* const* argv) {
   if (lru_capacity < 0) {
     return Status::InvalidArgument("--lru-capacity must be >= 0");
   }
-  CTFL_ASSIGN_OR_RETURN(store::BundleReader::OpenMode open_mode,
-                        ParseOpenMode(flags.GetString("open-mode")));
   CTFL_RETURN_IF_ERROR(ApplyTraceIsaFlag(flags.GetString("trace-isa")));
   CTFL_ASSIGN_OR_RETURN(int trace_threads, flags.GetInt("trace-threads"));
 
   const std::string bundle_path = flags.GetString("bundle");
   CTFL_ASSIGN_OR_RETURN(store::BundleContent content,
-                        store::ReadBundle(bundle_path, open_mode));
+                        store::ReadBundle(bundle_path));
   serve::ServiceConfig service_config;
   service_config.lru_capacity = static_cast<size_t>(lru_capacity);
   service_config.trace_threads = trace_threads;
