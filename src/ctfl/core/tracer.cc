@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 #include <unordered_map>
 
 #include "ctfl/fl/privacy.h"
@@ -67,22 +68,29 @@ std::vector<std::vector<Bitset>> ContributionTracer::ComputeUploadActivations(
   // dp_epsilon > 0 each participant perturbs its upload with randomized
   // response before it leaves the client. Each participant's DP stream is
   // seeded dp_seed + p and consumed in record order, so any caller running
-  // this against the same model reproduces the uploads bit-for-bit.
-  // The forward pass itself runs in 64-record blocks (InferDataset);
-  // the randomized response then walks the records in order.
+  // this against the same model reproduces the uploads bit-for-bit, at any
+  // thread count. The forward pass itself runs in 64-record blocks
+  // (InferDataset); the randomized response then walks the records in
+  // order. Participants fan out over the compute pool, largest first so
+  // the longest upload starts early; each counts its own correct
+  // predictions, summed (integers) afterwards.
   std::vector<std::vector<Bitset>> uploads(federation.size());
-  std::vector<uint8_t> predicted;
-  size_t records = 0;
-  size_t correct = 0;
-  for (size_t p = 0; p < federation.size(); ++p) {
+  std::vector<size_t> correct(federation.size(), 0);
+  std::vector<size_t> order(federation.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return federation[a].data.size() > federation[b].data.size();
+  });
+  ParallelFor(config.num_threads, 0, order.size(), [&](size_t k) {
+    const size_t p = order[k];
     const Dataset& data = federation[p].data;
+    std::vector<uint8_t> predicted;
     net.InferDataset(data, train_accuracy != nullptr ? &predicted : nullptr,
                      &uploads[p]);
     if (train_accuracy != nullptr) {
       for (size_t i = 0; i < data.size(); ++i) {
-        if (predicted[i] == data.instance(i).label) ++correct;
+        if (predicted[i] == data.instance(i).label) ++correct[p];
       }
-      records += data.size();
     }
     if (config.dp_epsilon > 0.0) {
       Rng dp_rng(config.dp_seed + p);
@@ -90,10 +98,16 @@ std::vector<std::vector<Bitset>> ContributionTracer::ComputeUploadActivations(
         activation = RandomizedResponse(activation, config.dp_epsilon, dp_rng);
       }
     }
-  }
+  });
   if (train_accuracy != nullptr) {
+    size_t records = 0;
+    size_t total = 0;
+    for (size_t p = 0; p < federation.size(); ++p) {
+      records += federation[p].data.size();
+      total += correct[p];
+    }
     *train_accuracy =
-        records > 0 ? static_cast<double>(correct) / records : 0.0;
+        records > 0 ? static_cast<double>(total) / records : 0.0;
   }
   return uploads;
 }

@@ -22,10 +22,11 @@ struct TracerConfig {
   /// kernel the prefilter cost more than it saved (EXPERIMENTS.md). Kept
   /// for the benchmark's `mining.group` probe.
   GroupingConfig grouping;
-  /// Thread budget of the tracing pass, the caller included (0 = hardware
-  /// concurrency, 1 = serial). Keys are matched in any order and the §IV-B
-  /// sums folded in key order, so every output is bit-identical at any
-  /// value.
+  /// Thread budget of the upload and tracing passes, the caller included
+  /// (0 = hardware concurrency, 1 = serial). Participants upload in any
+  /// order, each from its own DP stream; keys are matched in any order and
+  /// the §IV-B sums folded in key order, so every output is bit-identical
+  /// at any value.
   int num_threads = 0;
   /// Rules whose vote weight is below this are ignored during tracing
   /// (they carry no classification signal, only noise).
@@ -179,7 +180,9 @@ class ContributionTracer {
   /// delta-log emitter so per-round uploads bit-match a tracer built on
   /// the same model. When `train_accuracy` is non-null it receives the
   /// deployed model's accuracy over every participant's records, from
-  /// the predictions of the same forward pass.
+  /// the predictions of the same forward pass. Participants run on the
+  /// compute pool under `config.num_threads`, with the same bits at any
+  /// thread count.
   static std::vector<std::vector<Bitset>> ComputeUploadActivations(
       const LogicalNet& net, const Federation& federation,
       const TracerConfig& config, double* train_accuracy = nullptr);

@@ -59,23 +59,31 @@ BinarizationLayer::BinarizationLayer(SchemaPtr schema, int tau_d, Rng& rng)
   }
 }
 
+bool BinarizationLayer::Holds(int j, const Instance& instance) const {
+  const EncodedPredicate& p = predicates_[j];
+  const double v = instance.values[p.feature];
+  switch (p.kind) {
+    case EncodedPredicate::Kind::kGreater:
+      return v > p.threshold;
+    case EncodedPredicate::Kind::kLess:
+      return v < p.threshold;
+    case EncodedPredicate::Kind::kEquals:
+      return static_cast<int>(v) == p.category;
+  }
+  return false;
+}
+
 void BinarizationLayer::Encode(const Instance& instance, double* out) const {
   for (size_t j = 0; j < predicates_.size(); ++j) {
-    const EncodedPredicate& p = predicates_[j];
-    const double v = instance.values[p.feature];
-    bool bit = false;
-    switch (p.kind) {
-      case EncodedPredicate::Kind::kGreater:
-        bit = v > p.threshold;
-        break;
-      case EncodedPredicate::Kind::kLess:
-        bit = v < p.threshold;
-        break;
-      case EncodedPredicate::Kind::kEquals:
-        bit = static_cast<int>(v) == p.category;
-        break;
-    }
-    out[j] = bit ? 1.0 : 0.0;
+    out[j] = Holds(static_cast<int>(j), instance) ? 1.0 : 0.0;
+  }
+}
+
+void BinarizationLayer::EncodePacked(const Instance& instance, size_t r,
+                                     uint64_t* words) const {
+  const uint64_t bit = uint64_t{1} << r;
+  for (size_t j = 0; j < predicates_.size(); ++j) {
+    if (Holds(static_cast<int>(j), instance)) words[j] |= bit;
   }
 }
 

@@ -1,6 +1,7 @@
 #ifndef CTFL_NN_BINARIZATION_LAYER_H_
 #define CTFL_NN_BINARIZATION_LAYER_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,11 @@ class BinarizationLayer {
   /// Encodes one instance into `out` (length encoded_size(), values 0/1).
   void Encode(const Instance& instance, double* out) const;
 
+  /// Encode's 1.0s as bit r of `words` (encoded_size() words, cleared by
+  /// the caller): the input-major packing of the discrete pass.
+  void EncodePacked(const Instance& instance, size_t r,
+                    uint64_t* words) const;
+
   /// Encodes a whole dataset into a (n x encoded_size) matrix.
   Matrix EncodeBatch(const Dataset& dataset,
                      const std::vector<size_t>& indices) const;
@@ -52,6 +58,9 @@ class BinarizationLayer {
   const EncodedPredicate& predicate(int j) const { return predicates_[j]; }
 
  private:
+  /// Whether `instance` satisfies predicate j.
+  bool Holds(int j, const Instance& instance) const;
+
   SchemaPtr schema_;
   int tau_d_;
   std::vector<EncodedPredicate> predicates_;

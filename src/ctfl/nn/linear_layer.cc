@@ -1,5 +1,10 @@
 #include "ctfl/nn/linear_layer.h"
 
+#include <algorithm>
+#include <cmath>
+
+#include "ctfl/nn/logic_kernel.h"
+#include "ctfl/util/cpu_features.h"
 #include "ctfl/util/logging.h"
 
 namespace ctfl {
@@ -28,14 +33,70 @@ Matrix LinearLayer::Forward(const Matrix& x) const {
   return logits;
 }
 
-Matrix LinearLayer::Backward(const Matrix& x, const Matrix& dlogits) {
-  CTFL_CHECK(x.rows() == dlogits.rows());
-  // dW = dlogits^T * x ; db = column sums of dlogits ; dx = dlogits * W.
-  weight_grads_.Axpy(1.0, dlogits.TransposedMatMul(x));
-  for (size_t r = 0; r < dlogits.rows(); ++r) {
+bool LinearLayer::WeightsFinite() const {
+  return std::all_of(weights_.data(), weights_.data() + weights_.size(),
+                     [](double w) { return std::isfinite(w); });
+}
+
+void LinearLayer::ForwardPacked(const uint64_t* words, size_t n,
+                                Matrix* logits, size_t dst) const {
+  CTFL_CHECK(n <= 64 && dst + n <= logits->rows() &&
+             static_cast<int>(logits->cols()) == out_dim_);
+  const logic_kernel::Units& units = logic_kernel::UnitsFor(CurrentTraceIsa());
+  double sums[64];
+  for (int c = 0; c < out_dim_; ++c) {
+    units.vote(words, weights_.row(c), in_dim_, sums);
+    for (size_t r = 0; r < n; ++r) {
+      (*logits)(dst + r, c) = sums[r] + bias_(0, c);
+    }
+  }
+}
+
+void LinearLayer::BackwardParams(const std::vector<Columns>& x,
+                                 const Matrix& dlogits) {
+  const size_t batch = dlogits.rows();
+  size_t covered = 0;
+  for (const Columns& block : x) {
+    CTFL_CHECK(block.x->rows() == batch &&
+               block.offset + block.x->cols() <= static_cast<size_t>(in_dim_));
+    covered += block.x->cols();
+  }
+  CTFL_CHECK(covered == static_cast<size_t>(in_dim_) &&
+             static_cast<int>(dlogits.cols()) == out_dim_);
+  const logic_kernel::Units& units = logic_kernel::UnitsFor(CurrentTraceIsa());
+  Matrix dw(out_dim_, in_dim_);
+  for (size_t r = 0; r < batch; ++r) {
+    for (int k = 0; k < out_dim_; ++k) {
+      const double g = dlogits(r, k);
+      if (g == 0.0) continue;
+      for (const Columns& block : x) {
+        units.axpy(g, block.x->row(r), dw.row(k) + block.offset,
+                   block.x->cols());
+      }
+    }
+  }
+  weight_grads_.Axpy(1.0, dw);
+  for (size_t r = 0; r < batch; ++r) {
     for (int c = 0; c < out_dim_; ++c) bias_grads_(0, c) += dlogits(r, c);
   }
-  return dlogits.MatMul(weights_);
+}
+
+void LinearLayer::InputGradient(const Matrix& dlogits, size_t offset,
+                                Matrix* dx) const {
+  const size_t width = dx->cols();
+  CTFL_CHECK(dx->rows() == dlogits.rows() &&
+             static_cast<int>(dlogits.cols()) == out_dim_ &&
+             offset + width <= static_cast<size_t>(in_dim_));
+  const logic_kernel::Units& units = logic_kernel::UnitsFor(CurrentTraceIsa());
+  for (size_t r = 0; r < dlogits.rows(); ++r) {
+    double* o = dx->row(r);
+    std::fill(o, o + width, 0.0);
+    for (int k = 0; k < out_dim_; ++k) {
+      const double g = dlogits(r, k);
+      if (g == 0.0) continue;
+      units.axpy(g, weights_.row(k) + offset, o, width);
+    }
+  }
 }
 
 }  // namespace ctfl

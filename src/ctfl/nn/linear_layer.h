@@ -1,6 +1,9 @@
 #ifndef CTFL_NN_LINEAR_LAYER_H_
 #define CTFL_NN_LINEAR_LAYER_H_
 
+#include <cstdint>
+#include <vector>
+
 #include "ctfl/nn/matrix.h"
 #include "ctfl/util/rng.h"
 
@@ -19,11 +22,38 @@ class LinearLayer {
 
   void InitRandom(Rng& rng, double scale);
 
-  /// logits = x * W^T + b, for x(batch x in).
+  /// logits = x * W^T + b, for x(batch x in): each logit sums its terms in
+  /// ascending column order from +0.0, then adds the bias.
   Matrix Forward(const Matrix& x) const;
 
-  /// Accumulates parameter gradients; returns dx.
-  Matrix Backward(const Matrix& x, const Matrix& dlogits);
+  /// True when every weight is finite, so that ForwardPacked gives
+  /// Forward's bits on every 0/1 input (DESIGN.md §16.5).
+  bool WeightsFinite() const;
+
+  /// Forward of a block of n <= 64 input rows that are all 0.0 or 1.0,
+  /// packed: bit r of words[j] is row r's column j (bits past n are
+  /// don't-care). Writes rows [dst, dst + n) of `logits`, each the weights
+  /// of the row's set columns summed in ascending order from +0.0, plus the
+  /// bias.
+  void ForwardPacked(const uint64_t* words, size_t n, Matrix* logits,
+                     size_t dst) const;
+
+  /// Columns [offset, offset + x->cols()) of the layer's input.
+  struct Columns {
+    const Matrix* x = nullptr;
+    size_t offset = 0;
+  };
+
+  /// Accumulates the parameter gradients of the input held by `x`, column
+  /// blocks that cover [0, in_dim()) once each: dW += dlogits^T * x, each
+  /// element's terms in ascending row order (zero dlogits skipped) summed
+  /// from +0.0 before the add; db += the column sums of dlogits.
+  void BackwardParams(const std::vector<Columns>& x, const Matrix& dlogits);
+
+  /// Writes columns [offset, offset + dx->cols()) of the input gradient
+  /// dlogits * W into dx (batch x width): each element from +0.0, the
+  /// classes in ascending order, zero dlogits skipped.
+  void InputGradient(const Matrix& dlogits, size_t offset, Matrix* dx) const;
 
   Matrix& weights() { return weights_; }
   const Matrix& weights() const { return weights_; }

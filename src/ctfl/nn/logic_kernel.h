@@ -3,12 +3,13 @@
 
 // The hot loops of a grafted training step (DESIGN.md §16.2): layer 0's
 // row split, factor table, factor-table forward and parameter backward,
-// and the Adam update. One translation unit per SIMD tier
-// (logic_kernel_{generic,avx2,avx512}.cc) instantiates the shared bodies
-// of logic_kernel_body.h with its own Ops policy and its own -m flags; the
-// process-wide tier of util/cpu_features.h picks the unit, exactly as it
-// picks the tracing kernel's stripe unit. Every unit produces the generic
-// loops' results bit for bit (DESIGN.md §16.3).
+// the Adam update, the discrete pass's active-input scan, and the vote
+// layer's sums and gradient rows (§16.5). One translation unit per SIMD
+// tier (logic_kernel_{generic,avx2,avx512}.cc) instantiates the shared
+// bodies of logic_kernel_body.h with its own Ops policy and its own -m
+// flags; the process-wide tier of util/cpu_features.h picks the unit,
+// exactly as it picks the tracing kernel's stripe unit. Every unit
+// produces the generic loops' results bit for bit (DESIGN.md §16.3).
 //
 // The units see plain pointers only: nothing here is an inline function
 // that a unit built with wider ISA flags could emit a copy of for the
@@ -141,6 +142,9 @@ struct Units {
   /// rows at `w0` (row stride in_dim). False when one of the weights is not
   /// finite.
   bool (*build_chunk)(const double* w0, int in_dim, int width, double* c);
+  /// Copies one chunk's accumulators, gt[i * kChunk + k] for input i and
+  /// node lane k < width, to the node rows: rows[k * in_dim + i].
+  void (*store_chunk)(const double* gt, int in_dim, int width, double* rows);
   void (*forward)(const ForwardJob& job);
   void (*backward)(const BackwardJob& job);
   /// Adam over elements [0, n) of one slot.
@@ -149,6 +153,17 @@ struct Units {
   /// q[k] = a[k] / b[k] through the tier's quotient, for a[k] in
   /// [2^-900, 1] and b[k] in [kEps, 1] (the backward's operands).
   void (*quotient)(const double* a, const double* b, double* q, size_t n);
+  /// Writes the indices i in [0, n) with w[i] > 0.5 to `active`, ascending,
+  /// and returns their count; `active` has room for n.
+  int (*active_inputs)(const double* w, int n, int* active);
+  /// The vote sums of one block of up to 64 records: sums[r], for r in
+  /// [0, 64), is the sum of w[j] over the rules j in [0, num_rules) whose
+  /// word words[j] has bit r set, added in ascending j from +0.0.
+  void (*vote)(const uint64_t* words, const double* w, int num_rules,
+               double* sums);
+  /// y[i] += a * x[i] for i in [0, n): the rounded product, then the
+  /// rounded sum (the vote layer's gradient rows).
+  void (*axpy)(double a, const double* x, double* y, size_t n);
 };
 
 const Units& GenericUnits();

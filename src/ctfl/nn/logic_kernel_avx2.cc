@@ -1,9 +1,10 @@
 // AVX2+FMA logic-kernel unit: a node chunk is two 4-lane vectors, the
-// forward interleaves two rows, and the backward and Adam take the
-// corrected quotient. Compiled with -mavx2 -mfma on x86-64 (see
-// src/CMakeLists.txt); selected only when cpuid reports both
-// (util/cpu_features.h). FMA appears only as the explicit intrinsics of
-// Quotient: ctfl_nn builds with -ffp-contract=off.
+// forward interleaves two rows, the backward and Adam take the corrected
+// quotient, and the vote adds a weight masked by its record bits.
+// Compiled with -mavx2 -mfma on x86-64 (see src/CMakeLists.txt); selected
+// only when cpuid reports both (util/cpu_features.h). FMA appears only as
+// the explicit intrinsics of Quotient: ctfl_nn builds with
+// -ffp-contract=off.
 
 #include "ctfl/nn/logic_kernel_body.h"
 
@@ -82,6 +83,26 @@ struct Avx2Ops {
     return _mm256_movemask_pd(above) == 0;
   }
 
+  static unsigned AboveHalf(const double* p) {
+    const __m256d half = _mm256_set1_pd(0.5);
+    const int lo = _mm256_movemask_pd(
+        _mm256_cmp_pd(_mm256_loadu_pd(p), half, _CMP_GT_OQ));
+    const int hi = _mm256_movemask_pd(
+        _mm256_cmp_pd(_mm256_loadu_pd(p + 4), half, _CMP_GT_OQ));
+    return static_cast<unsigned>(lo | hi << 4);
+  }
+  /// All ones in the lanes whose bit of the low four `bits` is set.
+  static __m256d LaneMask(unsigned bits) {
+    const __m256i lane = _mm256_setr_epi64x(1, 2, 4, 8);
+    return _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+        _mm256_and_si256(_mm256_set1_epi64x(bits), lane), lane));
+  }
+  /// Lanes whose bit is clear add +0.0.
+  static Chunk MaskedAdd(Chunk acc, unsigned bits, Chunk w) {
+    return {_mm256_add_pd(acc.lo, _mm256_and_pd(LaneMask(bits), w.lo)),
+            _mm256_add_pd(acc.hi, _mm256_and_pd(LaneMask(bits >> 4), w.hi))};
+  }
+
   static bool SplitRows(const double* x, int in_dim, size_t lo, size_t hi,
                         int* at_zero, int* at_one, int* zeros) {
     return SplitRowsPortable(x, in_dim, lo, hi, at_zero, at_one, zeros);
@@ -89,6 +110,10 @@ struct Avx2Ops {
   static bool BuildChunk(const double* w0, int in_dim, int width,
                          double* c) {
     return BuildChunkPortable(w0, in_dim, width, c);
+  }
+  static void StoreChunk(const double* gt, int in_dim, int width,
+                         double* rows) {
+    StoreChunkPortable(gt, in_dim, width, rows);
   }
 };
 

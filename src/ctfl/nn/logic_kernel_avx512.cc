@@ -1,7 +1,8 @@
 // AVX-512F logic-kernel unit: a node chunk is one 8-lane vector, the
 // forward interleaves four rows, the backward and Adam take the corrected
-// quotient, the row split compresses input indices with mask stores, and
-// the table gathers a chunk's weights per input. Compiled with -mavx512f on
+// quotient, the row split compresses input indices with mask stores, the
+// table gathers a chunk's weights per input, and the vote adds under a
+// record mask. Compiled with -mavx512f on
 // x86-64 (see src/CMakeLists.txt); selected only when cpuid reports
 // AVX-512F (util/cpu_features.h). FMA appears only as the explicit
 // intrinsics of Quotient: ctfl_nn builds with -ffp-contract=off.
@@ -56,6 +57,15 @@ struct Avx512Ops {
       above |= _mm512_cmp_pd_mask(cv, one, _CMP_NLE_UQ);
     }
     return above == 0;
+  }
+
+  static unsigned AboveHalf(const double* p) {
+    return _mm512_cmp_pd_mask(_mm512_loadu_pd(p), _mm512_set1_pd(0.5),
+                              _CMP_GT_OQ);
+  }
+  /// Lanes whose bit is clear keep acc.
+  static Chunk MaskedAdd(Chunk acc, unsigned bits, Chunk w) {
+    return _mm512_mask_add_pd(acc, static_cast<__mmask8>(bits), acc, w);
   }
 
   /// 16 inputs at a time: two compares per list, and each list's indices
@@ -127,6 +137,53 @@ struct Avx512Ops {
                        _mm512_maskz_max_pd(0xff, _mm512_sub_pd(one, w), eps));
     }
     return finite == 0xff;
+  }
+
+  /// Eight inputs at a time: an 8 x 8 transpose in registers (unpacks
+  /// within 128-bit lanes, then two rounds of lane shuffles), one store
+  /// per node row. The zero-masked forms with a full mask are the plain
+  /// instructions (see Sqrt).
+  static __m512d Shuffle88(__m512d a, __m512d b) {
+    return _mm512_maskz_shuffle_f64x2(0xff, a, b, 0x88);
+  }
+  static __m512d ShuffleDD(__m512d a, __m512d b) {
+    return _mm512_maskz_shuffle_f64x2(0xff, a, b, 0xdd);
+  }
+  static void StoreChunk(const double* gt, int in_dim, int width,
+                         double* rows) {
+    int i = 0;
+    for (; i + 8 <= in_dim; i += 8) {
+      const double* g = gt + static_cast<size_t>(i) * kChunk;
+      __m512d r[8];
+      for (int j = 0; j < 8; ++j) r[j] = _mm512_loadu_pd(g + j * kChunk);
+      __m512d t[8];
+      for (int j = 0; j < 8; j += 2) {
+        t[j] = _mm512_maskz_unpacklo_pd(0xff, r[j], r[j + 1]);
+        t[j + 1] = _mm512_maskz_unpackhi_pd(0xff, r[j], r[j + 1]);
+      }
+      // u[0..3]: nodes {0,4}, {2,6}, {1,5}, {3,7} of inputs 0-3; u[4..7]
+      // the same of inputs 4-7.
+      __m512d u[8];
+      for (int h = 0; h < 8; h += 4) {
+        u[h] = Shuffle88(t[h], t[h + 2]);
+        u[h + 1] = ShuffleDD(t[h], t[h + 2]);
+        u[h + 2] = Shuffle88(t[h + 1], t[h + 3]);
+        u[h + 3] = ShuffleDD(t[h + 1], t[h + 3]);
+      }
+      const __m512d node[8] = {Shuffle88(u[0], u[4]), Shuffle88(u[2], u[6]),
+                               Shuffle88(u[1], u[5]), Shuffle88(u[3], u[7]),
+                               ShuffleDD(u[0], u[4]), ShuffleDD(u[2], u[6]),
+                               ShuffleDD(u[1], u[5]), ShuffleDD(u[3], u[7])};
+      for (int k = 0; k < width; ++k) {
+        _mm512_storeu_pd(rows + static_cast<size_t>(k) * in_dim + i, node[k]);
+      }
+    }
+    for (; i < in_dim; ++i) {
+      for (int k = 0; k < width; ++k) {
+        rows[static_cast<size_t>(k) * in_dim + i] =
+            gt[static_cast<size_t>(i) * kChunk + k];
+      }
+    }
   }
 };
 

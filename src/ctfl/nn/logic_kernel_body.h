@@ -20,7 +20,11 @@
 //    (Markstein's corrected quotient, DESIGN.md §16.3) and
 //    GuardedQuotient(a, b, y) (Quotient where |a| lies in
 //    [2^-900, 2^1000], division elsewhere);
-//  - SplitRows and BuildChunk, with the contracts of Units.
+//  - SplitRows, BuildChunk and StoreChunk, with the contracts of Units;
+//  - AboveHalf(p), the mask of the eight lanes with p[k] > 0.5 (bit k for
+//    lane k), and MaskedAdd(acc, bits, w), acc + w in the lanes whose bit
+//    is set and acc or acc + (+0.0) in the others (the same bits for every
+//    acc but -0.0, which no vote sum holds).
 //
 // Bit-identity (DESIGN.md §16.3): every lane evaluates the generic loop's
 // expression with the same operations in the same order; a quotient is
@@ -28,6 +32,7 @@
 // provably equals it.
 
 #include <cmath>
+#include <cstdint>
 
 #include "ctfl/nn/logic_kernel.h"
 
@@ -85,6 +90,17 @@ inline bool BuildChunkPortable(const double* w0, int in_dim, int width,
     }
   }
   return finite;
+}
+
+/// The portable chunk store.
+inline void StoreChunkPortable(const double* gt, int in_dim, int width,
+                               double* rows) {
+  for (int k = 0; k < width; ++k) {
+    double* row = rows + static_cast<size_t>(k) * in_dim;
+    for (int i = 0; i < in_dim; ++i) {
+      row[i] = gt[static_cast<size_t>(i) * kChunk + k];
+    }
+  }
 }
 
 // ---- Forward ----------------------------------------------------------------
@@ -317,6 +333,64 @@ void Adam(const AdamJob& s, double* m, double* v, double* p, const double* g,
   }
 }
 
+// ---- Discrete pass ----------------------------------------------------------
+
+/// Units::active_inputs: one comparison per eight weights. After training
+/// under 2% of the weights are active, so most chunks write nothing.
+template <typename Ops>
+int ActiveInputs(const double* w, int n, int* active) {
+  int count = 0;
+  int i = 0;
+  for (; i + kChunk <= n; i += kChunk) {
+    for (unsigned m = Ops::AboveHalf(w + i); m != 0; m &= m - 1) {
+      active[count++] = i + __builtin_ctz(m);
+    }
+  }
+  for (; i < n; ++i) {
+    if (w[i] > 0.5) active[count++] = i;
+  }
+  return count;
+}
+
+/// Units::vote: one lane per record, eight chunks for the block's 64. Every
+/// sum starts at +0.0 and so never holds -0.0 (an IEEE sum is -0.0 only
+/// when both addends are), which makes an off rule's +0.0 lane a no-op, and
+/// so is a rule no record has on.
+template <typename Ops>
+void Vote(const uint64_t* words, const double* w, int num_rules,
+          double* sums) {
+  using Chunk = typename Ops::Chunk;
+  constexpr int kChunks = 64 / kChunk;
+  Chunk acc[kChunks];
+#pragma GCC unroll 8
+  for (int v = 0; v < kChunks; ++v) acc[v] = Ops::Set1(0.0);
+  for (int j = 0; j < num_rules; ++j) {
+    const uint64_t word = words[j];
+    if (word == 0) continue;
+    const Chunk wj = Ops::Set1(w[j]);
+#pragma GCC unroll 8
+    for (int v = 0; v < kChunks; ++v) {
+      acc[v] = Ops::MaskedAdd(
+          acc[v], static_cast<unsigned>(word >> (kChunk * v)) & 0xffu, wj);
+    }
+  }
+#pragma GCC unroll 8
+  for (int v = 0; v < kChunks; ++v) Ops::Store(sums + kChunk * v, acc[v]);
+}
+
+/// Units::axpy, eight elements at a time.
+template <typename Ops>
+void Axpy(double a, const double* x, double* y, size_t n) {
+  using Chunk = typename Ops::Chunk;
+  const Chunk av = Ops::Set1(a);
+  size_t i = 0;
+  for (; i + kChunk <= n; i += kChunk) {
+    Ops::Store(y + i,
+               Ops::Add(Ops::Load(y + i), Ops::Mul(av, Ops::Load(x + i))));
+  }
+  for (; i < n; ++i) y[i] += a * x[i];
+}
+
 // ---- Quotient probe --------------------------------------------------------
 
 /// Units::quotient: q[k] = a[k] / b[k] for a[k] in [2^-900, 1] and b[k] in
@@ -342,10 +416,14 @@ Units MakeUnits() {
   units.reciprocals = Ops::kReciprocal;
   units.split_rows = Ops::SplitRows;
   units.build_chunk = Ops::BuildChunk;
+  units.store_chunk = Ops::StoreChunk;
   units.forward = Forward<Ops>;
   units.backward = Backward<Ops>;
   units.adam = Adam<Ops>;
   units.quotient = Quotients<Ops>;
+  units.active_inputs = ActiveInputs<Ops>;
+  units.vote = Vote<Ops>;
+  units.axpy = Axpy<Ops>;
   return units;
 }
 

@@ -2,6 +2,7 @@
 // compiler lowers the two-lane vectors itself) and the reference the SIMD
 // units must agree with bitwise. Built with the target's baseline flags.
 
+#include <cstdint>
 #include <cstring>
 
 #include "ctfl/nn/logic_kernel_body.h"
@@ -17,10 +18,21 @@ namespace {
 /// scalars.
 typedef double Lanes __attribute__((vector_size(16)));
 
+/// The same two lanes as bits: a comparison's result, or a lane mask.
+typedef uint64_t LaneBits __attribute__((vector_size(16)));
+
 inline Lanes LoadLanes(const double* p) {
   Lanes v;
   std::memcpy(&v, p, sizeof(v));
   return v;
+}
+
+/// `w` in the lanes whose bit of the low two `bits` is set, +0.0 in the
+/// others.
+inline Lanes SelectLanes(unsigned bits, Lanes w) {
+  const LaneBits mask = {0 - static_cast<uint64_t>(bits & 1),
+                         0 - static_cast<uint64_t>((bits >> 1) & 1)};
+  return reinterpret_cast<Lanes>(reinterpret_cast<LaneBits>(w) & mask);
 }
 
 struct GenericOps {
@@ -55,6 +67,26 @@ struct GenericOps {
   static Chunk Div(const Chunk& a, const Chunk& b) {
     return {a.l0 / b.l0, a.l1 / b.l1, a.l2 / b.l2, a.l3 / b.l3};
   }
+  /// Tests the whole chunk first: most chunks hold no active weight.
+  static unsigned AboveHalf(const double* p) {
+    const Lanes half = {0.5, 0.5};
+    const LaneBits any = reinterpret_cast<LaneBits>(
+        (LoadLanes(p) > half) | (LoadLanes(p + 2) > half) |
+        (LoadLanes(p + 4) > half) | (LoadLanes(p + 6) > half));
+    if ((any[0] | any[1]) == 0) return 0;
+    unsigned bits = 0;
+    for (int k = 0; k < kChunk; ++k) {
+      bits |= static_cast<unsigned>(p[k] > 0.5) << k;
+    }
+    return bits;
+  }
+  /// Lanes whose bit is clear add +0.0.
+  static Chunk MaskedAdd(const Chunk& acc, unsigned bits, const Chunk& w) {
+    return {acc.l0 + SelectLanes(bits, w.l0),
+            acc.l1 + SelectLanes(bits >> 2, w.l1),
+            acc.l2 + SelectLanes(bits >> 4, w.l2),
+            acc.l3 + SelectLanes(bits >> 6, w.l3)};
+  }
   static bool SplitRows(const double* x, int in_dim, size_t lo, size_t hi,
                         int* at_zero, int* at_one, int* zeros) {
     return SplitRowsPortable(x, in_dim, lo, hi, at_zero, at_one, zeros);
@@ -62,6 +94,10 @@ struct GenericOps {
   static bool BuildChunk(const double* w0, int in_dim, int width,
                          double* c) {
     return BuildChunkPortable(w0, in_dim, width, c);
+  }
+  static void StoreChunk(const double* gt, int in_dim, int width,
+                         double* rows) {
+    StoreChunkPortable(gt, in_dim, width, rows);
   }
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -17,15 +16,6 @@ using logic_kernel::FactorTable;
 using logic_kernel::kChunk;
 using logic_kernel::kEps;
 using logic_kernel::SplitRows;
-
-/// Two adjacent weights, for BuildActiveLists' chunked scan.
-typedef double Lanes __attribute__((vector_size(16)));
-
-inline Lanes LoadLanes(const double* p) {
-  Lanes v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
 
 /// The generic per-(row, node) gradient of the continuous form, in the
 /// order and with the expressions every kernel must reproduce. Adds
@@ -128,6 +118,17 @@ void BackwardNodes(const Matrix& w, int num_conj, const Matrix& x,
                    grads->row(node), 1, dx != nullptr ? dx->row(r) : nullptr);
     }
   }
+}
+
+/// True when every one of the n doubles at `v` is +0.0.
+bool AllPositiveZero(const double* v, size_t n) {
+  uint64_t bits = 0;
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t b;
+    std::memcpy(&b, v + i, sizeof(b));
+    bits |= b;
+  }
+  return bits == 0;
 }
 
 /// Splits `x` into `rows` through the tier's unit. False when some element
@@ -283,19 +284,25 @@ bool BackwardWeightsByTable(const Matrix& w, int num_conj, const Matrix& x,
     // A skipped term is ±0.0, which leaves an accumulator's bits unchanged
     // unless it holds -0.0: zeroed gradients are +0.0 and sums of terms
     // never yield -0.0, so only a caller's own -0.0 sends the chunk to the
-    // generic loop.
+    // generic loop. Gradients that are all +0.0, as after ZeroGrads, start
+    // the accumulators at +0.0, padding lanes included (accumulated, never
+    // read), instead of being copied in.
     bool negative_zero = false;
-    for (int k = 0; k < kChunk; ++k) {
-      if (k >= t.width[q]) {  // padding lanes: accumulated, never read
-        for (int i = 0; i < in_dim; ++i) {
-          chunk_gt[static_cast<size_t>(i) * kChunk + k] = 0.0;
+    if (AllPositiveZero(grads->row(lo), t.width[q] * in_dim)) {
+      std::fill(chunk_gt, chunk_gt + t.Offset(1, 0), 0.0);
+    } else {
+      for (int k = 0; k < kChunk; ++k) {
+        if (k >= t.width[q]) {
+          for (int i = 0; i < in_dim; ++i) {
+            chunk_gt[static_cast<size_t>(i) * kChunk + k] = 0.0;
+          }
+          continue;
         }
-        continue;
-      }
-      const double* gw = grads->row(lo + k);
-      for (int i = 0; i < in_dim; ++i) {
-        negative_zero |= gw[i] == 0.0 && std::signbit(gw[i]);
-        chunk_gt[static_cast<size_t>(i) * kChunk + k] = gw[i];
+        const double* gw = grads->row(lo + k);
+        for (int i = 0; i < in_dim; ++i) {
+          negative_zero |= gw[i] == 0.0 && std::signbit(gw[i]);
+          chunk_gt[static_cast<size_t>(i) * kChunk + k] = gw[i];
+        }
       }
     }
     if (t.finite[q] == 0 || negative_zero) {
@@ -320,12 +327,7 @@ bool BackwardWeightsByTable(const Matrix& w, int num_conj, const Matrix& x,
     job.x = x.data();
     job.node_gradient = NodeGradient;
     units.backward(job);
-    for (int k = 0; k < t.width[q]; ++k) {
-      double* gw = grads->row(lo + k);
-      for (int i = 0; i < in_dim; ++i) {
-        gw[i] = chunk_gt[static_cast<size_t>(i) * kChunk + k];
-      }
-    }
+    units.store_chunk(chunk_gt, in_dim, t.width[q], grads->row(lo));
   };
   ParallelFor(threads, 0, static_cast<size_t>(t.chunks()), run_chunk);
   return true;
@@ -333,16 +335,22 @@ bool BackwardWeightsByTable(const Matrix& w, int num_conj, const Matrix& x,
 
 }  // namespace
 
-void PackRows(const Matrix& x, size_t lo, size_t n, uint64_t* words) {
+bool PackRows(const Matrix& x, size_t lo, size_t n, uint64_t* words) {
   CTFL_CHECK(n <= kRecordsPerWord && lo + n <= x.rows());
   const size_t cols = x.cols();
   std::fill(words, words + cols, uint64_t{0});
+  // An element is 0.0 or 1.0 exactly when it equals its bit.
+  uint64_t odd = 0;
   for (size_t r = 0; r < n; ++r) {
     const double* xr = x.row(lo + r);
+    const uint64_t bit = uint64_t{1} << r;
     for (size_t i = 0; i < cols; ++i) {
-      words[i] |= static_cast<uint64_t>(xr[i] >= 0.5) << r;
+      const bool set = xr[i] >= 0.5;
+      words[i] |= set ? bit : 0;
+      odd |= xr[i] != (set ? 1.0 : 0.0);
     }
   }
+  return odd == 0;
 }
 
 LogicLayer::LogicLayer(int in_dim, int num_conj, int num_disj)
@@ -379,34 +387,21 @@ Matrix LogicLayer::ForwardContinuous(const Matrix& x,
 }
 
 void LogicLayer::BuildActiveLists(ActiveLists* lists) const {
+  const logic_kernel::Units& units = logic_kernel::UnitsFor(CurrentTraceIsa());
   const int out = out_dim();
   lists->begin.resize(static_cast<size_t>(out) + 1);
-  lists->inputs.clear();
-  lists->inputs.reserve(static_cast<size_t>(out) * 4);
+  size_t count = 0;
   for (int node = 0; node < out; ++node) {
-    lists->begin[node] = static_cast<int>(lists->inputs.size());
-    const double* w = weights_.row(node);
-    // Active weights are rare (under 2% after training): compare a chunk
-    // at a time and look at single weights only where one is active.
-    int i = 0;
-    for (; i + kChunk <= in_dim_; i += kChunk) {
-      const Lanes half = {0.5, 0.5};
-      auto any = LoadLanes(w + i) > half;
-      for (int k = 2; k < kChunk; k += 2) any |= LoadLanes(w + i + k) > half;
-      if ((any[0] | any[1]) == 0) continue;
-      unsigned active = 0;
-      for (int k = 0; k < kChunk; ++k) {
-        active |= static_cast<unsigned>(w[i + k] > 0.5) << k;
-      }
-      for (; active != 0; active &= active - 1) {
-        lists->inputs.push_back(i + std::countr_zero(active));
-      }
+    lists->begin[node] = static_cast<int>(count);
+    // Room for every input of the node; the list keeps only the active.
+    if (lists->inputs.size() < count + in_dim_) {
+      lists->inputs.resize(count + in_dim_);
     }
-    for (; i < in_dim_; ++i) {
-      if (w[i] > 0.5) lists->inputs.push_back(i);
-    }
+    count += units.active_inputs(weights_.row(node), in_dim_,
+                                 lists->inputs.data() + count);
   }
-  lists->begin[out] = static_cast<int>(lists->inputs.size());
+  lists->begin[out] = static_cast<int>(count);
+  lists->inputs.resize(count);
 }
 
 void LogicLayer::ForwardPacked(const ActiveLists& active, const uint64_t* x,

@@ -16,8 +16,9 @@ inline constexpr size_t kRecordsPerWord = 64;
 
 /// Packs rows [lo, lo + n) of `x` (n <= kRecordsPerWord) input-major:
 /// bit r of words[i] is set iff x(lo + r, i) >= 0.5. `words` holds
-/// x.cols() words.
-void PackRows(const Matrix& x, size_t lo, size_t n, uint64_t* words);
+/// x.cols() words. Returns whether every element of those rows is exactly
+/// 0.0 or 1.0.
+bool PackRows(const Matrix& x, size_t lo, size_t n, uint64_t* words);
 
 /// One logical layer of the rule-based model (paper §V Eq. 7): the first
 /// `num_conj` nodes are conjunctions, the rest disjunctions, each with a

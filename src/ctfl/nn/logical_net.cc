@@ -142,29 +142,21 @@ Matrix ConcatRules(const Matrix& encoded, const std::vector<Matrix>& outs,
   return rules;
 }
 
-}  // namespace
-
-Matrix LogicalNet::ForwardContinuous(const Matrix& encoded,
-                                     Cache* cache) const {
-  std::vector<Matrix> outs;
+/// The continuous forward of every logic layer into `outs`, leaving layer
+/// 0's split and table in `layer0` when it is non-null.
+void ForwardLayers(const LogicalNet& net, const Matrix& encoded,
+                   std::vector<Matrix>* outs,
+                   LogicLayer::StepTables* layer0) {
+  const std::vector<LogicLayer>& layers = net.logic_layers();
+  if (layer0 != nullptr) layer0->ready = false;
+  outs->resize(layers.size());
   const Matrix* layer_in = &encoded;
-  for (const LogicLayer& layer : logic_layers_) {
-    LogicLayer::StepTables* tables =
-        cache != nullptr && outs.empty() ? &cache->layer0 : nullptr;
-    outs.push_back(layer.ForwardContinuous(*layer_in, tables));
-    layer_in = &outs.back();
+  for (size_t l = 0; l < layers.size(); ++l) {
+    (*outs)[l] = layers[l].ForwardContinuous(*layer_in,
+                                             l == 0 ? layer0 : nullptr);
+    layer_in = &(*outs)[l];
   }
-  Matrix rules = ConcatRules(encoded, outs, config_.input_skip, num_rules_);
-  Matrix logits = linear_.Forward(rules);
-  if (cache != nullptr) {
-    cache->encoded = encoded;
-    cache->layer_out = std::move(outs);
-    cache->rules = std::move(rules);
-  }
-  return logits;
 }
-
-namespace {
 
 /// One bit-packed discrete pass (DESIGN.md §16): every layer's active-input
 /// lists, built once per pass, and one word per encoded input and per
@@ -172,7 +164,9 @@ namespace {
 class DiscreteBlockPass {
  public:
   explicit DiscreteBlockPass(const LogicalNet& net)
-      : net_(net), active_(net.logic_layers().size()) {
+      : net_(net),
+        active_(net.logic_layers().size()),
+        votes_finite_(net.linear().WeightsFinite()) {
     size_t words = static_cast<size_t>(net.encoded_size());
     for (size_t l = 0; l < active_.size(); ++l) {
       net.logic_layers()[l].BuildActiveLists(&active_[l]);
@@ -181,33 +175,82 @@ class DiscreteBlockPass {
     words_.resize(words);
   }
 
+  /// Encodes records at(lo) .. at(lo + n - 1) straight into the input
+  /// words and runs every logic layer on them: the encoder's output is 0/1,
+  /// so the block needs no encoded double matrix.
+  template <typename InstanceAt>
+  void RunInstances(InstanceAt at, size_t lo, size_t n) {
+    CTFL_CHECK(n <= kRecordsPerWord);
+    std::fill(words_.begin(), words_.begin() + net_.encoded_size(),
+              uint64_t{0});
+    for (size_t r = 0; r < n; ++r) {
+      net_.encoder().EncodePacked(at(lo + r), r, words_.data());
+    }
+    RunLayers();
+  }
+
   /// Packs rows [lo, lo + n) of the encoded matrix `x` and runs every
-  /// logic layer on them.
-  void Run(const Matrix& x, size_t lo, size_t n) {
+  /// logic layer on them. Returns whether those rows are all 0.0 or 1.0.
+  bool Run(const Matrix& x, size_t lo, size_t n) {
     CTFL_CHECK(static_cast<int>(x.cols()) == net_.encoded_size());
-    PackRows(x, lo, n, words_.data());
-    uint64_t* in = words_.data();
-    for (size_t l = 0; l < active_.size(); ++l) {
-      const LogicLayer& layer = net_.logic_layers()[l];
-      uint64_t* out = in + layer.in_dim();
-      layer.ForwardPacked(active_[l], in, out);
-      in = out;
+    const bool binary = PackRows(x, lo, n, words_.data());
+    RunLayers();
+    return binary;
+  }
+
+  /// Run for a binary `x` whose row split `split` (layer 0's, over every
+  /// row of x) lists each row's inputs at 1: those are its set bits.
+  void RunSplit(const logic_kernel::SplitRows& split, size_t lo, size_t n) {
+    const size_t in_dim = static_cast<size_t>(net_.encoded_size());
+    CTFL_CHECK(n <= kRecordsPerWord && lo + n <= split.zeros.size());
+    std::fill(words_.begin(), words_.begin() + in_dim, uint64_t{0});
+    for (size_t r = 0; r < n; ++r) {
+      const size_t row = lo + r;
+      const int* ones = split.at_one.data() + row * in_dim;
+      const int count = static_cast<int>(in_dim) - split.zeros[row];
+      for (int k = 0; k < count; ++k) words_[ones[k]] |= uint64_t{1} << r;
+    }
+    RunLayers();
+  }
+
+  /// The logits of the block's records into rows [dst, dst + n) of
+  /// `logits`. The packed vote (DESIGN.md §16.5) when every vote weight is
+  /// finite and every rule coordinate is 0.0 or 1.0 — the logic nodes
+  /// always are; `binary` says whether rows [lo, lo + n) of x, which the
+  /// skip coordinates copy, are (a null x: the block came from
+  /// RunInstances). Otherwise the dense product on the block's FillRules
+  /// rows.
+  void Vote(const Matrix* x, size_t lo, size_t n, bool binary,
+            Matrix* logits, size_t dst) {
+    const LinearLayer& linear = net_.linear();
+    if (votes_finite_ && (binary || !net_.config().input_skip)) {
+      linear.ForwardPacked(RuleWords(), n, logits, dst);
+      return;
+    }
+    if (rules_.rows() != n) rules_ = Matrix(n, net_.num_rules());
+    FillRules(x, lo, n, &rules_, 0);
+    const Matrix block = linear.Forward(rules_);
+    for (size_t r = 0; r < n; ++r) {
+      std::copy(block.row(r), block.row(r) + block.cols(),
+                logits->row(dst + r));
     }
   }
 
   /// Writes the block's rule vectors into rows [dst, dst + n) of `rules`:
   /// the skip coordinates copy x's rows verbatim, as ConcatRules does, and
-  /// the logic nodes become 0.0 / 1.0.
-  void FillRules(const Matrix& x, size_t lo, size_t n, Matrix* rules,
+  /// the logic nodes become 0.0 / 1.0. Without x (a RunInstances block)
+  /// the skip coordinates are the encoder's 0/1 bits.
+  void FillRules(const Matrix* x, size_t lo, size_t n, Matrix* rules,
                  size_t dst) const {
-    const size_t skip = net_.config().input_skip ? x.cols() : 0;
-    const size_t nodes = static_cast<size_t>(net_.num_rules()) - skip;
-    const uint64_t* logic = words_.data() + x.cols();
+    const size_t skip = net_.config().input_skip && x != nullptr ? x->cols()
+                                                                 : 0;
+    const size_t bits = static_cast<size_t>(net_.num_rules()) - skip;
+    const uint64_t* rule_words = RuleWords() + skip;
     for (size_t r = 0; r < n; ++r) {
       double* out = rules->row(dst + r);
-      std::copy(x.row(lo + r), x.row(lo + r) + skip, out);
-      for (size_t j = 0; j < nodes; ++j) {
-        out[skip + j] = (logic[j] >> r) & 1 ? 1.0 : 0.0;
+      if (skip > 0) std::copy(x->row(lo + r), x->row(lo + r) + skip, out);
+      for (size_t j = 0; j < bits; ++j) {
+        out[skip + j] = (rule_words[j] >> r) & 1 ? 1.0 : 0.0;
       }
     }
   }
@@ -217,8 +260,7 @@ class DiscreteBlockPass {
   /// the encoder's 0/1 output.
   Bitset Activation(size_t r) const {
     const size_t num_rules = static_cast<size_t>(net_.num_rules());
-    const uint64_t* rule_words =
-        words_.data() + (net_.config().input_skip ? 0 : net_.encoded_size());
+    const uint64_t* rule_words = RuleWords();
     std::vector<uint64_t> bits((num_rules + 63) / 64, 0);
     for (size_t j = 0; j < num_rules; ++j) {
       bits[j / 64] |= ((rule_words[j] >> r) & 1) << (j % 64);
@@ -227,11 +269,49 @@ class DiscreteBlockPass {
   }
 
  private:
+  void RunLayers() {
+    uint64_t* in = words_.data();
+    for (size_t l = 0; l < active_.size(); ++l) {
+      const LogicLayer& layer = net_.logic_layers()[l];
+      uint64_t* out = in + layer.in_dim();
+      layer.ForwardPacked(active_[l], in, out);
+      in = out;
+    }
+  }
+
+  /// One word per rule coordinate.
+  const uint64_t* RuleWords() const {
+    return words_.data() +
+           (net_.config().input_skip ? 0 : net_.encoded_size());
+  }
+
   const LogicalNet& net_;
   std::vector<LogicLayer::ActiveLists> active_;
+  bool votes_finite_;
   /// [encoded inputs | layer 0 nodes | layer 1 nodes | ...]
   std::vector<uint64_t> words_;
+  /// The dense fallback's rule rows.
+  Matrix rules_;
 };
+
+/// Discrete logits of every row of `x`, 64 rows at a time; each block's
+/// input words come from `layer0`'s row split when it holds x's.
+Matrix DiscreteLogits(const LogicalNet& net, const Matrix& x,
+                      const LogicLayer::StepTables* layer0) {
+  DiscreteBlockPass pass(net);
+  Matrix logits(x.rows(), net.linear().out_dim());
+  for (size_t lo = 0; lo < x.rows(); lo += kRecordsPerWord) {
+    const size_t n = std::min(kRecordsPerWord, x.rows() - lo);
+    bool binary = true;
+    if (layer0 != nullptr && layer0->ready) {
+      pass.RunSplit(layer0->rows, lo, n);
+    } else {
+      binary = pass.Run(x, lo, n);
+    }
+    pass.Vote(&x, lo, n, binary, &logits, lo);
+  }
+  return logits;
+}
 
 /// Eq. (3): the class with the larger logit, ties toward the positive one.
 int PredictedClass(const Matrix& logits, size_t r) {
@@ -244,23 +324,15 @@ template <typename InstanceAt>
 void InferBlocks(const LogicalNet& net, size_t count, InstanceAt at,
                  uint8_t* predicted, Bitset* activations) {
   DiscreteBlockPass pass(net);
-  Matrix block;
-  Matrix rules;
+  Matrix logits;
   for (size_t lo = 0; lo < count; lo += kRecordsPerWord) {
     const size_t n = std::min(kRecordsPerWord, count - lo);
-    if (block.rows() != n) {
-      block = Matrix(n, net.encoded_size());
-      rules = Matrix(n, net.num_rules());
-    }
-    for (size_t r = 0; r < n; ++r) {
-      net.encoder().Encode(at(lo + r), block.row(r));
-    }
-    pass.Run(block, 0, n);
+    if (logits.rows() != n) logits = Matrix(n, net.linear().out_dim());
+    pass.RunInstances(at, lo, n);
     if (predicted != nullptr) {
-      // The vote layer runs on the same 0/1 rule rows as ForwardDiscrete,
-      // so each row's logits are the per-record ones.
-      pass.FillRules(block, 0, n, &rules, 0);
-      const Matrix logits = net.linear().Forward(rules);
+      // The same vote as ForwardDiscrete, so each record's logits are the
+      // per-record ones.
+      pass.Vote(nullptr, 0, n, /*binary=*/true, &logits, 0);
       for (size_t r = 0; r < n; ++r) {
         predicted[lo + r] = static_cast<uint8_t>(PredictedClass(logits, r));
       }
@@ -273,40 +345,67 @@ void InferBlocks(const LogicalNet& net, size_t count, InstanceAt at,
 
 }  // namespace
 
+Matrix LogicalNet::ForwardContinuous(const Matrix& encoded,
+                                     Cache* cache) const {
+  std::vector<Matrix> outs;
+  ForwardLayers(*this, encoded, &outs,
+                cache != nullptr ? &cache->layer0 : nullptr);
+  Matrix logits = linear_.Forward(
+      ConcatRules(encoded, outs, config_.input_skip, num_rules_));
+  if (cache != nullptr) {
+    cache->encoded = encoded;
+    cache->layer_out = std::move(outs);
+  }
+  return logits;
+}
+
 Matrix LogicalNet::RulesDiscrete(const Matrix& encoded) const {
   DiscreteBlockPass pass(*this);
   Matrix rules(encoded.rows(), num_rules_);
   for (size_t lo = 0; lo < encoded.rows(); lo += kRecordsPerWord) {
     const size_t n = std::min(kRecordsPerWord, encoded.rows() - lo);
     pass.Run(encoded, lo, n);
-    pass.FillRules(encoded, lo, n, &rules, lo);
+    pass.FillRules(&encoded, lo, n, &rules, lo);
   }
   return rules;
 }
 
 Matrix LogicalNet::ForwardDiscrete(const Matrix& encoded) const {
-  return linear_.Forward(RulesDiscrete(encoded));
+  return DiscreteLogits(*this, encoded, nullptr);
+}
+
+Matrix LogicalNet::ForwardGrafted(const Matrix& encoded, Cache* cache) const {
+  cache->encoded = encoded;
+  ForwardLayers(*this, cache->encoded, &cache->layer_out, &cache->layer0);
+  return DiscreteLogits(*this, cache->encoded, &cache->layer0);
 }
 
 void LogicalNet::Backward(const Cache& cache, const Matrix& dlogits) {
-  // Note: linear_.Backward consumes the *continuous* rule activations; the
-  // upstream dlogits came from the discrete loss — that asymmetry is
-  // exactly the gradient-grafting update.
-  Matrix drules = linear_.Backward(cache.rules, dlogits);
+  CTFL_CHECK(cache.layer_out.size() == logic_layers_.size());
+  // The vote layer's parameter gradients read the *continuous* rule
+  // activations, while dlogits came from the discrete loss: that asymmetry
+  // is exactly the gradient-grafting update.
+  std::vector<LinearLayer::Columns> rules;
+  size_t offset = 0;
+  if (config_.input_skip) {
+    rules.push_back({&cache.encoded, 0});
+    offset = cache.encoded.cols();
+  }
+  std::vector<size_t> layer_offset;
+  for (const Matrix& out : cache.layer_out) {
+    rules.push_back({&out, offset});
+    layer_offset.push_back(offset);
+    offset += out.cols();
+  }
+  linear_.BackwardParams(rules, dlogits);
 
-  // Split drules into per-segment upstream gradients.
-  const size_t batch = drules.rows();
-  size_t offset = config_.input_skip ? encoder_.encoded_size() : 0;
+  // Only the logic layers consume the rule gradient: each layer's columns
+  // go straight into its upstream gradient.
+  const size_t batch = dlogits.rows();
   std::vector<Matrix> dout(logic_layers_.size());
   for (size_t layer = 0; layer < logic_layers_.size(); ++layer) {
-    const int width = logic_layers_[layer].out_dim();
-    dout[layer] = Matrix(batch, width);
-    for (size_t r = 0; r < batch; ++r) {
-      const double* src = drules.row(r) + offset;
-      double* dst = dout[layer].row(r);
-      for (int c = 0; c < width; ++c) dst[c] = src[c];
-    }
-    offset += width;
+    dout[layer] = Matrix(batch, logic_layers_[layer].out_dim());
+    linear_.InputGradient(dlogits, layer_offset[layer], &dout[layer]);
   }
 
   // Reverse pass through the logic layers; each layer's dx adds to the

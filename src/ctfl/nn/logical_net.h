@@ -97,11 +97,12 @@ class LogicalNet {
 
   /// Intermediate activations of a continuous forward pass, kept for
   /// Backward, with layer 0's row split and factor table (built once per
-  /// step; Backward must see the weights the forward saw).
+  /// step; Backward must see the weights the forward saw). The continuous
+  /// rule vector is the encoded input (input_skip) and every layer output,
+  /// read in place.
   struct Cache {
     Matrix encoded;
     std::vector<Matrix> layer_out;
-    Matrix rules;
     LogicLayer::StepTables layer0;
   };
 
@@ -110,6 +111,13 @@ class LogicalNet {
 
   /// Binarized logits — the deployed model's inference (Eq. 3).
   Matrix ForwardDiscrete(const Matrix& encoded) const;
+
+  /// The forward half of a grafted step: fills `cache` as
+  /// ForwardContinuous does, without the continuous logits nobody reads,
+  /// and returns ForwardDiscrete(encoded) bit for bit, with layer 0's input
+  /// words packed from the cache's row split. `cache` may hold an earlier
+  /// step's buffers, whose storage it reuses.
+  Matrix ForwardGrafted(const Matrix& encoded, Cache* cache) const;
 
   /// Binarized rule-activation matrix (batch x num_rules): the encoded
   /// inputs verbatim (input_skip), then every logic node as 0/1, computed

@@ -79,42 +79,6 @@ Matrix Matrix::MatMul(const Matrix& other) const {
   return out;
 }
 
-Matrix Matrix::TransposedMatMul(const Matrix& other) const {
-  CTFL_CHECK(rows_ == other.rows_);
-  Matrix out(cols_, other.cols_);
-  const int threads = MatrixThreadsFor(rows_ * cols_ * other.cols_);
-  if (cols_ <= 1 || threads <= 1) {
-    // Serial kernel: r-outer is cache-friendly on `this`. Each out(k, c)
-    // accumulates its a(r, k) * b(r, c) terms for r ascending, skipping
-    // zero a(r, k).
-    for (size_t r = 0; r < rows_; ++r) {
-      const double* a = row(r);
-      const double* b = other.row(r);
-      for (size_t k = 0; k < cols_; ++k) {
-        const double av = a[k];
-        if (av == 0.0) continue;
-        double* o = out.row(k);
-        for (size_t c = 0; c < other.cols_; ++c) o[c] += av * b[c];
-      }
-    }
-    return out;
-  }
-  // Sharded kernel: one *output* row k per unit of work. For a fixed k the
-  // r-terms are visited in the same ascending order, with the same
-  // zero-skip, as the serial kernel — identical floating-point sequence
-  // per element, hence bit-identical results (DESIGN.md §9).
-  ParallelFor(threads, 0, cols_, [&](size_t k) {
-    double* o = out.row(k);
-    for (size_t r = 0; r < rows_; ++r) {
-      const double av = data_[r * cols_ + k];
-      if (av == 0.0) continue;
-      const double* b = other.row(r);
-      for (size_t c = 0; c < other.cols_; ++c) o[c] += av * b[c];
-    }
-  });
-  return out;
-}
-
 Matrix Matrix::MatMulTransposed(const Matrix& other) const {
   CTFL_CHECK(cols_ == other.cols_);
   Matrix out(rows_, other.rows_);

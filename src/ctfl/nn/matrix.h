@@ -76,12 +76,6 @@ class Matrix {
   /// loop at any thread count.
   Matrix MatMul(const Matrix& other) const;
 
-  /// Returns transpose(this)(cols x rows) * other(rows x c) without
-  /// materializing the transpose. The sharded path walks output rows
-  /// (columns of this) and accumulates the r-terms in the same ascending
-  /// order as the serial loop — bit-identical results.
-  Matrix TransposedMatMul(const Matrix& other) const;
-
   /// Returns this(rows x k) * transpose(other)(k x c) without materializing
   /// the transpose. Row-sharded; bit-identical to serial.
   Matrix MatMulTransposed(const Matrix& other) const;

@@ -15,9 +15,12 @@ namespace ctfl {
 
 double GraftedStep(LogicalNet& net, const Matrix& encoded,
                    const std::vector<int>& labels, Optimizer& optimizer) {
-  LogicalNet::Cache cache;
-  net.ForwardContinuous(encoded, &cache);
-  const Matrix discrete_logits = net.ForwardDiscrete(encoded);
+  // Per thread, so the cache's buffers (the encoded batch, the layer
+  // outputs, layer 0's split and factor table) keep their storage from step
+  // to step. No thread re-enters a step: its parallel sections run only
+  // their own chunks.
+  static thread_local LogicalNet::Cache cache;
+  const Matrix discrete_logits = net.ForwardGrafted(encoded, &cache);
   Matrix dlogits;
   const double loss = SoftmaxCrossEntropy(discrete_logits, labels, &dlogits);
   net.ZeroGrads();
@@ -62,6 +65,9 @@ TrainReport TrainGrafted(LogicalNet& net, const Dataset& data,
           "ctfl.train.epoch_us");
 
   const int batch_size = std::max(1, config.batch_size);
+  // One batch buffer for the whole run; only a short last batch resizes it.
+  Matrix batch;
+  std::vector<int> labels;
   Stopwatch epoch_watch;
   report.epoch_stats.reserve(config.epochs > 0 ? config.epochs : 0);
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
@@ -73,8 +79,10 @@ TrainReport TrainGrafted(LogicalNet& net, const Dataset& data,
          start += static_cast<size_t>(batch_size)) {
       const size_t end =
           std::min(order.size(), start + static_cast<size_t>(batch_size));
-      Matrix batch(end - start, all_encoded.cols());
-      std::vector<int> labels(end - start);
+      if (batch.rows() != end - start) {
+        batch = Matrix(end - start, all_encoded.cols());
+      }
+      labels.resize(end - start);
       for (size_t r = start; r < end; ++r) {
         const int src = order[r];
         const double* src_row = all_encoded.row(src);

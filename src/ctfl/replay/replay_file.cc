@@ -113,17 +113,17 @@ Status DecodeOutcome(std::string_view payload, RunOutcome* outcome) {
   CTFL_RETURN_IF_ERROR(r.U64(&outcome->failure_plan_fingerprint));
   CTFL_RETURN_IF_ERROR(r.U64(&outcome->run_fingerprint));
   CTFL_RETURN_IF_ERROR(r.F64(&outcome->test_accuracy));
+  // Each score is 8 bytes of the payload, so no count can size more than
+  // the payload holds.
   uint32_t n = 0;
   CTFL_RETURN_IF_ERROR(r.U32(&n));
-  if (n > kMaxSectionBytes / sizeof(double)) {
-    return Status::InvalidArgument("replay outcome micro count implausible");
-  }
+  CTFL_RETURN_IF_ERROR(
+      r.CheckCount(n, sizeof(double), "micro scores"));
   outcome->micro.resize(n);
   for (double& v : outcome->micro) CTFL_RETURN_IF_ERROR(r.F64(&v));
   CTFL_RETURN_IF_ERROR(r.U32(&n));
-  if (n > kMaxSectionBytes / sizeof(double)) {
-    return Status::InvalidArgument("replay outcome macro count implausible");
-  }
+  CTFL_RETURN_IF_ERROR(
+      r.CheckCount(n, sizeof(double), "macro scores"));
   outcome->macro.resize(n);
   for (double& v : outcome->macro) CTFL_RETURN_IF_ERROR(r.F64(&v));
   CTFL_RETURN_IF_ERROR(r.U64(&outcome->score_digest));

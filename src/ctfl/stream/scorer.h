@@ -2,8 +2,9 @@
 #define CTFL_STREAM_SCORER_H_
 
 // StreamingScorer: live per-participant contribution scores folded
-// forward one RoundDelta at a time, in O(delta) work per round instead of
-// O(run).
+// forward one RoundDelta at a time. A fold patches the persisted state in
+// O(delta) work and skips training and every forward pass, but re-traces
+// in full: its Eq. 4 match is a whole TraceForwards over every test.
 //
 // Why the fold is bit-exact (DESIGN.md §15): micro and macro scores are
 // pure functions of the tracing pass (Eq. 5/6 over Eq. 4 matches), and
@@ -55,7 +56,8 @@ class StreamingScorer {
   /// Folds one round. Rounds must arrive consecutively (round ==
   /// rounds_folded() + 1). An empty delta (fully degraded round) is an
   /// O(1) carry-over; otherwise the model/upload/forward state is patched
-  /// in O(delta) and the scores re-traced with the blocked/SIMD kernel.
+  /// in O(delta) and the scores re-traced with the blocked/SIMD kernel, a
+  /// full TraceForwards that costs about as much as the one-shot trace.
   Status Fold(const RoundDelta& delta);
 
   /// Folds every round of `contents` beyond rounds_folded() — idempotent
@@ -85,9 +87,10 @@ class StreamingScorer {
   StreamingScorer(LogicalNet net, TracerConfig tracer_config)
       : net_(std::move(net)), tracer_config_(tracer_config) {}
 
-  /// Fresh trace + allocation over the current state (the O(delta) fold's
-  /// only non-constant phase: Eq. 4 must re-match because every round
-  /// moves rule weights, but training and all forward passes are skipped).
+  /// Fresh trace + allocation over the current state: a full
+  /// TraceForwards, the fold's dominant cost (Eq. 4 must re-match because
+  /// every round moves rule weights; training and all forward passes are
+  /// skipped, and only the patch before it is O(delta)).
   Status Rescore();
 
   LogicalNet net_;

@@ -581,11 +581,20 @@ void ExpectNetMatchesOracle(LogicalNet net, const Dataset& data) {
       EXPECT_TRUE(BitEqual(cache.layer_out[l], want_out[l]));
     }
 
-    // Discrete forward, and the per-record inference built on it.
+    // Discrete forward, the grafted step's forward, and the per-record
+    // inference built on them.
     const Matrix want_rules = OracleRules(net, encoded);
     EXPECT_TRUE(BitEqual(net.RulesDiscrete(encoded), want_rules));
     const Matrix logits = net.ForwardDiscrete(encoded);
-    EXPECT_TRUE(BitEqual(logits, net.linear().Forward(want_rules)));
+    EXPECT_TRUE(BitEqual(logits, oracle::VoteForward(net.linear().weights(),
+                                                     net.linear().bias(),
+                                                     want_rules)));
+    LogicalNet::Cache step_cache;
+    EXPECT_TRUE(BitEqual(net.ForwardGrafted(encoded, &step_cache), logits));
+    ASSERT_EQ(step_cache.layer_out.size(), layers.size());
+    for (size_t l = 0; l < layers.size(); ++l) {
+      EXPECT_TRUE(BitEqual(step_cache.layer_out[l], want_out[l]));
+    }
     Dataset subset(data.schema());
     for (size_t r : rows) subset.AppendUnchecked(data.instance(r));
     std::vector<uint8_t> predicted;
@@ -615,7 +624,33 @@ void ExpectNetMatchesOracle(LogicalNet net, const Dataset& data) {
     SoftmaxCrossEntropy(logits, labels, &dlogits);
     net.ZeroGrads();
     net.Backward(cache, dlogits);
-    const Matrix drules = dlogits.MatMul(net.linear().weights());
+    // The vote layer reads the continuous rule vector.
+    Matrix continuous_rules(batch, net.num_rules());
+    for (size_t r = 0; r < batch; ++r) {
+      size_t offset = 0;
+      if (net.config().input_skip) {
+        for (size_t c = 0; c < encoded.cols(); ++c) {
+          continuous_rules(r, c) = encoded(r, c);
+        }
+        offset = encoded.cols();
+      }
+      for (const Matrix& out : want_out) {
+        for (size_t c = 0; c < out.cols(); ++c) {
+          continuous_rules(r, offset + c) = out(r, c);
+        }
+        offset += out.cols();
+      }
+    }
+    Matrix want_vote_grads(2, net.num_rules());
+    Matrix want_bias_grads(1, 2);
+    const Matrix drules = oracle::VoteBackward(
+        net.linear().weights(), continuous_rules, dlogits, &want_vote_grads,
+        &want_bias_grads);
+    {
+      const std::vector<ParamSlot> slots = net.ParamSlots();
+      EXPECT_TRUE(BitEqual(*slots[slots.size() - 2].grad, want_vote_grads));
+      EXPECT_TRUE(BitEqual(*slots.back().grad, want_bias_grads));
+    }
     std::vector<Matrix> dout(layers.size());
     size_t offset = net.config().input_skip ? net.encoded_size() : 0;
     for (size_t l = 0; l < layers.size(); ++l) {
@@ -693,6 +728,166 @@ TEST(LogicKernelTest, NetWithoutSkipMatchesOracle) {
   config.input_skip = false;
   config.seed = 8;
   ExpectTrainedNetsMatchOracle(config, 2, data);
+}
+
+// ---- Vote layer ------------------------------------------------------------
+
+/// A copy of `net` whose vote weights (class-major, then the two biases)
+/// are `votes`.
+LogicalNet WithVotes(const LogicalNet& net, const std::vector<double>& votes) {
+  LogicalNet out = net;
+  std::vector<double> params = out.GetParameters();
+  EXPECT_EQ(votes.size(), 2 * static_cast<size_t>(net.num_rules()));
+  std::copy(votes.begin(), votes.end(), params.end() - votes.size() - 2);
+  out.SetParameters(params);
+  return out;
+}
+
+/// Every discrete-logit path of `net` on rows of `data` (and, for the
+/// matrix paths, on `encoded` rows with one fuzzy skip coordinate) against
+/// oracle::VoteForward on the oracle's rule rows.
+void ExpectVotesMatchOracle(const LogicalNet& net, const Dataset& data,
+                            bool fuzzy) {
+  const Matrix& w = net.linear().weights();
+  const Matrix& b = net.linear().bias();
+  for (size_t batch : kBatchSizes) {
+    SCOPED_TRACE(::testing::Message() << "batch " << batch << " fuzzy "
+                                      << fuzzy);
+    std::vector<size_t> rows(batch);
+    for (size_t r = 0; r < batch; ++r) rows[r] = (7 * r) % data.size();
+    Matrix encoded = net.EncodeBatch(data, rows);
+    if (fuzzy) {
+      // A skip coordinate off its bit, with ordinary weights for both
+      // classes, so the packed vote's full weight would differ.
+      int column = 0;
+      while (column < net.encoded_size() &&
+             !(std::isnormal(w(0, column)) && std::isnormal(w(1, column)))) {
+        ++column;
+      }
+      ASSERT_LT(column, net.encoded_size());
+      encoded(batch / 2, column) = 0.75;
+    }
+    const Matrix want = oracle::VoteForward(w, b, OracleRules(net, encoded));
+    EXPECT_TRUE(BitEqual(net.ForwardDiscrete(encoded), want));
+    LogicalNet::Cache cache;
+    EXPECT_TRUE(BitEqual(net.ForwardGrafted(encoded, &cache), want));
+    if (fuzzy) continue;  // the encoder's own rows are 0/1
+    Dataset subset(data.schema());
+    for (size_t r : rows) subset.AppendUnchecked(data.instance(r));
+    std::vector<uint8_t> predicted;
+    net.InferDataset(subset, &predicted, nullptr);
+    ASSERT_EQ(predicted.size(), batch);
+    for (size_t r = 0; r < batch; ++r) {
+      EXPECT_EQ(predicted[r], want(r, 1) >= want(r, 0) ? 1 : 0)
+          << "record " << r;
+    }
+  }
+}
+
+TEST(LogicKernelTest, VoteLayerMatchesOracle) {
+  // The packed vote sums each record's on-rule weights from +0.0; the
+  // dense product's off-rule terms are ±0.0 there. Vote weights of -0.0
+  // and subnormals stay on the packed path, ±inf or NaN take the dense
+  // fallback (an off rule's 0 * inf is NaN), and so does a fuzzy skip
+  // coordinate. Infinities and NaN weights go in separate nets: where a
+  // NaN weight meets the NaN of 0 * inf, IEEE 754 leaves open whose bits
+  // the sum keeps, and compilers order the operands of an add freely.
+  const Dataset data = TwoFeatureData(300, 9);
+  LogicalNet trained(data.schema(), NetConfig({{13, 11}}));
+  TrainConfig train;
+  train.epochs = 2;
+  train.num_threads = 1;
+  TrainGrafted(trained, data, train);
+  const std::vector<std::vector<double>> kSpecials = {
+      {-0.0, 0.0, 5e-324, -5e-324, 0x1p-1030, 1e300, -1e300},
+      {-0.0, 5e-324, 1e300, kInf, -kInf},
+      {-0.0, 5e-324, kNaN}};
+  ForEachTier([&](TraceIsa) {
+    // The trained votes, where a fuzzy skip coordinate's partial weight
+    // shows in the logits.
+    for (bool fuzzy : {false, true}) {
+      ExpectVotesMatchOracle(trained, data, fuzzy);
+    }
+    Rng rng(111);
+    const std::vector<double> base = [&] {
+      const Matrix& w = trained.linear().weights();
+      return std::vector<double>(w.data(), w.data() + w.size());
+    }();
+    for (size_t set = 0; set < kSpecials.size(); ++set) {
+      SCOPED_TRACE(::testing::Message() << "special set " << set);
+      const std::vector<double>& special = kSpecials[set];
+      std::vector<double> votes = base;
+      for (double& v : votes) {
+        if (rng.Bernoulli(0.3)) v = special[rng.UniformInt(special.size())];
+      }
+      votes[3] = -0.0;
+      votes[votes.size() - 1] = 5e-324;
+      const LogicalNet net = WithVotes(trained, votes);
+      EXPECT_EQ(net.linear().WeightsFinite(), set == 0);
+      for (bool fuzzy : {false, true}) ExpectVotesMatchOracle(net, data, fuzzy);
+    }
+    // Only huge weights: sums overflow to ±inf on the packed path too.
+    std::vector<double> huge(base.size());
+    for (double& v : huge) v = rng.Bernoulli(0.5) ? 1e308 : -1e308;
+    ExpectVotesMatchOracle(WithVotes(trained, huge), data, false);
+  });
+}
+
+TEST(LogicKernelTest, BackwardAccumulatesOntoAnyGradients) {
+  // Backward adds to whatever the gradients hold. Layer 0's table path
+  // starts its accumulators at +0.0 only where they are all +0.0 (as after
+  // ZeroGrads); nonzero values, and -0.0 that only ±0.0 terms reach, must
+  // still come out as the oracle accumulates them.
+  const Dataset data = TwoFeatureData(300, 10);
+  LogicalNet trained(data.schema(), NetConfig({{13, 11}}));
+  TrainConfig train;
+  train.epochs = 2;
+  train.num_threads = 1;
+  TrainGrafted(trained, data, train);
+  ForEachTier([&](TraceIsa) {
+    Rng rng(112);
+    for (size_t batch : kBatchSizes) {
+      SCOPED_TRACE(::testing::Message() << "batch " << batch);
+      std::vector<size_t> rows(batch);
+      for (size_t r = 0; r < batch; ++r) rows[r] = (3 * r) % data.size();
+      const Matrix encoded = trained.EncodeBatch(data, rows);
+      std::vector<int> labels(batch);
+      for (size_t r = 0; r < batch; ++r) {
+        labels[r] = data.instance(rows[r]).label;
+      }
+      for (int start = 0; start < 3; ++start) {
+        SCOPED_TRACE(::testing::Message() << "start " << start);
+        LogicalNet net = trained;
+        LogicLayer& layer = net.mutable_logic_layers()[0];
+        Matrix want(layer.out_dim(), layer.in_dim());
+        if (start == 1) want.RandomUniform(rng, -1.0, 1.0);
+        if (start == 2) want.Fill(-0.0);
+        if (start == 2) want(0, 0) = 0.0;  // one chunk all +0.0
+        LogicalNet::Cache cache;
+        const Matrix logits = net.ForwardGrafted(encoded, &cache);
+        Matrix dlogits;
+        SoftmaxCrossEntropy(logits, labels, &dlogits);
+        net.ZeroGrads();
+        layer.grads() = want;
+        const std::vector<LogicLayer>& layers = net.logic_layers();
+        const size_t offset = net.encoded_size();
+        Matrix dout(batch, layer.out_dim());
+        for (size_t r = 0; r < batch; ++r) {
+          for (int k = 0; k < layer.out_dim(); ++k) {
+            for (int c = 0; c < 2; ++c) {
+              if (dlogits(r, c) == 0.0) continue;
+              dout(r, k) +=
+                  dlogits(r, c) * net.linear().weights()(c, offset + k);
+            }
+          }
+        }
+        oracle::Backward(layers[0].weights(), layers[0].num_conj(), encoded,
+                         cache.layer_out[0], dout, &want);
+        net.Backward(cache, dlogits);
+        EXPECT_TRUE(BitEqual(layer.grads(), want));
+      }
+    }
+  });
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 #ifndef CTFL_TESTS_LOGIC_ORACLE_H_
 #define CTFL_TESTS_LOGIC_ORACLE_H_
 
-// Reference kernels of the logic layer and its optimizer: the scalar
-// per-element loops the production kernels replaced (DESIGN.md §16), kept
-// verbatim as the oracle they must match bit for bit. Each layer kernel
-// takes the layer's weights and its conjunction count; `grads` accumulates
-// like LogicLayer::grads().
+// Reference kernels of the logic layer, the vote layer and the optimizer:
+// the scalar per-element loops the production kernels replaced (DESIGN.md
+// §16), kept as the oracle they must match bit for bit. Each logic-layer
+// kernel takes the layer's weights and its conjunction count; `grads`
+// accumulates like LogicLayer::grads().
 
 #include <algorithm>
 #include <cmath>
@@ -114,6 +114,59 @@ inline Matrix Backward(const Matrix& weights, int num_conj, const Matrix& x,
     }
   }
   return dx;
+}
+
+/// The vote layer's logits (batch x classes): per row and class, the dense
+/// product of the rule vector and the class's weights, terms in ascending
+/// k from 0.0, plus the bias.
+inline Matrix VoteForward(const Matrix& weights, const Matrix& bias,
+                          const Matrix& rules) {
+  Matrix logits(rules.rows(), weights.rows());
+  for (size_t r = 0; r < rules.rows(); ++r) {
+    for (size_t c = 0; c < weights.rows(); ++c) {
+      double sum = 0.0;
+      for (size_t k = 0; k < rules.cols(); ++k) {
+        sum += rules(r, k) * weights(c, k);
+      }
+      logits(r, c) = sum + bias(0, c);
+    }
+  }
+  return logits;
+}
+
+/// The vote layer's backward: accumulates dlogits^T * rules (each element
+/// summed over rows from 0.0, zero dlogits skipped, then added) into
+/// `weight_grads` and the column sums of dlogits into `bias_grads`; returns
+/// the rule gradient dlogits * weights.
+inline Matrix VoteBackward(const Matrix& weights, const Matrix& rules,
+                           const Matrix& dlogits, Matrix* weight_grads,
+                           Matrix* bias_grads) {
+  const size_t classes = weights.rows();
+  for (size_t c = 0; c < classes; ++c) {
+    for (size_t k = 0; k < rules.cols(); ++k) {
+      double sum = 0.0;
+      for (size_t r = 0; r < rules.rows(); ++r) {
+        if (dlogits(r, c) == 0.0) continue;
+        sum += dlogits(r, c) * rules(r, k);
+      }
+      (*weight_grads)(c, k) += sum;
+    }
+  }
+  for (size_t r = 0; r < dlogits.rows(); ++r) {
+    for (size_t c = 0; c < classes; ++c) (*bias_grads)(0, c) += dlogits(r, c);
+  }
+  Matrix drules(rules.rows(), rules.cols());
+  for (size_t r = 0; r < rules.rows(); ++r) {
+    for (size_t k = 0; k < rules.cols(); ++k) {
+      double sum = 0.0;
+      for (size_t c = 0; c < classes; ++c) {
+        if (dlogits(r, c) == 0.0) continue;
+        sum += dlogits(r, c) * weights(c, k);
+      }
+      drules(r, k) = sum;
+    }
+  }
+  return drules;
 }
 
 /// One Adam update of `p` (AdamOptimizer::Step on one slot, serial), with

@@ -59,22 +59,9 @@ TEST(MatrixTest, MatMulHandExample) {
 
 TEST(MatrixTest, TransposedVariantsAgreeWithExplicit) {
   Rng rng(9);
-  Matrix a(4, 5), b(4, 3), c(6, 5);
+  Matrix a(4, 5), c(6, 5);
   a.RandomUniform(rng, -1, 1);
-  b.RandomUniform(rng, -1, 1);
   c.RandomUniform(rng, -1, 1);
-
-  // a^T * b  via TransposedMatMul.
-  const Matrix atb = a.TransposedMatMul(b);
-  ASSERT_EQ(atb.rows(), 5u);
-  ASSERT_EQ(atb.cols(), 3u);
-  for (size_t i = 0; i < 5; ++i) {
-    for (size_t j = 0; j < 3; ++j) {
-      double expected = 0.0;
-      for (size_t k = 0; k < 4; ++k) expected += a(k, i) * b(k, j);
-      EXPECT_NEAR(atb(i, j), expected, 1e-12);
-    }
-  }
 
   // a * c^T via MatMulTransposed.
   const Matrix act = a.MatMulTransposed(c);
@@ -110,8 +97,8 @@ class ShardedKernelTest : public ::testing::Test {
     Matrix m(rows, cols);
     m.RandomUniform(rng, -1, 1);
     if (with_zeros) {
-      // Sprinkle exact zeros so TransposedMatMul's zero-skip branch is
-      // exercised (skipping vs adding 0.0 can flip signed zeros).
+      // Sprinkle exact zeros so MatMul's zero-skip branch is exercised
+      // (skipping vs adding 0.0 can flip signed zeros).
       for (size_t i = 0; i < m.size(); i += 3) m.data()[i] = 0.0;
     }
     return m;
@@ -148,18 +135,15 @@ TEST_F(ShardedKernelTest, AllKernelsBitIdenticalOnRaggedShapes) {
       const Matrix a = Random(m, k, ++seed, /*with_zeros=*/true);
       const Matrix b = Random(k, n, ++seed);
       const Matrix bt = Random(n, k, ++seed);
-      const Matrix at_rhs = Random(m, n, ++seed);
 
       SetMatrixParallelism(1);  // serial reference
       const Matrix serial_ab = a.MatMul(b);
       const Matrix serial_abt = a.MatMulTransposed(bt);
-      const Matrix serial_atb = a.TransposedMatMul(at_rhs);
 
       SetMatrixParallelism(8);
       SetMatrixParallelGrain(1);  // force the sharded path on tiny inputs
       EXPECT_TRUE(SameBits(serial_ab, a.MatMul(b)));
       EXPECT_TRUE(SameBits(serial_abt, a.MatMulTransposed(bt)));
-      EXPECT_TRUE(SameBits(serial_atb, a.TransposedMatMul(at_rhs)));
       SetMatrixParallelism(1);
       SetMatrixParallelGrain(size_t{1} << 16);
     }

@@ -243,6 +243,47 @@ TEST(ReplayGoldenTest, TrailingSectionGoldenIgnored) {
   ExpectFilesEqual(*base, *decoded);
 }
 
+TEST(ReplayGoldenTest, InflatedScoreCountsAreInvalidArgument) {
+  // A 79-byte file whose CRC-valid outcome claims 33,554,431 micro scores
+  // once sized a 256 MB vector before the reads ran out. Each score count
+  // is now checked against the bytes its payload has left.
+  const std::string bytes =
+      ReadFileBytes(GoldenPath("replay_inflated_micro_count.ctflr"));
+  ASSERT_EQ(bytes.size(), 79u);
+  Result<ReplayFile> decoded = DecodeReplay(bytes);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+      << decoded.status();
+  EXPECT_NE(decoded.status().message().find("micro scores count"),
+            std::string::npos)
+      << decoded.status();
+
+  // The same for the macro count, after two real micro scores.
+  wire::Writer outcome;
+  for (int i = 0; i < 4; ++i) outcome.U64(0);
+  outcome.F64(0.5);
+  outcome.U32(2);
+  outcome.F64(0.25);
+  outcome.F64(0.75);
+  outcome.U32(1u << 20);
+  const std::string payload = std::move(outcome).Take();
+  wire::Writer file;
+  file.U32(kReplayVersion);
+  file.U32(1);
+  file.Str("outcome");
+  file.Str(payload);
+  file.U32(store::Crc32(payload.data(), payload.size()));
+  const std::string macro =
+      std::string(kReplayMagic, 8) + std::move(file).Take();
+  decoded = DecodeReplay(macro);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+      << decoded.status();
+  EXPECT_NE(decoded.status().message().find("macro scores count"),
+            std::string::npos)
+      << decoded.status();
+}
+
 TEST(ReplayGoldenTest, FutureVersionGoldenRejected) {
   const std::string bytes =
       ReadFileBytes(GoldenPath("golden_replay_future.ctflr"));

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <type_traits>
 
 #include "ctfl/data/gen/synthetic.h"
 #include "ctfl/fl/partition.h"
+#include "ctfl/fl/privacy.h"
 #include "ctfl/nn/trainer.h"
 #include "trace_compare.h"
 #include "trace_oracle.h"
@@ -319,6 +321,73 @@ TEST_P(TracerConsistencyTest, RelatedSetsShrinkAsTauGrows) {
         EXPECT_LE(traces[level].tests[t].related_count[p],
                   traces[level - 1].tests[t].related_count[p]);
       }
+    }
+  }
+}
+
+// The upload pass fans participants out over the compute pool, largest
+// first: uploads (each participant's DP stream seeded dp_seed + p and
+// consumed in record order) and the summed train accuracy must be the
+// serial per-participant loop's bits at any thread count.
+TEST(UploadActivationsTest, BitIdenticalAcrossThreadCounts) {
+  SyntheticSpec spec;
+  spec.schema = std::make_shared<FeatureSchema>(
+      std::vector<FeatureSpec>{FeatureSchema::Continuous("x", 0, 1),
+                               FeatureSchema::Discrete("d", {"p", "q", "r"})},
+      "neg", "pos");
+  spec.samplers = {
+      FeatureSampler{FeatureSampler::Kind::kUniform, 0, 0, {}},
+      FeatureSampler{FeatureSampler::Kind::kCategorical, 0, 0, {}}};
+  spec.rules = {{{{0, GtPredicate::Op::kGt, 0.6}}, 1, 1.0},
+                {{{1, GtPredicate::Op::kEq, 2}}, 1, 0.5}};
+  spec.label_noise = 0.1;
+  Rng rng(606);
+  const Dataset all = GenerateSynthetic(spec, 700, rng);
+  Rng prng(607);
+  // Skewed sizes, so the largest-first order differs from index order.
+  const Federation federation =
+      MakeFederation(PartitionSkewSample(all, 5, 0.8, prng));
+  LogicalNetConfig net_config;
+  net_config.logic_layers = {{8, 8}};
+  net_config.seed = 3;
+  LogicalNet net(spec.schema, net_config);
+  TrainConfig train;
+  train.epochs = 3;
+  train.num_threads = 1;
+  TrainGrafted(net, all, train);
+
+  for (double epsilon : {0.0, 1.5}) {
+    SCOPED_TRACE(::testing::Message() << "dp_epsilon " << epsilon);
+    // Participant by participant in index order: each one's forward, then
+    // its own DP stream over its records in order.
+    TracerConfig serial;
+    serial.dp_epsilon = epsilon;
+    std::vector<std::vector<Bitset>> want(federation.size());
+    size_t correct = 0;
+    size_t records = 0;
+    for (size_t p = 0; p < federation.size(); ++p) {
+      Rng dp_rng(serial.dp_seed + p);
+      for (const Instance& instance : federation[p].data.instances()) {
+        const LogicalNet::Inference inference = net.Infer(instance);
+        correct += inference.predicted == instance.label ? 1 : 0;
+        ++records;
+        want[p].push_back(epsilon > 0.0 ? RandomizedResponse(
+                                              inference.activation,
+                                              epsilon, dp_rng)
+                                        : inference.activation);
+      }
+    }
+    const double want_accuracy = static_cast<double>(correct) / records;
+    for (int threads : {1, 2, 4}) {
+      SCOPED_TRACE(::testing::Message() << "threads " << threads);
+      TracerConfig config = serial;
+      config.num_threads = threads;
+      double accuracy = -1.0;
+      const std::vector<std::vector<Bitset>> uploads =
+          ContributionTracer::ComputeUploadActivations(net, federation,
+                                                       config, &accuracy);
+      EXPECT_EQ(uploads, want);
+      EXPECT_EQ(std::memcmp(&accuracy, &want_accuracy, sizeof(double)), 0);
     }
   }
 }

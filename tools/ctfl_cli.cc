@@ -157,6 +157,11 @@ Status RunTrain(int argc, const char* const* argv) {
   CTFL_ASSIGN_OR_RETURN(int width, flags.GetInt("width"));
   CTFL_ASSIGN_OR_RETURN(int num_threads, flags.GetInt("num-threads"));
   CTFL_ASSIGN_OR_RETURN(int seed, flags.GetInt("seed"));
+  // The logic layer needs at least one node (a CHECK in its constructor).
+  if (width < 1) {
+    return Status::InvalidArgument(
+        StrFormat("--width must be >= 1, got %d", width));
+  }
 
   LogicalNetConfig net_config;
   net_config.logic_layers = {{width / 2, width - width / 2}};
