@@ -94,9 +94,9 @@ Result<CtflReport> RunCtfl(const Federation& federation, const Dataset& test,
   TrainReport central_report;
   Result<LogicalNet> trained = [&]() -> Result<LogicalNet> {
     if (config.federated) {
-      std::vector<Dataset> clients;
+      std::vector<const Dataset*> clients;
       clients.reserve(federation.size());
-      for (const Participant& p : federation) clients.push_back(p.data);
+      for (const Participant& p : federation) clients.push_back(&p.data);
       return TrainFederated(schema, config.net, clients, config.fedavg,
                             &fedavg_stats);
     }

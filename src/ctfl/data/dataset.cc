@@ -15,18 +15,27 @@ Status Dataset::Append(Instance instance) {
   if (instance.label != 0 && instance.label != 1) {
     return Status::InvalidArgument("label must be 0 or 1");
   }
-  for (int f = 0; f < schema_->num_features(); ++f) {
-    const FeatureSpec& spec = schema_->feature(f);
-    if (spec.type == FeatureType::kDiscrete) {
-      const int c = static_cast<int>(instance.values[f]);
-      if (c < 0 || c >= spec.num_categories()) {
-        return Status::OutOfRange(
-            StrFormat("category %d out of range for %s", c,
-                      spec.name.c_str()));
-      }
+  CTFL_RETURN_IF_ERROR(CheckDiscreteValues(*schema_, instance.values));
+  instances_.push_back(std::move(instance));
+  return Status::OK();
+}
+
+Status CheckDiscreteValues(const FeatureSchema& schema,
+                           const std::vector<double>& values) {
+  CTFL_CHECK(static_cast<int>(values.size()) == schema.num_features());
+  for (int f = 0; f < schema.num_features(); ++f) {
+    const FeatureSpec& spec = schema.feature(f);
+    if (spec.type != FeatureType::kDiscrete) continue;
+    // Range first, as doubles (NaN fails both comparisons), then
+    // integrality: only then is the cast defined.
+    const double v = values[f];
+    if (!(v >= 0.0 && v < static_cast<double>(spec.num_categories())) ||
+        v != static_cast<double>(static_cast<int>(v))) {
+      return Status::InvalidArgument(
+          StrFormat("%s must be a category index in [0, %d), got %.17g",
+                    spec.name.c_str(), spec.num_categories(), v));
     }
   }
-  instances_.push_back(std::move(instance));
   return Status::OK();
 }
 

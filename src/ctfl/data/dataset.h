@@ -54,6 +54,14 @@ class Dataset {
   std::vector<Instance> instances_;
 };
 
+/// InvalidArgument unless every discrete value of `values` (one per feature
+/// of `schema`) is a finite integer in [0, categories): checked before any
+/// value is read as a category index, so that a NaN, an infinity or an
+/// out-of-range value from an untrusted source never reaches a float-to-int
+/// cast.
+Status CheckDiscreteValues(const FeatureSchema& schema,
+                           const std::vector<double>& values);
+
 /// Parses one CSV row (feature fields in schema order plus a final label
 /// field) into an Instance. The row-level half of LoadCsvDataset, exposed
 /// so line-oriented front ends (`ctfl query --requests-file`, the query

@@ -47,6 +47,15 @@ uint64_t PerClientSeed(uint64_t base, int round, size_t client) {
 
 Status RunFedAvg(LogicalNet& global, const std::vector<Dataset>& clients,
                  const FedAvgConfig& config, FedAvgStats* stats) {
+  std::vector<const Dataset*> views;
+  views.reserve(clients.size());
+  for (const Dataset& c : clients) views.push_back(&c);
+  return RunFedAvg(global, views, config, stats);
+}
+
+Status RunFedAvg(LogicalNet& global,
+                 const std::vector<const Dataset*>& clients,
+                 const FedAvgConfig& config, FedAvgStats* stats) {
   // Reset stats before any early return so callers never read a previous
   // invocation's rounds out of a reused FedAvgStats.
   if (stats != nullptr) {
@@ -65,9 +74,9 @@ Status RunFedAvg(LogicalNet& global, const std::vector<Dataset>& clients,
   size_t nonempty_clients = 0;
   {
     size_t total = 0;
-    for (const Dataset& c : clients) {
-      total += c.size();
-      if (!c.empty()) ++nonempty_clients;
+    for (const Dataset* c : clients) {
+      total += c->size();
+      if (!c->empty()) ++nonempty_clients;
     }
     if (total == 0) return Status::OK();
   }
@@ -106,8 +115,17 @@ Status RunFedAvg(LogicalNet& global, const std::vector<Dataset>& clients,
   for (size_t c = 0; c < clients.size(); ++c) claim_order[c] = c;
   std::stable_sort(claim_order.begin(), claim_order.end(),
                    [&](size_t a, size_t b) {
-                     return clients[a].size() > clients[b].size();
+                     return clients[a]->size() > clients[b]->size();
                    });
+
+  // Every client's records, encoded once for the whole run (DESIGN.md
+  // §16.4): the encoder has no trainable parameters and every local net is
+  // a copy of `global`, so these are the bits each round would encode.
+  std::vector<PackedRows> encoded(clients.size());
+  ParallelFor(threads, 0, clients.size(), [&](size_t i) {
+    const size_t c = claim_order[i];
+    encoded[c] = global.encoder().EncodeDataset(*clients[c]);
+  });
 
   if (config.model_observer) {
     // Round 0: the initialized global model before any training — the
@@ -129,7 +147,7 @@ Status RunFedAvg(LogicalNet& global, const std::vector<Dataset>& clients,
     std::vector<char> available(clients.size(), 1);
     if (!plan.empty()) {
       for (size_t c = 0; c < clients.size(); ++c) {
-        if (!clients[c].empty() &&
+        if (!clients[c]->empty() &&
             plan.DropsOut(round, static_cast<int>(c))) {
           available[c] = 0;
         }
@@ -144,7 +162,7 @@ Status RunFedAvg(LogicalNet& global, const std::vector<Dataset>& clients,
     // it.
     std::vector<ClientUpdate> results(clients.size());
     auto train_client = [&](size_t c) {
-      const Dataset& client = clients[c];
+      const Dataset& client = *clients[c];
       ClientUpdate& out = results[c];
       if (client.empty()) {
         // Empty clients contribute a zero update to the weighted average.
@@ -156,8 +174,8 @@ Status RunFedAvg(LogicalNet& global, const std::vector<Dataset>& clients,
       LogicalNet local_net = global;  // start from the global weights
       TrainConfig client_config = local;
       client_config.seed = PerClientSeed(config.local.seed, round, c);
-      const TrainReport report = TrainGrafted(local_net, client,
-                                              client_config);
+      const TrainReport report =
+          TrainGrafted(local_net, client, encoded[c], client_config);
       out.final_loss = report.final_loss;
       out.steps = report.steps;
       out.trained = true;
@@ -181,7 +199,7 @@ Status RunFedAvg(LogicalNet& global, const std::vector<Dataset>& clients,
     size_t cohort_volume = 0;  // data volume of the surviving cohort
     for (size_t c = 0; c < clients.size(); ++c) {
       ClientUpdate& result = results[c];
-      if (clients[c].empty()) {
+      if (clients[c]->empty()) {
         // An empty client's zero update is always "accepted": it cannot
         // fail, and keeping it in the cohort preserves the fault-free
         // masking schedule bit-for-bit.
@@ -252,7 +270,7 @@ Status RunFedAvg(LogicalNet& global, const std::vector<Dataset>& clients,
         continue;
       }
       cohort.push_back(static_cast<int>(c));
-      cohort_volume += clients[c].size();
+      cohort_volume += clients[c]->size();
       loss_sum += result.final_loss;
       ++clients_trained;
       if (stats != nullptr) stats->grafting_steps += result.steps;
@@ -266,7 +284,7 @@ Status RunFedAvg(LogicalNet& global, const std::vector<Dataset>& clients,
     if (cohort_volume > 0) {
       for (int c : cohort) {
         const double weight =
-            static_cast<double>(clients[c].size()) /
+            static_cast<double>(clients[c]->size()) /
             static_cast<double>(cohort_volume);
         for (double& v : updates[c]) v *= weight;
       }
@@ -352,6 +370,16 @@ Status RunFedAvg(LogicalNet& global, const std::vector<Dataset>& clients,
 Result<LogicalNet> TrainFederated(SchemaPtr schema,
                                   const LogicalNetConfig& net_config,
                                   const std::vector<Dataset>& clients,
+                                  const FedAvgConfig& config,
+                                  FedAvgStats* stats) {
+  LogicalNet net(std::move(schema), net_config);
+  CTFL_RETURN_IF_ERROR(RunFedAvg(net, clients, config, stats));
+  return net;
+}
+
+Result<LogicalNet> TrainFederated(SchemaPtr schema,
+                                  const LogicalNetConfig& net_config,
+                                  const std::vector<const Dataset*>& clients,
                                   const FedAvgConfig& config,
                                   FedAvgStats* stats) {
   LogicalNet net(std::move(schema), net_config);

@@ -97,13 +97,27 @@ struct FedAvgStats {
 /// Returns an error Status only for malformed configuration or internal
 /// aggregation invariant violations; per-client faults never fail the
 /// run.
+///
+/// Each client's records are encoded once per call, into packed bits
+/// (BinarizationLayer::EncodeDataset), and every round's local training
+/// reads them.
 Status RunFedAvg(LogicalNet& global, const std::vector<Dataset>& clients,
+                 const FedAvgConfig& config, FedAvgStats* stats = nullptr);
+/// The same on clients held elsewhere (each pointer non-null), so a caller
+/// that owns them, such as RunCtfl's participants, copies none.
+Status RunFedAvg(LogicalNet& global,
+                 const std::vector<const Dataset*>& clients,
                  const FedAvgConfig& config, FedAvgStats* stats = nullptr);
 
 /// Builds a fresh LogicalNet and federally trains it across `clients`.
 Result<LogicalNet> TrainFederated(SchemaPtr schema,
                                   const LogicalNetConfig& net_config,
                                   const std::vector<Dataset>& clients,
+                                  const FedAvgConfig& config,
+                                  FedAvgStats* stats = nullptr);
+Result<LogicalNet> TrainFederated(SchemaPtr schema,
+                                  const LogicalNetConfig& net_config,
+                                  const std::vector<const Dataset*>& clients,
                                   const FedAvgConfig& config,
                                   FedAvgStats* stats = nullptr);
 

@@ -68,10 +68,12 @@ ConfusionMatrix EvaluateConfusion(const LogicalNet& net,
                                   const Dataset& dataset) {
   ConfusionMatrix cm;
   if (dataset.empty()) return cm;
-  const Matrix encoded = net.EncodeBatch(dataset);
-  const Matrix logits = net.ForwardDiscrete(encoded);
+  // InferDataset's predictions are ForwardDiscrete's argmax bit for bit:
+  // both take the one vote kernel (DESIGN.md §16.5).
+  std::vector<uint8_t> predicted;
+  net.InferDataset(dataset, &predicted, nullptr);
   for (size_t r = 0; r < dataset.size(); ++r) {
-    const int pred = logits(r, 1) >= logits(r, 0) ? 1 : 0;
+    const int pred = predicted[r];
     const int label = dataset.instance(r).label;
     if (pred == 1 && label == 1) ++cm.tp;
     if (pred == 0 && label == 0) ++cm.tn;

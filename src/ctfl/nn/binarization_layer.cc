@@ -68,7 +68,9 @@ bool BinarizationLayer::Holds(int j, const Instance& instance) const {
     case EncodedPredicate::Kind::kLess:
       return v < p.threshold;
     case EncodedPredicate::Kind::kEquals:
-      return static_cast<int>(v) == p.category;
+      // Compared as doubles: a value that is not a category index (NaN,
+      // ±inf, out of int range) matches none, with no float-to-int cast.
+      return v == static_cast<double>(p.category);
   }
   return false;
 }
@@ -79,11 +81,12 @@ void BinarizationLayer::Encode(const Instance& instance, double* out) const {
   }
 }
 
-void BinarizationLayer::EncodePacked(const Instance& instance, size_t r,
-                                     uint64_t* words) const {
-  const uint64_t bit = uint64_t{1} << r;
+void BinarizationLayer::EncodeRow(const Instance& instance,
+                                  uint64_t* row) const {
   for (size_t j = 0; j < predicates_.size(); ++j) {
-    if (Holds(static_cast<int>(j), instance)) words[j] |= bit;
+    if (Holds(static_cast<int>(j), instance)) {
+      row[j / 64] |= uint64_t{1} << (j % 64);
+    }
   }
 }
 
@@ -92,6 +95,14 @@ Matrix BinarizationLayer::EncodeBatch(
   Matrix out(indices.size(), predicates_.size());
   for (size_t r = 0; r < indices.size(); ++r) {
     Encode(dataset.instance(indices[r]), out.row(r));
+  }
+  return out;
+}
+
+PackedRows BinarizationLayer::EncodeDataset(const Dataset& dataset) const {
+  PackedRows out(dataset.size(), predicates_.size());
+  for (size_t r = 0; r < dataset.size(); ++r) {
+    EncodeRow(dataset.instance(r), out.row(r));
   }
   return out;
 }

@@ -45,14 +45,19 @@ class BinarizationLayer {
   /// Encodes one instance into `out` (length encoded_size(), values 0/1).
   void Encode(const Instance& instance, double* out) const;
 
-  /// Encode's 1.0s as bit r of `words` (encoded_size() words, cleared by
-  /// the caller): the input-major packing of the discrete pass.
-  void EncodePacked(const Instance& instance, size_t r,
-                    uint64_t* words) const;
+  /// Encode's 1.0s as the bits of `row` (ceil(encoded_size() / 64) words,
+  /// cleared by the caller): bit j is set iff Encode writes 1.0 at j. One
+  /// record of the packed encoding below.
+  void EncodeRow(const Instance& instance, uint64_t* row) const;
 
   /// Encodes a whole dataset into a (n x encoded_size) matrix.
   Matrix EncodeBatch(const Dataset& dataset,
                      const std::vector<size_t>& indices) const;
+
+  /// Encode's 1.0s of every record of `dataset`, packed record-major: bit
+  /// j of row r is set iff Encode writes 1.0 at j for record r. The
+  /// training input (DESIGN.md §16.4), about 1/64 of EncodeBatch's size.
+  PackedRows EncodeDataset(const Dataset& dataset) const;
 
   /// The predicate realized by encoded bit `j`.
   const EncodedPredicate& predicate(int j) const { return predicates_[j]; }

@@ -57,21 +57,41 @@ void LinearLayer::BackwardParams(const std::vector<Columns>& x,
   const size_t batch = dlogits.rows();
   size_t covered = 0;
   for (const Columns& block : x) {
-    CTFL_CHECK(block.x->rows() == batch &&
-               block.offset + block.x->cols() <= static_cast<size_t>(in_dim_));
-    covered += block.x->cols();
+    const size_t rows = block.x ? block.x->rows() : block.bits->rows();
+    const size_t cols = block.x ? block.x->cols() : block.bits->cols();
+    CTFL_CHECK(rows == batch &&
+               block.offset + cols <= static_cast<size_t>(in_dim_));
+    covered += cols;
   }
   CTFL_CHECK(covered == static_cast<size_t>(in_dim_) &&
              static_cast<int>(dlogits.cols()) == out_dim_);
   const logic_kernel::Units& units = logic_kernel::UnitsFor(CurrentTraceIsa());
   Matrix dw(out_dim_, in_dim_);
+  std::vector<double> unpacked;
   for (size_t r = 0; r < batch; ++r) {
     for (int k = 0; k < out_dim_; ++k) {
       const double g = dlogits(r, k);
       if (g == 0.0) continue;
       for (const Columns& block : x) {
-        units.axpy(g, block.x->row(r), dw.row(k) + block.offset,
-                   block.x->cols());
+        double* y = dw.row(k) + block.offset;
+        if (block.x != nullptr) {
+          units.axpy(g, block.x->row(r), y, block.x->cols());
+        } else if (std::isfinite(g)) {
+          // g * 1.0 is g, and a clear column's g * 0.0 = ±0.0 leaves a sum
+          // from +0.0 (never -0.0) unchanged: only set columns change.
+          const uint64_t* bits = block.bits->row(r);
+          for (size_t w = 0; w < block.bits->words(); ++w) {
+            for (uint64_t m = bits[w]; m != 0; m &= m - 1) {
+              y[w * 64 + __builtin_ctzll(m)] += g;
+            }
+          }
+        } else {
+          // A NaN or infinite g makes every column's term NaN or ±inf: the
+          // dense axpy on the row's 0/1 values.
+          unpacked.resize(block.bits->cols());
+          UnpackRow(block.bits->row(r), unpacked.size(), unpacked.data());
+          units.axpy(g, unpacked.data(), y, unpacked.size());
+        }
       }
     }
   }

@@ -38,16 +38,21 @@ class LinearLayer {
   void ForwardPacked(const uint64_t* words, size_t n, Matrix* logits,
                      size_t dst) const;
 
-  /// Columns [offset, offset + x->cols()) of the layer's input.
+  /// Columns [offset, offset + width) of the layer's input: the doubles of
+  /// `x`, or (x null) the 0/1 columns packed in `bits`.
   struct Columns {
     const Matrix* x = nullptr;
+    const PackedRows* bits = nullptr;
     size_t offset = 0;
   };
 
   /// Accumulates the parameter gradients of the input held by `x`, column
   /// blocks that cover [0, in_dim()) once each: dW += dlogits^T * x, each
   /// element's terms in ascending row order (zero dlogits skipped) summed
-  /// from +0.0 before the add; db += the column sums of dlogits.
+  /// from +0.0 before the add; db += the column sums of dlogits. A packed
+  /// block adds a finite logit gradient to its row's set columns only: a
+  /// clear column's term is ±0.0, which leaves a sum from +0.0 unchanged
+  /// (DESIGN.md §16.5). A NaN or infinite one takes every column.
   void BackwardParams(const std::vector<Columns>& x, const Matrix& dlogits);
 
   /// Writes columns [offset, offset + dx->cols()) of the input gradient

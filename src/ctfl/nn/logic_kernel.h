@@ -2,7 +2,7 @@
 #define CTFL_NN_LOGIC_KERNEL_H_
 
 // The hot loops of a grafted training step (DESIGN.md §16.2): layer 0's
-// row split, factor table, factor-table forward and parameter backward,
+// row split of the packed batch, factor table, factor-table forward and parameter backward,
 // the Adam update, the discrete pass's active-input scan, and the vote
 // layer's sums and gradient rows (§16.5). One translation unit per SIMD
 // tier (logic_kernel_{generic,avx2,avx512}.cc) instantiates the shared
@@ -32,9 +32,9 @@ inline constexpr int kChunk = 8;
 /// Clamp floor for product terms; keeps y / t_i well defined in backward.
 inline constexpr double kEps = 1e-8;
 
-/// Per row of a binary matrix, its inputs at 0 and its inputs at 1, each
-/// ascending: the inputs whose factor a conjunction, respectively a
-/// disjunction, multiplies.
+/// Per row of a packed binary input (PackedRows), its inputs at 0 and its
+/// inputs at 1, each ascending: the inputs whose factor a conjunction,
+/// respectively a disjunction, multiplies.
 struct SplitRows {
   /// Row r's lists start at r * in_dim (the input's column count); zeros[r]
   /// inputs are at 0 and in_dim - zeros[r] at 1.
@@ -103,15 +103,16 @@ struct BackwardJob {
   const double* y = nullptr;
   const double* dy = nullptr;
   size_t out_dim = 0;
-  /// The weights (out_dim x in_dim), the input (rows x in_dim) and the
-  /// generic per-(row, node) gradient, for the lanes the table loop leaves
-  /// out: adds g * dy/dw_i to gw[i * stride] for node weights `w` and input
-  /// row `xr` (and g * dy/dx_i to dxr[i] when dxr is non-null).
+  /// The weights (out_dim x in_dim), the packed input (x_words words per
+  /// row) and the generic per-(row, node) gradient, for the lanes the table
+  /// loop leaves out: adds g * dy/dw_i to gw[i * stride] for node weights
+  /// `w` and the input row whose bits are `xr`, each read as 0.0 or 1.0.
   const double* w = nullptr;
-  const double* x = nullptr;
+  const uint64_t* x = nullptr;
+  size_t x_words = 0;
   void (*node_gradient)(bool conj, double g, double prod, const double* w,
-                        const double* xr, int in_dim, double* gw,
-                        size_t stride, double* dxr) = nullptr;
+                        const uint64_t* xr, int in_dim, double* gw,
+                        size_t stride) = nullptr;
 };
 
 /// The step-invariant scalars of one Adam update.
@@ -133,11 +134,12 @@ struct Units {
   /// True when backward wants BackwardJob::inv (the tier has a corrected
   /// quotient).
   bool reciprocals = false;
-  /// Splits rows [lo, hi) of the row-major `x` (in_dim columns) into the
-  /// lists of `rows` (sized by the caller). False when one of their
-  /// elements is not exactly 0.0 or 1.0.
-  bool (*split_rows)(const double* x, int in_dim, size_t lo, size_t hi,
-                     int* at_zero, int* at_one, int* zeros);
+  /// Splits rows [lo, hi) of the packed `x` (in_dim bits in x_words words
+  /// per row, record-major) into the lists of SplitRows (sized by the
+  /// caller).
+  void (*split_rows)(const uint64_t* x, size_t x_words, int in_dim,
+                     size_t lo, size_t hi, int* at_zero, int* at_one,
+                     int* zeros);
   /// Fills one chunk (in_dim x kChunk) of the table from the `width` node
   /// rows at `w0` (row stride in_dim). False when one of the weights is not
   /// finite.

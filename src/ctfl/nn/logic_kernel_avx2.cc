@@ -103,9 +103,10 @@ struct Avx2Ops {
             _mm256_add_pd(acc.hi, _mm256_and_pd(LaneMask(bits >> 4), w.hi))};
   }
 
-  static bool SplitRows(const double* x, int in_dim, size_t lo, size_t hi,
-                        int* at_zero, int* at_one, int* zeros) {
-    return SplitRowsPortable(x, in_dim, lo, hi, at_zero, at_one, zeros);
+  static void SplitRows(const uint64_t* x, size_t x_words, int in_dim,
+                        size_t lo, size_t hi, int* at_zero, int* at_one,
+                        int* zeros) {
+    SplitRowsPortable(x, x_words, in_dim, lo, hi, at_zero, at_one, zeros);
   }
   static bool BuildChunk(const double* w0, int in_dim, int width,
                          double* c) {

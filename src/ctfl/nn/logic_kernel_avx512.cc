@@ -1,11 +1,11 @@
 // AVX-512F logic-kernel unit: a node chunk is one 8-lane vector, the
 // forward interleaves four rows, the backward and Adam take the corrected
-// quotient, the row split compresses input indices with mask stores, the
-// table gathers a chunk's weights per input, and the vote adds under a
-// record mask. Compiled with -mavx512f on
-// x86-64 (see src/CMakeLists.txt); selected only when cpuid reports
-// AVX-512F (util/cpu_features.h). FMA appears only as the explicit
-// intrinsics of Quotient: ctfl_nn builds with -ffp-contract=off.
+// quotient, the row split compresses input indices under the batch's bits
+// with mask stores, the table gathers a chunk's weights per input, and the
+// vote adds under a record mask. Compiled with -mavx512f on x86-64 (see
+// src/CMakeLists.txt); selected only when cpuid reports AVX-512F
+// (util/cpu_features.h). FMA appears only as the explicit intrinsics of
+// Quotient: ctfl_nn builds with -ffp-contract=off.
 
 #include "ctfl/nn/logic_kernel_body.h"
 
@@ -68,18 +68,16 @@ struct Avx512Ops {
     return _mm512_mask_add_pd(acc, static_cast<__mmask8>(bits), acc, w);
   }
 
-  /// 16 inputs at a time: two compares per list, and each list's indices
-  /// compressed to its end with one mask store.
-  static bool SplitRows(const double* x, int in_dim, size_t lo, size_t hi,
-                        int* at_zero_base, int* at_one_base,
-                        int* zeros_out) {
-    const __m512d zero = _mm512_setzero_pd();
-    const __m512d one = _mm512_set1_pd(1.0);
+  /// 16 inputs at a time: each list's indices compressed to its end with
+  /// one mask store, under the piece's set bits (at one) and its clear
+  /// bits (at zero). A 16-bit piece never straddles two words.
+  static void SplitRows(const uint64_t* x, size_t x_words, int in_dim,
+                        size_t lo, size_t hi, int* at_zero_base,
+                        int* at_one_base, int* zeros_out) {
     const __m512i iota =
         _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-    bool binary = true;
     for (size_t r = lo; r < hi; ++r) {
-      const double* xr = x + r * in_dim;
+      const uint64_t* xr = x + r * x_words;
       int* at_zero = at_zero_base + r * in_dim;
       int* at_one = at_one_base + r * in_dim;
       int zeros = 0;
@@ -87,34 +85,19 @@ struct Avx512Ops {
       for (int i = 0; i < in_dim; i += 16) {
         const int n = in_dim - i < 16 ? in_dim - i : 16;
         const unsigned valid = n == 16 ? 0xffffu : (1u << n) - 1;
-        const __mmask8 valid_lo = static_cast<__mmask8>(valid);
-        const __mmask8 valid_hi = static_cast<__mmask8>(valid >> 8);
-        const __m512d a = _mm512_maskz_loadu_pd(valid_lo, xr + i);
-        const __m512d b =
-            valid_hi == 0 ? zero : _mm512_maskz_loadu_pd(valid_hi, xr + i + 8);
-        const unsigned z =
-            (static_cast<unsigned>(
-                 _mm512_mask_cmp_pd_mask(valid_hi, b, zero, _CMP_EQ_OQ))
-             << 8) |
-            _mm512_mask_cmp_pd_mask(valid_lo, a, zero, _CMP_EQ_OQ);
         const unsigned o =
-            (static_cast<unsigned>(
-                 _mm512_mask_cmp_pd_mask(valid_hi, b, one, _CMP_EQ_OQ))
-             << 8) |
-            _mm512_mask_cmp_pd_mask(valid_lo, a, one, _CMP_EQ_OQ);
-        binary &= (z | o) == valid;
-        const unsigned nz = valid & ~z;
+            static_cast<unsigned>(xr[i / 64] >> (i % 64)) & valid;
+        const unsigned z = valid & ~o;
         const __m512i index = _mm512_add_epi32(iota, _mm512_set1_epi32(i));
         _mm512_mask_compressstoreu_epi32(at_zero + zeros,
                                          static_cast<__mmask16>(z), index);
         _mm512_mask_compressstoreu_epi32(at_one + ones,
-                                         static_cast<__mmask16>(nz), index);
+                                         static_cast<__mmask16>(o), index);
         zeros += __builtin_popcount(z);
-        ones += __builtin_popcount(nz);
+        ones += __builtin_popcount(o);
       }
       zeros_out[r] = zeros;
     }
-    return binary;
   }
 
   /// One gather of the chunk's weights per input; lanes past `width`

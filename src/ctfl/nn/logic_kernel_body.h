@@ -47,30 +47,31 @@ inline double ClampFactor(double v) { return kEps < v ? v : kEps; }
 /// it, the residual of the correction could leave the normal range.
 constexpr double kTinyProduct = 0x1p-900;
 
-/// The portable row split: branch-free compaction, input i goes to the end
-/// of both lists and only the matching list's end advances (both ends stay
-/// <= i).
-inline bool SplitRowsPortable(const double* x, int in_dim, size_t lo,
-                              size_t hi, int* at_zero_base, int* at_one_base,
-                              int* zeros_out) {
-  bool binary = true;
+/// The portable row split: one ctz loop over each word's set bits (the
+/// at-one list) and one over its clear bits below in_dim (the at-zero
+/// list), lowest first.
+inline void SplitRowsPortable(const uint64_t* x, size_t x_words, int in_dim,
+                              size_t lo, size_t hi, int* at_zero_base,
+                              int* at_one_base, int* zeros_out) {
   for (size_t r = lo; r < hi; ++r) {
-    const double* xr = x + r * in_dim;
+    const uint64_t* xr = x + r * x_words;
     int* at_zero = at_zero_base + r * in_dim;
     int* at_one = at_one_base + r * in_dim;
     int zeros = 0;
     int ones = 0;
-    for (int i = 0; i < in_dim; ++i) {
-      const bool zero = xr[i] == 0.0;
-      binary &= zero || xr[i] == 1.0;
-      at_zero[zeros] = i;
-      at_one[ones] = i;
-      zeros += zero;
-      ones += !zero;
+    for (int base = 0; base < in_dim; base += 64) {
+      const int n = in_dim - base;
+      const uint64_t valid = n >= 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+      const uint64_t word = xr[base / 64];
+      for (uint64_t m = word & valid; m != 0; m &= m - 1) {
+        at_one[ones++] = base + __builtin_ctzll(m);
+      }
+      for (uint64_t m = ~word & valid; m != 0; m &= m - 1) {
+        at_zero[zeros++] = base + __builtin_ctzll(m);
+      }
     }
     zeros_out[r] = zeros;
   }
-  return binary;
 }
 
 /// The portable chunk build.
@@ -220,7 +221,8 @@ inline void AddGradientTerms(const double* table, const double* inv,
 /// and every skipped term g * (0 * rest) is ±0.0. Other lanes enter it as
 /// g = ±0, prod = 1, adding only the ±0.0 the generic loop's skipped term
 /// would; those the generic loop would not skip then run it for this (row,
-/// node), so a NaN or infinite g propagates exactly as in the generic loop.
+/// node) on the row's bits, so a NaN or infinite g propagates exactly as in
+/// the generic loop.
 /// A row takes the division when one of its products is below
 /// kTinyProduct, or when the chunk holds a factor above 1.0 (a negative
 /// weight); the corrected quotient needs both bounds.
@@ -276,8 +278,8 @@ void Backward(const BackwardJob& job) {
       job.node_gradient(job.conj, dyr[node],
                         job.conj ? yr[node] : 1.0 - yr[node],
                         job.w + static_cast<size_t>(node) * job.in_dim,
-                        job.x + r * job.in_dim, job.in_dim, job.gt + k,
-                        kChunk, nullptr);
+                        job.x + r * job.x_words, job.in_dim, job.gt + k,
+                        kChunk);
     }
   }
 }

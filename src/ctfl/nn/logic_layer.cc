@@ -1,7 +1,6 @@
 #include "ctfl/nn/logic_layer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 
@@ -16,6 +15,19 @@ using logic_kernel::FactorTable;
 using logic_kernel::kChunk;
 using logic_kernel::kEps;
 using logic_kernel::SplitRows;
+
+/// Row r of a layer input as the generic loops read it: a Matrix row in
+/// place; a packed row unpacked into `scratch`, so the loops see the same
+/// doubles, through the same code, on either input.
+const double* RowOf(const Matrix& x, size_t r, std::vector<double>*) {
+  return x.row(r);
+}
+const double* RowOf(const PackedRows& x, size_t r,
+                    std::vector<double>* scratch) {
+  scratch->resize(x.cols());
+  UnpackRow(x.row(r), x.cols(), scratch->data());
+  return scratch->data();
+}
 
 /// The generic per-(row, node) gradient of the continuous form, in the
 /// order and with the expressions every kernel must reproduce. Adds
@@ -40,6 +52,18 @@ void NodeGradient(bool conj, double g, double prod, const double* w,
       if (dxr != nullptr) dxr[i] += g * (w[i] * rest);
     }
   }
+}
+
+/// NodeGradient on a packed row, without the input gradient: the units'
+/// generic lanes (BackwardJob::node_gradient), which run only for a NaN or
+/// infinite upstream gradient or a product outside (0, 1].
+void PackedNodeGradient(bool conj, double g, double prod, const double* w,
+                        const uint64_t* xr, int in_dim, double* gw,
+                        size_t stride) {
+  static thread_local std::vector<double> row;
+  row.resize(in_dim);
+  UnpackRow(xr, in_dim, row.data());
+  NodeGradient(conj, g, prod, w, row.data(), in_dim, gw, stride, nullptr);
 }
 
 /// Lays out the chunks of layer `w` (out x in, num_conj conjunctions
@@ -74,12 +98,15 @@ bool BuildFactorChunk(const logic_kernel::Units& units, const Matrix& w,
 }
 
 /// The generic continuous forward of nodes [lo, hi) of layer `w` (num_conj
-/// conjunctions first), skipping zero weights.
-void ForwardNodes(const Matrix& w, int num_conj, const Matrix& x, int lo,
+/// conjunctions first) on `x`, a Matrix or a PackedRows, skipping zero
+/// weights.
+template <typename Input>
+void ForwardNodes(const Matrix& w, int num_conj, const Input& x, int lo,
                   int hi, Matrix* y) {
   const int in_dim = static_cast<int>(w.cols());
+  std::vector<double> scratch;
   for (size_t r = 0; r < x.rows(); ++r) {
-    const double* xr = x.row(r);
+    const double* xr = RowOf(x, r, &scratch);
     for (int node = lo; node < hi; ++node) {
       const double* wn = w.row(node);
       double prod = 1.0;
@@ -100,13 +127,16 @@ void ForwardNodes(const Matrix& w, int num_conj, const Matrix& x, int lo,
   }
 }
 
-/// The generic backward of nodes [lo, hi): per row, per node ascending,
-/// accumulates parameter gradients into `grads` and, when `dx` is non-null,
-/// input gradients into `dx`.
-void BackwardNodes(const Matrix& w, int num_conj, const Matrix& x,
+/// The generic backward of nodes [lo, hi) on `x`, a Matrix or a
+/// PackedRows: per row, per node ascending, accumulates parameter
+/// gradients into `grads` and, when `dx` is non-null, input gradients into
+/// `dx`.
+template <typename Input>
+void BackwardNodes(const Matrix& w, int num_conj, const Input& x,
                    const Matrix& y, const Matrix& dy, int lo, int hi,
                    Matrix* grads, Matrix* dx) {
   const int in_dim = static_cast<int>(w.cols());
+  std::vector<double> scratch;
   for (size_t r = 0; r < x.rows(); ++r) {
     for (int node = lo; node < hi; ++node) {
       const double g = dy(r, node);
@@ -114,8 +144,9 @@ void BackwardNodes(const Matrix& w, int num_conj, const Matrix& x,
       const bool conj = node < num_conj;
       const double prod = conj ? y(r, node) : 1.0 - y(r, node);
       if (prod <= 0.0) continue;
-      NodeGradient(conj, g, prod, w.row(node), x.row(r), in_dim,
-                   grads->row(node), 1, dx != nullptr ? dx->row(r) : nullptr);
+      NodeGradient(conj, g, prod, w.row(node), RowOf(x, r, &scratch),
+                   in_dim, grads->row(node), 1,
+                   dx != nullptr ? dx->row(r) : nullptr);
     }
   }
 }
@@ -131,56 +162,48 @@ bool AllPositiveZero(const double* v, size_t n) {
   return bits == 0;
 }
 
-/// Splits `x` into `rows` through the tier's unit. False when some element
-/// of `x` is not exactly 0.0 or 1.0. Blocks of rows run in parallel with up
-/// to `threads` threads.
-bool SplitBinaryRows(const logic_kernel::Units& units, const Matrix& x,
+/// Splits the packed `x` into `rows` through the tier's unit, blocks of
+/// rows in parallel with up to `threads` threads.
+void SplitPackedRows(const logic_kernel::Units& units, const PackedRows& x,
                      int threads, SplitRows* rows) {
   const int in_dim = static_cast<int>(x.cols());
   rows->at_zero.resize(x.rows() * in_dim);
   rows->at_one.resize(x.rows() * in_dim);
   rows->zeros.resize(x.rows());
   constexpr size_t kRowsPerBlock = 8;
-  std::atomic<bool> binary{true};
   ParallelFor(threads, 0, (x.rows() + kRowsPerBlock - 1) / kRowsPerBlock,
               [&](size_t block) {
                 const size_t end =
                     std::min(x.rows(), (block + 1) * kRowsPerBlock);
-                if (!units.split_rows(x.data(), in_dim, block * kRowsPerBlock,
-                                      end, rows->at_zero.data(),
-                                      rows->at_one.data(),
-                                      rows->zeros.data())) {
-                  binary = false;
-                }
+                units.split_rows(x.row(0), x.words(), in_dim,
+                                 block * kRowsPerBlock, end,
+                                 rows->at_zero.data(), rows->at_one.data(),
+                                 rows->zeros.data());
               });
-  return binary;
 }
 
-/// Splits `x` and lays out the table of `w` in `tables`. False when `x` is
-/// not binary.
-bool PrepareTables(const logic_kernel::Units& units, const Matrix& w,
-                   int num_conj, const Matrix& x, int threads,
+/// Splits `x` and lays out the table of `w` in `tables`.
+void PrepareTables(const logic_kernel::Units& units, const Matrix& w,
+                   int num_conj, const PackedRows& x, int threads,
                    LogicLayer::StepTables* tables) {
   tables->ready = false;
-  if (!SplitBinaryRows(units, x, threads, &tables->rows)) return false;
+  SplitPackedRows(units, x, threads, &tables->rows);
   LayoutFactorTable(w, num_conj, &tables->table);
-  return true;
 }
 
-/// The continuous forward of layer `w` (num_conj conjunctions first)
-/// through the factor table. False, with `y` untouched, when `x` is not
-/// binary. Multiplying by a skipped factor's exact 1.0 would change
-/// nothing, so each node multiplies its remaining factors in ascending
-/// input order, as the generic loop does. Units of one or two chunks of one
-/// kind (two hide the multiply latency) run in parallel, each building its
-/// own chunks of the table; a unit holding a non-finite weight runs the
-/// generic loop for its nodes instead. On success `tables` holds the split
-/// and the complete table.
-bool ForwardByTable(const Matrix& w, int num_conj, const Matrix& x,
+/// The continuous forward of layer `w` (num_conj conjunctions first) on the
+/// packed `x` through the factor table. Multiplying by a skipped factor's
+/// exact 1.0 would change nothing, so each node multiplies its remaining
+/// factors in ascending input order, as the generic loop does. Units of one
+/// or two chunks of one kind (two hide the multiply latency) run in
+/// parallel, each building its own chunks of the table; a unit holding a
+/// non-finite weight runs the generic loop for its nodes instead. Leaves
+/// the split and the complete table in `tables`.
+void ForwardByTable(const Matrix& w, int num_conj, const PackedRows& x,
                     Matrix* y, LogicLayer::StepTables* tables) {
   const logic_kernel::Units& units = logic_kernel::UnitsFor(CurrentTraceIsa());
   const int threads = MatrixThreadsFor(x.rows() * w.rows() * w.cols());
-  if (!PrepareTables(units, w, num_conj, x, threads, tables)) return false;
+  PrepareTables(units, w, num_conj, x, threads, tables);
   const SplitRows& rows = tables->rows;
   FactorTable& t = tables->table;
   auto unit_width = [&](int q) {
@@ -219,40 +242,37 @@ bool ForwardByTable(const Matrix& w, int num_conj, const Matrix& x,
   };
   ParallelFor(threads, 0, starts.size(), run_unit);
   tables->ready = true;
-  return true;
 }
 
 /// Splits `x` and builds the complete table of `w` in `tables`, chunks in
-/// parallel: the backward's tables when no forward left them. False when
-/// `x` is not binary.
-bool BuildTables(const logic_kernel::Units& units, const Matrix& w,
-                 int num_conj, const Matrix& x, int threads,
+/// parallel: the backward's tables when no forward left them.
+void BuildTables(const logic_kernel::Units& units, const Matrix& w,
+                 int num_conj, const PackedRows& x, int threads,
                  LogicLayer::StepTables* tables) {
-  if (!PrepareTables(units, w, num_conj, x, threads, tables)) return false;
+  PrepareTables(units, w, num_conj, x, threads, tables);
   FactorTable& t = tables->table;
   ParallelFor(threads, 0, static_cast<size_t>(t.chunks()), [&](size_t q) {
     BuildFactorChunk(units, w, static_cast<int>(q), &t);
   });
   tables->ready = true;
-  return true;
 }
 
-/// The parameter backward of layer `w` through the factor table,
-/// accumulating into `grads`. `tables` (may be null) is the forward's split
-/// and table for the same weights and input; without it this call builds
-/// its own. False, with `grads` untouched, when `x` is not binary. Chunks
-/// run in parallel, each with its own rows of `grads`; a chunk holding a
-/// non-finite weight or a -0.0 gradient runs the generic loop for its nodes
-/// instead.
-bool BackwardWeightsByTable(const Matrix& w, int num_conj, const Matrix& x,
-                            const Matrix& y, const Matrix& dy,
+/// The parameter backward of layer `w` on the packed `x` through the factor
+/// table, accumulating into `grads`. `tables` (may be null) is the
+/// forward's split and table for the same weights and input; without it
+/// this call builds its own. Chunks run in parallel, each with its own rows
+/// of `grads`; a chunk holding a non-finite weight or a -0.0 gradient runs
+/// the generic loop for its nodes instead.
+void BackwardWeightsByTable(const Matrix& w, int num_conj,
+                            const PackedRows& x, const Matrix& y,
+                            const Matrix& dy,
                             const LogicLayer::StepTables* tables,
                             Matrix* grads) {
   const logic_kernel::Units& units = logic_kernel::UnitsFor(CurrentTraceIsa());
   const int threads = MatrixThreadsFor(x.rows() * w.rows() * w.cols());
   LogicLayer::StepTables own;
   if (tables == nullptr || !tables->ready) {
-    if (!BuildTables(units, w, num_conj, x, threads, &own)) return false;
+    BuildTables(units, w, num_conj, x, threads, &own);
     tables = &own;
   }
   const SplitRows& rows = tables->rows;
@@ -324,13 +344,13 @@ bool BackwardWeightsByTable(const Matrix& w, int num_conj, const Matrix& x,
     job.dy = dy.data();
     job.out_dim = y.cols();
     job.w = w.data();
-    job.x = x.data();
-    job.node_gradient = NodeGradient;
+    job.x = x.row(0);
+    job.x_words = x.words();
+    job.node_gradient = PackedNodeGradient;
     units.backward(job);
     units.store_chunk(chunk_gt, in_dim, t.width[q], grads->row(lo));
   };
   ParallelFor(threads, 0, static_cast<size_t>(t.chunks()), run_chunk);
-  return true;
 }
 
 }  // namespace
@@ -377,12 +397,21 @@ void LogicLayer::InitSparse(Rng& rng, int fan_in) {
 Matrix LogicLayer::ForwardContinuous(const Matrix& x,
                                      StepTables* tables) const {
   CTFL_CHECK(static_cast<int>(x.cols()) == in_dim_);
+  PackedRows packed;
+  if (PackBinary(x, &packed)) return ForwardContinuous(packed, tables);
+  if (tables != nullptr) tables->ready = false;
+  Matrix y(x.rows(), out_dim());
+  ForwardNodes(weights_, num_conj_, x, 0, out_dim(), &y);
+  return y;
+}
+
+Matrix LogicLayer::ForwardContinuous(const PackedRows& x,
+                                     StepTables* tables) const {
+  CTFL_CHECK(static_cast<int>(x.cols()) == in_dim_);
   Matrix y(x.rows(), out_dim());
   StepTables own;
-  if (!ForwardByTable(weights_, num_conj_, x, &y,
-                      tables != nullptr ? tables : &own)) {
-    ForwardNodes(weights_, num_conj_, x, 0, out_dim(), &y);
-  }
+  ForwardByTable(weights_, num_conj_, x, &y,
+                 tables != nullptr ? tables : &own);
   return y;
 }
 
@@ -452,13 +481,22 @@ Matrix LogicLayer::Backward(const Matrix& x, const Matrix& y,
 
 void LogicLayer::BackwardWeights(const Matrix& x, const Matrix& y,
                                  const Matrix& dy, const StepTables* tables) {
+  CTFL_CHECK(static_cast<int>(x.cols()) == in_dim_);
+  PackedRows packed;
+  if (PackBinary(x, &packed)) {
+    BackwardWeights(packed, y, dy, tables);
+    return;
+  }
+  CTFL_CHECK(x.rows() == y.rows() && y.rows() == dy.rows());
+  BackwardNodes(weights_, num_conj_, x, y, dy, 0, out_dim(), &grads_,
+                nullptr);
+}
+
+void LogicLayer::BackwardWeights(const PackedRows& x, const Matrix& y,
+                                 const Matrix& dy, const StepTables* tables) {
   CTFL_CHECK(x.rows() == y.rows() && y.rows() == dy.rows());
   CTFL_CHECK(static_cast<int>(x.cols()) == in_dim_);
-  if (!BackwardWeightsByTable(weights_, num_conj_, x, y, dy, tables,
-                              &grads_)) {
-    BackwardNodes(weights_, num_conj_, x, y, dy, 0, out_dim(), &grads_,
-                  nullptr);
-  }
+  BackwardWeightsByTable(weights_, num_conj_, x, y, dy, tables, &grads_);
 }
 
 std::vector<int> LogicLayer::ActiveInputs(int node) const {

@@ -34,9 +34,10 @@ bool PackRows(const Matrix& x, size_t lo, size_t n, uint64_t* words);
 ///
 /// Kernels (DESIGN.md §16): the discrete forward is bit-packed, 64 records
 /// per word. The continuous forward and the parameter backward take an
-/// exact factor-table kernel when every input is exactly 0.0 or 1.0 (the
-/// encoder's output, i.e. layer 0) and the generic per-element loop
-/// otherwise. Both produce the generic loop's results bit for bit. The
+/// exact factor-table kernel on packed 0/1 rows (the encoder's output, i.e.
+/// layer 0; a Matrix whose every element is exactly 0.0 or 1.0 is packed
+/// first) and the generic per-element loop otherwise. Both produce the
+/// generic loop's results bit for bit. The
 /// table kernels run in the SIMD tier's unit (nn/logic_kernel.h) and shard
 /// by 8-node chunk across the compute pool under the matrix thread budget
 /// (MatrixThreadsFor), never by row, so every element keeps its serial term
@@ -56,7 +57,7 @@ class LogicLayer {
   /// away from 0 so grafted gradients do not vanish.
   void InitSparse(Rng& rng, int fan_in);
 
-  /// The row split of a binary input and the factor table of the weights
+  /// The row split of a packed input and the factor table of the weights
   /// that read it: built by the continuous forward, reused by the
   /// parameter backward of the same step (the weights do not change in
   /// between), so each is built once per step.
@@ -70,6 +71,9 @@ class LogicLayer {
   /// Continuous (fuzzy) forward: Y(batch x out). When `tables` is non-null
   /// and `x` is binary, leaves the step's split and table in it.
   Matrix ForwardContinuous(const Matrix& x,
+                           StepTables* tables = nullptr) const;
+  /// The same on packed 0/1 rows, always through the factor table.
+  Matrix ForwardContinuous(const PackedRows& x,
                            StepTables* tables = nullptr) const;
 
   /// Forward with weights binarized at 0.5 and inputs thresholded at 0.5:
@@ -87,6 +91,9 @@ class LogicLayer {
   /// from ForwardContinuous on this `x` with the current weights.
   void BackwardWeights(const Matrix& x, const Matrix& y, const Matrix& dy,
                        const StepTables* tables = nullptr);
+  /// The same on packed 0/1 rows, with the same bits as on their Matrix.
+  void BackwardWeights(const PackedRows& x, const Matrix& y,
+                       const Matrix& dy, const StepTables* tables = nullptr);
 
   /// Inputs whose binarized weight is active (> 0.5) for `node`.
   std::vector<int> ActiveInputs(int node) const;

@@ -142,51 +142,35 @@ Matrix ConcatRules(const Matrix& encoded, const std::vector<Matrix>& outs,
   return rules;
 }
 
-/// The continuous forward of every logic layer into `outs`, leaving layer
-/// 0's split and table in `layer0` when it is non-null.
-void ForwardLayers(const LogicalNet& net, const Matrix& encoded,
+/// The continuous forward of every logic layer on `input` (a Matrix or a
+/// PackedRows) into `outs`, leaving layer 0's split and table in `layer0`.
+template <typename Input>
+void ForwardLayers(const LogicalNet& net, const Input& input,
                    std::vector<Matrix>* outs,
                    LogicLayer::StepTables* layer0) {
   const std::vector<LogicLayer>& layers = net.logic_layers();
-  if (layer0 != nullptr) layer0->ready = false;
+  layer0->ready = false;
   outs->resize(layers.size());
-  const Matrix* layer_in = &encoded;
-  for (size_t l = 0; l < layers.size(); ++l) {
-    (*outs)[l] = layers[l].ForwardContinuous(*layer_in,
-                                             l == 0 ? layer0 : nullptr);
-    layer_in = &(*outs)[l];
+  if (layers.empty()) return;
+  (*outs)[0] = layers[0].ForwardContinuous(input, layer0);
+  for (size_t l = 1; l < layers.size(); ++l) {
+    (*outs)[l] = layers[l].ForwardContinuous((*outs)[l - 1]);
   }
 }
 
-/// One bit-packed discrete pass (DESIGN.md §16): every layer's active-input
-/// lists, built once per pass, and one word per encoded input and per
-/// logic node for the current block of up to 64 records.
+/// One bit-packed discrete pass (DESIGN.md §16) on a plan's active-input
+/// lists: one word per encoded input and per logic node for the current
+/// block of up to 64 records.
 class DiscreteBlockPass {
  public:
-  explicit DiscreteBlockPass(const LogicalNet& net)
-      : net_(net),
-        active_(net.logic_layers().size()),
-        votes_finite_(net.linear().WeightsFinite()) {
+  DiscreteBlockPass(const LogicalNet& net,
+                    const LogicalNet::DiscretePlan& plan)
+      : net_(net), plan_(plan) {
     size_t words = static_cast<size_t>(net.encoded_size());
-    for (size_t l = 0; l < active_.size(); ++l) {
-      net.logic_layers()[l].BuildActiveLists(&active_[l]);
-      words += static_cast<size_t>(net.logic_layers()[l].out_dim());
+    for (const LogicLayer& layer : net.logic_layers()) {
+      words += static_cast<size_t>(layer.out_dim());
     }
     words_.resize(words);
-  }
-
-  /// Encodes records at(lo) .. at(lo + n - 1) straight into the input
-  /// words and runs every logic layer on them: the encoder's output is 0/1,
-  /// so the block needs no encoded double matrix.
-  template <typename InstanceAt>
-  void RunInstances(InstanceAt at, size_t lo, size_t n) {
-    CTFL_CHECK(n <= kRecordsPerWord);
-    std::fill(words_.begin(), words_.begin() + net_.encoded_size(),
-              uint64_t{0});
-    for (size_t r = 0; r < n; ++r) {
-      net_.encoder().EncodePacked(at(lo + r), r, words_.data());
-    }
-    RunLayers();
   }
 
   /// Packs rows [lo, lo + n) of the encoded matrix `x` and runs every
@@ -198,17 +182,20 @@ class DiscreteBlockPass {
     return binary;
   }
 
-  /// Run for a binary `x` whose row split `split` (layer 0's, over every
-  /// row of x) lists each row's inputs at 1: those are its set bits.
-  void RunSplit(const logic_kernel::SplitRows& split, size_t lo, size_t n) {
+  /// Run for rows [lo, lo + n) of the packed `x`: each row's set bits
+  /// become its bit of the input words.
+  void RunPacked(const PackedRows& x, size_t lo, size_t n) {
     const size_t in_dim = static_cast<size_t>(net_.encoded_size());
-    CTFL_CHECK(n <= kRecordsPerWord && lo + n <= split.zeros.size());
+    CTFL_CHECK(n <= kRecordsPerWord && lo + n <= x.rows() &&
+               x.cols() == in_dim);
     std::fill(words_.begin(), words_.begin() + in_dim, uint64_t{0});
     for (size_t r = 0; r < n; ++r) {
-      const size_t row = lo + r;
-      const int* ones = split.at_one.data() + row * in_dim;
-      const int count = static_cast<int>(in_dim) - split.zeros[row];
-      for (int k = 0; k < count; ++k) words_[ones[k]] |= uint64_t{1} << r;
+      const uint64_t* bits = x.row(lo + r);
+      for (size_t w = 0; w < x.words(); ++w) {
+        for (uint64_t m = bits[w]; m != 0; m &= m - 1) {
+          words_[w * 64 + __builtin_ctzll(m)] |= uint64_t{1} << r;
+        }
+      }
     }
     RunLayers();
   }
@@ -217,13 +204,12 @@ class DiscreteBlockPass {
   /// `logits`. The packed vote (DESIGN.md §16.5) when every vote weight is
   /// finite and every rule coordinate is 0.0 or 1.0 — the logic nodes
   /// always are; `binary` says whether rows [lo, lo + n) of x, which the
-  /// skip coordinates copy, are (a null x: the block came from
-  /// RunInstances). Otherwise the dense product on the block's FillRules
-  /// rows.
+  /// skip coordinates copy, are (a null x: the block came from RunPacked).
+  /// Otherwise the dense product on the block's FillRules rows.
   void Vote(const Matrix* x, size_t lo, size_t n, bool binary,
             Matrix* logits, size_t dst) {
     const LinearLayer& linear = net_.linear();
-    if (votes_finite_ && (binary || !net_.config().input_skip)) {
+    if (plan_.votes_finite && (binary || !net_.config().input_skip)) {
       linear.ForwardPacked(RuleWords(), n, logits, dst);
       return;
     }
@@ -238,8 +224,8 @@ class DiscreteBlockPass {
 
   /// Writes the block's rule vectors into rows [dst, dst + n) of `rules`:
   /// the skip coordinates copy x's rows verbatim, as ConcatRules does, and
-  /// the logic nodes become 0.0 / 1.0. Without x (a RunInstances block)
-  /// the skip coordinates are the encoder's 0/1 bits.
+  /// the logic nodes become 0.0 / 1.0. Without x (a RunPacked block) the
+  /// skip coordinates are the input words' 0/1 bits.
   void FillRules(const Matrix* x, size_t lo, size_t n, Matrix* rules,
                  size_t dst) const {
     const size_t skip = net_.config().input_skip && x != nullptr ? x->cols()
@@ -271,10 +257,10 @@ class DiscreteBlockPass {
  private:
   void RunLayers() {
     uint64_t* in = words_.data();
-    for (size_t l = 0; l < active_.size(); ++l) {
+    for (size_t l = 0; l < plan_.active.size(); ++l) {
       const LogicLayer& layer = net_.logic_layers()[l];
       uint64_t* out = in + layer.in_dim();
-      layer.ForwardPacked(active_[l], in, out);
+      layer.ForwardPacked(plan_.active[l], in, out);
       in = out;
     }
   }
@@ -286,29 +272,35 @@ class DiscreteBlockPass {
   }
 
   const LogicalNet& net_;
-  std::vector<LogicLayer::ActiveLists> active_;
-  bool votes_finite_;
+  const LogicalNet::DiscretePlan& plan_;
   /// [encoded inputs | layer 0 nodes | layer 1 nodes | ...]
   std::vector<uint64_t> words_;
   /// The dense fallback's rule rows.
   Matrix rules_;
 };
 
-/// Discrete logits of every row of `x`, 64 rows at a time; each block's
-/// input words come from `layer0`'s row split when it holds x's.
-Matrix DiscreteLogits(const LogicalNet& net, const Matrix& x,
-                      const LogicLayer::StepTables* layer0) {
-  DiscreteBlockPass pass(net);
+/// Discrete logits of every row of `x`, 64 rows at a time.
+Matrix DiscreteLogits(const LogicalNet& net, const Matrix& x) {
+  const LogicalNet::DiscretePlan plan(net);
+  DiscreteBlockPass pass(net, plan);
   Matrix logits(x.rows(), net.linear().out_dim());
   for (size_t lo = 0; lo < x.rows(); lo += kRecordsPerWord) {
     const size_t n = std::min(kRecordsPerWord, x.rows() - lo);
-    bool binary = true;
-    if (layer0 != nullptr && layer0->ready) {
-      pass.RunSplit(layer0->rows, lo, n);
-    } else {
-      binary = pass.Run(x, lo, n);
-    }
+    const bool binary = pass.Run(x, lo, n);
     pass.Vote(&x, lo, n, binary, &logits, lo);
+  }
+  return logits;
+}
+
+/// The same for packed rows, whose skip coordinates are always 0/1.
+Matrix DiscreteLogits(const LogicalNet& net, const PackedRows& x) {
+  const LogicalNet::DiscretePlan plan(net);
+  DiscreteBlockPass pass(net, plan);
+  Matrix logits(x.rows(), net.linear().out_dim());
+  for (size_t lo = 0; lo < x.rows(); lo += kRecordsPerWord) {
+    const size_t n = std::min(kRecordsPerWord, x.rows() - lo);
+    pass.RunPacked(x, lo, n);
+    pass.Vote(nullptr, 0, n, /*binary=*/true, &logits, lo);
   }
   return logits;
 }
@@ -321,14 +313,22 @@ int PredictedClass(const Matrix& logits, size_t r) {
 /// Deployed inference over records at(0) .. at(count - 1), 64 at a time.
 /// Fills predicted[i] and activations[i] for whichever output is non-null.
 template <typename InstanceAt>
-void InferBlocks(const LogicalNet& net, size_t count, InstanceAt at,
-                 uint8_t* predicted, Bitset* activations) {
-  DiscreteBlockPass pass(net);
+void InferBlocks(const LogicalNet& net, const LogicalNet::DiscretePlan& plan,
+                 size_t count, InstanceAt at, uint8_t* predicted,
+                 Bitset* activations) {
+  DiscreteBlockPass pass(net, plan);
+  PackedRows block;
   Matrix logits;
   for (size_t lo = 0; lo < count; lo += kRecordsPerWord) {
     const size_t n = std::min(kRecordsPerWord, count - lo);
     if (logits.rows() != n) logits = Matrix(n, net.linear().out_dim());
-    pass.RunInstances(at, lo, n);
+    // The encoder's output is 0/1: records go straight into bits, with no
+    // encoded double block.
+    block.Resize(n, static_cast<size_t>(net.encoded_size()));
+    for (size_t r = 0; r < n; ++r) {
+      net.encoder().EncodeRow(at(lo + r), block.row(r));
+    }
+    pass.RunPacked(block, 0, n);
     if (predicted != nullptr) {
       // The same vote as ForwardDiscrete, so each record's logits are the
       // per-record ones.
@@ -345,22 +345,33 @@ void InferBlocks(const LogicalNet& net, size_t count, InstanceAt at,
 
 }  // namespace
 
+LogicalNet::DiscretePlan::DiscretePlan(const LogicalNet& net)
+    : active(net.logic_layers().size()),
+      votes_finite(net.linear().WeightsFinite()) {
+  for (size_t l = 0; l < active.size(); ++l) {
+    net.logic_layers()[l].BuildActiveLists(&active[l]);
+  }
+}
+
 Matrix LogicalNet::ForwardContinuous(const Matrix& encoded,
                                      Cache* cache) const {
-  std::vector<Matrix> outs;
-  ForwardLayers(*this, encoded, &outs,
-                cache != nullptr ? &cache->layer0 : nullptr);
-  Matrix logits = linear_.Forward(
-      ConcatRules(encoded, outs, config_.input_skip, num_rules_));
-  if (cache != nullptr) {
-    cache->encoded = encoded;
-    cache->layer_out = std::move(outs);
+  Cache own;
+  Cache& c = cache != nullptr ? *cache : own;
+  c.binary = PackBinary(encoded, &c.input);
+  if (c.binary) {
+    c.fuzzy = Matrix();
+    ForwardLayers(*this, c.input, &c.layer_out, &c.layer0);
+  } else {
+    c.fuzzy = encoded;
+    ForwardLayers(*this, encoded, &c.layer_out, &c.layer0);
   }
-  return logits;
+  return linear_.Forward(
+      ConcatRules(encoded, c.layer_out, config_.input_skip, num_rules_));
 }
 
 Matrix LogicalNet::RulesDiscrete(const Matrix& encoded) const {
-  DiscreteBlockPass pass(*this);
+  const DiscretePlan plan(*this);
+  DiscreteBlockPass pass(*this, plan);
   Matrix rules(encoded.rows(), num_rules_);
   for (size_t lo = 0; lo < encoded.rows(); lo += kRecordsPerWord) {
     const size_t n = std::min(kRecordsPerWord, encoded.rows() - lo);
@@ -371,13 +382,17 @@ Matrix LogicalNet::RulesDiscrete(const Matrix& encoded) const {
 }
 
 Matrix LogicalNet::ForwardDiscrete(const Matrix& encoded) const {
-  return DiscreteLogits(*this, encoded, nullptr);
+  return DiscreteLogits(*this, encoded);
 }
 
-Matrix LogicalNet::ForwardGrafted(const Matrix& encoded, Cache* cache) const {
-  cache->encoded = encoded;
-  ForwardLayers(*this, cache->encoded, &cache->layer_out, &cache->layer0);
-  return DiscreteLogits(*this, cache->encoded, &cache->layer0);
+Matrix LogicalNet::ForwardGrafted(const PackedRows& batch,
+                                  Cache* cache) const {
+  CTFL_CHECK(static_cast<int>(batch.cols()) == encoded_size());
+  cache->input = batch;
+  cache->binary = true;
+  cache->fuzzy = Matrix();
+  ForwardLayers(*this, cache->input, &cache->layer_out, &cache->layer0);
+  return DiscreteLogits(*this, cache->input);
 }
 
 void LogicalNet::Backward(const Cache& cache, const Matrix& dlogits) {
@@ -388,12 +403,13 @@ void LogicalNet::Backward(const Cache& cache, const Matrix& dlogits) {
   std::vector<LinearLayer::Columns> rules;
   size_t offset = 0;
   if (config_.input_skip) {
-    rules.push_back({&cache.encoded, 0});
-    offset = cache.encoded.cols();
+    rules.push_back(cache.binary ? LinearLayer::Columns{nullptr, &cache.input}
+                                 : LinearLayer::Columns{&cache.fuzzy});
+    offset = static_cast<size_t>(encoded_size());
   }
   std::vector<size_t> layer_offset;
   for (const Matrix& out : cache.layer_out) {
-    rules.push_back({&out, offset});
+    rules.push_back({&out, nullptr, offset});
     layer_offset.push_back(offset);
     offset += out.cols();
   }
@@ -417,8 +433,11 @@ void LogicalNet::Backward(const Cache& cache, const Matrix& dlogits) {
   }
   // The encoder input has no parameters, so layer 0's input gradient has
   // no consumer: it accumulates weight gradients only.
-  if (!logic_layers_.empty()) {
-    logic_layers_[0].BackwardWeights(cache.encoded, cache.layer_out[0],
+  if (!logic_layers_.empty() && cache.binary) {
+    logic_layers_[0].BackwardWeights(cache.input, cache.layer_out[0],
+                                     dout[0], &cache.layer0);
+  } else if (!logic_layers_.empty()) {
+    logic_layers_[0].BackwardWeights(cache.fuzzy, cache.layer_out[0],
                                      dout[0], &cache.layer0);
   }
 }
@@ -496,10 +515,15 @@ Bitset LogicalNet::RuleActivations(const Instance& instance) const {
 }
 
 LogicalNet::Inference LogicalNet::Infer(const Instance& instance) const {
+  return Infer(instance, DiscretePlan(*this));
+}
+
+LogicalNet::Inference LogicalNet::Infer(const Instance& instance,
+                                        const DiscretePlan& plan) const {
   uint8_t predicted = 0;
   Inference out;
   InferBlocks(
-      *this, 1, [&](size_t) -> const Instance& { return instance; },
+      *this, plan, 1, [&](size_t) -> const Instance& { return instance; },
       &predicted, &out.activation);
   out.predicted = predicted;
   return out;
@@ -514,7 +538,7 @@ void LogicalNet::InferDataset(const Dataset& dataset,
     activations->resize(dataset.size());
   }
   InferBlocks(
-      *this, dataset.size(),
+      *this, DiscretePlan(*this), dataset.size(),
       [&](size_t i) -> const Instance& { return dataset.instance(i); },
       predicted != nullptr ? predicted->data() : nullptr,
       activations != nullptr ? activations->data() : nullptr);

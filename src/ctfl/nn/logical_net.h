@@ -98,10 +98,17 @@ class LogicalNet {
   /// Intermediate activations of a continuous forward pass, kept for
   /// Backward, with layer 0's row split and factor table (built once per
   /// step; Backward must see the weights the forward saw). The continuous
-  /// rule vector is the encoded input (input_skip) and every layer output,
-  /// read in place.
+  /// rule vector is the input (input_skip) and every layer output, read in
+  /// place.
   struct Cache {
-    Matrix encoded;
+    /// The batch, packed, when every element is 0.0 or 1.0, as the
+    /// encoder's always are: layer 0's backward and the vote layer's skip
+    /// columns read its bits (DESIGN.md §16.4).
+    PackedRows input;
+    /// Otherwise a copy of the batch: only the public Matrix calls take
+    /// one.
+    Matrix fuzzy;
+    bool binary = true;
     std::vector<Matrix> layer_out;
     LogicLayer::StepTables layer0;
   };
@@ -112,12 +119,13 @@ class LogicalNet {
   /// Binarized logits — the deployed model's inference (Eq. 3).
   Matrix ForwardDiscrete(const Matrix& encoded) const;
 
-  /// The forward half of a grafted step: fills `cache` as
-  /// ForwardContinuous does, without the continuous logits nobody reads,
-  /// and returns ForwardDiscrete(encoded) bit for bit, with layer 0's input
-  /// words packed from the cache's row split. `cache` may hold an earlier
+  /// The forward half of a grafted step on a packed batch (encoded_size()
+  /// columns): fills `cache` as ForwardContinuous does on the batch's
+  /// Matrix, without the continuous logits nobody reads, and returns
+  /// ForwardDiscrete of that Matrix bit for bit, with the discrete pass's
+  /// input words taken from the batch's bits. `cache` may hold an earlier
   /// step's buffers, whose storage it reuses.
-  Matrix ForwardGrafted(const Matrix& encoded, Cache* cache) const;
+  Matrix ForwardGrafted(const PackedRows& batch, Cache* cache) const;
 
   /// Binarized rule-activation matrix (batch x num_rules): the encoded
   /// inputs verbatim (input_skip), then every logic node as 0/1, computed
@@ -155,6 +163,20 @@ class LogicalNet {
     Bitset activation;
   };
   Inference Infer(const Instance& instance) const;
+
+  /// What the discrete pass needs of the model: every logic layer's
+  /// active-input lists and whether every vote weight is finite, built
+  /// from the weights at construction. It holds no scratch, so concurrent
+  /// passes may share one; it is valid while the weights do not change.
+  struct DiscretePlan {
+    explicit DiscretePlan(const LogicalNet& net);
+    std::vector<LogicLayer::ActiveLists> active;
+    bool votes_finite = false;
+  };
+  /// Infer with a plan built from this net's current weights: a model that
+  /// no longer changes (a query engine's) builds its plan once instead of
+  /// once per call.
+  Inference Infer(const Instance& instance, const DiscretePlan& plan) const;
 
   /// Predict and/or RuleActivations of every record of `dataset`, in
   /// record order, from the bit-packed discrete pass over 64-record blocks

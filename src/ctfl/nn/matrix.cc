@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 
 #include "ctfl/util/logging.h"
 #include "ctfl/util/thread_pool.h"
@@ -117,6 +118,44 @@ Matrix Matrix::MatMulTransposed(const Matrix& other) const {
 
 void Matrix::RandomUniform(Rng& rng, double lo, double hi) {
   for (double& v : data_) v = rng.Uniform(lo, hi);
+}
+
+void PackedRows::Resize(size_t rows, size_t cols) {
+  rows_ = rows;
+  cols_ = cols;
+  words_ = (cols + 63) / 64;
+  data_.assign(rows * words_, 0);
+}
+
+bool PackBinary(const Matrix& x, PackedRows* out) {
+  // Compared as bit patterns: exactly +0.0 and 1.0 pack. Anything else,
+  // -0.0 included, is not binary, and the generic loops read it as it is.
+  constexpr uint64_t kOne = 0x3ff0000000000000;  // 1.0
+  out->Resize(x.rows(), x.cols());
+  for (size_t r = 0; r < x.rows(); ++r) {
+    const double* xr = x.row(r);
+    uint64_t* bits = out->row(r);
+    bool odd = false;
+    for (size_t lo = 0; lo < x.cols(); lo += 64) {
+      const size_t n = std::min<size_t>(64, x.cols() - lo);
+      uint64_t word = 0;
+      for (size_t k = 0; k < n; ++k) {
+        uint64_t u;
+        std::memcpy(&u, xr + lo + k, sizeof(u));
+        word |= (u >> 61) << k;  // 1 for 1.0, 0 for +0.0
+        odd |= (u != 0) & (u != kOne);
+      }
+      bits[lo / 64] = word;
+    }
+    if (odd) return false;
+  }
+  return true;
+}
+
+void UnpackRow(const uint64_t* bits, size_t n, double* out) {
+  for (size_t j = 0; j < n; ++j) {
+    out[j] = (bits[j / 64] >> (j % 64)) & 1 ? 1.0 : 0.0;
+  }
 }
 
 }  // namespace ctfl

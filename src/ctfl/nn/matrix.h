@@ -2,6 +2,7 @@
 #define CTFL_NN_MATRIX_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "ctfl/util/rng.h"
@@ -88,6 +89,41 @@ class Matrix {
   size_t cols_;
   std::vector<double> data_;
 };
+
+/// Rows of 0/1 values packed record-major, the training input (DESIGN.md
+/// §16.4): row r's column j is bit j % 64 of row(r)[j / 64], and each row
+/// takes words() = ceil(cols / 64) words. Bits past cols() are zero.
+class PackedRows {
+ public:
+  PackedRows() = default;
+  PackedRows(size_t rows, size_t cols) { Resize(rows, cols); }
+
+  size_t rows() const { return rows_; }
+  size_t cols() const { return cols_; }
+  size_t words() const { return words_; }
+
+  uint64_t* row(size_t r) { return data_.data() + r * words_; }
+  const uint64_t* row(size_t r) const { return data_.data() + r * words_; }
+
+  /// Reshapes to rows x cols, every bit clear, reusing the storage.
+  void Resize(size_t rows, size_t cols);
+
+ private:
+  size_t rows_ = 0;
+  size_t cols_ = 0;
+  size_t words_ = 0;
+  std::vector<uint64_t> data_;
+};
+
+/// Packs `x` into `out` and returns true when every element of x is exactly
+/// +0.0 or 1.0; returns false at the first row holding one that is not
+/// (-0.0 included), leaving `out` unspecified.
+bool PackBinary(const Matrix& x, PackedRows* out);
+
+/// Writes the first n values of packed row `bits` to `out` as 0.0 / 1.0,
+/// the doubles the row was packed from: for the generic loops, which read
+/// a row only where they run.
+void UnpackRow(const uint64_t* bits, size_t n, double* out);
 
 }  // namespace ctfl
 

@@ -57,6 +57,11 @@ class AdamOptimizer : public Optimizer {
     t_ = 0;
   }
 
+  /// The first and second moment estimates, one matrix per slot (empty
+  /// before the first Step).
+  const std::vector<Matrix>& first_moments() const { return m_; }
+  const std::vector<Matrix>& second_moments() const { return v_; }
+
  private:
   double lr_;
   double beta1_;

@@ -13,14 +13,12 @@
 
 namespace ctfl {
 
-double GraftedStep(LogicalNet& net, const Matrix& encoded,
-                   const std::vector<int>& labels, Optimizer& optimizer) {
-  // Per thread, so the cache's buffers (the encoded batch, the layer
-  // outputs, layer 0's split and factor table) keep their storage from step
-  // to step. No thread re-enters a step: its parallel sections run only
-  // their own chunks.
-  static thread_local LogicalNet::Cache cache;
-  const Matrix discrete_logits = net.ForwardGrafted(encoded, &cache);
+namespace {
+
+/// The backward half of a step, on the forward's cache and discrete logits.
+double FinishStep(LogicalNet& net, const LogicalNet::Cache& cache,
+                  const Matrix& discrete_logits,
+                  const std::vector<int>& labels, Optimizer& optimizer) {
   Matrix dlogits;
   const double loss = SoftmaxCrossEntropy(discrete_logits, labels, &dlogits);
   net.ZeroGrads();
@@ -31,10 +29,44 @@ double GraftedStep(LogicalNet& net, const Matrix& encoded,
   return loss;
 }
 
+}  // namespace
+
+double GraftedStep(LogicalNet& net, const PackedRows& batch,
+                   const std::vector<int>& labels, Optimizer& optimizer) {
+  // Per thread, so the cache's buffers (the packed batch, the layer
+  // outputs, layer 0's split and factor table) keep their storage from step
+  // to step. No thread re-enters a step: its parallel sections run only
+  // their own chunks.
+  static thread_local LogicalNet::Cache cache;
+  const Matrix discrete_logits = net.ForwardGrafted(batch, &cache);
+  return FinishStep(net, cache, discrete_logits, labels, optimizer);
+}
+
+double GraftedStep(LogicalNet& net, const Matrix& encoded,
+                   const std::vector<int>& labels, Optimizer& optimizer) {
+  static thread_local PackedRows packed;
+  if (PackBinary(encoded, &packed)) {
+    return GraftedStep(net, packed, labels, optimizer);
+  }
+  LogicalNet::Cache cache;
+  net.ForwardContinuous(encoded, &cache);
+  return FinishStep(net, cache, net.ForwardDiscrete(encoded), labels,
+                    optimizer);
+}
+
 TrainReport TrainGrafted(LogicalNet& net, const Dataset& data,
+                         const TrainConfig& config) {
+  if (data.empty()) return TrainReport{};
+  return TrainGrafted(net, data, net.encoder().EncodeDataset(data), config);
+}
+
+TrainReport TrainGrafted(LogicalNet& net, const Dataset& data,
+                         const PackedRows& encoded,
                          const TrainConfig& config) {
   TrainReport report;
   if (data.empty()) return report;
+  CTFL_CHECK(encoded.rows() == data.size() &&
+             static_cast<int>(encoded.cols()) == net.encoded_size());
 
   // Honor the config's matrix-parallelism budget. Inside a parallel
   // section (FedAvg client fan-out) the section's budget caps the kernels,
@@ -51,8 +83,6 @@ TrainReport TrainGrafted(LogicalNet& net, const Dataset& data,
                                                config.sgd_momentum);
   }
 
-  // Encode the whole dataset once; batches are row subsets.
-  const Matrix all_encoded = net.EncodeBatch(data);
   Rng rng(config.seed);
   std::vector<int> order(static_cast<int>(data.size()));
   for (size_t i = 0; i < data.size(); ++i) order[i] = static_cast<int>(i);
@@ -65,8 +95,8 @@ TrainReport TrainGrafted(LogicalNet& net, const Dataset& data,
           "ctfl.train.epoch_us");
 
   const int batch_size = std::max(1, config.batch_size);
-  // One batch buffer for the whole run; only a short last batch resizes it.
-  Matrix batch;
+  // One batch buffer for the whole run: each step gathers its rows' words.
+  PackedRows batch;
   std::vector<int> labels;
   Stopwatch epoch_watch;
   report.epoch_stats.reserve(config.epochs > 0 ? config.epochs : 0);
@@ -79,15 +109,12 @@ TrainReport TrainGrafted(LogicalNet& net, const Dataset& data,
          start += static_cast<size_t>(batch_size)) {
       const size_t end =
           std::min(order.size(), start + static_cast<size_t>(batch_size));
-      if (batch.rows() != end - start) {
-        batch = Matrix(end - start, all_encoded.cols());
-      }
+      batch.Resize(end - start, encoded.cols());
       labels.resize(end - start);
       for (size_t r = start; r < end; ++r) {
         const int src = order[r];
-        const double* src_row = all_encoded.row(src);
-        double* dst_row = batch.row(r - start);
-        std::copy(src_row, src_row + all_encoded.cols(), dst_row);
+        std::copy(encoded.row(src), encoded.row(src) + encoded.words(),
+                  batch.row(r - start));
         labels[r - start] = data.instance(src).label;
       }
       epoch_loss += GraftedStep(net, batch, labels, *optimizer);

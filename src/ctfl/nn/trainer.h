@@ -35,11 +35,25 @@ struct TrainReport {
 /// Trains `net` in place on `data` with gradient grafting: the loss is
 /// evaluated on the binarized model's outputs and its gradient is pushed
 /// through the continuous model (θ^{t+1} = θ^t − η ∂L(Ȳ)/∂Ȳ · ∂Y/∂θ^t).
+/// Encodes `data` once, into packed bits (BinarizationLayer::EncodeDataset).
 TrainReport TrainGrafted(LogicalNet& net, const Dataset& data,
                          const TrainConfig& config);
 
-/// One grafted gradient step over the given pre-encoded batch; returns the
-/// discrete-model loss. Exposed for the FedAvg client loop and tests.
+/// The same on `encoded`, the records of `data` already packed by an
+/// encoder equal to net.encoder() (the encoder has no trainable
+/// parameters): FedAvg encodes each client once per run.
+TrainReport TrainGrafted(LogicalNet& net, const Dataset& data,
+                         const PackedRows& encoded, const TrainConfig& config);
+
+/// One grafted gradient step over a packed batch of encoded rows; returns
+/// the discrete-model loss. The step TrainGrafted takes.
+double GraftedStep(LogicalNet& net, const PackedRows& batch,
+                   const std::vector<int>& labels, Optimizer& optimizer);
+
+/// One grafted step over an encoded Matrix batch. A batch whose every
+/// element is 0.0 or 1.0 is packed and takes the step above; any other
+/// takes the public calls (ForwardContinuous, ForwardDiscrete, Backward),
+/// which handle it.
 double GraftedStep(LogicalNet& net, const Matrix& encoded,
                    const std::vector<int>& labels, Optimizer& optimizer);
 

@@ -11,10 +11,12 @@ bool Predicate::Evaluate(const Instance& instance) const {
       return v > threshold;
     case Op::kLt:
       return v < threshold;
+    // Compared as doubles, as the encoder does: no float-to-int cast of a
+    // value that may not be a category index.
     case Op::kEq:
-      return static_cast<int>(v) == category;
+      return v == static_cast<double>(category);
     case Op::kNeq:
-      return static_cast<int>(v) != category;
+      return v != static_cast<double>(category);
   }
   return false;
 }

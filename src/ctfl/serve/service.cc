@@ -123,6 +123,11 @@ Response QueryService::HandleRelated(const Request& request) {
                   request.related.instance.values.size(), want));
     return response;
   }
+  // A wire value reaches the encoder's category test: reject a NaN, an
+  // infinity or a non-index before anything reads it as one.
+  response.status = CheckDiscreteValues(*engine_.model().schema(),
+                                        request.related.instance.values);
+  if (!response.status.ok()) return response;
   store::QueryOptions options = request.related.options;
   options.trace_threads = config_.trace_threads;
   response.related = engine_.Related(request.related.instance, options);

@@ -83,11 +83,15 @@ struct QueryEngine::Core {
        std::vector<std::vector<Bitset>> train_uploads,
        const TracerConfig& config)
       : model(std::move(net)),
+        discrete(model),
         labels(std::move(train_labels)),
         uploads(std::move(train_uploads)),
         tracer(&model, &labels, &uploads, config) {}
 
   const LogicalNet model;
+  /// The model never changes after it is built, so every fresh instance's
+  /// Infer shares one plan (each call keeps its own scratch).
+  const LogicalNet::DiscretePlan discrete;
   const std::vector<std::vector<uint8_t>> labels;
   const std::vector<std::vector<Bitset>> uploads;
   const ContributionTracer tracer;
@@ -168,7 +172,8 @@ RelatedResult QueryEngine::Lookup(const Bitset& activation, int predicted,
 RelatedResult QueryEngine::Related(const Instance& instance,
                                    const QueryOptions& options) const {
   CTFL_SPAN("ctfl.query.related");
-  const LogicalNet::Inference inference = core_->model.Infer(instance);
+  const LogicalNet::Inference inference =
+      core_->model.Infer(instance, core_->discrete);
   return Lookup(inference.activation, inference.predicted, options);
 }
 

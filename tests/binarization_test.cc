@@ -1,5 +1,9 @@
 #include "ctfl/nn/binarization_layer.h"
 
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "ctfl/data/gen/benchmarks.h"
@@ -110,6 +114,69 @@ TEST(BinarizationTest, EncodeBatchMatchesSingle) {
   layer.Encode(d.instance(7), single.data());
   for (int j = 0; j < layer.encoded_size(); ++j) {
     EXPECT_DOUBLE_EQ(batch(1, j), single[j]);
+  }
+}
+
+/// Record r of `packed` against Encode's output for `instance`: bit j set
+/// exactly where Encode writes 1.0, and no bit past encoded_size().
+void ExpectPackedRowMatchesEncode(const BinarizationLayer& layer,
+                                  const Instance& instance,
+                                  const PackedRows& packed, size_t r) {
+  std::vector<double> dense(layer.encoded_size());
+  layer.Encode(instance, dense.data());
+  const uint64_t* bits = packed.row(r);
+  for (int j = 0; j < layer.encoded_size(); ++j) {
+    const bool set = (bits[j / 64] >> (j % 64)) & 1;
+    EXPECT_EQ(set, dense[j] == 1.0) << "record " << r << " bit " << j;
+  }
+  for (size_t j = layer.encoded_size(); j < 64 * packed.words(); ++j) {
+    EXPECT_EQ((bits[j / 64] >> (j % 64)) & 1, 0u) << "record " << r;
+  }
+}
+
+TEST(BinarizationTest, PackedEncodingMatchesEncodeOnEveryGenerator) {
+  for (const char* name : kBenchmarkNames) {
+    SCOPED_TRACE(name);
+    const Dataset data = MakeBenchmark(name, 300, 5).value();
+    Rng rng(10);
+    const BinarizationLayer layer(data.schema(), 10, rng);
+    const PackedRows packed = layer.EncodeDataset(data);
+    ASSERT_EQ(packed.rows(), data.size());
+    ASSERT_EQ(packed.cols(), static_cast<size_t>(layer.encoded_size()));
+    ASSERT_EQ(packed.words(), (packed.cols() + 63) / 64);
+    for (size_t r = 0; r < data.size(); ++r) {
+      ExpectPackedRowMatchesEncode(layer, data.instance(r), packed, r);
+    }
+  }
+}
+
+TEST(BinarizationTest, PackedEncodingMatchesEncodeAtTheBounds) {
+  // A continuous value equal to a bound sets neither its > nor its < bit;
+  // the values just beside it set one each. Every continuous feature takes
+  // every bound, and its domain's ends, in turn.
+  Rng rng(11);
+  const SchemaPtr schema = MakeSchema();
+  const BinarizationLayer layer(schema, 40, rng);  // 83 bits: two words
+  Dataset d(schema);
+  for (int j = 0; j < layer.encoded_size(); ++j) {
+    const EncodedPredicate& p = layer.predicate(j);
+    if (p.kind == EncodedPredicate::Kind::kEquals) continue;
+    for (double v : {p.threshold, std::nextafter(p.threshold, -1.0),
+                     std::nextafter(p.threshold, 11.0)}) {
+      Instance inst;
+      inst.values = {v, static_cast<double>(j % 3)};
+      d.AppendUnchecked(std::move(inst));
+    }
+  }
+  for (double v : {0.0, 10.0}) {
+    Instance inst;
+    inst.values = {v, 2.0};
+    d.AppendUnchecked(std::move(inst));
+  }
+  const PackedRows packed = layer.EncodeDataset(d);
+  ASSERT_EQ(packed.words(), 2u);
+  for (size_t r = 0; r < d.size(); ++r) {
+    ExpectPackedRowMatchesEncode(layer, d.instance(r), packed, r);
   }
 }
 

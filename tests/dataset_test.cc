@@ -1,6 +1,7 @@
 #include "ctfl/data/dataset.h"
 
 #include <cstdio>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -39,6 +40,28 @@ TEST(DatasetTest, AppendValidates) {
   Instance bad_label = MakeInstance(1.0, 0, 2);
   EXPECT_FALSE(d.Append(bad_label).ok());
   EXPECT_EQ(d.size(), 1u);
+}
+
+TEST(DatasetTest, AppendRejectsNonIndexDiscreteValues) {
+  // A discrete value must be a finite integer in [0, categories) before
+  // anything casts it to a category index.
+  Dataset d(MakeSchema());
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity(), 1e300, -1e300,
+                     -1.0, -0.5, 0.5, 2.5, 2.0}) {
+    Instance inst = MakeInstance(1.0, 0, 1);
+    inst.values[1] = bad;
+    const Status status = d.Append(inst);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
+  }
+  EXPECT_EQ(d.size(), 0u);
+  for (double good : {0.0, -0.0, 1.0}) {
+    Instance inst = MakeInstance(1.0, 0, 1);
+    inst.values[1] = good;
+    EXPECT_TRUE(d.Append(inst).ok()) << good;
+  }
+  EXPECT_EQ(d.size(), 3u);
 }
 
 TEST(DatasetTest, SubsetPreservesOrder) {

@@ -561,12 +561,67 @@ Matrix OracleRules(const LogicalNet& net, const Matrix& encoded) {
   return rules;
 }
 
+/// Two grafted steps of the packed step on `packed` against the same steps
+/// through the public calls on `encoded`, the same rows as doubles: the
+/// loss, every parameter and gradient, and Adam's moments must match bit
+/// for bit after each step (the second starts from the first's moments).
+/// The Matrix entry of GraftedStep, which packs a binary batch, must take
+/// the same step.
+void ExpectPackedStepMatchesPublicCalls(const LogicalNet& net,
+                                        const Matrix& encoded,
+                                        const PackedRows& packed,
+                                        const std::vector<int>& labels) {
+  LogicalNet stepped = net;
+  LogicalNet called = net;
+  LogicalNet via_matrix = net;
+  AdamOptimizer step_adam(0.02);
+  AdamOptimizer call_adam(0.02);
+  AdamOptimizer matrix_adam(0.02);
+  for (int step = 0; step < 2; ++step) {
+    SCOPED_TRACE(::testing::Message() << "step " << step);
+    const double step_loss = GraftedStep(stepped, packed, labels, step_adam);
+    const double matrix_loss =
+        GraftedStep(via_matrix, encoded, labels, matrix_adam);
+    LogicalNet::Cache cache;
+    called.ForwardContinuous(encoded, &cache);
+    const Matrix logits = called.ForwardDiscrete(encoded);
+    Matrix dlogits;
+    const double call_loss = SoftmaxCrossEntropy(logits, labels, &dlogits);
+    called.ZeroGrads();
+    called.Backward(cache, dlogits);
+    call_adam.Step(called.ParamSlots());
+    called.ProjectWeights();
+    EXPECT_EQ(std::memcmp(&step_loss, &call_loss, sizeof(double)), 0)
+        << step_loss << " vs " << call_loss;
+    EXPECT_EQ(std::memcmp(&matrix_loss, &call_loss, sizeof(double)), 0);
+    const std::vector<ParamSlot> got = stepped.ParamSlots();
+    const std::vector<ParamSlot> want = called.ParamSlots();
+    const std::vector<ParamSlot> matrix = via_matrix.ParamSlots();
+    ASSERT_EQ(got.size(), want.size());
+    ASSERT_EQ(step_adam.first_moments().size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "slot " << i);
+      EXPECT_TRUE(BitEqual(*got[i].param, *want[i].param));
+      EXPECT_TRUE(BitEqual(*got[i].grad, *want[i].grad));
+      EXPECT_TRUE(BitEqual(step_adam.first_moments()[i],
+                           call_adam.first_moments()[i]));
+      EXPECT_TRUE(BitEqual(step_adam.second_moments()[i],
+                           call_adam.second_moments()[i]));
+      EXPECT_TRUE(BitEqual(*matrix[i].param, *want[i].param));
+    }
+  }
+}
+
 void ExpectNetMatchesOracle(LogicalNet net, const Dataset& data) {
   for (size_t batch : kBatchSizes) {
     SCOPED_TRACE(::testing::Message() << "batch " << batch);
     std::vector<size_t> rows(batch);
     for (size_t r = 0; r < batch; ++r) rows[r] = r % data.size();
     const Matrix encoded = net.EncodeBatch(data, rows);
+    Dataset subset(data.schema());
+    for (size_t r : rows) subset.AppendUnchecked(data.instance(r));
+    // The training input: the same rows, encoded straight into bits.
+    const PackedRows packed = net.encoder().EncodeDataset(subset);
     const std::vector<LogicLayer>& layers = net.logic_layers();
 
     // Continuous forward, layer by layer.
@@ -590,13 +645,11 @@ void ExpectNetMatchesOracle(LogicalNet net, const Dataset& data) {
                                                      net.linear().bias(),
                                                      want_rules)));
     LogicalNet::Cache step_cache;
-    EXPECT_TRUE(BitEqual(net.ForwardGrafted(encoded, &step_cache), logits));
+    EXPECT_TRUE(BitEqual(net.ForwardGrafted(packed, &step_cache), logits));
     ASSERT_EQ(step_cache.layer_out.size(), layers.size());
     for (size_t l = 0; l < layers.size(); ++l) {
       EXPECT_TRUE(BitEqual(step_cache.layer_out[l], want_out[l]));
     }
-    Dataset subset(data.schema());
-    for (size_t r : rows) subset.AppendUnchecked(data.instance(r));
     std::vector<uint8_t> predicted;
     std::vector<Bitset> activations;
     net.InferDataset(subset, &predicted, &activations);
@@ -673,6 +726,8 @@ void ExpectNetMatchesOracle(LogicalNet net, const Dataset& data) {
           BitEqual(net.mutable_logic_layers()[l].grads(), want_grads))
           << "layer " << l;
     }
+
+    ExpectPackedStepMatchesPublicCalls(net, encoded, packed, labels);
   }
 }
 
@@ -730,6 +785,59 @@ TEST(LogicKernelTest, NetWithoutSkipMatchesOracle) {
   ExpectTrainedNetsMatchOracle(config, 2, data);
 }
 
+TEST(LogicKernelTest, NetsOnFallbackLanesMatchOracle) {
+  // The packed step where it leaves the table and packed-vote paths:
+  // non-finite layer-0 weights (their chunks run the generic loops on the
+  // batch's bits), -0.0 weights, and infinite vote weights, whose NaN and
+  // infinite logits send NaN and ±inf upstream gradients through every
+  // layer (generic lanes, and every skip column of the vote gradient). A
+  // step zeroes its gradients first; a packed backward onto gradients
+  // holding -0.0 is BackwardAccumulatesOntoAnyGradients' case.
+  const Dataset data = TwoFeatureData(300, 11);
+  for (bool skip : {true, false}) {
+    SCOPED_TRACE(::testing::Message() << "skip " << skip);
+    LogicalNetConfig config = NetConfig({{13, 11}, {6, 5}});
+    config.input_skip = skip;
+    LogicalNet trained(data.schema(), config);
+    TrainConfig train;
+    train.epochs = 2;
+    train.num_threads = 1;
+    TrainGrafted(trained, data, train);
+    ForEachTier([&](TraceIsa) {
+      for (int variant = 0; variant < 3; ++variant) {
+        SCOPED_TRACE(::testing::Message() << "variant " << variant);
+        LogicalNet net = trained;
+        std::vector<double> params = net.GetParameters();
+        // Layer 0's weights come first, node-major; the vote weights,
+        // class-major, precede the two biases.
+        const size_t in_dim = static_cast<size_t>(net.encoded_size());
+        const size_t rules = static_cast<size_t>(net.num_rules());
+        double* w0 = params.data();
+        double* votes = params.data() + params.size() - 2 - 2 * rules;
+        switch (variant) {
+          case 0:
+            w0[0] = kInf;
+            w0[9 * in_dim + 3] = kNaN;
+            w0[14 * in_dim + 1] = -kInf;
+            break;
+          case 1:
+            w0[2 * in_dim + 1] = -0.0;
+            w0[20 * in_dim + 4] = -0.0;
+            votes[0] = -0.0;
+            votes[rules + 1] = -0.0;
+            break;
+          case 2:
+            votes[1] = kInf;
+            votes[rules + 2] = -kInf;
+            break;
+        }
+        net.SetParameters(params);
+        ExpectNetMatchesOracle(net, data);
+      }
+    });
+  }
+}
+
 // ---- Vote layer ------------------------------------------------------------
 
 /// A copy of `net` whose vote weights (class-major, then the two biases)
@@ -769,9 +877,11 @@ void ExpectVotesMatchOracle(const LogicalNet& net, const Dataset& data,
     }
     const Matrix want = oracle::VoteForward(w, b, OracleRules(net, encoded));
     EXPECT_TRUE(BitEqual(net.ForwardDiscrete(encoded), want));
-    LogicalNet::Cache cache;
-    EXPECT_TRUE(BitEqual(net.ForwardGrafted(encoded, &cache), want));
+    PackedRows packed;
+    ASSERT_EQ(PackBinary(encoded, &packed), !fuzzy);
     if (fuzzy) continue;  // the encoder's own rows are 0/1
+    LogicalNet::Cache cache;
+    EXPECT_TRUE(BitEqual(net.ForwardGrafted(packed, &cache), want));
     Dataset subset(data.schema());
     for (size_t r : rows) subset.AppendUnchecked(data.instance(r));
     std::vector<uint8_t> predicted;
@@ -863,8 +973,10 @@ TEST(LogicKernelTest, BackwardAccumulatesOntoAnyGradients) {
         if (start == 1) want.RandomUniform(rng, -1.0, 1.0);
         if (start == 2) want.Fill(-0.0);
         if (start == 2) want(0, 0) = 0.0;  // one chunk all +0.0
+        PackedRows packed;
+        ASSERT_TRUE(PackBinary(encoded, &packed));
         LogicalNet::Cache cache;
-        const Matrix logits = net.ForwardGrafted(encoded, &cache);
+        const Matrix logits = net.ForwardGrafted(packed, &cache);
         Matrix dlogits;
         SoftmaxCrossEntropy(logits, labels, &dlogits);
         net.ZeroGrads();

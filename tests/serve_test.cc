@@ -11,6 +11,8 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -63,6 +65,20 @@ SyntheticSpec TwoRuleSpec() {
   return spec;
 }
 
+/// TwoRuleSpec with a discrete second feature of three categories.
+SyntheticSpec DiscreteSpec() {
+  SyntheticSpec spec = TwoRuleSpec();
+  spec.schema = std::make_shared<FeatureSchema>(
+      std::vector<FeatureSpec>{
+          FeatureSchema::Continuous("x", 0, 1),
+          FeatureSchema::Discrete("c", {"a", "b", "c"}),
+      },
+      "neg", "pos");
+  spec.samplers[1] = FeatureSampler{FeatureSampler::Kind::kCategorical, 0, 0,
+                                    {0.3, 0.3, 0.4}};
+  return spec;
+}
+
 CtflConfig FastConfig() {
   CtflConfig config;
   config.federated = false;
@@ -82,9 +98,9 @@ struct Fixture {
 };
 
 Fixture MakeFixture(CtflConfig config, const std::string& name,
-                    int participants = 4) {
+                    int participants = 4,
+                    const SyntheticSpec& spec = TwoRuleSpec()) {
   Rng rng(41);
-  const SyntheticSpec spec = TwoRuleSpec();
   const Dataset all = GenerateSynthetic(spec, 500, rng);
   Dataset test = GenerateSynthetic(spec, 140, rng);
   Rng prng(42);
@@ -687,6 +703,60 @@ TEST(ServeServiceTest, BadRequestsTravelAsStatusNotCrashes) {
   EXPECT_FALSE(service.Handle(bad_width).status.ok());
 
   EXPECT_EQ(service.Stats().errors_total, 2u);
+}
+
+TEST(ServeServiceTest, NonIndexDiscreteValuesAreErrorsAndServingContinues) {
+  // A RELATED instance's discrete value comes off the wire as a double and
+  // once reached the encoder's float-to-int cast, undefined for NaN, ±inf
+  // and out-of-range values. Each value that is not a category index must
+  // be answered with InvalidArgument, in process and over a socket, and the
+  // next request must still be answered.
+  const Fixture fx = MakeFixture(FastConfig(), "serve_discrete.ctflb", 4,
+                                 DiscreteSpec());
+  QueryService service(OpenEngine(fx.bundle_path));
+  const double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         1e300,
+                         -1.0,
+                         2.5,
+                         3.0};  // the category count
+  auto related = [](double c) {
+    Request request;
+    request.op = Op::kRelated;
+    request.related.instance.values = {0.25, c};
+    return request;
+  };
+  const Response good = service.Handle(related(2.0));
+  ASSERT_TRUE(good.status.ok()) << good.status;
+  for (double bad : kBad) {
+    SCOPED_TRACE(::testing::Message() << "value " << bad);
+    EXPECT_EQ(service.Handle(related(bad)).status.code(),
+              StatusCode::kInvalidArgument);
+    const Response next = service.Handle(related(2.0));
+    ASSERT_TRUE(next.status.ok()) << next.status;
+    EXPECT_EQ(next.related.total_related, good.related.total_related);
+  }
+  EXPECT_EQ(service.Stats().errors_total, std::size(kBad));
+
+  if (!ServerSupported()) return;
+  ServerConfig config;
+  config.socket_path = TempPath("serve_discrete.sock");
+  config.num_threads = 2;
+  Server server(&service, config);
+  ASSERT_TRUE(server.Start().ok());
+  Result<Client> client = Client::ConnectUnix(config.socket_path);
+  ASSERT_TRUE(client.ok()) << client.status();
+  for (double bad : kBad) {
+    SCOPED_TRACE(::testing::Message() << "served value " << bad);
+    const Result<Response> answer = client->Call(related(bad));
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    EXPECT_EQ(answer->status.code(), StatusCode::kInvalidArgument);
+    const Result<Response> next = client->Call(related(2.0));
+    ASSERT_TRUE(next.ok()) << next.status();
+    EXPECT_TRUE(next->status.ok()) << next->status;
+  }
+  server.Shutdown();
+  server.Wait();
 }
 
 TEST(ServeServiceTest, HandlePayloadEchoesHeaderOnMalformedFrames) {
