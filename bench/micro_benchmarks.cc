@@ -215,8 +215,8 @@ void BM_TracePass(benchmark::State& state, int isa, int trace_threads) {
   TracerConfig config;
   // 0.7 keeps lanes ambiguous deep into the weight-sorted sweep, so the
   // legs measure the Eq. 4 inner loop. At extreme thresholds (0.9+) the
-  // suffix-sum checkpoints resolve almost every lane within the first few
-  // rules and all tiers converge on the same fixed per-block overhead.
+  // kill bound resolves almost every lane at the first checkpoints and
+  // all tiers converge on the same fixed per-block overhead.
   config.tau_w = 0.7;
   config.num_threads = 1;
   config.isa = isa < 0 ? CurrentTraceIsa() : static_cast<TraceIsa>(isa);

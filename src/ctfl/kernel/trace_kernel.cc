@@ -167,6 +167,15 @@ TraceKernel::Support TraceKernel::Prepare(
     if (c < m) tail += int64_t{s.sorted_q[c]} + 1;
     s.kill_q[c] = ClampBound(kill - (static_cast<int64_t>(c) + tail) + 1);
   }
+  // Checkpoints: after 4 and 8 sorted rules, then every 8, then m - 1 and
+  // m. Both decisions are monotone in c, so a sparser schedule decides
+  // every lane as a test after each rule would; m - 1 keeps blocks_pruned
+  // ("every lane decided before the last rule") exact.
+  for (size_t c = 4; c + 1 < m; c = c < 8 ? 8 : c + 8) {
+    s.checkpoints.push_back(c);
+  }
+  if (m >= 2) s.checkpoints.push_back(m - 1);
+  if (m >= 1) s.checkpoints.push_back(m);
   // The largest sum a lane can hold after c rules is the prefix sum of q.
   s.accept_from = m + 1;
   int64_t reach = 0;

@@ -35,9 +35,11 @@
 // Early-exit pruning processes the support rules in descending weight
 // order, keeping per-lane *exact integer* sums of fixed-point weights:
 // Prepare scales each weight by a power of two and floors it to int32, and
-// derives one accept bound and one kill bound per rule. A lane whose sum
-// reaches the accept bound is related; a lane whose sum plus everything
-// still unprocessed stays below the kill bound is not. Integer adds and
+// derives one accept bound and one kill bound per rule count. A lane whose
+// sum reaches the accept bound is related; a lane whose sum plus
+// everything still unprocessed stays below the kill bound is not. Both
+// tests run only at a checkpoint schedule Prepare builds per support; the
+// rules between checkpoints are plain masked adds. Integer adds and
 // compares are exact and order-free, so every tier, lane grouping and
 // stripe split makes the same decisions by construction.
 //
@@ -119,8 +121,8 @@ class TraceKernel {
   uint64_t full_mask_word(size_t block) const { return full_mask_[block]; }
 
   /// A support set prepared for matching: the exact comparison's inputs
-  /// plus the fixed-point pruning schedule (DESIGN.md §10.3). Every lane
-  /// sum stays in [0, 2^30), and every bound is clamped to [0, 2^30].
+  /// plus the fixed-point pruning schedule (DESIGN.md §10.2-10.3). Every
+  /// lane sum stays in [0, 2^30), and every bound is clamped to [0, 2^30].
   struct Support {
     std::vector<int> rules;       ///< ascending rule coordinates
     std::vector<double> weights;  ///< aligned to `rules`
@@ -138,6 +140,10 @@ class TraceKernel {
     /// Fewest sorted rules after which some lane can reach accept_q
     /// (m + 1 when none can).
     size_t accept_from = 0;
+    /// Counts c of processed sorted rules after which the stripe tests
+    /// its undecided lanes: 4, 8, every 8 after that, then m - 1 and m
+    /// (ascending; empty when m = 0).
+    std::vector<size_t> checkpoints;
   };
 
   /// Builds a Support from `supp` (ascending (rule, weight) pairs — the

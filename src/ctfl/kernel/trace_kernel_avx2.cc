@@ -1,6 +1,6 @@
-// AVX2 stripe unit: eight groups of 8 int32 lanes per 64-record block,
-// each group's add mask shifted out of the activation word into the
-// lanes' sign bits.
+// AVX2 stripe unit: the 64 int32 lane sums of a block live in eight ymm
+// registers of 8 lanes, each group's add mask shifted out of the
+// activation word into the lanes' sign bits.
 // Compiled with -mavx2 on x86-64 (see src/CMakeLists.txt); selected at
 // runtime only when cpuid reports AVX2 (util/cpu_features.h).
 
@@ -22,8 +22,12 @@ alignas(32) constexpr int32_t kToSign[4][8] = {
     {15, 14, 13, 12, 11, 10, 9, 8},
     {7, 6, 5, 4, 3, 2, 1, 0}};
 
-inline __m256i LoadLanes(const int32_t* q) {
-  return _mm256_load_si256(reinterpret_cast<const __m256i*>(q));
+/// acc + v on the lanes whose bit of `bits` the shift moves to the sign.
+inline __m256i AddHits(__m256i acc, __m256i bits, int j, __m256i vv) {
+  const __m256i shift =
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(kToSign[j]));
+  const __m256i hit = _mm256_srai_epi32(_mm256_sllv_epi32(bits, shift), 31);
+  return _mm256_add_epi32(acc, _mm256_and_si256(hit, vv));
 }
 
 /// One group's lanes as a byte: bit i set iff lane i's sign bit is.
@@ -33,42 +37,38 @@ inline uint64_t MoveMask(__m256i v) {
 }
 
 struct Avx2Ops {
-  static void Add(int32_t* q, uint64_t word, int32_t v) {
+  struct Lanes {
+    __m256i g[8];
+  };
+
+  static void Add(Lanes& q, uint64_t word, int32_t v) {
     const __m256i vv = _mm256_set1_epi32(v);
-    for (int half = 0; half < 2; ++half) {
-      const __m256i bits =
-          _mm256_set1_epi32(static_cast<int>(word >> (32 * half)));
-      for (int j = 0; j < 4; ++j) {
-        const __m256i hit = _mm256_srai_epi32(
-            _mm256_sllv_epi32(bits, _mm256_load_si256(
-                                        reinterpret_cast<const __m256i*>(
-                                            kToSign[j]))),
-            31);
-        int32_t* p = q + 32 * half + 8 * j;
-        _mm256_store_si256(
-            reinterpret_cast<__m256i*>(p),
-            _mm256_add_epi32(LoadLanes(p), _mm256_and_si256(hit, vv)));
-      }
+    const __m256i lo = _mm256_set1_epi32(static_cast<int>(word));
+    const __m256i hi = _mm256_set1_epi32(static_cast<int>(word >> 32));
+#pragma GCC unroll 4
+    for (int j = 0; j < 4; ++j) {
+      q.g[j] = AddHits(q.g[j], lo, j, vv);
+      q.g[4 + j] = AddHits(q.g[4 + j], hi, j, vv);
     }
   }
 
   // Bounds lie in [0, 2^30], so bound - 1 cannot wrap.
-  static uint64_t GeMask(const int32_t* q, int32_t bound, uint64_t scan) {
+  static uint64_t GeMask(const Lanes& q, int32_t bound, uint64_t scan) {
     const __m256i below = _mm256_set1_epi32(bound - 1);
     uint64_t mask = 0;
+#pragma GCC unroll 8
     for (int g = 0; g < 8; ++g) {
-      const __m256i ge = _mm256_cmpgt_epi32(LoadLanes(q + 8 * g), below);
-      mask |= MoveMask(ge) << (8 * g);
+      mask |= MoveMask(_mm256_cmpgt_epi32(q.g[g], below)) << (8 * g);
     }
     return mask & scan;
   }
 
-  static uint64_t LtMask(const int32_t* q, int32_t bound, uint64_t scan) {
+  static uint64_t LtMask(const Lanes& q, int32_t bound, uint64_t scan) {
     const __m256i bv = _mm256_set1_epi32(bound);
     uint64_t mask = 0;
+#pragma GCC unroll 8
     for (int g = 0; g < 8; ++g) {
-      const __m256i lt = _mm256_cmpgt_epi32(bv, LoadLanes(q + 8 * g));
-      mask |= MoveMask(lt) << (8 * g);
+      mask |= MoveMask(_mm256_cmpgt_epi32(bv, q.g[g])) << (8 * g);
     }
     return mask & scan;
   }

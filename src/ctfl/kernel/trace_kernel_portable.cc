@@ -2,10 +2,11 @@
 // AVX units fall back to where their ISA is not compiled. Built with the
 // target's baseline flags.
 //
-// Every primitive walks only the lanes it is asked about (ctz iteration
-// over the word or scan mask): past the first few rules most lanes of a
-// block are decided, and the stripe body hands each checkpoint just the
-// lanes whose decision can have changed.
+// The lane sums live in a 64-entry array, and every primitive walks only
+// the lanes it is asked about (ctz iteration over the word or scan mask):
+// an add touches the undecided lanes its rule hits, and a checkpoint
+// tests the block's undecided lanes, which past the first checkpoints are
+// few.
 
 #include "ctfl/kernel/trace_kernel_stripe.h"
 
@@ -14,27 +15,31 @@ namespace kernel_detail {
 namespace {
 
 struct PortableOps {
-  static void Add(int32_t* q, uint64_t word, int32_t v) {
+  struct Lanes {
+    int32_t v[64];
+  };
+
+  static void Add(Lanes& q, uint64_t word, int32_t v) {
     while (word != 0) {
-      q[std::countr_zero(word)] += v;
+      q.v[std::countr_zero(word)] += v;
       word &= word - 1;
     }
   }
-  static uint64_t GeMask(const int32_t* q, int32_t bound, uint64_t scan) {
+  static uint64_t GeMask(const Lanes& q, int32_t bound, uint64_t scan) {
     uint64_t mask = 0;
     while (scan != 0) {
       const int lane = std::countr_zero(scan);
       scan &= scan - 1;
-      mask |= static_cast<uint64_t>(q[lane] >= bound) << lane;
+      mask |= static_cast<uint64_t>(q.v[lane] >= bound) << lane;
     }
     return mask;
   }
-  static uint64_t LtMask(const int32_t* q, int32_t bound, uint64_t scan) {
+  static uint64_t LtMask(const Lanes& q, int32_t bound, uint64_t scan) {
     uint64_t mask = 0;
     while (scan != 0) {
       const int lane = std::countr_zero(scan);
       scan &= scan - 1;
-      mask |= static_cast<uint64_t>(q[lane] < bound) << lane;
+      mask |= static_cast<uint64_t>(q.v[lane] < bound) << lane;
     }
     return mask;
   }

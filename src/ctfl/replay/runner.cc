@@ -289,7 +289,7 @@ Result<RunArtifacts> ExecuteRun(const RunSpec& spec,
   std::string table =
       RenderScoreTable(run.federation, outcome.micro, outcome.macro);
   return RunArtifacts{std::move(run), std::move(outcome), std::move(table),
-                      report.bundle_bytes};
+                      report.bundle_bytes, report.trace};
 }
 
 }  // namespace

@@ -107,12 +107,13 @@ struct RunInputs {
 Result<RunInputs> BuildRunInputs(const RunSpec& spec,
                                  const RunOverrides& overrides = {});
 
-/// A re-executed run: the effective config, the reconstructed inputs, and
-/// the recomputed outcome.
+/// A re-executed run: the effective config, the reconstructed inputs, the
+/// recomputed outcome, and the run's whole tracing result.
 struct RunArtifacts : RunInputs {
   RunOutcome outcome;
   std::string score_table;
   size_t bundle_bytes = 0;
+  TraceResult trace;
 };
 
 /// Builds the run (BuildRunInputs), runs the pipeline, and recomputes the

@@ -33,6 +33,7 @@
 #include "ctfl/util/rng.h"
 #include "ctfl/util/wire.h"
 #include "test_paths.h"
+#include "trace_compare.h"
 
 namespace ctfl {
 namespace replay {
@@ -340,20 +341,42 @@ TEST(ReplayRunnerTest, ExecuteRunSpecIsReproducible) {
   EXPECT_EQ(a->outcome.render_digest, HashBytes(a->score_table));
 }
 
+/// The QueryReport of one Evaluate over the bundle at `path`, matched at
+/// `isa` with `threads` kernel threads.
+store::QueryReport EvaluateBundle(const std::string& path, TraceIsa isa,
+                                  int threads) {
+  Result<store::QueryEngine> engine = store::QueryEngine::Open(path);
+  EXPECT_TRUE(engine.ok()) << engine.status();
+  if (!engine.ok()) return {};
+  store::EvalOptions options;
+  options.isa = isa;
+  options.trace_threads = threads;
+  return engine->Evaluate(options);
+}
+
 TEST(ReplayRunnerTest, KernelFlipAndThreadsAreBitIdentical) {
   const RunSpec spec = SmallSpec();
-  Result<RunArtifacts> base = ExecuteRunSpec(spec);
+  RunOverrides serial;
+  serial.bundle_out = TempPath("threads_1.ctflb");
+  Result<RunArtifacts> base = ExecuteRunSpec(spec, serial);
   ASSERT_TRUE(base.ok()) << base.status();
 
   // The kernel leg is gone with the scalar kernel (now the oracle of the
-  // tracer tests); the thread leg stays.
+  // tracer tests); the thread leg stays. Both legs must agree on every
+  // field: outcome, whole trace, and an evaluation of each leg's bundle
+  // at its own thread count.
   RunOverrides threads;
   threads.num_threads = 2;
+  threads.bundle_out = TempPath("threads_2.ctflb");
   Result<RunArtifacts> parallel = ExecuteRunSpec(spec, threads);
   ASSERT_TRUE(parallel.ok()) << parallel.status();
   const Status thread_match =
       CompareOutcomes(base->outcome, parallel->outcome);
   EXPECT_TRUE(thread_match.ok()) << thread_match;
+  ExpectTracesIdentical(base->trace, parallel->trace);
+  ExpectQueryReportsIdentical(
+      EvaluateBundle(serial.bundle_out, CurrentTraceIsa(), 1),
+      EvaluateBundle(threads.bundle_out, CurrentTraceIsa(), 2));
 }
 
 // An isa cell forces the process-wide tier, which the grafted training
@@ -365,18 +388,27 @@ TEST(ReplayRunnerTest, IsaOverrideForcesTheProcessTierForItsRunOnly) {
   const TraceIsa best = BestAvailableTraceIsa();
   ASSERT_TRUE(SetTraceIsa(best).ok());
   const RunSpec spec = SmallSpec();
-  Result<RunArtifacts> base = ExecuteRunSpec(spec);
+  RunOverrides dispatched;
+  dispatched.bundle_out = TempPath("isa_best.ctflb");
+  Result<RunArtifacts> base = ExecuteRunSpec(spec, dispatched);
   ASSERT_TRUE(base.ok()) << base.status();
   EXPECT_EQ(base->config.tracer.isa, best);
 
   RunOverrides scalar;
   scalar.trace_isa = static_cast<int>(TraceIsa::kScalar);
+  scalar.bundle_out = TempPath("isa_scalar.ctflb");
   Result<RunArtifacts> forced = ExecuteRunSpec(spec, scalar);
   ASSERT_TRUE(forced.ok()) << forced.status();
   EXPECT_EQ(forced->config.tracer.isa, TraceIsa::kScalar);
   EXPECT_EQ(CurrentTraceIsa(), best);
   const Status match = CompareOutcomes(base->outcome, forced->outcome);
   EXPECT_TRUE(match.ok()) << match;
+  // Every field, not only the outcome: the whole trace, and an evaluation
+  // of each leg's bundle at that leg's tier.
+  ExpectTracesIdentical(base->trace, forced->trace);
+  ExpectQueryReportsIdentical(
+      EvaluateBundle(dispatched.bundle_out, best, 1),
+      EvaluateBundle(scalar.bundle_out, TraceIsa::kScalar, 1));
   ASSERT_TRUE(SetTraceIsa(entry).ok());
 }
 

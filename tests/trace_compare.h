@@ -1,9 +1,10 @@
 #ifndef CTFL_TESTS_TRACE_COMPARE_H_
 #define CTFL_TESTS_TRACE_COMPARE_H_
 
-// Every-field equality of tracing results: the bit-identity contract that
-// the tracer, the query engine and the streaming scorer share (DESIGN.md
-// §9/§10). Doubles compare by bit pattern, never by tolerance.
+// Every-field equality of tracing results and query reports: the
+// bit-identity contract that the tracer, the query engine and the
+// streaming scorer share (DESIGN.md §9/§10). Doubles compare by bit
+// pattern, never by tolerance.
 
 #include <cstring>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "ctfl/core/allocation.h"
 #include "ctfl/core/tracer.h"
 #include "ctfl/nn/matrix.h"
+#include "ctfl/store/query_engine.h"
 
 namespace ctfl {
 
@@ -82,6 +84,61 @@ inline void ExpectTracesIdentical(const TraceResult& base,
     EXPECT_EQ(base.blocks_pruned, other.blocks_pruned);
     EXPECT_EQ(base.exact_fallbacks, other.exact_fallbacks);
   }
+}
+
+/// Bitwise equality of two doubles.
+inline bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+inline void ExpectRuleStatsIdentical(const std::vector<store::RuleStat>& a,
+                                     const std::vector<store::RuleStat>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(a[i].rule, b[i].rule);
+    EXPECT_TRUE(SameBits(a[i].frequency, b[i].frequency))
+        << a[i].frequency << " vs " << b[i].frequency;
+    EXPECT_EQ(a[i].text, b[i].text);
+  }
+}
+
+/// Every QueryReport field, doubles by bit pattern.
+inline void ExpectQueryReportsIdentical(const store::QueryReport& a,
+                                        const store::QueryReport& b) {
+  EXPECT_TRUE(SameBits(a.tau_w, b.tau_w)) << "tau_w";
+  EXPECT_EQ(a.delta, b.delta);
+  EXPECT_TRUE(BitIdentical(a.micro, b.micro)) << "micro";
+  EXPECT_TRUE(BitIdentical(a.macro, b.macro)) << "macro";
+  EXPECT_TRUE(SameBits(a.global_accuracy, b.global_accuracy))
+      << "global_accuracy";
+  EXPECT_TRUE(SameBits(a.matched_accuracy, b.matched_accuracy))
+      << "matched_accuracy";
+  EXPECT_EQ(a.uncovered_tests, b.uncovered_tests);
+  {
+    SCOPED_TRACE("uncovered_rules");
+    ExpectRuleStatsIdentical(a.uncovered_rules, b.uncovered_rules);
+  }
+  ASSERT_EQ(a.participants.size(), b.participants.size());
+  for (size_t p = 0; p < a.participants.size(); ++p) {
+    SCOPED_TRACE(::testing::Message() << "participant " << p);
+    const store::ParticipantSummary& x = a.participants[p];
+    const store::ParticipantSummary& y = b.participants[p];
+    EXPECT_EQ(x.participant, y.participant);
+    EXPECT_EQ(x.name, y.name);
+    EXPECT_EQ(x.data_size, y.data_size);
+    ExpectRuleStatsIdentical(x.beneficial, y.beneficial);
+    ExpectRuleStatsIdentical(x.harmful, y.harmful);
+    EXPECT_TRUE(SameBits(x.useless_ratio, y.useless_ratio))
+        << "useless_ratio";
+  }
+  EXPECT_EQ(a.keys, b.keys);
+  EXPECT_EQ(a.tau_w_checks, b.tau_w_checks);
+  EXPECT_EQ(a.postings_scanned, b.postings_scanned);
+  EXPECT_EQ(a.candidates_pruned, b.candidates_pruned);
+  EXPECT_EQ(a.records_scanned, b.records_scanned);
+  EXPECT_EQ(a.blocks_pruned, b.blocks_pruned);
+  EXPECT_EQ(a.exact_fallbacks, b.exact_fallbacks);
 }
 
 /// A deduplicating trace against one that gave every test a key of its

@@ -203,8 +203,8 @@ double Overlap(const std::vector<std::pair<int, double>>& supp, size_t r) {
 }
 
 /// Matches `threshold` at every tier x {1, 8} threads; every decision must
-/// be the scalar reference's and every work count the serial portable
-/// sweep's. Returns the portable serial stats.
+/// be the scalar reference's and every work count the per-rule sweep's
+/// (oracle::Sweep). Returns the sweep's stats.
 TraceKernelStats ExpectScalarDecisionsEverywhere(
     const std::vector<std::pair<int, double>>& supp, double threshold,
     const std::string& label) {
@@ -219,9 +219,10 @@ TraceKernelStats ExpectScalarDecisionsEverywhere(
       ++want_matched;
     }
   }
-  TraceKernelStats base;
-  kernel.Match(support, std::vector<uint64_t>(want.size()).data(), &base,
-               {TraceIsa::kScalar, 1});
+  std::vector<uint64_t> swept(want.size());
+  const TraceKernelStats base =
+      oracle::Sweep(kernel, support, swept.data()).stats;
+  EXPECT_EQ(swept, want) << label;
   for (const TraceIsa isa : AvailableTraceIsas()) {
     for (const int threads : {1, 8}) {
       std::vector<uint64_t> related(kernel.num_blocks(), ~0ULL);
@@ -446,9 +447,9 @@ TEST(TraceKernelTest, TraceIsaParseAndName) {
 }
 
 // Every available SIMD tier at every thread count must reproduce the
-// forced-scalar serial sweep cell-for-cell: same related words, same match
-// count, same stats (the ordered stripe commit makes records_scanned /
-// blocks_pruned / exact_fallbacks schedule-independent).
+// per-rule sweep (oracle::Sweep) cell-for-cell: same related words, same
+// match count, same stats (the ordered stripe commit makes
+// records_scanned / blocks_pruned / exact_fallbacks schedule-independent).
 TEST(TraceKernelTest, IsaThreadsMatrixIsBitIdentical) {
   const int num_rules = 96;
   for (uint64_t seed = 0; seed < 3; ++seed) {
@@ -465,10 +466,10 @@ TEST(TraceKernelTest, IsaThreadsMatrixIsBitIdentical) {
           TraceKernel::Prepare(supp, threshold);
 
       std::vector<uint64_t> baseline(kernel.num_blocks(), 0);
-      TraceKernelStats base_stats;
-      const size_t base_matched =
-          kernel.Match(support, baseline.data(), &base_stats,
-                       {TraceIsa::kScalar, 1});
+      const oracle::SweepResult sweep =
+          oracle::Sweep(kernel, support, baseline.data());
+      const size_t base_matched = sweep.related;
+      const TraceKernelStats& base_stats = sweep.stats;
 
       for (const TraceIsa isa : AvailableTraceIsas()) {
         for (int threads : {1, 2, 8}) {
@@ -492,6 +493,219 @@ TEST(TraceKernelTest, IsaThreadsMatrixIsBitIdentical) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint schedule against the per-rule sweep: seeded random supports
+// and buckets, each matched at every available tier x threads {1, 2, 8}
+// and compared with oracle::Sweep word for word and counter for counter.
+// Every tier runs one stripe body, so only a reference outside it can
+// catch a counter bug in it. Buckets are composed from lanes whose
+// decision point is known, so blocks whose last lane the bounds decide
+// exactly after m - 1 and exactly after m sorted rules occur throughout.
+// ---------------------------------------------------------------------------
+
+constexpr int kSweepRules = 2048;  // 64-block tiles: large buckets shard
+constexpr int kSweepCandidates = 48;
+constexpr int kSweepStride = kSweepRules / kSweepCandidates;
+
+/// Sorted rules after which the bounds decide `record` on its own: 0 when
+/// the c = 0 checkpoint decides every lane, m + 1 when no bound does.
+size_t DecidedAfter(const TraceKernel::Support& s, const Bitset& record) {
+  const size_t m = s.sorted_rules.size();
+  if (s.accept_q <= 0 || s.kill_q[0] > 0) return 0;
+  int64_t q = 0;
+  for (size_t c = 1; c <= m; ++c) {
+    if (record.Test(static_cast<size_t>(s.sorted_rules[c - 1]))) {
+      q += s.sorted_q[c - 1];
+    }
+    if ((c >= s.accept_from && q >= s.accept_q) || q < s.kill_q[c]) {
+      return c;
+    }
+  }
+  return m + 1;
+}
+
+/// m distinct candidate rules, ascending, weighted by `kind`: 0 random, 1
+/// all equal, 2 one heavy rule among light ones, 3 random with one NaN or
+/// infinite weight.
+std::vector<std::pair<int, double>> SweepSupport(size_t m, int kind,
+                                                 Rng& rng) {
+  std::vector<int> rules;
+  for (int i = 0; i < kSweepCandidates; ++i) rules.push_back(i * kSweepStride);
+  for (size_t i = 0; i < m; ++i) {
+    std::swap(rules[i], rules[i + rng.UniformInt(rules.size() - i)]);
+  }
+  rules.resize(m);
+  std::sort(rules.begin(), rules.end());
+  std::vector<std::pair<int, double>> supp;
+  for (size_t i = 0; i < m; ++i) {
+    double w = 0.05 + rng.Uniform();
+    if (kind == 1) w = 0.25;
+    if (kind == 2) w = i == m / 2 ? 50.0 : 0.01 * (1 + rng.UniformInt(5));
+    supp.emplace_back(rules[i], w);
+  }
+  if (kind == 3 && m > 0) {
+    supp[rng.UniformInt(m)].second =
+        rng.Bernoulli(0.5) ? std::numeric_limits<double>::quiet_NaN()
+                           : std::numeric_limits<double>::infinity();
+  }
+  return supp;
+}
+
+/// Coverage of the schedule's edges over the whole test.
+struct SweepCoverage {
+  int64_t at_m_minus_1_small = 0;  // m in 2..3
+  int64_t at_m_small = 0;
+  int64_t at_m_minus_1_large = 0;  // m ~ 40
+  int64_t at_m_large = 0;
+  int64_t accept_all = 0;
+  int64_t reject_all = 0;
+  int64_t unboundable = 0;
+  int64_t blocks_pruned = 0;
+  int64_t exact_fallbacks = 0;
+  int64_t sharded = 0;
+};
+
+void ExpectScheduleMatchesSweep(const std::vector<std::pair<int, double>>& supp,
+                                double threshold,
+                                const std::vector<Bitset>& pool, bool large,
+                                Rng& rng, SweepCoverage* coverage) {
+  const TraceKernel::Support s = TraceKernel::Prepare(supp, threshold);
+  const size_t m = s.sorted_rules.size();
+  std::vector<size_t> at(pool.size());
+  for (size_t i = 0; i < pool.size(); ++i) at[i] = DecidedAfter(s, pool[i]);
+
+  // Three random blocks, then blocks decided last exactly after m - 1 and
+  // exactly after m rules (when the pool has such lanes), then repeats up
+  // to 520 blocks for a large bucket, then a trailing partial block.
+  std::vector<const Bitset*> refs;
+  for (int l = 0; l < 3 * 64; ++l) {
+    refs.push_back(&pool[rng.UniformInt(pool.size())]);
+  }
+  for (const size_t last : {m - 1, m}) {
+    if (m == 0) break;
+    std::vector<size_t> by_last;
+    std::vector<size_t> exactly;
+    for (size_t i = 0; i < pool.size(); ++i) {
+      if (at[i] <= last) by_last.push_back(i);
+      if (at[i] == last) exactly.push_back(i);
+    }
+    if (exactly.empty()) continue;
+    refs.push_back(&pool[exactly[rng.UniformInt(exactly.size())]]);
+    for (int l = 1; l < 64; ++l) {
+      refs.push_back(&pool[by_last[rng.UniformInt(by_last.size())]]);
+    }
+  }
+  const size_t composed = refs.size();
+  while (large && refs.size() < 520 * 64) {
+    refs.push_back(refs[refs.size() % composed]);
+  }
+  const size_t partial = 1 + rng.UniformInt(63);
+  for (size_t l = 0; l < partial; ++l) {
+    refs.push_back(&pool[rng.UniformInt(pool.size())]);
+  }
+
+  const TraceKernel kernel(refs, kSweepRules);
+  std::vector<uint64_t> want(kernel.num_blocks());
+  const oracle::SweepResult sweep = oracle::Sweep(kernel, s, want.data());
+  for (const TraceIsa isa : AvailableTraceIsas()) {
+    for (const int threads : {1, 2, 8}) {
+      SCOPED_TRACE(::testing::Message()
+                   << TraceIsaName(isa) << " t" << threads << " m " << m
+                   << " threshold " << threshold << " blocks "
+                   << kernel.num_blocks());
+      std::vector<uint64_t> related(kernel.num_blocks(), ~0ULL);
+      TraceKernelStats stats;
+      EXPECT_EQ(kernel.Match(s, related.data(), &stats, {isa, threads}),
+                sweep.related);
+      EXPECT_EQ(related, want);
+      EXPECT_EQ(stats.records_scanned, sweep.stats.records_scanned);
+      EXPECT_EQ(stats.blocks_pruned, sweep.stats.blocks_pruned);
+      EXPECT_EQ(stats.exact_fallbacks, sweep.stats.exact_fallbacks);
+    }
+  }
+  const bool small = m <= 3;
+  (small ? coverage->at_m_minus_1_small : coverage->at_m_minus_1_large) +=
+      sweep.last_decided_at_m_minus_1;
+  (small ? coverage->at_m_small : coverage->at_m_large) +=
+      sweep.last_decided_at_m;
+  coverage->accept_all += s.accept_q == 0;
+  coverage->reject_all += s.kill_q[0] > 0;
+  coverage->unboundable += !supp.empty() && m == 0;
+  coverage->blocks_pruned += sweep.stats.blocks_pruned;
+  coverage->exact_fallbacks += sweep.stats.exact_fallbacks;
+  coverage->sharded += kernel.num_blocks() >= 8 * 64;
+}
+
+TEST(TraceKernelTest, CheckpointScheduleMatchesPerRuleSweep) {
+  SweepCoverage coverage;
+  for (uint64_t seed = 0; seed < 3; ++seed) {
+    Rng rng(900 + seed);
+    for (const size_t m : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
+                           size_t{38 + rng.UniformInt(5)}}) {
+      for (int kind = 0; kind < 4; ++kind) {
+        const auto supp = SweepSupport(m, kind, rng);
+        double weight_sum = 0.0;
+        for (const auto& entry : supp) weight_sum += entry.second;
+        // Lanes in sorted order (descending weight) for the planted
+        // patterns; a support Prepare cannot bound keeps its own order.
+        std::vector<int> order = TraceKernel::Prepare(supp, 0.0).sorted_rules;
+        if (order.empty()) {
+          for (const auto& entry : supp) order.push_back(entry.first);
+        }
+        std::vector<Bitset> pool;
+        const auto add_lane = [&](auto hit) {
+          Bitset lane(kSweepRules);
+          for (size_t i = 0; i < order.size(); ++i) {
+            if (hit(i)) lane.Set(static_cast<size_t>(order[i]));
+          }
+          // Candidates outside the support: noise the kernel must ignore.
+          for (int i = 0; i < kSweepCandidates; ++i) {
+            if (rng.Bernoulli(0.3)) lane.Set(i * kSweepStride + 1);
+          }
+          pool.push_back(std::move(lane));
+        };
+        for (const double density : {0.05, 0.3, 0.5, 0.7, 0.85, 0.95, 1.0}) {
+          for (int k = 0; k < 24; ++k) {
+            add_lane([&](size_t) { return rng.Bernoulli(density); });
+          }
+        }
+        for (size_t k = 0; k < order.size(); ++k) {
+          add_lane([&](size_t i) { return i != k; });  // all but one
+          add_lane([&](size_t i) { return i < k; });   // a prefix
+        }
+        // An achievable ascending-order overlap: a tie the bounds leave
+        // to the exact comparison.
+        const Bitset& tied = pool[rng.UniformInt(pool.size())];
+        double tie = 0.0;
+        for (const auto& [rule, weight] : supp) {
+          if (tied.Test(static_cast<size_t>(rule))) tie += weight;
+        }
+        std::vector<double> thresholds;
+        for (const double tau : {0.0, 0.3, 0.9, 1.0}) {
+          thresholds.push_back(tau * weight_sum - 1e-9);
+        }
+        thresholds.push_back(weight_sum + 1.0);  // kill_q[0] > 0
+        thresholds.push_back(tie);               // the exact fallback
+        for (size_t t = 0; t < thresholds.size(); ++t) {
+          const bool large = seed == 0 && (t == 1 || t == 2);
+          ExpectScheduleMatchesSweep(supp, thresholds[t], pool, large, rng,
+                                     &coverage);
+        }
+      }
+    }
+  }
+  EXPECT_GT(coverage.at_m_minus_1_small, 0);
+  EXPECT_GT(coverage.at_m_small, 0);
+  EXPECT_GT(coverage.at_m_minus_1_large, 0);
+  EXPECT_GT(coverage.at_m_large, 0);
+  EXPECT_GT(coverage.accept_all, 0);
+  EXPECT_GT(coverage.reject_all, 0);
+  EXPECT_GT(coverage.unboundable, 0);
+  EXPECT_GT(coverage.blocks_pruned, 0);
+  EXPECT_GT(coverage.exact_fallbacks, 0);
+  EXPECT_GT(coverage.sharded, 0);
 }
 
 // ---------------------------------------------------------------------------

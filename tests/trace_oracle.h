@@ -8,14 +8,17 @@
 // a single lookup. Overlaps accumulate in ascending rule order and compare
 // with the tracer's fixed slack; each §IV-B cell adds its keys' terms in
 // key order, so the production tracer must match it bit for bit. The
-// blocked kernel's own work counters stay 0 here.
+// blocked kernel's own work counters stay 0 there; Sweep, the kernel's
+// per-rule stripe body, is the reference for them.
 
+#include <bit>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "ctfl/core/tracer.h"
 #include "ctfl/fl/participant.h"
+#include "ctfl/kernel/trace_kernel.h"
 #include "ctfl/nn/logical_net.h"
 
 namespace ctfl {
@@ -72,6 +75,82 @@ inline bool Related(const Bitset& record,
     if (record.Test(rule)) overlap += weight;
   }
   return !(overlap < threshold);
+}
+
+/// One TraceKernel::Match by the per-rule sweep: related words, match
+/// count and work counters.
+struct SweepResult {
+  size_t related = 0;
+  TraceKernelStats stats;
+  /// Blocks whose lanes the bounds had all decided exactly after m - 1,
+  /// or exactly after m, sorted rules (m >= 1): the cases the checkpoint
+  /// schedule's last two entries exist for.
+  int64_t last_decided_at_m_minus_1 = 0;
+  int64_t last_decided_at_m = 0;
+};
+
+/// The kernel's work by its definition (DESIGN.md §10.2): every block
+/// tests its lanes after each sorted rule — accept on the lanes the rule
+/// hit, kill on those it missed — and stops once all are decided; lanes
+/// no bound decides take ExactRelated. Writes kernel.num_blocks() words
+/// of `out_related`. Match, which tests only at the support's
+/// checkpoints, must reproduce it at every tier and thread count.
+inline SweepResult Sweep(const TraceKernel& kernel,
+                         const TraceKernel::Support& s,
+                         uint64_t* out_related) {
+  SweepResult res;
+  const size_t m = s.sorted_rules.size();
+  const bool accept_all = s.accept_q <= 0;
+  const bool reject_all = s.kill_q[0] > 0;
+  for (size_t b = 0; b < kernel.num_blocks(); ++b) {
+    const uint64_t valid = kernel.full_mask_word(b);
+    res.stats.records_scanned += std::popcount(valid);
+    uint64_t related = 0;
+    uint64_t undecided = 0;
+    bool early_exit = m > 0;
+    if (accept_all) {
+      related = valid;
+    } else if (!reject_all) {
+      undecided = valid;
+      early_exit = false;
+      int32_t q[64] = {};
+      for (size_t ri = 0; ri < m; ++ri) {
+        const uint64_t word =
+            kernel.rule_word(s.sorted_rules[ri], b) & undecided;
+        const size_t c = ri + 1;
+        for (int lane = 0; lane < 64; ++lane) {
+          const uint64_t bit = uint64_t{1} << lane;
+          if ((undecided & bit) == 0) continue;
+          if (word & bit) {
+            q[lane] += s.sorted_q[ri];
+            if (c >= s.accept_from && q[lane] >= s.accept_q) {
+              related |= bit;
+              undecided &= ~bit;
+            }
+          } else if (s.kill_q[c] > 0 && q[lane] < s.kill_q[c]) {
+            undecided &= ~bit;
+          }
+        }
+        if (undecided == 0) {
+          early_exit = c < m;
+          res.last_decided_at_m_minus_1 += c + 1 == m;
+          res.last_decided_at_m += c == m;
+          break;
+        }
+      }
+    }
+    if (early_exit) ++res.stats.blocks_pruned;
+    for (int lane = 0; lane < 64; ++lane) {
+      if ((undecided >> lane & 1) == 0) continue;
+      ++res.stats.exact_fallbacks;
+      if (kernel.ExactRelated(s, b * 64 + static_cast<size_t>(lane))) {
+        related |= uint64_t{1} << lane;
+      }
+    }
+    out_related[b] = related;
+    res.related += static_cast<size_t>(std::popcount(related));
+  }
+  return res;
 }
 
 /// Related records of one support set, as [participant] -> local indices
