@@ -26,22 +26,33 @@ constexpr const char* kRulesSection = "rules";
 constexpr const char* kTrainSection = "train";
 constexpr const char* kTestsSection = "tests";
 
-// Little-endian primitive encoding now lives in util/wire.h (shared with
-// the serve wire protocol); these aliases keep the section codecs terse.
-using ByteWriter = wire::Writer;
-
-/// wire::Reader with the historical bundle error-message prefix.
-class ByteReader : public wire::Reader {
- public:
-  explicit ByteReader(std::string_view data)
-      : wire::Reader(data, "bundle section") {}
-};
+constexpr char kContext[] = "bundle section";
 
 // Minimum encoded sizes of the counted elements below.
 constexpr size_t kF64Bytes = 8;
 constexpr size_t kStrBytes = 4;                    // u32 length, no bytes
 constexpr size_t kRuleBytes = 1 + kF64Bytes + kStrBytes;
 constexpr size_t kFeatureBytes = kStrBytes + 1 + 4;  // name, type, u32 count
+constexpr size_t kTableEntryBytes = kStrBytes + 8 + 8 + 4;
+
+/// One section-table entry: u32 name length | name | u64 offset | u64 size
+/// | u32 crc32 of the payload.
+struct TableEntry {
+  std::string name;
+  uint64_t offset = 0;
+  uint64_t size = 0;
+  uint32_t crc = 0;
+};
+
+template <class IO, wire::Is<TableEntry> T>
+void Fields(IO& io, T& entry) {
+  io.Str(entry.name);
+  io.U64(entry.offset);
+  io.U64(entry.size);
+  io.U32(entry.crc);
+}
+
+constexpr auto kTableEntry = [](auto& io, auto& entry) { Fields(io, entry); };
 
 telemetry::Counter& BytesWrittenCounter() {
   static telemetry::Counter& c = telemetry::MetricsRegistry::Global()
@@ -92,8 +103,7 @@ void BundleWriter::AddSection(std::string name, std::string payload) {
 size_t BundleWriter::TotalBytes() const {
   size_t total = sizeof(kMagic) + 4 + 4;  // magic + version + count
   for (const auto& [name, payload] : sections_) {
-    total += 4 + name.size() + 8 + 8 + 4;  // table entry
-    total += payload.size();
+    total += kTableEntryBytes + name.size() + payload.size();
   }
   return total;
 }
@@ -111,24 +121,21 @@ Result<std::string> BundleWriter::Serialize() const {
     }
   }
   // Header + table size determine the first payload offset.
-  size_t table_bytes = 0;
+  uint64_t offset = sizeof(kMagic) + 4 + 4;
   for (const auto& section : sections_) {
-    table_bytes += 4 + section.first.size() + 8 + 8 + 4;
+    offset += kTableEntryBytes + section.first.size();
   }
-  uint64_t offset = sizeof(kMagic) + 4 + 4 + table_bytes;
-
-  std::string buf;
-  buf.append(kMagic, sizeof(kMagic));
-  ByteWriter header;
-  header.U32(kFormatVersion);
-  header.U32(static_cast<uint32_t>(sections_.size()));
+  std::vector<TableEntry> table;
   for (const auto& [name, payload] : sections_) {
-    header.Str(name);
-    header.U64(offset);
-    header.U64(payload.size());
-    header.U32(Crc32(payload.data(), payload.size()));
+    table.push_back(TableEntry{name, offset, payload.size(),
+                               Crc32(payload.data(), payload.size())});
     offset += payload.size();
   }
+  wire::Encoder header;
+  header.U32(kFormatVersion);
+  header.Seq32(table, kTableEntryBytes, "section table entry", kTableEntry);
+
+  std::string buf(kMagic, sizeof(kMagic));
   buf += header.Take();
   for (const auto& section : sections_) buf += section.second;
   return buf;
@@ -164,33 +171,20 @@ Result<BundleReader> BundleReader::Parse(std::string file_bytes,
       std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument(origin + ": not a CTFL bundle file");
   }
-  ByteReader in(bytes.substr(sizeof(kMagic)));
+  // The table is followed by the payloads, so its decoder stops short of
+  // the end of the file.
+  wire::Decoder in(bytes.substr(sizeof(kMagic)),
+                   origin + ": bundle section table");
   uint32_t version = 0;
-  uint32_t count = 0;
-  CTFL_RETURN_IF_ERROR(in.U32(&version));
+  in.U32(version);
   if (version != kFormatVersion) {
     return Status::InvalidArgument(StrFormat(
         "%s: unsupported bundle version %u", origin.c_str(), version));
   }
-  CTFL_RETURN_IF_ERROR(in.U32(&count));
-  // A table entry is at least a u32 name length, two u64s and a u32 CRC.
-  CTFL_RETURN_IF_ERROR(in.CheckCount(count, 24, "bundle section table entry"));
-  struct Entry {
-    std::string name;
-    uint64_t offset = 0;
-    uint64_t size = 0;
-    uint32_t crc = 0;
-  };
-  std::vector<Entry> entries(count);
-  for (Entry& e : entries) {
-    Status table = Status::OK();
-    if (!(table = in.Str(&e.name)).ok() || !(table = in.U64(&e.offset)).ok() ||
-        !(table = in.U64(&e.size)).ok() || !(table = in.U32(&e.crc)).ok()) {
-      return Status::InvalidArgument(origin +
-                                     ": truncated bundle section table");
-    }
-  }
-  for (const Entry& e : entries) {
+  std::vector<TableEntry> entries;
+  in.Seq32(entries, kTableEntryBytes, "section table entry", kTableEntry);
+  CTFL_RETURN_IF_ERROR(in.status());
+  for (const TableEntry& e : entries) {
     if (e.offset > bytes.size() || e.size > bytes.size() - e.offset) {
       return Status::InvalidArgument(
           StrFormat("%s: section '%s' exceeds file bounds (truncated file?)",
@@ -245,110 +239,132 @@ size_t BundleContent::total_train_records() const {
 
 namespace {
 
-std::string EncodeMeta(const BundleContent& c) {
-  ByteWriter w;
-  w.U32(static_cast<uint32_t>(c.participants.size()));
-  w.U32(static_cast<uint32_t>(c.rules.size()));
-  w.U64(c.tests.size());
-  w.F64(c.meta.tau_w);
-  w.U32(static_cast<uint32_t>(c.meta.macro_delta));
-  w.F64(c.meta.min_rule_weight);
-  w.F64(c.meta.dp_epsilon);
-  w.F64(c.meta.global_accuracy);
-  w.F64(c.meta.matched_accuracy);
-  w.U64(c.meta.schema_fingerprint);
-  w.U32(static_cast<uint32_t>(c.meta.micro_scores.size()));
-  for (double v : c.meta.micro_scores) w.F64(v);
-  w.U32(static_cast<uint32_t>(c.meta.macro_scores.size()));
-  for (double v : c.meta.macro_scores) w.F64(v);
-  w.U32(static_cast<uint32_t>(c.meta.participant_names.size()));
-  for (const std::string& name : c.meta.participant_names) w.Str(name);
-  // Trailing optional fields (decoders treat end-of-payload as defaults,
-  // so pre-failure-injection bundles keep decoding).
-  w.U64(c.meta.failure_plan_fingerprint);
-  return w.Take();
+/// Bytes of one activation row: ceil(num_rules / 64) words.
+size_t RowBytes(uint32_t num_rules) {
+  return 8 * ((size_t{num_rules} + 63) / 64);
 }
 
-Status DecodeMeta(std::string_view payload, BundleContent& c,
-                  uint32_t* num_participants, uint32_t* num_rules,
-                  uint64_t* num_tests) {
-  ByteReader r(payload);
-  CTFL_RETURN_IF_ERROR(r.U32(num_participants));
-  CTFL_RETURN_IF_ERROR(r.U32(num_rules));
-  CTFL_RETURN_IF_ERROR(r.U64(num_tests));
-  CTFL_RETURN_IF_ERROR(r.F64(&c.meta.tau_w));
-  uint32_t delta = 0;
-  CTFL_RETURN_IF_ERROR(r.U32(&delta));
-  c.meta.macro_delta = static_cast<int>(delta);
-  CTFL_RETURN_IF_ERROR(r.F64(&c.meta.min_rule_weight));
-  CTFL_RETURN_IF_ERROR(r.F64(&c.meta.dp_epsilon));
-  CTFL_RETURN_IF_ERROR(r.F64(&c.meta.global_accuracy));
-  CTFL_RETURN_IF_ERROR(r.F64(&c.meta.matched_accuracy));
-  CTFL_RETURN_IF_ERROR(r.U64(&c.meta.schema_fingerprint));
-  uint32_t micro = 0;
-  CTFL_RETURN_IF_ERROR(r.U32(&micro));
-  CTFL_RETURN_IF_ERROR(
-      r.CheckCount(micro, kF64Bytes, "meta section micro-score"));
-  c.meta.micro_scores.resize(micro);
-  for (double& v : c.meta.micro_scores) CTFL_RETURN_IF_ERROR(r.F64(&v));
-  uint32_t macro = 0;
-  CTFL_RETURN_IF_ERROR(r.U32(&macro));
-  CTFL_RETURN_IF_ERROR(
-      r.CheckCount(macro, kF64Bytes, "meta section macro-score"));
-  c.meta.macro_scores.resize(macro);
-  for (double& v : c.meta.macro_scores) CTFL_RETURN_IF_ERROR(r.F64(&v));
-  uint32_t names = 0;
-  CTFL_RETURN_IF_ERROR(r.U32(&names));
-  CTFL_RETURN_IF_ERROR(r.CheckCount(names, kStrBytes, "meta section name"));
-  c.meta.participant_names.resize(names);
-  for (std::string& name : c.meta.participant_names) {
-    CTFL_RETURN_IF_ERROR(r.Str(&name));
-  }
-  // Per-participant vectors must be absent or exactly one per participant.
-  if ((micro != 0 && micro != *num_participants) ||
-      (macro != 0 && macro != *num_participants) ||
-      names != *num_participants) {
-    return Status::InvalidArgument(
-        "meta: scores/names are not one per participant");
-  }
-  // Optional trailing fields: absent in bundles written before failure
-  // injection existed (defaults already hold).
-  if (!r.AtEnd()) {
-    CTFL_RETURN_IF_ERROR(r.U64(&c.meta.failure_plan_fingerprint));
-  }
-  return r.ExpectEnd(kMetaSection);
+/// The meta section's shape counts, checked against the other sections.
+struct MetaCounts {
+  uint32_t participants = 0;
+  uint32_t rules = 0;
+  uint64_t tests = 0;
+};
+
+template <class IO, wire::Is<MetaCounts> C, wire::Is<BundleMeta> M>
+void Fields(IO& io, C& counts, M& meta) {
+  io.U32(counts.participants);
+  io.U32(counts.rules);
+  io.U64(counts.tests);
+  io.F64(meta.tau_w);
+  io.U32(meta.macro_delta);
+  io.F64(meta.min_rule_weight);
+  io.F64(meta.dp_epsilon);
+  io.F64(meta.global_accuracy);
+  io.F64(meta.matched_accuracy);
+  io.U64(meta.schema_fingerprint);
+  io.Seq32(meta.micro_scores, kF64Bytes, "meta section micro-score",
+           wire::AsF64);
+  io.Seq32(meta.macro_scores, kF64Bytes, "meta section macro-score",
+           wire::AsF64);
+  io.Seq32(meta.participant_names, kStrBytes, "meta section name",
+           wire::AsStr);
+  // Bundles written before failure injection existed end here and decode
+  // with a fingerprint of 0.
+  io.TrailingU64(meta.failure_plan_fingerprint);
 }
 
-std::string EncodeRules(const BundleContent& c) {
-  ByteWriter w;
-  w.F64(c.rule_bias);
-  w.U32(static_cast<uint32_t>(c.rules.size()));
-  for (const RuleSnapshot& rule : c.rules) {
-    w.U8(static_cast<uint8_t>(rule.support_class));
-    w.F64(rule.weight);
-    w.Str(rule.text);
-  }
-  return w.Take();
+template <class IO, wire::Is<RuleSnapshot> T>
+void Fields(IO& io, T& rule) {
+  io.U8(rule.support_class);
+  io.Check(rule.support_class <= 1, "bundle rule has support class > 1");
+  io.F64(rule.weight);
+  io.Str(rule.text);
 }
 
-Status DecodeRules(std::string_view payload, BundleContent& c) {
-  ByteReader r(payload);
-  CTFL_RETURN_IF_ERROR(r.F64(&c.rule_bias));
-  uint32_t count = 0;
-  CTFL_RETURN_IF_ERROR(r.U32(&count));
-  CTFL_RETURN_IF_ERROR(r.CheckCount(count, kRuleBytes, "rules section rule"));
-  c.rules.resize(count);
-  for (RuleSnapshot& rule : c.rules) {
-    uint8_t support_class = 0;
-    CTFL_RETURN_IF_ERROR(r.U8(&support_class));
-    if (support_class > 1) {
-      return Status::InvalidArgument("bundle rule has support class > 1");
-    }
-    rule.support_class = support_class;
-    CTFL_RETURN_IF_ERROR(r.F64(&rule.weight));
-    CTFL_RETURN_IF_ERROR(r.Str(&rule.text));
+/// The rules section: f64 bias | u32 count | rules.
+template <class IO, class Bias, wire::Is<std::vector<RuleSnapshot>> R>
+void Fields(IO& io, Bias& bias, R& rules) {
+  io.F64(bias);
+  io.Seq32(rules, kRuleBytes, "rules section rule",
+           [](auto& io, auto& rule) { Fields(io, rule); });
+}
+
+template <class IO, wire::Is<FeatureSpec> T>
+void Fields(IO& io, T& spec) {
+  io.Str(spec.name);
+  // 1 = discrete; any other byte reads as continuous.
+  uint8_t discrete = spec.type == FeatureType::kDiscrete ? 1 : 0;
+  io.U8(discrete);
+  if constexpr (IO::kDecoding) {
+    spec.type = discrete == 1 ? FeatureType::kDiscrete
+                              : FeatureType::kContinuous;
   }
-  return r.ExpectEnd(kRulesSection);
+  if (spec.type == FeatureType::kDiscrete) {
+    io.Seq32(spec.categories, kStrBytes, "schema category", wire::AsStr);
+  } else {
+    io.F64(spec.lo);
+    io.F64(spec.hi);
+  }
+}
+
+/// The schema section: u32 count | features | the two label names.
+template <class IO, wire::Is<std::vector<FeatureSpec>> F, class S>
+void Fields(IO& io, F& features, S& negative, S& positive) {
+  io.Seq32(features, kFeatureBytes, "schema feature",
+           [](auto& io, auto& spec) { Fields(io, spec); });
+  io.Str(negative);
+  io.Str(positive);
+}
+
+/// The model section: the net's shape and seed, then every parameter.
+template <class IO, wire::Is<LogicalNetConfig> C,
+          wire::Is<std::vector<double>> P>
+void Fields(IO& io, C& config, P& params) {
+  io.U32(config.tau_d);
+  io.U32(config.fan_in);
+  io.U8(config.input_skip);
+  io.U64(config.seed);
+  io.F64(config.linear_init_scale);
+  io.Seq32(config.logic_layers, 8, "model section layer",
+           [](auto& io, auto& layer) {
+             io.U32(layer.first);   // conjunctions
+             io.U32(layer.second);  // disjunctions
+           });
+  io.Seq64(params, kF64Bytes, "model section parameter", wire::AsF64);
+}
+
+/// The train section: u32 participant count, then per participant a u64
+/// record count, the labels packed 8 a byte, and one activation row per
+/// record. A rule count of 0 would make a row 0 bytes and leave the record
+/// count unbounded, and no model has zero rules, so it is an error.
+template <class IO, wire::Is<std::vector<ParticipantRecords>> T>
+void Fields(IO& io, T& participants, uint32_t num_rules) {
+  io.Check(num_rules > 0, "bundle train section has a rule count of 0");
+  const size_t row_bytes = RowBytes(num_rules);
+  io.Seq32(participants, 8, "train section participant",
+           [&](auto& io, auto& p) {
+             const size_t n = io.Count64(p.labels.size(), row_bytes,
+                                         "train section record");
+             io.Flags(p.labels, n);
+             io.Elements(p.activations, n, [&](auto& io, auto& row) {
+               io.Bits(row, num_rules);
+             });
+           });
+}
+
+/// The tests section: u64 count | per test: label, prediction, activation.
+template <class IO, wire::Is<std::vector<TestRecord>> T>
+void Fields(IO& io, T& tests, uint32_t num_rules) {
+  io.Check(num_rules > 0, "bundle tests section has a rule count of 0");
+  io.Seq64(tests, 2 + RowBytes(num_rules), "tests section test",
+           [&](auto& io, auto& t) {
+             io.U8(t.label);
+             io.U8(t.predicted);
+             io.Check(t.label <= 1 && t.predicted <= 1,
+                      "bundle test record label out of range");
+             io.Bits(t.activation, num_rules);
+           });
 }
 
 }  // namespace
@@ -360,202 +376,61 @@ Status DecodeRules(std::string_view payload, BundleContent& c) {
 // ---------------------------------------------------------------------------
 
 std::string EncodeSchemaPayload(const FeatureSchema& schema) {
-  ByteWriter w;
-  w.U32(static_cast<uint32_t>(schema.num_features()));
-  for (const FeatureSpec& spec : schema.features()) {
-    w.Str(spec.name);
-    w.U8(spec.type == FeatureType::kDiscrete ? 1 : 0);
-    if (spec.type == FeatureType::kDiscrete) {
-      w.U32(static_cast<uint32_t>(spec.categories.size()));
-      for (const std::string& category : spec.categories) w.Str(category);
-    } else {
-      w.F64(spec.lo);
-      w.F64(spec.hi);
-    }
-  }
-  w.Str(schema.label_name(0));
-  w.Str(schema.label_name(1));
-  return w.Take();
+  return wire::Encode([&](auto& io) {
+    Fields(io, schema.features(), schema.label_name(0), schema.label_name(1));
+  });
 }
 
 Result<SchemaPtr> DecodeSchemaPayload(std::string_view payload) {
-  ByteReader r(payload);
-  uint32_t num_features = 0;
-  CTFL_RETURN_IF_ERROR(r.U32(&num_features));
-  CTFL_RETURN_IF_ERROR(
-      r.CheckCount(num_features, kFeatureBytes, "schema feature"));
-  std::vector<FeatureSpec> features(num_features);
-  for (FeatureSpec& spec : features) {
-    CTFL_RETURN_IF_ERROR(r.Str(&spec.name));
-    uint8_t type = 0;
-    CTFL_RETURN_IF_ERROR(r.U8(&type));
-    spec.type = type == 1 ? FeatureType::kDiscrete : FeatureType::kContinuous;
-    if (spec.type == FeatureType::kDiscrete) {
-      uint32_t ncat = 0;
-      CTFL_RETURN_IF_ERROR(r.U32(&ncat));
-      CTFL_RETURN_IF_ERROR(r.CheckCount(ncat, kStrBytes, "schema category"));
-      spec.categories.resize(ncat);
-      for (std::string& category : spec.categories) {
-        CTFL_RETURN_IF_ERROR(r.Str(&category));
-      }
-    } else {
-      CTFL_RETURN_IF_ERROR(r.F64(&spec.lo));
-      CTFL_RETURN_IF_ERROR(r.F64(&spec.hi));
-    }
-  }
+  std::vector<FeatureSpec> features;
   std::string negative, positive;
-  CTFL_RETURN_IF_ERROR(r.Str(&negative));
-  CTFL_RETURN_IF_ERROR(r.Str(&positive));
-  CTFL_RETURN_IF_ERROR(r.ExpectEnd(kSchemaSection));
+  CTFL_RETURN_IF_ERROR(
+      wire::Decode(payload, kContext, kSchemaSection, [&](auto& io) {
+        Fields(io, features, negative, positive);
+      }));
   return std::make_shared<const FeatureSchema>(
       std::move(features), std::move(negative), std::move(positive));
 }
 
 std::string EncodeModelPayload(const LogicalNetConfig& net_config,
                                const std::vector<double>& params) {
-  ByteWriter w;
-  w.U32(static_cast<uint32_t>(net_config.tau_d));
-  w.U32(static_cast<uint32_t>(net_config.fan_in));
-  w.U8(net_config.input_skip ? 1 : 0);
-  w.U64(net_config.seed);
-  w.F64(net_config.linear_init_scale);
-  w.U32(static_cast<uint32_t>(net_config.logic_layers.size()));
-  for (const auto& [conj, disj] : net_config.logic_layers) {
-    w.U32(static_cast<uint32_t>(conj));
-    w.U32(static_cast<uint32_t>(disj));
-  }
-  w.U64(params.size());
-  for (double v : params) w.F64(v);
-  return w.Take();
+  return wire::Encode([&](auto& io) { Fields(io, net_config, params); });
 }
 
 Status DecodeModelPayload(std::string_view payload,
                           LogicalNetConfig* net_config,
                           std::vector<double>* params) {
-  ByteReader r(payload);
-  uint32_t tau_d = 0, fan_in = 0, num_layers = 0;
-  uint8_t input_skip = 0;
-  CTFL_RETURN_IF_ERROR(r.U32(&tau_d));
-  CTFL_RETURN_IF_ERROR(r.U32(&fan_in));
-  CTFL_RETURN_IF_ERROR(r.U8(&input_skip));
-  CTFL_RETURN_IF_ERROR(r.U64(&net_config->seed));
-  CTFL_RETURN_IF_ERROR(r.F64(&net_config->linear_init_scale));
-  CTFL_RETURN_IF_ERROR(r.U32(&num_layers));
-  net_config->tau_d = static_cast<int>(tau_d);
-  net_config->fan_in = static_cast<int>(fan_in);
-  net_config->input_skip = input_skip != 0;
-  net_config->logic_layers.clear();
-  for (uint32_t l = 0; l < num_layers; ++l) {
-    uint32_t conj = 0, disj = 0;
-    CTFL_RETURN_IF_ERROR(r.U32(&conj));
-    CTFL_RETURN_IF_ERROR(r.U32(&disj));
-    net_config->logic_layers.emplace_back(static_cast<int>(conj),
-                                          static_cast<int>(disj));
-  }
-  uint64_t param_count = 0;
-  CTFL_RETURN_IF_ERROR(r.U64(&param_count));
-  CTFL_RETURN_IF_ERROR(
-      r.CheckCount(param_count, kF64Bytes, "model section parameter"));
-  params->resize(param_count);
-  for (double& v : *params) CTFL_RETURN_IF_ERROR(r.F64(&v));
-  return r.ExpectEnd(kModelSection);
+  return wire::Decode(payload, kContext, kModelSection, [&](auto& io) {
+    Fields(io, *net_config, *params);
+  });
 }
 
 std::string EncodeTrainPayload(
     const std::vector<ParticipantRecords>& participants) {
-  ByteWriter w;
-  w.U32(static_cast<uint32_t>(participants.size()));
-  for (const ParticipantRecords& p : participants) {
-    w.U64(p.labels.size());
-    // Labels packed 8 per byte.
-    uint8_t packed = 0;
-    for (size_t i = 0; i < p.labels.size(); ++i) {
-      if (p.labels[i]) packed |= static_cast<uint8_t>(1u << (i % 8));
-      if (i % 8 == 7) {
-        w.U8(packed);
-        packed = 0;
-      }
-    }
-    if (p.labels.size() % 8 != 0) w.U8(packed);
-    for (const Bitset& activation : p.activations) {
-      w.Words(activation.words());
-    }
-  }
-  return w.Take();
+  // num_rules bounds decoding only: the encoder writes each row as it is.
+  return wire::Encode([&](auto& io) { Fields(io, participants, 0u); });
 }
 
 Result<std::vector<ParticipantRecords>> DecodeTrainPayload(
     std::string_view payload, uint32_t num_rules) {
-  ByteReader r(payload);
-  uint32_t num_participants = 0;
-  CTFL_RETURN_IF_ERROR(r.U32(&num_participants));
-  // Each participant carries at least its u64 record count, and each record
-  // a label bit plus its activation words.
+  std::vector<ParticipantRecords> participants;
   CTFL_RETURN_IF_ERROR(
-      r.CheckCount(num_participants, 8, "train section participant"));
-  std::vector<ParticipantRecords> participants(num_participants);
-  const size_t words_per_row = (num_rules + 63) / 64;
-  for (ParticipantRecords& p : participants) {
-    uint64_t num_records = 0;
-    CTFL_RETURN_IF_ERROR(r.U64(&num_records));
-    CTFL_RETURN_IF_ERROR(
-        r.CheckCount(num_records / 8, 1, "train section record"));
-    CTFL_RETURN_IF_ERROR(r.CheckCount(num_records, 8 * words_per_row,
-                                      "train section record"));
-    p.labels.resize(num_records);
-    for (size_t i = 0; i < num_records; i += 8) {
-      uint8_t packed = 0;
-      CTFL_RETURN_IF_ERROR(r.U8(&packed));
-      for (size_t b = 0; b < 8 && i + b < num_records; ++b) {
-        p.labels[i + b] = (packed >> b) & 1;
-      }
-    }
-    p.activations.reserve(num_records);
-    for (uint64_t i = 0; i < num_records; ++i) {
-      std::vector<uint64_t> words;
-      CTFL_RETURN_IF_ERROR(r.Words(words_per_row, &words));
-      CTFL_ASSIGN_OR_RETURN(Bitset activation,
-                            Bitset::FromWords(num_rules, std::move(words)));
-      p.activations.push_back(std::move(activation));
-    }
-  }
-  CTFL_RETURN_IF_ERROR(r.ExpectEnd(kTrainSection));
+      wire::Decode(payload, kContext, kTrainSection, [&](auto& io) {
+        Fields(io, participants, num_rules);
+      }));
   return participants;
 }
 
 std::string EncodeTestsPayload(const std::vector<TestRecord>& tests) {
-  ByteWriter w;
-  w.U64(tests.size());
-  for (const TestRecord& t : tests) {
-    w.U8(t.label);
-    w.U8(t.predicted);
-    w.Words(t.activation.words());
-  }
-  return w.Take();
+  return wire::Encode([&](auto& io) { Fields(io, tests, 0u); });
 }
 
 Result<std::vector<TestRecord>> DecodeTestsPayload(std::string_view payload,
                                                    uint32_t num_rules) {
-  ByteReader r(payload);
-  uint64_t num_tests = 0;
-  CTFL_RETURN_IF_ERROR(r.U64(&num_tests));
-  const size_t words_per_row = (num_rules + 63) / 64;
-  // Each test carries two label bytes plus its activation words.
+  std::vector<TestRecord> tests;
   CTFL_RETURN_IF_ERROR(
-      r.CheckCount(num_tests, 2 + 8 * words_per_row, "tests section test"));
-  std::vector<TestRecord> tests(num_tests);
-  for (TestRecord& t : tests) {
-    CTFL_RETURN_IF_ERROR(r.U8(&t.label));
-    CTFL_RETURN_IF_ERROR(r.U8(&t.predicted));
-    if (t.label > 1 || t.predicted > 1) {
-      return Status::InvalidArgument("bundle test record label out of range");
-    }
-    std::vector<uint64_t> words;
-    CTFL_RETURN_IF_ERROR(r.Words(words_per_row, &words));
-    CTFL_ASSIGN_OR_RETURN(t.activation,
-                          Bitset::FromWords(num_rules, std::move(words)));
-  }
-  CTFL_RETURN_IF_ERROR(r.ExpectEnd(kTestsSection));
+      wire::Decode(payload, kContext, kTestsSection,
+                   [&](auto& io) { Fields(io, tests, num_rules); }));
   return tests;
 }
 
@@ -575,12 +450,19 @@ Status WriteBundle(const BundleContent& content, const std::string& path) {
           "participant label/activation counts disagree");
     }
   }
+  const MetaCounts counts{static_cast<uint32_t>(content.participants.size()),
+                          static_cast<uint32_t>(content.rules.size()),
+                          content.tests.size()};
   BundleWriter writer;
-  writer.AddSection(kMetaSection, EncodeMeta(content));
+  writer.AddSection(kMetaSection, wire::Encode([&](auto& io) {
+                      Fields(io, counts, content.meta);
+                    }));
   writer.AddSection(kSchemaSection, EncodeSchemaPayload(*content.schema));
   writer.AddSection(kModelSection,
                     EncodeModelPayload(content.net_config, content.params));
-  writer.AddSection(kRulesSection, EncodeRules(content));
+  writer.AddSection(kRulesSection, wire::Encode([&](auto& io) {
+                      Fields(io, content.rule_bias, content.rules);
+                    }));
   writer.AddSection(kTrainSection, EncodeTrainPayload(content.participants));
   writer.AddSection(kTestsSection, EncodeTestsPayload(content.tests));
   return writer.Write(path);
@@ -590,13 +472,23 @@ Result<BundleContent> ReadBundle(const std::string& path) {
   CTFL_SPAN("ctfl.bundle.decode");
   CTFL_ASSIGN_OR_RETURN(const BundleReader reader, BundleReader::Open(path));
   BundleContent content;
-  uint32_t num_participants = 0, num_rules = 0;
-  uint64_t num_tests = 0;
+  MetaCounts counts;
   {
     CTFL_ASSIGN_OR_RETURN(const std::string_view payload,
                           reader.SectionView(kMetaSection));
-    CTFL_RETURN_IF_ERROR(DecodeMeta(payload, content, &num_participants,
-                                    &num_rules, &num_tests));
+    CTFL_RETURN_IF_ERROR(
+        wire::Decode(payload, kContext, kMetaSection,
+                     [&](auto& io) { Fields(io, counts, content.meta); }));
+  }
+  // Per-participant vectors must be absent or exactly one per participant.
+  const BundleMeta& meta = content.meta;
+  if ((!meta.micro_scores.empty() &&
+       meta.micro_scores.size() != counts.participants) ||
+      (!meta.macro_scores.empty() &&
+       meta.macro_scores.size() != counts.participants) ||
+      meta.participant_names.size() != counts.participants) {
+    return Status::InvalidArgument(
+        "meta: scores/names are not one per participant");
   }
   {
     CTFL_ASSIGN_OR_RETURN(const std::string_view payload,
@@ -619,9 +511,12 @@ Result<BundleContent> ReadBundle(const std::string& path) {
   {
     CTFL_ASSIGN_OR_RETURN(const std::string_view payload,
                           reader.SectionView(kRulesSection));
-    CTFL_RETURN_IF_ERROR(DecodeRules(payload, content));
+    CTFL_RETURN_IF_ERROR(
+        wire::Decode(payload, kContext, kRulesSection, [&](auto& io) {
+          Fields(io, content.rule_bias, content.rules);
+        }));
   }
-  if (content.rules.size() != num_rules) {
+  if (content.rules.size() != counts.rules) {
     return Status::InvalidArgument(
         path + ": rules section size disagrees with meta");
   }
@@ -629,18 +524,19 @@ Result<BundleContent> ReadBundle(const std::string& path) {
     CTFL_ASSIGN_OR_RETURN(const std::string_view payload,
                           reader.SectionView(kTrainSection));
     CTFL_ASSIGN_OR_RETURN(content.participants,
-                          DecodeTrainPayload(payload, num_rules));
+                          DecodeTrainPayload(payload, counts.rules));
   }
-  if (content.participants.size() != num_participants) {
+  if (content.participants.size() != counts.participants) {
     return Status::InvalidArgument(
         path + ": train section participant count disagrees with meta");
   }
   {
     CTFL_ASSIGN_OR_RETURN(const std::string_view payload,
                           reader.SectionView(kTestsSection));
-    CTFL_ASSIGN_OR_RETURN(content.tests, DecodeTestsPayload(payload, num_rules));
+    CTFL_ASSIGN_OR_RETURN(content.tests,
+                          DecodeTestsPayload(payload, counts.rules));
   }
-  if (content.tests.size() != num_tests) {
+  if (content.tests.size() != counts.tests) {
     return Status::InvalidArgument(
         path + ": tests section size disagrees with meta");
   }

@@ -24,14 +24,68 @@ constexpr uint32_t kRoundRecord = 2;
 // Framing bytes around every record payload: kind + length + crc.
 constexpr size_t kRecordFraming = 4 + 4 + 4;
 
-using ByteWriter = wire::Writer;
+constexpr char kContext[] = "delta-log record";
 
-/// wire::Reader with the delta-log error-message prefix.
-class ByteReader : public wire::Reader {
- public:
-  explicit ByteReader(std::string_view data)
-      : wire::Reader(data, "delta-log record") {}
+/// The round-0 baseline: four bundle section payloads (store/bundle.h),
+/// each a length-prefixed string of the header.
+struct Baseline {
+  std::string schema;
+  std::string model;
+  std::string train;
+  std::string tests;
 };
+
+template <class IO, wire::Is<DeltaHeader> H, wire::Is<Baseline> B>
+void Fields(IO& io, H& header, B& baseline) {
+  io.U64(header.config_digest);
+  io.U64(header.schema_fingerprint);
+  io.U64(header.failure_plan_fingerprint);
+  io.U32(header.num_rules);
+  io.F64(header.tau_w);
+  // Reserved: the retired use_dedup and use_max_miner knobs. Written as
+  // their former default 1; logs written while they existed may carry 0,
+  // so any value reads.
+  uint8_t retired = 1;
+  io.U8(retired);
+  io.U8(retired);
+  io.F64(header.min_rule_weight);
+  io.F64(header.dp_epsilon);
+  io.U64(header.dp_seed);
+  io.U32(header.macro_delta);
+  // Each name carries at least its u32 length.
+  io.Seq32(header.participant_names, 4, "header participant name",
+           wire::AsStr);
+  io.Str(baseline.schema);
+  io.Str(baseline.model);
+  io.Str(baseline.train);
+  io.Str(baseline.tests);
+}
+
+template <class IO, wire::Is<RoundDelta> T>
+void Fields(IO& io, T& round) {
+  io.U32(round.round);
+  io.U8(round.degraded);
+  io.U32(round.clients_trained);
+  io.U32(round.clients_dropped);
+  io.U32(round.retries);
+  io.Seq64(round.param_xors, 4 + 8, "round parameter xor",
+           [](auto& io, auto& x) {
+             io.U32(x.first);   // parameter index
+             io.U64(x.second);  // XOR of the IEEE-754 bit patterns
+           });
+  io.Seq64(round.train_flips, 3 * 4, "round train flip",
+           [](auto& io, auto& flip) {
+             io.U32(flip.participant);
+             io.U32(flip.record);
+             io.U32(flip.rule);
+           });
+  io.Seq64(round.test_activation_flips, 2 * 4, "round test flip",
+           [](auto& io, auto& flip) {
+             io.U32(flip.test);
+             io.U32(flip.rule);
+           });
+  io.Seq64(round.predicted_flips, 4, "round predicted flip", wire::AsU32);
+}
 
 telemetry::Counter& BytesWrittenCounter() {
   static telemetry::Counter& c = telemetry::MetricsRegistry::Global()
@@ -48,73 +102,34 @@ telemetry::Counter& RecordsWrittenCounter() {
 }  // namespace
 
 std::string EncodeHeader(const DeltaHeader& header) {
-  ByteWriter w;
-  w.U64(header.config_digest);
-  w.U64(header.schema_fingerprint);
-  w.U64(header.failure_plan_fingerprint);
-  w.U32(header.num_rules);
-  w.F64(header.tau_w);
-  // Reserved: the retired use_dedup and use_max_miner knobs' former
-  // defaults.
-  w.U8(1);
-  w.U8(1);
-  w.F64(header.min_rule_weight);
-  w.F64(header.dp_epsilon);
-  w.U64(header.dp_seed);
-  w.U32(static_cast<uint32_t>(header.macro_delta));
-  w.U32(static_cast<uint32_t>(header.participant_names.size()));
-  for (const std::string& name : header.participant_names) w.Str(name);
   // Round-0 baseline, encoded with the bundle's own section codecs so the
   // two containers stay bit-compatible.
-  w.Str(store::EncodeSchemaPayload(*header.schema));
-  w.Str(store::EncodeModelPayload(header.net_config, header.params));
-  w.Str(store::EncodeTrainPayload(header.participants));
-  w.Str(store::EncodeTestsPayload(header.tests));
-  return w.Take();
+  const Baseline baseline{
+      store::EncodeSchemaPayload(*header.schema),
+      store::EncodeModelPayload(header.net_config, header.params),
+      store::EncodeTrainPayload(header.participants),
+      store::EncodeTestsPayload(header.tests)};
+  return wire::Encode([&](auto& io) { Fields(io, header, baseline); });
 }
 
 Result<DeltaHeader> DecodeHeader(std::string_view payload) {
-  ByteReader r(payload);
   DeltaHeader header;
-  CTFL_RETURN_IF_ERROR(r.U64(&header.config_digest));
-  CTFL_RETURN_IF_ERROR(r.U64(&header.schema_fingerprint));
-  CTFL_RETURN_IF_ERROR(r.U64(&header.failure_plan_fingerprint));
-  CTFL_RETURN_IF_ERROR(r.U32(&header.num_rules));
-  CTFL_RETURN_IF_ERROR(r.F64(&header.tau_w));
-  uint8_t reserved = 0;
-  CTFL_RETURN_IF_ERROR(r.U8(&reserved));  // retired use_dedup, ignored
-  CTFL_RETURN_IF_ERROR(r.U8(&reserved));  // retired use_max_miner, ignored
-  CTFL_RETURN_IF_ERROR(r.F64(&header.min_rule_weight));
-  CTFL_RETURN_IF_ERROR(r.F64(&header.dp_epsilon));
-  CTFL_RETURN_IF_ERROR(r.U64(&header.dp_seed));
-  uint32_t macro_delta = 0;
-  CTFL_RETURN_IF_ERROR(r.U32(&macro_delta));
-  header.macro_delta = static_cast<int>(macro_delta);
-  uint32_t names = 0;
-  CTFL_RETURN_IF_ERROR(r.U32(&names));
-  // Each name carries at least its u32 length.
-  CTFL_RETURN_IF_ERROR(r.CheckCount(names, 4, "header participant name"));
-  header.participant_names.resize(names);
-  for (std::string& name : header.participant_names) {
-    CTFL_RETURN_IF_ERROR(r.Str(&name));
-  }
-  std::string schema_payload, model_payload, train_payload, tests_payload;
-  CTFL_RETURN_IF_ERROR(r.Str(&schema_payload));
-  CTFL_RETURN_IF_ERROR(r.Str(&model_payload));
-  CTFL_RETURN_IF_ERROR(r.Str(&train_payload));
-  CTFL_RETURN_IF_ERROR(r.Str(&tests_payload));
-  CTFL_RETURN_IF_ERROR(r.ExpectEnd("delta-log header"));
+  Baseline baseline;
+  CTFL_RETURN_IF_ERROR(
+      wire::Decode(payload, kContext, "delta-log header",
+                   [&](auto& io) { Fields(io, header, baseline); }));
   CTFL_ASSIGN_OR_RETURN(header.schema,
-                        store::DecodeSchemaPayload(schema_payload));
+                        store::DecodeSchemaPayload(baseline.schema));
   CTFL_RETURN_IF_ERROR(store::DecodeModelPayload(
-      model_payload, &header.net_config, &header.params));
+      baseline.model, &header.net_config, &header.params));
   CTFL_RETURN_IF_ERROR(ValidateNetShape(*header.schema, header.net_config,
                                         header.params.size()));
   CTFL_ASSIGN_OR_RETURN(
       header.participants,
-      store::DecodeTrainPayload(train_payload, header.num_rules));
+      store::DecodeTrainPayload(baseline.train, header.num_rules));
   CTFL_ASSIGN_OR_RETURN(
-      header.tests, store::DecodeTestsPayload(tests_payload, header.num_rules));
+      header.tests,
+      store::DecodeTestsPayload(baseline.tests, header.num_rules));
   if (header.participants.size() != header.participant_names.size()) {
     return Status::InvalidArgument(
         "delta-log header: participant names/records disagree");
@@ -129,71 +144,13 @@ Result<DeltaHeader> DecodeHeader(std::string_view payload) {
 }
 
 std::string EncodeRound(const RoundDelta& round) {
-  ByteWriter w;
-  w.U32(round.round);
-  w.U8(round.degraded ? 1 : 0);
-  w.U32(round.clients_trained);
-  w.U32(round.clients_dropped);
-  w.U32(round.retries);
-  w.U64(round.param_xors.size());
-  for (const auto& [idx, bits] : round.param_xors) {
-    w.U32(idx);
-    w.U64(bits);
-  }
-  w.U64(round.train_flips.size());
-  for (const ActivationFlip& flip : round.train_flips) {
-    w.U32(flip.participant);
-    w.U32(flip.record);
-    w.U32(flip.rule);
-  }
-  w.U64(round.test_activation_flips.size());
-  for (const TestActivationFlip& flip : round.test_activation_flips) {
-    w.U32(flip.test);
-    w.U32(flip.rule);
-  }
-  w.U64(round.predicted_flips.size());
-  for (uint32_t t : round.predicted_flips) w.U32(t);
-  return w.Take();
+  return wire::Encode([&](auto& io) { Fields(io, round); });
 }
 
 Result<RoundDelta> DecodeRound(std::string_view payload) {
-  ByteReader r(payload);
   RoundDelta round;
-  CTFL_RETURN_IF_ERROR(r.U32(&round.round));
-  uint8_t degraded = 0;
-  CTFL_RETURN_IF_ERROR(r.U8(&degraded));
-  round.degraded = degraded != 0;
-  CTFL_RETURN_IF_ERROR(r.U32(&round.clients_trained));
-  CTFL_RETURN_IF_ERROR(r.U32(&round.clients_dropped));
-  CTFL_RETURN_IF_ERROR(r.U32(&round.retries));
-  uint64_t count = 0;
-  CTFL_RETURN_IF_ERROR(r.U64(&count));
-  CTFL_RETURN_IF_ERROR(r.CheckCount(count, 4 + 8, "round parameter xor"));
-  round.param_xors.resize(count);
-  for (auto& [idx, bits] : round.param_xors) {
-    CTFL_RETURN_IF_ERROR(r.U32(&idx));
-    CTFL_RETURN_IF_ERROR(r.U64(&bits));
-  }
-  CTFL_RETURN_IF_ERROR(r.U64(&count));
-  CTFL_RETURN_IF_ERROR(r.CheckCount(count, 3 * 4, "round train flip"));
-  round.train_flips.resize(count);
-  for (ActivationFlip& flip : round.train_flips) {
-    CTFL_RETURN_IF_ERROR(r.U32(&flip.participant));
-    CTFL_RETURN_IF_ERROR(r.U32(&flip.record));
-    CTFL_RETURN_IF_ERROR(r.U32(&flip.rule));
-  }
-  CTFL_RETURN_IF_ERROR(r.U64(&count));
-  CTFL_RETURN_IF_ERROR(r.CheckCount(count, 2 * 4, "round test flip"));
-  round.test_activation_flips.resize(count);
-  for (TestActivationFlip& flip : round.test_activation_flips) {
-    CTFL_RETURN_IF_ERROR(r.U32(&flip.test));
-    CTFL_RETURN_IF_ERROR(r.U32(&flip.rule));
-  }
-  CTFL_RETURN_IF_ERROR(r.U64(&count));
-  CTFL_RETURN_IF_ERROR(r.CheckCount(count, 4, "round predicted flip"));
-  round.predicted_flips.resize(count);
-  for (uint32_t& t : round.predicted_flips) CTFL_RETURN_IF_ERROR(r.U32(&t));
-  CTFL_RETURN_IF_ERROR(r.ExpectEnd("delta-log round"));
+  CTFL_RETURN_IF_ERROR(wire::Decode(payload, kContext, "delta-log round",
+                                    [&](auto& io) { Fields(io, round); }));
   return round;
 }
 
@@ -207,7 +164,7 @@ Result<DeltaLogWriter> DeltaLogWriter::Create(const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return Status::IoError("cannot open " + path);
   out.write(kMagic, sizeof(kMagic));
-  ByteWriter preamble;
+  wire::Writer preamble;
   preamble.U32(kFormatVersion);
   const std::string bytes = preamble.Take();
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -220,12 +177,12 @@ Status DeltaLogWriter::AppendRecord(uint32_t kind,
                                     const std::string& payload) {
   // One whole record per append, flushed before returning: a crash
   // between appends leaves at worst a partial tail, which readers drop.
-  ByteWriter w;
+  wire::Writer w;
   w.U32(kind);
   w.U32(static_cast<uint32_t>(payload.size()));
   std::string bytes = w.Take();
   bytes += payload;
-  ByteWriter crc;
+  wire::Writer crc;
   crc.U32(store::Crc32(payload.data(), payload.size()));
   bytes += crc.Take();
 

@@ -9,8 +9,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <iterator>
 #include <limits>
 #include <string>
@@ -411,6 +413,74 @@ TEST(ServeProtocolTest, InflatedStatsNameCountIsRejected) {
   w.Str("avx2");                         // trace isa
   w.U32(kInflatedCount);
   ExpectInflatedCountRejected(DecodeResponse(w.Take()));
+}
+
+// Golden frames: a v3 encoder's bytes for one request per op, one ok
+// response per op and one error response, in that order. Each decodes,
+// and re-encodes byte for byte, so a codec change that moves one byte of
+// the v3 layout fails here.
+TEST(ServeProtocolGoldenTest, V3FramesDecodeAndReencodeByteForByte) {
+  std::ifstream in(std::string(CTFL_TEST_DATA_DIR) + "/golden_serve_v3.frames",
+                   std::ios::binary);
+  ASSERT_TRUE(in.good());
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  FrameDecoder frames;
+  frames.Append(bytes.data(), bytes.size());
+  std::vector<std::string> payloads;
+  std::string payload;
+  while (frames.Next(&payload).value()) payloads.push_back(payload);
+  ASSERT_TRUE(frames.idle());
+  ASSERT_EQ(payloads.size(), 11u);
+
+  const Op ops[] = {Op::kRelated, Op::kRelatedForTest, Op::kEvaluate,
+                    Op::kStats, Op::kShutdown};
+  for (size_t i = 0; i < 5; ++i) {
+    const Result<Request> request = DecodeRequest(payloads[i]);
+    ASSERT_TRUE(request.ok()) << i << ": " << request.status();
+    EXPECT_EQ(request->op, ops[i]);
+    EXPECT_EQ(request->request_id, i + 1);
+    EXPECT_EQ(EncodeRequest(*request), payloads[i]) << OpName(ops[i]);
+  }
+  for (size_t i = 0; i < 6; ++i) {
+    const Result<Response> response = DecodeResponse(payloads[5 + i]);
+    ASSERT_TRUE(response.ok()) << i << ": " << response.status();
+    EXPECT_EQ(response->op, i < 5 ? ops[i] : Op::kRelatedForTest);
+    EXPECT_EQ(response->request_id, i < 5 ? i + 1 : 7u);
+    EXPECT_EQ(response->status.ok(), i < 5);
+    EXPECT_EQ(EncodeResponse(*response), payloads[5 + i]) << i;
+  }
+
+  const Request related = DecodeRequest(payloads[0]).value();
+  ASSERT_EQ(related.related.instance.values.size(), 4u);
+  EXPECT_TRUE(std::signbit(related.related.instance.values[1]));
+  EXPECT_EQ(related.related.instance.values[2], 1e300);
+  EXPECT_EQ(related.related.instance.label, 1);
+  EXPECT_EQ(related.related.options.tau_w, 0.85);
+  EXPECT_EQ(related.related.options.max_records, 25u);
+  const Request evaluate = DecodeRequest(payloads[2]).value();
+  EXPECT_EQ(evaluate.evaluate.options.delta, -1);
+  EXPECT_EQ(evaluate.evaluate.options.top_k, 9);
+
+  const Response lookup = DecodeResponse(payloads[5]).value();
+  EXPECT_EQ(lookup.related.related_count, (std::vector<int>{4, 7}));
+  ASSERT_EQ(lookup.related.records.size(), 2u);
+  EXPECT_EQ(lookup.related.records[1].participant, 2);
+  EXPECT_EQ(lookup.related.records[1].local_index, 5);
+  EXPECT_EQ(lookup.related.exact_fallbacks, 1);
+  const Response report = DecodeResponse(payloads[7]).value();
+  EXPECT_EQ(report.report.micro, (std::vector<double>{0.5, 0.25, 0.125}));
+  ASSERT_EQ(report.report.participants.size(), 2u);
+  EXPECT_EQ(report.report.participants[0].beneficial[1].text, "y <= 0.25");
+  EXPECT_TRUE(std::isinf(report.report.participants[1].useless_ratio));
+  EXPECT_EQ(report.origin_macro, report.report.macro);
+  const Response stats = DecodeResponse(payloads[8]).value();
+  EXPECT_EQ(stats.stats.trace_isa, "avx512");
+  EXPECT_EQ(stats.stats.participant_names.back(), "a name with spaces");
+  EXPECT_EQ(stats.stats.rounds_folded, 6u);
+  const Response error = DecodeResponse(payloads[10]).value();
+  EXPECT_EQ(error.status.code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(error.status.message(), "test index 7 out of range");
 }
 
 TEST(ServeProtocolTest, FrameDecoderReassemblesByteByByte) {

@@ -641,6 +641,53 @@ TEST(BundleTypedTest, InflatedTestCountIsRejected) {
       << read.status();
 }
 
+// A rule count of 0 makes an activation row 0 bytes, which once left a
+// train section's record count bounded only by one label bit a record: a
+// CRC-valid bundle claiming 80,000 records over 10 KB of labels decoded
+// into 80,000 empty activations. No model has zero rules, so the train
+// and tests decoders reject the count before sizing anything.
+TEST(BundleTypedTest, ZeroRuleCountIsInvalidArgument) {
+  const Fixture fx = MakeFixture();
+  BundleContent content = BuildBundleContent(fx.report.model, fx.fed,
+                                             fx.test, fx.activations,
+                                             fx.options)
+                              .value();
+  content.rules.clear();
+  content.tests.clear();
+  ParticipantRecords inflated;
+  inflated.labels.assign(80000, 1);
+  inflated.activations.assign(80000, Bitset(0));
+  content.participants = {inflated};
+  content.meta.participant_names = {"P0"};
+  content.meta.micro_scores.clear();
+  content.meta.macro_scores.clear();
+  const std::string path = TempPath("zero_rules.ctflb");
+  ASSERT_TRUE(WriteBundle(content, path).ok());
+
+  const Result<BundleContent> read = ReadBundle(path);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(read.status().message().find("rule count"), std::string::npos)
+      << read.status();
+  EXPECT_EQ(QueryEngine::Open(path).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // Both shared decoders, as the delta-log header calls them.
+  const Result<std::vector<ParticipantRecords>> train =
+      DecodeTrainPayload(EncodeTrainPayload(content.participants), 0);
+  ASSERT_FALSE(train.ok());
+  EXPECT_EQ(train.status().code(), StatusCode::kInvalidArgument);
+  TestRecord test;
+  test.activation = Bitset(0);
+  const Result<std::vector<TestRecord>> tests =
+      DecodeTestsPayload(EncodeTestsPayload({test, test}), 0);
+  ASSERT_FALSE(tests.ok());
+  EXPECT_EQ(tests.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(tests.status().message().find("rule count"), std::string::npos)
+      << tests.status();
+  std::remove(path.c_str());
+}
+
 TEST(BundleTypedTest, RestoreModelReproducesInference) {
   const Fixture fx = MakeFixture();
   const std::string path = TempPath("typed_restore.ctflb");

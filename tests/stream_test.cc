@@ -533,6 +533,26 @@ TEST(StreamDeltaLogTest, ZeroTauDInHeaderModelIsRejected) {
   EXPECT_TRUE(attached->Verify().ok()) << attached->Verify();
 }
 
+// A header whose rule count is 0, with zero-width activations behind it,
+// decoded at the bundle codecs' old bound of one label bit a record: the
+// 40,000 records claimed here became 40,000 empty uploads. It is now
+// InvalidArgument before any record is sized.
+TEST(StreamDeltaLogTest, ZeroRuleCountInHeaderIsRejected) {
+  const StreamFixture& fx = Fx();
+  DeltaHeader header = fx.log.header;
+  header.num_rules = 0;
+  for (store::ParticipantRecords& p : header.participants) {
+    p.labels.assign(40000, 0);
+    p.activations.assign(40000, Bitset(0));
+  }
+  for (store::TestRecord& t : header.tests) t.activation = Bitset(0);
+  const Result<DeltaHeader> decoded = DecodeHeader(EncodeHeader(header));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("rule count"), std::string::npos)
+      << decoded.status();
+}
+
 // A round record's four u64 counts size vectors; the record CRC covers
 // only the payload, so any writer can claim 2^50 elements with a valid
 // CRC. Each count is bounded by the bytes that follow it.
@@ -639,6 +659,61 @@ TEST(StreamGoldenTest, GoldenV1LogFoldsAndVerifiesAgainstGoldenBundle) {
   double total = 0.0;
   for (const double score : attached->scorer().micro_scores()) total += score;
   EXPECT_GT(total, 0.0);
+}
+
+// The golden bundle's six typed sections survive ReadBundle -> WriteBundle
+// byte for byte (its legacy `index` section is read around, not written).
+TEST(StreamGoldenTest, GoldenBundleSectionsReencodeByteForByte) {
+  const std::string golden_path = DataPath("golden_stream_v1.ctflb");
+  const Result<store::BundleContent> content = store::ReadBundle(golden_path);
+  ASSERT_TRUE(content.ok()) << content.status();
+  const std::string path = TempPath("golden_reencoded.ctflb");
+  ASSERT_TRUE(store::WriteBundle(*content, path).ok());
+  const store::BundleReader golden =
+      store::BundleReader::Open(golden_path).value();
+  const store::BundleReader rewritten = store::BundleReader::Open(path).value();
+  const std::vector<std::string> sections = {"meta",  "schema", "model",
+                                             "rules", "train",  "tests"};
+  EXPECT_EQ(rewritten.section_names(), sections);
+  for (const std::string& name : sections) {
+    EXPECT_EQ(rewritten.SectionView(name).value(),
+              golden.SectionView(name).value())
+        << name;
+  }
+}
+
+// Each record of the golden delta log re-encodes byte for byte through
+// its payload codec.
+TEST(StreamGoldenTest, GoldenLogRecordsReencodeByteForByte) {
+  const std::string bytes = ReadFile(DataPath("golden_stream_v1.ctfld"));
+  const auto u32_at = [&bytes](size_t at) {
+    uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) {
+      v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes[at + i]))
+           << (8 * i);
+    }
+    return v;
+  };
+  size_t records = 0;
+  // Preamble (magic + version), then kind | len | payload | crc records.
+  for (size_t pos = 12; pos < bytes.size(); ++records) {
+    const uint32_t kind = u32_at(pos);
+    const uint32_t len = u32_at(pos + 4);
+    ASSERT_LE(pos + 12 + len, bytes.size());
+    const std::string payload = bytes.substr(pos + 8, len);
+    if (kind == 1) {
+      const Result<DeltaHeader> header = DecodeHeader(payload);
+      ASSERT_TRUE(header.ok()) << header.status();
+      EXPECT_EQ(EncodeHeader(*header), payload);
+    } else {
+      ASSERT_EQ(kind, 2u);
+      const Result<RoundDelta> round = DecodeRound(payload);
+      ASSERT_TRUE(round.ok()) << round.status();
+      EXPECT_EQ(EncodeRound(*round), payload) << "round " << round->round;
+    }
+    pos += 12 + len;
+  }
+  EXPECT_EQ(records, 4u);
 }
 
 }  // namespace

@@ -32,7 +32,9 @@
 # Extra benchmark flags (e.g. --benchmark_min_time=0.05s for CI smoke
 # runs) can be passed via CTFL_BENCH_EXTRA_ARGS. The serve suite's load
 # shape is tuned via CTFL_SERVE_BENCH_CONNECTIONS (default 8) and
-# CTFL_SERVE_BENCH_REQUESTS (per connection, default 200).
+# CTFL_SERVE_BENCH_REQUESTS (per connection, default 40000: at least a
+# second of requests on a 4-CPU host, so that the leg is not mostly
+# scheduling noise).
 
 set -euo pipefail
 
@@ -131,7 +133,7 @@ run_group() {
 run_serve() {
   local out_json="${OUT_DIR}/BENCH_serve.json"
   local connections="${CTFL_SERVE_BENCH_CONNECTIONS:-8}"
-  local requests="${CTFL_SERVE_BENCH_REQUESTS:-200}"
+  local requests="${CTFL_SERVE_BENCH_REQUESTS:-40000}"
   echo "== serve: ${connections} connections x ${requests} requests"
   cmake --build "${BUILD_DIR}" \
       --target ctfl_cli ctfl_serve_bin ctfl_query_client \
