@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <limits>
 #include <numeric>
 #include <unordered_map>
 
 #include "ctfl/fl/privacy.h"
 #include "ctfl/telemetry/metrics.h"
 #include "ctfl/telemetry/trace.h"
+#include "ctfl/util/bit_transpose.h"
 #include "ctfl/util/logging.h"
 #include "ctfl/util/stopwatch.h"
 #include "ctfl/util/thread_pool.h"
@@ -42,20 +45,59 @@ double SupportList(const Bitset& support, const std::vector<double>& weights,
   return weight_sum;
 }
 
-/// Set bits among lanes [lo, hi) of the lane words word(b), b = lane / 64.
-template <typename WordFn>
-int64_t CountLanes(size_t lo, size_t hi, WordFn word) {
-  if (lo >= hi) return 0;
+/// Calls fn(b, w) for every lane word b = lane / 64 that holds lanes of
+/// [lo, hi), with w = word(b) masked to those lanes.
+template <typename WordFn, typename Fn>
+void ForEachLaneWord(size_t lo, size_t hi, WordFn word, Fn fn) {
+  if (lo >= hi) return;
   const size_t b_lo = lo / 64;
   const size_t b_hi = (hi - 1) / 64;
-  int64_t count = 0;
   for (size_t b = b_lo; b <= b_hi; ++b) {
     uint64_t w = word(b);
     if (b == b_lo) w &= ~0ULL << (lo % 64);
     if (b == b_hi && hi % 64 != 0) w &= ~0ULL >> (64 - hi % 64);
-    count += std::popcount(w);
+    fn(b, w);
   }
+}
+
+/// Set bits among lanes [lo, hi) of the lane words word(b), b = lane / 64.
+template <typename WordFn>
+int64_t CountLanes(size_t lo, size_t hi, WordFn word) {
+  int64_t count = 0;
+  ForEachLaneWord(lo, hi, word,
+                  [&](size_t, uint64_t w) { count += std::popcount(w); });
   return count;
+}
+
+/// Sort keys of `records`: bit 63 - k of a record's key is its bit on
+/// rule `heavy[k]` (at most 64 rules), taken from one 64x64 transpose
+/// per (64 records, word column holding a heavy rule) and one more that
+/// turns the gathered rule rows back into per-record keys.
+std::vector<uint64_t> ActivationKeys(const std::vector<const Bitset*>& records,
+                                     const std::vector<int>& heavy,
+                                     size_t num_words) {
+  // Per word column: (row of the transposed column, key bit).
+  std::vector<std::vector<std::pair<int, int>>> picks(num_words);
+  for (size_t k = 0; k < heavy.size(); ++k) {
+    picks[heavy[k] / 64].emplace_back(heavy[k] % 64, 63 - static_cast<int>(k));
+  }
+  std::vector<uint64_t> keys(records.size());
+  uint64_t m[64];
+  uint64_t key_rows[64];
+  for (size_t lo = 0; lo < records.size(); lo += 64) {
+    const size_t lanes = std::min<size_t>(64, records.size() - lo);
+    std::fill(key_rows, key_rows + 64, uint64_t{0});
+    for (size_t col = 0; col < num_words; ++col) {
+      if (picks[col].empty()) continue;
+      for (size_t i = 0; i < lanes; ++i) m[i] = records[lo + i]->words()[col];
+      std::fill(m + lanes, m + 64, uint64_t{0});
+      TransposeBits64(m);
+      for (const auto& [row, bit] : picks[col]) key_rows[bit] = m[row];
+    }
+    TransposeBits64(key_rows);
+    std::copy(key_rows, key_rows + lanes, keys.begin() + lo);
+  }
+  return keys;
 }
 
 }  // namespace
@@ -196,13 +238,51 @@ void ContributionTracer::IndexTrainRefs() {
     }
   }
   CTFL_SPAN("ctfl.trace.kernel_pack");
+  const int num_rules = net_->num_rules();
+  const double lightest = -std::numeric_limits<double>::infinity();
   for (int c = 0; c < 2; ++c) {
+    // Activation order: a 64-record block stops at its last undecided
+    // lane, so records that activate the same heavy rules should share
+    // blocks. Each participant's records are ordered by their bits on the
+    // class's 64 heaviest traceable rules (weight descending, then rule
+    // index; a NaN weight ranks lightest), heaviest in the key's top bit,
+    // keys descending, then upload order. Participants stay contiguous.
+    std::vector<int> heavy;
+    class_mask_[c].ForEachSetBit(
+        [&](size_t j) { heavy.push_back(static_cast<int>(j)); });
+    const auto weight = [&](int j) {
+      return std::isnan(rule_weights_[j]) ? lightest : rule_weights_[j];
+    };
+    const auto heavier = [&](int a, int b) {
+      if (weight(a) != weight(b)) return weight(a) > weight(b);
+      return a < b;
+    };
+    const size_t num_heavy = std::min<size_t>(heavy.size(), 64);
+    std::partial_sort(heavy.begin(), heavy.begin() + num_heavy, heavy.end(),
+                      heavier);
+    heavy.resize(num_heavy);
+
+    std::vector<TrainRef>& bucket = train_by_class_[c];
     std::vector<const Bitset*> records;
-    records.reserve(train_by_class_[c].size());
-    for (const TrainRef& ref : train_by_class_[c]) {
-      records.push_back(ref.activation);
+    records.reserve(bucket.size());
+    for (const TrainRef& ref : bucket) records.push_back(ref.activation);
+    const std::vector<uint64_t> keys = ActivationKeys(
+        records, heavy, (static_cast<size_t>(num_rules) + 63) / 64);
+    // (~key, slot) ascending is key descending, then upload order.
+    std::vector<std::pair<uint64_t, size_t>> order(bucket.size());
+    for (size_t s = 0; s < bucket.size(); ++s) order[s] = {~keys[s], s};
+    const std::vector<size_t>& offsets = class_part_offset_[c];
+    for (size_t p = 0; p < n; ++p) {
+      std::sort(order.begin() + offsets[p], order.begin() + offsets[p + 1]);
     }
-    class_kernel_[c] = TraceKernel(std::move(records), net_->num_rules());
+    std::vector<TrainRef> sorted;
+    sorted.reserve(bucket.size());
+    for (size_t s = 0; s < order.size(); ++s) {
+      sorted.push_back(bucket[order[s].second]);
+      records[s] = sorted.back().activation;
+    }
+    bucket = std::move(sorted);
+    class_kernel_[c] = TraceKernel(std::move(records), num_rules);
   }
 }
 
@@ -245,11 +325,26 @@ TraceLookup ContributionTracer::Lookup(const Bitset& activation,
   lookup.total_related =
       MatchKey(predicted, supp, lookup.support_weight, tau_w, match,
                words.data(), &lookup.related_count, &lookup.stats);
-  for (size_t b = 0; b < words.size(); ++b) {
-    for (uint64_t w = words[b];
-         w != 0 && lookup.records.size() < max_records; w &= w - 1) {
-      const TrainRef& ref = bucket[b * 64 + std::countr_zero(w)];
-      lookup.records.emplace_back(ref.participant, ref.local_index);
+  // A participant's slots hold its records in activation order, not
+  // upload order: gather its related local indices and keep the least.
+  const std::vector<size_t>& offsets = class_part_offset_[predicted];
+  std::vector<int> local;
+  for (size_t p = 0;
+       p + 1 < offsets.size() && lookup.records.size() < max_records; ++p) {
+    if (lookup.related_count[p] == 0) continue;
+    local.clear();
+    ForEachLaneWord(
+        offsets[p], offsets[p + 1], [&](size_t b) { return words[b]; },
+        [&](size_t b, uint64_t w) {
+          for (; w != 0; w &= w - 1) {
+            local.push_back(bucket[b * 64 + std::countr_zero(w)].local_index);
+          }
+        });
+    const size_t take =
+        std::min(local.size(), max_records - lookup.records.size());
+    std::partial_sort(local.begin(), local.begin() + take, local.end());
+    for (size_t i = 0; i < take; ++i) {
+      lookup.records.emplace_back(static_cast<int>(p), local[i]);
     }
   }
   return lookup;
@@ -445,25 +540,33 @@ TraceResult ContributionTracer::TraceForwards(
   });
 
   // ---- Per-record match counts (integer sums), blocks in parallel: each
-  // block's records belong to it alone.
+  // block's records belong to it alone. A block sums its lanes' counts in
+  // slot order and stores each record's once: slots hold records in
+  // activation order, so adding in place would scatter every hit.
   ParallelFor(config_.num_threads, 0, class_blocks[0] + class_blocks[1],
               [&](size_t i) {
                 const int c = i < class_blocks[0] ? 0 : 1;
                 const size_t b = c == 0 ? i : i - class_blocks[0];
                 const std::vector<TrainRef>& bucket = train_by_class_[c];
+                int correct[64] = {};
+                int miss[64] = {};
                 for (uint32_t k : class_keys[c]) {
                   const TraceKey& key = keys[k];
                   for (uint64_t w = related[related_offset[k] + b]; w != 0;
                        w &= w - 1) {
-                    const TrainRef& ref =
-                        bucket[b * 64 + std::countr_zero(w)];
-                    result.train_match_correct[ref.participant]
-                                              [ref.local_index] +=
-                        key.correct_members;
-                    result.train_match_miss[ref.participant]
-                                           [ref.local_index] +=
-                        key.miss_members;
+                    const int lane = std::countr_zero(w);
+                    correct[lane] += key.correct_members;
+                    miss[lane] += key.miss_members;
                   }
+                }
+                const size_t lanes =
+                    std::min<size_t>(64, bucket.size() - b * 64);
+                for (size_t lane = 0; lane < lanes; ++lane) {
+                  const TrainRef& ref = bucket[b * 64 + lane];
+                  result.train_match_correct[ref.participant]
+                                            [ref.local_index] = correct[lane];
+                  result.train_match_miss[ref.participant][ref.local_index] =
+                      miss[lane];
                 }
               });
   match_span.End();

@@ -219,8 +219,9 @@ class ContributionTracer {
   /// Zeroes sub-threshold rule weights and builds the per-class masks.
   void BuildRuleMasks();
   /// Builds train_by_class_ refs over train_activations_ (which must
-  /// already be populated and sized to the federation), then packs the
-  /// per-class blocked kernels.
+  /// already be populated and sized to the federation), orders each
+  /// participant's records in activation order, then packs the per-class
+  /// blocked kernels.
   void IndexTrainRefs();
 
   /// Eq. 4 for one support set of class `c` (ascending (rule, weight)
@@ -256,13 +257,17 @@ class ContributionTracer {
   /// Borrowed-mode inputs (null otherwise).
   const std::vector<std::vector<uint8_t>>* borrowed_labels_ = nullptr;
   const std::vector<std::vector<Bitset>>* borrowed_activations_ = nullptr;
-  /// Per class: refs to all training instances with that label.
+  /// Per class: refs to all training instances with that label, in
+  /// participant order; within a participant, in activation order (their
+  /// bits on the class's 64 heaviest rules descending, then upload order;
+  /// DESIGN.md §10.1). Slot s is lane s of the class kernel.
   std::vector<TrainRef> train_by_class_[2];
   /// Per class: slot offsets of each participant's contiguous record range
   /// inside train_by_class_[c] (size n+1; participant p owns
-  /// [ofs[p], ofs[p+1])). IndexTrainRefs appends participants in order, so
-  /// buckets are participant-contiguous — the closed-form §IV-B
-  /// accumulation popcounts per (rule, participant) range on top of this.
+  /// [ofs[p], ofs[p+1])). IndexTrainRefs appends participants in order and
+  /// sorts only inside each range, so buckets are participant-contiguous —
+  /// the closed-form §IV-B accumulation popcounts per (rule, participant)
+  /// range on top of this.
   std::vector<size_t> class_part_offset_[2];
   /// Per class: transposed rule-major bit-matrix over the class bucket.
   TraceKernel class_kernel_[2];

@@ -7,6 +7,7 @@
 #include <limits>
 #include <numeric>
 
+#include "ctfl/util/bit_transpose.h"
 #include "ctfl/util/logging.h"
 #include "ctfl/util/thread_pool.h"
 
@@ -78,15 +79,28 @@ TraceKernel::TraceKernel(std::vector<const Bitset*> records, int num_rules)
   bits_.assign(num_tiles_ * static_cast<size_t>(num_rules_) * tile_blocks_,
                0);
   full_mask_.assign(num_blocks_, 0);
-  for (size_t r = 0; r < records_.size(); ++r) {
-    CTFL_CHECK(records_[r] != nullptr);
-    CTFL_CHECK(records_[r]->size() == static_cast<size_t>(num_rules_));
-    const size_t block = r / 64;
-    const uint64_t lane = 1ULL << (r % 64);
-    full_mask_[block] |= lane;
-    records_[r]->ForEachSetBit([&](size_t rule) {
-      bits_[WordIndex(rule, block)] |= lane;
-    });
+  for (const Bitset* record : records_) {
+    CTFL_CHECK(record != nullptr);
+    CTFL_CHECK(record->size() == static_cast<size_t>(num_rules_));
+  }
+  // One 64x64 transpose per (block, 64-rule word column): the block's 64
+  // record words of the column become the column's 64 rule rows. Lanes
+  // past the bucket's end are zero rows.
+  const size_t rules = static_cast<size_t>(num_rules_);
+  uint64_t m[64];
+  for (size_t block = 0; block < num_blocks_; ++block) {
+    const size_t lo = block * 64;
+    const size_t lanes = std::min<size_t>(64, records_.size() - lo);
+    full_mask_[block] = ~0ULL >> (64 - lanes);
+    for (size_t col = 0; col * 64 < rules; ++col) {
+      for (size_t i = 0; i < lanes; ++i) m[i] = records_[lo + i]->words()[col];
+      std::fill(m + lanes, m + 64, uint64_t{0});
+      TransposeBits64(m);
+      const size_t rows = std::min<size_t>(64, rules - col * 64);
+      for (size_t j = 0; j < rows; ++j) {
+        bits_[WordIndex(col * 64 + j, block)] = m[j];
+      }
+    }
   }
 }
 

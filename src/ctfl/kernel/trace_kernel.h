@@ -91,15 +91,17 @@ struct TraceMatchOptions {
 
 /// Transposed, cache-blocked activation bit-matrix over one class bucket
 /// plus the pruned matcher. Records are addressed by their *bucket
-/// position* (0..num_records), in the same order the scalar loop scans
-/// them, so lane order == scalar match order.
+/// position* (0..num_records), the order the caller packed them in (the
+/// tracer's activation order, DESIGN.md §10.1). Each lane is decided on
+/// its own record, so the order moves work, never a decision.
 class TraceKernel {
  public:
   TraceKernel() = default;
 
   /// Packs `records` (activation bitsets in bucket order, each `num_rules`
-  /// wide) into the tile-major bit-matrix. The pointed-to bitsets must
-  /// outlive the kernel: they back the exact ambiguous-lane fallback.
+  /// wide) into the tile-major bit-matrix, one 64x64 bit transpose per
+  /// (block, 64-rule word column). The pointed-to bitsets must outlive the
+  /// kernel: they back the exact ambiguous-lane fallback.
   TraceKernel(std::vector<const Bitset*> records, int num_rules);
 
   size_t num_records() const { return records_.size(); }

@@ -54,7 +54,9 @@ struct RelatedResult {
   double support_weight = 0.0; ///< their total vote weight
   std::vector<int> related_count;  ///< per participant
   size_t total_related = 0;
-  std::vector<RecordRef> records;  ///< first max_records matches
+  /// The first max_records related records in ascending (participant,
+  /// local index).
+  std::vector<RecordRef> records;
   // Lookup cost accounting.
   int64_t bucket_size = 0;   ///< training records of the predicted class
   int64_t tau_w_checks = 0;  ///< candidates submitted to Eq. 4 matching

@@ -1,15 +1,22 @@
 #include "ctfl/store/query_engine.h"
 
+#include <bit>
 #include <cstdio>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ctfl/core/interpret.h"
 #include "ctfl/core/pipeline.h"
+#include "ctfl/data/gen/benchmarks.h"
 #include "ctfl/data/gen/synthetic.h"
 #include "ctfl/fl/partition.h"
 #include "ctfl/store/snapshot.h"
 #include "test_paths.h"
+#include "trace_oracle.h"
 
 namespace ctfl {
 namespace store {
@@ -152,6 +159,127 @@ TEST(QueryEngineTest, MaterializedRecordsAreExactlyTheRelatedSet) {
                 result.records[i].local_index);
     }
   }
+}
+
+std::vector<std::pair<int, int>> Refs(const RelatedResult& result) {
+  std::vector<std::pair<int, int>> refs;
+  for (const RecordRef& ref : result.records) {
+    refs.emplace_back(ref.participant, ref.local_index);
+  }
+  return refs;
+}
+
+// The materialized records are the first max_records of the scalar
+// oracle's related set in ascending (participant, local index), whatever
+// order the class buckets keep their records in: every stored test and
+// 240 fresh instances of a run on adult, whose 4 participants hold 4 to
+// 432 records of a class (ranges that start mid-block and span several
+// 64-record blocks), at three tau_w and three record budgets.
+TEST(QueryEngineTest, RecordsAreTheOraclesFirstInUploadOrder) {
+  CtflConfig config = FastConfig();
+  config.net.logic_layers = {{16, 16}};
+  config.central.epochs = 4;
+  config.tracer.tau_w = 0.9;
+  const Dataset all = MakeBenchmark("adult", 1200, 3).value();
+  const Dataset test = MakeBenchmark("adult", 150, 5).value();
+  const Dataset fresh = MakeBenchmark("adult", 240, 9).value();
+  Rng rng(42);
+  const Federation fed =
+      MakeFederation(PartitionSkewSample(all, 4, 0.7, rng));
+  config.bundle_out = TempPath("qe_order.ctflb");
+  const CtflReport report = RunCtfl(fed, test, config).value();
+  ASSERT_TRUE(report.bundle_status.ok()) << report.bundle_status;
+  const QueryEngine engine = QueryEngine::Open(config.bundle_out).value();
+  const BundleContent bundle = ReadBundle(config.bundle_out).value();
+  std::vector<std::vector<uint8_t>> labels;
+  std::vector<std::vector<Bitset>> uploads;
+  for (const ParticipantRecords& records : bundle.participants) {
+    labels.push_back(records.labels);
+    uploads.push_back(records.activations);
+  }
+  const LogicalNet& model = engine.model();
+  const double min_weight = bundle.meta.min_rule_weight;
+
+  size_t compared = 0;
+  for (const double tau_w : {engine.origin_tau_w(), 0.8, 1.0}) {
+    for (const size_t max_records :
+         {size_t{1}, size_t{3}, std::numeric_limits<size_t>::max()}) {
+      SCOPED_TRACE("tau_w " + std::to_string(tau_w) + ", max_records " +
+                   std::to_string(max_records));
+      QueryOptions options;
+      options.tau_w = tau_w;
+      options.max_records = max_records;
+      const auto expect = [&](const RelatedResult& got,
+                              const Bitset& activation, int predicted) {
+        const TraceLookup want =
+            oracle::Lookup(model, labels, uploads, activation, predicted,
+                           tau_w, min_weight, max_records);
+        EXPECT_EQ(got.total_related, want.total_related);
+        EXPECT_EQ(Refs(got), want.records);
+        compared += want.records.size();
+      };
+      for (size_t t = 0; t < bundle.tests.size(); ++t) {
+        SCOPED_TRACE("stored test " + std::to_string(t));
+        expect(engine.RelatedForTest(t, options), bundle.tests[t].activation,
+               bundle.tests[t].predicted);
+      }
+      for (size_t i = 0; i < fresh.size(); ++i) {
+        SCOPED_TRACE("fresh instance " + std::to_string(i));
+        const Instance& inst = fresh.instance(i);
+        expect(engine.Related(inst, options), model.RuleActivations(inst),
+               model.Predict(inst));
+      }
+    }
+  }
+  // The lookups really materialized records.
+  EXPECT_GT(compared, 10000u);
+}
+
+/// FNV-1a over the 8 little-endian bytes of `v`, continuing from `h`.
+uint64_t Mix(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Every stored test's lookup answer on the committed golden bundle (3
+// participants, 360 training records, 120 tests), at the origin tau_w and
+// at 0.8, pinned to its digest. The answer fields only: blocks_pruned and
+// exact_fallbacks describe how the kernel worked and may change with it
+// (DESIGN.md §13.2). Only a change meant to alter answers may re-pin it.
+TEST(QueryEngineTest, GoldenBundleLookupDigestMatchesPinnedValue) {
+  const QueryEngine engine =
+      QueryEngine::Open(std::string(CTFL_TEST_DATA_DIR) +
+                        "/golden_stream_v1.ctflb")
+          .value();
+  ASSERT_EQ(engine.num_participants(), 3);
+  ASSERT_EQ(engine.bundle().tests.size(), 120u);
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  for (const double tau_w : {-1.0, 0.8}) {
+    QueryOptions options;
+    options.tau_w = tau_w;
+    options.max_records = 5;
+    for (size_t t = 0; t < engine.bundle().tests.size(); ++t) {
+      const RelatedResult r = engine.RelatedForTest(t, options);
+      digest = Mix(digest, static_cast<uint64_t>(r.predicted));
+      digest = Mix(digest, static_cast<uint64_t>(r.support_size));
+      digest = Mix(digest, std::bit_cast<uint64_t>(r.support_weight));
+      for (const int count : r.related_count) {
+        digest = Mix(digest, static_cast<uint64_t>(count));
+      }
+      digest = Mix(digest, r.total_related);
+      digest = Mix(digest, static_cast<uint64_t>(r.tau_w_checks));
+      digest = Mix(digest, r.records.size());
+      for (const RecordRef& ref : r.records) {
+        digest = Mix(digest, static_cast<uint64_t>(ref.participant));
+        digest = Mix(digest, static_cast<uint64_t>(ref.local_index));
+      }
+    }
+  }
+  EXPECT_EQ(digest, 0xfeec548dd576d1c0ULL)
+      << std::hex << "digest 0x" << digest;
 }
 
 void ExpectRulesEqual(const std::vector<RuleStat>& got,

@@ -399,6 +399,59 @@ TEST(TraceKernelTest, EmptyKernelAndEmptySupport) {
   EXPECT_EQ(kernel.Match(zero, related.data(), nullptr, {}), 70u);
 }
 
+// The transposed pack against the per-bit pack, word for word: rule
+// counts below, at and past a word column, a model's 253 and 4,100 (whose
+// tiles are narrower than its bucket, so it spans several tiles and a
+// zero-padded tail); buckets that are empty, one lane, whole blocks and a
+// partial last block. Random words at three densities, all-zero and
+// all-one records included.
+TEST(TraceKernelTest, TransposedPackMatchesPerBitPack) {
+  Rng rng(97);
+  for (const int num_rules : {1, 63, 64, 65, 253, 4100}) {
+    for (const size_t num_records :
+         {size_t{0}, size_t{1}, size_t{100}, size_t{128}, size_t{3000}}) {
+      if (num_records == 3000 && num_rules != 4100) continue;
+      SCOPED_TRACE(std::to_string(num_rules) + " rules, " +
+                   std::to_string(num_records) + " records");
+      std::vector<Bitset> storage;
+      storage.reserve(num_records);
+      for (size_t r = 0; r < num_records; ++r) {
+        std::vector<uint64_t> words((num_rules + 63) / 64);
+        for (uint64_t& w : words) {
+          switch (r % 5) {
+            case 0: w = 0; break;
+            case 1: w = ~0ULL; break;
+            case 2: w = rng.Next() & rng.Next(); break;
+            default: w = rng.Next(); break;
+          }
+        }
+        if (num_rules % 64 != 0) {
+          words.back() &= ~0ULL >> (64 - num_rules % 64);
+        }
+        storage.push_back(
+            Bitset::FromWords(num_rules, std::move(words)).value());
+      }
+      std::vector<const Bitset*> refs;
+      for (const Bitset& b : storage) refs.push_back(&b);
+      const TraceKernel kernel(refs, num_rules);
+      const oracle::PackedBits want = oracle::Pack(refs, num_rules);
+      ASSERT_EQ(kernel.num_records(), num_records);
+      ASSERT_EQ(kernel.num_blocks(), want.full_mask.size());
+      if (num_records == 3000) {
+        ASSERT_GT(kernel.num_blocks(), kernel.tile_blocks());
+        ASSERT_NE(kernel.num_blocks() % kernel.tile_blocks(), 0u);
+      }
+      for (size_t b = 0; b < kernel.num_blocks(); ++b) {
+        ASSERT_EQ(kernel.full_mask_word(b), want.full_mask[b]) << b;
+        for (int rule = 0; rule < num_rules; ++rule) {
+          ASSERT_EQ(kernel.rule_word(rule, b), want.rows[rule][b])
+              << "rule " << rule << " block " << b;
+        }
+      }
+    }
+  }
+}
+
 // The retired kernel selector lives on only as a reserved wire byte: the
 // last byte of an EVALUATE body and of every lookup's options (whose other
 // reserved byte once selected the posting prefilter). Encoders write 1;

@@ -77,6 +77,31 @@ inline bool Related(const Bitset& record,
   return !(overlap < threshold);
 }
 
+/// The kernel's bit-matrix by its definition, one bit at a time (the pack
+/// the 64x64 transposes replaced): bit r % 64 of rows[rule][r / 64] is set
+/// iff record r activates `rule`, and full_mask[b] holds the block's
+/// valid lanes.
+struct PackedBits {
+  std::vector<std::vector<uint64_t>> rows;  ///< [rule][block]
+  std::vector<uint64_t> full_mask;          ///< [block]
+};
+
+inline PackedBits Pack(const std::vector<const Bitset*>& records,
+                       int num_rules) {
+  const size_t blocks = (records.size() + 63) / 64;
+  PackedBits packed;
+  packed.rows.assign(static_cast<size_t>(num_rules),
+                     std::vector<uint64_t>(blocks, 0));
+  packed.full_mask.assign(blocks, 0);
+  for (size_t r = 0; r < records.size(); ++r) {
+    const uint64_t lane = uint64_t{1} << (r % 64);
+    packed.full_mask[r / 64] |= lane;
+    records[r]->ForEachSetBit(
+        [&](size_t rule) { packed.rows[rule][r / 64] |= lane; });
+  }
+  return packed;
+}
+
 /// One TraceKernel::Match by the per-rule sweep: related words, match
 /// count and work counters.
 struct SweepResult {
