@@ -32,6 +32,10 @@ inline constexpr int kChunk = 8;
 /// Clamp floor for product terms; keeps y / t_i well defined in backward.
 inline constexpr double kEps = 1e-8;
 
+/// The one NaN a weight or input gradient holds when it ends NaN
+/// (DESIGN.md §16.3): IEEE 754 leaves open which NaN a sum of two keeps.
+inline constexpr double kGradientNaN = __builtin_nan("");
+
 /// Per row of a packed binary input (PackedRows), its inputs at 0 and its
 /// inputs at 1, each ascending: the inputs whose factor a conjunction,
 /// respectively a disjunction, multiplies.
@@ -85,15 +89,19 @@ struct ForwardJob {
   int width[2] = {0, 0};
 };
 
-/// One chunk of the parameter backward over every row: adds each row's
-/// terms to the chunk-major accumulators `gt` (gt[i * kChunk + k] for node
-/// first + k), in row order.
+/// One chunk of the parameter backward over every row: adds the chunk's
+/// weight gradients to the chunk-major accumulators `gt` (gt[i * kChunk +
+/// k] for node first + k). Per weight, the table lanes' terms g * prod of
+/// the rows that list its input are summed in ascending row order, then
+/// divided once by the weight's factor (DESIGN.md §16.3).
 struct BackwardJob {
   const double* c = nullptr;  ///< the chunk's table, in_dim x kChunk
-  double* inv = nullptr;      ///< room for 1 / c, in_dim x kChunk
   double* gt = nullptr;
-  const int* lists = nullptr;
-  const int* zeros = nullptr;
+  /// The batch's bits input-major: columns[b * column_stride + i] holds
+  /// input i of rows 64b to 64b + 63, bit j for row 64b + j.
+  const uint64_t* columns = nullptr;
+  size_t column_stride = 0;
+  double* terms = nullptr;  ///< room for rows x kChunk terms
   int in_dim = 0;
   bool conj = true;
   int first = 0;
@@ -131,9 +139,6 @@ struct AdamJob {
 
 /// One tier's units.
 struct Units {
-  /// True when backward wants BackwardJob::inv (the tier has a corrected
-  /// quotient).
-  bool reciprocals = false;
   /// Splits rows [lo, hi) of the packed `x` (in_dim bits in x_words words
   /// per row, record-major) into the lists of SplitRows (sized by the
   /// caller).
@@ -145,15 +150,18 @@ struct Units {
   /// finite.
   bool (*build_chunk)(const double* w0, int in_dim, int width, double* c);
   /// Copies one chunk's accumulators, gt[i * kChunk + k] for input i and
-  /// node lane k < width, to the node rows: rows[k * in_dim + i].
+  /// node lane k < width, to the node rows: rows[k * in_dim + i], with
+  /// every NaN written as kGradientNaN.
   void (*store_chunk)(const double* gt, int in_dim, int width, double* rows);
   void (*forward)(const ForwardJob& job);
   void (*backward)(const BackwardJob& job);
   /// Adam over elements [0, n) of one slot.
   void (*adam)(const AdamJob& job, double* m, double* v, double* p,
                const double* g, size_t n);
-  /// q[k] = a[k] / b[k] through the tier's quotient, for a[k] in
-  /// [2^-900, 1] and b[k] in [kEps, 1] (the backward's operands).
+  /// q[k] = a[k] / b[k] through the tier's corrected quotient (the division
+  /// itself on a tier without one), for Adam's operands (a[k] in [2^-900,
+  /// 2^1000], b[k] in [2^-20, 1]) and for a[k] in [2^-900, 1] over b[k] in
+  /// [kEps, 1].
   void (*quotient)(const double* a, const double* b, double* q, size_t n);
   /// Writes the indices i in [0, n) with w[i] > 0.5 to `active`, ascending,
   /// and returns their count; `active` has room for n.

@@ -1,6 +1,6 @@
 // AVX2+FMA logic-kernel unit: a node chunk is two 4-lane vectors, the
-// forward interleaves two rows, the backward and Adam take the corrected
-// quotient, and the vote adds a weight masked by its record bits.
+// forward interleaves two rows, Adam takes the corrected quotient, and the
+// vote adds a weight masked by its record bits.
 // Compiled with -mavx2 -mfma on x86-64 (see src/CMakeLists.txt); selected
 // only when cpuid reports both (util/cpu_features.h). FMA appears only as
 // the explicit intrinsics of Quotient: ctfl_nn builds with
@@ -22,6 +22,7 @@ struct Avx2Ops {
     __m256d hi;
   };
   static constexpr int kRows = 2;
+  static constexpr int kInputs = 2;
   static constexpr bool kReciprocal = true;
 
   static Chunk Load(const double* p) {
@@ -72,17 +73,6 @@ struct Avx2Ops {
   static Chunk GuardedQuotient(Chunk a, Chunk b, Chunk y) {
     return {Guarded4(a.lo, b.lo, y.lo), Guarded4(a.hi, b.hi, y.hi)};
   }
-  static bool Reciprocals(const double* c, int n, double* inv) {
-    const __m256d one = _mm256_set1_pd(1.0);
-    __m256d above = _mm256_setzero_pd();
-    for (int k = 0; k < n; k += 4) {
-      const __m256d cv = _mm256_loadu_pd(c + k);
-      _mm256_storeu_pd(inv + k, _mm256_div_pd(one, cv));
-      above = _mm256_or_pd(above, _mm256_cmp_pd(cv, one, _CMP_NLE_UQ));
-    }
-    return _mm256_movemask_pd(above) == 0;
-  }
-
   static unsigned AboveHalf(const double* p) {
     const __m256d half = _mm256_set1_pd(0.5);
     const int lo = _mm256_movemask_pd(

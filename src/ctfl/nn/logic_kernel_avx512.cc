@@ -1,8 +1,8 @@
 // AVX-512F logic-kernel unit: a node chunk is one 8-lane vector, the
-// forward interleaves four rows, the backward and Adam take the corrected
-// quotient, the row split compresses input indices under the batch's bits
-// with mask stores, the table gathers a chunk's weights per input, and the
-// vote adds under a record mask. Compiled with -mavx512f on x86-64 (see
+// forward interleaves four rows, Adam takes the corrected quotient, the row
+// split compresses input indices under the batch's bits with mask stores,
+// the table gathers a chunk's weights per input, and the vote adds under a
+// record mask. Compiled with -mavx512f on x86-64 (see
 // src/CMakeLists.txt); selected only when cpuid reports AVX-512F
 // (util/cpu_features.h). FMA appears only as the explicit intrinsics of
 // Quotient: ctfl_nn builds with -ffp-contract=off.
@@ -20,6 +20,7 @@ namespace {
 struct Avx512Ops {
   using Chunk = __m512d;
   static constexpr int kRows = 4;
+  static constexpr int kInputs = 4;
   static constexpr bool kReciprocal = true;
 
   static Chunk Load(const double* p) { return _mm512_loadu_pd(p); }
@@ -48,17 +49,6 @@ struct Avx512Ops {
     const __mmask8 divide = static_cast<__mmask8>(~ok);
     return divide == 0 ? q : _mm512_mask_div_pd(q, divide, a, b);
   }
-  static bool Reciprocals(const double* c, int n, double* inv) {
-    const __m512d one = _mm512_set1_pd(1.0);
-    __mmask8 above = 0;
-    for (int k = 0; k < n; k += 8) {
-      const __m512d cv = _mm512_loadu_pd(c + k);
-      _mm512_storeu_pd(inv + k, _mm512_div_pd(one, cv));
-      above |= _mm512_cmp_pd_mask(cv, one, _CMP_NLE_UQ);
-    }
-    return above == 0;
-  }
-
   static unsigned AboveHalf(const double* p) {
     return _mm512_cmp_pd_mask(_mm512_loadu_pd(p), _mm512_set1_pd(0.5),
                               _CMP_GT_OQ);
@@ -124,8 +114,8 @@ struct Avx512Ops {
 
   /// Eight inputs at a time: an 8 x 8 transpose in registers (unpacks
   /// within 128-bit lanes, then two rounds of lane shuffles), one store
-  /// per node row. The zero-masked forms with a full mask are the plain
-  /// instructions (see Sqrt).
+  /// per node row, NaN lanes replaced by kGradientNaN. The zero-masked
+  /// forms with a full mask are the plain instructions (see Sqrt).
   static __m512d Shuffle88(__m512d a, __m512d b) {
     return _mm512_maskz_shuffle_f64x2(0xff, a, b, 0x88);
   }
@@ -157,14 +147,18 @@ struct Avx512Ops {
                                Shuffle88(u[1], u[5]), Shuffle88(u[3], u[7]),
                                ShuffleDD(u[0], u[4]), ShuffleDD(u[2], u[6]),
                                ShuffleDD(u[1], u[5]), ShuffleDD(u[3], u[7])};
+      const __m512d nan = _mm512_set1_pd(kGradientNaN);
       for (int k = 0; k < width; ++k) {
-        _mm512_storeu_pd(rows + static_cast<size_t>(k) * in_dim + i, node[k]);
+        const __mmask8 unordered =
+            _mm512_cmp_pd_mask(node[k], node[k], _CMP_UNORD_Q);
+        _mm512_storeu_pd(rows + static_cast<size_t>(k) * in_dim + i,
+                         _mm512_mask_mov_pd(node[k], unordered, nan));
       }
     }
     for (; i < in_dim; ++i) {
       for (int k = 0; k < width; ++k) {
         rows[static_cast<size_t>(k) * in_dim + i] =
-            gt[static_cast<size_t>(i) * kChunk + k];
+            CanonicalNaN(gt[static_cast<size_t>(i) * kChunk + k]);
       }
     }
   }

@@ -13,21 +13,24 @@
 // An Ops policy supplies:
 //  - `Chunk`, eight doubles (one node chunk), with Load/Store (unaligned),
 //    Set1, Mul, Add and Div, each the IEEE operation per lane;
-//  - `kRows`, the rows the forward interleaves (independent multiply
-//    chains hide the multiply latency);
-//  - `kReciprocal`; when true, also Sub and Sqrt, Reciprocals(c, n, inv)
-//    (inv = 1 / c by division; false when some c > 1), Quotient(a, b, y)
-//    (Markstein's corrected quotient, DESIGN.md §16.3) and
-//    GuardedQuotient(a, b, y) (Quotient where |a| lies in
-//    [2^-900, 2^1000], division elsewhere);
+//  - `kRows`, the rows the forward interleaves, and `kInputs`, the inputs
+//    the backward sums at once (independent multiply or add chains hide
+//    their latency);
+//  - `kReciprocal`; when true, also Sub and Sqrt, Quotient(a, b, y)
+//    (Markstein's corrected quotient with y = 1 / b, DESIGN.md §16.3) and
+//    GuardedQuotient(a, b, y) (Quotient where |a| lies in [2^-900, 2^1000],
+//    division elsewhere), which only Adam takes;
 //  - SplitRows, BuildChunk and StoreChunk, with the contracts of Units;
 //  - AboveHalf(p), the mask of the eight lanes with p[k] > 0.5 (bit k for
 //    lane k), and MaskedAdd(acc, bits, w), acc + w in the lanes whose bit
 //    is set and acc or acc + (+0.0) in the others (the same bits for every
 //    acc but -0.0, which no vote sum holds).
 //
-// Bit-identity (DESIGN.md §16.3): every lane evaluates the generic loop's
-// expression with the same operations in the same order; a quotient is
+// Bit-identity (DESIGN.md §16.3): every unit evaluates each result with
+// the same operations in the same order as the oracle (tests/
+// logic_oracle.h). The backward's weight gradient is factored: per weight,
+// the sum of g * prod over the rows that list its input, in ascending row
+// order, then one IEEE division by the weight's factor. Adam's quotient is
 // either the IEEE division or the corrected quotient on operands where it
 // provably equals it.
 
@@ -42,10 +45,6 @@ namespace {
 
 /// std::max(kEps, v), as the generic loops evaluate it.
 inline double ClampFactor(double v) { return kEps < v ? v : kEps; }
-
-/// Smallest product term whose quotient takes the corrected form: below
-/// it, the residual of the correction could leave the normal range.
-constexpr double kTinyProduct = 0x1p-900;
 
 /// The portable row split: one ctz loop over each word's set bits (the
 /// at-one list) and one over its clear bits below in_dim (the at-zero
@@ -93,13 +92,16 @@ inline bool BuildChunkPortable(const double* w0, int in_dim, int width,
   return finite;
 }
 
+/// v, or kGradientNaN when v is NaN.
+inline double CanonicalNaN(double v) { return v != v ? kGradientNaN : v; }
+
 /// The portable chunk store.
 inline void StoreChunkPortable(const double* gt, int in_dim, int width,
                                double* rows) {
   for (int k = 0; k < width; ++k) {
     double* row = rows + static_cast<size_t>(k) * in_dim;
     for (int i = 0; i < in_dim; ++i) {
-      row[i] = gt[static_cast<size_t>(i) * kChunk + k];
+      row[i] = CanonicalNaN(gt[static_cast<size_t>(i) * kChunk + k]);
     }
   }
 }
@@ -192,53 +194,83 @@ void Forward(const ForwardJob& job) {
 
 // ---- Backward ---------------------------------------------------------------
 
-/// Adds g * rest, rest = prod / c, to the listed inputs' accumulators: `g`
-/// holds the chunk's upstream gradients, negated for a conjunction
-/// (g * (-rest) and (-g) * rest are the same IEEE product). kDivide takes
-/// the IEEE division, otherwise the corrected quotient with y = inv.
-template <typename Ops, bool kDivide>
-inline void AddGradientTerms(const double* table, const double* inv,
-                             const int* inputs, int count, const double* g,
-                             const double* prod, double* gt) {
-  using Chunk = typename Ops::Chunk;
-  const Chunk gv = Ops::Load(g);
-  const Chunk pv = Ops::Load(prod);
-  for (int j = 0; j < count; ++j) {
-    const size_t at = static_cast<size_t>(inputs[j]) * kChunk;
-    const Chunk c = Ops::Load(table + at);
-    Chunk rest;
-    if constexpr (kDivide) {
-      rest = Ops::Div(pv, c);
-    } else {
-      rest = Ops::Quotient(pv, c, Ops::Load(inv + at));
+/// Adds to acc[p] the terms of the rows whose bits are set in bits[p],
+/// lowest first: kInputs independent add chains walk their common count in
+/// lockstep, then each finishes its own.
+template <typename Ops, int kInputs>
+inline void AddListedTerms(const double* terms, uint64_t* bits,
+                           typename Ops::Chunk* acc) {
+  int common = 64;
+#pragma GCC unroll 8
+  for (int p = 0; p < kInputs; ++p) {
+    const int count = __builtin_popcountll(bits[p]);
+    common = count < common ? count : common;
+  }
+  for (int j = 0; j < common; ++j) {
+#pragma GCC unroll 8
+    for (int p = 0; p < kInputs; ++p) {
+      const size_t row = static_cast<size_t>(__builtin_ctzll(bits[p]));
+      acc[p] = Ops::Add(acc[p], Ops::Load(terms + row * kChunk));
+      bits[p] &= bits[p] - 1;
     }
-    Ops::Store(gt + at, Ops::Add(Ops::Load(gt + at), Ops::Mul(gv, rest)));
+  }
+#pragma GCC unroll 8
+  for (int p = 0; p < kInputs; ++p) {
+    for (uint64_t m = bits[p]; m != 0; m &= m - 1) {
+      const size_t row = static_cast<size_t>(__builtin_ctzll(m));
+      acc[p] = Ops::Add(acc[p], Ops::Load(terms + row * kChunk));
+    }
   }
 }
 
-/// Units::backward. A lane takes the table loop when its g is finite and
-/// nonzero and its product lies in (0, 1]: then rest = prod / c is finite
-/// and every skipped term g * (0 * rest) is ±0.0. Other lanes enter it as
-/// g = ±0, prod = 1, adding only the ±0.0 the generic loop's skipped term
-/// would; those the generic loop would not skip then run it for this (row,
-/// node) on the row's bits, so a NaN or infinite g propagates exactly as in
-/// the generic loop.
-/// A row takes the division when one of its products is below
-/// kTinyProduct, or when the chunk holds a factor above 1.0 (a negative
-/// weight); the corrected quotient needs both bounds.
+/// The factored weight gradients of inputs [i0, i0 + kInputs): each sums
+/// the terms of its listed rows (at 0 for a conjunction, at 1 for a
+/// disjunction) block by block, ascending, from +0.0, then adds sum / c.
+template <typename Ops, int kInputs>
+inline void AddFactoredInputs(const BackwardJob& job, int i0) {
+  using Chunk = typename Ops::Chunk;
+  Chunk acc[kInputs];
+#pragma GCC unroll 8
+  for (int p = 0; p < kInputs; ++p) acc[p] = Ops::Set1(0.0);
+  const uint64_t flip = job.conj ? ~uint64_t{0} : 0;
+  for (size_t lo = 0; lo < job.rows; lo += 64) {
+    const size_t n = job.rows - lo;
+    const uint64_t valid = n >= 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+    const uint64_t* column = job.columns + lo / 64 * job.column_stride + i0;
+    uint64_t bits[kInputs];
+#pragma GCC unroll 8
+    for (int p = 0; p < kInputs; ++p) bits[p] = (column[p] ^ flip) & valid;
+    AddListedTerms<Ops, kInputs>(job.terms + lo * kChunk, bits, acc);
+  }
+#pragma GCC unroll 8
+  for (int p = 0; p < kInputs; ++p) {
+    const size_t at = static_cast<size_t>(i0 + p) * kChunk;
+    const Chunk q = Ops::Div(acc[p], Ops::Load(job.c + at));
+    Ops::Store(job.gt + at, Ops::Add(Ops::Load(job.gt + at), q));
+  }
+}
+
+/// Units::backward. The weight gradient of input i and node k is
+/// sum_r g_r * rest_r over the rows that list i, rest_r = prod_r / c_ik; it
+/// is taken factored, (sum_r g_r * prod_r) / c_ik: one add per listed
+/// (row, input) and one division per weight. `g` is negated for a
+/// conjunction (g * (-rest) and (-g) * rest are the same IEEE product).
+/// A lane takes the table sum when its g is finite and nonzero and its
+/// product lies in (0, 1]. Other lanes' terms are ±0 * 1, which leave a
+/// sum unchanged (a sum from +0.0 never holds -0.0); those the generic
+/// loop would not skip (g != 0 and not prod <= 0) run it for this (row,
+/// node) on the row's bits, straight into `gt`, so a NaN or infinite g
+/// propagates as in the generic loop. The sums then walk the batch
+/// input-major, Ops::kInputs inputs at a time, and each weight adds its
+/// quotient once.
 template <typename Ops>
 void Backward(const BackwardJob& job) {
-  bool corrected = false;
-  if constexpr (Ops::kReciprocal) {
-    corrected = Ops::Reciprocals(job.c, job.in_dim * kChunk, job.inv);
-  }
   // The skipped terms' sign: (+0) * (-rest) for a conjunction.
   const double zero_g = job.conj ? -0.0 : 0.0;
   for (size_t r = 0; r < job.rows; ++r) {
     double g[kChunk];
     double prod[kChunk];
     bool generic[kChunk];
-    bool tiny = false;
     const double* yr = job.y + r * job.out_dim;
     const double* dyr = job.dy + r * job.out_dim;
     for (int k = 0; k < kChunk; ++k) {
@@ -252,26 +284,12 @@ void Backward(const BackwardJob& job) {
       if (gv != 0.0 && __builtin_isfinite(gv) && pv > 0.0 && pv <= 1.0) {
         g[k] = job.conj ? -gv : gv;
         prod[k] = pv;
-        tiny |= pv < kTinyProduct;
       } else {
         generic[k] = gv != 0.0 && !(pv <= 0.0);
       }
     }
-    // Divide only where the forward multiplied.
-    const int* inputs = job.lists + r * job.in_dim;
-    const int count = job.conj ? job.zeros[r] : job.in_dim - job.zeros[r];
-    bool divide = true;
-    if constexpr (Ops::kReciprocal) {
-      if (corrected && !tiny) {
-        AddGradientTerms<Ops, false>(job.c, job.inv, inputs, count, g, prod,
-                                     job.gt);
-        divide = false;
-      }
-    }
-    if (divide) {
-      AddGradientTerms<Ops, true>(job.c, job.inv, inputs, count, g, prod,
-                                  job.gt);
-    }
+    Ops::Store(job.terms + r * kChunk,
+               Ops::Mul(Ops::Load(g), Ops::Load(prod)));
     for (int k = 0; k < job.width; ++k) {
       if (!generic[k]) continue;
       const int node = job.first + k;
@@ -282,6 +300,12 @@ void Backward(const BackwardJob& job) {
                         kChunk);
     }
   }
+  constexpr int kInputs = Ops::kInputs;
+  int i = 0;
+  for (; i + kInputs <= job.in_dim; i += kInputs) {
+    AddFactoredInputs<Ops, kInputs>(job, i);
+  }
+  for (; i < job.in_dim; ++i) AddFactoredInputs<Ops, 1>(job, i);
 }
 
 // ---- Adam ------------------------------------------------------------------
@@ -395,18 +419,17 @@ void Axpy(double a, const double* x, double* y, size_t n) {
 
 // ---- Quotient probe --------------------------------------------------------
 
-/// Units::quotient: q[k] = a[k] / b[k] for a[k] in [2^-900, 1] and b[k] in
-/// [kEps, 1], through the tier's quotient (the division itself on a tier
-/// without one).
+/// Units::quotient, through the tier's quotient with y = 1 / b by division
+/// (the division itself on a tier without one).
 template <typename Ops>
 void Quotients(const double* a, const double* b, double* q, size_t n) {
   size_t k = 0;
   if constexpr (Ops::kReciprocal) {
-    double inv[kChunk];
+    const typename Ops::Chunk one = Ops::Set1(1.0);
     for (; k + kChunk <= n; k += kChunk) {
-      Ops::Reciprocals(b + k, kChunk, inv);
-      Ops::Store(q + k, Ops::Quotient(Ops::Load(a + k), Ops::Load(b + k),
-                                      Ops::Load(inv)));
+      const typename Ops::Chunk bk = Ops::Load(b + k);
+      Ops::Store(q + k,
+                 Ops::Quotient(Ops::Load(a + k), bk, Ops::Div(one, bk)));
     }
   }
   for (; k < n; ++k) q[k] = a[k] / b[k];
@@ -415,7 +438,6 @@ void Quotients(const double* a, const double* b, double* q, size_t n) {
 template <typename Ops>
 Units MakeUnits() {
   Units units;
-  units.reciprocals = Ops::kReciprocal;
   units.split_rows = Ops::SplitRows;
   units.build_chunk = Ops::BuildChunk;
   units.store_chunk = Ops::StoreChunk;

@@ -42,6 +42,7 @@ struct GenericOps {
     Lanes l0, l1, l2, l3;
   };
   static constexpr int kRows = 1;
+  static constexpr int kInputs = 2;
   static constexpr bool kReciprocal = false;
 
   static Chunk Load(const double* p) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "ctfl/util/bit_transpose.h"
 #include "ctfl/util/cpu_features.h"
 #include "ctfl/util/logging.h"
 #include "ctfl/util/thread_pool.h"
@@ -127,10 +128,17 @@ void ForwardNodes(const Matrix& w, int num_conj, const Input& x, int lo,
   }
 }
 
+/// Writes kGradientNaN over every NaN of the n doubles at `v`.
+void CanonicalizeNaNs(double* v, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    if (std::isnan(v[i])) v[i] = logic_kernel::kGradientNaN;
+  }
+}
+
 /// The generic backward of nodes [lo, hi) on `x`, a Matrix or a
 /// PackedRows: per row, per node ascending, accumulates parameter
 /// gradients into `grads` and, when `dx` is non-null, input gradients into
-/// `dx`.
+/// `dx`; then writes every NaN of either as kGradientNaN.
 template <typename Input>
 void BackwardNodes(const Matrix& w, int num_conj, const Input& x,
                    const Matrix& y, const Matrix& dy, int lo, int hi,
@@ -149,6 +157,8 @@ void BackwardNodes(const Matrix& w, int num_conj, const Input& x,
                    dx != nullptr ? dx->row(r) : nullptr);
     }
   }
+  CanonicalizeNaNs(grads->row(lo), static_cast<size_t>(hi - lo) * in_dim);
+  if (dx != nullptr) CanonicalizeNaNs(dx->data(), dx->size());
 }
 
 /// True when every one of the n doubles at `v` is +0.0.
@@ -182,15 +192,6 @@ void SplitPackedRows(const logic_kernel::Units& units, const PackedRows& x,
               });
 }
 
-/// Splits `x` and lays out the table of `w` in `tables`.
-void PrepareTables(const logic_kernel::Units& units, const Matrix& w,
-                   int num_conj, const PackedRows& x, int threads,
-                   LogicLayer::StepTables* tables) {
-  tables->ready = false;
-  SplitPackedRows(units, x, threads, &tables->rows);
-  LayoutFactorTable(w, num_conj, &tables->table);
-}
-
 /// The continuous forward of layer `w` (num_conj conjunctions first) on the
 /// packed `x` through the factor table. Multiplying by a skipped factor's
 /// exact 1.0 would change nothing, so each node multiplies its remaining
@@ -203,7 +204,9 @@ void ForwardByTable(const Matrix& w, int num_conj, const PackedRows& x,
                     Matrix* y, LogicLayer::StepTables* tables) {
   const logic_kernel::Units& units = logic_kernel::UnitsFor(CurrentTraceIsa());
   const int threads = MatrixThreadsFor(x.rows() * w.rows() * w.cols());
-  PrepareTables(units, w, num_conj, x, threads, tables);
+  tables->ready = false;
+  SplitPackedRows(units, x, threads, &tables->rows);
+  LayoutFactorTable(w, num_conj, &tables->table);
   const SplitRows& rows = tables->rows;
   FactorTable& t = tables->table;
   auto unit_width = [&](int q) {
@@ -244,25 +247,42 @@ void ForwardByTable(const Matrix& w, int num_conj, const PackedRows& x,
   tables->ready = true;
 }
 
-/// Splits `x` and builds the complete table of `w` in `tables`, chunks in
-/// parallel: the backward's tables when no forward left them.
-void BuildTables(const logic_kernel::Units& units, const Matrix& w,
-                 int num_conj, const PackedRows& x, int threads,
-                 LogicLayer::StepTables* tables) {
-  PrepareTables(units, w, num_conj, x, threads, tables);
-  FactorTable& t = tables->table;
-  ParallelFor(threads, 0, static_cast<size_t>(t.chunks()), [&](size_t q) {
-    BuildFactorChunk(units, w, static_cast<int>(q), &t);
+/// Lays out and builds the complete table of `w` in `t`, chunks in
+/// parallel: the backward's table when no forward left one.
+void BuildFactorTable(const logic_kernel::Units& units, const Matrix& w,
+                      int num_conj, int threads, FactorTable* t) {
+  LayoutFactorTable(w, num_conj, t);
+  ParallelFor(threads, 0, static_cast<size_t>(t->chunks()), [&](size_t q) {
+    BuildFactorChunk(units, w, static_cast<int>(q), t);
   });
-  tables->ready = true;
+}
+
+/// Writes the packed `x` input-major to `columns`: word b * stride + i
+/// holds input i of rows 64b to 64b + 63, one 64 x 64 transpose per block
+/// of 64 rows and word of 64 inputs. Returns the stride, x.words() * 64.
+size_t TransposeBatch(const PackedRows& x, std::vector<uint64_t>* columns) {
+  const size_t stride = x.words() * 64;
+  columns->resize((x.rows() + 63) / 64 * stride);
+  for (size_t lo = 0; lo < x.rows(); lo += 64) {
+    for (size_t word = 0; word < x.words(); ++word) {
+      uint64_t* block = columns->data() + lo / 64 * stride + word * 64;
+      for (size_t j = 0; j < 64; ++j) {
+        block[j] = lo + j < x.rows() ? x.row(lo + j)[word] : 0;
+      }
+      TransposeBits64(block);
+    }
+  }
+  return stride;
 }
 
 /// The parameter backward of layer `w` on the packed `x` through the factor
-/// table, accumulating into `grads`. `tables` (may be null) is the
-/// forward's split and table for the same weights and input; without it
-/// this call builds its own. Chunks run in parallel, each with its own rows
-/// of `grads`; a chunk holding a non-finite weight or a -0.0 gradient runs
-/// the generic loop for its nodes instead.
+/// table, accumulating into `grads`: per weight, the sum of its listed
+/// rows' terms divided once by its factor (DESIGN.md §16.3). `tables` (may
+/// be null) is the forward's split and table for the same weights and
+/// input; without it this call builds its own table. Chunks run in
+/// parallel, each with its own rows of `grads`; a chunk holding a
+/// non-finite weight or a -0.0 gradient runs the generic loop for its
+/// nodes instead.
 void BackwardWeightsByTable(const Matrix& w, int num_conj,
                             const PackedRows& x, const Matrix& y,
                             const Matrix& dy,
@@ -270,31 +290,35 @@ void BackwardWeightsByTable(const Matrix& w, int num_conj,
                             Matrix* grads) {
   const logic_kernel::Units& units = logic_kernel::UnitsFor(CurrentTraceIsa());
   const int threads = MatrixThreadsFor(x.rows() * w.rows() * w.cols());
-  LogicLayer::StepTables own;
-  if (tables == nullptr || !tables->ready) {
-    BuildTables(units, w, num_conj, x, threads, &own);
-    tables = &own;
+  FactorTable own;
+  const FactorTable* table =
+      tables != nullptr && tables->ready ? &tables->table : nullptr;
+  if (table == nullptr) {
+    BuildFactorTable(units, w, num_conj, threads, &own);
+    table = &own;
   }
-  const SplitRows& rows = tables->rows;
-  const FactorTable& t = tables->table;
+  const FactorTable& t = *table;
   const int in_dim = t.in_dim;
-  CTFL_CHECK(in_dim == static_cast<int>(x.cols()) &&
-             rows.zeros.size() == x.rows() && t.chunks() > 0 &&
+  CTFL_CHECK(in_dim == static_cast<int>(x.cols()) && t.chunks() > 0 &&
              static_cast<size_t>(t.first.back() + t.width.back()) ==
                  w.rows());
-  // Chunk-major copy of the accumulators, and the corrected quotient's
-  // reciprocals of the table: per-thread buffers that keep their storage
-  // from step to step (a fresh 120 KB pair per step cost the fed-score
-  // step about 10% in page faults). The calling thread does not re-enter
-  // this function before it returns: its ParallelFor runs only this call's
+  // Chunk-major copy of the accumulators, each chunk's terms per row, and
+  // the batch's bits input-major: per-thread buffers that keep their
+  // storage from step to step (fresh ones per step cost the fed-score step
+  // about 10% in page faults). The calling thread does not re-enter this
+  // function before it returns: its ParallelFor runs only this call's
   // chunks.
-  static thread_local std::vector<double> gt_storage;
-  static thread_local std::vector<double> inv_storage;
-  gt_storage.resize(t.c.size());
-  inv_storage.resize(units.reciprocals ? t.c.size() : 0);
+  static thread_local std::vector<double> storage;
+  static thread_local std::vector<uint64_t> columns;
+  const size_t terms_size = x.rows() * kChunk;
+  // Terms start on a 64-byte line, so one row's chunk is one line.
+  storage.resize(t.c.size() + t.chunks() * terms_size + kChunk);
   // Pointers, not the thread_local names: helpers run the chunks.
-  double* gt = gt_storage.data();
-  double* inv = units.reciprocals ? inv_storage.data() : nullptr;
+  double* gt = storage.data();
+  double* terms = gt + t.c.size();
+  terms += (64 - reinterpret_cast<uintptr_t>(terms) % 64) % 64 / sizeof(double);
+  const size_t column_stride = TransposeBatch(x, &columns);
+  const uint64_t* column_bits = columns.data();
   auto run_chunk = [&](size_t chunk) {
     const int q = static_cast<int>(chunk);
     const bool conj = t.conj(q);
@@ -331,10 +355,10 @@ void BackwardWeightsByTable(const Matrix& w, int num_conj,
     }
     logic_kernel::BackwardJob job;
     job.c = t.c.data() + t.Offset(q, 0);
-    job.inv = inv == nullptr ? nullptr : inv + t.Offset(q, 0);
     job.gt = chunk_gt;
-    job.lists = (conj ? rows.at_zero : rows.at_one).data();
-    job.zeros = rows.zeros.data();
+    job.columns = column_bits;
+    job.column_stride = column_stride;
+    job.terms = terms + q * terms_size;
     job.in_dim = in_dim;
     job.conj = conj;
     job.first = lo;

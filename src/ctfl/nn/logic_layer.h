@@ -58,9 +58,9 @@ class LogicLayer {
   void InitSparse(Rng& rng, int fan_in);
 
   /// The row split of a packed input and the factor table of the weights
-  /// that read it: built by the continuous forward, reused by the
-  /// parameter backward of the same step (the weights do not change in
-  /// between), so each is built once per step.
+  /// that read it: both built by the continuous forward, which reads both;
+  /// the parameter backward of the same step reuses the table (the weights
+  /// do not change in between), so it is built once per step.
   struct StepTables {
     logic_kernel::SplitRows rows;
     logic_kernel::FactorTable table;
@@ -85,10 +85,13 @@ class LogicLayer {
   /// `dy`; returns the gradient w.r.t. x.
   Matrix Backward(const Matrix& x, const Matrix& y, const Matrix& dy);
 
-  /// Backward without the input gradient: accumulates exactly the
-  /// parameter gradients Backward would. For the first layer, whose input
-  /// gradient nobody consumes. `tables`, when non-null and ready, must come
-  /// from ForwardContinuous on this `x` with the current weights.
+  /// Backward without the input gradient, for the first layer, whose input
+  /// gradient nobody consumes. On a binary `x` it takes each weight's
+  /// gradient factored (DESIGN.md §16.3): the sum of g * prod over the rows
+  /// that list its input, in row order, divided once by its factor, which
+  /// can differ from Backward's per-row quotients in the last bits; on any
+  /// other `x`, exactly Backward's. `tables`, when non-null and ready, must
+  /// come from ForwardContinuous on this `x` with the current weights.
   void BackwardWeights(const Matrix& x, const Matrix& y, const Matrix& dy,
                        const StepTables* tables = nullptr);
   /// The same on packed 0/1 rows, with the same bits as on their Matrix.

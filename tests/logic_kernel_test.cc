@@ -1,8 +1,9 @@
 // The logic-layer kernels (bit-packed discrete pass, factor-table
 // continuous forward and parameter backward, DESIGN.md §16) and the Adam
-// update against the scalar loops they replaced, kept in logic_oracle.h:
-// every output, weight gradient, input gradient and parameter must match
-// bit for bit, at every SIMD tier this machine supports.
+// update against the scalar loops they replaced, and layer 0's factored
+// weight gradient against its reference, kept in logic_oracle.h: every
+// output, weight gradient, input gradient and parameter must match bit for
+// bit, at every SIMD tier this machine supports.
 
 #include <cmath>
 #include <cstring>
@@ -145,7 +146,8 @@ TEST(LogicKernelTest, BackwardWeightsMatchOracleOnBinaryInputs) {
               Matrix want(layer.out_dim(), layer.in_dim());
               if (accumulated) want.RandomUniform(rng, -1.0, 1.0);
               layer.grads() = want;
-              oracle::Backward(layer.weights(), 13, x, y, dy, &want);
+              oracle::BackwardWeightsFactored(layer.weights(), 13, x, y, dy,
+                                              &want);
               LogicLayer::StepTables tables;
               if (cached) {
                 EXPECT_TRUE(BitEqual(layer.ForwardContinuous(x, &tables), y));
@@ -180,7 +182,12 @@ TEST(LogicKernelTest, BackwardWeightsMatchOracleOnUnusualCaches) {
       LogicLayer subject = base;
       Matrix want = start;
       subject.grads() = start;
-      oracle::Backward(subject.weights(), 13, input, y, dy, &want);
+      if (&input == &x) {
+        oracle::BackwardWeightsFactored(subject.weights(), 13, input, y, dy,
+                                        &want);
+      } else {
+        oracle::Backward(subject.weights(), 13, input, y, dy, &want);
+      }
       subject.BackwardWeights(input, y, dy);
       EXPECT_TRUE(BitEqual(subject.grads(), want));
     };
@@ -201,7 +208,8 @@ TEST(LogicKernelTest, BackwardWeightsMatchOracleOnUnusualCaches) {
       LogicLayer subject = layer;
       Matrix want = negative_zero;
       subject.grads() = negative_zero;
-      oracle::Backward(subject.weights(), 13, ones, fy, fdy, &want);
+      oracle::BackwardWeightsFactored(subject.weights(), 13, ones, fy, fdy,
+                                      &want);
       subject.BackwardWeights(ones, fy, fdy);
       EXPECT_TRUE(BitEqual(subject.grads(), want));
     }
@@ -220,11 +228,11 @@ TEST(LogicKernelTest, BackwardWeightsMatchOracleOnUnusualCaches) {
 }
 
 TEST(LogicKernelTest, BackwardWeightsMatchOracleOnExtremeProducts) {
-  // Products at the corrected quotient's guard (2^-900 and its
-  // neighbours), subnormal products, 1.0, factors at both ends of the
-  // table's range (c = kEps at w = 1, c = 1 at w = 0, both among
-  // FillWeights' special values), and factors above 1.0 (negative weights),
-  // whose quotients may leave the normal range and must keep the division.
+  // Products at 2^-900 and its neighbours, subnormal products, 1.0,
+  // factors at both ends of the table's range (c = kEps at w = 1, c = 1 at
+  // w = 0, both among FillWeights' special values), and factors above 1.0
+  // (negative weights): terms that underflow, and sums whose one division
+  // leaves the normal range, must still take the oracle's bits.
   const double kProducts[] = {0x1p-900,
                               std::nextafter(0x1p-900, 0.0),
                               std::nextafter(0x1p-900, 1.0),
@@ -260,7 +268,7 @@ TEST(LogicKernelTest, BackwardWeightsMatchOracleOnExtremeProducts) {
       const Matrix dy = UpstreamGradient(batch, layer.out_dim(), rng, false);
       Matrix want(layer.out_dim(), layer.in_dim());
       layer.grads() = want;
-      oracle::Backward(layer.weights(), 13, x, y, dy, &want);
+      oracle::BackwardWeightsFactored(layer.weights(), 13, x, y, dy, &want);
       layer.BackwardWeights(x, y, dy);
       EXPECT_TRUE(BitEqual(layer.grads(), want));
     }
@@ -297,8 +305,8 @@ uint64_t StructuredMantissa(uint64_t r, uint64_t shape) {
 
 TEST(LogicKernelTest, TierQuotientMatchesDivision) {
   // Each tier's quotient against IEEE division on 10M structured operand
-  // pairs: the backward's (dividends in [2^-900, 1], divisors in
-  // [kEps, 1]) and Adam's (dividends up to 2^1000, divisors from 2^-20).
+  // pairs: dividends in [2^-900, 1] over divisors in [kEps, 1], and Adam's
+  // (dividends up to 2^1000, divisors from 2^-20).
   constexpr size_t kPairs = 10'000'000;
   constexpr size_t kBlock = 4096;
   ForEachTier([&](TraceIsa isa) {
@@ -387,12 +395,12 @@ TEST(LogicKernelTest, BackwardMatchesOracleIncludingInputGradient) {
 
 // ---- Sharded on the compute pool ------------------------------------------
 
-/// Grain 1 and four threads for the test's lifetime, so every table kernel
-/// and optimizer step fans out and helpers take chunks.
+/// Grain 1 and `threads` threads for the test's lifetime, so every table
+/// kernel and optimizer step fans out and helpers take chunks.
 class ScopedSharding {
  public:
-  ScopedSharding() {
-    SetMatrixParallelism(4);
+  explicit ScopedSharding(int threads = 4) {
+    SetMatrixParallelism(threads);
     SetMatrixParallelGrain(1);
   }
   ~ScopedSharding() {
@@ -414,7 +422,7 @@ void ExpectTableKernelsMatchOracle(LogicLayer layer, Rng& rng) {
     Matrix want(layer.out_dim(), layer.in_dim());
     want.RandomUniform(rng, -1.0, 1.0);
     layer.grads() = want;
-    oracle::Backward(layer.weights(), conj, x, y, dy, &want);
+    oracle::BackwardWeightsFactored(layer.weights(), conj, x, y, dy, &want);
     layer.BackwardWeights(x, y, dy);
     EXPECT_TRUE(BitEqual(layer.grads(), want));
   }
@@ -452,7 +460,7 @@ TEST(LogicKernelTest, ShardedTableKernelsMatchOracle) {
       want(40, 3) = -0.0;
       LogicLayer subject = layer;
       subject.grads() = want;
-      oracle::Backward(subject.weights(), 29, x, y, dy, &want);
+      oracle::BackwardWeightsFactored(subject.weights(), 29, x, y, dy, &want);
       subject.BackwardWeights(x, y, dy);
       EXPECT_TRUE(BitEqual(subject.grads(), want));
     }
@@ -463,6 +471,64 @@ TEST(LogicKernelTest, ShardedTableKernelsMatchOracle) {
       ExpectTableKernelsMatchOracle(layer, streams[i]);
     });
   });
+}
+
+TEST(LogicKernelTest, FactoredWeightGradientMatchesOracleEverywhere) {
+  // Layer 0's weight gradient sums g * prod over the rows listing each
+  // input in ascending row order, then divides once (DESIGN.md §16.3):
+  // every tier at 1, 2 and 4 threads must give the oracle's bits. 70
+  // inputs span two words of a packed row; 19 + 13 nodes make five chunks,
+  // two of them partial. Weights hold 0, 0.5, 1 and 1e-20 and negative
+  // values; products come from the forward, or sit at 2^-900 and its
+  // neighbours, or are subnormal; upstream gradients hold 0, -0, NaN and
+  // ±inf among random ones; gradients start at +0.0 or random.
+  const double kProducts[] = {0x1p-900, std::nextafter(0x1p-900, 0.0),
+                              std::nextafter(0x1p-900, 1.0), 0x1p-1040,
+                              std::numeric_limits<double>::denorm_min()};
+  const double kGradients[] = {0.0, -0.0, kNaN, kInf, -kInf};
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    ScopedSharding sharding(threads);
+    ForEachTier([&](TraceIsa) {
+      Rng rng(113);
+      LogicLayer layer(70, 19, 13);
+      FillWeights(&layer, rng);
+      for (size_t k = 0; k < layer.weights().size(); ++k) {
+        if (rng.Bernoulli(0.05)) {
+          layer.weights().data()[k] = rng.Uniform(-3.0, 0.0);
+        }
+      }
+      for (size_t batch : kBatchSizes) {
+        const Matrix x = BinaryInput(batch, layer.in_dim(), rng);
+        Matrix y = oracle::ForwardContinuous(layer.weights(), 19, x);
+        Matrix dy(batch, layer.out_dim());
+        dy.RandomUniform(rng, -1.0, 1.0);
+        for (size_t r = 0; r < batch; ++r) {
+          for (int node = 0; node < layer.out_dim(); ++node) {
+            if (rng.Bernoulli(0.1)) {
+              const double p = kProducts[rng.UniformInt(5)];
+              y(r, node) = node < 19 ? p : 1.0 - p;
+            }
+            if (rng.Bernoulli(0.05)) {
+              dy(r, node) = kGradients[rng.UniformInt(5)];
+            }
+          }
+        }
+        for (bool random_start : {false, true}) {
+          SCOPED_TRACE(::testing::Message() << "batch " << batch
+                                            << " random start "
+                                            << random_start);
+          Matrix want(layer.out_dim(), layer.in_dim());
+          if (random_start) want.RandomUniform(rng, -1.0, 1.0);
+          layer.grads() = want;
+          oracle::BackwardWeightsFactored(layer.weights(), 19, x, y, dy,
+                                          &want);
+          layer.BackwardWeights(x, y, dy);
+          EXPECT_TRUE(BitEqual(layer.grads(), want));
+        }
+      }
+    });
+  }
 }
 
 TEST(LogicKernelTest, ShardedAdamMatchesSerial) {
@@ -715,13 +781,20 @@ void ExpectNetMatchesOracle(LogicalNet net, const Dataset& data) {
       }
       offset += layers[l].out_dim();
     }
+    // Layer 0 reads the encoder's 0/1 output and takes the factored form.
     for (int l = static_cast<int>(layers.size()) - 1; l >= 0; --l) {
       Matrix want_grads(layers[l].out_dim(), layers[l].in_dim());
-      const Matrix& input = l == 0 ? encoded : want_out[l - 1];
-      const Matrix dx =
-          oracle::Backward(layers[l].weights(), layers[l].num_conj(), input,
-                           want_out[l], dout[l], &want_grads);
-      if (l > 0) dout[l - 1].Axpy(1.0, dx);
+      if (l == 0) {
+        oracle::BackwardWeightsFactored(layers[0].weights(),
+                                        layers[0].num_conj(), encoded,
+                                        want_out[0], dout[0], &want_grads);
+      } else {
+        const Matrix dx =
+            oracle::Backward(layers[l].weights(), layers[l].num_conj(),
+                             want_out[l - 1], want_out[l], dout[l],
+                             &want_grads);
+        dout[l - 1].Axpy(1.0, dx);
+      }
       EXPECT_TRUE(
           BitEqual(net.mutable_logic_layers()[l].grads(), want_grads))
           << "layer " << l;
@@ -993,8 +1066,9 @@ TEST(LogicKernelTest, BackwardAccumulatesOntoAnyGradients) {
             }
           }
         }
-        oracle::Backward(layers[0].weights(), layers[0].num_conj(), encoded,
-                         cache.layer_out[0], dout, &want);
+        oracle::BackwardWeightsFactored(layers[0].weights(),
+                                        layers[0].num_conj(), encoded,
+                                        cache.layer_out[0], dout, &want);
         net.Backward(cache, dlogits);
         EXPECT_TRUE(BitEqual(layer.grads(), want));
       }

@@ -21,6 +21,7 @@
 
 #include "ctfl/data/gen/benchmarks.h"
 #include "ctfl/fl/partition.h"
+#include "ctfl/replay/drift.h"
 #include "ctfl/replay/recorder.h"
 #include "ctfl/replay/replay_file.h"
 #include "ctfl/replay/runner.h"
@@ -422,6 +423,68 @@ TEST(ReplayRunnerTest, CompareOutcomesNamesTheDivergentField) {
   ASSERT_FALSE(diverged.ok());
   EXPECT_NE(diverged.message().find("run_fingerprint"), std::string::npos)
       << diverged;
+}
+
+TEST(ReplayRunnerTest, DriftReportsAccuracyScoresAndSwappedPairs) {
+  ReplayFile a;
+  a.has_outcome = true;
+  a.outcome.test_accuracy = 0.8;
+  a.outcome.micro = {0.4, 0.3, 0.2, 0.1};
+  a.outcome.macro = {0.1, 0.2, 0.3, 0.4};
+  ReplayFile b = a;
+  b.outcome.test_accuracy = 0.75;
+  b.outcome.micro = {0.4, 0.2, 0.3, 0.1};  // P1 and P2 swap
+  b.outcome.macro = {0.1, 0.2, 0.3, 0.5};  // same order
+  // Through the files `ctfl_replay compare` reads.
+  const std::string path_a = TempPath("drift_a.ctflr");
+  const std::string path_b = TempPath("drift_b.ctflr");
+  ASSERT_TRUE(WriteReplayFile(a, path_a).ok());
+  ASSERT_TRUE(WriteReplayFile(b, path_b).ok());
+  Result<ReplayFile> read_a = ReadReplayFile(path_a);
+  Result<ReplayFile> read_b = ReadReplayFile(path_b);
+  ASSERT_TRUE(read_a.ok() && read_b.ok());
+  Result<OutcomeDrift> drift = MeasureDrift(read_a.value(), read_b.value());
+  ASSERT_TRUE(drift.ok()) << drift.status();
+  EXPECT_EQ(drift->accuracy_a, 0.8);
+  EXPECT_EQ(drift->accuracy_b, 0.75);
+  EXPECT_DOUBLE_EQ(drift->max_micro_delta, 0.1);
+  EXPECT_DOUBLE_EQ(drift->max_macro_delta, 0.1);
+  // Six pairs, one discordant: (5 - 1) / 6.
+  EXPECT_DOUBLE_EQ(drift->micro_tau, 4.0 / 6.0);
+  EXPECT_EQ(drift->macro_tau, 1.0);
+  ASSERT_EQ(drift->swaps.size(), 1u);
+  EXPECT_EQ(drift->swaps[0].scheme, "micro");
+  EXPECT_EQ(drift->swaps[0].i, 1u);
+  EXPECT_EQ(drift->swaps[0].j, 2u);
+  EXPECT_DOUBLE_EQ(drift->swaps[0].gap_a, 0.1);
+  EXPECT_DOUBLE_EQ(drift->swaps[0].gap_b, -0.1);
+  const std::string report = RenderDrift(*drift);
+  EXPECT_NE(report.find("test accuracy  0.800000  0.750000"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("tau-b 0.666667"), std::string::npos) << report;
+  EXPECT_NE(report.find("swapped micro P1 P2"), std::string::npos) << report;
+
+  // A file against itself: no drift.
+  Result<OutcomeDrift> same = MeasureDrift(a, a);
+  ASSERT_TRUE(same.ok());
+  EXPECT_EQ(same->max_micro_delta, 0.0);
+  EXPECT_EQ(same->micro_tau, 1.0);
+  EXPECT_EQ(same->macro_tau, 1.0);
+  EXPECT_TRUE(same->swaps.empty());
+
+  // No outcome, or another participant count: InvalidArgument.
+  ReplayFile spec_only;
+  spec_only.has_spec = true;
+  EXPECT_EQ(MeasureDrift(a, spec_only).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(MeasureDrift(spec_only, a).status().code(),
+            StatusCode::kInvalidArgument);
+  ReplayFile fewer = a;
+  fewer.outcome.micro.pop_back();
+  fewer.outcome.macro.pop_back();
+  EXPECT_EQ(MeasureDrift(a, fewer).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ReplayRunnerTest, CsvDigestMismatchFailsLoudly) {

@@ -24,6 +24,13 @@
 //       manifest: one `cell NAME: DESCRIPTION` line per matrix cell,
 //       each runnable via `ctfl_replay replay --file F --cell NAME`.
 //       tests/replay_test.cc executes the same matrix under ctest.
+//   compare   --file A.ctflr --against B.ctflr
+//       The drift between two recorded outcomes over the same
+//       participants, for a deliberate numerics change: both test
+//       accuracies, the largest |delta| of the micro and the macro scores,
+//       each ranking's Kendall tau-b, and every pair the rankings swap with
+//       both recorded score gaps. Exits 0 whatever the drift; 1 when a file
+//       has no outcome or the participant counts differ.
 
 #include <cstdio>
 #include <fstream>
@@ -31,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "ctfl/replay/drift.h"
 #include "ctfl/replay/recorder.h"
 #include "ctfl/replay/replay_file.h"
 #include "ctfl/replay/runner.h"
@@ -267,10 +275,27 @@ Status RunGenTests(int argc, const char* const* argv) {
   return Status::OK();
 }
 
+Status RunCompare(int argc, const char* const* argv) {
+  FlagParser flags({{"file", ""}, {"against", ""}});
+  CTFL_RETURN_IF_ERROR(flags.Parse(argc, argv));
+  if (flags.GetString("file").empty() || flags.GetString("against").empty()) {
+    return Status::InvalidArgument("--file and --against are required");
+  }
+  CTFL_ASSIGN_OR_RETURN(replay::ReplayFile a,
+                        replay::ReadReplayFile(flags.GetString("file")));
+  CTFL_ASSIGN_OR_RETURN(replay::ReplayFile b,
+                        replay::ReadReplayFile(flags.GetString("against")));
+  CTFL_ASSIGN_OR_RETURN(const replay::OutcomeDrift drift,
+                        replay::MeasureDrift(a, b));
+  std::fputs(replay::RenderDrift(drift).c_str(), stdout);
+  return Status::OK();
+}
+
 int Main(int argc, const char* const* argv) {
   if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: ctfl_replay <record|replay|gen-tests> [flags]\n");
+    std::fprintf(
+        stderr,
+        "usage: ctfl_replay <record|replay|gen-tests|compare> [flags]\n");
     return 1;
   }
   const std::string command = argv[1];
@@ -281,6 +306,8 @@ int Main(int argc, const char* const* argv) {
     status = RunReplay(argc - 2, argv + 2);
   } else if (command == "gen-tests") {
     status = RunGenTests(argc - 2, argv + 2);
+  } else if (command == "compare") {
+    status = RunCompare(argc - 2, argv + 2);
   } else {
     status = Status::InvalidArgument("unknown subcommand " + command);
   }
