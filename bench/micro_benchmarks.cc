@@ -303,6 +303,71 @@ void BM_GraftedStepAt(benchmark::State& state, TraceIsa isa) {
   (void)SetTraceIsa(saved);
 }
 
+// One single-threaded grafted step of the fixture's trained model on a fresh
+// batch every iteration, training on as it goes: 256 distinct 64-row
+// batches, drawn from successive shuffles of the largest participant's
+// records and packed once, are stepped through in turn. BM_GraftedStep
+// repeats one batch, whose bits, and so every data-dependent branch and
+// trip count, the CPU then learns; training never repeats one, so this leg
+// times the step as training sees it.
+void BM_GraftedStepFresh(benchmark::State& state, TraceIsa isa) {
+  TracingFixture& fx = Fixture();
+  const int width = fx.model.logic_layers()[0].out_dim();
+  if (static_cast<int>(state.range(0)) != width) {
+    state.SkipWithError("width is the fixture model's");
+    return;
+  }
+  const TraceIsa saved = CurrentTraceIsa();
+  if (!SetTraceIsa(isa).ok()) {
+    state.SkipWithError("tier not available");
+    return;
+  }
+  SetMatrixParallelism(1);
+  const Dataset* data = &fx.experiment.federation[0].data;
+  for (const Participant& p : fx.experiment.federation) {
+    if (p.data.size() > data->size()) data = &p.data;
+  }
+  constexpr size_t kBatches = 256;
+  constexpr size_t kRows = 64;
+  if (data->size() < kRows) {
+    state.SkipWithError("no participant holds a batch");
+    (void)SetTraceIsa(saved);
+    return;
+  }
+  LogicalNet net = fx.model;
+  AdamOptimizer optimizer(0.01);
+  const PackedRows encoded = net.encoder().EncodeDataset(*data);
+  std::vector<PackedRows> batches;
+  std::vector<std::vector<int>> labels;
+  std::vector<int> order(data->size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
+  Rng rng(11);
+  while (batches.size() < kBatches) {
+    rng.Shuffle(order);
+    for (size_t lo = 0; lo + kRows <= order.size() && batches.size() < kBatches;
+         lo += kRows) {
+      PackedRows& batch = batches.emplace_back();
+      batch.Resize(kRows, encoded.cols());
+      std::vector<int>& batch_labels = labels.emplace_back();
+      for (size_t r = 0; r < kRows; ++r) {
+        const int src = order[lo + r];
+        std::copy(encoded.row(src), encoded.row(src) + encoded.words(),
+                  batch.row(r));
+        batch_labels.push_back(data->instance(src).label);
+      }
+    }
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        GraftedStep(net, batches[next], labels[next], optimizer));
+    next = (next + 1) % kBatches;
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kRows));
+  SetMatrixParallelism(0);
+  (void)SetTraceIsa(saved);
+}
+
 // ---------------------------------------------------------------------------
 // Parallel engine (DESIGN.md §9). The results are bit-identical at every
 // thread count, so these measure pure wall-clock scaling. Acceptance for
@@ -720,9 +785,10 @@ BENCHMARK(BM_StreamFoldEmpty)->UseRealTime();
 // One forced-tier leg per SIMD tier this machine supports, so one Release
 // run yields the full same-machine ISA trajectory (BENCH_trace.json keys
 // the 2x acceptance on blocked vs blocked_scalar), plus a sharded leg at
-// the best tier; and one grafted-step leg per tier at the fed-score width
-// (BENCH_fedavg.json). Registered from main() — AvailableTraceIsas() needs
-// a live process, not static-init order.
+// the best tier; and two grafted-step legs per tier at the fed-score width,
+// one batch repeated and fresh batches (BENCH_fedavg.json). Registered
+// from main() — AvailableTraceIsas() needs a live process, not static-init
+// order.
 void RegisterIsaBenchVariants() {
   for (const TraceIsa isa : AvailableTraceIsas()) {
     const int tier = static_cast<int>(isa);
@@ -733,6 +799,10 @@ void RegisterIsaBenchVariants() {
     benchmark::RegisterBenchmark(
         (std::string("BM_GraftedStep/") + TraceIsaName(isa)).c_str(),
         [isa](benchmark::State& state) { BM_GraftedStepAt(state, isa); })
+        ->Arg(96);
+    benchmark::RegisterBenchmark(
+        (std::string("BM_GraftedStepFresh/") + TraceIsaName(isa)).c_str(),
+        [isa](benchmark::State& state) { BM_GraftedStepFresh(state, isa); })
         ->Arg(96);
   }
   const TraceIsa best = BestAvailableTraceIsa();

@@ -2,14 +2,15 @@
 #define CTFL_NN_LOGIC_KERNEL_H_
 
 // The hot loops of a grafted training step (DESIGN.md §16.2): layer 0's
-// row split of the packed batch, factor table, factor-table forward and parameter backward,
-// the Adam update, the discrete pass's active-input scan, and the vote
-// layer's sums and gradient rows (§16.5). One translation unit per SIMD
-// tier (logic_kernel_{generic,avx2,avx512}.cc) instantiates the shared
-// bodies of logic_kernel_body.h with its own Ops policy and its own -m
-// flags; the process-wide tier of util/cpu_features.h picks the unit,
-// exactly as it picks the tracing kernel's stripe unit. Every unit
-// produces the generic loops' results bit for bit (DESIGN.md §16.3).
+// row split of the packed batch, factor table and factor-table forward,
+// its weight backward as masked sums over the packed rows, the Adam
+// update, the discrete pass's active-input scan, and the vote layer's sums
+// and gradient rows (§16.5). One translation unit per SIMD tier
+// (logic_kernel_{generic,avx2,avx512}.cc) instantiates the shared bodies
+// of logic_kernel_body.h with its own Ops policy and its own -m flags; the
+// process-wide tier of util/cpu_features.h picks the unit, exactly as it
+// picks the tracing kernel's stripe unit. Every unit produces the generic
+// loops' results bit for bit (DESIGN.md §16.3).
 //
 // The units see plain pointers only: nothing here is an inline function
 // that a unit built with wider ISA flags could emit a copy of for the
@@ -59,10 +60,6 @@ struct FactorTable {
   /// c[(q * in_dim + i) * kChunk + k] for node first[q] + k; 1.0 in the
   /// lanes past width[q].
   std::vector<double> c;
-  /// Per chunk, 1 when every weight of the chunk is finite: only then can
-  /// a skipped factor differ from 1.0, so only then may the chunk take the
-  /// table kernels.
-  std::vector<uint8_t> finite;
 
   int chunks() const { return static_cast<int>(first.size()); }
   bool conj(int q) const { return q < conj_chunks; }
@@ -89,38 +86,34 @@ struct ForwardJob {
   int width[2] = {0, 0};
 };
 
-/// One chunk of the parameter backward over every row: adds the chunk's
-/// weight gradients to the chunk-major accumulators `gt` (gt[i * kChunk +
-/// k] for node first + k). Per weight, the table lanes' terms g * prod of
-/// the rows that list its input are summed in ascending row order, then
-/// divided once by the weight's factor (DESIGN.md §16.3).
+/// One chunk of layer 0's weight backward on a packed binary input: adds
+/// the chunk's weight gradients to its node rows of `grads`. Per weight,
+/// the terms g' * prod of the rows that list its input (at 0 for a
+/// conjunction, at 1 for a disjunction) are summed from +0.0 in ascending
+/// row order, then divided once by the weight's factor max(kEps, 1 - w)
+/// (DESIGN.md §16.3).
 struct BackwardJob {
-  const double* c = nullptr;  ///< the chunk's table, in_dim x kChunk
-  double* gt = nullptr;
-  /// The batch's bits input-major: columns[b * column_stride + i] holds
-  /// input i of rows 64b to 64b + 63, bit j for row 64b + j.
-  const uint64_t* columns = nullptr;
-  size_t column_stride = 0;
-  double* terms = nullptr;  ///< room for rows x kChunk terms
-  int in_dim = 0;
   bool conj = true;
   int first = 0;
   int width = 0;
+  int in_dim = 0;
   size_t rows = 0;
+  /// The packed input, x_words words per row.
+  const uint64_t* x = nullptr;
+  size_t x_words = 0;
   /// The layer's cached output and upstream gradient (rows x out_dim).
   const double* y = nullptr;
   const double* dy = nullptr;
   size_t out_dim = 0;
-  /// The weights (out_dim x in_dim), the packed input (x_words words per
-  /// row) and the generic per-(row, node) gradient, for the lanes the table
-  /// loop leaves out: adds g * dy/dw_i to gw[i * stride] for node weights
-  /// `w` and the input row whose bits are `xr`, each read as 0.0 or 1.0.
+  /// The weights and their gradients (out_dim x in_dim).
   const double* w = nullptr;
-  const uint64_t* x = nullptr;
-  size_t x_words = 0;
+  double* grads = nullptr;
+  double* terms = nullptr;  ///< room for rows x kChunk terms
+  /// The generic per-(row, node) gradient, for the lanes the sums leave
+  /// out: adds g * dy/dw_i to gw[i] for node weights `w` and the input row
+  /// whose bits are `xr`, each read as 0.0 or 1.0.
   void (*node_gradient)(bool conj, double g, double prod, const double* w,
-                        const uint64_t* xr, int in_dim, double* gw,
-                        size_t stride) = nullptr;
+                        const uint64_t* xr, int in_dim, double* gw) = nullptr;
 };
 
 /// The step-invariant scalars of one Adam update.
@@ -149,12 +142,12 @@ struct Units {
   /// rows at `w0` (row stride in_dim). False when one of the weights is not
   /// finite.
   bool (*build_chunk)(const double* w0, int in_dim, int width, double* c);
-  /// Copies one chunk's accumulators, gt[i * kChunk + k] for input i and
-  /// node lane k < width, to the node rows: rows[k * in_dim + i], with
-  /// every NaN written as kGradientNaN.
-  void (*store_chunk)(const double* gt, int in_dim, int width, double* rows);
   void (*forward)(const ForwardJob& job);
-  void (*backward)(const BackwardJob& job);
+  /// False, having written nothing, when one of the chunk's weights is not
+  /// finite or one of its gradients is -0.0: the caller then runs the
+  /// generic loop for the chunk. Every gradient of the chunk that ends NaN
+  /// is kGradientNaN.
+  bool (*backward)(const BackwardJob& job);
   /// Adam over elements [0, n) of one slot.
   void (*adam)(const AdamJob& job, double* m, double* v, double* p,
                const double* g, size_t n);

@@ -1,9 +1,11 @@
-// AVX2+FMA logic-kernel unit: a node chunk is two 4-lane vectors, the
-// forward interleaves two rows, Adam takes the corrected quotient, and the
-// vote adds a weight masked by its record bits.
-// Compiled with -mavx2 -mfma on x86-64 (see src/CMakeLists.txt); selected
-// only when cpuid reports both (util/cpu_features.h). FMA appears only as
-// the explicit intrinsics of Quotient: ctfl_nn builds with
+// AVX2+FMA logic-kernel unit: a chunk is two 4-lane vectors, the forward
+// interleaves two rows, the backward's weight sums keep four node
+// accumulators (eight registers) and add a term masked by a row's input
+// bits, Adam takes the corrected quotient, and the vote adds a weight
+// masked by its record bits. Compiled with -mavx2 -mfma on x86-64 (see
+// src/CMakeLists.txt); selected only when cpuid reports both
+// (util/cpu_features.h). FMA appears only as explicit intrinsics, in
+// Quotient and in MaskedAdd (whose product is exact): ctfl_nn builds with
 // -ffp-contract=off.
 
 #include "ctfl/nn/logic_kernel_body.h"
@@ -22,7 +24,7 @@ struct Avx2Ops {
     __m256d hi;
   };
   static constexpr int kRows = 2;
-  static constexpr int kInputs = 2;
+  static constexpr int kNodes = 4;
   static constexpr bool kReciprocal = true;
 
   static Chunk Load(const double* p) {
@@ -50,6 +52,19 @@ struct Avx2Ops {
   }
   static Chunk Sqrt(Chunk a) {
     return {_mm256_sqrt_pd(a.lo), _mm256_sqrt_pd(a.hi)};
+  }
+  static Chunk Max(Chunk a, Chunk b) {
+    return {_mm256_max_pd(a.lo, b.lo), _mm256_max_pd(a.hi, b.hi)};
+  }
+  template <int kPredicate>
+  static unsigned Compare(Chunk a, Chunk b) {
+    const int lo = _mm256_movemask_pd(_mm256_cmp_pd(a.lo, b.lo, kPredicate));
+    const int hi = _mm256_movemask_pd(_mm256_cmp_pd(a.hi, b.hi, kPredicate));
+    return static_cast<unsigned>(lo | hi << 4);
+  }
+  static unsigned Less(Chunk a, Chunk b) { return Compare<_CMP_LT_OQ>(a, b); }
+  static unsigned LessEqual(Chunk a, Chunk b) {
+    return Compare<_CMP_LE_OQ>(a, b);
   }
 
   /// a / b, with y = RN(1 / b): q0 = a y, r = a - q0 b (exact), q0 + r y.
@@ -82,15 +97,24 @@ struct Avx2Ops {
     return static_cast<unsigned>(lo | hi << 4);
   }
   /// All ones in the lanes whose bit of the low four `bits` is set.
-  static __m256d LaneMask(unsigned bits) {
+  static __m256d NibbleMask(unsigned bits) {
     const __m256i lane = _mm256_setr_epi64x(1, 2, 4, 8);
     return _mm256_castsi256_pd(_mm256_cmpeq_epi64(
         _mm256_and_si256(_mm256_set1_epi64x(bits), lane), lane));
   }
-  /// Lanes whose bit is clear add +0.0.
-  static Chunk MaskedAdd(Chunk acc, unsigned bits, Chunk w) {
-    return {_mm256_add_pd(acc.lo, _mm256_and_pd(LaneMask(bits), w.lo)),
-            _mm256_add_pd(acc.hi, _mm256_and_pd(LaneMask(bits >> 4), w.hi))};
+  static Chunk Select(unsigned bits, Chunk v) {
+    return {_mm256_and_pd(NibbleMask(bits), v.lo),
+            _mm256_and_pd(NibbleMask(bits >> 4), v.hi)};
+  }
+  /// The lanes' masks as 1.0 where the bit is set and 0.0 elsewhere.
+  using Mask = Chunk;
+  static Mask LaneMask(unsigned bits) { return Select(bits, Set1(1.0)); }
+  /// One rounding of acc + mask * w: acc + w where the mask is 1.0, and
+  /// acc + (±0.0) where it is 0.0, for a finite w (both callers' addends
+  /// are): one instruction per four lanes instead of an and and an add.
+  static Chunk MaskedAdd(Chunk acc, const Mask& mask, Chunk w) {
+    return {_mm256_fmadd_pd(mask.lo, w.lo, acc.lo),
+            _mm256_fmadd_pd(mask.hi, w.hi, acc.hi)};
   }
 
   static void SplitRows(const uint64_t* x, size_t x_words, int in_dim,
@@ -101,10 +125,6 @@ struct Avx2Ops {
   static bool BuildChunk(const double* w0, int in_dim, int width,
                          double* c) {
     return BuildChunkPortable(w0, in_dim, width, c);
-  }
-  static void StoreChunk(const double* gt, int in_dim, int width,
-                         double* rows) {
-    StoreChunkPortable(gt, in_dim, width, rows);
   }
 };
 

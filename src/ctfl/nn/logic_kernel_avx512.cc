@@ -1,11 +1,12 @@
-// AVX-512F logic-kernel unit: a node chunk is one 8-lane vector, the
-// forward interleaves four rows, Adam takes the corrected quotient, the row
-// split compresses input indices under the batch's bits with mask stores,
-// the table gathers a chunk's weights per input, and the vote adds under a
-// record mask. Compiled with -mavx512f on x86-64 (see
-// src/CMakeLists.txt); selected only when cpuid reports AVX-512F
-// (util/cpu_features.h). FMA appears only as the explicit intrinsics of
-// Quotient: ctfl_nn builds with -ffp-contract=off.
+// AVX-512F logic-kernel unit: a chunk is one 8-lane vector, the forward
+// interleaves four rows, the backward's weight sums keep all eight node
+// accumulators in registers and add under a row's input mask, Adam takes
+// the corrected quotient, the row split compresses input indices under the
+// batch's bits with mask stores, the table gathers a chunk's weights per
+// input, and the vote adds under a record mask. Compiled with -mavx512f on
+// x86-64 (see src/CMakeLists.txt); selected only when cpuid reports
+// AVX-512F (util/cpu_features.h). FMA appears only as the explicit
+// intrinsics of Quotient: ctfl_nn builds with -ffp-contract=off.
 
 #include "ctfl/nn/logic_kernel_body.h"
 
@@ -20,7 +21,7 @@ namespace {
 struct Avx512Ops {
   using Chunk = __m512d;
   static constexpr int kRows = 4;
-  static constexpr int kInputs = 4;
+  static constexpr int kNodes = 8;
   static constexpr bool kReciprocal = true;
 
   static Chunk Load(const double* p) { return _mm512_loadu_pd(p); }
@@ -33,6 +34,16 @@ struct Avx512Ops {
   // The zero-masked forms with a full mask are vsqrtpd and vmaxpd; GCC 12
   // warns on the plain intrinsics' undefined pass-through operand.
   static Chunk Sqrt(Chunk a) { return _mm512_maskz_sqrt_pd(0xff, a); }
+  static Chunk Max(Chunk a, Chunk b) { return _mm512_maskz_max_pd(0xff, a, b); }
+  static unsigned Less(Chunk a, Chunk b) {
+    return _mm512_cmp_pd_mask(a, b, _CMP_LT_OQ);
+  }
+  static unsigned LessEqual(Chunk a, Chunk b) {
+    return _mm512_cmp_pd_mask(a, b, _CMP_LE_OQ);
+  }
+  static Chunk Select(unsigned bits, Chunk v) {
+    return _mm512_maskz_mov_pd(static_cast<__mmask8>(bits), v);
+  }
 
   /// a / b, with y = RN(1 / b): q0 = a y, r = a - q0 b (exact), q0 + r y.
   static Chunk Quotient(Chunk a, Chunk b, Chunk y) {
@@ -53,9 +64,11 @@ struct Avx512Ops {
     return _mm512_cmp_pd_mask(_mm512_loadu_pd(p), _mm512_set1_pd(0.5),
                               _CMP_GT_OQ);
   }
+  using Mask = __mmask8;
+  static Mask LaneMask(unsigned bits) { return static_cast<__mmask8>(bits); }
   /// Lanes whose bit is clear keep acc.
-  static Chunk MaskedAdd(Chunk acc, unsigned bits, Chunk w) {
-    return _mm512_mask_add_pd(acc, static_cast<__mmask8>(bits), acc, w);
+  static Chunk MaskedAdd(Chunk acc, Mask mask, Chunk w) {
+    return _mm512_mask_add_pd(acc, mask, acc, w);
   }
 
   /// 16 inputs at a time: each list's indices compressed to its end with
@@ -110,57 +123,6 @@ struct Avx512Ops {
                        _mm512_maskz_max_pd(0xff, _mm512_sub_pd(one, w), eps));
     }
     return finite == 0xff;
-  }
-
-  /// Eight inputs at a time: an 8 x 8 transpose in registers (unpacks
-  /// within 128-bit lanes, then two rounds of lane shuffles), one store
-  /// per node row, NaN lanes replaced by kGradientNaN. The zero-masked
-  /// forms with a full mask are the plain instructions (see Sqrt).
-  static __m512d Shuffle88(__m512d a, __m512d b) {
-    return _mm512_maskz_shuffle_f64x2(0xff, a, b, 0x88);
-  }
-  static __m512d ShuffleDD(__m512d a, __m512d b) {
-    return _mm512_maskz_shuffle_f64x2(0xff, a, b, 0xdd);
-  }
-  static void StoreChunk(const double* gt, int in_dim, int width,
-                         double* rows) {
-    int i = 0;
-    for (; i + 8 <= in_dim; i += 8) {
-      const double* g = gt + static_cast<size_t>(i) * kChunk;
-      __m512d r[8];
-      for (int j = 0; j < 8; ++j) r[j] = _mm512_loadu_pd(g + j * kChunk);
-      __m512d t[8];
-      for (int j = 0; j < 8; j += 2) {
-        t[j] = _mm512_maskz_unpacklo_pd(0xff, r[j], r[j + 1]);
-        t[j + 1] = _mm512_maskz_unpackhi_pd(0xff, r[j], r[j + 1]);
-      }
-      // u[0..3]: nodes {0,4}, {2,6}, {1,5}, {3,7} of inputs 0-3; u[4..7]
-      // the same of inputs 4-7.
-      __m512d u[8];
-      for (int h = 0; h < 8; h += 4) {
-        u[h] = Shuffle88(t[h], t[h + 2]);
-        u[h + 1] = ShuffleDD(t[h], t[h + 2]);
-        u[h + 2] = Shuffle88(t[h + 1], t[h + 3]);
-        u[h + 3] = ShuffleDD(t[h + 1], t[h + 3]);
-      }
-      const __m512d node[8] = {Shuffle88(u[0], u[4]), Shuffle88(u[2], u[6]),
-                               Shuffle88(u[1], u[5]), Shuffle88(u[3], u[7]),
-                               ShuffleDD(u[0], u[4]), ShuffleDD(u[2], u[6]),
-                               ShuffleDD(u[1], u[5]), ShuffleDD(u[3], u[7])};
-      const __m512d nan = _mm512_set1_pd(kGradientNaN);
-      for (int k = 0; k < width; ++k) {
-        const __mmask8 unordered =
-            _mm512_cmp_pd_mask(node[k], node[k], _CMP_UNORD_Q);
-        _mm512_storeu_pd(rows + static_cast<size_t>(k) * in_dim + i,
-                         _mm512_mask_mov_pd(node[k], unordered, nan));
-      }
-    }
-    for (; i < in_dim; ++i) {
-      for (int k = 0; k < width; ++k) {
-        rows[static_cast<size_t>(k) * in_dim + i] =
-            CanonicalNaN(gt[static_cast<size_t>(i) * kChunk + k]);
-      }
-    }
   }
 };
 

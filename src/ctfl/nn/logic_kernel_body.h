@@ -4,35 +4,44 @@
 // Shared bodies behind the per-tier logic-kernel units
 // (logic_kernel_{generic,avx2,avx512}.cc). Each unit instantiates them with
 // an Ops policy; the loop structure, the lane guards and every fallback are
-// this one body, so the tiers differ only in how the eight lanes of a node
+// this one body, so the tiers differ only in how the eight lanes of a
 // chunk are touched. Everything here has internal linkage, and it calls no
 // inline library function: every unit compiles its own copy with its own
 // ISA flags, and none can lend the baseline code a copy built with wider
 // ones.
 //
 // An Ops policy supplies:
-//  - `Chunk`, eight doubles (one node chunk), with Load/Store (unaligned),
-//    Set1, Mul, Add and Div, each the IEEE operation per lane;
-//  - `kRows`, the rows the forward interleaves, and `kInputs`, the inputs
-//    the backward sums at once (independent multiply or add chains hide
-//    their latency);
-//  - `kReciprocal`; when true, also Sub and Sqrt, Quotient(a, b, y)
-//    (Markstein's corrected quotient with y = 1 / b, DESIGN.md §16.3) and
+//  - `Chunk`, eight doubles, with Load/Store (unaligned), Set1, Mul, Add,
+//    Sub, Div and Max(a, b) (a > b ? a : b), each the IEEE operation per
+//    lane;
+//  - Less(a, b) and LessEqual(a, b), the mask of the lanes where the
+//    ordered comparison holds (bit k for lane k; false where either is
+//    NaN), and Select(bits, v), v in the lanes whose bit is set and +0.0 in
+//    the others;
+//  - `kRows`, the rows the forward interleaves, and `kNodes`, the node
+//    accumulators the backward's weight sums keep at once (as many as the
+//    tier's registers hold);
+//  - `kReciprocal`; when true, also Sqrt, Quotient(a, b, y) (Markstein's
+//    corrected quotient with y = 1 / b, DESIGN.md §16.3) and
 //    GuardedQuotient(a, b, y) (Quotient where |a| lies in [2^-900, 2^1000],
 //    division elsewhere), which only Adam takes;
-//  - SplitRows, BuildChunk and StoreChunk, with the contracts of Units;
-//  - AboveHalf(p), the mask of the eight lanes with p[k] > 0.5 (bit k for
-//    lane k), and MaskedAdd(acc, bits, w), acc + w in the lanes whose bit
-//    is set and acc or acc + (+0.0) in the others (the same bits for every
-//    acc but -0.0, which no vote sum holds).
+//  - SplitRows and BuildChunk, with the contracts of Units;
+//  - AboveHalf(p), the mask of the eight lanes with p[k] > 0.5;
+//  - `Mask`, eight lanes' bits in the form the tier adds under, made by
+//    LaneMask(bits), and MaskedAdd(acc, mask, w), for a finite w: acc + w
+//    in the lanes whose bit is set, and acc or acc + (±0.0) in the others,
+//    the same bits for every acc but -0.0, which no sum from +0.0 holds (an
+//    IEEE sum is -0.0 only when both addends are).
 //
 // Bit-identity (DESIGN.md §16.3): every unit evaluates each result with
 // the same operations in the same order as the oracle (tests/
 // logic_oracle.h). The backward's weight gradient is factored: per weight,
-// the sum of g * prod over the rows that list its input, in ascending row
-// order, then one IEEE division by the weight's factor. Adam's quotient is
-// either the IEEE division or the corrected quotient on operands where it
-// provably equals it.
+// the sum of g * prod over the rows that list its input, from +0.0 in
+// ascending row order, then one IEEE division by the weight's factor. The
+// sums are masked adds with lanes = 8 inputs, one mask per row from the
+// row's packed bits, so no loop's trip count depends on the batch. Adam's
+// quotient is either the IEEE division or the corrected quotient on
+// operands where it provably equals it.
 
 #include <cmath>
 #include <cstdint>
@@ -94,17 +103,6 @@ inline bool BuildChunkPortable(const double* w0, int in_dim, int width,
 
 /// v, or kGradientNaN when v is NaN.
 inline double CanonicalNaN(double v) { return v != v ? kGradientNaN : v; }
-
-/// The portable chunk store.
-inline void StoreChunkPortable(const double* gt, int in_dim, int width,
-                               double* rows) {
-  for (int k = 0; k < width; ++k) {
-    double* row = rows + static_cast<size_t>(k) * in_dim;
-    for (int i = 0; i < in_dim; ++i) {
-      row[i] = CanonicalNaN(gt[static_cast<size_t>(i) * kChunk + k]);
-    }
-  }
-}
 
 // ---- Forward ----------------------------------------------------------------
 
@@ -194,118 +192,166 @@ void Forward(const ForwardJob& job) {
 
 // ---- Backward ---------------------------------------------------------------
 
-/// Adds to acc[p] the terms of the rows whose bits are set in bits[p],
-/// lowest first: kInputs independent add chains walk their common count in
-/// lockstep, then each finishes its own.
-template <typename Ops, int kInputs>
-inline void AddListedTerms(const double* terms, uint64_t* bits,
-                           typename Ops::Chunk* acc) {
-  int common = 64;
-#pragma GCC unroll 8
-  for (int p = 0; p < kInputs; ++p) {
-    const int count = __builtin_popcountll(bits[p]);
-    common = count < common ? count : common;
+/// True when every one of the n weights at `w` is finite and none of the n
+/// gradients at `g` is -0.0. Integer adds, masks and shifts only, so the
+/// loop vectorizes on every tier: bit 63 of (exponent field + 2^52) is set
+/// only for an all-ones exponent, and bit 63 of ~z & (z - 1) only for
+/// z = 0, z being the gradient's bits against -0.0's.
+inline bool SumsApply(const double* w, const double* g, size_t n) {
+  constexpr uint64_t kExponent = uint64_t{0x7ff} << 52;
+  constexpr uint64_t kNegativeZero = uint64_t{1} << 63;
+  uint64_t bad = 0;
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t wb;
+    uint64_t gb;
+    __builtin_memcpy(&wb, w + i, sizeof(wb));
+    __builtin_memcpy(&gb, g + i, sizeof(gb));
+    const uint64_t z = gb ^ kNegativeZero;
+    bad |= ((wb & kExponent) + (uint64_t{1} << 52)) | (~z & (z - 1));
   }
-  for (int j = 0; j < common; ++j) {
-#pragma GCC unroll 8
-    for (int p = 0; p < kInputs; ++p) {
-      const size_t row = static_cast<size_t>(__builtin_ctzll(bits[p]));
-      acc[p] = Ops::Add(acc[p], Ops::Load(terms + row * kChunk));
-      bits[p] &= bits[p] - 1;
+  return bad >> 63 == 0;
+}
+
+/// Writes each row's terms g' * prod to job.terms (kChunk a row), with
+/// g' = -g for a conjunction, in the lanes whose g is finite and nonzero
+/// and whose product lies in (0, 1]; +0.0 in the others, which the sums
+/// then add without effect. Lanes the generic loop would not skip (g != 0
+/// and not prod <= 0) but the sums leave out run it for this (row, node)
+/// on the row's bits, straight into the node's gradient row, so a NaN or
+/// infinite g propagates as in the generic loop.
+template <typename Ops>
+inline void RowTerms(const BackwardJob& job) {
+  using Chunk = typename Ops::Chunk;
+  const Chunk zero = Ops::Set1(0.0);
+  const Chunk one = Ops::Set1(1.0);
+  const Chunk inf = Ops::Set1(__builtin_inf());
+  const Chunk minus_inf = Ops::Set1(-__builtin_inf());
+  // g * -1.0 is -g exactly.
+  const Chunk sign = Ops::Set1(job.conj ? -1.0 : 1.0);
+  const unsigned lanes = (1u << job.width) - 1;
+  double pad[2][kChunk] = {};
+  for (size_t r = 0; r < job.rows; ++r) {
+    const double* dyr = job.dy + r * job.out_dim + job.first;
+    const double* yr = job.y + r * job.out_dim + job.first;
+    if (job.width < kChunk) {
+      // A partial chunk's lanes would read past the row: padding lanes
+      // hold g = 0, which neither the sums nor the generic loop take.
+      for (int k = 0; k < job.width; ++k) {
+        pad[0][k] = dyr[k];
+        pad[1][k] = yr[k];
+      }
+      dyr = pad[0];
+      yr = pad[1];
     }
-  }
-#pragma GCC unroll 8
-  for (int p = 0; p < kInputs; ++p) {
-    for (uint64_t m = bits[p]; m != 0; m &= m - 1) {
-      const size_t row = static_cast<size_t>(__builtin_ctzll(m));
-      acc[p] = Ops::Add(acc[p], Ops::Load(terms + row * kChunk));
+    const Chunk g = Ops::Load(dyr);
+    const Chunk y = Ops::Load(yr);
+    const Chunk prod = job.conj ? y : Ops::Sub(one, y);
+    // g != 0 holds for NaN, as in the generic loop.
+    const unsigned nonzero =
+        ~(Ops::LessEqual(g, zero) & Ops::LessEqual(zero, g)) & lanes;
+    const unsigned summed = nonzero & Ops::Less(minus_inf, g) &
+                            Ops::Less(g, inf) & Ops::Less(zero, prod) &
+                            Ops::LessEqual(prod, one);
+    Ops::Store(job.terms + r * kChunk,
+               Ops::Select(summed, Ops::Mul(Ops::Mul(g, sign), prod)));
+    for (unsigned m = nonzero & ~Ops::LessEqual(prod, zero) & ~summed; m != 0;
+         m &= m - 1) {
+      const int k = __builtin_ctz(m);
+      const size_t node = static_cast<size_t>(job.first + k);
+      job.node_gradient(job.conj, dyr[k], job.conj ? yr[k] : 1.0 - yr[k],
+                        job.w + node * job.in_dim, job.x + r * job.x_words,
+                        job.in_dim, job.grads + node * job.in_dim);
     }
   }
 }
 
-/// The factored weight gradients of inputs [i0, i0 + kInputs): each sums
-/// the terms of its listed rows (at 0 for a conjunction, at 1 for a
-/// disjunction) block by block, ascending, from +0.0, then adds sum / c.
-template <typename Ops, int kInputs>
-inline void AddFactoredInputs(const BackwardJob& job, int i0) {
+/// Rows per block of the weight sums: each block's row masks are made once
+/// and serve every pass over the chunk's nodes.
+inline constexpr size_t kBlockRows = 64;
+
+/// The sums of inputs [i, i + kChunk) for every node of the chunk, into
+/// sums (one Chunk a node, its lanes the inputs). Per block of rows, each
+/// row's lane mask is the group's byte of the row's packed word
+/// (complemented for a conjunction); then, Ops::kNodes nodes at a time in
+/// registers, each row in ascending order adds each node's term under its
+/// row's mask.
+template <typename Ops>
+inline void SumGroup(const BackwardJob& job, int i,
+                     typename Ops::Chunk* sums) {
   using Chunk = typename Ops::Chunk;
-  Chunk acc[kInputs];
-#pragma GCC unroll 8
-  for (int p = 0; p < kInputs; ++p) acc[p] = Ops::Set1(0.0);
+  constexpr int kNodes = Ops::kNodes;
+  const int n = job.in_dim - i;
+  const uint64_t valid = n >= kChunk ? 0xff : (uint64_t{1} << n) - 1;
   const uint64_t flip = job.conj ? ~uint64_t{0} : 0;
-  for (size_t lo = 0; lo < job.rows; lo += 64) {
-    const size_t n = job.rows - lo;
-    const uint64_t valid = n >= 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
-    const uint64_t* column = job.columns + lo / 64 * job.column_stride + i0;
-    uint64_t bits[kInputs];
+  const uint64_t* word = job.x + i / 64;
+  const int shift = i % 64;
+  for (int k = 0; k < kChunk; ++k) sums[k] = Ops::Set1(0.0);
+  typename Ops::Mask masks[kBlockRows];
+  for (size_t lo = 0; lo < job.rows; lo += kBlockRows) {
+    const size_t rows =
+        job.rows - lo < kBlockRows ? job.rows - lo : kBlockRows;
+    for (size_t r = 0; r < rows; ++r) {
+      masks[r] = Ops::LaneMask(static_cast<unsigned>(
+          ((word[(lo + r) * job.x_words] ^ flip) >> shift) & valid));
+    }
+    for (int k0 = 0; k0 < job.width; k0 += kNodes) {
+      Chunk acc[kNodes];
 #pragma GCC unroll 8
-    for (int p = 0; p < kInputs; ++p) bits[p] = (column[p] ^ flip) & valid;
-    AddListedTerms<Ops, kInputs>(job.terms + lo * kChunk, bits, acc);
-  }
+      for (int k = 0; k < kNodes; ++k) acc[k] = sums[k0 + k];
+      const double* term = job.terms + lo * kChunk + k0;
+      for (size_t r = 0; r < rows; ++r) {
 #pragma GCC unroll 8
-  for (int p = 0; p < kInputs; ++p) {
-    const size_t at = static_cast<size_t>(i0 + p) * kChunk;
-    const Chunk q = Ops::Div(acc[p], Ops::Load(job.c + at));
-    Ops::Store(job.gt + at, Ops::Add(Ops::Load(job.gt + at), q));
+        for (int k = 0; k < kNodes; ++k) {
+          acc[k] = Ops::MaskedAdd(acc[k], masks[r], Ops::Set1(term[k]));
+        }
+        term += kChunk;
+      }
+#pragma GCC unroll 8
+      for (int k = 0; k < kNodes; ++k) sums[k0 + k] = acc[k];
+    }
   }
 }
 
 /// Units::backward. The weight gradient of input i and node k is
 /// sum_r g_r * rest_r over the rows that list i, rest_r = prod_r / c_ik; it
-/// is taken factored, (sum_r g_r * prod_r) / c_ik: one add per listed
-/// (row, input) and one division per weight. `g` is negated for a
-/// conjunction (g * (-rest) and (-g) * rest are the same IEEE product).
-/// A lane takes the table sum when its g is finite and nonzero and its
-/// product lies in (0, 1]. Other lanes' terms are ±0 * 1, which leave a
-/// sum unchanged (a sum from +0.0 never holds -0.0); those the generic
-/// loop would not skip (g != 0 and not prod <= 0) run it for this (row,
-/// node) on the row's bits, straight into `gt`, so a NaN or infinite g
-/// propagates as in the generic loop. The sums then walk the batch
-/// input-major, Ops::kInputs inputs at a time, and each weight adds its
-/// quotient once.
+/// is taken factored, (sum_r g_r * prod_r) / c_ik. RowTerms writes every
+/// row's terms (and runs the generic loop for the lanes that need it);
+/// then, per group of 8 inputs, SumGroup sums them, and each weight adds
+/// its quotient once, straight into the node's gradient row.
 template <typename Ops>
-void Backward(const BackwardJob& job) {
-  // The skipped terms' sign: (+0) * (-rest) for a conjunction.
-  const double zero_g = job.conj ? -0.0 : 0.0;
-  for (size_t r = 0; r < job.rows; ++r) {
-    double g[kChunk];
-    double prod[kChunk];
-    bool generic[kChunk];
-    const double* yr = job.y + r * job.out_dim;
-    const double* dyr = job.dy + r * job.out_dim;
-    for (int k = 0; k < kChunk; ++k) {
-      g[k] = zero_g;
-      prod[k] = 1.0;
-      generic[k] = false;
-      if (k >= job.width) continue;
-      const int node = job.first + k;
-      const double gv = dyr[node];
-      const double pv = job.conj ? yr[node] : 1.0 - yr[node];
-      if (gv != 0.0 && __builtin_isfinite(gv) && pv > 0.0 && pv <= 1.0) {
-        g[k] = job.conj ? -gv : gv;
-        prod[k] = pv;
-      } else {
-        generic[k] = gv != 0.0 && !(pv <= 0.0);
+bool Backward(const BackwardJob& job) {
+  using Chunk = typename Ops::Chunk;
+  const size_t first = static_cast<size_t>(job.first) * job.in_dim;
+  const size_t n = static_cast<size_t>(job.width) * job.in_dim;
+  if (!SumsApply(job.w + first, job.grads + first, n)) return false;
+  RowTerms<Ops>(job);
+  const Chunk one = Ops::Set1(1.0);
+  const Chunk eps = Ops::Set1(kEps);
+  for (int i = 0; i < job.in_dim; i += kChunk) {
+    Chunk sums[kChunk];
+    SumGroup<Ops>(job, i, sums);
+    for (int k = 0; k < job.width; ++k) {
+      const size_t at = first + static_cast<size_t>(k) * job.in_dim + i;
+      const double* w = job.w + at;
+      double* gw = job.grads + at;
+      if (job.in_dim - i < kChunk) {
+        double sum[kChunk];
+        Ops::Store(sum, sums[k]);
+        for (int j = 0; j < job.in_dim - i; ++j) {
+          gw[j] = CanonicalNaN(gw[j] + sum[j] / ClampFactor(1.0 - w[j]));
+        }
+        continue;
+      }
+      // max(1 - w, kEps) is ClampFactor(1 - w) exactly.
+      const Chunk c = Ops::Max(Ops::Sub(one, Ops::Load(w)), eps);
+      const Chunk v = Ops::Add(Ops::Load(gw), Ops::Div(sums[k], c));
+      Ops::Store(gw, v);
+      for (unsigned m = ~Ops::LessEqual(v, v) & 0xffu; m != 0; m &= m - 1) {
+        gw[__builtin_ctz(m)] = kGradientNaN;
       }
     }
-    Ops::Store(job.terms + r * kChunk,
-               Ops::Mul(Ops::Load(g), Ops::Load(prod)));
-    for (int k = 0; k < job.width; ++k) {
-      if (!generic[k]) continue;
-      const int node = job.first + k;
-      job.node_gradient(job.conj, dyr[node],
-                        job.conj ? yr[node] : 1.0 - yr[node],
-                        job.w + static_cast<size_t>(node) * job.in_dim,
-                        job.x + r * job.x_words, job.in_dim, job.gt + k,
-                        kChunk);
-    }
   }
-  constexpr int kInputs = Ops::kInputs;
-  int i = 0;
-  for (; i + kInputs <= job.in_dim; i += kInputs) {
-    AddFactoredInputs<Ops, kInputs>(job, i);
-  }
-  for (; i < job.in_dim; ++i) AddFactoredInputs<Ops, 1>(job, i);
+  return true;
 }
 
 // ---- Adam ------------------------------------------------------------------
@@ -397,7 +443,9 @@ void Vote(const uint64_t* words, const double* w, int num_rules,
 #pragma GCC unroll 8
     for (int v = 0; v < kChunks; ++v) {
       acc[v] = Ops::MaskedAdd(
-          acc[v], static_cast<unsigned>(word >> (kChunk * v)) & 0xffu, wj);
+          acc[v],
+          Ops::LaneMask(static_cast<unsigned>(word >> (kChunk * v)) & 0xffu),
+          wj);
     }
   }
 #pragma GCC unroll 8
@@ -440,7 +488,6 @@ Units MakeUnits() {
   Units units;
   units.split_rows = Ops::SplitRows;
   units.build_chunk = Ops::BuildChunk;
-  units.store_chunk = Ops::StoreChunk;
   units.forward = Forward<Ops>;
   units.backward = Backward<Ops>;
   units.adam = Adam<Ops>;

@@ -11,7 +11,7 @@ namespace ctfl {
 namespace logic_kernel {
 namespace {
 
-/// Two adjacent lanes of a node chunk, as a generic vector: each lane
+/// Two adjacent lanes of a chunk, as a generic vector: each lane
 /// operation is the scalar IEEE operation (ctfl_nn builds with
 /// -ffp-contract=off, so nothing fuses), and the compiler lowers it to the
 /// target's vectors (SSE2 on baseline x86-64, NEON on aarch64) or to
@@ -27,11 +27,13 @@ inline Lanes LoadLanes(const double* p) {
   return v;
 }
 
-/// `w` in the lanes whose bit of the low two `bits` is set, +0.0 in the
-/// others.
-inline Lanes SelectLanes(unsigned bits, Lanes w) {
-  const LaneBits mask = {0 - static_cast<uint64_t>(bits & 1),
-                         0 - static_cast<uint64_t>((bits >> 1) & 1)};
+/// The lane masks of the four values of two bits: one load per pair
+/// instead of building it from the bits.
+constexpr LaneBits kPairMasks[4] = {
+    {0, 0}, {~uint64_t{0}, 0}, {0, ~uint64_t{0}}, {~uint64_t{0}, ~uint64_t{0}}};
+
+/// `w` in the lanes whose mask is all ones, +0.0 in the others.
+inline Lanes SelectLanes(LaneBits mask, Lanes w) {
   return reinterpret_cast<Lanes>(reinterpret_cast<LaneBits>(w) & mask);
 }
 
@@ -42,7 +44,7 @@ struct GenericOps {
     Lanes l0, l1, l2, l3;
   };
   static constexpr int kRows = 1;
-  static constexpr int kInputs = 2;
+  static constexpr int kNodes = 4;
   static constexpr bool kReciprocal = false;
 
   static Chunk Load(const double* p) {
@@ -65,8 +67,49 @@ struct GenericOps {
   static Chunk Add(const Chunk& a, const Chunk& b) {
     return {a.l0 + b.l0, a.l1 + b.l1, a.l2 + b.l2, a.l3 + b.l3};
   }
+  static Chunk Sub(const Chunk& a, const Chunk& b) {
+    return {a.l0 - b.l0, a.l1 - b.l1, a.l2 - b.l2, a.l3 - b.l3};
+  }
   static Chunk Div(const Chunk& a, const Chunk& b) {
     return {a.l0 / b.l0, a.l1 / b.l1, a.l2 / b.l2, a.l3 / b.l3};
+  }
+  static Lanes MaxLanes(Lanes a, Lanes b) {
+    const LaneBits m = reinterpret_cast<LaneBits>(a > b);
+    return reinterpret_cast<Lanes>((reinterpret_cast<LaneBits>(a) & m) |
+                                   (reinterpret_cast<LaneBits>(b) & ~m));
+  }
+  static Chunk Max(const Chunk& a, const Chunk& b) {
+    return {MaxLanes(a.l0, b.l0), MaxLanes(a.l1, b.l1), MaxLanes(a.l2, b.l2),
+            MaxLanes(a.l3, b.l3)};
+  }
+  /// Bit k set where lane k of the four pairs' comparisons holds.
+  template <typename Truth>
+  static unsigned Bits(Truth m0, Truth m1, Truth m2, Truth m3) {
+    const Truth m[4] = {m0, m1, m2, m3};
+    unsigned bits = 0;
+    for (int p = 0; p < 4; ++p) {
+      bits |= static_cast<unsigned>((m[p][0] & 1) | (m[p][1] & 2)) << 2 * p;
+    }
+    return bits;
+  }
+  static unsigned Less(const Chunk& a, const Chunk& b) {
+    return Bits(a.l0 < b.l0, a.l1 < b.l1, a.l2 < b.l2, a.l3 < b.l3);
+  }
+  static unsigned LessEqual(const Chunk& a, const Chunk& b) {
+    return Bits(a.l0 <= b.l0, a.l1 <= b.l1, a.l2 <= b.l2, a.l3 <= b.l3);
+  }
+  /// The lanes' masks as four pairs of all-ones or all-zero lanes.
+  struct Mask {
+    LaneBits m0, m1, m2, m3;
+  };
+  static Mask LaneMask(unsigned bits) {
+    return {kPairMasks[bits & 3], kPairMasks[(bits >> 2) & 3],
+            kPairMasks[(bits >> 4) & 3], kPairMasks[(bits >> 6) & 3]};
+  }
+  static Chunk Select(unsigned bits, const Chunk& v) {
+    const Mask mask = LaneMask(bits);
+    return {SelectLanes(mask.m0, v.l0), SelectLanes(mask.m1, v.l1),
+            SelectLanes(mask.m2, v.l2), SelectLanes(mask.m3, v.l3)};
   }
   /// Tests the whole chunk first: most chunks hold no active weight.
   static unsigned AboveHalf(const double* p) {
@@ -82,11 +125,11 @@ struct GenericOps {
     return bits;
   }
   /// Lanes whose bit is clear add +0.0.
-  static Chunk MaskedAdd(const Chunk& acc, unsigned bits, const Chunk& w) {
-    return {acc.l0 + SelectLanes(bits, w.l0),
-            acc.l1 + SelectLanes(bits >> 2, w.l1),
-            acc.l2 + SelectLanes(bits >> 4, w.l2),
-            acc.l3 + SelectLanes(bits >> 6, w.l3)};
+  static Chunk MaskedAdd(const Chunk& acc, const Mask& mask, const Chunk& w) {
+    return {acc.l0 + SelectLanes(mask.m0, w.l0),
+            acc.l1 + SelectLanes(mask.m1, w.l1),
+            acc.l2 + SelectLanes(mask.m2, w.l2),
+            acc.l3 + SelectLanes(mask.m3, w.l3)};
   }
   static void SplitRows(const uint64_t* x, size_t x_words, int in_dim,
                         size_t lo, size_t hi, int* at_zero, int* at_one,
@@ -96,10 +139,6 @@ struct GenericOps {
   static bool BuildChunk(const double* w0, int in_dim, int width,
                          double* c) {
     return BuildChunkPortable(w0, in_dim, width, c);
-  }
-  static void StoreChunk(const double* gt, int in_dim, int width,
-                         double* rows) {
-    StoreChunkPortable(gt, in_dim, width, rows);
   }
 };
 

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
-#include "ctfl/util/bit_transpose.h"
 #include "ctfl/util/cpu_features.h"
 #include "ctfl/util/logging.h"
 #include "ctfl/util/thread_pool.h"
@@ -32,24 +30,23 @@ const double* RowOf(const PackedRows& x, size_t r,
 
 /// The generic per-(row, node) gradient of the continuous form, in the
 /// order and with the expressions every kernel must reproduce. Adds
-/// g * dy/dw_i to gw[i * stride] and, when `dxr` is non-null,
-/// g * dy/dx_i to dxr[i]. `prod` is the node's product term: y for a
-/// conjunction, 1 - y for a disjunction.
+/// g * dy/dw_i to gw[i] and, when `dxr` is non-null, g * dy/dx_i to
+/// dxr[i]. `prod` is the node's product term: y for a conjunction, 1 - y
+/// for a disjunction.
 void NodeGradient(bool conj, double g, double prod, const double* w,
-                  const double* xr, int in_dim, double* gw, size_t stride,
-                  double* dxr) {
+                  const double* xr, int in_dim, double* gw, double* dxr) {
   if (conj) {
     for (int i = 0; i < in_dim; ++i) {
       const double t = std::max(kEps, 1.0 - w[i] * (1.0 - xr[i]));
       const double rest = prod / t;  // product of the other terms, <= 1
-      gw[i * stride] += g * (-(1.0 - xr[i]) * rest);
+      gw[i] += g * (-(1.0 - xr[i]) * rest);
       if (dxr != nullptr) dxr[i] += g * (w[i] * rest);
     }
   } else {
     for (int i = 0; i < in_dim; ++i) {
       const double s = std::max(kEps, 1.0 - w[i] * xr[i]);
       const double rest = prod / s;
-      gw[i * stride] += g * (xr[i] * rest);
+      gw[i] += g * (xr[i] * rest);
       if (dxr != nullptr) dxr[i] += g * (w[i] * rest);
     }
   }
@@ -59,12 +56,11 @@ void NodeGradient(bool conj, double g, double prod, const double* w,
 /// generic lanes (BackwardJob::node_gradient), which run only for a NaN or
 /// infinite upstream gradient or a product outside (0, 1].
 void PackedNodeGradient(bool conj, double g, double prod, const double* w,
-                        const uint64_t* xr, int in_dim, double* gw,
-                        size_t stride) {
+                        const uint64_t* xr, int in_dim, double* gw) {
   static thread_local std::vector<double> row;
   row.resize(in_dim);
   UnpackRow(xr, in_dim, row.data());
-  NodeGradient(conj, g, prod, w, row.data(), in_dim, gw, stride, nullptr);
+  NodeGradient(conj, g, prod, w, row.data(), in_dim, gw, nullptr);
 }
 
 /// Lays out the chunks of layer `w` (out x in, num_conj conjunctions
@@ -84,18 +80,14 @@ void LayoutFactorTable(const Matrix& w, int num_conj, FactorTable* t) {
     t->width.push_back(std::min(kChunk, out - node));
   }
   t->c.resize(static_cast<size_t>(t->chunks()) * t->in_dim * kChunk);
-  t->finite.assign(static_cast<size_t>(t->chunks()), 0);
 }
 
-/// Fills chunk q of the table from `w` through the tier's unit and records
-/// whether its weights are all finite.
+/// Fills chunk q of the table from `w` through the tier's unit; false when
+/// one of its weights is not finite.
 bool BuildFactorChunk(const logic_kernel::Units& units, const Matrix& w,
                       int q, FactorTable* t) {
-  const bool finite =
-      units.build_chunk(w.row(t->first[q]), t->in_dim, t->width[q],
-                        t->c.data() + t->Offset(q, 0));
-  t->finite[q] = finite;
-  return finite;
+  return units.build_chunk(w.row(t->first[q]), t->in_dim, t->width[q],
+                           t->c.data() + t->Offset(q, 0));
 }
 
 /// The generic continuous forward of nodes [lo, hi) of layer `w` (num_conj
@@ -153,23 +145,12 @@ void BackwardNodes(const Matrix& w, int num_conj, const Input& x,
       const double prod = conj ? y(r, node) : 1.0 - y(r, node);
       if (prod <= 0.0) continue;
       NodeGradient(conj, g, prod, w.row(node), RowOf(x, r, &scratch),
-                   in_dim, grads->row(node), 1,
+                   in_dim, grads->row(node),
                    dx != nullptr ? dx->row(r) : nullptr);
     }
   }
   CanonicalizeNaNs(grads->row(lo), static_cast<size_t>(hi - lo) * in_dim);
   if (dx != nullptr) CanonicalizeNaNs(dx->data(), dx->size());
-}
-
-/// True when every one of the n doubles at `v` is +0.0.
-bool AllPositiveZero(const double* v, size_t n) {
-  uint64_t bits = 0;
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t b;
-    std::memcpy(&b, v + i, sizeof(b));
-    bits |= b;
-  }
-  return bits == 0;
 }
 
 /// Splits the packed `x` into `rows` through the tier's unit, blocks of
@@ -198,13 +179,12 @@ void SplitPackedRows(const logic_kernel::Units& units, const PackedRows& x,
 /// factors in ascending input order, as the generic loop does. Units of one
 /// or two chunks of one kind (two hide the multiply latency) run in
 /// parallel, each building its own chunks of the table; a unit holding a
-/// non-finite weight runs the generic loop for its nodes instead. Leaves
-/// the split and the complete table in `tables`.
+/// non-finite weight runs the generic loop for its nodes instead. The split
+/// and the table live in `tables`, whose storage serves the next step.
 void ForwardByTable(const Matrix& w, int num_conj, const PackedRows& x,
                     Matrix* y, LogicLayer::StepTables* tables) {
   const logic_kernel::Units& units = logic_kernel::UnitsFor(CurrentTraceIsa());
   const int threads = MatrixThreadsFor(x.rows() * w.rows() * w.cols());
-  tables->ready = false;
   SplitPackedRows(units, x, threads, &tables->rows);
   LayoutFactorTable(w, num_conj, &tables->table);
   const SplitRows& rows = tables->rows;
@@ -244,137 +224,59 @@ void ForwardByTable(const Matrix& w, int num_conj, const PackedRows& x,
     units.forward(job);
   };
   ParallelFor(threads, 0, starts.size(), run_unit);
-  tables->ready = true;
 }
 
-/// Lays out and builds the complete table of `w` in `t`, chunks in
-/// parallel: the backward's table when no forward left one.
-void BuildFactorTable(const logic_kernel::Units& units, const Matrix& w,
-                      int num_conj, int threads, FactorTable* t) {
-  LayoutFactorTable(w, num_conj, t);
-  ParallelFor(threads, 0, static_cast<size_t>(t->chunks()), [&](size_t q) {
-    BuildFactorChunk(units, w, static_cast<int>(q), t);
-  });
-}
-
-/// Writes the packed `x` input-major to `columns`: word b * stride + i
-/// holds input i of rows 64b to 64b + 63, one 64 x 64 transpose per block
-/// of 64 rows and word of 64 inputs. Returns the stride, x.words() * 64.
-size_t TransposeBatch(const PackedRows& x, std::vector<uint64_t>* columns) {
-  const size_t stride = x.words() * 64;
-  columns->resize((x.rows() + 63) / 64 * stride);
-  for (size_t lo = 0; lo < x.rows(); lo += 64) {
-    for (size_t word = 0; word < x.words(); ++word) {
-      uint64_t* block = columns->data() + lo / 64 * stride + word * 64;
-      for (size_t j = 0; j < 64; ++j) {
-        block[j] = lo + j < x.rows() ? x.row(lo + j)[word] : 0;
-      }
-      TransposeBits64(block);
-    }
-  }
-  return stride;
-}
-
-/// The parameter backward of layer `w` on the packed `x` through the factor
-/// table, accumulating into `grads`: per weight, the sum of its listed
-/// rows' terms divided once by its factor (DESIGN.md §16.3). `tables` (may
-/// be null) is the forward's split and table for the same weights and
-/// input; without it this call builds its own table. Chunks run in
-/// parallel, each with its own rows of `grads`; a chunk holding a
-/// non-finite weight or a -0.0 gradient runs the generic loop for its
-/// nodes instead.
-void BackwardWeightsByTable(const Matrix& w, int num_conj,
+/// Layer 0's weight backward on the packed `x`, accumulating into `grads`:
+/// per weight, the sum of its listed rows' terms divided once by its factor
+/// (DESIGN.md §16.3), through the tier's masked sums. Node chunks of 8, one
+/// kind each, run in parallel, each with its own rows of `grads`; a chunk
+/// holding a non-finite weight or a -0.0 gradient runs the generic loop for
+/// its nodes instead.
+void BackwardWeightsByMasks(const Matrix& w, int num_conj,
                             const PackedRows& x, const Matrix& y,
-                            const Matrix& dy,
-                            const LogicLayer::StepTables* tables,
-                            Matrix* grads) {
+                            const Matrix& dy, Matrix* grads) {
   const logic_kernel::Units& units = logic_kernel::UnitsFor(CurrentTraceIsa());
   const int threads = MatrixThreadsFor(x.rows() * w.rows() * w.cols());
-  FactorTable own;
-  const FactorTable* table =
-      tables != nullptr && tables->ready ? &tables->table : nullptr;
-  if (table == nullptr) {
-    BuildFactorTable(units, w, num_conj, threads, &own);
-    table = &own;
-  }
-  const FactorTable& t = *table;
-  const int in_dim = t.in_dim;
-  CTFL_CHECK(in_dim == static_cast<int>(x.cols()) && t.chunks() > 0 &&
-             static_cast<size_t>(t.first.back() + t.width.back()) ==
-                 w.rows());
-  // Chunk-major copy of the accumulators, each chunk's terms per row, and
-  // the batch's bits input-major: per-thread buffers that keep their
+  const int out = static_cast<int>(w.rows());
+  const int conj_chunks = (num_conj + kChunk - 1) / kChunk;
+  const size_t chunks = conj_chunks + (out - num_conj + kChunk - 1) / kChunk;
+  // Each chunk's terms per row, in a per-thread buffer that keeps its
   // storage from step to step (fresh ones per step cost the fed-score step
   // about 10% in page faults). The calling thread does not re-enter this
   // function before it returns: its ParallelFor runs only this call's
   // chunks.
   static thread_local std::vector<double> storage;
-  static thread_local std::vector<uint64_t> columns;
   const size_t terms_size = x.rows() * kChunk;
   // Terms start on a 64-byte line, so one row's chunk is one line.
-  storage.resize(t.c.size() + t.chunks() * terms_size + kChunk);
-  // Pointers, not the thread_local names: helpers run the chunks.
-  double* gt = storage.data();
-  double* terms = gt + t.c.size();
+  storage.resize(chunks * terms_size + kChunk);
+  // A pointer, not the thread_local name: helpers run the chunks.
+  double* terms = storage.data();
   terms += (64 - reinterpret_cast<uintptr_t>(terms) % 64) % 64 / sizeof(double);
-  const size_t column_stride = TransposeBatch(x, &columns);
-  const uint64_t* column_bits = columns.data();
-  auto run_chunk = [&](size_t chunk) {
-    const int q = static_cast<int>(chunk);
-    const bool conj = t.conj(q);
-    const int lo = t.first[q];
-    const int hi = lo + t.width[q];
-    double* chunk_gt = gt + t.Offset(q, 0);
-    // A skipped term is ±0.0, which leaves an accumulator's bits unchanged
-    // unless it holds -0.0: zeroed gradients are +0.0 and sums of terms
-    // never yield -0.0, so only a caller's own -0.0 sends the chunk to the
-    // generic loop. Gradients that are all +0.0, as after ZeroGrads, start
-    // the accumulators at +0.0, padding lanes included (accumulated, never
-    // read), instead of being copied in.
-    bool negative_zero = false;
-    if (AllPositiveZero(grads->row(lo), t.width[q] * in_dim)) {
-      std::fill(chunk_gt, chunk_gt + t.Offset(1, 0), 0.0);
-    } else {
-      for (int k = 0; k < kChunk; ++k) {
-        if (k >= t.width[q]) {
-          for (int i = 0; i < in_dim; ++i) {
-            chunk_gt[static_cast<size_t>(i) * kChunk + k] = 0.0;
-          }
-          continue;
-        }
-        const double* gw = grads->row(lo + k);
-        for (int i = 0; i < in_dim; ++i) {
-          negative_zero |= gw[i] == 0.0 && std::signbit(gw[i]);
-          chunk_gt[static_cast<size_t>(i) * kChunk + k] = gw[i];
-        }
-      }
-    }
-    if (t.finite[q] == 0 || negative_zero) {
-      BackwardNodes(w, num_conj, x, y, dy, lo, hi, grads, nullptr);
-      return;
-    }
+  auto run_chunk = [&](size_t q) {
+    const int c = static_cast<int>(q);
+    const int lo =
+        c < conj_chunks ? c * kChunk : num_conj + (c - conj_chunks) * kChunk;
+    const int hi = std::min(lo + kChunk, lo < num_conj ? num_conj : out);
     logic_kernel::BackwardJob job;
-    job.c = t.c.data() + t.Offset(q, 0);
-    job.gt = chunk_gt;
-    job.columns = column_bits;
-    job.column_stride = column_stride;
-    job.terms = terms + q * terms_size;
-    job.in_dim = in_dim;
-    job.conj = conj;
+    job.conj = lo < num_conj;
     job.first = lo;
-    job.width = t.width[q];
+    job.width = hi - lo;
+    job.in_dim = static_cast<int>(w.cols());
     job.rows = x.rows();
+    job.x = x.row(0);
+    job.x_words = x.words();
     job.y = y.data();
     job.dy = dy.data();
     job.out_dim = y.cols();
     job.w = w.data();
-    job.x = x.row(0);
-    job.x_words = x.words();
+    job.grads = grads->data();
+    job.terms = terms + q * terms_size;
     job.node_gradient = PackedNodeGradient;
-    units.backward(job);
-    units.store_chunk(chunk_gt, in_dim, t.width[q], grads->row(lo));
+    if (!units.backward(job)) {
+      BackwardNodes(w, num_conj, x, y, dy, lo, hi, grads, nullptr);
+    }
   };
-  ParallelFor(threads, 0, static_cast<size_t>(t.chunks()), run_chunk);
+  ParallelFor(threads, 0, chunks, run_chunk);
 }
 
 }  // namespace
@@ -423,7 +325,6 @@ Matrix LogicLayer::ForwardContinuous(const Matrix& x,
   CTFL_CHECK(static_cast<int>(x.cols()) == in_dim_);
   PackedRows packed;
   if (PackBinary(x, &packed)) return ForwardContinuous(packed, tables);
-  if (tables != nullptr) tables->ready = false;
   Matrix y(x.rows(), out_dim());
   ForwardNodes(weights_, num_conj_, x, 0, out_dim(), &y);
   return y;
@@ -504,11 +405,11 @@ Matrix LogicLayer::Backward(const Matrix& x, const Matrix& y,
 }
 
 void LogicLayer::BackwardWeights(const Matrix& x, const Matrix& y,
-                                 const Matrix& dy, const StepTables* tables) {
+                                 const Matrix& dy) {
   CTFL_CHECK(static_cast<int>(x.cols()) == in_dim_);
   PackedRows packed;
   if (PackBinary(x, &packed)) {
-    BackwardWeights(packed, y, dy, tables);
+    BackwardWeights(packed, y, dy);
     return;
   }
   CTFL_CHECK(x.rows() == y.rows() && y.rows() == dy.rows());
@@ -517,10 +418,10 @@ void LogicLayer::BackwardWeights(const Matrix& x, const Matrix& y,
 }
 
 void LogicLayer::BackwardWeights(const PackedRows& x, const Matrix& y,
-                                 const Matrix& dy, const StepTables* tables) {
+                                 const Matrix& dy) {
   CTFL_CHECK(x.rows() == y.rows() && y.rows() == dy.rows());
   CTFL_CHECK(static_cast<int>(x.cols()) == in_dim_);
-  BackwardWeightsByTable(weights_, num_conj_, x, y, dy, tables, &grads_);
+  BackwardWeightsByMasks(weights_, num_conj_, x, y, dy, &grads_);
 }
 
 std::vector<int> LogicLayer::ActiveInputs(int node) const {

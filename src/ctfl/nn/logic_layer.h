@@ -33,12 +33,13 @@ bool PackRows(const Matrix& x, size_t lo, size_t n, uint64_t* words);
 /// grafting differentiates through.
 ///
 /// Kernels (DESIGN.md §16): the discrete forward is bit-packed, 64 records
-/// per word. The continuous forward and the parameter backward take an
-/// exact factor-table kernel on packed 0/1 rows (the encoder's output, i.e.
-/// layer 0; a Matrix whose every element is exactly 0.0 or 1.0 is packed
-/// first) and the generic per-element loop otherwise. Both produce the
-/// generic loop's results bit for bit. The
-/// table kernels run in the SIMD tier's unit (nn/logic_kernel.h) and shard
+/// per word. On packed 0/1 rows (the encoder's output, i.e. layer 0; a
+/// Matrix whose every element is exactly 0.0 or 1.0 is packed first) the
+/// continuous forward takes an exact factor-table kernel and the weight
+/// backward masked sums over the rows' bits; on any other input both take
+/// the generic per-element loop. The forward produces the generic loop's
+/// results bit for bit, the backward the factored form's (BackwardWeights).
+/// The kernels run in the SIMD tier's unit (nn/logic_kernel.h) and shard
 /// by 8-node chunk across the compute pool under the matrix thread budget
 /// (MatrixThreadsFor), never by row, so every element keeps its serial term
 /// order.
@@ -58,18 +59,15 @@ class LogicLayer {
   void InitSparse(Rng& rng, int fan_in);
 
   /// The row split of a packed input and the factor table of the weights
-  /// that read it: both built by the continuous forward, which reads both;
-  /// the parameter backward of the same step reuses the table (the weights
-  /// do not change in between), so it is built once per step.
+  /// that read it, both built by the continuous forward: a caller that
+  /// keeps them from step to step lends the forward their storage.
   struct StepTables {
     logic_kernel::SplitRows rows;
     logic_kernel::FactorTable table;
-    /// True once a forward built both for its input.
-    bool ready = false;
   };
 
   /// Continuous (fuzzy) forward: Y(batch x out). When `tables` is non-null
-  /// and `x` is binary, leaves the step's split and table in it.
+  /// and `x` is binary, builds the split and table in it.
   Matrix ForwardContinuous(const Matrix& x,
                            StepTables* tables = nullptr) const;
   /// The same on packed 0/1 rows, always through the factor table.
@@ -90,13 +88,11 @@ class LogicLayer {
   /// gradient factored (DESIGN.md §16.3): the sum of g * prod over the rows
   /// that list its input, in row order, divided once by its factor, which
   /// can differ from Backward's per-row quotients in the last bits; on any
-  /// other `x`, exactly Backward's. `tables`, when non-null and ready, must
-  /// come from ForwardContinuous on this `x` with the current weights.
-  void BackwardWeights(const Matrix& x, const Matrix& y, const Matrix& dy,
-                       const StepTables* tables = nullptr);
+  /// other `x`, exactly Backward's.
+  void BackwardWeights(const Matrix& x, const Matrix& y, const Matrix& dy);
   /// The same on packed 0/1 rows, with the same bits as on their Matrix.
   void BackwardWeights(const PackedRows& x, const Matrix& y,
-                       const Matrix& dy, const StepTables* tables = nullptr);
+                       const Matrix& dy);
 
   /// Inputs whose binarized weight is active (> 0.5) for `node`.
   std::vector<int> ActiveInputs(int node) const;

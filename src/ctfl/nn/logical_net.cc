@@ -143,13 +143,12 @@ Matrix ConcatRules(const Matrix& encoded, const std::vector<Matrix>& outs,
 }
 
 /// The continuous forward of every logic layer on `input` (a Matrix or a
-/// PackedRows) into `outs`, leaving layer 0's split and table in `layer0`.
+/// PackedRows) into `outs`, with layer 0's split and table in `layer0`.
 template <typename Input>
 void ForwardLayers(const LogicalNet& net, const Input& input,
                    std::vector<Matrix>* outs,
                    LogicLayer::StepTables* layer0) {
   const std::vector<LogicLayer>& layers = net.logic_layers();
-  layer0->ready = false;
   outs->resize(layers.size());
   if (layers.empty()) return;
   (*outs)[0] = layers[0].ForwardContinuous(input, layer0);
@@ -435,10 +434,10 @@ void LogicalNet::Backward(const Cache& cache, const Matrix& dlogits) {
   // no consumer: it accumulates weight gradients only.
   if (!logic_layers_.empty() && cache.binary) {
     logic_layers_[0].BackwardWeights(cache.input, cache.layer_out[0],
-                                     dout[0], &cache.layer0);
+                                     dout[0]);
   } else if (!logic_layers_.empty()) {
     logic_layers_[0].BackwardWeights(cache.fuzzy, cache.layer_out[0],
-                                     dout[0], &cache.layer0);
+                                     dout[0]);
   }
 }
 

@@ -96,10 +96,10 @@ class LogicalNet {
                      const std::vector<size_t>& indices = {}) const;
 
   /// Intermediate activations of a continuous forward pass, kept for
-  /// Backward, with layer 0's row split and factor table (built once per
-  /// step; Backward must see the weights the forward saw). The continuous
-  /// rule vector is the input (input_skip) and every layer output, read in
-  /// place.
+  /// Backward (which must see the weights the forward saw), with the
+  /// storage of layer 0's row split and factor table for the next step's
+  /// forward. The continuous rule vector is the input (input_skip) and
+  /// every layer output, read in place.
   struct Cache {
     /// The batch, packed, when every element is 0.0 or 1.0, as the
     /// encoder's always are: layer 0's backward and the vote layer's skip

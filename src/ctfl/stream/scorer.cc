@@ -24,11 +24,38 @@ telemetry::Counter& EmptyFoldsCounter() {
           "ctfl.stream.empty_folds");
   return c;
 }
+/// Trace passes run by every scorer: Rescore's.
+telemetry::Counter& RescoresCounter() {
+  static telemetry::Counter& c =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "ctfl.stream.rescores");
+  return c;
+}
 
 }  // namespace
 
 Result<StreamingScorer> StreamingScorer::FromHeader(DeltaHeader header,
                                                     Options options) {
+  CTFL_ASSIGN_OR_RETURN(StreamingScorer scorer,
+                        Restore(std::move(header), options));
+  CTFL_RETURN_IF_ERROR(scorer.Rescore());
+  return scorer;
+}
+
+Result<StreamingScorer> StreamingScorer::FromLog(DeltaLogContents contents,
+                                                 Options options) {
+  CTFL_ASSIGN_OR_RETURN(StreamingScorer scorer,
+                        Restore(std::move(contents.header), options));
+  for (const RoundDelta& round : contents.rounds) {
+    if (round.round <= scorer.rounds_folded_) continue;
+    CTFL_RETURN_IF_ERROR(scorer.Patch(round));
+  }
+  CTFL_RETURN_IF_ERROR(scorer.Rescore());
+  return scorer;
+}
+
+Result<StreamingScorer> StreamingScorer::Restore(DeltaHeader header,
+                                                 Options options) {
   if (header.schema == nullptr) {
     return Status::InvalidArgument("delta-log header has no schema");
   }
@@ -70,40 +97,23 @@ Result<StreamingScorer> StreamingScorer::FromHeader(DeltaHeader header,
     scorer.activations_.push_back(std::move(p.activations));
   }
   scorer.forwards_ = std::move(header.tests);
-  CTFL_RETURN_IF_ERROR(scorer.Rescore());
   return scorer;
 }
 
-Status StreamingScorer::Fold(const RoundDelta& delta) {
-  CTFL_SPAN("ctfl.stream.fold");
+Status StreamingScorer::Patch(const RoundDelta& delta) {
   if (delta.round != rounds_folded_ + 1) {
     return Status::FailedPrecondition(StrFormat(
         "delta-log fold out of order: got round %u, expected %llu",
         delta.round,
         static_cast<unsigned long long>(rounds_folded_ + 1)));
   }
-  if (delta.empty()) {
-    // Fully degraded round: the model (and therefore every upload and
-    // forward) is unchanged, so the scores carry over in O(1).
-    ++rounds_folded_;
-    EmptyFoldsCounter().Add(1);
-    FoldsCounter().Add(1);
-    return Status::OK();
-  }
-
   for (const auto& [idx, bits] : delta.param_xors) {
     if (idx >= params_.size()) {
       return Status::InvalidArgument(
           StrFormat("delta-log round %u: parameter index %u out of range",
                     delta.round, idx));
     }
-    // new = old ^ xor over raw IEEE-754 bits: exact in both directions,
-    // no rounding anywhere.
-    params_[idx] =
-        std::bit_cast<double>(std::bit_cast<uint64_t>(params_[idx]) ^ bits);
   }
-  if (!delta.param_xors.empty()) net_.SetParameters(params_);
-
   for (const ActivationFlip& flip : delta.train_flips) {
     if (flip.participant >= activations_.size() ||
         flip.record >= activations_[flip.participant].size() ||
@@ -112,6 +122,29 @@ Status StreamingScorer::Fold(const RoundDelta& delta) {
           StrFormat("delta-log round %u: train flip out of range",
                     delta.round));
     }
+  }
+  for (const TestActivationFlip& flip : delta.test_activation_flips) {
+    if (flip.test >= forwards_.size() ||
+        flip.rule >= forwards_[flip.test].activation.size()) {
+      return Status::InvalidArgument(StrFormat(
+          "delta-log round %u: test flip out of range", delta.round));
+    }
+  }
+  for (uint32_t t : delta.predicted_flips) {
+    if (t >= forwards_.size()) {
+      return Status::InvalidArgument(StrFormat(
+          "delta-log round %u: predicted flip out of range", delta.round));
+    }
+  }
+
+  for (const auto& [idx, bits] : delta.param_xors) {
+    // new = old ^ xor over raw IEEE-754 bits: exact in both directions,
+    // no rounding anywhere.
+    params_[idx] =
+        std::bit_cast<double>(std::bit_cast<uint64_t>(params_[idx]) ^ bits);
+  }
+  if (!delta.param_xors.empty()) net_.SetParameters(params_);
+  for (const ActivationFlip& flip : delta.train_flips) {
     Bitset& activation = activations_[flip.participant][flip.record];
     if (activation.Test(flip.rule)) {
       activation.Clear(flip.rule);
@@ -120,11 +153,6 @@ Status StreamingScorer::Fold(const RoundDelta& delta) {
     }
   }
   for (const TestActivationFlip& flip : delta.test_activation_flips) {
-    if (flip.test >= forwards_.size() ||
-        flip.rule >= forwards_[flip.test].activation.size()) {
-      return Status::InvalidArgument(StrFormat(
-          "delta-log round %u: test flip out of range", delta.round));
-    }
     Bitset& activation = forwards_[flip.test].activation;
     if (activation.Test(flip.rule)) {
       activation.Clear(flip.rule);
@@ -133,30 +161,44 @@ Status StreamingScorer::Fold(const RoundDelta& delta) {
     }
   }
   for (uint32_t t : delta.predicted_flips) {
-    if (t >= forwards_.size()) {
-      return Status::InvalidArgument(StrFormat(
-          "delta-log round %u: predicted flip out of range", delta.round));
-    }
     forwards_[t].predicted = forwards_[t].predicted == 0 ? 1 : 0;
   }
 
   ++rounds_folded_;
+  if (delta.empty()) EmptyFoldsCounter().Add(1);
   FoldsCounter().Add(1);
-  return Rescore();
+  return Status::OK();
+}
+
+Status StreamingScorer::Fold(const RoundDelta& delta) {
+  CTFL_SPAN("ctfl.stream.fold");
+  CTFL_RETURN_IF_ERROR(Patch(delta));
+  // A fully degraded round's empty delta changes no state: the model (and
+  // therefore every upload and forward) and the scores carry over.
+  return delta.empty() ? Status::OK() : Rescore();
 }
 
 Result<uint64_t> StreamingScorer::FoldAll(const DeltaLogContents& contents) {
   uint64_t folded = 0;
+  bool moved = false;
+  Status status;
   for (const RoundDelta& round : contents.rounds) {
     if (round.round <= rounds_folded_) continue;
-    CTFL_RETURN_IF_ERROR(Fold(round));
+    status = Patch(round);
+    if (!status.ok()) break;
+    moved |= !round.empty();
     ++folded;
   }
+  // One trace pass for the rounds patched, also when a later one was
+  // rejected: the scores then match rounds_folded().
+  if (moved) CTFL_RETURN_IF_ERROR(Rescore());
+  CTFL_RETURN_IF_ERROR(status);
   return folded;
 }
 
 Status StreamingScorer::Rescore() {
   CTFL_SPAN("ctfl.stream.rescore");
+  RescoresCounter().Add(1);
   // The tracer borrows labels/uploads (no copies) and re-packs the
   // blocked kernel over the patched bitsets; TraceForwards then re-runs
   // the Eq. 4 match + Eq. 5/6 allocations — the exact code path of the
@@ -179,10 +221,8 @@ Result<AttachedDeltaLog> AttachedDeltaLog::Attach(
     return Status::InvalidArgument(
         log_path + ": delta-log schema fingerprint disagrees with the bundle");
   }
-  CTFL_ASSIGN_OR_RETURN(
-      StreamingScorer scorer,
-      StreamingScorer::FromHeader(std::move(contents.header), options));
-  CTFL_RETURN_IF_ERROR(scorer.FoldAll(contents).status());
+  CTFL_ASSIGN_OR_RETURN(StreamingScorer scorer,
+                        StreamingScorer::FromLog(std::move(contents), options));
   return AttachedDeltaLog(std::move(scorer), std::move(log_path), bundle);
 }
 

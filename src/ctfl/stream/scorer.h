@@ -21,7 +21,8 @@
 // AttachedDeltaLog follows one bundle's delta chain with a scorer: fold on
 // attach, poll for appended rounds, and verify that the folded scores
 // bit-match the bundle snapshot — the one path of every delta-log front
-// end.
+// end. It reads scores only after the last round, so it patches every
+// round first and traces once (FromLog, FoldAll).
 
 #include <cstdint>
 #include <string>
@@ -53,16 +54,25 @@ class StreamingScorer {
   static Result<StreamingScorer> FromHeader(DeltaHeader header,
                                             Options options = {});
 
+  /// Restores the header's state, patches every round of `contents` and
+  /// traces once: FromHeader plus one Fold per round, bit for bit, for one
+  /// trace pass instead of one per round and the round-0 one.
+  static Result<StreamingScorer> FromLog(DeltaLogContents contents,
+                                         Options options = {});
+
   /// Folds one round. Rounds must arrive consecutively (round ==
   /// rounds_folded() + 1). An empty delta (fully degraded round) is an
   /// O(1) carry-over; otherwise the model/upload/forward state is patched
   /// in O(delta) and the scores re-traced with the blocked/SIMD kernel, a
-  /// full TraceForwards that costs about as much as the one-shot trace.
+  /// full TraceForwards that costs about as much as the one-shot trace. A
+  /// rejected delta changes nothing.
   Status Fold(const RoundDelta& delta);
 
   /// Folds every round of `contents` beyond rounds_folded() — idempotent
   /// over already-folded prefixes, so pollers can re-read a growing log
-  /// and call this repeatedly. Returns the number of rounds newly folded.
+  /// and call this repeatedly — patching each and tracing once after the
+  /// last. Returns the number of rounds newly folded. When a round is
+  /// rejected, the rounds before it stay folded and the scores are theirs.
   Result<uint64_t> FoldAll(const DeltaLogContents& contents);
 
   uint64_t rounds_folded() const { return rounds_folded_; }
@@ -86,6 +96,13 @@ class StreamingScorer {
  private:
   StreamingScorer(LogicalNet net, TracerConfig tracer_config)
       : net_(std::move(net)), tracer_config_(tracer_config) {}
+
+  /// The round-0 state of `header`, not yet scored.
+  static Result<StreamingScorer> Restore(DeltaHeader header, Options options);
+
+  /// Checks every index of `delta` (the next round), then patches the
+  /// state with it; no trace. A rejected delta changes nothing.
+  Status Patch(const RoundDelta& delta);
 
   /// Fresh trace + allocation over the current state: a full
   /// TraceForwards, the fold's dominant cost (Eq. 4 must re-match because
@@ -118,13 +135,15 @@ class StreamingScorer {
 class AttachedDeltaLog {
  public:
   /// Reads the log, rejects it when its schema fingerprint disagrees with
-  /// the bundle's, and folds every round already in it.
+  /// the bundle's, and folds every round already in it with one trace pass
+  /// (StreamingScorer::FromLog).
   static Result<AttachedDeltaLog> Attach(const store::BundleMeta& bundle,
                                          std::string log_path,
                                          ScorerOptions options = {});
 
-  /// Re-reads the log and folds the rounds appended since the last call.
-  /// Returns the number of rounds newly folded (0 = no growth).
+  /// Re-reads the log and folds the rounds appended since the last call,
+  /// with one trace pass when any of them changed the state. Returns the
+  /// number of rounds newly folded (0 = no growth).
   Result<uint64_t> Poll();
 
   /// Checks that the folded scores bit-match the bundle snapshot's — the

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "ctfl/core/pipeline.h"
+#include "ctfl/data/gen/benchmarks.h"
 #include "ctfl/data/gen/synthetic.h"
 #include "ctfl/fl/fedavg.h"
 #include "ctfl/fl/partition.h"
@@ -332,6 +333,38 @@ TEST_F(DeterminismTest, PipelineDigestMatchesPinnedValue) {
     digest = Fnv1a(digest, snap.micro);
     digest = Fnv1a(digest, snap.macro);
     EXPECT_EQ(digest, 0xe04459e65e46cc85ULL)
+        << std::hex << "digest 0x" << digest;
+  });
+}
+
+TEST_F(DeterminismTest, AlignedPipelineDigestMatchesPinnedValue) {
+  // The run above trains a 14-input layer 0, whose rows fit in one packed
+  // word and fill fewer than two 8-input groups of the weight sums
+  // (DESIGN.md §16.3). This pins a run at fed-score's shape instead:
+  // adult's 157 encoded inputs (three words a row, a partial last group),
+  // layer 0 of 48 + 48 nodes (six full chunks of each kind), 64-row
+  // batches and 4 threads, at every tier. Only a change meant to alter
+  // training may re-pin it.
+  const Dataset all = MakeBenchmark("adult", 2000, 61).value();
+  const Dataset test = MakeBenchmark("adult", 200, 67).value();
+  Rng rng(23);
+  const Federation fed = MakeFederation(PartitionUniform(all, 4, rng));
+  CtflConfig config = BaseConfig();
+  config.net.tau_d = 10;
+  config.net.logic_layers = {{48, 48}};
+  config.fedavg.rounds = 3;
+  config.fedavg.local.batch_size = 64;
+  ForEachTier([&](TraceIsa isa) {
+    config.tracer.isa = isa;
+    config.num_threads = 4;
+    CtflReport report = RunCtfl(fed, test, config).value();
+    ASSERT_EQ(report.model.encoded_size(), 157);
+    ASSERT_GT(report.trace.num_keys, 0);
+    uint64_t digest = 0xcbf29ce484222325ULL;
+    digest = Fnv1a(digest, report.model.GetParameters());
+    digest = Fnv1a(digest, report.micro_scores);
+    digest = Fnv1a(digest, report.macro_scores);
+    EXPECT_EQ(digest, 0xcaf004dbe19e29b6ULL)
         << std::hex << "digest 0x" << digest;
   });
 }

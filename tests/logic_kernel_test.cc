@@ -139,24 +139,16 @@ TEST(LogicKernelTest, BackwardWeightsMatchOracleOnBinaryInputs) {
           const Matrix dy =
               UpstreamGradient(batch, layer.out_dim(), rng, non_finite);
           // From zeroed gradients (a training step) and from accumulated
-          // ones (a second call in the same step); with the split and table
-          // the forward left, and with the backward's own.
+          // ones (a second call in the same step).
           for (bool accumulated : {false, true}) {
-            for (bool cached : {false, true}) {
-              Matrix want(layer.out_dim(), layer.in_dim());
-              if (accumulated) want.RandomUniform(rng, -1.0, 1.0);
-              layer.grads() = want;
-              oracle::BackwardWeightsFactored(layer.weights(), 13, x, y, dy,
-                                              &want);
-              LogicLayer::StepTables tables;
-              if (cached) {
-                EXPECT_TRUE(BitEqual(layer.ForwardContinuous(x, &tables), y));
-                EXPECT_TRUE(tables.ready);
-              }
-              layer.BackwardWeights(x, y, dy, cached ? &tables : nullptr);
-              EXPECT_TRUE(BitEqual(layer.grads(), want)) << "cached "
-                                                         << cached;
-            }
+            Matrix want(layer.out_dim(), layer.in_dim());
+            if (accumulated) want.RandomUniform(rng, -1.0, 1.0);
+            layer.grads() = want;
+            oracle::BackwardWeightsFactored(layer.weights(), 13, x, y, dy,
+                                            &want);
+            layer.BackwardWeights(x, y, dy);
+            EXPECT_TRUE(BitEqual(layer.grads(), want)) << "accumulated "
+                                                       << accumulated;
           }
         }
       }
@@ -528,6 +520,79 @@ TEST(LogicKernelTest, FactoredWeightGradientMatchesOracleEverywhere) {
         }
       }
     });
+  }
+}
+
+TEST(LogicKernelTest, MaskedWeightSumsMatchOracleAroundGroupEdges) {
+  // Layer 0's weight sums take 8 inputs at a time under one lane mask per
+  // row (DESIGN.md §16.3). Input counts around the 8-input groups and the
+  // packed words' 64 bits, node counts with partial chunks or no node of
+  // one kind, and batches around the 64-row blocks, 20 fresh batches each:
+  // every tier at 1, 2 and 4 threads must give the oracle's bits. Products
+  // and upstream gradients take the odd values of the case above among
+  // random ones; gradients start at +0.0 or random, one batch per shape
+  // starts one gradient at -0.0, and one holds a NaN weight.
+  const double kProducts[] = {0x1p-900, std::nextafter(0x1p-900, 0.0),
+                              std::nextafter(0x1p-900, 1.0), 0x1p-1040,
+                              std::numeric_limits<double>::denorm_min()};
+  const double kGradients[] = {0.0, -0.0, kNaN, kInf, -kInf};
+  constexpr int kFreshBatches = 20;
+  const std::pair<int, int> kLayers[] = {{13, 11}, {8, 0}, {0, 9}, {48, 48}};
+  Rng rng(131);
+  for (int in_dim : {1, 7, 8, 9, 63, 64, 65, 71, 72, 157, 200}) {
+    for (const auto& [conj, disj] : kLayers) {
+      LogicLayer layer(in_dim, conj, disj);
+      FillWeights(&layer, rng);
+      for (size_t k = 0; k < layer.weights().size(); ++k) {
+        if (rng.Bernoulli(0.05)) {
+          layer.weights().data()[k] = rng.Uniform(-3.0, 0.0);
+        }
+      }
+      const int out = layer.out_dim();
+      for (size_t batch : kBatchSizes) {
+        for (int b = 0; b < kFreshBatches; ++b) {
+          if (::testing::Test::HasFailure()) return;
+          SCOPED_TRACE(::testing::Message()
+                       << "in_dim " << in_dim << " layer (" << conj << ", "
+                       << disj << ") batch " << batch << " #" << b);
+          const Matrix x = BinaryInput(batch, in_dim, rng);
+          Matrix y(batch, out);
+          Matrix dy(batch, out);
+          for (size_t r = 0; r < batch; ++r) {
+            for (int node = 0; node < out; ++node) {
+              const double p = rng.Bernoulli(0.1)
+                                   ? kProducts[rng.UniformInt(5)]
+                                   : rng.Uniform(0.0, 1.0);
+              y(r, node) = node < conj ? p : 1.0 - p;
+              dy(r, node) = rng.Bernoulli(0.05) ? kGradients[rng.UniformInt(5)]
+                                                : rng.Uniform(-1.0, 1.0);
+            }
+          }
+          LogicLayer subject = layer;
+          Matrix start(out, in_dim);
+          if (b % 2 == 1) start.RandomUniform(rng, -1.0, 1.0);
+          if (b == kFreshBatches - 2) {
+            start(rng.UniformInt(out), rng.UniformInt(in_dim)) = -0.0;
+          }
+          if (b == kFreshBatches - 1) {
+            subject.weights()(rng.UniformInt(out), rng.UniformInt(in_dim)) =
+                kNaN;
+          }
+          Matrix want = start;
+          oracle::BackwardWeightsFactored(subject.weights(), conj, x, y, dy,
+                                          &want);
+          for (int threads : {1, 2, 4}) {
+            ScopedSharding sharding(threads);
+            ForEachTier([&](TraceIsa) {
+              subject.grads() = start;
+              subject.BackwardWeights(x, y, dy);
+              EXPECT_TRUE(BitEqual(subject.grads(), want))
+                  << "threads " << threads;
+            });
+          }
+        }
+      }
+    }
   }
 }
 

@@ -29,6 +29,7 @@
 #include "ctfl/stream/delta_log.h"
 #include "ctfl/stream/emitter.h"
 #include "ctfl/stream/scorer.h"
+#include "ctfl/telemetry/metrics.h"
 #include "ctfl/util/cpu_features.h"
 #include "ctfl/util/rng.h"
 #include "test_paths.h"
@@ -273,6 +274,33 @@ TEST(StreamScorerTest, HeaderCarriesRunIdentity) {
   }
 }
 
+TEST(StreamScorerTest, FoldAllKeepsTheScoresOfTheRoundsBeforeARejectedOne) {
+  const StreamFixture& fx = Fx();
+  ASSERT_GE(fx.log.rounds.size(), 3u);
+  Result<StreamingScorer> scorer =
+      StreamingScorer::FromHeader(fx.log.header);
+  ASSERT_TRUE(scorer.ok()) << scorer.status();
+  // Round 3 with a valid parameter patch and a predicted flip out of range.
+  DeltaLogContents contents = fx.log;
+  contents.rounds.resize(3);
+  contents.rounds[2].param_xors.push_back({0, uint64_t{1} << 51});
+  contents.rounds[2].predicted_flips.push_back(
+      static_cast<uint32_t>(fx.test.size()));
+  Result<uint64_t> folded = scorer->FoldAll(contents);
+  ASSERT_FALSE(folded.ok());
+  EXPECT_EQ(folded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(scorer->rounds_folded(), 2u);
+  EXPECT_TRUE(BitEq(fx.micro_at[2], scorer->micro_scores()));
+  EXPECT_TRUE(BitEq(fx.macro_at[2], scorer->macro_scores()));
+  ExpectTracesIdentical(fx.trace_at[2], scorer->trace());
+  // The rejected round changed nothing: the real one folds on from there.
+  folded = scorer->FoldAll(fx.log);
+  ASSERT_TRUE(folded.ok()) << folded.status();
+  EXPECT_EQ(*folded, fx.log.rounds.size() - 2);
+  EXPECT_TRUE(BitEq(fx.report.micro_scores, scorer->micro_scores()));
+  EXPECT_TRUE(BitEq(fx.report.macro_scores, scorer->macro_scores()));
+}
+
 TEST(StreamScorerTest, FoldRejectsNonConsecutiveRounds) {
   const StreamFixture& fx = Fx();
   ASSERT_GE(fx.log.rounds.size(), 2u);
@@ -329,6 +357,67 @@ TEST(StreamEngineTest, PollsAppendedRoundsAndVerifiesAgainstBundle) {
   appended = attached->Poll();
   ASSERT_TRUE(appended.ok()) << appended.status();
   EXPECT_EQ(*appended, 0u);
+}
+
+TEST(StreamEngineTest, AttachMatchesFromHeaderPlusOneFoldPerRound) {
+  const StreamFixture& fx = Fx();
+  for (const TraceIsa isa : AvailableTraceIsas()) {
+    SCOPED_TRACE(TraceIsaName(isa));
+    ScorerOptions options;
+    options.isa = isa;
+    Result<AttachedDeltaLog> attached = AttachedDeltaLog::Attach(
+        BundleMetaAt(fx.bundle_path), fx.log_path, options);
+    ASSERT_TRUE(attached.ok()) << attached.status();
+    Result<StreamingScorer> folded =
+        StreamingScorer::FromHeader(fx.log.header, options);
+    ASSERT_TRUE(folded.ok()) << folded.status();
+    for (const RoundDelta& round : fx.log.rounds) {
+      ASSERT_TRUE(folded->Fold(round).ok());
+    }
+    EXPECT_EQ(attached->rounds_folded(), folded->rounds_folded());
+    EXPECT_TRUE(
+        BitEq(folded->micro_scores(), attached->scorer().micro_scores()));
+    EXPECT_TRUE(
+        BitEq(folded->macro_scores(), attached->scorer().macro_scores()));
+    ExpectTracesIdentical(folded->trace(), attached->scorer().trace());
+  }
+}
+
+TEST(StreamEngineTest, AttachAndPollTraceOncePerCall) {
+  const StreamFixture& fx = Fx();
+  const telemetry::Counter& rescores =
+      telemetry::MetricsRegistry::Global().GetCounter("ctfl.stream.rescores");
+  const std::string path = TempPath("stream_trace_once.ctfld");
+  Result<DeltaLogWriter> writer = DeltaLogWriter::Create(path);
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  ASSERT_TRUE(writer->AppendHeader(fx.log.header).ok());
+  ASSERT_TRUE(writer->AppendRound(fx.log.rounds[0]).ok());
+  ASSERT_TRUE(writer->AppendRound(fx.log.rounds[1]).ok());
+
+  int64_t before = rescores.value();
+  Result<AttachedDeltaLog> attached =
+      AttachedDeltaLog::Attach(BundleMetaAt(fx.bundle_path), path);
+  ASSERT_TRUE(attached.ok()) << attached.status();
+  EXPECT_EQ(rescores.value() - before, 1) << "attach over two rounds";
+
+  bool moved = false;
+  for (size_t r = 2; r < fx.log.rounds.size(); ++r) {
+    ASSERT_TRUE(writer->AppendRound(fx.log.rounds[r]).ok());
+    moved |= !fx.log.rounds[r].empty();
+  }
+  ASSERT_TRUE(moved) << "the appended rounds must change the state";
+  before = rescores.value();
+  Result<uint64_t> appended = attached->Poll();
+  ASSERT_TRUE(appended.ok()) << appended.status();
+  EXPECT_EQ(*appended, fx.log.rounds.size() - 2);
+  EXPECT_EQ(rescores.value() - before, 1) << "one poll over three rounds";
+  EXPECT_TRUE(attached->Verify().ok()) << attached->Verify();
+
+  before = rescores.value();
+  appended = attached->Poll();
+  ASSERT_TRUE(appended.ok()) << appended.status();
+  EXPECT_EQ(*appended, 0u);
+  EXPECT_EQ(rescores.value(), before) << "a poll that finds no round";
 }
 
 TEST(StreamEngineTest, AttachRejectsLogOfAnotherSchema) {

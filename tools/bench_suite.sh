@@ -6,7 +6,10 @@
 #   BENCH_trace.json   BM_TracePass/blocked*          Eq. 4 tracing pass
 #   BENCH_fedavg.json  BM_FedAvgRound/threads:*        one federated round
 #                      + BM_GraftedStep/<tier>/96      one grafted step per
-#                      SIMD tier (fed-score's 96 layer-0 nodes)
+#                      SIMD tier (fed-score's 96 layer-0 nodes), one batch
+#                      repeated
+#                      + BM_GraftedStepFresh/<tier>/96  the same on a fresh
+#                      batch each step, as training sees it
 #   BENCH_query.json   BM_QueryRelated/* + BM_BundleLoad  bundle serving
 #   BENCH_serve.json   BM_Serve/related-test/connections:N  resident query
 #                      service soak (ctfl_serve + ctfl_query_client --load:
@@ -235,7 +238,7 @@ if [[ "${SUITE}" == "fedavg" || "${SUITE}" == "all" ]]; then
   # serial leg's speed for its whole measurement (3 of 14 fresh processes
   # on a 4-vCPU host), and no leg did once a second of rounds had run. The
   # flag, unlike a per-benchmark warm-up, keeps the leg names.
-  run_group fedavg '^BM_FedAvgRound/|^BM_GraftedStep/[a-z]' \
+  run_group fedavg '^BM_FedAvgRound/|^BM_GraftedStep/[a-z]|^BM_GraftedStepFresh/' \
       --benchmark_min_warmup_time=1
 fi
 if [[ "${SUITE}" == "query" || "${SUITE}" == "all" ]]; then
