@@ -99,6 +99,35 @@ Matrix BinarizationLayer::EncodeBatch(
   return out;
 }
 
+std::vector<logic_kernel::InputGroup> BinarizationLayer::InputLayout()
+    const {
+  std::vector<logic_kernel::InputGroup> layout;
+  for (int j = 0; j < encoded_size();) {
+    const EncodedPredicate& p = predicates_[j];
+    logic_kernel::InputGroup group;
+    group.first = j;
+    group.size = 0;
+    while (j < encoded_size() && predicates_[j].feature == p.feature &&
+           predicates_[j].kind == p.kind) {
+      ++group.size;
+      ++j;
+    }
+    switch (p.kind) {
+      case EncodedPredicate::Kind::kGreater:
+        group.kind = logic_kernel::GroupKind::kPrefix;
+        break;
+      case EncodedPredicate::Kind::kLess:
+        group.kind = logic_kernel::GroupKind::kSuffix;
+        break;
+      case EncodedPredicate::Kind::kEquals:
+        group.kind = logic_kernel::GroupKind::kOneHot;
+        break;
+    }
+    layout.push_back(group);
+  }
+  return layout;
+}
+
 PackedRows BinarizationLayer::EncodeDataset(const Dataset& dataset) const {
   PackedRows out(dataset.size(), predicates_.size());
   for (size_t r = 0; r < dataset.size(); ++r) {

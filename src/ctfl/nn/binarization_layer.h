@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "ctfl/data/dataset.h"
+#include "ctfl/nn/logic_kernel.h"
 #include "ctfl/nn/matrix.h"
 #include "ctfl/util/rng.h"
 
@@ -61,6 +62,13 @@ class BinarizationLayer {
 
   /// The predicate realized by encoded bit `j`.
   const EncodedPredicate& predicate(int j) const { return predicates_[j]; }
+
+  /// The encoded bits as groups that a record codes (DESIGN.md §16.2), in
+  /// bit order: a discrete feature's categories are one kOneHot group (a
+  /// record sets at most one; a value that is no category sets none), a
+  /// continuous feature's tau_d ascending `>` bounds a kPrefix group and its
+  /// tau_d ascending `<` bounds a kSuffix group (a NaN sets neither).
+  std::vector<logic_kernel::InputGroup> InputLayout() const;
 
  private:
   /// Whether `instance` satisfies predicate j.

@@ -67,31 +67,32 @@ void LinearLayer::BackwardParams(const std::vector<Columns>& x,
              static_cast<int>(dlogits.cols()) == out_dim_);
   const logic_kernel::Units& units = logic_kernel::UnitsFor(CurrentTraceIsa());
   Matrix dw(out_dim_, in_dim_);
-  std::vector<double> unpacked;
-  for (size_t r = 0; r < batch; ++r) {
-    for (int k = 0; k < out_dim_; ++k) {
-      const double g = dlogits(r, k);
-      if (g == 0.0) continue;
-      for (const Columns& block : x) {
-        double* y = dw.row(k) + block.offset;
-        if (block.x != nullptr) {
-          units.axpy(g, block.x->row(r), y, block.x->cols());
-        } else if (std::isfinite(g)) {
-          // g * 1.0 is g, and a clear column's g * 0.0 = ±0.0 leaves a sum
-          // from +0.0 (never -0.0) unchanged: only set columns change.
-          const uint64_t* bits = block.bits->row(r);
-          for (size_t w = 0; w < block.bits->words(); ++w) {
-            for (uint64_t m = bits[w]; m != 0; m &= m - 1) {
-              y[w * 64 + __builtin_ctzll(m)] += g;
-            }
-          }
-        } else {
-          // A NaN or infinite g makes every column's term NaN or ±inf: the
-          // dense axpy on the row's 0/1 values.
-          unpacked.resize(block.bits->cols());
-          UnpackRow(block.bits->row(r), unpacked.size(), unpacked.data());
-          units.axpy(g, unpacked.data(), y, unpacked.size());
+  for (const Columns& block : x) {
+    if (block.x != nullptr) {
+      for (size_t r = 0; r < batch; ++r) {
+        for (int k = 0; k < out_dim_; ++k) {
+          const double g = dlogits(r, k);
+          if (g == 0.0) continue;
+          units.axpy(g, block.x->row(r), dw.row(k) + block.offset,
+                     block.x->cols());
         }
+      }
+      continue;
+    }
+    // Packed 0/1 columns, 64 at a time per class: a finite g adds to its
+    // row's set columns only (a clear column's g * 0.0 = ±0.0 leaves a sum
+    // from +0.0 unchanged), a NaN or infinite one to every column.
+    const PackedRows& bits = *block.bits;
+    for (int k = 0; k < out_dim_; ++k) {
+      for (size_t w = 0; w < bits.words(); ++w) {
+        const size_t lo = w * 64;
+        const int n = static_cast<int>(std::min<size_t>(64, bits.cols() - lo));
+        double* y = dw.row(k) + block.offset + lo;
+        double sums[64] = {};
+        std::copy(y, y + n, sums);
+        units.skip_sums(bits.row(0) + w, bits.words(), n, dlogits.data() + k,
+                        dlogits.cols(), batch, sums);
+        std::copy(sums, sums + n, y);
       }
     }
   }

@@ -2,15 +2,14 @@
 #define CTFL_NN_LOGIC_KERNEL_H_
 
 // The hot loops of a grafted training step (DESIGN.md §16.2): layer 0's
-// row split of the packed batch, factor table and factor-table forward,
-// its weight backward as masked sums over the packed rows, the Adam
-// update, the discrete pass's active-input scan, and the vote layer's sums
-// and gradient rows (§16.5). One translation unit per SIMD tier
-// (logic_kernel_{generic,avx2,avx512}.cc) instantiates the shared bodies
-// of logic_kernel_body.h with its own Ops policy and its own -m flags; the
-// process-wide tier of util/cpu_features.h picks the unit, exactly as it
-// picks the tracing kernel's stripe unit. Every unit produces the generic
-// loops' results bit for bit (DESIGN.md §16.3).
+// group tables and grouped forward, its weight backward as sums into one
+// bucket per (group, code), the Adam update, the discrete pass's
+// active-input scan, and the vote layer's sums and gradient rows (§16.5).
+// One translation unit per SIMD tier (logic_kernel_{generic,avx2,avx512}.cc)
+// instantiates the shared bodies of logic_kernel_body.h with its own Ops
+// policy and its own -m flags; the process-wide tier of util/cpu_features.h
+// picks the unit, exactly as it picks the tracing kernel's stripe unit.
+// Every unit produces the same bits as every other (DESIGN.md §16.3).
 //
 // The units see plain pointers only: nothing here is an inline function
 // that a unit built with wider ISA flags could emit a copy of for the
@@ -25,9 +24,8 @@
 namespace ctfl {
 namespace logic_kernel {
 
-/// Nodes per chunk of the factor-table kernels: a chunk's running products,
-/// or its upstream gradients and product terms, stay in registers while
-/// one row's inputs stream past.
+/// Nodes per chunk of layer 0's kernels: a chunk's running products, or its
+/// product terms, stay in registers while one row's groups stream past.
 inline constexpr int kChunk = 8;
 
 /// Clamp floor for product terms; keeps y / t_i well defined in backward.
@@ -37,48 +35,64 @@ inline constexpr double kEps = 1e-8;
 /// (DESIGN.md §16.3): IEEE 754 leaves open which NaN a sum of two keeps.
 inline constexpr double kGradientNaN = __builtin_nan("");
 
-/// Per row of a packed binary input (PackedRows), its inputs at 0 and its
-/// inputs at 1, each ascending: the inputs whose factor a conjunction,
-/// respectively a disjunction, multiplies.
-struct SplitRows {
-  /// Row r's lists start at r * in_dim (the input's column count); zeros[r]
-  /// inputs are at 0 and in_dim - zeros[r] at 1.
-  std::vector<int> at_zero;
-  std::vector<int> at_one;
-  std::vector<int> zeros;
+/// How a record sets the inputs of one group (DESIGN.md §16.2), and so
+/// what its code is.
+enum class GroupKind : uint8_t {
+  /// The set inputs are a prefix of the group (the encoder's `x > l`
+  /// bounds, ascending): code p sets inputs [0, p), p in [0, size].
+  kPrefix,
+  /// A suffix (the `x < u` bounds): code s sets inputs [s, size), s in
+  /// [0, size].
+  kSuffix,
+  /// At most one (a discrete feature's one-hot categories): code c < size
+  /// sets input c alone, code size sets none.
+  kOneHot,
 };
 
-/// The one factor a binary input contributes to a node, per node chunk:
-/// a conjunction's factor 1 - w(1 - x) is exactly 1.0 at x = 1 and
-/// max(kEps, 1 - w) at x = 0; a disjunction's, 1 - w x, is exactly 1.0 at
-/// x = 0 and max(kEps, 1 - w) at x = 1. Chunks never mix the two kinds.
-struct FactorTable {
-  int in_dim = 0;
-  int conj_chunks = 0;
-  std::vector<int> first;  ///< first node of each chunk
-  std::vector<int> width;  ///< nodes in each chunk, <= kChunk
-  /// c[(q * in_dim + i) * kChunk + k] for node first[q] + k; 1.0 in the
-  /// lanes past width[q].
-  std::vector<double> c;
-
-  int chunks() const { return static_cast<int>(first.size()); }
-  bool conj(int q) const { return q < conj_chunks; }
-  size_t Offset(int q, int i) const {
-    return (static_cast<size_t>(q) * in_dim + i) * kChunk;
-  }
+/// A run of a layer's inputs that each record codes as one of size + 1
+/// codes. A layout is a list of groups, ascending, that covers the inputs
+/// once; an input with no group of its own is a kPrefix group of size 1,
+/// whose code is its bit.
+struct InputGroup {
+  GroupKind kind = GroupKind::kPrefix;
+  int first = 0;  ///< the group's first input
+  int size = 1;
+  /// In a batch's GroupCodes, the index of the group's code 0 in a table
+  /// or bucket array: its codes take entries [entry, entry + size].
+  int entry = 0;
 };
 
-/// One unit of 1 or 2 chunks of one kind of the continuous forward: writes
-/// y(r, node) for every row and every node of the unit.
+/// One batch under a layer's layout: the groups it keeps, ascending (a
+/// group that some row of the batch does not code, such as two categories
+/// set or a staircase with a hole, is taken as singletons), and per row and
+/// group, the entry of the row's code.
+struct GroupCodes {
+  std::vector<InputGroup> groups;
+  int entries = 0;  ///< sum over the groups of size + 1
+  /// Row r's entries at codes[r * groups.size() + g].
+  std::vector<int32_t> codes;
+};
+
+/// One unit of 1 or 2 chunks of one kind of the continuous forward: from
+/// each chunk's factors, builds its entry per (group, code), the product of
+/// the group's factors that the code's rows multiply; then writes
+/// y(r, node) for every row and every node of the unit, each row's product
+/// the entries of its codes multiplied in ascending group order.
 struct ForwardJob {
-  const double* table = nullptr;  ///< the unit's first chunk, input 0
-  size_t chunk_stride = 0;        ///< doubles from one chunk to the next
+  /// The chunks' factors max(kEps, 1 - w), input-major: chunk q's factor
+  /// of input i and node first[q] + k at factors[(q * in_dim + i) * kChunk
+  /// + k], 1.0 in the lanes past width[q].
+  const double* factors = nullptr;
+  /// Room for entries_per_chunk * kChunk doubles per chunk.
+  double* entries = nullptr;
   int chunks = 1;
   bool conj = true;
-  /// at_zero (conj) or at_one of the split; row r's list at r * in_dim.
-  const int* lists = nullptr;
-  const int* zeros = nullptr;
   int in_dim = 0;
+  /// The batch's GroupCodes, as plain pointers.
+  const InputGroup* groups = nullptr;
+  int num_groups = 0;
+  int entries_per_chunk = 0;
+  const int32_t* codes = nullptr;
   size_t rows = 0;
   double* y = nullptr;  ///< y(r, node) at y[r * y_stride + node]
   size_t y_stride = 0;
@@ -87,10 +101,11 @@ struct ForwardJob {
 };
 
 /// One chunk of layer 0's weight backward on a packed binary input: adds
-/// the chunk's weight gradients to its node rows of `grads`. Per weight,
-/// the terms g' * prod of the rows that list its input (at 0 for a
-/// conjunction, at 1 for a disjunction) are summed from +0.0 in ascending
-/// row order, then divided once by the weight's factor max(kEps, 1 - w)
+/// the chunk's weight gradients to its node rows of `grads`. The terms
+/// g' * prod of each row are summed into one bucket per (group, code),
+/// rows ascending from +0.0; each input's sum over the rows that list it
+/// (at 0 for a conjunction, at 1 for a disjunction) is read off its group's
+/// buckets, then divided once by the weight's factor max(kEps, 1 - w)
 /// (DESIGN.md §16.3).
 struct BackwardJob {
   bool conj = true;
@@ -101,6 +116,11 @@ struct BackwardJob {
   /// The packed input, x_words words per row.
   const uint64_t* x = nullptr;
   size_t x_words = 0;
+  /// The batch's GroupCodes, as plain pointers.
+  const InputGroup* groups = nullptr;
+  int num_groups = 0;
+  int entries = 0;
+  const int32_t* codes = nullptr;
   /// The layer's cached output and upstream gradient (rows x out_dim).
   const double* y = nullptr;
   const double* dy = nullptr;
@@ -108,7 +128,9 @@ struct BackwardJob {
   /// The weights and their gradients (out_dim x in_dim).
   const double* w = nullptr;
   double* grads = nullptr;
-  double* terms = nullptr;  ///< room for rows x kChunk terms
+  /// Scratch of rows + entries + in_dim + kChunk chunks (kChunk doubles
+  /// each): the rows' terms, the buckets and the inputs' sums.
+  double* scratch = nullptr;
   /// The generic per-(row, node) gradient, for the lanes the sums leave
   /// out: adds g * dy/dw_i to gw[i] for node weights `w` and the input row
   /// whose bits are `xr`, each read as 0.0 or 1.0.
@@ -132,15 +154,9 @@ struct AdamJob {
 
 /// One tier's units.
 struct Units {
-  /// Splits rows [lo, hi) of the packed `x` (in_dim bits in x_words words
-  /// per row, record-major) into the lists of SplitRows (sized by the
-  /// caller).
-  void (*split_rows)(const uint64_t* x, size_t x_words, int in_dim,
-                     size_t lo, size_t hi, int* at_zero, int* at_one,
-                     int* zeros);
-  /// Fills one chunk (in_dim x kChunk) of the table from the `width` node
-  /// rows at `w0` (row stride in_dim). False when one of the weights is not
-  /// finite.
+  /// Fills one chunk (in_dim x kChunk) of factors, as ForwardJob reads
+  /// them, from the `width` node rows at `w0` (row stride in_dim). False
+  /// when one of the weights is not finite.
   bool (*build_chunk)(const double* w0, int in_dim, int width, double* c);
   void (*forward)(const ForwardJob& job);
   /// False, having written nothing, when one of the chunk's weights is not
@@ -167,6 +183,14 @@ struct Units {
   /// y[i] += a * x[i] for i in [0, n): the rounded product, then the
   /// rounded sum (the vote layer's gradient rows).
   void (*axpy)(double a, const double* x, double* y, size_t n);
+  /// The vote layer's gradient sums of one class over columns [0, n) of a
+  /// packed 0/1 block (n <= 64), one word a row at bits[r * stride]: for
+  /// r in [0, rows) ascending with g[r * g_stride] nonzero, adds g to
+  /// sums[c] for each set column c when g is finite, and axpy's g * x to
+  /// every sums[c] when it is not. `sums` holds 64 doubles, none -0.0.
+  void (*skip_sums)(const uint64_t* bits, size_t stride, int n,
+                    const double* g, size_t g_stride, size_t rows,
+                    double* sums);
 };
 
 const Units& GenericUnits();

@@ -1,7 +1,6 @@
 // AVX2+FMA logic-kernel unit: a chunk is two 4-lane vectors, the forward
-// interleaves two rows, the backward's weight sums keep four node
-// accumulators (eight registers) and add a term masked by a row's input
-// bits, Adam takes the corrected quotient, and the vote adds a weight
+// interleaves two rows, the backward transposes its sums as four 4 x 4
+// blocks, Adam takes the corrected quotient, and the vote adds a weight
 // masked by its record bits. Compiled with -mavx2 -mfma on x86-64 (see
 // src/CMakeLists.txt); selected only when cpuid reports both
 // (util/cpu_features.h). FMA appears only as explicit intrinsics, in
@@ -24,7 +23,6 @@ struct Avx2Ops {
     __m256d hi;
   };
   static constexpr int kRows = 2;
-  static constexpr int kNodes = 4;
   static constexpr bool kReciprocal = true;
 
   static Chunk Load(const double* p) {
@@ -96,6 +94,34 @@ struct Avx2Ops {
         _mm256_cmp_pd(_mm256_loadu_pd(p + 4), half, _CMP_GT_OQ));
     return static_cast<unsigned>(lo | hi << 4);
   }
+  /// Transposes the 4 x 4 doubles of r[0..3] in place.
+  static void Transpose4(__m256d* r) {
+    const __m256d t0 = _mm256_unpacklo_pd(r[0], r[1]);
+    const __m256d t1 = _mm256_unpackhi_pd(r[0], r[1]);
+    const __m256d t2 = _mm256_unpacklo_pd(r[2], r[3]);
+    const __m256d t3 = _mm256_unpackhi_pd(r[2], r[3]);
+    r[0] = _mm256_permute2f128_pd(t0, t2, 0x20);
+    r[1] = _mm256_permute2f128_pd(t1, t3, 0x20);
+    r[2] = _mm256_permute2f128_pd(t0, t2, 0x31);
+    r[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
+  }
+  /// The four 4 x 4 blocks transposed, the two off the diagonal swapped.
+  static void Transpose(Chunk* c) {
+    __m256d lo[2][4];
+    __m256d hi[2][4];
+    for (int j = 0; j < 8; ++j) {
+      lo[j / 4][j % 4] = c[j].lo;
+      hi[j / 4][j % 4] = c[j].hi;
+    }
+    for (int h = 0; h < 2; ++h) {
+      Transpose4(lo[h]);
+      Transpose4(hi[h]);
+    }
+    for (int k = 0; k < 4; ++k) {
+      c[k] = {lo[0][k], lo[1][k]};
+      c[k + 4] = {hi[0][k], hi[1][k]};
+    }
+  }
   /// All ones in the lanes whose bit of the low four `bits` is set.
   static __m256d NibbleMask(unsigned bits) {
     const __m256i lane = _mm256_setr_epi64x(1, 2, 4, 8);
@@ -117,15 +143,6 @@ struct Avx2Ops {
             _mm256_fmadd_pd(mask.hi, w.hi, acc.hi)};
   }
 
-  static void SplitRows(const uint64_t* x, size_t x_words, int in_dim,
-                        size_t lo, size_t hi, int* at_zero, int* at_one,
-                        int* zeros) {
-    SplitRowsPortable(x, x_words, in_dim, lo, hi, at_zero, at_one, zeros);
-  }
-  static bool BuildChunk(const double* w0, int in_dim, int width,
-                         double* c) {
-    return BuildChunkPortable(w0, in_dim, width, c);
-  }
 };
 
 }  // namespace

@@ -1,9 +1,7 @@
 // AVX-512F logic-kernel unit: a chunk is one 8-lane vector, the forward
-// interleaves four rows, the backward's weight sums keep all eight node
-// accumulators in registers and add under a row's input mask, Adam takes
-// the corrected quotient, the row split compresses input indices under the
-// batch's bits with mask stores, the table gathers a chunk's weights per
-// input, and the vote adds under a record mask. Compiled with -mavx512f on
+// interleaves four rows, the factors and the backward's sums transpose in
+// registers, Adam takes the corrected quotient, and the vote adds under a
+// record mask. Compiled with -mavx512f on
 // x86-64 (see src/CMakeLists.txt); selected only when cpuid reports
 // AVX-512F (util/cpu_features.h). FMA appears only as the explicit
 // intrinsics of Quotient: ctfl_nn builds with -ffp-contract=off.
@@ -21,7 +19,6 @@ namespace {
 struct Avx512Ops {
   using Chunk = __m512d;
   static constexpr int kRows = 4;
-  static constexpr int kNodes = 8;
   static constexpr bool kReciprocal = true;
 
   static Chunk Load(const double* p) { return _mm512_loadu_pd(p); }
@@ -64,65 +61,37 @@ struct Avx512Ops {
     return _mm512_cmp_pd_mask(_mm512_loadu_pd(p), _mm512_set1_pd(0.5),
                               _CMP_GT_OQ);
   }
+  /// Pairs, then 128-bit lanes of pairs, then of quads; the zero-masked
+  /// forms with a full mask, as in Sqrt and Max.
+  static void Transpose(Chunk* c) {
+    __m512d t[8];
+    for (int j = 0; j < 8; j += 2) {
+      t[j] = _mm512_maskz_unpacklo_pd(0xff, c[j], c[j + 1]);
+      t[j + 1] = _mm512_maskz_unpackhi_pd(0xff, c[j], c[j + 1]);
+    }
+    // u[0..3]: rows 0-3 of columns {0, 4}, {2, 6}, {1, 5}, {3, 7}; u[4..7]
+    // the same of rows 4-7.
+    __m512d u[8];
+    for (int h = 0; h < 8; h += 4) {
+      u[h] = _mm512_maskz_shuffle_f64x2(0xff, t[h], t[h + 2], 0x88);
+      u[h + 1] = _mm512_maskz_shuffle_f64x2(0xff, t[h], t[h + 2], 0xdd);
+      u[h + 2] = _mm512_maskz_shuffle_f64x2(0xff, t[h + 1], t[h + 3], 0x88);
+      u[h + 3] = _mm512_maskz_shuffle_f64x2(0xff, t[h + 1], t[h + 3], 0xdd);
+    }
+    c[0] = _mm512_maskz_shuffle_f64x2(0xff, u[0], u[4], 0x88);
+    c[4] = _mm512_maskz_shuffle_f64x2(0xff, u[0], u[4], 0xdd);
+    c[2] = _mm512_maskz_shuffle_f64x2(0xff, u[1], u[5], 0x88);
+    c[6] = _mm512_maskz_shuffle_f64x2(0xff, u[1], u[5], 0xdd);
+    c[1] = _mm512_maskz_shuffle_f64x2(0xff, u[2], u[6], 0x88);
+    c[5] = _mm512_maskz_shuffle_f64x2(0xff, u[2], u[6], 0xdd);
+    c[3] = _mm512_maskz_shuffle_f64x2(0xff, u[3], u[7], 0x88);
+    c[7] = _mm512_maskz_shuffle_f64x2(0xff, u[3], u[7], 0xdd);
+  }
   using Mask = __mmask8;
   static Mask LaneMask(unsigned bits) { return static_cast<__mmask8>(bits); }
   /// Lanes whose bit is clear keep acc.
   static Chunk MaskedAdd(Chunk acc, Mask mask, Chunk w) {
     return _mm512_mask_add_pd(acc, mask, acc, w);
-  }
-
-  /// 16 inputs at a time: each list's indices compressed to its end with
-  /// one mask store, under the piece's set bits (at one) and its clear
-  /// bits (at zero). A 16-bit piece never straddles two words.
-  static void SplitRows(const uint64_t* x, size_t x_words, int in_dim,
-                        size_t lo, size_t hi, int* at_zero_base,
-                        int* at_one_base, int* zeros_out) {
-    const __m512i iota =
-        _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-    for (size_t r = lo; r < hi; ++r) {
-      const uint64_t* xr = x + r * x_words;
-      int* at_zero = at_zero_base + r * in_dim;
-      int* at_one = at_one_base + r * in_dim;
-      int zeros = 0;
-      int ones = 0;
-      for (int i = 0; i < in_dim; i += 16) {
-        const int n = in_dim - i < 16 ? in_dim - i : 16;
-        const unsigned valid = n == 16 ? 0xffffu : (1u << n) - 1;
-        const unsigned o =
-            static_cast<unsigned>(xr[i / 64] >> (i % 64)) & valid;
-        const unsigned z = valid & ~o;
-        const __m512i index = _mm512_add_epi32(iota, _mm512_set1_epi32(i));
-        _mm512_mask_compressstoreu_epi32(at_zero + zeros,
-                                         static_cast<__mmask16>(z), index);
-        _mm512_mask_compressstoreu_epi32(at_one + ones,
-                                         static_cast<__mmask16>(o), index);
-        zeros += __builtin_popcount(z);
-        ones += __builtin_popcount(o);
-      }
-      zeros_out[r] = zeros;
-    }
-  }
-
-  /// One gather of the chunk's weights per input; lanes past `width`
-  /// gather nothing and keep 0.0, whose factor max(kEps, 1 - 0) is 1.0.
-  static bool BuildChunk(const double* w0, int in_dim, int width,
-                         double* c) {
-    const __mmask8 lanes = static_cast<__mmask8>((1u << width) - 1);
-    const __m256i rows = _mm256_mullo_epi32(
-        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7), _mm256_set1_epi32(in_dim));
-    const __m512d one = _mm512_set1_pd(1.0);
-    const __m512d eps = _mm512_set1_pd(kEps);
-    const __m512d inf = _mm512_set1_pd(__builtin_inf());
-    __mmask8 finite = 0xff;
-    for (int i = 0; i < in_dim; ++i) {
-      const __m512d w = _mm512_mask_i32gather_pd(_mm512_setzero_pd(), lanes,
-                                                 rows, w0 + i, 8);
-      finite &= _mm512_cmp_pd_mask(_mm512_abs_pd(w), inf, _CMP_LT_OQ);
-      // max(v, eps) is (v > eps ? v : eps), std::max(kEps, v) exactly.
-      _mm512_storeu_pd(c + static_cast<size_t>(i) * kChunk,
-                       _mm512_maskz_max_pd(0xff, _mm512_sub_pd(one, w), eps));
-    }
-    return finite == 0xff;
   }
 };
 

@@ -18,14 +18,13 @@
 //    ordered comparison holds (bit k for lane k; false where either is
 //    NaN), and Select(bits, v), v in the lanes whose bit is set and +0.0 in
 //    the others;
-//  - `kRows`, the rows the forward interleaves, and `kNodes`, the node
-//    accumulators the backward's weight sums keep at once (as many as the
-//    tier's registers hold);
+//  - Transpose(c), which transposes the 8 x 8 doubles of c[0..7] in place
+//    (lane k of c[j] becomes lane j of c[k]);
+//  - `kRows`, the rows the forward interleaves;
 //  - `kReciprocal`; when true, also Sqrt, Quotient(a, b, y) (Markstein's
 //    corrected quotient with y = 1 / b, DESIGN.md §16.3) and
 //    GuardedQuotient(a, b, y) (Quotient where |a| lies in [2^-900, 2^1000],
 //    division elsewhere), which only Adam takes;
-//  - SplitRows and BuildChunk, with the contracts of Units;
 //  - AboveHalf(p), the mask of the eight lanes with p[k] > 0.5;
 //  - `Mask`, eight lanes' bits in the form the tier adds under, made by
 //    LaneMask(bits), and MaskedAdd(acc, mask, w), for a finite w: acc + w
@@ -35,11 +34,12 @@
 //
 // Bit-identity (DESIGN.md §16.3): every unit evaluates each result with
 // the same operations in the same order as the oracle (tests/
-// logic_oracle.h). The backward's weight gradient is factored: per weight,
-// the sum of g * prod over the rows that list its input, from +0.0 in
-// ascending row order, then one IEEE division by the weight's factor. The
-// sums are masked adds with lanes = 8 inputs, one mask per row from the
-// row's packed bits, so no loop's trip count depends on the batch. Adam's
+// logic_oracle.h). Layer 0 works on (row, group) codes: a group's entry
+// per code is a product of its factors in a fixed order, a row multiplies
+// one entry per group in ascending group order, and the weight gradient
+// sums each row's terms into its code's bucket in ascending row order,
+// reads each input's sum off its group's buckets in a fixed order, then
+// divides once. No loop's trip count depends on the batch's bits. Adam's
 // quotient is either the IEEE division or the corrected quotient on
 // operands where it provably equals it.
 
@@ -55,116 +55,148 @@ namespace {
 /// std::max(kEps, v), as the generic loops evaluate it.
 inline double ClampFactor(double v) { return kEps < v ? v : kEps; }
 
-/// The portable row split: one ctz loop over each word's set bits (the
-/// at-one list) and one over its clear bits below in_dim (the at-zero
-/// list), lowest first.
-inline void SplitRowsPortable(const uint64_t* x, size_t x_words, int in_dim,
-                              size_t lo, size_t hi, int* at_zero_base,
-                              int* at_one_base, int* zeros_out) {
-  for (size_t r = lo; r < hi; ++r) {
-    const uint64_t* xr = x + r * x_words;
-    int* at_zero = at_zero_base + r * in_dim;
-    int* at_one = at_one_base + r * in_dim;
-    int zeros = 0;
-    int ones = 0;
-    for (int base = 0; base < in_dim; base += 64) {
-      const int n = in_dim - base;
-      const uint64_t valid = n >= 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
-      const uint64_t word = xr[base / 64];
-      for (uint64_t m = word & valid; m != 0; m &= m - 1) {
-        at_one[ones++] = base + __builtin_ctzll(m);
-      }
-      for (uint64_t m = ~word & valid; m != 0; m &= m - 1) {
-        at_zero[zeros++] = base + __builtin_ctzll(m);
-      }
-    }
-    zeros_out[r] = zeros;
-  }
-}
-
-/// The portable chunk build.
-inline bool BuildChunkPortable(const double* w0, int in_dim, int width,
-                               double* c) {
-  bool finite = true;
-  for (int i = 0; i < in_dim; ++i) {
-    double* ci = c + static_cast<size_t>(i) * kChunk;
-    for (int k = 0; k < kChunk; ++k) {
-      if (k >= width) {
-        ci[k] = 1.0;
-        continue;
-      }
-      const double v = w0[static_cast<size_t>(k) * in_dim + i];
-      finite &= __builtin_isfinite(v);
-      ci[k] = ClampFactor(1.0 - v);
-    }
-  }
-  return finite;
-}
-
 /// v, or kGradientNaN when v is NaN.
 inline double CanonicalNaN(double v) { return v != v ? kGradientNaN : v; }
 
 // ---- Forward ----------------------------------------------------------------
 
-/// Writes to out[(ρ * kChunks + q) * kChunk + k] the product of row
-/// r0 + ρ's listed factors of chunk q, in list order: kRows x kChunks
-/// independent multiply chains. The rows walk their common prefix in
-/// lockstep, then each finishes its own list.
-template <typename Ops, int kRows, int kChunks>
-inline void MultiplyRows(const ForwardJob& job, size_t r0, double* out) {
+/// True when every one of the n weights at `w` is finite: bit 63 of
+/// (exponent field + 2^52) is set only for an all-ones exponent. Integer
+/// adds and masks only, so the loop vectorizes on every tier.
+inline bool AllFinite(const double* w, size_t n) {
+  constexpr uint64_t kExponent = uint64_t{0x7ff} << 52;
+  uint64_t bad = 0;
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t wb;
+    __builtin_memcpy(&wb, w + i, sizeof(wb));
+    bad |= (wb & kExponent) + (uint64_t{1} << 52);
+  }
+  return bad >> 63 == 0;
+}
+
+/// Units::build_chunk: eight inputs at a time, the `width` node rows'
+/// weights transposed into one chunk per input, and max(1 - w, kEps),
+/// which is max(kEps, 1 - w) exactly. Lanes past `width`, and inputs past
+/// in_dim, read 0.0, whose factor is 1.0.
+template <typename Ops>
+bool BuildChunk(const double* w0, int in_dim, int width, double* c) {
   using Chunk = typename Ops::Chunk;
-  const int* list[kRows];
-  int count[kRows];
-  int common = job.in_dim;
-  Chunk acc[kRows][kChunks];
-#pragma GCC unroll 8
-  for (int p = 0; p < kRows; ++p) {
-    const size_t r = r0 + p;
-    list[p] = job.lists + r * job.in_dim;
-    count[p] = job.conj ? job.zeros[r] : job.in_dim - job.zeros[r];
-    common = count[p] < common ? count[p] : common;
-#pragma GCC unroll 2
-    for (int q = 0; q < kChunks; ++q) acc[p][q] = Ops::Set1(1.0);
-  }
-  const size_t stride = job.chunk_stride;
-  for (int j = 0; j < common; ++j) {
-#pragma GCC unroll 8
-    for (int p = 0; p < kRows; ++p) {
-      const double* c = job.table + static_cast<size_t>(list[p][j]) * kChunk;
-#pragma GCC unroll 2
-      for (int q = 0; q < kChunks; ++q) {
-        acc[p][q] = Ops::Mul(acc[p][q], Ops::Load(c + q * stride));
+  const Chunk one = Ops::Set1(1.0);
+  const Chunk eps = Ops::Set1(kEps);
+  for (int i = 0; i < in_dim; i += kChunk) {
+    const int n = in_dim - i < kChunk ? in_dim - i : kChunk;
+    Chunk w[kChunk];
+    for (int k = 0; k < kChunk; ++k) {
+      const double* row = w0 + static_cast<size_t>(k) * in_dim + i;
+      if (k < width && n == kChunk) {
+        w[k] = Ops::Load(row);
+        continue;
       }
+      double pad[kChunk] = {};
+      for (int j = 0; k < width && j < n; ++j) pad[j] = row[j];
+      w[k] = Ops::Load(pad);
+    }
+    Ops::Transpose(w);
+    for (int j = 0; j < n; ++j) {
+      Ops::Store(c + static_cast<size_t>(i + j) * kChunk,
+                 Ops::Max(Ops::Sub(one, w[j]), eps));
     }
   }
-#pragma GCC unroll 8
-  for (int p = 0; p < kRows; ++p) {
-    for (int j = common; j < count[p]; ++j) {
-      const double* c = job.table + static_cast<size_t>(list[p][j]) * kChunk;
-#pragma GCC unroll 2
-      for (int q = 0; q < kChunks; ++q) {
-        acc[p][q] = Ops::Mul(acc[p][q], Ops::Load(c + q * stride));
-      }
+  return AllFinite(w0, static_cast<size_t>(width) * in_dim);
+}
+
+/// The entries of one group of n inputs in one chunk, from the inputs'
+/// factors f (n chunks) into e (n + 1 chunks): e[code] is the product of
+/// the factors that a row of that code multiplies (its inputs at 0 for a
+/// conjunction, at 1 for a disjunction), formed from Lo(p) = ((1 * f_0) *
+/// f_1) * ... * f_{p-1} and Hi(p) = f_p * (f_{p+1} * (... * (f_{n-1} * 1)))
+/// as DESIGN.md §16.3 fixes.
+template <typename Ops>
+inline void GroupEntries(GroupKind kind, bool conj, int n, const double* f,
+                         double* e) {
+  using Chunk = typename Ops::Chunk;
+  const Chunk one = Ops::Set1(1.0);
+  if (kind == GroupKind::kOneHot && !conj) {
+    // The set input's factor alone (1 * f_c), or none.
+    for (int c = 0; c < n; ++c) {
+      Ops::Store(e + c * kChunk, Ops::Load(f + c * kChunk));
     }
-#pragma GCC unroll 2
-    for (int q = 0; q < kChunks; ++q) {
-      Ops::Store(out + (p * kChunks + q) * kChunk, acc[p][q]);
+    Ops::Store(e + n * kChunk, one);
+    return;
+  }
+  if (kind == GroupKind::kOneHot) {
+    // Every input but the set one: Lo(c) * Hi(c + 1); none set: Lo(n).
+    Chunk hi = one;
+    for (int c = n - 1; c >= 0; --c) {
+      Ops::Store(e + c * kChunk, hi);
+      hi = Ops::Mul(Ops::Load(f + c * kChunk), hi);
+    }
+    Chunk lo = one;
+    for (int c = 0; c < n; ++c) {
+      Ops::Store(e + c * kChunk, Ops::Mul(lo, Ops::Load(e + c * kChunk)));
+      lo = Ops::Mul(lo, Ops::Load(f + c * kChunk));
+    }
+    Ops::Store(e + n * kChunk, lo);
+    return;
+  }
+  // Code p of a prefix sets inputs [0, p), code s of a suffix [s, n): a
+  // prefix's conjunction and a suffix's disjunction multiply the inputs
+  // from the code up, Hi(code); the other two those below it, Lo(code).
+  if ((kind == GroupKind::kPrefix) != conj) {
+    Chunk lo = one;
+    Ops::Store(e, lo);
+    for (int p = 0; p < n; ++p) {
+      lo = Ops::Mul(lo, Ops::Load(f + p * kChunk));
+      Ops::Store(e + (p + 1) * kChunk, lo);
+    }
+  } else {
+    Chunk hi = one;
+    Ops::Store(e + n * kChunk, hi);
+    for (int p = n - 1; p >= 0; --p) {
+      hi = Ops::Mul(Ops::Load(f + p * kChunk), hi);
+      Ops::Store(e + p * kChunk, hi);
     }
   }
 }
 
+/// Writes y for rows r0 .. r0 + kRows - 1 and the unit's kChunks chunks:
+/// kRows x kChunks independent multiply chains, each row's entries in
+/// ascending group order.
 template <typename Ops, int kRows, int kChunks>
 inline void ForwardRows(const ForwardJob& job, size_t r0) {
-  double prod[kRows * kChunks * kChunk];
-  MultiplyRows<Ops, kRows, kChunks>(job, r0, prod);
+  using Chunk = typename Ops::Chunk;
+  const size_t stride = static_cast<size_t>(job.entries_per_chunk) * kChunk;
+  const int32_t* code[kRows];
+  Chunk acc[kRows][kChunks];
+#pragma GCC unroll 8
+  for (int p = 0; p < kRows; ++p) {
+    code[p] = job.codes + (r0 + p) * job.num_groups;
+    const double* e = job.entries + static_cast<size_t>(code[p][0]) * kChunk;
+#pragma GCC unroll 2
+    for (int q = 0; q < kChunks; ++q) acc[p][q] = Ops::Load(e + q * stride);
+  }
+  for (int g = 1; g < job.num_groups; ++g) {
+#pragma GCC unroll 8
+    for (int p = 0; p < kRows; ++p) {
+      const double* e = job.entries + static_cast<size_t>(code[p][g]) * kChunk;
+#pragma GCC unroll 2
+      for (int q = 0; q < kChunks; ++q) {
+        acc[p][q] = Ops::Mul(acc[p][q], Ops::Load(e + q * stride));
+      }
+    }
+  }
+  const Chunk one = Ops::Set1(1.0);
   for (int p = 0; p < kRows; ++p) {
     double* yr = job.y + (r0 + p) * job.y_stride;
     for (int q = 0; q < kChunks; ++q) {
-      const double* pq = prod + (p * kChunks + q) * kChunk;
-      double* out = yr + job.first[q];
-      for (int k = 0; k < job.width[q]; ++k) {
-        out[k] = job.conj ? pq[k] : 1.0 - pq[k];
+      const Chunk out = job.conj ? acc[p][q] : Ops::Sub(one, acc[p][q]);
+      if (job.width[q] == kChunk) {
+        Ops::Store(yr + job.first[q], out);
+        continue;
       }
+      double lanes[kChunk];
+      Ops::Store(lanes, out);
+      for (int k = 0; k < job.width[q]; ++k) yr[job.first[q] + k] = lanes[k];
     }
   }
 }
@@ -179,10 +211,22 @@ inline void ForwardChunks(const ForwardJob& job) {
   for (; r < job.rows; ++r) ForwardRows<Ops, 1, kChunks>(job, r);
 }
 
-/// Units::forward: each node multiplies its factors in ascending input
-/// order, as the generic loop does (a skipped factor is exactly 1.0).
+/// Units::forward: each chunk's entries, group by group, then the rows'
+/// products.
 template <typename Ops>
 void Forward(const ForwardJob& job) {
+  for (int q = 0; q < job.chunks; ++q) {
+    const double* factors =
+        job.factors + static_cast<size_t>(q) * job.in_dim * kChunk;
+    double* entries =
+        job.entries + static_cast<size_t>(q) * job.entries_per_chunk * kChunk;
+    for (int g = 0; g < job.num_groups; ++g) {
+      const InputGroup& group = job.groups[g];
+      GroupEntries<Ops>(group.kind, job.conj, group.size,
+                        factors + static_cast<size_t>(group.first) * kChunk,
+                        entries + static_cast<size_t>(group.entry) * kChunk);
+    }
+  }
   if (job.chunks == 2) {
     ForwardChunks<Ops, 2>(job);
   } else {
@@ -192,27 +236,22 @@ void Forward(const ForwardJob& job) {
 
 // ---- Backward ---------------------------------------------------------------
 
-/// True when every one of the n weights at `w` is finite and none of the n
-/// gradients at `g` is -0.0. Integer adds, masks and shifts only, so the
-/// loop vectorizes on every tier: bit 63 of (exponent field + 2^52) is set
-/// only for an all-ones exponent, and bit 63 of ~z & (z - 1) only for
-/// z = 0, z being the gradient's bits against -0.0's.
-inline bool SumsApply(const double* w, const double* g, size_t n) {
-  constexpr uint64_t kExponent = uint64_t{0x7ff} << 52;
+/// True when none of the n gradients at `g` is -0.0: bit 63 of ~z & (z - 1)
+/// is set only for z = 0, z being a gradient's bits against -0.0's.
+/// Integer operations only, as in AllFinite.
+inline bool NoNegativeZero(const double* g, size_t n) {
   constexpr uint64_t kNegativeZero = uint64_t{1} << 63;
   uint64_t bad = 0;
   for (size_t i = 0; i < n; ++i) {
-    uint64_t wb;
     uint64_t gb;
-    __builtin_memcpy(&wb, w + i, sizeof(wb));
     __builtin_memcpy(&gb, g + i, sizeof(gb));
     const uint64_t z = gb ^ kNegativeZero;
-    bad |= ((wb & kExponent) + (uint64_t{1} << 52)) | (~z & (z - 1));
+    bad |= ~z & (z - 1);
   }
   return bad >> 63 == 0;
 }
 
-/// Writes each row's terms g' * prod to job.terms (kChunk a row), with
+/// Writes each row's terms g' * prod to `terms` (kChunk a row), with
 /// g' = -g for a conjunction, in the lanes whose g is finite and nonzero
 /// and whose product lies in (0, 1]; +0.0 in the others, which the sums
 /// then add without effect. Lanes the generic loop would not skip (g != 0
@@ -220,7 +259,7 @@ inline bool SumsApply(const double* w, const double* g, size_t n) {
 /// on the row's bits, straight into the node's gradient row, so a NaN or
 /// infinite g propagates as in the generic loop.
 template <typename Ops>
-inline void RowTerms(const BackwardJob& job) {
+inline void RowTerms(const BackwardJob& job, double* terms) {
   using Chunk = typename Ops::Chunk;
   const Chunk zero = Ops::Set1(0.0);
   const Chunk one = Ops::Set1(1.0);
@@ -252,7 +291,7 @@ inline void RowTerms(const BackwardJob& job) {
     const unsigned summed = nonzero & Ops::Less(minus_inf, g) &
                             Ops::Less(g, inf) & Ops::Less(zero, prod) &
                             Ops::LessEqual(prod, one);
-    Ops::Store(job.terms + r * kChunk,
+    Ops::Store(terms + r * kChunk,
                Ops::Select(summed, Ops::Mul(Ops::Mul(g, sign), prod)));
     for (unsigned m = nonzero & ~Ops::LessEqual(prod, zero) & ~summed; m != 0;
          m &= m - 1) {
@@ -265,49 +304,67 @@ inline void RowTerms(const BackwardJob& job) {
   }
 }
 
-/// Rows per block of the weight sums: each block's row masks are made once
-/// and serve every pass over the chunk's nodes.
-inline constexpr size_t kBlockRows = 64;
-
-/// The sums of inputs [i, i + kChunk) for every node of the chunk, into
-/// sums (one Chunk a node, its lanes the inputs). Per block of rows, each
-/// row's lane mask is the group's byte of the row's packed word
-/// (complemented for a conjunction); then, Ops::kNodes nodes at a time in
-/// registers, each row in ascending order adds each node's term under its
-/// row's mask.
+/// Sums each row's terms into the bucket of its code in every group, rows
+/// ascending from +0.0: buckets has room for job.entries chunks.
 template <typename Ops>
-inline void SumGroup(const BackwardJob& job, int i,
-                     typename Ops::Chunk* sums) {
+inline void SumBuckets(const BackwardJob& job, const double* terms,
+                       double* buckets) {
   using Chunk = typename Ops::Chunk;
-  constexpr int kNodes = Ops::kNodes;
-  const int n = job.in_dim - i;
-  const uint64_t valid = n >= kChunk ? 0xff : (uint64_t{1} << n) - 1;
-  const uint64_t flip = job.conj ? ~uint64_t{0} : 0;
-  const uint64_t* word = job.x + i / 64;
-  const int shift = i % 64;
-  for (int k = 0; k < kChunk; ++k) sums[k] = Ops::Set1(0.0);
-  typename Ops::Mask masks[kBlockRows];
-  for (size_t lo = 0; lo < job.rows; lo += kBlockRows) {
-    const size_t rows =
-        job.rows - lo < kBlockRows ? job.rows - lo : kBlockRows;
-    for (size_t r = 0; r < rows; ++r) {
-      masks[r] = Ops::LaneMask(static_cast<unsigned>(
-          ((word[(lo + r) * job.x_words] ^ flip) >> shift) & valid));
+  const Chunk zero = Ops::Set1(0.0);
+  for (int e = 0; e < job.entries; ++e) Ops::Store(buckets + e * kChunk, zero);
+  for (size_t r = 0; r < job.rows; ++r) {
+    const Chunk t = Ops::Load(terms + r * kChunk);
+    const int32_t* code = job.codes + r * job.num_groups;
+    for (int g = 0; g < job.num_groups; ++g) {
+      double* b = buckets + static_cast<size_t>(code[g]) * kChunk;
+      Ops::Store(b, Ops::Add(Ops::Load(b), t));
     }
-    for (int k0 = 0; k0 < job.width; k0 += kNodes) {
-      Chunk acc[kNodes];
-#pragma GCC unroll 8
-      for (int k = 0; k < kNodes; ++k) acc[k] = sums[k0 + k];
-      const double* term = job.terms + lo * kChunk + k0;
-      for (size_t r = 0; r < rows; ++r) {
-#pragma GCC unroll 8
-        for (int k = 0; k < kNodes; ++k) {
-          acc[k] = Ops::MaskedAdd(acc[k], masks[r], Ops::Set1(term[k]));
-        }
-        term += kChunk;
-      }
-#pragma GCC unroll 8
-      for (int k = 0; k < kNodes; ++k) sums[k0 + k] = acc[k];
+  }
+}
+
+/// Each input's sum over the rows that list it, read off the buckets b
+/// (n + 1 chunks) of one group of n inputs into s (n chunks), from Up(j) =
+/// ((+0 + b_0) + b_1) + ... + b_{j-1} and Down(j) = b_j + (b_{j+1} + (... +
+/// (b_n + +0))) as DESIGN.md §16.3 fixes: O(n) adds per group.
+template <typename Ops>
+inline void GroupSums(GroupKind kind, bool conj, int n, const double* b,
+                      double* s) {
+  using Chunk = typename Ops::Chunk;
+  const Chunk zero = Ops::Set1(0.0);
+  if (kind == GroupKind::kOneHot && !conj) {
+    // Only the input's own code lists it.
+    for (int j = 0; j < n; ++j) {
+      Ops::Store(s + j * kChunk, Ops::Load(b + j * kChunk));
+    }
+    return;
+  }
+  if (kind == GroupKind::kOneHot) {
+    // Every code but the input's own: Up(j) + Down(j + 1).
+    Chunk down = zero;
+    for (int j = n - 1; j >= 0; --j) {
+      down = Ops::Add(Ops::Load(b + (j + 1) * kChunk), down);
+      Ops::Store(s + j * kChunk, down);
+    }
+    Chunk up = zero;
+    for (int j = 0; j < n; ++j) {
+      Ops::Store(s + j * kChunk, Ops::Add(up, Ops::Load(s + j * kChunk)));
+      up = Ops::Add(up, Ops::Load(b + j * kChunk));
+    }
+    return;
+  }
+  // A prefix's conjunction and a suffix's disjunction list input j for the
+  // codes up to j, Up(j + 1); the other two for the codes above, Down(j + 1).
+  if ((kind == GroupKind::kPrefix) == conj) {
+    Chunk up = zero;
+    for (int j = 0; j < n; ++j) {
+      up = Ops::Add(up, Ops::Load(b + j * kChunk));
+      Ops::Store(s + j * kChunk, up);
+    }
+  } else {
+    Chunk down = zero;
+    for (int j = n - 1; j >= 0; --j) {
+      down = Ops::Add(Ops::Load(b + (j + 1) * kChunk), down);
+      Ops::Store(s + j * kChunk, down);
     }
   }
 }
@@ -316,27 +373,50 @@ inline void SumGroup(const BackwardJob& job, int i,
 /// sum_r g_r * rest_r over the rows that list i, rest_r = prod_r / c_ik; it
 /// is taken factored, (sum_r g_r * prod_r) / c_ik. RowTerms writes every
 /// row's terms (and runs the generic loop for the lanes that need it);
-/// then, per group of 8 inputs, SumGroup sums them, and each weight adds
-/// its quotient once, straight into the node's gradient row.
+/// SumBuckets sums them per (group, code) and GroupSums reads each input's
+/// sum, a chunk whose lanes are the nodes; eight inputs at a time, a
+/// transpose turns them into node rows, and each weight adds its quotient
+/// once, straight into the node's gradient row.
 template <typename Ops>
 bool Backward(const BackwardJob& job) {
   using Chunk = typename Ops::Chunk;
   const size_t first = static_cast<size_t>(job.first) * job.in_dim;
   const size_t n = static_cast<size_t>(job.width) * job.in_dim;
-  if (!SumsApply(job.w + first, job.grads + first, n)) return false;
-  RowTerms<Ops>(job);
+  if (!AllFinite(job.w + first, n) || !NoNegativeZero(job.grads + first, n)) {
+    return false;
+  }
+  double* terms = job.scratch;
+  double* buckets = terms + job.rows * kChunk;
+  double* sums = buckets + static_cast<size_t>(job.entries) * kChunk;
+  RowTerms<Ops>(job, terms);
+  SumBuckets<Ops>(job, terms, buckets);
+  for (int g = 0; g < job.num_groups; ++g) {
+    const InputGroup& group = job.groups[g];
+    GroupSums<Ops>(group.kind, job.conj, group.size,
+                   buckets + static_cast<size_t>(group.entry) * kChunk,
+                   sums + static_cast<size_t>(group.first) * kChunk);
+  }
+  const Chunk zero = Ops::Set1(0.0);
+  // The last group of 8 inputs transposes whole chunks past in_dim.
+  for (int i = job.in_dim; i % kChunk != 0; ++i) {
+    Ops::Store(sums + static_cast<size_t>(i) * kChunk, zero);
+  }
   const Chunk one = Ops::Set1(1.0);
   const Chunk eps = Ops::Set1(kEps);
   for (int i = 0; i < job.in_dim; i += kChunk) {
-    Chunk sums[kChunk];
-    SumGroup<Ops>(job, i, sums);
+    Chunk node_sums[kChunk];
+#pragma GCC unroll 8
+    for (int j = 0; j < kChunk; ++j) {
+      node_sums[j] = Ops::Load(sums + static_cast<size_t>(i + j) * kChunk);
+    }
+    Ops::Transpose(node_sums);
     for (int k = 0; k < job.width; ++k) {
       const size_t at = first + static_cast<size_t>(k) * job.in_dim + i;
       const double* w = job.w + at;
       double* gw = job.grads + at;
       if (job.in_dim - i < kChunk) {
         double sum[kChunk];
-        Ops::Store(sum, sums[k]);
+        Ops::Store(sum, node_sums[k]);
         for (int j = 0; j < job.in_dim - i; ++j) {
           gw[j] = CanonicalNaN(gw[j] + sum[j] / ClampFactor(1.0 - w[j]));
         }
@@ -344,7 +424,7 @@ bool Backward(const BackwardJob& job) {
       }
       // max(1 - w, kEps) is ClampFactor(1 - w) exactly.
       const Chunk c = Ops::Max(Ops::Sub(one, Ops::Load(w)), eps);
-      const Chunk v = Ops::Add(Ops::Load(gw), Ops::Div(sums[k], c));
+      const Chunk v = Ops::Add(Ops::Load(gw), Ops::Div(node_sums[k], c));
       Ops::Store(gw, v);
       for (unsigned m = ~Ops::LessEqual(v, v) & 0xffu; m != 0; m &= m - 1) {
         gw[__builtin_ctz(m)] = kGradientNaN;
@@ -465,6 +545,47 @@ void Axpy(double a, const double* x, double* y, size_t n) {
   for (; i < n; ++i) y[i] += a * x[i];
 }
 
+/// Units::skip_sums: the eight chunks of one 64-column word's sums stay in
+/// registers while the rows stream past, a finite g added under the row's
+/// mask bytes (the masked add Vote uses, on sums from +0.0), a non-finite
+/// one by Axpy on the row's 0/1 values, as the dense product takes it.
+template <typename Ops>
+void SkipSums(const uint64_t* bits, size_t stride, int n, const double* g,
+              size_t g_stride, size_t rows, double* sums) {
+  using Chunk = typename Ops::Chunk;
+  constexpr int kChunks = 64 / kChunk;
+  const uint64_t valid = n >= 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+  Chunk acc[kChunks];
+#pragma GCC unroll 8
+  for (int v = 0; v < kChunks; ++v) acc[v] = Ops::Load(sums + kChunk * v);
+  for (size_t r = 0; r < rows; ++r) {
+    const double gr = g[r * g_stride];
+    if (gr == 0.0) continue;
+    const uint64_t word = bits[r * stride] & valid;
+    if (__builtin_isfinite(gr)) {
+      const Chunk gv = Ops::Set1(gr);
+#pragma GCC unroll 8
+      for (int v = 0; v < kChunks; ++v) {
+        acc[v] = Ops::MaskedAdd(
+            acc[v],
+            Ops::LaneMask(static_cast<unsigned>(word >> (kChunk * v)) & 0xffu),
+            gv);
+      }
+      continue;
+    }
+    // NaN or ±inf: every column's term g * x, 0 * g included.
+    double x[64];
+    for (int c = 0; c < 64; ++c) x[c] = (word >> c) & 1 ? 1.0 : 0.0;
+#pragma GCC unroll 8
+    for (int v = 0; v < kChunks; ++v) Ops::Store(sums + kChunk * v, acc[v]);
+    Axpy<Ops>(gr, x, sums, static_cast<size_t>(n));
+#pragma GCC unroll 8
+    for (int v = 0; v < kChunks; ++v) acc[v] = Ops::Load(sums + kChunk * v);
+  }
+#pragma GCC unroll 8
+  for (int v = 0; v < kChunks; ++v) Ops::Store(sums + kChunk * v, acc[v]);
+}
+
 // ---- Quotient probe --------------------------------------------------------
 
 /// Units::quotient, through the tier's quotient with y = 1 / b by division
@@ -486,8 +607,7 @@ void Quotients(const double* a, const double* b, double* q, size_t n) {
 template <typename Ops>
 Units MakeUnits() {
   Units units;
-  units.split_rows = Ops::SplitRows;
-  units.build_chunk = Ops::BuildChunk;
+  units.build_chunk = BuildChunk<Ops>;
   units.forward = Forward<Ops>;
   units.backward = Backward<Ops>;
   units.adam = Adam<Ops>;
@@ -495,6 +615,7 @@ Units MakeUnits() {
   units.active_inputs = ActiveInputs<Ops>;
   units.vote = Vote<Ops>;
   units.axpy = Axpy<Ops>;
+  units.skip_sums = SkipSums<Ops>;
   return units;
 }
 

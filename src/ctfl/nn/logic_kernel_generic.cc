@@ -44,7 +44,6 @@ struct GenericOps {
     Lanes l0, l1, l2, l3;
   };
   static constexpr int kRows = 1;
-  static constexpr int kNodes = 4;
   static constexpr bool kReciprocal = false;
 
   static Chunk Load(const double* p) {
@@ -98,6 +97,29 @@ struct GenericOps {
   static unsigned LessEqual(const Chunk& a, const Chunk& b) {
     return Bits(a.l0 <= b.l0, a.l1 <= b.l1, a.l2 <= b.l2, a.l3 <= b.l3);
   }
+  /// 2 x 2 blocks of pairs: pair a of column 2p and 2p + 1 takes the
+  /// first, respectively second, lanes of pair p of rows 2a and 2a + 1.
+  static void Transpose(Chunk* c) {
+    Lanes in[8][4];
+    for (int j = 0; j < 8; ++j) {
+      in[j][0] = c[j].l0;
+      in[j][1] = c[j].l1;
+      in[j][2] = c[j].l2;
+      in[j][3] = c[j].l3;
+    }
+    Lanes out[8][4];
+    for (int a = 0; a < 4; ++a) {
+      for (int p = 0; p < 4; ++p) {
+        out[2 * p][a] =
+            __builtin_shufflevector(in[2 * a][p], in[2 * a + 1][p], 0, 2);
+        out[2 * p + 1][a] =
+            __builtin_shufflevector(in[2 * a][p], in[2 * a + 1][p], 1, 3);
+      }
+    }
+    for (int k = 0; k < 8; ++k) {
+      c[k] = {out[k][0], out[k][1], out[k][2], out[k][3]};
+    }
+  }
   /// The lanes' masks as four pairs of all-ones or all-zero lanes.
   struct Mask {
     LaneBits m0, m1, m2, m3;
@@ -130,15 +152,6 @@ struct GenericOps {
             acc.l1 + SelectLanes(mask.m1, w.l1),
             acc.l2 + SelectLanes(mask.m2, w.l2),
             acc.l3 + SelectLanes(mask.m3, w.l3)};
-  }
-  static void SplitRows(const uint64_t* x, size_t x_words, int in_dim,
-                        size_t lo, size_t hi, int* at_zero, int* at_one,
-                        int* zeros) {
-    SplitRowsPortable(x, x_words, in_dim, lo, hi, at_zero, at_one, zeros);
-  }
-  static bool BuildChunk(const double* w0, int in_dim, int width,
-                         double* c) {
-    return BuildChunkPortable(w0, in_dim, width, c);
   }
 };
 

@@ -10,10 +10,11 @@
 namespace ctfl {
 namespace {
 
-using logic_kernel::FactorTable;
+using logic_kernel::GroupCodes;
+using logic_kernel::GroupKind;
+using logic_kernel::InputGroup;
 using logic_kernel::kChunk;
 using logic_kernel::kEps;
-using logic_kernel::SplitRows;
 
 /// Row r of a layer input as the generic loops read it: a Matrix row in
 /// place; a packed row unpacked into `scratch`, so the loops see the same
@@ -61,33 +62,6 @@ void PackedNodeGradient(bool conj, double g, double prod, const double* w,
   row.resize(in_dim);
   UnpackRow(xr, in_dim, row.data());
   NodeGradient(conj, g, prod, w, row.data(), in_dim, gw, nullptr);
-}
-
-/// Lays out the chunks of layer `w` (out x in, num_conj conjunctions
-/// first) and sizes the table; the units fill it chunk by chunk.
-void LayoutFactorTable(const Matrix& w, int num_conj, FactorTable* t) {
-  const int out = static_cast<int>(w.rows());
-  t->in_dim = static_cast<int>(w.cols());
-  t->first.clear();
-  t->width.clear();
-  for (int node = 0; node < num_conj; node += kChunk) {
-    t->first.push_back(node);
-    t->width.push_back(std::min(kChunk, num_conj - node));
-  }
-  t->conj_chunks = t->chunks();
-  for (int node = num_conj; node < out; node += kChunk) {
-    t->first.push_back(node);
-    t->width.push_back(std::min(kChunk, out - node));
-  }
-  t->c.resize(static_cast<size_t>(t->chunks()) * t->in_dim * kChunk);
-}
-
-/// Fills chunk q of the table from `w` through the tier's unit; false when
-/// one of its weights is not finite.
-bool BuildFactorChunk(const logic_kernel::Units& units, const Matrix& w,
-                      int q, FactorTable* t) {
-  return units.build_chunk(w.row(t->first[q]), t->in_dim, t->width[q],
-                           t->c.data() + t->Offset(q, 0));
 }
 
 /// The generic continuous forward of nodes [lo, hi) of layer `w` (num_conj
@@ -153,130 +127,267 @@ void BackwardNodes(const Matrix& w, int num_conj, const Input& x,
   if (dx != nullptr) CanonicalizeNaNs(dx->data(), dx->size());
 }
 
-/// Splits the packed `x` into `rows` through the tier's unit, blocks of
-/// rows in parallel with up to `threads` threads.
-void SplitPackedRows(const logic_kernel::Units& units, const PackedRows& x,
-                     int threads, SplitRows* rows) {
-  const int in_dim = static_cast<int>(x.cols());
-  rows->at_zero.resize(x.rows() * in_dim);
-  rows->at_one.resize(x.rows() * in_dim);
-  rows->zeros.resize(x.rows());
-  constexpr size_t kRowsPerBlock = 8;
-  ParallelFor(threads, 0, (x.rows() + kRowsPerBlock - 1) / kRowsPerBlock,
-              [&](size_t block) {
-                const size_t end =
-                    std::min(x.rows(), (block + 1) * kRowsPerBlock);
-                units.split_rows(x.row(0), x.words(), in_dim,
-                                 block * kRowsPerBlock, end,
-                                 rows->at_zero.data(), rows->at_one.data(),
-                                 rows->zeros.data());
-              });
+/// The code of a row whose bits of `group` are `bits` (GroupKind), the
+/// group's inputs from bit 0 and `mask` its size low bits; -1 when they are
+/// no code of the group. A prefix's bits are 2^p - 1, a suffix's complement
+/// within the mask is, and a one-hot group's bits hold at most one 1: a few
+/// integer operations with no branch on the bits, which a step reads for
+/// every (row, group).
+int CodeOf(const InputGroup& group, uint64_t bits, uint64_t mask) {
+  switch (group.kind) {
+    case GroupKind::kPrefix:
+      return (bits & (bits + 1)) == 0 ? __builtin_popcountll(bits) : -1;
+    case GroupKind::kSuffix: {
+      const uint64_t clear = ~bits & mask;
+      return (clear & (clear + 1)) == 0 ? __builtin_popcountll(clear) : -1;
+    }
+    case GroupKind::kOneHot:
+      if ((bits & (bits - 1)) != 0) return -1;
+      return bits == 0 ? group.size : __builtin_ctzll(bits);
+  }
+  return -1;
 }
+
+/// CodeOf for a group wider than 64 inputs, from the count of its set
+/// inputs and the lowest and the highest of them, read word by word.
+int WideCodeOf(const InputGroup& group, const uint64_t* row) {
+  int ones = 0;
+  int lowest = -1;
+  int highest = -1;
+  for (int i = group.first, end = group.first + group.size; i < end;) {
+    const int shift = i % 64;
+    const int n = std::min(64 - shift, end - i);
+    uint64_t bits = row[i / 64] >> shift;
+    if (n < 64) bits &= (uint64_t{1} << n) - 1;
+    if (bits != 0) {
+      if (lowest < 0) lowest = i - group.first + __builtin_ctzll(bits);
+      highest = i - group.first + 63 - __builtin_clzll(bits);
+      ones += __builtin_popcountll(bits);
+    }
+    i += n;
+  }
+  switch (group.kind) {
+    case GroupKind::kPrefix:
+      return ones == 0 || highest == ones - 1 ? ones : -1;
+    case GroupKind::kSuffix:
+      return ones == 0 || lowest == group.size - ones ? group.size - ones
+                                                      : -1;
+    case GroupKind::kOneHot:
+      return ones == 0 ? group.size : ones == 1 ? lowest : -1;
+  }
+  return -1;
+}
+
+/// Numbers the entries of `groups` and writes every row's entry per group;
+/// false, with -1 for the codes it could not read, when some row's bits are
+/// no code of their group.
+bool FillCodes(const PackedRows& x, GroupCodes* out) {
+  std::vector<InputGroup>& groups = out->groups;
+  out->entries = 0;
+  for (InputGroup& group : groups) {
+    group.entry = out->entries;
+    out->entries += group.size + 1;
+  }
+  const size_t num_groups = groups.size();
+  out->codes.resize(x.rows() * num_groups);
+  bool coded = true;
+  for (size_t g = 0; g < num_groups; ++g) {
+    const InputGroup& group = groups[g];
+    int32_t* codes = out->codes.data() + g;
+    if (group.size > 64) {
+      for (size_t r = 0; r < x.rows(); ++r) {
+        const int code = WideCodeOf(group, x.row(r));
+        coded &= code >= 0;
+        codes[r * num_groups] = code < 0 ? -1 : group.entry + code;
+      }
+      continue;
+    }
+    // Within 64 bits: one shift of the group's word, or of two.
+    const size_t word = static_cast<size_t>(group.first / 64);
+    const int shift = group.first % 64;
+    const bool straddles = shift + group.size > 64;
+    const uint64_t mask =
+        group.size == 64 ? ~uint64_t{0} : (uint64_t{1} << group.size) - 1;
+    for (size_t r = 0; r < x.rows(); ++r) {
+      const uint64_t* row = x.row(r) + word;
+      uint64_t bits = row[0] >> shift;
+      if (straddles) bits |= row[1] << (64 - shift);
+      const int code = CodeOf(group, bits & mask, mask);
+      coded &= code >= 0;
+      codes[r * num_groups] = code < 0 ? -1 : group.entry + code;
+    }
+  }
+  return coded;
+}
+
+/// The codes of the packed batch `x` under `layout` (DESIGN.md §16.4): a
+/// group that some row does not code is taken as singletons for the batch.
+void BuildGroupCodes(const std::vector<InputGroup>& layout,
+                     const PackedRows& x, GroupCodes* out) {
+  out->groups = layout;
+  if (FillCodes(x, out)) return;
+  const size_t num_groups = layout.size();
+  std::vector<bool> broken(num_groups, false);
+  for (size_t k = 0; k < out->codes.size(); ++k) {
+    if (out->codes[k] < 0) broken[k % num_groups] = true;
+  }
+  out->groups.clear();
+  for (size_t g = 0; g < num_groups; ++g) {
+    if (!broken[g]) {
+      out->groups.push_back(layout[g]);
+      continue;
+    }
+    for (int i = 0; i < layout[g].size; ++i) {
+      InputGroup single;
+      single.first = layout[g].first + i;
+      out->groups.push_back(single);
+    }
+  }
+  CTFL_CHECK(FillCodes(x, out));
+}
+
+/// `n` doubles of the calling thread's scratch, starting on a 64-byte line,
+/// in storage kept from call to call (fresh buffers per step cost the
+/// fed-score step about 10% in page faults). A thread holds it only while
+/// it runs one forward unit or backward chunk, neither of which starts a
+/// parallel section, so no other use of it can interleave.
+double* ThreadScratch(size_t n) {
+  static thread_local std::vector<double> storage;
+  if (storage.size() < n + kChunk) storage.resize(n + kChunk);
+  double* p = storage.data();
+  return p + (64 - reinterpret_cast<uintptr_t>(p) % 64) % 64 / sizeof(double);
+}
+
+/// The node chunks of a layer of `out` nodes, `num_conj` conjunctions
+/// first: 8 nodes each, never mixing the two kinds.
+struct Chunks {
+  Chunks(int num_conj, int out)
+      : num_conj(num_conj),
+        out(out),
+        conj((num_conj + kChunk - 1) / kChunk),
+        count(conj + (out - num_conj + kChunk - 1) / kChunk) {}
+  int First(int q) const {
+    return q < conj ? q * kChunk : num_conj + (q - conj) * kChunk;
+  }
+  int Width(int q) const {
+    return std::min(kChunk, (q < conj ? num_conj : out) - First(q));
+  }
+  int num_conj;
+  int out;
+  int conj;   ///< conjunction chunks
+  int count;  ///< all chunks
+};
 
 /// The continuous forward of layer `w` (num_conj conjunctions first) on the
-/// packed `x` through the factor table. Multiplying by a skipped factor's
-/// exact 1.0 would change nothing, so each node multiplies its remaining
-/// factors in ascending input order, as the generic loop does. Units of one
-/// or two chunks of one kind (two hide the multiply latency) run in
-/// parallel, each building its own chunks of the table; a unit holding a
-/// non-finite weight runs the generic loop for its nodes instead. The split
-/// and the table live in `tables`, whose storage serves the next step.
-void ForwardByTable(const Matrix& w, int num_conj, const PackedRows& x,
-                    Matrix* y, LogicLayer::StepTables* tables) {
+/// packed `x`, whose codes are `codes`. Units of one or two chunks of one
+/// kind (two hide the multiply latency) run in parallel, each building its
+/// own factors and entries in its thread's scratch; a chunk holding a
+/// non-finite weight runs the generic loop for its nodes instead.
+void ForwardByCodes(const Matrix& w, int num_conj, const PackedRows& x,
+                    const GroupCodes& codes, Matrix* y) {
   const logic_kernel::Units& units = logic_kernel::UnitsFor(CurrentTraceIsa());
   const int threads = MatrixThreadsFor(x.rows() * w.rows() * w.cols());
-  SplitPackedRows(units, x, threads, &tables->rows);
-  LayoutFactorTable(w, num_conj, &tables->table);
-  const SplitRows& rows = tables->rows;
-  FactorTable& t = tables->table;
-  auto unit_width = [&](int q) {
-    return q + 1 < t.chunks() && t.conj(q + 1) == t.conj(q) ? 2 : 1;
+  const int in_dim = static_cast<int>(w.cols());
+  const Chunks chunks(num_conj, static_cast<int>(w.rows()));
+  // Units pair the chunks of each kind: unit u starts at chunk Start(u).
+  const int conj_units = (chunks.conj + 1) / 2;
+  const int units_count =
+      conj_units + (chunks.count - chunks.conj + 1) / 2;
+  auto start = [&](int u) {
+    return u < conj_units ? 2 * u : chunks.conj + 2 * (u - conj_units);
   };
-  std::vector<int> starts;  // first chunk of each unit
-  for (int q = 0; q < t.chunks(); q += unit_width(q)) starts.push_back(q);
+  const size_t factor_size = static_cast<size_t>(in_dim) * kChunk;
+  const size_t entry_size = static_cast<size_t>(codes.entries) * kChunk;
   auto run_unit = [&](size_t u) {
-    const int q = starts[u];
-    const int pair = unit_width(q);
-    bool finite = true;
+    const int q = start(static_cast<int>(u));
+    const int pair =
+        q + 1 < (q < chunks.conj ? chunks.conj : chunks.count) ? 2 : 1;
+    double* factors = ThreadScratch(pair * (factor_size + entry_size));
+    double* entries = factors + pair * factor_size;
+    bool finite[2] = {true, true};
     for (int p = 0; p < pair; ++p) {
-      finite &= BuildFactorChunk(units, w, q + p, &t);
+      finite[p] = units.build_chunk(w.row(chunks.First(q + p)), in_dim,
+                                    chunks.Width(q + p),
+                                    factors + p * factor_size);
     }
-    if (!finite) {
-      ForwardNodes(w, num_conj, x, t.first[q],
-                   t.first[q + pair - 1] + t.width[q + pair - 1], y);
+    auto run = [&](int q0, int n, const double* f) {
+      logic_kernel::ForwardJob job;
+      job.factors = f;
+      job.entries = entries;
+      job.chunks = n;
+      job.conj = q0 < chunks.conj;
+      job.in_dim = in_dim;
+      job.groups = codes.groups.data();
+      job.num_groups = static_cast<int>(codes.groups.size());
+      job.entries_per_chunk = codes.entries;
+      job.codes = codes.codes.data();
+      job.rows = x.rows();
+      job.y = y->data();
+      job.y_stride = y->cols();
+      for (int p = 0; p < n; ++p) {
+        job.first[p] = chunks.First(q0 + p);
+        job.width[p] = chunks.Width(q0 + p);
+      }
+      units.forward(job);
+    };
+    if (finite[0] && finite[1]) {
+      run(q, pair, factors);
       return;
     }
-    logic_kernel::ForwardJob job;
-    job.table = t.c.data() + t.Offset(q, 0);
-    job.chunk_stride = t.Offset(1, 0);
-    job.chunks = pair;
-    job.conj = t.conj(q);
-    job.lists = (job.conj ? rows.at_zero : rows.at_one).data();
-    job.zeros = rows.zeros.data();
-    job.in_dim = t.in_dim;
-    job.rows = x.rows();
-    job.y = y->data();
-    job.y_stride = y->cols();
     for (int p = 0; p < pair; ++p) {
-      job.first[p] = t.first[q + p];
-      job.width[p] = t.width[q + p];
+      if (finite[p]) {
+        run(q + p, 1, factors + p * factor_size);
+      } else {
+        const int lo = chunks.First(q + p);
+        ForwardNodes(w, num_conj, x, lo, lo + chunks.Width(q + p), y);
+      }
     }
-    units.forward(job);
   };
-  ParallelFor(threads, 0, starts.size(), run_unit);
+  ParallelFor(threads, 0, units_count, run_unit);
 }
 
-/// Layer 0's weight backward on the packed `x`, accumulating into `grads`:
-/// per weight, the sum of its listed rows' terms divided once by its factor
-/// (DESIGN.md §16.3), through the tier's masked sums. Node chunks of 8, one
-/// kind each, run in parallel, each with its own rows of `grads`; a chunk
-/// holding a non-finite weight or a -0.0 gradient runs the generic loop for
-/// its nodes instead.
-void BackwardWeightsByMasks(const Matrix& w, int num_conj,
-                            const PackedRows& x, const Matrix& y,
-                            const Matrix& dy, Matrix* grads) {
+/// Layer 0's weight backward on the packed `x`, whose codes are `codes`,
+/// accumulating into `grads`: per weight, its listed rows' terms summed by
+/// (group, code) and divided once by its factor (DESIGN.md §16.3). Node
+/// chunks of 8, one kind each, run in parallel, each with its own rows of
+/// `grads`; a chunk holding a non-finite weight or a -0.0 gradient runs
+/// the generic loop for its nodes instead.
+void BackwardWeightsByBuckets(const Matrix& w, int num_conj,
+                              const PackedRows& x, const GroupCodes& codes,
+                              const Matrix& y, const Matrix& dy,
+                              Matrix* grads) {
   const logic_kernel::Units& units = logic_kernel::UnitsFor(CurrentTraceIsa());
   const int threads = MatrixThreadsFor(x.rows() * w.rows() * w.cols());
-  const int out = static_cast<int>(w.rows());
-  const int conj_chunks = (num_conj + kChunk - 1) / kChunk;
-  const size_t chunks = conj_chunks + (out - num_conj + kChunk - 1) / kChunk;
-  // Each chunk's terms per row, in a per-thread buffer that keeps its
-  // storage from step to step (fresh ones per step cost the fed-score step
-  // about 10% in page faults). The calling thread does not re-enter this
-  // function before it returns: its ParallelFor runs only this call's
-  // chunks.
-  static thread_local std::vector<double> storage;
-  const size_t terms_size = x.rows() * kChunk;
-  // Terms start on a 64-byte line, so one row's chunk is one line.
-  storage.resize(chunks * terms_size + kChunk);
-  // A pointer, not the thread_local name: helpers run the chunks.
-  double* terms = storage.data();
-  terms += (64 - reinterpret_cast<uintptr_t>(terms) % 64) % 64 / sizeof(double);
+  const Chunks chunks(num_conj, static_cast<int>(w.rows()));
+  const size_t scratch =
+      (x.rows() + codes.entries + w.cols() + kChunk) * kChunk;
   auto run_chunk = [&](size_t q) {
     const int c = static_cast<int>(q);
-    const int lo =
-        c < conj_chunks ? c * kChunk : num_conj + (c - conj_chunks) * kChunk;
-    const int hi = std::min(lo + kChunk, lo < num_conj ? num_conj : out);
     logic_kernel::BackwardJob job;
-    job.conj = lo < num_conj;
-    job.first = lo;
-    job.width = hi - lo;
+    job.conj = c < chunks.conj;
+    job.first = chunks.First(c);
+    job.width = chunks.Width(c);
     job.in_dim = static_cast<int>(w.cols());
     job.rows = x.rows();
     job.x = x.row(0);
     job.x_words = x.words();
+    job.groups = codes.groups.data();
+    job.num_groups = static_cast<int>(codes.groups.size());
+    job.entries = codes.entries;
+    job.codes = codes.codes.data();
     job.y = y.data();
     job.dy = dy.data();
     job.out_dim = y.cols();
     job.w = w.data();
     job.grads = grads->data();
-    job.terms = terms + q * terms_size;
+    job.scratch = ThreadScratch(scratch);
     job.node_gradient = PackedNodeGradient;
     if (!units.backward(job)) {
-      BackwardNodes(w, num_conj, x, y, dy, lo, hi, grads, nullptr);
+      BackwardNodes(w, num_conj, x, y, dy, job.first, job.first + job.width,
+                    grads, nullptr);
     }
   };
-  ParallelFor(threads, 0, chunks, run_chunk);
+  ParallelFor(threads, 0, chunks.count, run_chunk);
 }
 
 }  // namespace
@@ -304,9 +415,21 @@ LogicLayer::LogicLayer(int in_dim, int num_conj, int num_disj)
       num_conj_(num_conj),
       num_disj_(num_disj),
       weights_(num_conj + num_disj, in_dim),
-      grads_(num_conj + num_disj, in_dim) {
+      grads_(num_conj + num_disj, in_dim),
+      layout_(in_dim) {
   CTFL_CHECK(in_dim > 0);
   CTFL_CHECK(num_conj >= 0 && num_disj >= 0 && num_conj + num_disj > 0);
+  for (int i = 0; i < in_dim; ++i) layout_[i].first = i;
+}
+
+void LogicLayer::SetLayout(std::vector<InputGroup> layout) {
+  int next = 0;
+  for (const InputGroup& group : layout) {
+    CTFL_CHECK(group.first == next && group.size >= 1);
+    next += group.size;
+  }
+  CTFL_CHECK(next == in_dim_);
+  layout_ = std::move(layout);
 }
 
 void LogicLayer::InitSparse(Rng& rng, int fan_in) {
@@ -321,22 +444,23 @@ void LogicLayer::InitSparse(Rng& rng, int fan_in) {
 }
 
 Matrix LogicLayer::ForwardContinuous(const Matrix& x,
-                                     StepTables* tables) const {
+                                     GroupCodes* codes) const {
   CTFL_CHECK(static_cast<int>(x.cols()) == in_dim_);
   PackedRows packed;
-  if (PackBinary(x, &packed)) return ForwardContinuous(packed, tables);
+  if (PackBinary(x, &packed)) return ForwardContinuous(packed, codes);
   Matrix y(x.rows(), out_dim());
   ForwardNodes(weights_, num_conj_, x, 0, out_dim(), &y);
   return y;
 }
 
 Matrix LogicLayer::ForwardContinuous(const PackedRows& x,
-                                     StepTables* tables) const {
+                                     GroupCodes* codes) const {
   CTFL_CHECK(static_cast<int>(x.cols()) == in_dim_);
   Matrix y(x.rows(), out_dim());
-  StepTables own;
-  ForwardByTable(weights_, num_conj_, x, &y,
-                 tables != nullptr ? tables : &own);
+  GroupCodes own;
+  GroupCodes& c = codes != nullptr ? *codes : own;
+  BuildGroupCodes(layout_, x, &c);
+  ForwardByCodes(weights_, num_conj_, x, c, &y);
   return y;
 }
 
@@ -418,10 +542,16 @@ void LogicLayer::BackwardWeights(const Matrix& x, const Matrix& y,
 }
 
 void LogicLayer::BackwardWeights(const PackedRows& x, const Matrix& y,
-                                 const Matrix& dy) {
+                                 const Matrix& dy, const GroupCodes* codes) {
   CTFL_CHECK(x.rows() == y.rows() && y.rows() == dy.rows());
   CTFL_CHECK(static_cast<int>(x.cols()) == in_dim_);
-  BackwardWeightsByMasks(weights_, num_conj_, x, y, dy, &grads_);
+  GroupCodes own;
+  if (codes == nullptr) {
+    BuildGroupCodes(layout_, x, &own);
+    codes = &own;
+  }
+  CTFL_CHECK(codes->codes.size() == x.rows() * codes->groups.size());
+  BackwardWeightsByBuckets(weights_, num_conj_, x, *codes, y, dy, &grads_);
 }
 
 std::vector<int> LogicLayer::ActiveInputs(int node) const {

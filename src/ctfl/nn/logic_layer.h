@@ -35,14 +35,17 @@ bool PackRows(const Matrix& x, size_t lo, size_t n, uint64_t* words);
 /// Kernels (DESIGN.md §16): the discrete forward is bit-packed, 64 records
 /// per word. On packed 0/1 rows (the encoder's output, i.e. layer 0; a
 /// Matrix whose every element is exactly 0.0 or 1.0 is packed first) the
-/// continuous forward takes an exact factor-table kernel and the weight
-/// backward masked sums over the rows' bits; on any other input both take
-/// the generic per-element loop. The forward produces the generic loop's
-/// results bit for bit, the backward the factored form's (BackwardWeights).
-/// The kernels run in the SIMD tier's unit (nn/logic_kernel.h) and shard
-/// by 8-node chunk across the compute pool under the matrix thread budget
-/// (MatrixThreadsFor), never by row, so every element keeps its serial term
-/// order.
+/// continuous forward and the weight backward work on each row's code per
+/// group of the layer's input layout (layout()): the forward multiplies one
+/// table entry per group, the backward sums one bucket per (group, code).
+/// On any other input both take the generic per-element loop. With the
+/// default layout, every input its own group, the forward produces the
+/// generic loop's results bit for bit and the backward the factored
+/// form's (BackwardWeights); a wider layout fixes its own order of the
+/// same products and sums (DESIGN.md §16.3). The kernels run in the SIMD
+/// tier's unit (nn/logic_kernel.h) and shard by 8-node chunk across the
+/// compute pool under the matrix thread budget (MatrixThreadsFor), never by
+/// row, so every element keeps its serial term order.
 class LogicLayer {
  public:
   LogicLayer(int in_dim, int num_conj, int num_disj);
@@ -58,21 +61,24 @@ class LogicLayer {
   /// away from 0 so grafted gradients do not vanish.
   void InitSparse(Rng& rng, int fan_in);
 
-  /// The row split of a packed input and the factor table of the weights
-  /// that read it, both built by the continuous forward: a caller that
-  /// keeps them from step to step lends the forward their storage.
-  struct StepTables {
-    logic_kernel::SplitRows rows;
-    logic_kernel::FactorTable table;
-  };
+  /// How a record codes the layer's inputs: groups of the encoder's
+  /// one-hot and bound runs (BinarizationLayer::InputLayout), ascending
+  /// and covering every input once. By default every input is its own
+  /// group (a kPrefix group of size 1), which keeps the per-input kernels'
+  /// bits. Copies of the layer keep it.
+  const std::vector<logic_kernel::InputGroup>& layout() const {
+    return layout_;
+  }
+  void SetLayout(std::vector<logic_kernel::InputGroup> layout);
 
-  /// Continuous (fuzzy) forward: Y(batch x out). When `tables` is non-null
-  /// and `x` is binary, builds the split and table in it.
+  /// Continuous (fuzzy) forward: Y(batch x out). When `codes` is non-null
+  /// and `x` is binary, keeps the batch's group codes there for
+  /// BackwardWeights, in storage it reuses from step to step.
   Matrix ForwardContinuous(const Matrix& x,
-                           StepTables* tables = nullptr) const;
-  /// The same on packed 0/1 rows, always through the factor table.
+                           logic_kernel::GroupCodes* codes = nullptr) const;
+  /// The same on packed 0/1 rows, always through the group codes.
   Matrix ForwardContinuous(const PackedRows& x,
-                           StepTables* tables = nullptr) const;
+                           logic_kernel::GroupCodes* codes = nullptr) const;
 
   /// Forward with weights binarized at 0.5 and inputs thresholded at 0.5:
   /// crisp AND/OR (bit-packed, 64 rows at a time).
@@ -86,13 +92,15 @@ class LogicLayer {
   /// Backward without the input gradient, for the first layer, whose input
   /// gradient nobody consumes. On a binary `x` it takes each weight's
   /// gradient factored (DESIGN.md §16.3): the sum of g * prod over the rows
-  /// that list its input, in row order, divided once by its factor, which
-  /// can differ from Backward's per-row quotients in the last bits; on any
-  /// other `x`, exactly Backward's.
+  /// that list its input, summed by (group, code), divided once by its
+  /// factor, which can differ from Backward's per-row quotients in the last
+  /// bits; on any other `x`, exactly Backward's.
   void BackwardWeights(const Matrix& x, const Matrix& y, const Matrix& dy);
   /// The same on packed 0/1 rows, with the same bits as on their Matrix.
+  /// `codes`, when non-null, holds the codes the forward kept for `x`.
   void BackwardWeights(const PackedRows& x, const Matrix& y,
-                       const Matrix& dy);
+                       const Matrix& dy,
+                       const logic_kernel::GroupCodes* codes = nullptr);
 
   /// Inputs whose binarized weight is active (> 0.5) for `node`.
   std::vector<int> ActiveInputs(int node) const;
@@ -127,6 +135,7 @@ class LogicLayer {
   int num_disj_;
   Matrix weights_;  // (out_dim x in_dim), values in [0, 1]
   Matrix grads_;
+  std::vector<logic_kernel::InputGroup> layout_;
 };
 
 }  // namespace ctfl

@@ -88,6 +88,10 @@ LogicalNet::LogicalNet(SchemaPtr schema, const LogicalNetConfig& config)
     in_dim = num_conj + num_disj;
     total_logic_out += in_dim;
   }
+  // Only layer 0 reads the encoder; the layers above read fuzzy nodes.
+  if (!logic_layers_.empty()) {
+    logic_layers_[0].SetLayout(encoder_.InputLayout());
+  }
   num_rules_ = total_logic_out +
                (config_.input_skip ? encoder_.encoded_size() : 0);
   CTFL_CHECK(num_rules_ > 0);
@@ -143,11 +147,11 @@ Matrix ConcatRules(const Matrix& encoded, const std::vector<Matrix>& outs,
 }
 
 /// The continuous forward of every logic layer on `input` (a Matrix or a
-/// PackedRows) into `outs`, with layer 0's split and table in `layer0`.
+/// PackedRows) into `outs`, with layer 0's group codes in `layer0`.
 template <typename Input>
 void ForwardLayers(const LogicalNet& net, const Input& input,
                    std::vector<Matrix>* outs,
-                   LogicLayer::StepTables* layer0) {
+                   logic_kernel::GroupCodes* layer0) {
   const std::vector<LogicLayer>& layers = net.logic_layers();
   outs->resize(layers.size());
   if (layers.empty()) return;
@@ -434,7 +438,7 @@ void LogicalNet::Backward(const Cache& cache, const Matrix& dlogits) {
   // no consumer: it accumulates weight gradients only.
   if (!logic_layers_.empty() && cache.binary) {
     logic_layers_[0].BackwardWeights(cache.input, cache.layer_out[0],
-                                     dout[0]);
+                                     dout[0], &cache.layer0);
   } else if (!logic_layers_.empty()) {
     logic_layers_[0].BackwardWeights(cache.fuzzy, cache.layer_out[0],
                                      dout[0]);

@@ -96,9 +96,9 @@ class LogicalNet {
                      const std::vector<size_t>& indices = {}) const;
 
   /// Intermediate activations of a continuous forward pass, kept for
-  /// Backward (which must see the weights the forward saw), with the
-  /// storage of layer 0's row split and factor table for the next step's
-  /// forward. The continuous rule vector is the input (input_skip) and
+  /// Backward (which must see the weights the forward saw), with layer 0's
+  /// group codes of the batch, whose storage the next step's forward
+  /// reuses. The continuous rule vector is the input (input_skip) and
   /// every layer output, read in place.
   struct Cache {
     /// The batch, packed, when every element is 0.0 or 1.0, as the
@@ -110,7 +110,7 @@ class LogicalNet {
     Matrix fuzzy;
     bool binary = true;
     std::vector<Matrix> layer_out;
-    LogicLayer::StepTables layer0;
+    logic_kernel::GroupCodes layer0;
   };
 
   /// Continuous (fuzzy) logits; fills `cache` if non-null.

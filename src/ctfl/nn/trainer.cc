@@ -34,9 +34,9 @@ double FinishStep(LogicalNet& net, const LogicalNet::Cache& cache,
 double GraftedStep(LogicalNet& net, const PackedRows& batch,
                    const std::vector<int>& labels, Optimizer& optimizer) {
   // Per thread, so the cache's buffers (the packed batch, the layer
-  // outputs, layer 0's split and factor table) keep their storage from step
-  // to step. No thread re-enters a step: its parallel sections run only
-  // their own chunks.
+  // outputs, layer 0's group codes) keep their storage from step to step.
+  // No thread re-enters a step: its parallel sections run only their own
+  // chunks.
   static thread_local LogicalNet::Cache cache;
   const Matrix discrete_logits = net.ForwardGrafted(batch, &cache);
   return FinishStep(net, cache, discrete_logits, labels, optimizer);

@@ -314,10 +314,10 @@ TEST_F(DeterminismTest, PipelineDigestMatchesPinnedValue) {
   // pins the trained parameters and both score vectors of one small run
   // (two logic layers, widths no kernel chunk divides) to their digest
   // under the oracle's arithmetic (logic_oracle.h: the scalar per-element
-  // loops, and layer 0's factored weight gradient, DESIGN.md §16.3), with
-  // glibc's libm on x86-64, at every SIMD tier the machine supports (the
-  // tier picks the training step's units too). Only a change meant to
-  // alter training may re-pin it.
+  // loops, and layer 0's grouped forward and weight gradient, DESIGN.md
+  // §16.3), with glibc's libm on x86-64, at every SIMD tier the machine
+  // supports (the tier picks the training step's units too). Only a change
+  // meant to alter training may re-pin it.
   const Dataset all = TwoFeatureDataset(360, 53);
   const Dataset test = TwoFeatureDataset(120, 59);
   Rng rng(19);
@@ -332,16 +332,16 @@ TEST_F(DeterminismTest, PipelineDigestMatchesPinnedValue) {
     digest = Fnv1a(digest, snap.params);
     digest = Fnv1a(digest, snap.micro);
     digest = Fnv1a(digest, snap.macro);
-    EXPECT_EQ(digest, 0xe04459e65e46cc85ULL)
+    EXPECT_EQ(digest, 0x18cc34550a3ab094ULL)
         << std::hex << "digest 0x" << digest;
   });
 }
 
 TEST_F(DeterminismTest, AlignedPipelineDigestMatchesPinnedValue) {
   // The run above trains a 14-input layer 0, whose rows fit in one packed
-  // word and fill fewer than two 8-input groups of the weight sums
-  // (DESIGN.md §16.3). This pins a run at fed-score's shape instead:
-  // adult's 157 encoded inputs (three words a row, a partial last group),
+  // word and make three groups (DESIGN.md §16.2). This pins a run at
+  // fed-score's shape instead: adult's 157 encoded inputs (three words a
+  // row, 20 groups, some across a word),
   // layer 0 of 48 + 48 nodes (six full chunks of each kind), 64-row
   // batches and 4 threads, at every tier. Only a change meant to alter
   // training may re-pin it.
@@ -364,7 +364,7 @@ TEST_F(DeterminismTest, AlignedPipelineDigestMatchesPinnedValue) {
     digest = Fnv1a(digest, report.model.GetParameters());
     digest = Fnv1a(digest, report.micro_scores);
     digest = Fnv1a(digest, report.macro_scores);
-    EXPECT_EQ(digest, 0xcaf004dbe19e29b6ULL)
+    EXPECT_EQ(digest, 0xd44c187ef45e5bb8ULL)
         << std::hex << "digest 0x" << digest;
   });
 }

@@ -1,18 +1,22 @@
-// The logic-layer kernels (bit-packed discrete pass, factor-table
-// continuous forward and parameter backward, DESIGN.md §16) and the Adam
-// update against the scalar loops they replaced, and layer 0's factored
-// weight gradient against its reference, kept in logic_oracle.h: every
-// output, weight gradient, input gradient and parameter must match bit for
-// bit, at every SIMD tier this machine supports.
+// The logic-layer kernels (bit-packed discrete pass, continuous forward and
+// parameter backward, DESIGN.md §16) and the Adam update against the
+// scalar loops they replaced, layer 0's factored weight gradient against
+// its reference, and a layer with an encoder's input layout against the
+// grouped references, all kept in logic_oracle.h: every output, weight
+// gradient, input gradient and parameter must match bit for bit, at every
+// SIMD tier this machine supports.
 
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ctfl/data/gen/synthetic.h"
+#include "ctfl/nn/binarization_layer.h"
+#include "ctfl/nn/linear_layer.h"
 #include "ctfl/nn/logic_kernel.h"
 #include "ctfl/nn/logic_layer.h"
 #include "ctfl/nn/logical_net.h"
@@ -596,6 +600,149 @@ TEST(LogicKernelTest, MaskedWeightSumsMatchOracleAroundGroupEdges) {
   }
 }
 
+/// A schema whose encoding has every group shape: discrete features of 1,
+/// 2, 7 and 70 categories around two continuous ones.
+SchemaPtr GroupShapesSchema() {
+  auto categories = [](int n) {
+    std::vector<std::string> names;
+    for (int c = 0; c < n; ++c) names.push_back("v" + std::to_string(c));
+    return names;
+  };
+  return std::make_shared<FeatureSchema>(
+      std::vector<FeatureSpec>{FeatureSchema::Discrete("d1", categories(1)),
+                               FeatureSchema::Continuous("c0", 0, 1),
+                               FeatureSchema::Discrete("d2", categories(2)),
+                               FeatureSchema::Discrete("d7", categories(7)),
+                               FeatureSchema::Continuous("c1", -5, 5),
+                               FeatureSchema::Discrete("d70", categories(70))},
+      "neg", "pos");
+}
+
+/// `n` records of `schema`, each value uniform over its feature's domain,
+/// and NaN in about one value of ten.
+Dataset GroupShapesData(const SchemaPtr& schema, size_t n, Rng& rng) {
+  Dataset data(schema);
+  for (size_t r = 0; r < n; ++r) {
+    Instance instance;
+    for (const FeatureSpec& spec : schema->features()) {
+      const int categories = spec.num_categories();
+      double v = spec.type == FeatureType::kDiscrete
+                     ? static_cast<double>(rng.UniformInt(categories))
+                     : rng.Uniform(spec.lo, spec.hi);
+      if (rng.Bernoulli(0.1)) v = kNaN;
+      instance.values.push_back(v);
+    }
+    instance.label = static_cast<int>(rng.UniformInt(2));
+    data.AppendUnchecked(std::move(instance));
+  }
+  return data;
+}
+
+TEST(LogicKernelTest, GroupedLayerMatchesOracleEverywhere) {
+  // Layer 0 by feature group (DESIGN.md §16.2, §16.3). Layouts come from
+  // the encoder at tau_d 1, 2, 10 and 70 over discrete features of 1, 2, 7
+  // and 70 categories: groups that straddle a word or are wider than one,
+  // in_dim up to 360. Records hold NaN values (a one-hot group with no bit
+  // set, all-clear staircases). Per batch size, one batch as encoded, one
+  // with two categories set in a row and one with a hole in a staircase
+  // (those groups become singletons for the batch), and one with a NaN
+  // weight and a -0.0 starting gradient; weights hold 0, 0.5, 1 and 1e-20
+  // among random ones, upstream gradients 0, NaN and ±inf. Every tier at 1,
+  // 2 and 4 threads must give the grouped oracle's outputs and gradients
+  // bit for bit.
+  const SchemaPtr schema = GroupShapesSchema();
+  Rng rng(137);
+  for (int tau_d : {1, 2, 10, 70}) {
+    Rng bounds(static_cast<uint64_t>(tau_d));
+    const BinarizationLayer encoder(schema, tau_d, bounds);
+    const std::vector<logic_kernel::InputGroup> layout = encoder.InputLayout();
+    // d1, c0 >, c0 <, d2, d7, c1 >, c1 <, d70.
+    ASSERT_EQ(layout.size(), 8u);
+    LogicLayer base(encoder.encoded_size(), 13, 11);
+    base.SetLayout(layout);
+    FillWeights(&base, rng);
+    const Dataset data = GroupShapesData(schema, 257, rng);
+    for (size_t batch : kBatchSizes) {
+      for (int variant = 0; variant < 4; ++variant) {
+        SCOPED_TRACE(::testing::Message() << "tau_d " << tau_d << " batch "
+                                          << batch << " variant " << variant);
+        std::vector<size_t> rows(batch);
+        for (size_t r = 0; r < batch; ++r) {
+          rows[r] = rng.UniformInt(data.size());
+        }
+        Matrix x = encoder.EncodeBatch(data, rows);
+        LogicLayer layer = base;
+        Matrix start(layer.out_dim(), layer.in_dim());
+        if (batch % 2 == 1) start.RandomUniform(rng, -1.0, 1.0);
+        const size_t row = batch / 2;
+        const logic_kernel::InputGroup& d7 = layout[4];
+        const logic_kernel::InputGroup& c1 = layout[5];
+        switch (variant) {
+          case 1:
+            x(row, d7.first) = 1.0;
+            x(row, d7.first + 5) = 1.0;
+            break;
+          case 2:
+            if (c1.size >= 2) {
+              x(row, c1.first) = 0.0;
+              x(row, c1.first + 1) = 1.0;
+            } else {
+              x(row, layout[3].first) = 1.0;
+              x(row, layout[3].first + 1) = 1.0;
+            }
+            break;
+          case 3:
+            layer.weights()(rng.UniformInt(layer.out_dim()),
+                            rng.UniformInt(layer.in_dim())) = kNaN;
+            start(rng.UniformInt(layer.out_dim()),
+                  rng.UniformInt(layer.in_dim())) = -0.0;
+            break;
+        }
+        const Matrix want_y = oracle::ForwardGrouped(layer.weights(), 13,
+                                                     layout, x);
+        const Matrix dy =
+            UpstreamGradient(batch, layer.out_dim(), rng, variant == 3);
+        Matrix want = start;
+        oracle::BackwardWeightsGrouped(layer.weights(), 13, layout, x,
+                                       want_y, dy, &want);
+        for (int threads : {1, 2, 4}) {
+          ScopedSharding sharding(threads);
+          ForEachTier([&](TraceIsa) {
+            EXPECT_TRUE(BitEqual(layer.ForwardContinuous(x), want_y))
+                << "threads " << threads;
+            layer.grads() = start;
+            layer.BackwardWeights(x, want_y, dy);
+            EXPECT_TRUE(BitEqual(layer.grads(), want))
+                << "threads " << threads;
+          });
+        }
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(LogicKernelTest, SingletonOracleIsThePerInputOracle) {
+  // With every input its own group, the grouped oracle states the per-input
+  // loops' products and the factored sums in their own order: the layouts
+  // of the encoder are the only source of new bits.
+  Rng rng(141);
+  LogicLayer layer = OddLayer(rng);
+  for (size_t batch : kBatchSizes) {
+    const Matrix x = BinaryInput(batch, layer.in_dim(), rng);
+    const Matrix& w = layer.weights();
+    const Matrix y = oracle::ForwardContinuous(w, 13, x);
+    EXPECT_TRUE(BitEqual(oracle::ForwardGrouped(w, 13, {}, x), y));
+    const Matrix dy = UpstreamGradient(batch, layer.out_dim(), rng, true);
+    Matrix want(layer.out_dim(), layer.in_dim());
+    want.RandomUniform(rng, -1.0, 1.0);
+    Matrix got = want;
+    oracle::BackwardWeightsFactored(w, 13, x, y, dy, &want);
+    oracle::BackwardWeightsGrouped(w, 13, {}, x, y, dy, &got);
+    EXPECT_TRUE(BitEqual(got, want));
+  }
+}
+
 TEST(LogicKernelTest, ShardedAdamMatchesSerial) {
   // Element ranges across slots of several sizes, one of them larger than
   // a range, on the compute pool and at every tier: each step must equal
@@ -760,9 +907,14 @@ void ExpectNetMatchesOracle(LogicalNet net, const Dataset& data) {
     net.ForwardContinuous(encoded, &cache);
     std::vector<Matrix> want_out;
     const Matrix* in = &encoded;
+    // Layer 0 reads the encoder's 0/1 output by its input layout.
     for (size_t l = 0; l < layers.size(); ++l) {
-      want_out.push_back(oracle::ForwardContinuous(
-          layers[l].weights(), layers[l].num_conj(), *in));
+      want_out.push_back(
+          l == 0 ? oracle::ForwardGrouped(layers[0].weights(),
+                                          layers[0].num_conj(),
+                                          layers[0].layout(), *in)
+                 : oracle::ForwardContinuous(layers[l].weights(),
+                                             layers[l].num_conj(), *in));
       in = &want_out.back();
       EXPECT_TRUE(BitEqual(cache.layer_out[l], want_out[l]));
     }
@@ -846,13 +998,13 @@ void ExpectNetMatchesOracle(LogicalNet net, const Dataset& data) {
       }
       offset += layers[l].out_dim();
     }
-    // Layer 0 reads the encoder's 0/1 output and takes the factored form.
+    // Layer 0 takes the grouped factored form.
     for (int l = static_cast<int>(layers.size()) - 1; l >= 0; --l) {
       Matrix want_grads(layers[l].out_dim(), layers[l].in_dim());
       if (l == 0) {
-        oracle::BackwardWeightsFactored(layers[0].weights(),
-                                        layers[0].num_conj(), encoded,
-                                        want_out[0], dout[0], &want_grads);
+        oracle::BackwardWeightsGrouped(
+            layers[0].weights(), layers[0].num_conj(), layers[0].layout(),
+            encoded, want_out[0], dout[0], &want_grads);
       } else {
         const Matrix dx =
             oracle::Backward(layers[l].weights(), layers[l].num_conj(),
@@ -1081,11 +1233,70 @@ TEST(LogicKernelTest, VoteLayerMatchesOracle) {
   });
 }
 
+TEST(LogicKernelTest, VoteSkipGradientMatchesOracle) {
+  // The vote layer's gradient over packed 0/1 columns adds each row's g
+  // under the row's mask bytes, 64 columns at a time, rows ascending
+  // (DESIGN.md §16.5). Zero g rows are skipped, and a NaN or infinite g
+  // adds g * x to every column. 150 packed columns (three words, the last
+  // partial, the middle one all zero) beside 7 fuzzy ones, batches of 1,
+  // 63, 64 and 65: every tier must give the dense oracle's bits. NaN rows
+  // and infinite ones go to different classes, so that no sum meets two
+  // NaNs (IEEE 754 leaves open whose bits it keeps).
+  constexpr int kPacked = 150;
+  constexpr int kFuzzy = 7;
+  ForEachTier([&](TraceIsa) {
+    Rng rng(139);
+    for (size_t batch : {size_t{1}, size_t{63}, size_t{64}, size_t{65}}) {
+      SCOPED_TRACE(::testing::Message() << "batch " << batch);
+      LinearLayer layer(kPacked + kFuzzy, 2);
+      layer.InitRandom(rng, 0.05);
+      Matrix bits(batch, kPacked);
+      for (size_t r = 0; r < batch; ++r) {
+        for (int c = 0; c < kPacked; ++c) {
+          if (c / 64 != 1 && rng.Bernoulli(0.4)) bits(r, c) = 1.0;
+        }
+      }
+      PackedRows packed;
+      ASSERT_TRUE(PackBinary(bits, &packed));
+      const Matrix fuzzy = FuzzyInput(batch, kFuzzy, rng);
+      Matrix dlogits(batch, 2);
+      dlogits.RandomUniform(rng, -1.0, 1.0);
+      for (size_t r = 0; r < batch; ++r) {
+        const double u = rng.Uniform(0.0, 1.0);
+        if (u < 0.1) {
+          dlogits(r, 0) = 0.0;
+        } else if (u < 0.2) {
+          dlogits(r, 0) = kNaN;
+        } else if (u < 0.3) {
+          dlogits(r, 1) = rng.Bernoulli(0.5) ? kInf : -kInf;
+        }
+      }
+      dlogits(batch - 1, 1) = kInf;
+      Matrix rules(batch, kPacked + kFuzzy);
+      for (size_t r = 0; r < batch; ++r) {
+        for (int c = 0; c < kPacked; ++c) rules(r, c) = bits(r, c);
+        for (int c = 0; c < kFuzzy; ++c) rules(r, kPacked + c) = fuzzy(r, c);
+      }
+      Matrix want_w(2, kPacked + kFuzzy);
+      Matrix want_b(1, 2);
+      oracle::VoteBackward(layer.weights(), rules, dlogits, &want_w, &want_b);
+      layer.weight_grads().Fill(0.0);
+      layer.bias_grads().Fill(0.0);
+      layer.BackwardParams({LinearLayer::Columns{nullptr, &packed, 0},
+                            LinearLayer::Columns{&fuzzy, nullptr, kPacked}},
+                           dlogits);
+      EXPECT_TRUE(BitEqual(layer.weight_grads(), want_w));
+      EXPECT_TRUE(BitEqual(layer.bias_grads(), want_b));
+    }
+  });
+}
+
 TEST(LogicKernelTest, BackwardAccumulatesOntoAnyGradients) {
-  // Backward adds to whatever the gradients hold. Layer 0's table path
-  // starts its accumulators at +0.0 only where they are all +0.0 (as after
-  // ZeroGrads); nonzero values, and -0.0 that only ±0.0 terms reach, must
-  // still come out as the oracle accumulates them.
+  // Backward adds to whatever the gradients hold. Layer 0's grouped path
+  // starts its buckets at +0.0 and adds its quotients to the gradients
+  // only where no gradient of the chunk is -0.0; nonzero values, and -0.0
+  // that only ±0.0 terms reach, must still come out as the oracle
+  // accumulates them.
   const Dataset data = TwoFeatureData(300, 10);
   LogicalNet trained(data.schema(), NetConfig({{13, 11}}));
   TrainConfig train;
@@ -1131,9 +1342,9 @@ TEST(LogicKernelTest, BackwardAccumulatesOntoAnyGradients) {
             }
           }
         }
-        oracle::BackwardWeightsFactored(layers[0].weights(),
-                                        layers[0].num_conj(), encoded,
-                                        cache.layer_out[0], dout, &want);
+        oracle::BackwardWeightsGrouped(
+            layers[0].weights(), layers[0].num_conj(), layers[0].layout(),
+            encoded, cache.layer_out[0], dout, &want);
         net.Backward(cache, dlogits);
         EXPECT_TRUE(BitEqual(layer.grads(), want));
       }

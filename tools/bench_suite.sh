@@ -9,7 +9,8 @@
 #                      SIMD tier (fed-score's 96 layer-0 nodes), one batch
 #                      repeated
 #                      + BM_GraftedStepFresh/<tier>/96  the same on a fresh
-#                      batch each step, as training sees it
+#                      batch each step, as training sees it; both step
+#                      legs run 5 repetitions, whose median the gate reads
 #   BENCH_query.json   BM_QueryRelated/* + BM_BundleLoad  bundle serving
 #   BENCH_serve.json   BM_Serve/related-test/connections:N  resident query
 #                      service soak (ctfl_serve + ctfl_query_client --load:
@@ -238,8 +239,26 @@ if [[ "${SUITE}" == "fedavg" || "${SUITE}" == "all" ]]; then
   # serial leg's speed for its whole measurement (3 of 14 fresh processes
   # on a 4-vCPU host), and no leg did once a second of rounds had run. The
   # flag, unlike a per-benchmark warm-up, keeps the leg names.
-  run_group fedavg '^BM_FedAvgRound/|^BM_GraftedStep/[a-z]|^BM_GraftedStepFresh/' \
-      --benchmark_min_warmup_time=1
+  run_group fedavg '^BM_FedAvgRound/' --benchmark_min_warmup_time=1
+  # The single-thread step legs swing by up to 40% between runs of one
+  # unchanged binary: each runs 5 repetitions, and tools/perf_gate.py reads
+  # their median aggregate. Their rows join BENCH_fedavg.json.
+  run_group fedavg_steps '^BM_GraftedStep/[a-z]|^BM_GraftedStepFresh/' \
+      --benchmark_min_warmup_time=1 --benchmark_repetitions=5
+  python3 - "${OUT_DIR}/BENCH_fedavg.json" "${OUT_DIR}/BENCH_fedavg_steps.json" <<'PY'
+import json, os, sys
+rounds_path, steps_path = sys.argv[1], sys.argv[2]
+with open(rounds_path) as f:
+    rounds = json.load(f)
+with open(steps_path) as f:
+    steps = json.load(f)
+rounds["benchmarks"].extend(steps["benchmarks"])
+with open(rounds_path, "w") as f:
+    json.dump(rounds, f, indent=2)
+    f.write("\n")
+os.remove(steps_path)
+PY
+  echo "merged the step legs into ${OUT_DIR}/BENCH_fedavg.json"
 fi
 if [[ "${SUITE}" == "query" || "${SUITE}" == "all" ]]; then
   run_group query '^BM_QueryRelated/|^BM_BundleLoad'

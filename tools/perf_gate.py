@@ -3,7 +3,8 @@
 
 Compares candidate BENCH_*.json files (fresh tools/bench_suite.sh output)
 against their committed baselines and fails when any benchmark's
-items_per_second dropped by more than the threshold (default 25%).
+items_per_second dropped by more than the threshold (default 25%). A leg
+that ran repetitions is compared by its median aggregate.
 
 Comparisons only run when the numbers are actually comparable: the
 baseline and candidate must carry the same ctfl_build_type (and both must
@@ -22,12 +23,14 @@ Exit codes: 0 = pass (or nothing comparable), 1 = regression detected,
 2 = usage/IO error. --require-comparable turns "nothing comparable" into
 exit 2, for CI jobs where a silent skip would mask a broken setup.
 --self-test exercises the gate on synthetic data (a >25% drop must fail,
-a small drop must pass, a build-type mismatch must skip) and is wired
-into ctest so the gate's failure path stays covered.
+a small drop must pass, a build-type mismatch must skip, one low
+repetition under a steady median must pass) and is wired into ctest so
+the gate's failure path stays covered.
 """
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -62,15 +65,26 @@ def comparable(baseline, candidate):
 
 
 def rows(data):
-    """name -> items_per_second for plain (non-aggregate) runs."""
-    out = {}
+    """name -> items_per_second of each leg.
+
+    A leg that ran repetitions is read by its median aggregate: single-thread
+    legs swing by up to 40% between repetitions of one binary, while their
+    median holds. A leg without one is read by its plain row (the median of
+    its rows, should it have several).
+    """
+    medians = {}
+    plain = {}
     for b in data.get("benchmarks", []):
-        if b.get("run_type") == "aggregate":
-            continue
         ips = b.get("items_per_second")
         if ips is None or ips <= 0:
             continue
-        out[b["name"]] = ips
+        if b.get("run_type") == "aggregate":
+            if b.get("aggregate_name") == "median":
+                medians[b.get("run_name", b["name"])] = ips
+            continue
+        plain.setdefault(b["name"], []).append(ips)
+    out = {name: statistics.median(values) for name, values in plain.items()}
+    out.update(medians)
     return out
 
 
@@ -210,6 +224,38 @@ def self_test():
     checked, _ = gate_pair(avx512_base, base, 0.25, "isa_half_stamped",
                            verbose=False)
     expect("isa_half_stamped checked", checked, 0)
+
+    # A leg with repetitions is read by its median aggregate: one repetition
+    # 40% low passes while the median holds, a median 30% low fails, and the
+    # baseline may hold the leg as a plain row or as a median.
+    def repeated(values, median):
+        data = {"context": {"ctfl_build_type": "release", "num_cpus": 1},
+                "benchmarks": []}
+        for i, ips in enumerate(values):
+            data["benchmarks"].append({
+                "name": "BM_GraftedStep/avx512/96", "run_type": "iteration",
+                "run_name": "BM_GraftedStep/avx512/96",
+                "repetition_index": i, "items_per_second": ips})
+        data["benchmarks"].append({
+            "name": "BM_GraftedStep/avx512/96_median",
+            "run_type": "aggregate", "aggregate_name": "median",
+            "run_name": "BM_GraftedStep/avx512/96",
+            "items_per_second": median})
+        return data
+    plain_step = synthetic({"BM_GraftedStep/avx512/96": 100.0})
+    one_low = repeated([100.0, 101.0, 99.0, 100.0, 60.0], 100.0)
+    for label, baseline in (("plain", plain_step),
+                            ("median", repeated([100.0] * 5, 100.0))):
+        checked, regressions = gate_pair(baseline, one_low, 0.25,
+                                         "one_repetition_low", verbose=False)
+        expect(f"one_repetition_low vs {label} checked", checked, 1)
+        expect(f"one_repetition_low vs {label} regressions",
+               len(regressions), 0)
+    median_low = repeated([70.0, 69.0, 71.0, 70.0, 72.0], 70.0)
+    checked, regressions = gate_pair(plain_step, median_low, 0.25,
+                                     "median_low", verbose=False)
+    expect("median_low checked", checked, 1)
+    expect("median_low regressions", len(regressions), 1)
 
     # Exactly-at-threshold is a pass; just beyond is a failure.
     at_edge = synthetic({"BM_TracePass/blocked": 75.0,
