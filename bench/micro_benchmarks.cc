@@ -12,7 +12,6 @@
 #include "ctfl/core/tracer.h"
 #include "ctfl/data/gen/synthetic.h"
 #include "ctfl/fl/fedavg.h"
-#include "ctfl/mining/apriori.h"
 #include "ctfl/mining/max_miner.h"
 #include "ctfl/nn/matrix.h"
 #include "ctfl/nn/trainer.h"
@@ -467,22 +466,6 @@ BENCHMARK(BM_FedAvgRoundFaulty)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-void BM_MatMul(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  Rng rng(11);
-  Matrix a(256, 512), b(512, 256);
-  a.RandomUniform(rng, -1, 1);
-  b.RandomUniform(rng, -1, 1);
-  SetMatrixParallelism(threads);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a.MatMul(b));
-  }
-  SetMatrixParallelism(0);
-  state.SetItemsProcessed(state.iterations() * a.rows() * a.cols() *
-                          b.cols());
-}
-BENCHMARK(BM_MatMul)->ArgNames({"threads"})->Arg(1)->Arg(4)->Arg(8);
-
 void BM_MaxMiner(benchmark::State& state) {
   Rng rng(9);
   const size_t items = 64;
@@ -501,25 +484,6 @@ void BM_MaxMiner(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MaxMiner);
-
-void BM_AprioriBaseline(benchmark::State& state) {
-  Rng rng(9);
-  const size_t items = 64;
-  std::vector<Bitset> transactions;
-  for (int t = 0; t < 400; ++t) {
-    Bitset row(items);
-    for (size_t i = 0; i < items; ++i) {
-      if (rng.Bernoulli(0.15)) row.Set(i);
-    }
-    transactions.push_back(std::move(row));
-  }
-  const VerticalDb db(transactions, items);
-  const size_t min_support = 40;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MaximalOnly(AprioriFrequent(db, min_support)));
-  }
-}
-BENCHMARK(BM_AprioriBaseline);
 
 void BM_SimplexLeastCoreShape(benchmark::State& state) {
   // LP shaped like the LeastCore program for n participants.

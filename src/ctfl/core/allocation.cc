@@ -53,46 +53,4 @@ std::vector<std::vector<double>> MacroAllocationSweep(
   return sweep;
 }
 
-std::vector<double> WeightedMicroAllocation(
-    const TraceResult& trace, const std::vector<double>& test_weights,
-    bool on_correct) {
-  CTFL_CHECK(test_weights.size() == trace.tests.size());
-  const int n = trace.num_participants;
-  std::vector<double> scores(n, 0.0);
-  for (size_t t = 0; t < trace.tests.size(); ++t) {
-    const TestTrace& trace_t = trace.tests[t];
-    if (trace_t.correct != on_correct || trace_t.total_related == 0) {
-      continue;
-    }
-    for (int p = 0; p < n; ++p) {
-      scores[p] += test_weights[t] *
-                   static_cast<double>(trace_t.related_count[p]) /
-                   static_cast<double>(trace_t.total_related);
-    }
-  }
-  return scores;
-}
-
-std::vector<double> WeightedMacroAllocation(
-    const TraceResult& trace, const std::vector<double>& test_weights,
-    int delta, bool on_correct) {
-  CTFL_CHECK(test_weights.size() == trace.tests.size());
-  const int n = trace.num_participants;
-  std::vector<double> scores(n, 0.0);
-  for (size_t t = 0; t < trace.tests.size(); ++t) {
-    const TestTrace& trace_t = trace.tests[t];
-    if (trace_t.correct != on_correct) continue;
-    int qualifying = 0;
-    for (int p = 0; p < n; ++p) {
-      if (trace_t.related_count[p] >= delta) ++qualifying;
-    }
-    if (qualifying == 0) continue;
-    const double share = test_weights[t] / qualifying;
-    for (int p = 0; p < n; ++p) {
-      if (trace_t.related_count[p] >= delta) scores[p] += share;
-    }
-  }
-  return scores;
-}
-
 }  // namespace ctfl

@@ -28,23 +28,6 @@ std::vector<std::vector<double>> MacroAllocationSweep(
     const TraceResult& trace, const std::vector<int>& deltas,
     bool on_correct = true);
 
-/// Metric-generalized micro allocation: each test instance t distributes
-/// `test_weights[t]` (instead of 1/|D_te|) proportionally across related
-/// participants. With weights from InstanceCreditWeights() this realizes
-/// group rationality for any instance-decomposable metric, e.g. balanced
-/// accuracy (paper §III-D: "group rationality can also be applied to other
-/// performance metrics by modifying the allocation formula").
-/// `test_weights` must have one entry per traced test instance.
-std::vector<double> WeightedMicroAllocation(
-    const TraceResult& trace, const std::vector<double>& test_weights,
-    bool on_correct = true);
-
-/// Metric-generalized macro allocation (equal split of the instance's
-/// weight among participants with >= delta related records).
-std::vector<double> WeightedMacroAllocation(
-    const TraceResult& trace, const std::vector<double>& test_weights,
-    int delta, bool on_correct = true);
-
 }  // namespace ctfl
 
 #endif  // CTFL_CORE_ALLOCATION_H_

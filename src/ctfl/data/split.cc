@@ -39,22 +39,4 @@ TrainTestSplit StratifiedSplit(const Dataset& dataset, double test_fraction,
   return SplitByIndices(dataset, test_indices);
 }
 
-TrainTestSplit RandomSplit(const Dataset& dataset, double test_fraction,
-                           Rng& rng) {
-  std::vector<int> perm = rng.Permutation(static_cast<int>(dataset.size()));
-  const size_t n_test =
-      static_cast<size_t>(dataset.size() * test_fraction + 0.5);
-  std::vector<size_t> test_indices(perm.begin(), perm.begin() + n_test);
-  std::sort(test_indices.begin(), test_indices.end());
-  return SplitByIndices(dataset, test_indices);
-}
-
-Dataset Subsample(const Dataset& dataset, size_t max_size, Rng& rng) {
-  if (dataset.size() <= max_size) return dataset;
-  std::vector<int> perm = rng.Permutation(static_cast<int>(dataset.size()));
-  std::vector<size_t> indices(perm.begin(), perm.begin() + max_size);
-  std::sort(indices.begin(), indices.end());
-  return dataset.Subset(indices);
-}
-
 }  // namespace ctfl

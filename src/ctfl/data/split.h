@@ -17,13 +17,6 @@ struct TrainTestSplit {
 TrainTestSplit StratifiedSplit(const Dataset& dataset, double test_fraction,
                                Rng& rng);
 
-/// Plain (unstratified) random split.
-TrainTestSplit RandomSplit(const Dataset& dataset, double test_fraction,
-                           Rng& rng);
-
-/// Returns a uniformly subsampled dataset of at most `max_size` instances.
-Dataset Subsample(const Dataset& dataset, size_t max_size, Rng& rng);
-
 }  // namespace ctfl
 
 #endif  // CTFL_DATA_SPLIT_H_

@@ -33,10 +33,4 @@ Dataset MergeCoalition(const Federation& federation,
   return merged;
 }
 
-size_t FederationSize(const Federation& federation) {
-  size_t total = 0;
-  for (const Participant& p : federation) total += p.data.size();
-  return total;
-}
-
 }  // namespace ctfl

@@ -36,9 +36,6 @@ Dataset MergeFederation(const Federation& federation);
 Dataset MergeCoalition(const Federation& federation,
                        const std::vector<int>& coalition);
 
-/// Total number of training instances across the federation.
-size_t FederationSize(const Federation& federation);
-
 }  // namespace ctfl
 
 #endif  // CTFL_FL_PARTICIPANT_H_

@@ -26,33 +26,4 @@ Bitset RandomizedResponse(const Bitset& bits, double epsilon, Rng& rng) {
   return out;
 }
 
-std::vector<Bitset> RandomizedResponseAll(const std::vector<Bitset>& uploads,
-                                          double epsilon, Rng& rng) {
-  std::vector<Bitset> out;
-  out.reserve(uploads.size());
-  for (const Bitset& b : uploads) {
-    out.push_back(RandomizedResponse(b, epsilon, rng));
-  }
-  return out;
-}
-
-double DebiasedCount(double observed_count, double num_reports,
-                     double epsilon) {
-  const double q = RandomizedResponseFlipProbability(epsilon);
-  const double denom = 1.0 - 2.0 * q;
-  double estimate = observed_count;
-  if (denom > 0.0) {  // eps = 0 leaves denom at 0: nothing to recover
-    estimate = (observed_count - num_reports * q) / denom;
-  }
-  // The unbiased estimator has unbounded range: sampling noise (or an
-  // adversarial report) can push it below 0 or above the number of
-  // reports, and as eps -> 0 the 1/(1-2q) blow-up amplifies both tails.
-  // A count, by definition, lives in [0, n] — clamp to the feasible set
-  // (this is the standard projection step for randomized-response
-  // estimators; it can only reduce estimation error).
-  if (estimate < 0.0) return 0.0;
-  if (estimate > num_reports) return num_reports;
-  return estimate;
-}
-
 }  // namespace ctfl

@@ -1,8 +1,6 @@
 #ifndef CTFL_FL_PRIVACY_H_
 #define CTFL_FL_PRIVACY_H_
 
-#include <vector>
-
 #include "ctfl/util/bitset.h"
 #include "ctfl/util/rng.h"
 
@@ -24,20 +22,6 @@ double RandomizedResponseFlipProbability(double epsilon);
 
 /// Applies per-bit randomized response to an activation vector.
 Bitset RandomizedResponse(const Bitset& bits, double epsilon, Rng& rng);
-
-/// Convenience: perturbs a whole participant upload.
-std::vector<Bitset> RandomizedResponseAll(const std::vector<Bitset>& uploads,
-                                          double epsilon, Rng& rng);
-
-/// Estimate of the true activation count from perturbed reports: given
-/// observed count c over n reports with flip probability q, the unbiased
-/// estimator (c - n q) / (1 - 2 q) projected onto the feasible range
-/// [0, n] (a raw count can never be negative nor exceed the number of
-/// reports, but the estimator's tails can — especially as eps -> 0).
-/// Exposed so aggregate statistics (e.g. rule popularity) stay calibrated
-/// under DP.
-double DebiasedCount(double observed_count, double num_reports,
-                     double epsilon);
 
 }  // namespace ctfl
 

@@ -23,44 +23,6 @@ std::vector<double> SecureAggregator::PairMask(int i, int j) const {
   return mask;
 }
 
-Result<std::vector<double>> SecureAggregator::Mask(
-    int client, const std::vector<double>& update) const {
-  if (client < 0 || client >= num_clients_) {
-    return Status::OutOfRange(StrFormat("client %d", client));
-  }
-  if (update.size() != update_size_) {
-    return Status::InvalidArgument("update size mismatch");
-  }
-  std::vector<double> masked = update;
-  for (int other = 0; other < num_clients_; ++other) {
-    if (other == client) continue;
-    const std::vector<double> mask = client < other
-                                         ? PairMask(client, other)
-                                         : PairMask(other, client);
-    const double sign = client < other ? 1.0 : -1.0;
-    for (size_t k = 0; k < update_size_; ++k) {
-      masked[k] += sign * mask[k];
-    }
-  }
-  return masked;
-}
-
-Result<std::vector<double>> SecureAggregator::Aggregate(
-    const std::vector<std::vector<double>>& masked_updates) const {
-  if (static_cast<int>(masked_updates.size()) != num_clients_) {
-    return Status::InvalidArgument(
-        "secure aggregation requires every client's masked update");
-  }
-  std::vector<double> sum(update_size_, 0.0);
-  for (const auto& update : masked_updates) {
-    if (update.size() != update_size_) {
-      return Status::InvalidArgument("masked update size mismatch");
-    }
-    for (size_t k = 0; k < update_size_; ++k) sum[k] += update[k];
-  }
-  return sum;
-}
-
 Status SecureAggregator::CheckCohort(const std::vector<int>& cohort) const {
   if (cohort.empty()) {
     return Status::InvalidArgument("cohort is empty");
@@ -92,8 +54,7 @@ Result<std::vector<double>> SecureAggregator::MaskCohort(
   if (update.size() != update_size_) {
     return Status::InvalidArgument("update size mismatch");
   }
-  // Identical fold to Mask(), restricted to the surviving cohort: the
-  // pair seeds still hash *global* client ids, so a pair that survives
+  // The pair seeds hash *global* client ids, so a pair that survives
   // together derives the very same mask it would under full
   // participation.
   std::vector<double> masked = update;

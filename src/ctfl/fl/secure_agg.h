@@ -26,24 +26,12 @@ class SecureAggregator {
   int num_clients() const { return num_clients_; }
   size_t update_size() const { return update_size_; }
 
-  /// The masked update client `client` would send for `update` under full
-  /// participation (every client in the session survives the round).
-  Result<std::vector<double>> Mask(int client,
-                                   const std::vector<double>& update) const;
-
-  /// Server-side aggregation of all masked updates; the pairwise masks
-  /// cancel, so this equals the element-wise sum of the true updates.
-  Result<std::vector<double>> Aggregate(
-      const std::vector<std::vector<double>>& masked_updates) const;
-
-  /// Cohort-aware masking for rounds with partial participation: the
-  /// masked update `client` (a member of `cohort`) would send when only
-  /// `cohort` survives the round. Masks are derived pairwise over the
-  /// cohort only — a dropped client owes no mask and is owed none — so
-  /// AggregateCohort over the same cohort cancels them exactly.
-  /// `cohort` must be strictly ascending client ids in
-  /// [0, num_clients()). With the full cohort this is bit-identical to
-  /// Mask (same pair masks, folded in the same order).
+  /// The masked update `client` (a member of `cohort`) sends when only
+  /// `cohort` survives the round; full participation is the full cohort.
+  /// Masks are derived pairwise over the cohort only — a dropped client
+  /// owes no mask and is owed none — so AggregateCohort over the same
+  /// cohort cancels them exactly. `cohort` must be strictly ascending
+  /// client ids in [0, num_clients()).
   Result<std::vector<double>> MaskCohort(
       int client, const std::vector<int>& cohort,
       const std::vector<double>& update) const;
@@ -51,8 +39,7 @@ class SecureAggregator {
   /// Server-side aggregation of the surviving cohort's masked updates
   /// (one per cohort member, in cohort order). The cohort's pairwise
   /// masks cancel, recovering the element-wise sum of the survivors'
-  /// true updates; with the full cohort this is bit-identical to
-  /// Aggregate.
+  /// true updates.
   Result<std::vector<double>> AggregateCohort(
       const std::vector<int>& cohort,
       const std::vector<std::vector<double>>& masked_updates) const;

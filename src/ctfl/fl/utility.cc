@@ -24,16 +24,8 @@ RetrainUtility::RetrainUtility(const Federation* federation,
 
 double RetrainUtility::EmptyValue() const {
   const auto counts = test_->ClassCounts();
-  // Confusion matrix of the constant majority-class predictor.
-  ConfusionMatrix cm;
-  if (counts[1] >= counts[0]) {
-    cm.tp = counts[1];
-    cm.fp = counts[0];
-  } else {
-    cm.tn = counts[0];
-    cm.fn = counts[1];
-  }
-  return cm.Value(config_.metric);
+  return static_cast<double>(std::max(counts[0], counts[1])) /
+         test_->size();
 }
 
 double RetrainUtility::Value(const std::vector<int>& coalition) {
@@ -60,7 +52,7 @@ double RetrainUtility::Value(const std::vector<int>& coalition) {
       // Coalition evaluation never configures failure injection, so an
       // error here can only be a malformed FedAvgConfig — a caller bug.
       CTFL_CHECK(net.ok()) << "coalition training failed: " << net.status();
-      value = EvaluateMetric(*net, *test_, config_.metric);
+      value = net->Accuracy(*test_);
     } else {
       const Dataset merged = MergeCoalition(*federation_, members);
       if (merged.empty()) {
@@ -68,28 +60,12 @@ double RetrainUtility::Value(const std::vector<int>& coalition) {
       } else {
         LogicalNet net =
             TrainCentral(schema, config_.net, merged, config_.train);
-        value = EvaluateMetric(net, *test_, config_.metric);
+        value = net.Accuracy(*test_);
       }
     }
   }
   cache_[mask] = value;
   return value;
-}
-
-TabularUtility::TabularUtility(int n, std::vector<double> values)
-    : n_(n), values_(std::move(values)) {
-  CTFL_CHECK(n_ > 0 && n_ < 20);
-  CTFL_CHECK(values_.size() == (1ULL << n_));
-}
-
-double TabularUtility::Value(const std::vector<int>& coalition) {
-  const uint64_t mask = CoalitionMask(coalition);
-  CTFL_CHECK(mask < values_.size());
-  if (mask != 0 && !seen_[mask]) {
-    seen_[mask] = true;
-    ++evaluations_;
-  }
-  return values_[mask];
 }
 
 }  // namespace ctfl

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "ctfl/fl/fedavg.h"
-#include "ctfl/fl/metrics.h"
 #include "ctfl/fl/participant.h"
 
 namespace ctfl {
@@ -44,9 +43,6 @@ class RetrainUtility : public CoalitionUtility {
     /// same utility signal).
     bool federated = false;
     FedAvgConfig fedavg;
-    /// Performance metric realizing v(D) (paper §II-A: accuracy by
-    /// default, extensible to F1 etc.).
-    MetricKind metric = MetricKind::kAccuracy;
   };
 
   /// `federation` and `test` must outlive this object.
@@ -59,8 +55,8 @@ class RetrainUtility : public CoalitionUtility {
   double Value(const std::vector<int>& coalition) override;
   int evaluations() const override { return evaluations_; }
 
-  /// Metric value of the constant majority-class predictor on the test
-  /// set — the no-information baseline v(emptyset).
+  /// Accuracy of the constant majority-class predictor on the test set —
+  /// the no-information baseline v(emptyset).
   double EmptyValue() const;
 
  private:
@@ -68,25 +64,6 @@ class RetrainUtility : public CoalitionUtility {
   const Dataset* test_;
   Config config_;
   std::unordered_map<uint64_t, double> cache_;
-  int evaluations_ = 0;
-};
-
-/// Table-lookup utility over all 2^n coalitions; the workhorse of unit
-/// tests where exact Shapley/least-core values are hand-computable.
-class TabularUtility : public CoalitionUtility {
- public:
-  /// `values[mask]` is v(S) for the coalition whose members are the set
-  /// bits of `mask`; size must be 2^n.
-  TabularUtility(int n, std::vector<double> values);
-
-  int num_participants() const override { return n_; }
-  double Value(const std::vector<int>& coalition) override;
-  int evaluations() const override { return evaluations_; }
-
- private:
-  int n_;
-  std::vector<double> values_;
-  std::unordered_map<uint64_t, bool> seen_;
   int evaluations_ = 0;
 };
 

@@ -18,22 +18,6 @@ VerticalDb::VerticalDb(const std::vector<Bitset>& transactions,
   }
 }
 
-size_t VerticalDb::Support(const Itemset& itemset) const {
-  if (itemset.empty()) return num_transactions_;
-  return Tidset(itemset).Count();
-}
-
-Bitset VerticalDb::Tidset(const Itemset& itemset) const {
-  if (itemset.empty()) {
-    Bitset all(num_transactions_);
-    for (size_t t = 0; t < num_transactions_; ++t) all.Set(t);
-    return all;
-  }
-  Bitset tids = tidsets_[itemset[0]];
-  for (size_t k = 1; k < itemset.size(); ++k) tids &= tidsets_[itemset[k]];
-  return tids;
-}
-
 bool IsSubsetOf(const Itemset& subset, const Itemset& superset) {
   return std::includes(superset.begin(), superset.end(), subset.begin(),
                        subset.end());

@@ -29,12 +29,6 @@ class VerticalDb {
   /// Support (transaction count) of a single item.
   size_t Support(int item) const { return tidsets_[item].Count(); }
 
-  /// Support of an itemset (intersection of tidsets).
-  size_t Support(const Itemset& itemset) const;
-
-  /// Tidset of an itemset.
-  Bitset Tidset(const Itemset& itemset) const;
-
  private:
   size_t num_transactions_;
   std::vector<Bitset> tidsets_;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "ctfl/mining/apriori.h"
-
 namespace ctfl {
 namespace {
 
@@ -85,6 +83,27 @@ void Expand(MinerState& state, const Itemset& head, const Bitset& head_tids,
 }
 
 }  // namespace
+
+std::vector<Itemset> MaximalOnly(std::vector<Itemset> frequent) {
+  // Sort by descending size so any superset precedes its subsets.
+  std::sort(frequent.begin(), frequent.end(),
+            [](const Itemset& a, const Itemset& b) {
+              if (a.size() != b.size()) return a.size() > b.size();
+              return a < b;
+            });
+  std::vector<Itemset> maximal;
+  for (const Itemset& candidate : frequent) {
+    bool subsumed = false;
+    for (const Itemset& kept : maximal) {
+      if (IsSubsetOf(candidate, kept)) {
+        subsumed = true;
+        break;
+      }
+    }
+    if (!subsumed) maximal.push_back(candidate);
+  }
+  return maximal;
+}
 
 std::vector<Itemset> MaxMinerMaximal(const VerticalDb& db,
                                      size_t min_support,

@@ -28,6 +28,10 @@ std::vector<Itemset> MaxMinerMaximal(const VerticalDb& db,
                                      size_t max_expansions = SIZE_MAX,
                                      size_t max_itemsets = SIZE_MAX);
 
+/// Filters a frequent collection down to its maximal members (no frequent
+/// proper superset).
+std::vector<Itemset> MaximalOnly(std::vector<Itemset> frequent);
+
 }  // namespace ctfl
 
 #endif  // CTFL_MINING_MAX_MINER_H_

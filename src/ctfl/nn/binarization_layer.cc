@@ -3,22 +3,8 @@
 #include <algorithm>
 
 #include "ctfl/util/logging.h"
-#include "ctfl/util/string_util.h"
 
 namespace ctfl {
-
-std::string EncodedPredicate::ToString(const FeatureSchema& schema) const {
-  const FeatureSpec& spec = schema.feature(feature);
-  switch (kind) {
-    case Kind::kGreater:
-      return StrFormat("%s > %.6g", spec.name.c_str(), threshold);
-    case Kind::kLess:
-      return StrFormat("%s < %.6g", spec.name.c_str(), threshold);
-    case Kind::kEquals:
-      return spec.name + " = " + spec.categories[category];
-  }
-  return "?";
-}
 
 BinarizationLayer::BinarizationLayer(SchemaPtr schema, int tau_d, Rng& rng)
     : schema_(std::move(schema)), tau_d_(tau_d) {

@@ -21,9 +21,6 @@ struct EncodedPredicate {
   Kind kind = Kind::kEquals;
   double threshold = 0.0;  // continuous kinds
   int category = 0;        // kEquals
-
-  /// e.g. "capital-gain > 21000" or "marital-status = never".
-  std::string ToString(const FeatureSchema& schema) const;
 };
 
 /// The paper's privacy-preserving input encoding (§V "Encode Input

@@ -392,24 +392,6 @@ void BackwardWeightsByBuckets(const Matrix& w, int num_conj,
 
 }  // namespace
 
-bool PackRows(const Matrix& x, size_t lo, size_t n, uint64_t* words) {
-  CTFL_CHECK(n <= kRecordsPerWord && lo + n <= x.rows());
-  const size_t cols = x.cols();
-  std::fill(words, words + cols, uint64_t{0});
-  // An element is 0.0 or 1.0 exactly when it equals its bit.
-  uint64_t odd = 0;
-  for (size_t r = 0; r < n; ++r) {
-    const double* xr = x.row(lo + r);
-    const uint64_t bit = uint64_t{1} << r;
-    for (size_t i = 0; i < cols; ++i) {
-      const bool set = xr[i] >= 0.5;
-      words[i] |= set ? bit : 0;
-      odd |= xr[i] != (set ? 1.0 : 0.0);
-    }
-  }
-  return odd == 0;
-}
-
 LogicLayer::LogicLayer(int in_dim, int num_conj, int num_disj)
     : in_dim_(in_dim),
       num_conj_(num_conj),
@@ -498,47 +480,12 @@ void LogicLayer::ForwardPacked(const ActiveLists& active, const uint64_t* x,
   }
 }
 
-Matrix LogicLayer::ForwardDiscrete(const Matrix& x) const {
-  CTFL_CHECK(static_cast<int>(x.cols()) == in_dim_);
-  ActiveLists active;
-  BuildActiveLists(&active);
-  const int out = out_dim();
-  Matrix y(x.rows(), out);
-  std::vector<uint64_t> xw(in_dim_);
-  std::vector<uint64_t> yw(out);
-  for (size_t lo = 0; lo < x.rows(); lo += kRecordsPerWord) {
-    const size_t n = std::min(kRecordsPerWord, x.rows() - lo);
-    PackRows(x, lo, n, xw.data());
-    ForwardPacked(active, xw.data(), yw.data());
-    for (size_t r = 0; r < n; ++r) {
-      double* yr = y.row(lo + r);
-      for (int node = 0; node < out; ++node) {
-        yr[node] = (yw[node] >> r) & 1 ? 1.0 : 0.0;
-      }
-    }
-  }
-  return y;
-}
-
 Matrix LogicLayer::Backward(const Matrix& x, const Matrix& y,
                             const Matrix& dy) {
   CTFL_CHECK(x.rows() == y.rows() && y.rows() == dy.rows());
   Matrix dx(x.rows(), in_dim_);
   BackwardNodes(weights_, num_conj_, x, y, dy, 0, out_dim(), &grads_, &dx);
   return dx;
-}
-
-void LogicLayer::BackwardWeights(const Matrix& x, const Matrix& y,
-                                 const Matrix& dy) {
-  CTFL_CHECK(static_cast<int>(x.cols()) == in_dim_);
-  PackedRows packed;
-  if (PackBinary(x, &packed)) {
-    BackwardWeights(packed, y, dy);
-    return;
-  }
-  CTFL_CHECK(x.rows() == y.rows() && y.rows() == dy.rows());
-  BackwardNodes(weights_, num_conj_, x, y, dy, 0, out_dim(), &grads_,
-                nullptr);
 }
 
 void LogicLayer::BackwardWeights(const PackedRows& x, const Matrix& y,

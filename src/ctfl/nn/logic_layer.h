@@ -14,12 +14,6 @@ namespace ctfl {
 /// node word belongs to record r of the current block.
 inline constexpr size_t kRecordsPerWord = 64;
 
-/// Packs rows [lo, lo + n) of `x` (n <= kRecordsPerWord) input-major:
-/// bit r of words[i] is set iff x(lo + r, i) >= 0.5. `words` holds
-/// x.cols() words. Returns whether every element of those rows is exactly
-/// 0.0 or 1.0.
-bool PackRows(const Matrix& x, size_t lo, size_t n, uint64_t* words);
-
 /// One logical layer of the rule-based model (paper §V Eq. 7): the first
 /// `num_conj` nodes are conjunctions, the rest disjunctions, each with a
 /// weight vector w in [0,1]^in controlling how strongly every input takes
@@ -33,19 +27,20 @@ bool PackRows(const Matrix& x, size_t lo, size_t n, uint64_t* words);
 /// grafting differentiates through.
 ///
 /// Kernels (DESIGN.md §16): the discrete forward is bit-packed, 64 records
-/// per word. On packed 0/1 rows (the encoder's output, i.e. layer 0; a
-/// Matrix whose every element is exactly 0.0 or 1.0 is packed first) the
-/// continuous forward and the weight backward work on each row's code per
-/// group of the layer's input layout (layout()): the forward multiplies one
-/// table entry per group, the backward sums one bucket per (group, code).
-/// On any other input both take the generic per-element loop. With the
-/// default layout, every input its own group, the forward produces the
-/// generic loop's results bit for bit and the backward the factored
-/// form's (BackwardWeights); a wider layout fixes its own order of the
-/// same products and sums (DESIGN.md §16.3). The kernels run in the SIMD
-/// tier's unit (nn/logic_kernel.h) and shard by 8-node chunk across the
-/// compute pool under the matrix thread budget (MatrixThreadsFor), never by
-/// row, so every element keeps its serial term order.
+/// per word (ForwardPacked). On packed 0/1 rows (the encoder's output, i.e.
+/// layer 0; a Matrix whose every element is exactly 0.0 or 1.0 is packed
+/// first) the continuous forward and the weight backward work on each row's
+/// code per group of the layer's input layout (layout()): the forward
+/// multiplies one table entry per group, the backward sums one bucket per
+/// (group, code). On any other input the forward and Backward take the
+/// generic per-element loop. With the default layout, every input its own
+/// group, the forward produces the generic loop's results bit for bit and
+/// the backward the factored form's (BackwardWeights); a wider layout fixes
+/// its own order of the same products and sums (DESIGN.md §16.3). The
+/// kernels run in the SIMD tier's unit (nn/logic_kernel.h) and shard by
+/// 8-node chunk across the compute pool under the matrix thread budget
+/// (MatrixThreadsFor), never by row, so every element keeps its serial term
+/// order.
 class LogicLayer {
  public:
   LogicLayer(int in_dim, int num_conj, int num_disj);
@@ -80,24 +75,18 @@ class LogicLayer {
   Matrix ForwardContinuous(const PackedRows& x,
                            logic_kernel::GroupCodes* codes = nullptr) const;
 
-  /// Forward with weights binarized at 0.5 and inputs thresholded at 0.5:
-  /// crisp AND/OR (bit-packed, 64 rows at a time).
-  Matrix ForwardDiscrete(const Matrix& x) const;
-
   /// Accumulates parameter gradients for the continuous form given the
   /// cached input `x`, cached continuous output `y`, and upstream gradient
   /// `dy`; returns the gradient w.r.t. x.
   Matrix Backward(const Matrix& x, const Matrix& y, const Matrix& dy);
 
   /// Backward without the input gradient, for the first layer, whose input
-  /// gradient nobody consumes. On a binary `x` it takes each weight's
-  /// gradient factored (DESIGN.md §16.3): the sum of g * prod over the rows
-  /// that list its input, summed by (group, code), divided once by its
-  /// factor, which can differ from Backward's per-row quotients in the last
-  /// bits; on any other `x`, exactly Backward's.
-  void BackwardWeights(const Matrix& x, const Matrix& y, const Matrix& dy);
-  /// The same on packed 0/1 rows, with the same bits as on their Matrix.
-  /// `codes`, when non-null, holds the codes the forward kept for `x`.
+  /// gradient nobody consumes, on its packed 0/1 rows. It takes each
+  /// weight's gradient factored (DESIGN.md §16.3): the sum of g * prod over
+  /// the rows that list its input, summed by (group, code), divided once by
+  /// its factor, which can differ from Backward's per-row quotients in the
+  /// last bits. `codes`, when non-null, holds the codes the forward kept for
+  /// `x`.
   void BackwardWeights(const PackedRows& x, const Matrix& y,
                        const Matrix& dy,
                        const logic_kernel::GroupCodes* codes = nullptr);

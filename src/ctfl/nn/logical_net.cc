@@ -146,10 +146,9 @@ Matrix ConcatRules(const Matrix& encoded, const std::vector<Matrix>& outs,
   return rules;
 }
 
-/// The continuous forward of every logic layer on `input` (a Matrix or a
-/// PackedRows) into `outs`, with layer 0's group codes in `layer0`.
-template <typename Input>
-void ForwardLayers(const LogicalNet& net, const Input& input,
+/// The continuous forward of every logic layer on the packed `input` into
+/// `outs`, with layer 0's group codes in `layer0`.
+void ForwardLayers(const LogicalNet& net, const PackedRows& input,
                    std::vector<Matrix>* outs,
                    logic_kernel::GroupCodes* layer0) {
   const std::vector<LogicLayer>& layers = net.logic_layers();
@@ -176,18 +175,9 @@ class DiscreteBlockPass {
     words_.resize(words);
   }
 
-  /// Packs rows [lo, lo + n) of the encoded matrix `x` and runs every
-  /// logic layer on them. Returns whether those rows are all 0.0 or 1.0.
-  bool Run(const Matrix& x, size_t lo, size_t n) {
-    CTFL_CHECK(static_cast<int>(x.cols()) == net_.encoded_size());
-    const bool binary = PackRows(x, lo, n, words_.data());
-    RunLayers();
-    return binary;
-  }
-
-  /// Run for rows [lo, lo + n) of the packed `x`: each row's set bits
-  /// become its bit of the input words.
-  void RunPacked(const PackedRows& x, size_t lo, size_t n) {
+  /// Runs every logic layer on rows [lo, lo + n) of the packed `x`: each
+  /// row's set bits become its bit of the input words.
+  void Run(const PackedRows& x, size_t lo, size_t n) {
     const size_t in_dim = static_cast<size_t>(net_.encoded_size());
     CTFL_CHECK(n <= kRecordsPerWord && lo + n <= x.rows() &&
                x.cols() == in_dim);
@@ -205,19 +195,15 @@ class DiscreteBlockPass {
 
   /// The logits of the block's records into rows [dst, dst + n) of
   /// `logits`. The packed vote (DESIGN.md §16.5) when every vote weight is
-  /// finite and every rule coordinate is 0.0 or 1.0 — the logic nodes
-  /// always are; `binary` says whether rows [lo, lo + n) of x, which the
-  /// skip coordinates copy, are (a null x: the block came from RunPacked).
-  /// Otherwise the dense product on the block's FillRules rows.
-  void Vote(const Matrix* x, size_t lo, size_t n, bool binary,
-            Matrix* logits, size_t dst) {
+  /// finite; otherwise the dense product on the block's FillRules rows.
+  void Vote(size_t n, Matrix* logits, size_t dst) {
     const LinearLayer& linear = net_.linear();
-    if (plan_.votes_finite && (binary || !net_.config().input_skip)) {
+    if (plan_.votes_finite) {
       linear.ForwardPacked(RuleWords(), n, logits, dst);
       return;
     }
     if (rules_.rows() != n) rules_ = Matrix(n, net_.num_rules());
-    FillRules(x, lo, n, &rules_, 0);
+    FillRules(n, &rules_);
     const Matrix block = linear.Forward(rules_);
     for (size_t r = 0; r < n; ++r) {
       std::copy(block.row(r), block.row(r) + block.cols(),
@@ -225,21 +211,16 @@ class DiscreteBlockPass {
     }
   }
 
-  /// Writes the block's rule vectors into rows [dst, dst + n) of `rules`:
-  /// the skip coordinates copy x's rows verbatim, as ConcatRules does, and
-  /// the logic nodes become 0.0 / 1.0. Without x (a RunPacked block) the
-  /// skip coordinates are the input words' 0/1 bits.
-  void FillRules(const Matrix* x, size_t lo, size_t n, Matrix* rules,
-                 size_t dst) const {
-    const size_t skip = net_.config().input_skip && x != nullptr ? x->cols()
-                                                                 : 0;
-    const size_t bits = static_cast<size_t>(net_.num_rules()) - skip;
-    const uint64_t* rule_words = RuleWords() + skip;
+  /// Writes the block's rule vectors into the first n rows of `rules`,
+  /// every coordinate 0.0 / 1.0: the skip coordinates the input words'
+  /// bits, the logic nodes their words' bits.
+  void FillRules(size_t n, Matrix* rules) const {
+    const size_t num_rules = static_cast<size_t>(net_.num_rules());
+    const uint64_t* rule_words = RuleWords();
     for (size_t r = 0; r < n; ++r) {
-      double* out = rules->row(dst + r);
-      if (skip > 0) std::copy(x->row(lo + r), x->row(lo + r) + skip, out);
-      for (size_t j = 0; j < bits; ++j) {
-        out[skip + j] = (rule_words[j] >> r) & 1 ? 1.0 : 0.0;
+      double* out = rules->row(r);
+      for (size_t j = 0; j < num_rules; ++j) {
+        out[j] = (rule_words[j] >> r) & 1 ? 1.0 : 0.0;
       }
     }
   }
@@ -282,30 +263,24 @@ class DiscreteBlockPass {
   Matrix rules_;
 };
 
-/// Discrete logits of every row of `x`, 64 rows at a time.
-Matrix DiscreteLogits(const LogicalNet& net, const Matrix& x) {
-  const LogicalNet::DiscretePlan plan(net);
-  DiscreteBlockPass pass(net, plan);
-  Matrix logits(x.rows(), net.linear().out_dim());
-  for (size_t lo = 0; lo < x.rows(); lo += kRecordsPerWord) {
-    const size_t n = std::min(kRecordsPerWord, x.rows() - lo);
-    const bool binary = pass.Run(x, lo, n);
-    pass.Vote(&x, lo, n, binary, &logits, lo);
-  }
-  return logits;
-}
-
-/// The same for packed rows, whose skip coordinates are always 0/1.
+/// Discrete logits of every packed row of `x`, 64 rows at a time.
 Matrix DiscreteLogits(const LogicalNet& net, const PackedRows& x) {
   const LogicalNet::DiscretePlan plan(net);
   DiscreteBlockPass pass(net, plan);
   Matrix logits(x.rows(), net.linear().out_dim());
   for (size_t lo = 0; lo < x.rows(); lo += kRecordsPerWord) {
     const size_t n = std::min(kRecordsPerWord, x.rows() - lo);
-    pass.RunPacked(x, lo, n);
-    pass.Vote(nullptr, 0, n, /*binary=*/true, &logits, lo);
+    pass.Run(x, lo, n);
+    pass.Vote(n, &logits, lo);
   }
   return logits;
+}
+
+/// `encoded`, packed; every element must be 0.0 or 1.0, as the encoder
+/// writes it.
+void PackEncoded(const Matrix& encoded, PackedRows* out) {
+  CTFL_CHECK(PackBinary(encoded, out))
+      << "an encoded batch must hold only 0.0 and 1.0";
 }
 
 /// Eq. (3): the class with the larger logit, ties toward the positive one.
@@ -331,11 +306,11 @@ void InferBlocks(const LogicalNet& net, const LogicalNet::DiscretePlan& plan,
     for (size_t r = 0; r < n; ++r) {
       net.encoder().EncodeRow(at(lo + r), block.row(r));
     }
-    pass.RunPacked(block, 0, n);
+    pass.Run(block, 0, n);
     if (predicted != nullptr) {
       // The same vote as ForwardDiscrete, so each record's logits are the
       // per-record ones.
-      pass.Vote(nullptr, 0, n, /*binary=*/true, &logits, 0);
+      pass.Vote(n, &logits, 0);
       for (size_t r = 0; r < n; ++r) {
         predicted[lo + r] = static_cast<uint8_t>(PredictedClass(logits, r));
       }
@@ -360,40 +335,22 @@ Matrix LogicalNet::ForwardContinuous(const Matrix& encoded,
                                      Cache* cache) const {
   Cache own;
   Cache& c = cache != nullptr ? *cache : own;
-  c.binary = PackBinary(encoded, &c.input);
-  if (c.binary) {
-    c.fuzzy = Matrix();
-    ForwardLayers(*this, c.input, &c.layer_out, &c.layer0);
-  } else {
-    c.fuzzy = encoded;
-    ForwardLayers(*this, encoded, &c.layer_out, &c.layer0);
-  }
+  PackEncoded(encoded, &c.input);
+  ForwardLayers(*this, c.input, &c.layer_out, &c.layer0);
   return linear_.Forward(
       ConcatRules(encoded, c.layer_out, config_.input_skip, num_rules_));
 }
 
-Matrix LogicalNet::RulesDiscrete(const Matrix& encoded) const {
-  const DiscretePlan plan(*this);
-  DiscreteBlockPass pass(*this, plan);
-  Matrix rules(encoded.rows(), num_rules_);
-  for (size_t lo = 0; lo < encoded.rows(); lo += kRecordsPerWord) {
-    const size_t n = std::min(kRecordsPerWord, encoded.rows() - lo);
-    pass.Run(encoded, lo, n);
-    pass.FillRules(&encoded, lo, n, &rules, lo);
-  }
-  return rules;
-}
-
 Matrix LogicalNet::ForwardDiscrete(const Matrix& encoded) const {
-  return DiscreteLogits(*this, encoded);
+  PackedRows packed;
+  PackEncoded(encoded, &packed);
+  return DiscreteLogits(*this, packed);
 }
 
 Matrix LogicalNet::ForwardGrafted(const PackedRows& batch,
                                   Cache* cache) const {
   CTFL_CHECK(static_cast<int>(batch.cols()) == encoded_size());
   cache->input = batch;
-  cache->binary = true;
-  cache->fuzzy = Matrix();
   ForwardLayers(*this, cache->input, &cache->layer_out, &cache->layer0);
   return DiscreteLogits(*this, cache->input);
 }
@@ -406,8 +363,7 @@ void LogicalNet::Backward(const Cache& cache, const Matrix& dlogits) {
   std::vector<LinearLayer::Columns> rules;
   size_t offset = 0;
   if (config_.input_skip) {
-    rules.push_back(cache.binary ? LinearLayer::Columns{nullptr, &cache.input}
-                                 : LinearLayer::Columns{&cache.fuzzy});
+    rules.push_back(LinearLayer::Columns{nullptr, &cache.input});
     offset = static_cast<size_t>(encoded_size());
   }
   std::vector<size_t> layer_offset;
@@ -436,12 +392,9 @@ void LogicalNet::Backward(const Cache& cache, const Matrix& dlogits) {
   }
   // The encoder input has no parameters, so layer 0's input gradient has
   // no consumer: it accumulates weight gradients only.
-  if (!logic_layers_.empty() && cache.binary) {
+  if (!logic_layers_.empty()) {
     logic_layers_[0].BackwardWeights(cache.input, cache.layer_out[0],
                                      dout[0], &cache.layer0);
-  } else if (!logic_layers_.empty()) {
-    logic_layers_[0].BackwardWeights(cache.fuzzy, cache.layer_out[0],
-                                     dout[0]);
   }
 }
 

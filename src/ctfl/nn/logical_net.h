@@ -101,22 +101,19 @@ class LogicalNet {
   /// reuses. The continuous rule vector is the input (input_skip) and
   /// every layer output, read in place.
   struct Cache {
-    /// The batch, packed, when every element is 0.0 or 1.0, as the
-    /// encoder's always are: layer 0's backward and the vote layer's skip
+    /// The batch, packed: layer 0's backward and the vote layer's skip
     /// columns read its bits (DESIGN.md §16.4).
     PackedRows input;
-    /// Otherwise a copy of the batch: only the public Matrix calls take
-    /// one.
-    Matrix fuzzy;
-    bool binary = true;
     std::vector<Matrix> layer_out;
     logic_kernel::GroupCodes layer0;
   };
 
-  /// Continuous (fuzzy) logits; fills `cache` if non-null.
+  /// Continuous (fuzzy) logits; fills `cache` if non-null. Every element
+  /// of `encoded` must be 0.0 or 1.0, as the encoder writes it.
   Matrix ForwardContinuous(const Matrix& encoded, Cache* cache) const;
 
-  /// Binarized logits — the deployed model's inference (Eq. 3).
+  /// Binarized logits — the deployed model's inference (Eq. 3). Every
+  /// element of `encoded` must be 0.0 or 1.0.
   Matrix ForwardDiscrete(const Matrix& encoded) const;
 
   /// The forward half of a grafted step on a packed batch (encoded_size()
@@ -126,11 +123,6 @@ class LogicalNet {
   /// input words taken from the batch's bits. `cache` may hold an earlier
   /// step's buffers, whose storage it reuses.
   Matrix ForwardGrafted(const PackedRows& batch, Cache* cache) const;
-
-  /// Binarized rule-activation matrix (batch x num_rules): the encoded
-  /// inputs verbatim (input_skip), then every logic node as 0/1, computed
-  /// by the bit-packed pass with inputs thresholded at 0.5.
-  Matrix RulesDiscrete(const Matrix& encoded) const;
 
   /// Gradient-grafting backward: `dlogits` is dL(Ȳ)/dȲ computed on the
   /// *discrete* outputs; it is pushed through the *continuous* graph in

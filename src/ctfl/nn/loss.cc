@@ -36,14 +36,4 @@ double SoftmaxCrossEntropy(const Matrix& logits,
   return total / batch;
 }
 
-std::vector<int> ArgmaxRows(const Matrix& logits) {
-  std::vector<int> out(logits.rows());
-  for (size_t r = 0; r < logits.rows(); ++r) {
-    const double* row = logits.row(r);
-    out[r] = static_cast<int>(
-        std::max_element(row, row + logits.cols()) - row);
-  }
-  return out;
-}
-
 }  // namespace ctfl

@@ -12,9 +12,6 @@ namespace ctfl {
 double SoftmaxCrossEntropy(const Matrix& logits,
                            const std::vector<int>& labels, Matrix* dlogits);
 
-/// Row-wise argmax of the logits.
-std::vector<int> ArgmaxRows(const Matrix& logits);
-
 }  // namespace ctfl
 
 #endif  // CTFL_NN_LOSS_H_

@@ -56,33 +56,11 @@ void Matrix::Clamp(double lo, double hi) {
   for (double& v : data_) v = std::clamp(v, lo, hi);
 }
 
-Matrix Matrix::MatMul(const Matrix& other) const {
-  CTFL_CHECK(cols_ == other.rows_);
-  Matrix out(rows_, other.cols_);
-  // One output row is one unit of work: the inner k/c loops are identical
-  // to the serial kernel, so sharding rows cannot change a single bit.
-  auto row_kernel = [&](size_t r) {
-    const double* a = row(r);
-    double* o = out.row(r);
-    for (size_t k = 0; k < cols_; ++k) {
-      const double av = a[k];
-      if (av == 0.0) continue;
-      const double* b = other.row(k);
-      for (size_t c = 0; c < other.cols_; ++c) o[c] += av * b[c];
-    }
-  };
-  const int threads = MatrixThreadsFor(rows_ * cols_ * other.cols_);
-  if (rows_ > 1 && threads > 1) {
-    ParallelFor(threads, 0, rows_, row_kernel);
-  } else {
-    for (size_t r = 0; r < rows_; ++r) row_kernel(r);
-  }
-  return out;
-}
-
 Matrix Matrix::MatMulTransposed(const Matrix& other) const {
   CTFL_CHECK(cols_ == other.cols_);
   Matrix out(rows_, other.rows_);
+  // One output row is one unit of work: the inner loops are identical to
+  // the serial kernel, so sharding rows cannot change a single bit.
   auto row_kernel = [&](size_t r) {
     const double* a = row(r);
     size_t c = 0;

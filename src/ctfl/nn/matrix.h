@@ -72,13 +72,9 @@ class Matrix {
   /// Clamps every element into [lo, hi].
   void Clamp(double lo, double hi);
 
-  /// Returns this(rows x k) * other(k x cols). Row-sharded across the
-  /// compute pool above the grain threshold; bit-identical to the serial
-  /// loop at any thread count.
-  Matrix MatMul(const Matrix& other) const;
-
   /// Returns this(rows x k) * transpose(other)(k x c) without materializing
-  /// the transpose. Row-sharded; bit-identical to serial.
+  /// the transpose. Row-sharded across the compute pool above the grain
+  /// threshold; bit-identical to the serial loop at any thread count.
   Matrix MatMulTransposed(const Matrix& other) const;
 
   /// Fills with U[lo, hi) samples.

@@ -98,10 +98,17 @@ Result<LogicalNet> LoadLogicalNet(SchemaPtr schema,
         config.logic_layers.emplace_back(conj, disj);
       }
     } else if (key == "params") {
-      // Every parameter takes at least two characters of the file, so a
-      // larger count is refused before anything is sized from it.
+      // Every parameter takes at least two of the bytes left after the
+      // count (a separator and a digit), so a larger count is refused
+      // before anything is sized from it, and the values are read before
+      // the net is built.
       size_t count = 0;
-      if (!(in >> count) || count > text.size()) {
+      if (!(in >> count)) {
+        return Status::InvalidArgument(path + ": malformed value");
+      }
+      const std::streamoff at = in.tellg();
+      const size_t left = at < 0 ? 0 : text.size() - static_cast<size_t>(at);
+      if (count > left / 2) {
         return Status::InvalidArgument(path +
                                        ": params count exceeds the file");
       }
@@ -109,13 +116,13 @@ Result<LogicalNet> LoadLogicalNet(SchemaPtr schema,
       if (!shape.ok()) {
         return Status::InvalidArgument(path + ": " + shape.message());
       }
-      LogicalNet net(std::move(schema), config);
       std::vector<double> params(count);
       for (double& v : params) {
         if (!(in >> v)) {
           return Status::InvalidArgument(path + ": truncated parameters");
         }
       }
+      LogicalNet net(std::move(schema), config);
       net.SetParameters(params);
       return net;
     } else {

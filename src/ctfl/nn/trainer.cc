@@ -13,24 +13,6 @@
 
 namespace ctfl {
 
-namespace {
-
-/// The backward half of a step, on the forward's cache and discrete logits.
-double FinishStep(LogicalNet& net, const LogicalNet::Cache& cache,
-                  const Matrix& discrete_logits,
-                  const std::vector<int>& labels, Optimizer& optimizer) {
-  Matrix dlogits;
-  const double loss = SoftmaxCrossEntropy(discrete_logits, labels, &dlogits);
-  net.ZeroGrads();
-  net.Backward(cache, dlogits);
-  const std::vector<ParamSlot> slots = net.ParamSlots();
-  optimizer.Step(slots);
-  net.ProjectWeights();
-  return loss;
-}
-
-}  // namespace
-
 double GraftedStep(LogicalNet& net, const PackedRows& batch,
                    const std::vector<int>& labels, Optimizer& optimizer) {
   // Per thread, so the cache's buffers (the packed batch, the layer
@@ -39,19 +21,21 @@ double GraftedStep(LogicalNet& net, const PackedRows& batch,
   // chunks.
   static thread_local LogicalNet::Cache cache;
   const Matrix discrete_logits = net.ForwardGrafted(batch, &cache);
-  return FinishStep(net, cache, discrete_logits, labels, optimizer);
+  Matrix dlogits;
+  const double loss = SoftmaxCrossEntropy(discrete_logits, labels, &dlogits);
+  net.ZeroGrads();
+  net.Backward(cache, dlogits);
+  optimizer.Step(net.ParamSlots());
+  net.ProjectWeights();
+  return loss;
 }
 
 double GraftedStep(LogicalNet& net, const Matrix& encoded,
                    const std::vector<int>& labels, Optimizer& optimizer) {
   static thread_local PackedRows packed;
-  if (PackBinary(encoded, &packed)) {
-    return GraftedStep(net, packed, labels, optimizer);
-  }
-  LogicalNet::Cache cache;
-  net.ForwardContinuous(encoded, &cache);
-  return FinishStep(net, cache, net.ForwardDiscrete(encoded), labels,
-                    optimizer);
+  CTFL_CHECK(PackBinary(encoded, &packed))
+      << "a grafted step's batch must be 0/1, as the encoder writes it";
+  return GraftedStep(net, packed, labels, optimizer);
 }
 
 TrainReport TrainGrafted(LogicalNet& net, const Dataset& data,

@@ -50,10 +50,9 @@ TrainReport TrainGrafted(LogicalNet& net, const Dataset& data,
 double GraftedStep(LogicalNet& net, const PackedRows& batch,
                    const std::vector<int>& labels, Optimizer& optimizer);
 
-/// One grafted step over an encoded Matrix batch. A batch whose every
-/// element is 0.0 or 1.0 is packed and takes the step above; any other
-/// takes the public calls (ForwardContinuous, ForwardDiscrete, Backward),
-/// which handle it.
+/// One grafted step over an encoded Matrix batch, every element of which
+/// must be 0.0 or 1.0, as the encoder writes it: packs the batch and takes
+/// the step above.
 double GraftedStep(LogicalNet& net, const Matrix& encoded,
                    const std::vector<int>& labels, Optimizer& optimizer);
 

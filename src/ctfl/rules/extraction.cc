@@ -59,18 +59,6 @@ ExtractionResult ExtractRules(const LogicalNet& net) {
   return result;
 }
 
-RuleModel BuildRuleModel(const LogicalNet& net) {
-  const ExtractionResult extraction = ExtractRules(net);
-  RuleModel model;
-  for (const ExtractedRule& er : extraction.rules) {
-    const int index =
-        model.AddRule({er.rule, er.support_class, er.weight});
-    CTFL_CHECK(index == er.coordinate);
-  }
-  model.SetBias(extraction.bias);
-  return model;
-}
-
 Status ExportRulesText(const LogicalNet& net, const std::string& path,
                        double min_weight) {
   std::ofstream out(path);

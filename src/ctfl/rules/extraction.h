@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "ctfl/nn/logical_net.h"
-#include "ctfl/rules/rule_model.h"
+#include "ctfl/rules/rule.h"
 
 namespace ctfl {
 
@@ -30,12 +30,6 @@ struct ExtractionResult {
 /// layers down to encoder predicates. Support class and weight come from
 /// the vote layer (Def. III.2).
 ExtractionResult ExtractRules(const LogicalNet& net);
-
-/// Builds the formal RuleModel equivalent of the net's binarized form.
-/// Rule indices align with the net's rule coordinates, so activation
-/// bitsets from either object are interchangeable, and the two classifiers
-/// agree on every input.
-RuleModel BuildRuleModel(const LogicalNet& net);
 
 /// Writes the extracted symbolic rules of a trained model as a readable
 /// report (one rule per line with class and weight) — the artifact a

@@ -19,16 +19,12 @@ struct Predicate {
   double threshold = 0.0;  // kGt / kLt
   int category = 0;        // kEq / kNeq
 
-  bool Evaluate(const Instance& instance) const;
-
   /// e.g. "capital-gain > 21000", "marital-status = never".
   std::string ToString(const FeatureSchema& schema) const;
 
   /// Converts an encoder output bit into its symbolic predicate.
   static Predicate FromEncoded(const EncodedPredicate& encoded);
 };
-
-bool operator==(const Predicate& a, const Predicate& b);
 
 }  // namespace ctfl
 

@@ -1,6 +1,6 @@
 #include "ctfl/rules/rule.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "ctfl/util/logging.h"
 
@@ -41,43 +41,6 @@ Rule Rule::False() {
   Rule r;
   r.kind_ = Kind::kFalse;
   return r;
-}
-
-bool Rule::Evaluate(const Instance& instance) const {
-  switch (kind_) {
-    case Kind::kTrue:
-      return true;
-    case Kind::kFalse:
-      return false;
-    case Kind::kAtom:
-      return atom_.Evaluate(instance);
-    case Kind::kConj:
-      for (const Rule& child : children_) {
-        if (!child.Evaluate(instance)) return false;
-      }
-      return true;
-    case Kind::kDisj:
-      for (const Rule& child : children_) {
-        if (child.Evaluate(instance)) return true;
-      }
-      return false;
-  }
-  return false;
-}
-
-int Rule::NumPredicates() const {
-  if (kind_ == Kind::kTrue || kind_ == Kind::kFalse) return 0;
-  if (kind_ == Kind::kAtom) return 1;
-  int total = 0;
-  for (const Rule& child : children_) total += child.NumPredicates();
-  return total;
-}
-
-int Rule::Depth() const {
-  if (kind_ != Kind::kConj && kind_ != Kind::kDisj) return 0;
-  int depth = 0;
-  for (const Rule& child : children_) depth = std::max(depth, child.Depth());
-  return depth + 1;
 }
 
 std::string Rule::ToString(const FeatureSchema& schema) const {

@@ -30,15 +30,6 @@ class Rule {
   const Predicate& atom() const { return atom_; }
   const std::vector<Rule>& children() const { return children_; }
 
-  /// r(x): 1 if the instance fulfills the rule's logical formula.
-  bool Evaluate(const Instance& instance) const;
-
-  /// Total number of atomic predicates in the formula.
-  int NumPredicates() const;
-
-  /// Nesting depth (atom = 0).
-  int Depth() const;
-
   /// e.g. "(work-hours > 14 v marital-status = never)".
   std::string ToString(const FeatureSchema& schema) const;
 

@@ -27,17 +27,6 @@ Client::Client(Client&& other) noexcept
   other.fd_ = -1;
 }
 
-Client& Client::operator=(Client&& other) noexcept {
-  if (this != &other) {
-    Close();
-    fd_ = other.fd_;
-    next_request_id_ = other.next_request_id_;
-    decoder_ = std::move(other.decoder_);
-    other.fd_ = -1;
-  }
-  return *this;
-}
-
 #if defined(CTFL_SERVE_HAS_SOCKETS)
 
 Result<Client> Client::ConnectUnix(const std::string& socket_path) {

@@ -22,7 +22,6 @@ class Client {
   ~Client();
 
   Client(Client&& other) noexcept;
-  Client& operator=(Client&& other) noexcept;
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 

@@ -100,14 +100,6 @@ void BundleWriter::AddSection(std::string name, std::string payload) {
   sections_.emplace_back(std::move(name), std::move(payload));
 }
 
-size_t BundleWriter::TotalBytes() const {
-  size_t total = sizeof(kMagic) + 4 + 4;  // magic + version + count
-  for (const auto& [name, payload] : sections_) {
-    total += kTableEntryBytes + name.size() + payload.size();
-  }
-  return total;
-}
-
 Result<std::string> BundleWriter::Serialize() const {
   for (size_t i = 0; i < sections_.size(); ++i) {
     if (sections_[i].first.empty()) {
@@ -205,13 +197,6 @@ Result<BundleReader> BundleReader::Parse(std::string file_bytes,
       telemetry::MetricsRegistry::Global().GetCounter("ctfl.bundle.reads");
   reads.Add(1);
   return reader;
-}
-
-bool BundleReader::HasSection(const std::string& name) const {
-  for (const auto& section : sections_) {
-    if (section.first == name) return true;
-  }
-  return false;
 }
 
 Result<std::string> BundleReader::Section(const std::string& name) const {

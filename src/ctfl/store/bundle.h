@@ -54,9 +54,6 @@ class BundleWriter {
   /// Section names must be unique and non-empty (checked at Write).
   void AddSection(std::string name, std::string payload);
 
-  /// Serialized size of the bundle (header + table + payloads).
-  size_t TotalBytes() const;
-
   Status Write(const std::string& path) const;
 
   /// In-memory serialization (what Write puts on disk).
@@ -76,7 +73,6 @@ class BundleReader {
   static Result<BundleReader> Parse(std::string file_bytes,
                                     const std::string& origin);
 
-  bool HasSection(const std::string& name) const;
   /// Payload bytes of `name` (copy), or NotFound.
   Result<std::string> Section(const std::string& name) const;
   /// Zero-copy payload view of `name`; valid while this reader (or any

@@ -165,12 +165,5 @@ std::string MetricsRegistry::SummaryTable() const {
   return out.str();
 }
 
-void MetricsRegistry::ResetAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, gauge] : gauges_) gauge->Reset();
-  for (auto& [name, histogram] : histograms_) histogram->Reset();
-}
-
 }  // namespace telemetry
 }  // namespace ctfl

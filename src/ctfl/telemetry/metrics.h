@@ -129,9 +129,6 @@ class MetricsRegistry {
   /// Human-readable dump of all instruments (one line each).
   std::string SummaryTable() const;
 
-  /// Zeroes every instrument (names stay registered). Test-only in spirit.
-  void ResetAll();
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;

@@ -6,9 +6,9 @@
 // per-phase wall/CPU breakdown, kernel counters, and resource footprint.
 // Benches and the perf gate consume these instead of scraping stdout.
 //
-// The writer emits doubles with %.17g and fingerprints as hex strings,
-// and ParseRunReportJson reverses both losslessly, so a written report
-// parses back *bit-exactly* (pinned by tests/run_report_test.cc).
+// The writer emits doubles with %.17g and fingerprints as hex strings, so
+// a written report parses back *bit-exactly* (pinned by
+// tests/run_report_test.cc).
 
 #include <cstdint>
 #include <string>
@@ -63,13 +63,6 @@ std::string RunReportJson(const RunReport& report);
 
 /// Writes RunReportJson() to `path`.
 Status WriteRunReport(const RunReport& report, const std::string& path);
-
-/// Parses a document produced by RunReportJson(); unknown fields are
-/// ignored, missing fields keep their defaults (forward compatibility).
-Result<RunReport> ParseRunReportJson(const std::string& json);
-
-/// Reads `path` and parses it.
-Result<RunReport> ReadRunReport(const std::string& path);
 
 }  // namespace telemetry
 }  // namespace ctfl

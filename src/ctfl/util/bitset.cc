@@ -44,13 +44,6 @@ bool Bitset::Contains(const Bitset& other) const {
   return true;
 }
 
-bool Bitset::None() const {
-  for (uint64_t w : words_) {
-    if (w != 0) return false;
-  }
-  return true;
-}
-
 Bitset& Bitset::operator&=(const Bitset& other) {
   CTFL_CHECK(size_ == other.size_);
   for (size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];

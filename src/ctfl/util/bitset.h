@@ -34,9 +34,6 @@ class Bitset {
   /// True if every set bit of `other` is also set in `this`.
   bool Contains(const Bitset& other) const;
 
-  /// True if no bits are set.
-  bool None() const;
-
   Bitset& operator&=(const Bitset& other);
   Bitset& operator|=(const Bitset& other);
 

@@ -1,50 +1,9 @@
 #ifndef CTFL_UTIL_JSON_H_
 #define CTFL_UTIL_JSON_H_
 
-// Minimal recursive-descent JSON reader for the observability round
-// trips: RunReport parse-back, metrics snapshot (JSONL) consumption, and
-// BENCH_*.json inspection in tests. Parses the JSON subset our own
-// writers emit (objects, arrays, strings with standard escapes, numbers,
-// booleans, null). Numbers are kept both as a double (strtod — bit-exact
-// for our %.17g writers) and as the raw source text so integer callers
-// can reparse without double-rounding.
-
-#include <cstdint>
-#include <map>
 #include <string>
-#include <vector>
-
-#include "ctfl/util/result.h"
 
 namespace ctfl {
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-
-  bool boolean = false;
-  double number = 0.0;
-  std::string raw_number;  ///< source text of the number token
-  std::string string;
-  std::vector<JsonValue> array;
-  /// Insertion-ordered key/value pairs (JSON objects may repeat keys;
-  /// Find returns the first).
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* Find(const std::string& key) const;
-
-  bool is_object() const { return kind == Kind::kObject; }
-  bool is_array() const { return kind == Kind::kArray; }
-  bool is_number() const { return kind == Kind::kNumber; }
-  bool is_string() const { return kind == Kind::kString; }
-
-  /// Integer view of a number token (strtoll on the raw text; falls back
-  /// to a cast of the double for exponent forms).
-  int64_t AsInt64() const;
-};
-
-/// Parses one JSON document; trailing non-whitespace is an error.
-Result<JsonValue> ParseJson(const std::string& text);
 
 /// Escapes `s` for embedding inside a JSON string literal (quotes,
 /// backslash, control characters).

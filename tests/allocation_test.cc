@@ -149,50 +149,6 @@ TEST(AllocationTest, SweepMatchesIndividualCalls) {
   }
 }
 
-TEST(WeightedAllocationTest, UniformWeightsMatchPlainMicro) {
-  const TraceResult trace =
-      MakeTrace(2, {Correct({3, 1}), Correct({1, 1}), Wrong({2, 0})});
-  const std::vector<double> uniform(trace.tests.size(),
-                                    1.0 / trace.tests.size());
-  const std::vector<double> weighted =
-      WeightedMicroAllocation(trace, uniform);
-  const std::vector<double> plain = MicroAllocation(trace);
-  for (int p = 0; p < 2; ++p) {
-    EXPECT_NEAR(weighted[p], plain[p], 1e-12);
-  }
-}
-
-TEST(WeightedAllocationTest, WeightsScaleCredit) {
-  const TraceResult trace = MakeTrace(2, {Correct({1, 0}), Correct({0, 1})});
-  // First test worth 3x the second.
-  const std::vector<double> weighted =
-      WeightedMicroAllocation(trace, {0.75, 0.25});
-  EXPECT_NEAR(weighted[0], 0.75, 1e-12);
-  EXPECT_NEAR(weighted[1], 0.25, 1e-12);
-}
-
-TEST(WeightedAllocationTest, WeightedGroupRationality) {
-  // Sum of weighted scores equals the total weight of matched correct
-  // tests — group rationality for any instance-decomposable metric.
-  const TraceResult trace = MakeTrace(
-      2, {Correct({1, 2}), Correct({0, 0}), Wrong({4, 0}), Correct({5, 5})});
-  const std::vector<double> weights = {0.4, 0.3, 0.2, 0.1};
-  const std::vector<double> scores =
-      WeightedMicroAllocation(trace, weights);
-  EXPECT_NEAR(scores[0] + scores[1], 0.4 + 0.1, 1e-12);
-  const std::vector<double> macro =
-      WeightedMacroAllocation(trace, weights, 1);
-  EXPECT_NEAR(macro[0] + macro[1], 0.4 + 0.1, 1e-12);
-}
-
-TEST(WeightedAllocationTest, MacroStillEqualSplit) {
-  const TraceResult trace = MakeTrace(2, {Correct({9, 1})});
-  const std::vector<double> macro =
-      WeightedMacroAllocation(trace, {0.8}, 1);
-  EXPECT_NEAR(macro[0], 0.4, 1e-12);
-  EXPECT_NEAR(macro[1], 0.4, 1e-12);
-}
-
 TEST(AllocationTest, EmptyTraceGivesZeros) {
   const TraceResult trace = MakeTrace(3, {});
   EXPECT_EQ(MicroAllocation(trace), std::vector<double>(3, 0.0));

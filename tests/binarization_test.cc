@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "ctfl/data/gen/benchmarks.h"
+#include "ctfl/rules/predicate.h"
 
 namespace ctfl {
 namespace {
@@ -186,7 +187,10 @@ TEST(BinarizationTest, PredicateToString) {
   const BinarizationLayer layer(schema, 2, rng);
   bool saw_threshold = false, saw_equals = false;
   for (int j = 0; j < layer.encoded_size(); ++j) {
-    const std::string s = layer.predicate(j).ToString(*schema);
+    // An encoder bit is named through its symbolic predicate, as the
+    // extracted rules name it.
+    const std::string s =
+        Predicate::FromEncoded(layer.predicate(j)).ToString(*schema);
     if (s.find("x >") != std::string::npos ||
         s.find("x <") != std::string::npos) {
       saw_threshold = true;

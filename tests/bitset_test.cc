@@ -11,7 +11,6 @@ TEST(BitsetTest, StartsEmpty) {
   Bitset b(130);
   EXPECT_EQ(b.size(), 130u);
   EXPECT_EQ(b.Count(), 0u);
-  EXPECT_TRUE(b.None());
 }
 
 TEST(BitsetTest, SetTestClear) {

@@ -1,5 +1,6 @@
 // A bounded, deterministic mutation test of every binary decoder: serve
-// frames, bundles, delta logs and replay files (DESIGN.md §8.1). Each case
+// frames, bundles, delta logs and replay files (DESIGN.md §8.1), and of the
+// model text loader, whose saved models also take line mutations. Each case
 // seeds from the goldens under tests/data/ and from freshly encoded
 // records, mutates them with bit flips, truncation at every offset,
 // splices of two inputs, and the values 0, 1, 2^31 - 1, 2^32 - 1 and
@@ -17,6 +18,7 @@
 // Inputs that ever broke a decoder are kept under tests/data/ and replayed
 // by DecoderRegressionTest.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -26,11 +28,13 @@
 #include <new>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ctfl/nn/logical_net.h"
+#include "ctfl/nn/serialize.h"
 #include "ctfl/replay/replay_file.h"
 #include "ctfl/serve/protocol.h"
 #include "ctfl/store/bundle.h"
@@ -564,6 +568,79 @@ TEST(DecoderFuzzTest, ReplayFilesReturnStatusWithinBound) {
   EXPECT_GT(decoded, 0);
 }
 
+/// Every line mutation of the model text `text`: each line dropped,
+/// duplicated, swapped with the next and cut before each of its words, and
+/// each of its numbers replaced by -1, 0, 2^31 - 1, 2^63, nan and inf.
+void ForEachLineMutation(const std::string& text,
+                         const std::function<void(const std::string&)>& visit) {
+  std::vector<std::string> lines;
+  for (size_t begin = 0; begin < text.size();) {
+    const size_t end = text.find('\n', begin);
+    lines.push_back(text.substr(begin, end - begin));
+    begin = end == std::string::npos ? text.size() : end + 1;
+  }
+  auto join = [](const std::vector<std::string>& parts) {
+    std::string out;
+    for (const std::string& part : parts) out += part + "\n";
+    return out;
+  };
+  const char* kNumbers[] = {"-1", "0", "2147483647", "9223372036854775808",
+                            "nan", "inf"};
+  for (size_t i = 0; i < lines.size(); ++i) {
+    std::vector<std::string> edited = lines;
+    edited.erase(edited.begin() + i);
+    visit(join(edited));
+    edited = lines;
+    edited.insert(edited.begin() + i, lines[i]);
+    visit(join(edited));
+    if (i + 1 < lines.size()) {
+      edited = lines;
+      std::swap(edited[i], edited[i + 1]);
+      visit(join(edited));
+    }
+    // Word starts: cut before each, and replace each number's word.
+    for (size_t at = 0; at < lines[i].size();) {
+      const size_t end = std::min(lines[i].find(' ', at), lines[i].size());
+      edited = lines;
+      edited[i] = lines[i].substr(0, at);
+      visit(join(edited));
+      const std::string word = lines[i].substr(at, end - at);
+      char* parsed = nullptr;
+      std::strtod(word.c_str(), &parsed);
+      if (!word.empty() && *parsed == '\0') {
+        for (const char* number : kNumbers) {
+          edited[i] = lines[i].substr(0, at) + number + lines[i].substr(end);
+          visit(join(edited));
+        }
+      }
+      at = end + 1;
+    }
+  }
+}
+
+TEST(DecoderFuzzTest, ModelTextReturnsStatusWithinBound) {
+  const SchemaPtr schema = SmallSchema();
+  LogicalNetConfig config;
+  config.tau_d = 2;
+  config.logic_layers = {{3, 3}};
+  config.seed = 5;
+  const std::string path = TestTempPath("model_text.txt");
+  ASSERT_TRUE(SaveLogicalNet(LogicalNet(schema, config), path).ok());
+  const std::string text = ReadFile(path);
+  ASSERT_TRUE(LoadLogicalNet(schema, path).ok());
+  int loaded = 0;
+  auto decode = [&](const std::string& mutation) {
+    WriteFile(path, mutation);
+    ExpectBounded("model_text", mutation, [&](const std::string&) {
+      loaded += LoadLogicalNet(schema, path).ok();
+    });
+  };
+  ForEachLineMutation(text, decode);
+  ForEachMutation(text, {}, 700, decode);
+  EXPECT_GT(loaded, 0);
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Inputs that once broke a decoder.
 // ---------------------------------------------------------------------------
@@ -587,6 +664,15 @@ TEST(DecoderRegressionTest, SavedInputsReturnStatusWithinBound) {
       {"bundle_zero_rules.ctflb",
        [](const std::string& path) {
          return store::ReadBundle(path).status();
+       }},
+      // A 96,026-byte model text whose shape (tau_d 1 over SmallSchema, one
+      // layer of 16,000 conjunctions) agrees with its count of 96,010
+      // parameters, followed by spaces only: the count was bounded by the
+      // file's size, not by two bytes per parameter, and the net and a
+      // count-sized vector were built before a value was read.
+      {"model_inflated_params.txt",
+       [](const std::string& path) {
+         return LoadLogicalNet(SmallSchema(), path).status();
        }},
   };
   for (const Saved& s : saved) {

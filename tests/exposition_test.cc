@@ -11,8 +11,8 @@
 #include "ctfl/fl/fedavg.h"
 #include "ctfl/fl/partition.h"
 #include "ctfl/telemetry/metrics.h"
-#include "ctfl/util/json.h"
 #include "ctfl/util/rng.h"
+#include "json_reader.h"
 #include "test_paths.h"
 
 namespace ctfl {

@@ -102,7 +102,7 @@ TEST_P(GroupingSoundness, PrefilterNeverDropsRelatedPairs) {
     for (size_t i = 0; i < num_items; ++i) {
       if (rng.Bernoulli(0.3)) b.Set(i);
     }
-    if (b.None()) b.Set(rng.UniformInt(num_items));
+    if (b.Count() == 0) b.Set(rng.UniformInt(num_items));
     tests.push_back(std::move(b));
   }
   std::vector<Bitset> train;

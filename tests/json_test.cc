@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "json_reader.h"
+
 namespace ctfl {
 namespace {
 

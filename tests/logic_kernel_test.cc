@@ -58,6 +58,13 @@ Matrix BinaryInput(size_t rows, int cols, Rng& rng) {
   return x;
 }
 
+/// The 0/1 rows of `x`, packed, as layer 0's weight backward reads them.
+PackedRows Pack(const Matrix& x) {
+  PackedRows packed;
+  EXPECT_TRUE(PackBinary(x, &packed));
+  return packed;
+}
+
 Matrix FuzzyInput(size_t rows, int cols, Rng& rng) {
   Matrix x(rows, cols);
   x.RandomUniform(rng, 0.0, 1.0);
@@ -120,8 +127,11 @@ TEST(LogicKernelTest, ForwardsMatchOracle) {
           const Matrix& w = layer.weights();
           EXPECT_TRUE(BitEqual(layer.ForwardContinuous(x),
                                oracle::ForwardContinuous(w, 13, x)));
-          EXPECT_TRUE(BitEqual(layer.ForwardDiscrete(x),
-                               oracle::ForwardDiscrete(w, 13, x)));
+          // The discrete pass reads packed bits: 0/1 inputs only.
+          if (binary) {
+            EXPECT_TRUE(BitEqual(RunForwardPacked(layer, x),
+                                 oracle::ForwardDiscrete(w, 13, x)));
+          }
         }
       }
     }
@@ -150,7 +160,7 @@ TEST(LogicKernelTest, BackwardWeightsMatchOracleOnBinaryInputs) {
             layer.grads() = want;
             oracle::BackwardWeightsFactored(layer.weights(), 13, x, y, dy,
                                             &want);
-            layer.BackwardWeights(x, y, dy);
+            layer.BackwardWeights(Pack(x), y, dy);
             EXPECT_TRUE(BitEqual(layer.grads(), want)) << "accumulated "
                                                        << accumulated;
           }
@@ -163,8 +173,8 @@ TEST(LogicKernelTest, BackwardWeightsMatchOracleOnBinaryInputs) {
 TEST(LogicKernelTest, BackwardWeightsMatchOracleOnUnusualCaches) {
   ForEachTier([](TraceIsa) {
     // Products outside (0, 1] (a cache the forward did not produce), a
-    // gradient holding -0.0, non-finite weights and non-binary inputs all
-    // leave the table path; the result must not change.
+    // gradient holding -0.0 and non-finite weights all leave the table
+    // path; the result must not change.
     Rng rng(103);
     LogicLayer layer = OddLayer(rng);
     const size_t batch = 65;
@@ -178,13 +188,9 @@ TEST(LogicKernelTest, BackwardWeightsMatchOracleOnUnusualCaches) {
       LogicLayer subject = base;
       Matrix want = start;
       subject.grads() = start;
-      if (&input == &x) {
-        oracle::BackwardWeightsFactored(subject.weights(), 13, input, y, dy,
-                                        &want);
-      } else {
-        oracle::Backward(subject.weights(), 13, input, y, dy, &want);
-      }
-      subject.BackwardWeights(input, y, dy);
+      oracle::BackwardWeightsFactored(subject.weights(), 13, input, y, dy,
+                                      &want);
+      subject.BackwardWeights(Pack(input), y, dy);
       EXPECT_TRUE(BitEqual(subject.grads(), want));
     };
     const Matrix zero(layer.out_dim(), layer.in_dim());
@@ -206,7 +212,7 @@ TEST(LogicKernelTest, BackwardWeightsMatchOracleOnUnusualCaches) {
       subject.grads() = negative_zero;
       oracle::BackwardWeightsFactored(subject.weights(), 13, ones, fy, fdy,
                                       &want);
-      subject.BackwardWeights(ones, fy, fdy);
+      subject.BackwardWeights(Pack(ones), fy, fdy);
       EXPECT_TRUE(BitEqual(subject.grads(), want));
     }
     LogicLayer nan_weight = layer;
@@ -218,8 +224,6 @@ TEST(LogicKernelTest, BackwardWeightsMatchOracleOnUnusualCaches) {
     EXPECT_TRUE(
         BitEqual(nan_weight.ForwardContinuous(x),
                  oracle::ForwardContinuous(nan_weight.weights(), 13, x)));
-    check(layer, FuzzyInput(batch, layer.in_dim(), rng), zero,
-          "non-binary inputs");
   });
 }
 
@@ -265,7 +269,7 @@ TEST(LogicKernelTest, BackwardWeightsMatchOracleOnExtremeProducts) {
       Matrix want(layer.out_dim(), layer.in_dim());
       layer.grads() = want;
       oracle::BackwardWeightsFactored(layer.weights(), 13, x, y, dy, &want);
-      layer.BackwardWeights(x, y, dy);
+      layer.BackwardWeights(Pack(x), y, dy);
       EXPECT_TRUE(BitEqual(layer.grads(), want));
     }
   });
@@ -419,7 +423,7 @@ void ExpectTableKernelsMatchOracle(LogicLayer layer, Rng& rng) {
     want.RandomUniform(rng, -1.0, 1.0);
     layer.grads() = want;
     oracle::BackwardWeightsFactored(layer.weights(), conj, x, y, dy, &want);
-    layer.BackwardWeights(x, y, dy);
+    layer.BackwardWeights(Pack(x), y, dy);
     EXPECT_TRUE(BitEqual(layer.grads(), want));
   }
 }
@@ -457,7 +461,7 @@ TEST(LogicKernelTest, ShardedTableKernelsMatchOracle) {
       LogicLayer subject = layer;
       subject.grads() = want;
       oracle::BackwardWeightsFactored(subject.weights(), 29, x, y, dy, &want);
-      subject.BackwardWeights(x, y, dy);
+      subject.BackwardWeights(Pack(x), y, dy);
       EXPECT_TRUE(BitEqual(subject.grads(), want));
     }
 
@@ -519,7 +523,7 @@ TEST(LogicKernelTest, FactoredWeightGradientMatchesOracleEverywhere) {
           layer.grads() = want;
           oracle::BackwardWeightsFactored(layer.weights(), 19, x, y, dy,
                                           &want);
-          layer.BackwardWeights(x, y, dy);
+          layer.BackwardWeights(Pack(x), y, dy);
           EXPECT_TRUE(BitEqual(layer.grads(), want));
         }
       }
@@ -528,19 +532,21 @@ TEST(LogicKernelTest, FactoredWeightGradientMatchesOracleEverywhere) {
 }
 
 TEST(LogicKernelTest, MaskedWeightSumsMatchOracleAroundGroupEdges) {
-  // Layer 0's weight sums take 8 inputs at a time under one lane mask per
-  // row (DESIGN.md §16.3). Input counts around the 8-input groups and the
-  // packed words' 64 bits, node counts with partial chunks or no node of
-  // one kind, and batches around the 64-row blocks, 20 fresh batches each:
-  // every tier at 1, 2 and 4 threads must give the oracle's bits. Products
-  // and upstream gradients take the odd values of the case above among
-  // random ones; gradients start at +0.0 or random, one batch per shape
-  // starts one gradient at -0.0, and one holds a NaN weight.
+  // Layer 0's weight backward with every input its own group (the
+  // singleton layout): the bucket kernels sum each input's terms by code
+  // and divide 8 inputs at a time (DESIGN.md §16.3). Input counts around
+  // the 8-input groups and the packed words' 64 bits, node counts with
+  // partial chunks or no node of one kind, and batches around the 64-row
+  // blocks, 4 fresh batches each: every tier at 1, 2 and 4 threads must
+  // give the oracle's bits. Products and upstream gradients take the odd
+  // values of the case above among random ones; gradients start at +0.0 or
+  // random, one batch per shape starts one gradient at -0.0, and one holds
+  // a NaN weight.
   const double kProducts[] = {0x1p-900, std::nextafter(0x1p-900, 0.0),
                               std::nextafter(0x1p-900, 1.0), 0x1p-1040,
                               std::numeric_limits<double>::denorm_min()};
   const double kGradients[] = {0.0, -0.0, kNaN, kInf, -kInf};
-  constexpr int kFreshBatches = 20;
+  constexpr int kFreshBatches = 4;
   const std::pair<int, int> kLayers[] = {{13, 11}, {8, 0}, {0, 9}, {48, 48}};
   Rng rng(131);
   for (int in_dim : {1, 7, 8, 9, 63, 64, 65, 71, 72, 157, 200}) {
@@ -585,11 +591,12 @@ TEST(LogicKernelTest, MaskedWeightSumsMatchOracleAroundGroupEdges) {
           Matrix want = start;
           oracle::BackwardWeightsFactored(subject.weights(), conj, x, y, dy,
                                           &want);
+          const PackedRows packed = Pack(x);
           for (int threads : {1, 2, 4}) {
             ScopedSharding sharding(threads);
             ForEachTier([&](TraceIsa) {
               subject.grads() = start;
-              subject.BackwardWeights(x, y, dy);
+              subject.BackwardWeights(packed, y, dy);
               EXPECT_TRUE(BitEqual(subject.grads(), want))
                   << "threads " << threads;
             });
@@ -711,7 +718,7 @@ TEST(LogicKernelTest, GroupedLayerMatchesOracleEverywhere) {
             EXPECT_TRUE(BitEqual(layer.ForwardContinuous(x), want_y))
                 << "threads " << threads;
             layer.grads() = start;
-            layer.BackwardWeights(x, want_y, dy);
+            layer.BackwardWeights(Pack(x), want_y, dy);
             EXPECT_TRUE(BitEqual(layer.grads(), want))
                 << "threads " << threads;
           });
@@ -922,7 +929,6 @@ void ExpectNetMatchesOracle(LogicalNet net, const Dataset& data) {
     // Discrete forward, the grafted step's forward, and the per-record
     // inference built on them.
     const Matrix want_rules = OracleRules(net, encoded);
-    EXPECT_TRUE(BitEqual(net.RulesDiscrete(encoded), want_rules));
     const Matrix logits = net.ForwardDiscrete(encoded);
     EXPECT_TRUE(BitEqual(logits, oracle::VoteForward(net.linear().weights(),
                                                      net.linear().bias(),
@@ -1141,35 +1147,19 @@ LogicalNet WithVotes(const LogicalNet& net, const std::vector<double>& votes) {
   return out;
 }
 
-/// Every discrete-logit path of `net` on rows of `data` (and, for the
-/// matrix paths, on `encoded` rows with one fuzzy skip coordinate) against
+/// Every discrete-logit path of `net` on rows of `data` against
 /// oracle::VoteForward on the oracle's rule rows.
-void ExpectVotesMatchOracle(const LogicalNet& net, const Dataset& data,
-                            bool fuzzy) {
+void ExpectVotesMatchOracle(const LogicalNet& net, const Dataset& data) {
   const Matrix& w = net.linear().weights();
   const Matrix& b = net.linear().bias();
   for (size_t batch : kBatchSizes) {
-    SCOPED_TRACE(::testing::Message() << "batch " << batch << " fuzzy "
-                                      << fuzzy);
+    SCOPED_TRACE(::testing::Message() << "batch " << batch);
     std::vector<size_t> rows(batch);
     for (size_t r = 0; r < batch; ++r) rows[r] = (7 * r) % data.size();
-    Matrix encoded = net.EncodeBatch(data, rows);
-    if (fuzzy) {
-      // A skip coordinate off its bit, with ordinary weights for both
-      // classes, so the packed vote's full weight would differ.
-      int column = 0;
-      while (column < net.encoded_size() &&
-             !(std::isnormal(w(0, column)) && std::isnormal(w(1, column)))) {
-        ++column;
-      }
-      ASSERT_LT(column, net.encoded_size());
-      encoded(batch / 2, column) = 0.75;
-    }
+    const Matrix encoded = net.EncodeBatch(data, rows);
     const Matrix want = oracle::VoteForward(w, b, OracleRules(net, encoded));
     EXPECT_TRUE(BitEqual(net.ForwardDiscrete(encoded), want));
-    PackedRows packed;
-    ASSERT_EQ(PackBinary(encoded, &packed), !fuzzy);
-    if (fuzzy) continue;  // the encoder's own rows are 0/1
+    const PackedRows packed = Pack(encoded);
     LogicalNet::Cache cache;
     EXPECT_TRUE(BitEqual(net.ForwardGrafted(packed, &cache), want));
     Dataset subset(data.schema());
@@ -1188,10 +1178,10 @@ TEST(LogicKernelTest, VoteLayerMatchesOracle) {
   // The packed vote sums each record's on-rule weights from +0.0; the
   // dense product's off-rule terms are ±0.0 there. Vote weights of -0.0
   // and subnormals stay on the packed path, ±inf or NaN take the dense
-  // fallback (an off rule's 0 * inf is NaN), and so does a fuzzy skip
-  // coordinate. Infinities and NaN weights go in separate nets: where a
-  // NaN weight meets the NaN of 0 * inf, IEEE 754 leaves open whose bits
-  // the sum keeps, and compilers order the operands of an add freely.
+  // fallback (an off rule's 0 * inf is NaN). Infinities and NaN weights
+  // go in separate nets: where a NaN weight meets the NaN of 0 * inf, IEEE
+  // 754 leaves open whose bits the sum keeps, and compilers order the
+  // operands of an add freely.
   const Dataset data = TwoFeatureData(300, 9);
   LogicalNet trained(data.schema(), NetConfig({{13, 11}}));
   TrainConfig train;
@@ -1203,11 +1193,7 @@ TEST(LogicKernelTest, VoteLayerMatchesOracle) {
       {-0.0, 5e-324, 1e300, kInf, -kInf},
       {-0.0, 5e-324, kNaN}};
   ForEachTier([&](TraceIsa) {
-    // The trained votes, where a fuzzy skip coordinate's partial weight
-    // shows in the logits.
-    for (bool fuzzy : {false, true}) {
-      ExpectVotesMatchOracle(trained, data, fuzzy);
-    }
+    ExpectVotesMatchOracle(trained, data);
     Rng rng(111);
     const std::vector<double> base = [&] {
       const Matrix& w = trained.linear().weights();
@@ -1224,12 +1210,12 @@ TEST(LogicKernelTest, VoteLayerMatchesOracle) {
       votes[votes.size() - 1] = 5e-324;
       const LogicalNet net = WithVotes(trained, votes);
       EXPECT_EQ(net.linear().WeightsFinite(), set == 0);
-      for (bool fuzzy : {false, true}) ExpectVotesMatchOracle(net, data, fuzzy);
+      ExpectVotesMatchOracle(net, data);
     }
     // Only huge weights: sums overflow to ±inf on the packed path too.
     std::vector<double> huge(base.size());
     for (double& v : huge) v = rng.Bernoulli(0.5) ? 1e308 : -1e308;
-    ExpectVotesMatchOracle(WithVotes(trained, huge), data, false);
+    ExpectVotesMatchOracle(WithVotes(trained, huge), data);
   });
 }
 

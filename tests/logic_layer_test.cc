@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "logic_oracle.h"
+
 namespace ctfl {
 namespace {
 
@@ -53,7 +55,7 @@ TEST(LogicLayerTest, DiscreteIsCrispAndOr) {
     x(0, 0) = a;
     x(0, 1) = b;
     x(0, 2) = c;
-    return layer.ForwardDiscrete(x);
+    return RunForwardPacked(layer, x);
   };
   EXPECT_DOUBLE_EQ(eval(1, 1, 0)(0, 0), 1.0);  // AND(0,1) = 1
   EXPECT_DOUBLE_EQ(eval(1, 0, 0)(0, 0), 0.0);
@@ -65,7 +67,7 @@ TEST(LogicLayerTest, EmptyNodesAreConstants) {
   LogicLayer layer(2, 1, 1);  // all weights zero
   Matrix x(1, 2);
   x(0, 0) = 1.0;
-  const Matrix yd = layer.ForwardDiscrete(x);
+  const Matrix yd = RunForwardPacked(layer, x);
   EXPECT_DOUBLE_EQ(yd(0, 0), 1.0);  // empty AND = true
   EXPECT_DOUBLE_EQ(yd(0, 1), 0.0);  // empty OR = false
   const Matrix yc = layer.ForwardContinuous(x);
@@ -87,7 +89,7 @@ TEST(LogicLayerTest, ContinuousMatchesDiscreteOnBinaryWeights) {
     for (int i = 0; i < 6; ++i) x(r, i) = rng.Bernoulli(0.5) ? 1.0 : 0.0;
   }
   const Matrix yc = layer.ForwardContinuous(x);
-  const Matrix yd = layer.ForwardDiscrete(x);
+  const Matrix yd = RunForwardPacked(layer, x);
   for (size_t r = 0; r < 8; ++r) {
     for (int node = 0; node < layer.out_dim(); ++node) {
       EXPECT_NEAR(yc(r, node), yd(r, node), 1e-6);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "ctfl/nn/logic_kernel.h"
+#include "ctfl/nn/logic_layer.h"
 #include "ctfl/nn/matrix.h"
 
 namespace ctfl {
@@ -499,6 +500,34 @@ inline void AdamStep(double lr, double beta1, double beta2, double eps, int t,
 }
 
 }  // namespace oracle
+
+/// The layer's bit-packed discrete forward (LogicLayer::ForwardPacked) on
+/// the 0/1 rows of `x`, 64 rows a block, as 0.0 / 1.0: the kernel the
+/// oracle's ForwardDiscrete checks.
+inline Matrix RunForwardPacked(const LogicLayer& layer, const Matrix& x) {
+  LogicLayer::ActiveLists active;
+  layer.BuildActiveLists(&active);
+  Matrix y(x.rows(), layer.out_dim());
+  std::vector<uint64_t> xw(layer.in_dim());
+  std::vector<uint64_t> yw(layer.out_dim());
+  for (size_t lo = 0; lo < x.rows(); lo += kRecordsPerWord) {
+    const size_t n = std::min(kRecordsPerWord, x.rows() - lo);
+    std::fill(xw.begin(), xw.end(), uint64_t{0});
+    for (size_t r = 0; r < n; ++r) {
+      for (int i = 0; i < layer.in_dim(); ++i) {
+        if (x(lo + r, i) == 1.0) xw[i] |= uint64_t{1} << r;
+      }
+    }
+    layer.ForwardPacked(active, xw.data(), yw.data());
+    for (size_t r = 0; r < n; ++r) {
+      for (int node = 0; node < layer.out_dim(); ++node) {
+        y(lo + r, node) = (yw[node] >> r) & 1 ? 1.0 : 0.0;
+      }
+    }
+  }
+  return y;
+}
+
 }  // namespace ctfl
 
 #endif  // CTFL_TESTS_LOGIC_ORACLE_H_

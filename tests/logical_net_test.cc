@@ -72,7 +72,7 @@ TEST(LogicalNetTest, ParameterRoundTrip) {
   EXPECT_EQ(other.GetParameters(), params);
 }
 
-TEST(LogicalNetTest, RuleActivationsMatchRulesDiscrete) {
+TEST(LogicalNetTest, RuleActivationsMatchInferDataset) {
   const LogicalNet net(SmallSchema(), SmallConfig());
   Dataset d(SmallSchema());
   Rng rng(12);
@@ -81,13 +81,11 @@ TEST(LogicalNetTest, RuleActivationsMatchRulesDiscrete) {
     inst.values = {rng.Uniform(), static_cast<double>(rng.UniformInt(2))};
     d.AppendUnchecked(std::move(inst));
   }
-  const Matrix encoded = net.EncodeBatch(d);
-  const Matrix rules = net.RulesDiscrete(encoded);
+  std::vector<Bitset> batch;
+  net.InferDataset(d, nullptr, &batch);
+  ASSERT_EQ(batch.size(), d.size());
   for (size_t r = 0; r < d.size(); ++r) {
-    const Bitset bits = net.RuleActivations(d.instance(r));
-    for (int j = 0; j < net.num_rules(); ++j) {
-      EXPECT_EQ(bits.Test(j), rules(r, j) > 0.5);
-    }
+    EXPECT_EQ(net.RuleActivations(d.instance(r)), batch[r]) << "record " << r;
   }
 }
 
@@ -258,15 +256,6 @@ TEST(SoftmaxLossTest, HandValuesAndGradient) {
   EXPECT_NEAR(dlogits(0, 0), 0.25, 1e-9);
   EXPECT_NEAR(dlogits(0, 1), -0.25, 1e-9);
   EXPECT_NEAR(dlogits(1, 0), 0.0, 1e-6);
-}
-
-TEST(SoftmaxLossTest, ArgmaxRows) {
-  Matrix logits(2, 3);
-  logits(0, 2) = 5.0;
-  logits(1, 0) = 1.0;
-  const std::vector<int> preds = ArgmaxRows(logits);
-  EXPECT_EQ(preds[0], 2);
-  EXPECT_EQ(preds[1], 0);
 }
 
 }  // namespace

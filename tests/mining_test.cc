@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "ctfl/mining/apriori.h"
 #include "ctfl/mining/max_miner.h"
 #include "ctfl/util/rng.h"
 
@@ -26,15 +25,65 @@ std::vector<Bitset> ClassicDb() {
   };
 }
 
+// Support of an itemset: the size of the intersection of its tidsets (all
+// transactions for the empty set).
+size_t Support(const VerticalDb& db, const Itemset& itemset) {
+  Bitset tids(db.num_transactions());
+  for (size_t t = 0; t < db.num_transactions(); ++t) tids.Set(t);
+  for (int item : itemset) tids &= db.tidset(item);
+  return tids.Count();
+}
+
+// Classic level-wise Apriori: all itemsets with support >= min_support (a
+// count), capped at `max_len` items (-1 = unbounded). The reference miner
+// that Max-Miner is checked against.
+std::vector<Itemset> AprioriFrequent(const VerticalDb& db,
+                                     size_t min_support, int max_len = -1) {
+  std::vector<Itemset> result;
+  std::vector<Itemset> level;
+  for (int item = 0; item < static_cast<int>(db.num_items()); ++item) {
+    if (db.Support(item) >= min_support) level.push_back({item});
+  }
+  int length = 1;
+  while (!level.empty() && (max_len < 0 || length <= max_len)) {
+    result.insert(result.end(), level.begin(), level.end());
+    if (max_len >= 0 && length == max_len) break;
+
+    // Candidate generation: join sets sharing the first k-1 items, then
+    // count the candidate's support directly (cheap with tidsets).
+    std::vector<Itemset> next;
+    for (size_t a = 0; a < level.size(); ++a) {
+      for (size_t b = a + 1; b < level.size(); ++b) {
+        const Itemset& x = level[a];
+        const Itemset& y = level[b];
+        if (!std::equal(x.begin(), x.end() - 1, y.begin())) continue;
+        Itemset candidate = x;
+        candidate.push_back(y.back());
+        if (candidate[candidate.size() - 2] > candidate.back()) {
+          std::swap(candidate[candidate.size() - 2], candidate.back());
+        }
+        if (Support(db, candidate) >= min_support) {
+          next.push_back(std::move(candidate));
+        }
+      }
+    }
+    std::sort(next.begin(), next.end());
+    next.erase(std::unique(next.begin(), next.end()), next.end());
+    level = std::move(next);
+    ++length;
+  }
+  return result;
+}
+
 TEST(VerticalDbTest, SupportCounting) {
   const VerticalDb db(ClassicDb(), 5);
   EXPECT_EQ(db.num_transactions(), 5u);
   EXPECT_EQ(db.Support(1), 4u);
   EXPECT_EQ(db.Support(0), 3u);
-  EXPECT_EQ(db.Support(Itemset{0, 1}), 2u);
-  EXPECT_EQ(db.Support(Itemset{1, 3}), 2u);
-  EXPECT_EQ(db.Support(Itemset{0, 1, 4}), 1u);
-  EXPECT_EQ(db.Support(Itemset{}), 5u);
+  EXPECT_EQ(Support(db, Itemset{0, 1}), 2u);
+  EXPECT_EQ(Support(db, Itemset{1, 3}), 2u);
+  EXPECT_EQ(Support(db, Itemset{0, 1, 4}), 1u);
+  EXPECT_EQ(Support(db, Itemset{}), 5u);
 }
 
 TEST(IsSubsetOfTest, Basics) {

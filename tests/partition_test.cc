@@ -202,7 +202,6 @@ TEST(FederationTest, MakeMergeAndCoalitions) {
   ASSERT_EQ(fed.size(), 3u);
   EXPECT_EQ(fed[0].name, "P0");
   EXPECT_EQ(fed[2].id, 2);
-  EXPECT_EQ(FederationSize(fed), 300u);
   EXPECT_EQ(MergeFederation(fed).size(), 300u);
   EXPECT_EQ(MergeCoalition(fed, {0, 2}).size(),
             fed[0].data.size() + fed[2].data.size());

@@ -6,6 +6,7 @@
 
 #include "ctfl/data/gen/synthetic.h"
 #include "ctfl/fl/partition.h"
+#include "tabular_utility.h"
 
 namespace ctfl {
 namespace {

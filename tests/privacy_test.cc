@@ -54,65 +54,6 @@ TEST(RandomizedResponseTest, EmpiricalFlipRateMatchesTheory) {
   }
 }
 
-TEST(RandomizedResponseTest, DebiasedCountRecoversTruth) {
-  const double epsilon = 1.0;
-  Rng rng(4);
-  const size_t n = 50000;
-  const size_t true_count = 12000;
-  Bitset bits(n);
-  for (size_t i = 0; i < true_count; ++i) bits.Set(i);
-  const Bitset noisy = RandomizedResponse(bits, epsilon, rng);
-  const double estimate =
-      DebiasedCount(static_cast<double>(noisy.Count()), n, epsilon);
-  EXPECT_NEAR(estimate, true_count, n * 0.02);
-}
-
-TEST(RandomizedResponseTest, DebiasedCountClampedToFeasibleRange) {
-  // eps -> 0: q -> 0.5 and 1/(1-2q) explodes. An observed count barely
-  // below n*q would debias to a huge negative number; barely above, to a
-  // huge positive one. Both must project back onto [0, n].
-  const double n = 1000.0;
-  const double eps = 1e-6;
-  EXPECT_EQ(DebiasedCount(0.0, n, eps), 0.0);
-  EXPECT_EQ(DebiasedCount(n, n, eps), n);
-  EXPECT_GE(DebiasedCount(n * 0.4999, n, eps), 0.0);
-  EXPECT_LE(DebiasedCount(n * 0.5001, n, eps), n);
-
-  // eps = 0 exactly: flip probability is 1/2, the channel carries no
-  // information, and the estimator falls back to the observed count —
-  // still clamped should the caller hand in a nonsense observation.
-  EXPECT_EQ(DebiasedCount(300.0, n, 0.0), 300.0);
-  EXPECT_EQ(DebiasedCount(-5.0, n, 0.0), 0.0);
-  EXPECT_EQ(DebiasedCount(n + 5.0, n, 0.0), n);
-}
-
-TEST(RandomizedResponseTest, DebiasedCountAllBitsFlippedStaysInRange) {
-  // Adversarial worst case: every reported bit set (observed = n) or
-  // cleared (observed = 0). At any epsilon the estimate is a valid count.
-  for (double eps : {0.1, 0.5, 1.0, 3.0, 10.0}) {
-    const double n = 500.0;
-    const double high = DebiasedCount(n, n, eps);
-    const double low = DebiasedCount(0.0, n, eps);
-    EXPECT_GE(high, 0.0) << "eps " << eps;
-    EXPECT_LE(high, n) << "eps " << eps;
-    EXPECT_GE(low, 0.0) << "eps " << eps;
-    EXPECT_LE(low, n) << "eps " << eps;
-    // Saturated observations debias to the endpoints exactly.
-    EXPECT_EQ(high, n) << "eps " << eps;
-    EXPECT_EQ(low, 0.0) << "eps " << eps;
-  }
-}
-
-TEST(RandomizedResponseTest, AllPerturbsEveryUpload) {
-  Rng rng(5);
-  std::vector<Bitset> uploads(4, Bitset(64));
-  const auto noisy = RandomizedResponseAll(uploads, 0.5, rng);
-  ASSERT_EQ(noisy.size(), 4u);
-  int changed = 0;
-  for (const Bitset& b : noisy) changed += !b.None();
-  EXPECT_GE(changed, 3);  // epsilon 0.5 flips ~38% of bits
-}
-
 // End-to-end: DP-perturbed tracing degrades gracefully — at moderate
 // epsilon the contribution ranking stays close to the noiseless one.
 TEST(DpTracingTest, ModerateEpsilonPreservesRanking) {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
-#include "ctfl/rules/rule_model.h"
+#include "rule_oracle.h"
 
 namespace ctfl {
 namespace {
+
+using oracle::Evaluate;
+using oracle::RuleModel;
 
 SchemaPtr MakeSchema() {
   return std::make_shared<FeatureSchema>(
@@ -48,13 +51,13 @@ Predicate Eq(int f, int c) {
 
 TEST(PredicateTest, EvaluatesAllOps) {
   const Instance inst = MakeInstance(5000, 40, 1);
-  EXPECT_TRUE(Gt(0, 4000).Evaluate(inst));
-  EXPECT_FALSE(Gt(0, 5000).Evaluate(inst));
-  EXPECT_TRUE(Lt(1, 41).Evaluate(inst));
-  EXPECT_TRUE(Eq(2, 1).Evaluate(inst));
+  EXPECT_TRUE(Evaluate(Gt(0, 4000), inst));
+  EXPECT_FALSE(Evaluate(Gt(0, 5000), inst));
+  EXPECT_TRUE(Evaluate(Lt(1, 41), inst));
+  EXPECT_TRUE(Evaluate(Eq(2, 1), inst));
   Predicate neq = Eq(2, 0);
   neq.op = Predicate::Op::kNeq;
-  EXPECT_TRUE(neq.Evaluate(inst));
+  EXPECT_TRUE(Evaluate(neq, inst));
 }
 
 TEST(PredicateTest, ToStringIsReadable) {
@@ -66,9 +69,9 @@ TEST(PredicateTest, ToStringIsReadable) {
 // The paper's example rule r2-: work-hours > 14 OR marital-status = never.
 TEST(RuleTest, PaperExampleDisjunction) {
   const Rule r2_neg = Rule::Disj({Rule::Atom(Gt(1, 14)), Rule::Atom(Eq(2, 1))});
-  EXPECT_TRUE(r2_neg.Evaluate(MakeInstance(0, 20, 0)));   // hours > 14
-  EXPECT_TRUE(r2_neg.Evaluate(MakeInstance(0, 10, 1)));   // never married
-  EXPECT_FALSE(r2_neg.Evaluate(MakeInstance(0, 10, 0)));  // neither
+  EXPECT_TRUE(Evaluate(r2_neg, MakeInstance(0, 20, 0)));   // hours > 14
+  EXPECT_TRUE(Evaluate(r2_neg, MakeInstance(0, 10, 1)));   // never married
+  EXPECT_FALSE(Evaluate(r2_neg, MakeInstance(0, 10, 0)));  // neither
   const SchemaPtr schema = MakeSchema();
   EXPECT_EQ(r2_neg.ToString(*schema),
             "(work-hours > 14 v marital-status = never)");
@@ -79,11 +82,9 @@ TEST(RuleTest, NestedCompoundRules) {
   const Rule compound = Rule::Conj(
       {Rule::Atom(Gt(0, 21000)),
        Rule::Disj({Rule::Atom(Gt(1, 14)), Rule::Atom(Eq(2, 1))})});
-  EXPECT_TRUE(compound.Evaluate(MakeInstance(30000, 20, 0)));
-  EXPECT_FALSE(compound.Evaluate(MakeInstance(30000, 10, 0)));
-  EXPECT_FALSE(compound.Evaluate(MakeInstance(10000, 20, 0)));
-  EXPECT_EQ(compound.NumPredicates(), 3);
-  EXPECT_EQ(compound.Depth(), 2);
+  EXPECT_TRUE(Evaluate(compound, MakeInstance(30000, 20, 0)));
+  EXPECT_FALSE(Evaluate(compound, MakeInstance(30000, 10, 0)));
+  EXPECT_FALSE(Evaluate(compound, MakeInstance(10000, 20, 0)));
 }
 
 TEST(RuleTest, SingleChildCollapses) {
@@ -93,9 +94,8 @@ TEST(RuleTest, SingleChildCollapses) {
 
 TEST(RuleTest, ConstantsEvaluate) {
   const Instance inst = MakeInstance(0, 0, 0);
-  EXPECT_TRUE(Rule::True().Evaluate(inst));
-  EXPECT_FALSE(Rule::False().Evaluate(inst));
-  EXPECT_EQ(Rule::True().NumPredicates(), 0);
+  EXPECT_TRUE(Evaluate(Rule::True(), inst));
+  EXPECT_FALSE(Evaluate(Rule::False(), inst));
   EXPECT_EQ(Rule::True().ToString(*MakeSchema()), "true");
 }
 

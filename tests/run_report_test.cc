@@ -10,6 +10,7 @@
 #include "ctfl/fl/partition.h"
 #include "ctfl/util/build_info.h"
 #include "ctfl/util/rng.h"
+#include "run_report_reader.h"
 #include "test_paths.h"
 
 namespace ctfl {

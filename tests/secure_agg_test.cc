@@ -11,6 +11,13 @@
 namespace ctfl {
 namespace {
 
+// Full participation: every client of the session survives the round.
+std::vector<int> Everyone(int n) {
+  std::vector<int> cohort(n);
+  for (int c = 0; c < n; ++c) cohort[c] = c;
+  return cohort;
+}
+
 TEST(SecureAggTest, MasksCancelExactly) {
   const size_t dim = 200;
   const int clients = 5;
@@ -25,11 +32,13 @@ TEST(SecureAggTest, MasksCancelExactly) {
     for (size_t k = 0; k < dim; ++k) expected[k] += update[k];
   }
 
+  const std::vector<int> everyone = Everyone(clients);
   std::vector<std::vector<double>> masked;
   for (int c = 0; c < clients; ++c) {
-    masked.push_back(agg.Mask(c, updates[c]).value());
+    masked.push_back(agg.MaskCohort(c, everyone, updates[c]).value());
   }
-  const std::vector<double> sum = agg.Aggregate(masked).value();
+  const std::vector<double> sum =
+      agg.AggregateCohort(everyone, masked).value();
   for (size_t k = 0; k < dim; ++k) {
     EXPECT_NEAR(sum[k], expected[k], 1e-9);
   }
@@ -39,7 +48,8 @@ TEST(SecureAggTest, MaskedUpdateHidesTheOriginal) {
   const size_t dim = 1000;
   SecureAggregator agg(4, dim, 11);
   std::vector<double> update(dim, 0.5);  // constant, easy to recognize
-  const std::vector<double> masked = agg.Mask(1, update).value();
+  const std::vector<double> masked =
+      agg.MaskCohort(1, Everyone(4), update).value();
   // The masked vector should look nothing like the constant input: its
   // empirical variance is dominated by the masks.
   double mean = 0.0;
@@ -53,18 +63,21 @@ TEST(SecureAggTest, MaskedUpdateHidesTheOriginal) {
 
 TEST(SecureAggTest, RejectsBadInputs) {
   SecureAggregator agg(3, 10, 13);
+  const std::vector<int> everyone = Everyone(3);
   std::vector<double> wrong_size(5, 0.0);
-  EXPECT_FALSE(agg.Mask(0, wrong_size).ok());
-  EXPECT_FALSE(agg.Mask(7, std::vector<double>(10, 0.0)).ok());
+  EXPECT_FALSE(agg.MaskCohort(0, everyone, wrong_size).ok());
+  EXPECT_FALSE(
+      agg.MaskCohort(7, everyone, std::vector<double>(10, 0.0)).ok());
   // Aggregation requires every client's contribution.
   std::vector<std::vector<double>> partial(2, std::vector<double>(10, 0.0));
-  EXPECT_FALSE(agg.Aggregate(partial).ok());
+  EXPECT_FALSE(agg.AggregateCohort(everyone, partial).ok());
 }
 
 TEST(SecureAggTest, SingleClientIsPassthrough) {
   SecureAggregator agg(1, 4, 17);
   const std::vector<double> update = {1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> masked = agg.Mask(0, update).value();
+  const std::vector<double> masked =
+      agg.MaskCohort(0, Everyone(1), update).value();
   EXPECT_EQ(masked, update);  // no pairs, no masks
 }
 
@@ -98,30 +111,6 @@ TEST(SecureAggTest, CohortMasksCancelOverTheSurvivors) {
   for (size_t k = 0; k < dim; ++k) {
     EXPECT_NEAR(sum[k], expected[k], 1e-9);
   }
-}
-
-TEST(SecureAggTest, FullCohortIsBitIdenticalToFullParticipationApi) {
-  const size_t dim = 64;
-  const int n = 4;
-  SecureAggregator agg(n, dim, 23);
-  std::vector<int> everyone(n);
-  for (int c = 0; c < n; ++c) everyone[c] = c;
-
-  Rng rng(9);
-  std::vector<std::vector<double>> updates(n, std::vector<double>(dim));
-  for (auto& u : updates) {
-    for (double& v : u) v = rng.Uniform(-1.0, 1.0);
-  }
-
-  std::vector<std::vector<double>> masked_full, masked_cohort;
-  for (int c = 0; c < n; ++c) {
-    masked_full.push_back(agg.Mask(c, updates[c]).value());
-    masked_cohort.push_back(
-        agg.MaskCohort(c, everyone, updates[c]).value());
-    EXPECT_EQ(masked_full[c], masked_cohort[c]) << "client " << c;
-  }
-  EXPECT_EQ(agg.Aggregate(masked_full).value(),
-            agg.AggregateCohort(everyone, masked_cohort).value());
 }
 
 TEST(SecureAggTest, SingletonCohortIsPassthrough) {

@@ -45,21 +45,6 @@ TEST(SplitTest, SplitsAreDisjointAndComplete) {
   EXPECT_NEAR(total, expected, 1e-9);
 }
 
-TEST(SplitTest, RandomSplitSizes) {
-  const Dataset d = MakeDataset(500, 0.4);
-  Rng rng(7);
-  const TrainTestSplit split = RandomSplit(d, 0.1, rng);
-  EXPECT_EQ(split.test.size(), 50u);
-  EXPECT_EQ(split.train.size(), 450u);
-}
-
-TEST(SplitTest, SubsampleCapsSize) {
-  const Dataset d = MakeDataset(300, 0.5);
-  Rng rng(8);
-  EXPECT_EQ(Subsample(d, 100, rng).size(), 100u);
-  EXPECT_EQ(Subsample(d, 1000, rng).size(), 300u);
-}
-
 TEST(SplitTest, DifferentSeedsGiveDifferentSplits) {
   const Dataset d = MakeDataset(200, 0.5);
   Rng rng1(1), rng2(2);

@@ -7,6 +7,7 @@
 #include "ctfl/valuation/least_core.h"
 #include "ctfl/valuation/leave_one_out.h"
 #include "ctfl/valuation/shapley.h"
+#include "tabular_utility.h"
 
 namespace ctfl {
 namespace {

@@ -19,7 +19,10 @@ OUT_JSON="${2:-${CTFL_BENCH_TRACE_OUT:-${REPO_ROOT}/BENCH_trace.json}}"
 OUT_DIR="$(cd "$(dirname "${OUT_JSON}")" && pwd)"
 "${REPO_ROOT}/tools/bench_suite.sh" "${BUILD_DIR}" "${OUT_DIR}" trace
 
-if [[ "${OUT_DIR}/BENCH_trace.json" != "${OUT_JSON}" ]]; then
+# -ef: a relative out.json in the repo root (CI's smoke passes
+# "BENCH_trace.json") is the suite's own file, which mv refuses to move
+# onto itself.
+if [[ ! "${OUT_DIR}/BENCH_trace.json" -ef "${OUT_JSON}" ]]; then
   mv "${OUT_DIR}/BENCH_trace.json" "${OUT_JSON}"
 fi
 echo "wrote ${OUT_JSON}"

@@ -4,7 +4,10 @@
 Compares candidate BENCH_*.json files (fresh tools/bench_suite.sh output)
 against their committed baselines and fails when any benchmark's
 items_per_second dropped by more than the threshold (default 25%). A leg
-that ran repetitions is compared by its median aggregate.
+that reports a p50 latency (p50_us, the serve soak) is gated on it instead:
+it fails when its p50 rose by more than the threshold, and its items/s is
+printed beside it. A leg that ran repetitions is compared by its median
+aggregate.
 
 Comparisons only run when the numbers are actually comparable: the
 baseline and candidate must carry the same ctfl_build_type (and both must
@@ -24,8 +27,9 @@ Exit codes: 0 = pass (or nothing comparable), 1 = regression detected,
 exit 2, for CI jobs where a silent skip would mask a broken setup.
 --self-test exercises the gate on synthetic data (a >25% drop must fail,
 a small drop must pass, a build-type mismatch must skip, one low
-repetition under a steady median must pass) and is wired into ctest so
-the gate's failure path stays covered.
+repetition under a steady median must pass, a latency leg's items/s 50%
+low under a steady p50 must pass and its p50 30% higher must fail) and is
+wired into ctest so the gate's failure path stays covered.
 """
 
 import argparse
@@ -65,7 +69,8 @@ def comparable(baseline, candidate):
 
 
 def rows(data):
-    """name -> items_per_second of each leg.
+    """name -> readings of each leg: its items_per_second, and its p50_us
+    where it reports one.
 
     A leg that ran repetitions is read by its median aggregate: single-thread
     legs swing by up to 40% between repetitions of one binary, while their
@@ -75,17 +80,40 @@ def rows(data):
     medians = {}
     plain = {}
     for b in data.get("benchmarks", []):
-        ips = b.get("items_per_second")
-        if ips is None or ips <= 0:
+        reading = {key: b[key] for key in ("items_per_second", "p50_us")
+                   if (b.get(key) or 0) > 0}
+        if "items_per_second" not in reading:
             continue
         if b.get("run_type") == "aggregate":
             if b.get("aggregate_name") == "median":
-                medians[b.get("run_name", b["name"])] = ips
+                medians[b.get("run_name", b["name"])] = reading
             continue
-        plain.setdefault(b["name"], []).append(ips)
-    out = {name: statistics.median(values) for name, values in plain.items()}
+        plain.setdefault(b["name"], []).append(reading)
+    out = {name: {key: statistics.median(r[key] for r in readings)
+                  for key in readings[0]
+                  if all(key in r for r in readings)}
+           for name, readings in plain.items()}
     out.update(medians)
     return out
+
+
+def change(base, cand):
+    """(worsening, text) of one leg: the p50's rise when both sides report
+    one, else the items/s drop; a positive worsening is the slower side.
+
+    The serve soak's items/s is the inverse of its mean latency, which a
+    stretch of host steal moves while its p50 holds (3 of 12 unchanged runs
+    read 26-61% low on items/s at a steady p50).
+    """
+    ips = (f"{base['items_per_second']:.3g} -> "
+           f"{cand['items_per_second']:.3g} items/s")
+    if "p50_us" in base and "p50_us" in cand:
+        rise = (cand["p50_us"] - base["p50_us"]) / base["p50_us"]
+        return rise, (f"p50 {base['p50_us']:.3g} -> {cand['p50_us']:.3g} us "
+                      f"({rise:+.1%}); {ips}")
+    drop = ((base["items_per_second"] - cand["items_per_second"]) /
+            base["items_per_second"])
+    return drop, f"{ips} ({-drop:+.1%})"
 
 
 def gate_pair(baseline, candidate, threshold, label, verbose=True):
@@ -100,16 +128,13 @@ def gate_pair(baseline, candidate, threshold, label, verbose=True):
     regressions = []
     checked = 0
     for name in sorted(base_rows.keys() & cand_rows.keys()):
-        base_ips, cand_ips = base_rows[name], cand_rows[name]
-        drop = (base_ips - cand_ips) / base_ips
+        worsening, text = change(base_rows[name], cand_rows[name])
         checked += 1
-        status = "FAIL" if drop > threshold else "ok"
-        if drop > threshold:
-            regressions.append((name, base_ips, cand_ips, drop))
+        status = "FAIL" if worsening > threshold else "ok"
+        if worsening > threshold:
+            regressions.append((name, text))
         if verbose:
-            print(f"{status:>4}  {label} {name}: "
-                  f"{base_ips:.3g} -> {cand_ips:.3g} items/s "
-                  f"({-drop:+.1%})")
+            print(f"{status:>4}  {label} {name}: {text}")
     missing = base_rows.keys() - cand_rows.keys()
     if missing and verbose:
         # A vanished benchmark is not a perf regression, but CI should
@@ -136,9 +161,8 @@ def run_gate(pairs, threshold, require_comparable):
     if all_regressions:
         print(f"perf_gate: {len(all_regressions)} regression(s) beyond "
               f"{threshold:.0%}:")
-        for name, base_ips, cand_ips, drop in all_regressions:
-            print(f"  {name}: {base_ips:.3g} -> {cand_ips:.3g} items/s "
-                  f"({-drop:+.1%})")
+        for name, text in all_regressions:
+            print(f"  {name}: {text}")
         return 1
     if total_checked == 0:
         print("perf_gate: nothing comparable was checked")
@@ -257,6 +281,23 @@ def self_test():
     expect("median_low checked", checked, 1)
     expect("median_low regressions", len(regressions), 1)
 
+    # A leg that reports a p50 latency is gated on it: items/s 50% low under
+    # a steady p50 (host steal stretching a few requests) passes, a p50 30%
+    # higher fails, whatever items/s reads.
+    def serve(ips, p50):
+        data = synthetic({"BM_Serve/related-test/connections:8": ips})
+        data["benchmarks"][0]["p50_us"] = p50
+        return data
+    serve_base = serve(238000.0, 11.6)
+    checked, regressions = gate_pair(serve_base, serve(119000.0, 11.8), 0.25,
+                                     "serve_ips_low", verbose=False)
+    expect("serve_ips_low checked", checked, 1)
+    expect("serve_ips_low regressions", len(regressions), 0)
+    checked, regressions = gate_pair(serve_base, serve(238000.0, 11.6 * 1.3),
+                                     0.25, "serve_p50_high", verbose=False)
+    expect("serve_p50_high checked", checked, 1)
+    expect("serve_p50_high regressions", len(regressions), 1)
+
     # Exactly-at-threshold is a pass; just beyond is a failure.
     at_edge = synthetic({"BM_TracePass/blocked": 75.0,
                          "BM_TracePass/legacy": 15.0})
@@ -283,7 +324,8 @@ def main(argv):
     parser.add_argument("files", nargs="*",
                         help="baseline/candidate JSON pairs, interleaved")
     parser.add_argument("--threshold", type=float, default=0.25,
-                        help="max tolerated items_per_second drop "
+                        help="max tolerated items_per_second drop, or "
+                             "p50_us rise for legs that report one "
                              "(fraction, default 0.25)")
     parser.add_argument("--require-comparable", action="store_true",
                         help="exit 2 when no pair was comparable")
