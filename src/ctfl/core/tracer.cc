@@ -1,10 +1,13 @@
 #include "ctfl/core/tracer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <numeric>
+#include <span>
 #include <unordered_map>
 
 #include "ctfl/fl/privacy.h"
@@ -19,6 +22,20 @@ namespace ctfl {
 namespace {
 
 constexpr double kRatioEps = 1e-9;
+/// Keys per thread in one match batch: enough for every thread to stay
+/// busy, few enough that the batch's staged hits stay small.
+constexpr size_t kBatchKeysPerThread = 32;
+/// Blocks per task of the per-record counts.
+constexpr size_t kCountBlocks = 16;
+
+/// A key's related lanes in one 64-record block, masked to one
+/// participant's slots. A key's hits run in participant order, which is
+/// also block order; a block that straddles two participants gives two.
+struct Hit {
+  uint32_t block;
+  uint32_t participant;
+  uint64_t word;
+};
 
 // A distinct (target class, supporting-rule set) tracing task. All test
 // instances sharing a key have identical related sets.
@@ -30,6 +47,7 @@ struct TraceKey {
   std::vector<size_t> members;  // test indices
   int correct_members = 0;
   int miss_members = 0;
+  std::span<const Hit> hits;  // set by the match
 };
 
 /// The ascending (rule, weight) list of `support` — the exact-fallback
@@ -67,6 +85,17 @@ int64_t CountLanes(size_t lo, size_t hi, WordFn word) {
   ForEachLaneWord(lo, hi, word,
                   [&](size_t, uint64_t w) { count += std::popcount(w); });
   return count;
+}
+
+/// Most hits a key of a bucket with participant slot ranges `offsets` can
+/// have: one per (block, participant) pair that a range covers.
+size_t MaxHits(const std::vector<size_t>& offsets) {
+  size_t hits = 0;
+  for (size_t p = 0; p + 1 < offsets.size(); ++p) {
+    if (offsets[p] == offsets[p + 1]) continue;
+    hits += (offsets[p + 1] - 1) / 64 - offsets[p] / 64 + 1;
+  }
+  return hits;
 }
 
 /// Sort keys of `records`: bit 63 - k of a record's key is its bit on
@@ -453,56 +482,107 @@ TraceResult ContributionTracer::TraceForwards(
           : static_cast<double>(correct_total) / forwards.size();
   result.num_keys = static_cast<int64_t>(keys.size());
 
-  // ---- Match (parallel over keys, any order): each key's related records
-  // as lane words over its class bucket. Integer results only; every
-  // floating-point sum waits for the key-ordered fold below.
+  // ---- Match (parallel over keys, any order), in batches. Each key
+  // matches into a per-thread scratch of its class bucket's words, then
+  // keeps its hits: the nonzero words split at participant bounds. It
+  // stages them at the front of the batch's stage, which is reserved for
+  // the batch's most hits and written only where hits land; the calling
+  // thread then copies each batch's hits into storage of their exact size.
+  // So hit memory follows the hits, and none of it is allocated in a
+  // worker's malloc arena. Integer results only; every floating-point sum
+  // waits for the key-ordered fold below.
   telemetry::Span match_span("ctfl.trace.match");
-  const size_t class_blocks[2] = {(train_by_class_[0].size() + 63) / 64,
-                                  (train_by_class_[1].size() + 63) / 64};
-  // Key k's words are related[related_offset[k] ..]; keys without support
-  // weight match nothing and get none.
-  std::vector<size_t> related_offset(keys.size() + 1, 0);
+  const size_t max_hits[2] = {MaxHits(class_part_offset_[0]),
+                              MaxHits(class_part_offset_[1])};
   std::vector<uint32_t> class_keys[2];  // traced keys, ascending
   for (size_t k = 0; k < keys.size(); ++k) {
-    size_t words = 0;
-    if (keys[k].weight_sum > 0.0) {
-      words = class_blocks[keys[k].target_class];
-      class_keys[keys[k].target_class].push_back(static_cast<uint32_t>(k));
-      result.tau_w_checks += static_cast<int64_t>(
-          train_by_class_[keys[k].target_class].size());
-    }
-    related_offset[k + 1] = related_offset[k] + words;
+    if (keys[k].weight_sum <= 0.0) continue;  // nothing to match against
+    class_keys[keys[k].target_class].push_back(static_cast<uint32_t>(k));
+    result.tau_w_checks +=
+        static_cast<int64_t>(train_by_class_[keys[k].target_class].size());
   }
-  std::vector<uint64_t> related(related_offset.back(), 0);
   std::vector<TraceKernelStats> key_stats(keys.size());
   std::vector<size_t> key_related(keys.size(), 0);
-
-  ParallelFor(config_.num_threads, 0, keys.size(), [&](size_t k) {
-    const TraceKey& key = keys[k];
-    if (key.weight_sum <= 0.0) return;  // nothing to match against
-    std::vector<int> related_per_participant;
-    key_related[k] = MatchKey(key.target_class, key.supp_list,
-                              key.weight_sum, tau_w, match,
-                              related.data() + related_offset[k],
-                              &related_per_participant, &key_stats[k]);
-    for (size_t t : key.members) {
-      result.tests[t].related_count = related_per_participant;
-      result.tests[t].total_related = key_related[k];
+  std::vector<std::vector<Hit>> hit_store;  // one per batch
+  std::unique_ptr<Hit[]> stage;
+  size_t stage_size = 0;
+  std::atomic<size_t> staged{0};
+  // Per key: (first, count) of its hits in the stage.
+  std::vector<std::pair<size_t, size_t>> key_staged(keys.size());
+  const size_t batch =
+      kBatchKeysPerThread *
+      static_cast<size_t>(ResolveThreadCount(config_.num_threads));
+  for (size_t lo = 0; lo < keys.size(); lo += batch) {
+    const size_t hi = std::min(keys.size(), lo + batch);
+    size_t most = 0;
+    for (size_t k = lo; k < hi; ++k) {
+      if (keys[k].weight_sum > 0.0) most += max_hits[keys[k].target_class];
     }
-  });
+    if (most > stage_size) {
+      stage = std::make_unique_for_overwrite<Hit[]>(most);
+      stage_size = most;
+    }
+    staged = 0;
+    ParallelFor(config_.num_threads, lo, hi, [&](size_t k) {
+      const TraceKey& key = keys[k];
+      if (key.weight_sum <= 0.0) return;
+      const int c = key.target_class;
+      static thread_local std::vector<uint64_t> words;
+      static thread_local std::vector<Hit> found;
+      words.resize(class_kernel_[c].num_blocks());
+      std::vector<int>& related_count =
+          result.tests[key.members.front()].related_count;
+      key_related[k] =
+          MatchKey(c, key.supp_list, key.weight_sum, tau_w, match,
+                   words.data(), &related_count, &key_stats[k]);
+      for (size_t t : key.members) {
+        if (t != key.members.front()) {
+          result.tests[t].related_count = related_count;
+        }
+        result.tests[t].total_related = key_related[k];
+      }
+      const std::vector<size_t>& offsets = class_part_offset_[c];
+      found.clear();
+      for (size_t p = 0; p + 1 < offsets.size(); ++p) {
+        if (related_count[p] == 0) continue;
+        ForEachLaneWord(
+            offsets[p], offsets[p + 1], [&](size_t b) { return words[b]; },
+            [&](size_t b, uint64_t w) {
+              if (w != 0) {
+                found.push_back({static_cast<uint32_t>(b),
+                                 static_cast<uint32_t>(p), w});
+              }
+            });
+      }
+      const size_t first = staged.fetch_add(found.size());
+      std::copy(found.begin(), found.end(), stage.get() + first);
+      key_staged[k] = {first, found.size()};
+    });
+    std::vector<Hit>& hits = hit_store.emplace_back();
+    hits.reserve(staged);
+    for (size_t k = lo; k < hi; ++k) {
+      const auto [first, count] = key_staged[k];
+      keys[k].hits = {hits.data() + hits.size(), count};
+      hits.insert(hits.end(), stage.get() + first,
+                  stage.get() + first + count);
+    }
+  }
+  stage.reset();
   for (size_t k = 0; k < keys.size(); ++k) {
     result.related_records += static_cast<int64_t>(key_related[k]);
     result.records_scanned += key_stats[k].records_scanned;
     result.blocks_pruned += key_stats[k].blocks_pruned;
     result.exact_fallbacks += key_stats[k].exact_fallbacks;
   }
+  match_span.End();
 
   // ---- §IV-B weight-regularized rule frequencies, folded in key order:
   // columns in parallel, each cell's terms added for keys ascending — the
   // serial loop's sequence at any thread count. Within one key every
   // related record of participant p adds the same `weight * members` to
   // cell (p, rule), so a key contributes one multiply per cell, counted
-  // from masked popcounts of rule-row ∧ related words.
+  // from popcounts of rule word ∧ hit word over the key's hits of p.
+  telemetry::Span fold_span("ctfl.trace.fold");
   std::vector<std::vector<uint32_t>> rule_keys(num_rules);
   for (size_t k = 0; k < keys.size(); ++k) {
     if (keys[k].weight_sum <= 0.0) continue;
@@ -515,17 +595,15 @@ TraceResult ContributionTracer::TraceForwards(
     const double weight = rule_weights_[rule];
     for (uint32_t k : rule_keys[rule]) {
       const TraceKey& key = keys[k];
-      const int c = key.target_class;
-      const uint64_t* words = related.data() + related_offset[k];
-      const std::vector<int>& per_participant =
-          result.tests[key.members.front()].related_count;
-      for (int p = 0; p < n; ++p) {
-        if (per_participant[p] == 0) continue;
-        const int64_t cnt = CountLanes(
-            class_part_offset_[c][p], class_part_offset_[c][p + 1],
-            [&](size_t b) {
-              return class_kernel_[c].rule_word(rule, b) & words[b];
-            });
+      const TraceKernel& kernel = class_kernel_[key.target_class];
+      const std::span<const Hit> hits = key.hits;
+      for (size_t i = 0; i < hits.size();) {
+        const uint32_t p = hits[i].participant;
+        int64_t cnt = 0;
+        for (; i < hits.size() && hits[i].participant == p; ++i) {
+          cnt += std::popcount(kernel.rule_word(rule, hits[i].block) &
+                               hits[i].word);
+        }
         if (cnt == 0) continue;
         if (key.correct_members > 0) {
           result.beneficial_rule_freq(p, rule) +=
@@ -538,38 +616,49 @@ TraceResult ContributionTracer::TraceForwards(
       }
     }
   });
+  fold_span.End();
 
-  // ---- Per-record match counts (integer sums), blocks in parallel: each
-  // block's records belong to it alone. A block sums its lanes' counts in
-  // slot order and stores each record's once: slots hold records in
-  // activation order, so adding in place would scatter every hit.
-  ParallelFor(config_.num_threads, 0, class_blocks[0] + class_blocks[1],
-              [&](size_t i) {
-                const int c = i < class_blocks[0] ? 0 : 1;
-                const size_t b = c == 0 ? i : i - class_blocks[0];
-                const std::vector<TrainRef>& bucket = train_by_class_[c];
-                int correct[64] = {};
-                int miss[64] = {};
-                for (uint32_t k : class_keys[c]) {
-                  const TraceKey& key = keys[k];
-                  for (uint64_t w = related[related_offset[k] + b]; w != 0;
-                       w &= w - 1) {
-                    const int lane = std::countr_zero(w);
-                    correct[lane] += key.correct_members;
-                    miss[lane] += key.miss_members;
-                  }
-                }
-                const size_t lanes =
-                    std::min<size_t>(64, bucket.size() - b * 64);
-                for (size_t lane = 0; lane < lanes; ++lane) {
-                  const TrainRef& ref = bucket[b * 64 + lane];
-                  result.train_match_correct[ref.participant]
-                                            [ref.local_index] = correct[lane];
-                  result.train_match_miss[ref.participant][ref.local_index] =
-                      miss[lane];
-                }
-              });
-  match_span.End();
+  // ---- Per-record match counts (integer sums), runs of kCountBlocks
+  // blocks in parallel: each run's records belong to it alone. A run
+  // sums its lanes' counts from the hits in its blocks, in slot order, and
+  // stores each record's once: slots hold records in activation order, so
+  // adding in place would scatter every hit.
+  telemetry::Span counts_span("ctfl.trace.counts");
+  const size_t class_runs[2] = {
+      (class_kernel_[0].num_blocks() + kCountBlocks - 1) / kCountBlocks,
+      (class_kernel_[1].num_blocks() + kCountBlocks - 1) / kCountBlocks};
+  ParallelFor(
+      config_.num_threads, 0, class_runs[0] + class_runs[1], [&](size_t i) {
+        const int c = i < class_runs[0] ? 0 : 1;
+        const size_t b_lo = (c == 0 ? i : i - class_runs[0]) * kCountBlocks;
+        const size_t b_hi = b_lo + kCountBlocks;
+        int correct[kCountBlocks * 64] = {};
+        int miss[kCountBlocks * 64] = {};
+        for (uint32_t k : class_keys[c]) {
+          const TraceKey& key = keys[k];
+          auto hit = std::lower_bound(
+              key.hits.begin(), key.hits.end(), b_lo,
+              [](const Hit& h, size_t b) { return h.block < b; });
+          for (; hit != key.hits.end() && hit->block < b_hi; ++hit) {
+            const size_t base = (hit->block - b_lo) * 64;
+            for (uint64_t w = hit->word; w != 0; w &= w - 1) {
+              const size_t lane = base + std::countr_zero(w);
+              correct[lane] += key.correct_members;
+              miss[lane] += key.miss_members;
+            }
+          }
+        }
+        const std::vector<TrainRef>& bucket = train_by_class_[c];
+        const size_t slot_hi = std::min(bucket.size(), b_hi * 64);
+        for (size_t s = b_lo * 64; s < slot_hi; ++s) {
+          const TrainRef& ref = bucket[s];
+          result.train_match_correct[ref.participant][ref.local_index] =
+              correct[s - b_lo * 64];
+          result.train_match_miss[ref.participant][ref.local_index] =
+              miss[s - b_lo * 64];
+        }
+      });
+  counts_span.End();
 
   // Matched accuracy + uncovered-scenario aggregation.
   size_t matched_correct = 0;

@@ -266,8 +266,8 @@ class ContributionTracer {
   /// inside train_by_class_[c] (size n+1; participant p owns
   /// [ofs[p], ofs[p+1])). IndexTrainRefs appends participants in order and
   /// sorts only inside each range, so buckets are participant-contiguous —
-  /// the closed-form §IV-B accumulation popcounts per (rule, participant)
-  /// range on top of this.
+  /// a tracing pass splits each key's related words at these bounds into
+  /// the per-participant hits its §IV-B fold and record counts read.
   std::vector<size_t> class_part_offset_[2];
   /// Per class: transposed rule-major bit-matrix over the class bucket.
   TraceKernel class_kernel_[2];

@@ -8,8 +8,9 @@ Federation MakeFederation(std::vector<Dataset> datasets) {
   Federation federation;
   federation.reserve(datasets.size());
   for (size_t i = 0; i < datasets.size(); ++i) {
-    federation.emplace_back(static_cast<int>(i),
-                            "P" + std::to_string(i),
+    std::string name = "P";
+    name += std::to_string(i);
+    federation.emplace_back(static_cast<int>(i), std::move(name),
                             std::move(datasets[i]));
   }
   return federation;

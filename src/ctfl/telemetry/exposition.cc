@@ -76,7 +76,7 @@ std::string PrometheusMetricName(const std::string& name) {
                        (i > 0 && c >= '0' && c <= '9');
     out.push_back(valid ? c : '_');
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out.push_back('_');
   return out;
 }
 

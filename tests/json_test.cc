@@ -87,7 +87,9 @@ TEST(JsonTest, RejectsMalformedDocuments) {
 
 TEST(JsonTest, EscapeRoundTripsThroughParser) {
   const std::string nasty = "quote\" back\\slash \n\t\r ctrl\x01 end";
-  const std::string doc = "\"" + JsonEscape(nasty) + "\"";
+  std::string doc = "\"";
+  doc += JsonEscape(nasty);
+  doc.push_back('"');
   auto parsed = ParseJson(doc);
   ASSERT_TRUE(parsed.ok()) << doc;
   EXPECT_EQ(parsed->string, nasty);

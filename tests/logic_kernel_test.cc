@@ -612,7 +612,11 @@ TEST(LogicKernelTest, MaskedWeightSumsMatchOracleAroundGroupEdges) {
 SchemaPtr GroupShapesSchema() {
   auto categories = [](int n) {
     std::vector<std::string> names;
-    for (int c = 0; c < n; ++c) names.push_back("v" + std::to_string(c));
+    for (int c = 0; c < n; ++c) {
+      std::string name = "v";
+      name += std::to_string(c);
+      names.push_back(std::move(name));
+    }
     return names;
   };
   return std::make_shared<FeatureSchema>(

@@ -1,5 +1,4 @@
 #include <atomic>
-#include <cctype>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -11,6 +10,7 @@
 #include "ctfl/telemetry/run_telemetry.h"
 #include "ctfl/telemetry/trace.h"
 #include "ctfl/util/thread_pool.h"
+#include "json_reader.h"
 
 namespace ctfl {
 namespace {
@@ -20,188 +20,6 @@ using telemetry::Gauge;
 using telemetry::Histogram;
 using telemetry::MetricsRegistry;
 using telemetry::Span;
-
-// ---------------------------------------------------------------------------
-// Minimal JSON parser used to validate the Chrome trace export end-to-end
-// (the acceptance criterion: "parse it back"). Supports the full JSON value
-// grammar minus \uXXXX surrogate pairs, which the exporter never emits for
-// span names.
-// ---------------------------------------------------------------------------
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* Find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  bool Parse(JsonValue* out) {
-    pos_ = 0;
-    if (!ParseValue(out)) return false;
-    SkipWs();
-    return pos_ == text_.size();  // no trailing garbage
-  }
-
- private:
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipWs();
-    if (pos_ >= text_.size() || text_[pos_] != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  bool ParseValue(JsonValue* out) {
-    SkipWs();
-    if (pos_ >= text_.size()) return false;
-    const char c = text_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
-    if (c == '"') {
-      out->kind = JsonValue::Kind::kString;
-      return ParseString(&out->string);
-    }
-    if (c == 't' || c == 'f') return ParseBool(out);
-    if (c == 'n') return ParseNull(out);
-    return ParseNumber(out);
-  }
-
-  bool ParseObject(JsonValue* out) {
-    if (!Consume('{')) return false;
-    out->kind = JsonValue::Kind::kObject;
-    SkipWs();
-    if (Consume('}')) return true;
-    while (true) {
-      std::string key;
-      if (!ParseString(&key)) return false;
-      if (!Consume(':')) return false;
-      JsonValue value;
-      if (!ParseValue(&value)) return false;
-      out->object.emplace_back(std::move(key), std::move(value));
-      if (Consume(',')) continue;
-      return Consume('}');
-    }
-  }
-
-  bool ParseArray(JsonValue* out) {
-    if (!Consume('[')) return false;
-    out->kind = JsonValue::Kind::kArray;
-    SkipWs();
-    if (Consume(']')) return true;
-    while (true) {
-      JsonValue value;
-      if (!ParseValue(&value)) return false;
-      out->array.push_back(std::move(value));
-      if (Consume(',')) continue;
-      return Consume(']');
-    }
-  }
-
-  bool ParseString(std::string* out) {
-    if (!Consume('"')) return false;
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': *out += '"'; break;
-          case '\\': *out += '\\'; break;
-          case '/': *out += '/'; break;
-          case 'n': *out += '\n'; break;
-          case 't': *out += '\t'; break;
-          case 'r': *out += '\r'; break;
-          case 'b': *out += '\b'; break;
-          case 'f': *out += '\f'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return false;
-            for (int i = 0; i < 4; ++i) {
-              if (!std::isxdigit(
-                      static_cast<unsigned char>(text_[pos_ + i]))) {
-                return false;
-              }
-            }
-            pos_ += 4;
-            *out += '?';  // placeholder; exact code point irrelevant here
-            break;
-          }
-          default:
-            return false;
-        }
-      } else {
-        *out += c;
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool ParseBool(JsonValue* out) {
-    SkipWs();
-    out->kind = JsonValue::Kind::kBool;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      out->boolean = true;
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      out->boolean = false;
-      pos_ += 5;
-      return true;
-    }
-    return false;
-  }
-
-  bool ParseNull(JsonValue* out) {
-    SkipWs();
-    if (text_.compare(pos_, 4, "null") != 0) return false;
-    out->kind = JsonValue::Kind::kNull;
-    pos_ += 4;
-    return true;
-  }
-
-  bool ParseNumber(JsonValue* out) {
-    SkipWs();
-    const size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    out->kind = JsonValue::Kind::kNumber;
-    try {
-      out->number = std::stod(text_.substr(start, pos_ - start));
-    } catch (...) {
-      return false;
-    }
-    return true;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
 
 /// Shared fixture hygiene: every test starts with tracing off + clean
 /// buffer so tests are order-independent.
@@ -402,8 +220,9 @@ TEST_F(TelemetryTest, ChromeTraceJsonParsesBack) {
   pool.Wait();
 
   const std::string json = telemetry::ChromeTraceJson();
-  JsonValue root;
-  ASSERT_TRUE(JsonParser(json).Parse(&root)) << json;
+  Result<JsonValue> parsed = json_reader::Parser(json).Parse();
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << json;
+  const JsonValue& root = parsed.value();
   ASSERT_EQ(root.kind, JsonValue::Kind::kObject);
   const JsonValue* events = root.Find("traceEvents");
   ASSERT_NE(events, nullptr);
@@ -570,8 +389,9 @@ TEST_F(TelemetryTest, ChromeTraceArgsCarryCpuMicros) {
   telemetry::SetTracingEnabled(true);
   { Span span("test.cpu.args"); }
   const std::string json = telemetry::ChromeTraceJson();
-  JsonValue root;
-  ASSERT_TRUE(JsonParser(json).Parse(&root)) << json;
+  Result<JsonValue> parsed = json_reader::Parser(json).Parse();
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << json;
+  const JsonValue& root = parsed.value();
   const JsonValue* events = root.Find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_EQ(events->array.size(), 1u);

@@ -10,6 +10,8 @@
 #include "ctfl/fl/partition.h"
 #include "ctfl/fl/privacy.h"
 #include "ctfl/nn/trainer.h"
+#include "ctfl/telemetry/trace.h"
+#include "isa_tiers.h"
 #include "trace_compare.h"
 #include "trace_oracle.h"
 
@@ -195,6 +197,153 @@ TEST_F(HandcraftedTracerTest, GlobalAccuracyMatchesModel) {
       ContributionTracer(&net_, &fed, config).Trace(test);
   EXPECT_NEAR(trace.global_accuracy, 2.0 / 3, 1e-12);
   EXPECT_NEAR(trace.global_accuracy, net_.Accuracy(test), 1e-12);
+}
+
+// A traced pass shows its three parts as spans: the match, the §IV-B fold
+// and the per-record counts, in that order, each directly inside
+// ctfl.trace.pass on the calling thread.
+TEST_F(HandcraftedTracerTest, PassRecordsMatchFoldAndCountsSpans) {
+  Federation fed = MakeFederation({
+      {Make(2, 1, 0), Make(2, 0, 0)},
+      {Make(0, 0, 1), Make(2, 1, 0)},
+  });
+  Dataset test(schema_);
+  test.AppendUnchecked(Make(2, 1, 0));
+  test.AppendUnchecked(Make(0, 0, 1));
+  TracerConfig config;
+  config.num_threads = 2;
+  const ContributionTracer tracer(&net_, &fed, config);
+  telemetry::SetTracingEnabled(true);
+  telemetry::ClearTrace();
+  tracer.Trace(test);
+  telemetry::SetTracingEnabled(false);
+  const std::vector<telemetry::TraceEvent> events = telemetry::TraceEvents();
+  telemetry::ClearTrace();
+
+  const auto find = [&](const std::string& name) {
+    const telemetry::TraceEvent* found = nullptr;
+    for (const telemetry::TraceEvent& event : events) {
+      if (name != event.name) continue;
+      EXPECT_EQ(found, nullptr) << name << " recorded twice";
+      found = &event;
+    }
+    return found;
+  };
+  const telemetry::TraceEvent* pass = find("ctfl.trace.pass");
+  ASSERT_NE(pass, nullptr);
+  int64_t previous_end = pass->start_us;
+  for (const char* name :
+       {"ctfl.trace.match", "ctfl.trace.fold", "ctfl.trace.counts"}) {
+    SCOPED_TRACE(name);
+    const telemetry::TraceEvent* part = find(name);
+    ASSERT_NE(part, nullptr);
+    EXPECT_EQ(part->tid, pass->tid);
+    EXPECT_EQ(part->depth, pass->depth + 1);
+    EXPECT_GE(part->start_us, previous_end);
+    previous_end = part->start_us + part->duration_us;
+    // A span's start and duration are each truncated to microseconds.
+    EXPECT_LE(previous_end, pass->start_us + pass->duration_us + 2);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Each key keeps its hits: its nonzero related words split at participant
+// bounds. Buckets of 1, 63, 64, 65 and 130 records put participant bounds
+// mid-block, so blocks straddle two participants; one participant holds
+// no record of class 1 and one holds no record at all. Some keys relate
+// to nothing (they need a heavy rule no record has) and some have no
+// support weight. Every output must be the oracle's, at a τ_w that
+// relates most of a bucket and at τ_w = 1, at every thread count and tier.
+// ---------------------------------------------------------------------------
+TEST(TracerHitBoundsTest, StraddledAndEmptyParticipantsMatchOracle) {
+  const SchemaPtr schema = std::make_shared<FeatureSchema>(
+      std::vector<FeatureSpec>{FeatureSchema::Discrete("f", {"a", "b", "c"})},
+      "neg", "pos");
+  LogicalNetConfig net_config;
+  net_config.logic_layers = {{12, 12}};
+  net_config.seed = 5;
+  LogicalNet net(schema, net_config);
+  // Rule j supports class j % 2; every fifth rule has no weight; rules 0
+  // and 1 are heavy and no training record activates them.
+  const int num_rules = net.num_rules();
+  Rng rng(2024);
+  Matrix& w = const_cast<LinearLayer&>(net.linear()).weights();
+  w.Fill(0.0);
+  for (int j = 0; j < num_rules; ++j) {
+    const double weight =
+        j < 2 ? 100.0 : (j % 5 == 4 ? 0.0 : rng.Uniform(0.1, 1.0));
+    w(j % 2 == 1 ? 1 : 0, j) = weight;
+  }
+  const auto random_activation = [&](double density, int heavy) {
+    Bitset activation(num_rules);
+    for (int j = 2; j < num_rules; ++j) {
+      if (rng.Bernoulli(density)) activation.Set(j);
+    }
+    if (heavy >= 0) activation.Set(heavy);
+    return activation;
+  };
+
+  for (const size_t bucket : {1, 63, 64, 65, 130}) {
+    SCOPED_TRACE(::testing::Message() << "bucket " << bucket);
+    // Class 1: participants 2, 3, 4 split it at a third and two thirds;
+    // class 0: participants 0, 2, 3, 4 at a quarter, half and three
+    // quarters. Participant 1 is empty, participant 0 has no class 1.
+    const size_t cut1[] = {0, 0, 0, std::min(bucket, bucket / 3 + 1),
+                           std::min(bucket, 2 * bucket / 3 + 1), bucket};
+    const size_t cut0[] = {0, std::min(bucket, bucket / 4 + 1),
+                           std::min(bucket, bucket / 4 + 1),
+                           std::min(bucket, bucket / 2 + 3),
+                           std::min(bucket, 3 * bucket / 4 + 2), bucket};
+    std::vector<std::vector<uint8_t>> labels(5);
+    std::vector<std::vector<Bitset>> uploads(5);
+    for (size_t p = 0; p < 5; ++p) {
+      size_t ones = cut1[p + 1] - cut1[p];
+      size_t zeros = cut0[p + 1] - cut0[p];
+      while (ones + zeros > 0) {  // the two classes interleaved
+        const bool one = ones > 0 && (zeros == 0 || rng.Bernoulli(0.5));
+        (one ? ones : zeros) -= 1;
+        labels[p].push_back(one ? 1 : 0);
+        uploads[p].push_back(random_activation(0.6, -1));
+      }
+    }
+    std::vector<TestForward> forwards;
+    for (int t = 0; t < 48; ++t) {
+      TestForward fwd;
+      fwd.predicted = static_cast<uint8_t>(rng.UniformInt(2));
+      fwd.label = static_cast<uint8_t>(rng.UniformInt(2));
+      if (t % 7 == 6) {  // only weightless rules: no support weight
+        fwd.activation = Bitset(num_rules);
+        for (int j = 4; j < num_rules; j += 5) fwd.activation.Set(j);
+      } else {
+        fwd.activation = random_activation(
+            0.5, t % 6 == 5 ? fwd.predicted : -1);  // heavy: no record
+      }
+      forwards.push_back(fwd);
+      if (t % 4 == 0) {  // a second member of the key, other label
+        fwd.label ^= 1;
+        forwards.push_back(fwd);
+      }
+    }
+
+    for (const double tau_w : {0.3, 1.0}) {
+      SCOPED_TRACE(::testing::Message() << "tau_w " << tau_w);
+      TracerConfig config;
+      config.tau_w = tau_w;
+      const TraceResult expected =
+          oracle::Trace(net, labels, uploads, forwards, config);
+      ASSERT_GT(expected.related_records, 0);
+      ForEachTier([&](TraceIsa isa) {
+        for (const int threads : {1, 2, 4, 8}) {
+          SCOPED_TRACE(::testing::Message() << "threads " << threads);
+          config.isa = isa;
+          config.num_threads = threads;
+          const ContributionTracer tracer(&net, &labels, &uploads, config);
+          ExpectTracesIdentical(expected, tracer.TraceForwards(forwards),
+                                /*with_kernel_work=*/false);
+        }
+      });
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
